@@ -7,7 +7,7 @@ example measures standalone local and global proofs on a deep pipeline
 design (the 6s289 stand-in), then actually runs the ``parallel-ja``
 process pool at increasing worker counts, with and without the live
 clause exchange, and compares the measured wall-clock against the
-legacy scheduler simulation's projected makespan.
+list-scheduling projection's makespan (Table X).
 
 Run:  python examples/parallel_speedup.py
 """

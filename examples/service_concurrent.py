@@ -113,8 +113,7 @@ def main() -> None:
                 f"served={seat.properties_served} crashes={seat.crashes} "
                 f"backoff={seat.backoff_s:.1f}s"
             )
-        # Legacy dict-style reads still work for pre-stats callers.
-        pool_stats = stats["pool"]
+        pool_stats = stats.pool.counters
 
     # -- 5. back-pressure on a tiny service -----------------------------
     with VerificationService(workers=1, max_concurrent_jobs=1,

@@ -92,8 +92,15 @@ def parse_aag(text: str) -> AIG:
     name when present, with an ``etf`` suffix marking expected-to-fail).
     If the file has no ``B`` section but has outputs, the outputs are
     interpreted as bad literals (pre-1.9 convention used by older HWMCC
-    sets).
+    sets).  Malformed text raises :class:`ValueError`.
     """
+    try:
+        return _parse_aag(text)
+    except IndexError:  # fewer rows, or fewer fields in a row, than promised
+        raise ValueError("truncated ASCII AIGER file") from None
+
+
+def _parse_aag(text: str) -> AIG:
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     if not lines:
         raise ValueError("empty AIGER file")

@@ -104,7 +104,14 @@ def write_aig_binary(aig: AIG) -> bytes:
 
 
 def parse_aig_binary(data: bytes) -> AIG:
-    """Parse binary AIGER into an AIG."""
+    """Parse binary AIGER into an AIG (:class:`ValueError` if malformed)."""
+    try:
+        return _parse_aig_binary(data)
+    except IndexError:  # fewer rows, or fewer fields in a row, than promised
+        raise ValueError("truncated binary AIGER file") from None
+
+
+def _parse_aig_binary(data: bytes) -> AIG:
     newline = data.find(b"\n")
     if newline < 0:
         raise ValueError("missing AIGER header")

@@ -54,6 +54,10 @@ the same service instead of reading a manifest; remote clients then
 drive it with ``submit --host`` (a design file or the same manifest
 shape — local ``.aag`` designs are inlined over the wire), ``watch``
 (resumable event streams) and ``stats --host``.
+
+A design or manifest file that is missing, unreadable or garbled is an
+input error on every command: exit 2 and one ``repro: error: ...`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -82,6 +86,30 @@ from .session import (
 from .ts.system import TransitionSystem
 
 
+class InputError(Exception):
+    """A design or manifest file that cannot be read or parsed (exit 2)."""
+
+
+def _load_input(loader, path: str):
+    """``loader(path)``; an unreadable or malformed file is an InputError."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # incl. UnicodeDecodeError, JSONDecodeError
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _read_json(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _read_text(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _save_design(aig, path: str) -> None:
     if path.endswith(".aig"):
         save_aig(aig, path)
@@ -91,7 +119,7 @@ def _save_design(aig, path: str) -> None:
 
 # ----------------------------------------------------------------------
 def cmd_info(args: argparse.Namespace) -> int:
-    aig = load_design(args.design)
+    aig = _load_input(load_design, args.design)
     stats = aig.stats()
     print(f"{args.design}:")
     for key, value in stats.items():
@@ -143,7 +171,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ts = TransitionSystem(load_design(args.design))
+    ts = TransitionSystem(_load_input(load_design, args.design))
     result = run_sweep(ts, runs=args.runs, depth=args.depth, seed=args.seed)
     rows = [
         [name, len(trace)] for name, trace in sorted(result.failed.items())
@@ -160,6 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    ts = TransitionSystem(_load_input(load_design, args.design))
     config = VerificationConfig(
         strategy=args.strategy,
         total_time=args.time_limit,
@@ -179,7 +208,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         workers=args.workers,
         exchange=not args.no_exchange,
         exchange_shards=args.exchange_shards,
-        schedule_only=args.schedule_only,
         stop_on_failure=args.stop_on_failure,
         max_seats=args.max_seats,
         seed=args.seed,
@@ -188,12 +216,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         engine=dict(args.engine or []),
         cache_dir=args.cache_dir,
         cache_mode=args.cache_mode,
-        # The "design" sentinel lets Session derive the name from the
-        # design path unless --design-name overrides it explicitly.
-        design_name=args.design_name or "design",
+        design_name=args.design_name or args.design,
     )
     try:
-        session = Session(args.design, config)
+        session = Session(ts, config)
     except (ConfigError, UnknownStrategyError) as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -404,16 +430,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.manifest is None:
         print("serve needs a manifest (or --listen HOST:PORT)", file=sys.stderr)
         return 2
-    with open(args.manifest) as f:
-        manifest = json.load(f)
+    manifest = _load_input(_read_json, args.manifest)
     if isinstance(manifest, list):
         defaults, jobs = {}, manifest
     else:
         defaults = {k: v for k, v in manifest.items() if k != "jobs"}
         jobs = manifest.get("jobs", [])
     if not jobs:
-        print("manifest names no jobs", file=sys.stderr)
-        return 2
+        raise InputError(f"{args.manifest}: manifest names no jobs")
 
     workers = args.workers or defaults.get("workers")
     max_jobs = (
@@ -484,8 +508,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 try:
                     design = spec.pop("design")
                 except KeyError:
-                    print(f"job #{index} names no design", file=sys.stderr)
-                    return 2
+                    raise InputError(
+                        f"{args.manifest}: job #{index} names no design"
+                    ) from None
                 priority = spec.pop("priority", None)
                 spec.setdefault(
                     "strategy", defaults.get("strategy", "parallel-ja")
@@ -501,8 +526,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     OSError,
                     ValueError,
                 ) as exc:
-                    print(f"job #{index} ({design}): {exc}", file=sys.stderr)
-                    return 2
+                    raise InputError(
+                        f"{args.manifest}: job #{index} ({design}): {exc}"
+                    ) from None
 
             for handle in handles:
                 try:
@@ -570,15 +596,13 @@ def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
             and design.endswith(".aag")
             and os.path.exists(design)
         ):
-            with open(design) as f:
-                spec = dict(spec, design_text=f.read())
+            spec = dict(spec, design_text=_load_input(_read_text, design))
             del spec["design"]
             spec.setdefault("design_name", _design_name(design))
         return spec
 
     if target.endswith(".json"):
-        with open(target) as f:
-            manifest = json.load(f)
+        manifest = _load_input(_read_json, target)
         if isinstance(manifest, list):
             defaults, jobs = {}, manifest
         else:
@@ -590,7 +614,7 @@ def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
             }
             jobs = manifest.get("jobs", [])
         if not jobs:
-            raise ValueError(f"manifest {target!r} names no jobs")
+            raise InputError(f"{target}: manifest names no jobs")
         specs = []
         for spec in jobs:
             spec = dict(defaults, **spec)
@@ -621,11 +645,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from .net.client import RemoteError, ServiceClient, submit_manifest
 
     client = ServiceClient(args.host)
-    try:
-        specs = _load_remote_specs(args.target, args)
-    except (OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    specs = _load_remote_specs(args.target, args)
     try:
         jobs = submit_manifest(client, specs)
     except RemoteError as exc:
@@ -933,10 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for one shard per property cluster (default: 1)",
     )
     p_check.add_argument(
-        "--schedule-only", action="store_true",
-        help="parallel-ja: simulate scheduling instead of spawning processes",
-    )
-    p_check.add_argument(
         "--stop-on-failure", action="store_true",
         help="parallel-ja: cancel queued properties after the first failure",
     )
@@ -1138,6 +1154,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InputError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe closed (e.g. ``check --progress | head``);
         # silence the shutdown and exit like a SIGPIPE'd process would.

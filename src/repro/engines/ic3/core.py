@@ -37,9 +37,6 @@ blocked at level ``L`` is inserted once, guarded by ``act(L)``, and a
 query relative to ``F_k`` simply assumes ``act(k) .. act(top)`` — so
 advancing the frontier, pushing clauses forward and discharging
 obligations cost O(1) solver setup per query instead of O(CNF).
-``IC3Options.incremental=False`` restores the rebuild-per-query
-baseline (kept for benchmarking the win, see
-``benchmarks/bench_incremental.py``).
 """
 
 from __future__ import annotations
@@ -100,10 +97,6 @@ class IC3Options:
     # SAT backend name resolved through repro.sat.backend; None uses the
     # process default (REPRO_SAT_BACKEND environment, then "cdcl").
     solver_backend: str | None = None
-    # Persistent incremental solvers (the default).  False rebuilds a
-    # fresh solver for every single query — the O(CNF)-setup baseline
-    # kept only so benchmarks can quantify the incremental win.
-    incremental: bool = True
     # Progress events (frame advances, seed imports, budget checkpoints)
     # are sent here; None keeps the engine silent.
     emit: Emit | None = None
@@ -142,10 +135,8 @@ class IC3:
         self._bad: SatBackend | None = None
         self._bad_enc = None
         self._bad_acts: list[int | None] = []
-        # Work accounting across every solver this run ever allocates
-        # (live and scrapped), for the incremental-vs-rebuild benchmark.
-        self._live_solvers: list[SatBackend] = []
-        self._retired_counters = {"clauses_added": 0, "solves": 0}
+        # Every solver this run allocated, for the work accounting.
+        self._solvers: list[SatBackend] = []
         self._seeds: list[Clause] = [normalize_cube(c) for c in self.options.seed_clauses]
         for seed in self._seeds:
             if not ts.clause_holds_at_init(seed):
@@ -182,22 +173,14 @@ class IC3:
         """A fresh solver from the configured backend (work-accounted)."""
         solver = create_solver(self.options.solver_backend)
         self.stats["solver_allocs"] += 1
-        self._live_solvers.append(solver)
+        self._solvers.append(solver)
         return solver
-
-    def _scrap_solver(self, solver: SatBackend) -> None:
-        """Fold a discarded solver's work counters into the run totals."""
-        snapshot = solver.stats()
-        for key in self._retired_counters:
-            self._retired_counters[key] += snapshot.get(key, 0)
-        self._live_solvers.remove(solver)
 
     def clause_insertions(self) -> int:
         """Total ``add_clause`` operations issued across all solvers."""
-        total = self._retired_counters["clauses_added"]
-        for solver in self._live_solvers:
-            total += solver.stats().get("clauses_added", 0)
-        return total
+        return sum(
+            solver.stats().get("clauses_added", 0) for solver in self._solvers
+        )
 
     def _step_solver(self) -> tuple[SatBackend, StepEncoding]:
         """The persistent consecution solver (one per IC3 run).
@@ -279,37 +262,6 @@ class IC3:
                 assumps.append(self._frame_acts[level])
         return assumps
 
-    # -- rebuild-per-query baseline (benchmarking only) ----------------
-    def _rebuild_step_solver(self, k: int) -> tuple[SatBackend, StepEncoding]:
-        """Baseline: encode ``F_k ∧ T`` from scratch for one query."""
-        solver = self._new_solver()
-        enc = self.ts.encode_step(solver)
-        for p in self.assumed_props:
-            solver.add_clause([enc.prop_curr[p.name]])
-        if k == 0:
-            for i, latch in enumerate(self.ts.latches):
-                if latch.init == 0:
-                    solver.add_clause([-enc.curr[i]])
-                elif latch.init == 1:
-                    solver.add_clause([enc.curr[i]])
-        for seed in self._seeds:
-            solver.add_clause(enc.clause_lits_curr(seed))
-        for level in range(max(k, 1), len(self.frames)):
-            for cube in self.frames[level]:
-                solver.add_clause(enc.clause_lits_curr(negate_cube(cube)))
-        return solver, enc
-
-    def _rebuild_bad_solver(self) -> tuple[SatBackend, object]:
-        """Baseline: encode ``F_top`` from scratch for one bad query."""
-        solver = self._new_solver()
-        enc = self.ts.encode_bad_frame(solver)
-        for seed in self._seeds:
-            solver.add_clause(enc.clause_lits_curr(seed))
-        for level in range(self.top, len(self.frames)):
-            for cube in self.frames[level]:
-                solver.add_clause(enc.clause_lits_curr(negate_cube(cube)))
-        return solver, enc
-
     @property
     def top(self) -> int:
         return len(self.frames) - 1
@@ -325,8 +277,6 @@ class IC3:
             ]
         self.frames[level].append(cube)
         self.stats["cubes_blocked"] += 1
-        if not self.options.incremental:
-            return  # the baseline re-reads the frames lists every query
         clause = negate_cube(cube)
         if self._step is not None:
             self._insert_frame_clause(clause, level)
@@ -343,13 +293,8 @@ class IC3:
         literals whose next-state versions appear in the final conflict),
         or ``(False, (pred_state, inputs))`` on SAT.
         """
-        incremental = self.options.incremental
-        if incremental:
-            solver, enc = self._step_solver()
-            frame_sel = self._frame_assumptions(k)
-        else:
-            solver, enc = self._rebuild_step_solver(k)
-            frame_sel = []
+        solver, enc = self._step_solver()
+        frame_sel = self._frame_assumptions(k)
         # The ¬cube clause is query-local: guarded by a one-shot
         # activation literal that is retired as soon as the query ends.
         act = solver.new_activation()
@@ -357,16 +302,9 @@ class IC3:
         solver.add_clause([-act] + not_cube)
         next_lits = enc.cube_lits_next(cube)
         status = self._solve(solver, frame_sel + [act] + next_lits)
-
-        def release() -> None:
-            if incremental:
-                solver.retire(act)
-            else:
-                self._scrap_solver(solver)
-
         if status == Status.UNSAT:
             core = solver.core()
-            release()
+            solver.retire(act)
             needed = [
                 state_lit
                 for state_lit, solver_lit in zip(cube, next_lits)
@@ -374,40 +312,33 @@ class IC3:
             ]
             return True, tuple(needed)
         if status == Status.UNKNOWN:
-            release()
+            solver.retire(act)
             raise _BudgetExhausted()
         pred_state = tuple(bool(solver.value(v)) for v in enc.curr)
         inputs = {
             inp: bool(solver.value(var)) for inp, var in enc.inputs.items()
         }
-        release()
+        solver.retire(act)
         return False, (pred_state, inputs)
 
     def _query_bad(self) -> tuple[tuple[bool, ...], dict[int, bool]] | None:
         """SAT(F_top ∧ ¬P): a state (+ input) falsifying the property."""
-        if self.options.incremental:
-            solver, enc = self._bad_solver()
-            assumps = [
-                self._bad_acts[level]
-                for level in range(self.top, len(self._bad_acts))
-                if self._bad_acts[level] is not None
-            ]
-        else:
-            solver, enc = self._rebuild_bad_solver()
-            assumps = []
+        solver, enc = self._bad_solver()
+        assumps = [
+            self._bad_acts[level]
+            for level in range(self.top, len(self._bad_acts))
+            if self._bad_acts[level] is not None
+        ]
         status = self._solve(solver, assumps + [-enc.prop_curr[self.prop.name]])
-        hit = None
+        if status == Status.UNKNOWN:
+            raise _BudgetExhausted()
         if status == Status.SAT:
             state = tuple(bool(solver.value(v)) for v in enc.curr)
             inputs = {
                 inp: bool(solver.value(var)) for inp, var in enc.inputs.items()
             }
-            hit = (state, inputs)
-        if not self.options.incremental:
-            self._scrap_solver(solver)
-        if status == Status.UNKNOWN:
-            raise _BudgetExhausted()
-        return hit
+            return state, inputs
+        return None
 
     # ------------------------------------------------------------------
     # Lifting

@@ -1,7 +1,7 @@
 """Multi-property verification drivers: JA-verification (the paper's
 contribution), joint verification, separate-global verification, the
 strengthening-clause database, debugging-set analysis, ordering
-heuristics, and the simulated parallel scheduler."""
+heuristics, and Table X's makespan projection."""
 
 from .clausedb import ClauseDB
 from .clustering import ClusterOptions, cluster_properties, clustered_verify

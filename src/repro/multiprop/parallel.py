@@ -14,10 +14,10 @@ makespan of scheduling those independent jobs on ``w`` workers.  Greedy
 list scheduling is within a factor 4/3 of optimal and matches the
 paper's in-order dispatch.
 
-Real process-parallel execution lives in :mod:`repro.parallel`; the
-simulator remains behind it as the ``parallel-ja`` strategy's
-``schedule_only`` mode — deterministic, portable, and the honest choice
-when the host has fewer cores than the run has properties.
+Real process-parallel execution lives in :mod:`repro.parallel`; this
+projection helper feeds Table X (``benchmarks/bench_table10_parallel.py``)
+— deterministic, portable, and the honest choice when the host has
+fewer cores than the run has properties.
 """
 
 from __future__ import annotations

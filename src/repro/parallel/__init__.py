@@ -20,21 +20,13 @@ that claim instead of simulating it:
   module-level :func:`default_pool`), amortizing the per-run O(design)
   setup cost of server-style workloads;
 * :mod:`repro.parallel.exchange` — the cluster-sharded clause exchange:
-  one append-only clause log per property cluster, each hosted in its
-  own manager process, with clause traffic routed only between
-  same-shard subscribers (``exchange_shards=N`` or ``"auto"``);
-* :mod:`repro.parallel.sharing` — the legacy single-manager exchange,
-  kept for direct callers;
+  one append-only clause log per property cluster, hosted in the
+  scheduler's manager processes, with clause traffic routed only
+  between same-shard subscribers (``exchange_shards=N`` or ``"auto"``);
 * :mod:`repro.parallel.worker` — the pool worker entry point and the
   picklable job/result messages; every worker forwards its typed
   :class:`~repro.progress.ProgressEvent` stream to the parent, which
   merges the streams into the session's event channel.
-
-The legacy list-scheduling simulator
-(:mod:`repro.multiprop.parallel`) survives as the engine's
-``schedule_only`` mode: it still measures standalone local proofs
-sequentially and reports projected makespans, which is useful on
-machines with fewer cores than properties.
 
 Entry points: ``Session(design, strategy="parallel-ja", workers=4)`` or
 :func:`parallel_ja_verify` directly.
@@ -56,7 +48,6 @@ from .exchange import (
     build_shard_map,
     pack_clauses,
     shard_clusters,
-    start_sharded_exchange,
     unpack_clauses,
 )
 from .pool import (
@@ -65,7 +56,6 @@ from .pool import (
     shutdown_all_pools,
     shutdown_default_pool,
 )
-from .sharing import ClauseExchange, ExchangeManager, start_exchange
 from .stats import PoolStats, SeatStats
 
 __all__ = [
@@ -90,10 +80,6 @@ __all__ = [
     "ShardMap",
     "build_shard_map",
     "shard_clusters",
-    "start_sharded_exchange",
     "pack_clauses",
     "unpack_clauses",
-    "ClauseExchange",
-    "ExchangeManager",
-    "start_exchange",
 ]

@@ -62,15 +62,14 @@ Design notes
   routes clause traffic through one
   :class:`~repro.parallel.exchange.ExchangeShard` per property cluster
   (``exchange_shards``: a count, or ``"auto"`` for one shard per
-  structural cluster), each hosted in its own manager process —
+  structural cluster).  Shard ``i`` of every job lives in manager
+  process ``i`` of the scheduler's
+  :class:`~repro.parallel.exchange.ShardHost` (started by the first
+  exchanging job, stopped by :meth:`SeatScheduler.close`) —
   publish/fetch throughput scales with the shard count and clauses
   never cross cluster boundaries.  With ``exchange=False`` each worker
   still re-uses its *own* proofs' clauses, Section 6 style, but nothing
   crosses process boundaries (Table X's independent-proof mode).
-* ``schedule_only=True`` falls back to the legacy simulator
-  (:mod:`repro.multiprop.parallel`): standalone local proofs measured
-  sequentially plus a greedy list-scheduling makespan projection —
-  useful when the host has fewer cores than the run has properties.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 from ..engines.result import PropStatus
-from ..multiprop.parallel import ParallelSimResult, measure_local_proofs
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
     BudgetCheckpoint,
@@ -90,13 +88,12 @@ from ..progress import (
     PropertyCancelled,
     PropertyRequeued,
     PropertySolved,
-    PropertyStarted,
     ShardOpened,
     WorkerStarted,
     emit_or_null,
 )
 from ..ts.system import TransitionSystem
-from .exchange import build_shard_map, start_sharded_exchange
+from .exchange import ShardHost, build_shard_map
 from .pool import WorkerPool
 from .stats import PoolStats, SeatStats
 from .worker import PropertyJob, WorkerSettings
@@ -112,7 +109,6 @@ class ParallelOptions:
 
     workers: int | None = None  # None: one per CPU (capped by #props)
     exchange: bool = True  # live clause exchange between workers
-    schedule_only: bool = False  # legacy simulator instead of processes
     stop_on_failure: bool = False  # cancel the queue on the first FAILS
     start_method: str | None = None  # fork where available, else spawn
     # Queue jobs in descending estimated COI size (LPT heuristic) when
@@ -166,11 +162,11 @@ class ParallelOptions:
 class PooledJob:
     """Parent-side state of one admitted job (= one open run on the pool).
 
-    Everything the old single-run executor tracked per run now lives
-    here, so a :class:`SeatScheduler` can keep any number of them in
-    flight: the property backlog, the seats that acked this run's
-    setup, outcomes and pending names, crash/retry bookkeeping, the
-    watchdog deadline, and the job's private sharded-exchange managers.
+    Everything tracked per run lives here, so a :class:`SeatScheduler`
+    can keep any number of them in flight: the property backlog, the
+    seats that acked this run's setup, outcomes and pending names,
+    crash/retry bookkeeping, the watchdog deadline, and the job's
+    sharded-exchange handle.
     """
 
     def __init__(
@@ -224,7 +220,6 @@ class PooledJob:
         self.dispatch_mode = "fifo"
         self.use_exchange = False
         self.num_shards = 0
-        self.managers: list[object] = []
         self.exchange = None
         self.exchange_stats: dict = {}
 
@@ -304,10 +299,9 @@ class _SeatHealth:
 class SeatScheduler:
     """Fair multiplexer of many jobs' property backlogs onto pool seats.
 
-    This replaces the engine's exclusive pool ownership: each admitted
-    job opens its own run (:meth:`WorkerPool.open_run`), and whenever a
-    seat reports idle the scheduler picks which job feeds it by
-    **weighted fair share** — the job minimizing
+    Each admitted job opens its own run (:meth:`WorkerPool.open_run`),
+    and whenever a seat reports idle the scheduler picks which job
+    feeds it by **weighted fair share** — the job minimizing
     ``(seats it holds + 1) / priority`` wins, ties to the oldest run —
     with LPT order inside each job's backlog.  One scheduler owns the
     pool's message stream (:meth:`WorkerPool.acquire_messages`); the
@@ -315,9 +309,9 @@ class SeatScheduler:
     :class:`~repro.service.VerificationService` keeps one alive across
     arbitrarily many concurrent jobs.
 
-    Per-job isolation carries over from the single-run engine: run-id
-    tagged messages, per-job watchdog deadlines, per-job sharded
-    exchanges, exact crash attribution with one bounded re-dispatch,
+    Jobs are isolated from each other: run-id tagged messages, per-job
+    watchdog deadlines, per-job sharded exchanges, exact crash
+    attribution with one bounded re-dispatch,
     and per-job cancellation that never touches sibling jobs.  With
     ``revive_seats=True`` (service mode) a crashed seat is respawned
     *mid-flight* and re-attached to every open run, under per-seat
@@ -326,10 +320,9 @@ class SeatScheduler:
     delay (``backoff_base`` up to ``backoff_cap``), and a seat that
     completes a property resets its schedule.  A crash-looping seat
     therefore costs a bounded respawn rate — never a hot loop — while
-    a long-lived service is never *permanently* degraded the way the
-    old global revive budget could leave it.  Without ``revive_seats``
-    (single-run engine mode) dead seats stay down until the next run,
-    exactly as before.
+    a long-lived service is never *permanently* degraded.  Without
+    ``revive_seats`` (single-run engine mode) dead seats stay down
+    until the next run.
     """
 
     def __init__(
@@ -338,7 +331,6 @@ class SeatScheduler:
         *,
         revive_seats: bool = False,
         service_emit: Emit | None = None,
-        shard_host=None,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
     ) -> None:
@@ -353,9 +345,9 @@ class SeatScheduler:
         self.service_emit = service_emit
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        # Optional persistent ShardHost: jobs' exchange shards open on
-        # pooled manager processes instead of spawning their own.
-        self.shard_host = shard_host
+        # Manager processes hosting every job's exchange shards; none
+        # are started until a job asks for an exchange.
+        self._shard_host = ShardHost(ctx=pool.context)
         self.jobs: dict[int, PooledJob] = {}
         # seat -> (run id, property name) it is currently executing
         self.assignments: dict[int, tuple[int, str]] = {}
@@ -454,19 +446,13 @@ class SeatScheduler:
             dispatch = list(order)
             dispatch_mode = "fifo"
 
-        managers: list[object] = []
         exchange = None
         num_shards = 0
         use_exchange = options.exchange and options.clause_reuse
         if use_exchange:
             shard_map = build_shard_map(ts, order, options.exchange_shards)
             num_shards = shard_map.num_shards
-            if self.shard_host is not None:
-                exchange = self.shard_host.open_shards(shard_map)
-            else:
-                managers, exchange = start_sharded_exchange(
-                    shard_map, ctx=pool.context
-                )
+            exchange = self._shard_host.open_shards(shard_map)
             for shard in range(num_shards):
                 emit(
                     ShardOpened(
@@ -486,12 +472,7 @@ class SeatScheduler:
             engine_overrides=dict(options.engine_overrides),
             warm_clauses=tuple(options.warm_clauses),
         )
-        try:
-            run_id = pool.open_run(ts, settings, exchange)
-        except BaseException:  # don't leak the shard managers just started
-            for manager in managers:
-                manager.shutdown()
-            raise
+        run_id = pool.open_run(ts, settings, exchange)
 
         job = PooledJob(
             run_id,
@@ -510,7 +491,6 @@ class SeatScheduler:
         job.dispatch_mode = dispatch_mode
         job.use_exchange = use_exchange
         job.num_shards = num_shards
-        job.managers = managers
         job.exchange = exchange
         job.engine = engine
         job.seed = seed
@@ -699,12 +679,8 @@ class SeatScheduler:
                 job.exchange_stats = {}
             for key in self._exchange_totals:
                 self._exchange_totals[key] += job.exchange_stats.get(key, 0)
-            # Dropping the proxies releases host-pooled shard objects;
-            # private managers are shut down outright.
+            # Dropping the proxies releases the host's shard objects.
             job.exchange = None
-        for manager in job.managers:
-            manager.shutdown()
-        job.managers = []
         self.pool.close_run(job.run_id)
         if job.errors:
             job.error = RuntimeError(
@@ -954,20 +930,16 @@ class SeatScheduler:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the message lease; tear down any unfinished job.
+        """Release the message lease; stop the shard managers.
 
-        Unfinished jobs only exist here on an exception path — shut
-        their shard managers down and close their runs so a failed
-        drive never leaks manager processes or open-run state.
+        Unfinished jobs only exist here on an exception path — close
+        their runs so a failed drive never leaks open-run state.
         """
         for job in list(self.jobs.values()):
-            if not job.finished:
-                for manager in job.managers:
-                    manager.shutdown()
-                job.managers = []
-                if not self.pool.closed:
-                    self.pool.cancel_run(job.run_id)
-                    self.pool.close_run(job.run_id)
+            if not job.finished and not self.pool.closed:
+                self.pool.cancel_run(job.run_id)
+                self.pool.close_run(job.run_id)
+        self._shard_host.shutdown()
         self.pool.release_messages(self)
 
 
@@ -984,78 +956,6 @@ def _cone_descending(ts: TransitionSystem, order: list[str]) -> list[str]:
 
     position = {name: i for i, name in enumerate(order)}
     return sorted(order, key=lambda n: (-cone_latches(ts, n), position[n]))
-
-
-def _schedule_only(
-    ts: TransitionSystem,
-    options: ParallelOptions,
-    design_name: str,
-    emit: Emit,
-    order: list[str],
-) -> MultiPropReport:
-    """The legacy Section 11 simulation, kept as an explicit mode.
-
-    Standalone local proofs are measured sequentially and the makespan
-    of scheduling them on the requested worker count is *projected*
-    with greedy list scheduling; ``report.stats`` carries the
-    projection next to the real sequential wall-clock.  Budget and
-    engine knobs (conflicts, ctg, lifting mode, overrides) are honored;
-    ``clause_reuse``/``exchange``/``coi_reduction`` deliberately are
-    not — Table X measures proofs "generated independently of each
-    other", which is what the projection models.
-    """
-    start = time.monotonic()
-    sim = ParallelSimResult()
-    report = MultiPropReport(method="parallel-ja", design=design_name)
-    engine_overrides = dict(options.engine_overrides)
-    engine_overrides.setdefault("ctg", options.ctg)
-    engine_overrides.setdefault(
-        "respect_constraints_in_lifting",
-        options.respect_constraints_in_lifting,
-    )
-    engine_overrides.setdefault("solver_backend", options.solver_backend)
-    for name in order:
-        emit(PropertyStarted(name=name))
-        one = measure_local_proofs(
-            ts,
-            [name],
-            per_property_time=options.per_property_time,
-            max_frames=options.max_frames,
-            per_property_conflicts=options.per_property_conflicts,
-            engine_overrides=engine_overrides,
-        )
-        sim.prop_times[name] = one.prop_times[name]
-        sim.prop_frames[name] = one.prop_frames[name]
-        sim.statuses[name] = one.statuses[name]
-        status = PropStatus(one.statuses[name])
-        report.outcomes[name] = PropOutcome(
-            name=name,
-            status=status,
-            local=True,
-            frames=one.prop_frames[name],
-            time_seconds=one.prop_times[name],
-            expected_to_fail=ts.prop_by_name[name].expected_to_fail,
-        )
-        emit(
-            PropertySolved(
-                name=name,
-                status=status,
-                local=True,
-                time_seconds=one.prop_times[name],
-            )
-        )
-        emit(BudgetCheckpoint(scope="total", elapsed=time.monotonic() - start))
-    workers = options.resolve_workers(len(order)) if order else 1
-    report.total_time = time.monotonic() - start
-    report.stats = {
-        "mode": "schedule_only",
-        "workers": workers,
-        "exchange": 0,
-        "sequential_time": sim.sequential_time(),
-        "simulated_makespan": sim.makespan(workers),
-        "simulated_speedup": sim.speedup(workers),
-    }
-    return report
 
 
 def parallel_ja_verify(
@@ -1080,8 +980,6 @@ def parallel_ja_verify(
         report = MultiPropReport(method="parallel-ja", design=design_name)
         report.stats = {"mode": "process", "workers": 0, "exchange": 0}
         return report
-    if opts.schedule_only:
-        return _schedule_only(ts, opts, design_name, emit, order)
     return _run_pooled(ts, opts, design_name, emit, order)
 
 
@@ -1094,11 +992,10 @@ def _run_pooled(
 ) -> MultiPropReport:
     """One job driven to completion on a single-job seat scheduler.
 
-    This is the old exclusive engine expressed as the degenerate case
-    of the multiplexer: one scheduler, one admitted job, drive, report.
-    Everything after pool creation runs under the teardown guard — a
-    bad shard spec or a failed manager start must not leak the worker
-    processes just spawned.
+    The degenerate case of the multiplexer: one scheduler, one admitted
+    job, drive, report.  Everything after pool creation runs under the
+    teardown guard — a bad shard spec or a failed manager start must
+    not leak the worker processes just spawned.
     """
     start = time.monotonic()
     pool = opts.pool

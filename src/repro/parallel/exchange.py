@@ -1,29 +1,37 @@
-"""Cluster-sharded live clause exchange (the 10k-property scaling fix).
+"""Cluster-sharded live clause exchange between parallel JA workers.
 
-The single manager-hosted :class:`~repro.parallel.sharing.ClauseExchange`
-serializes every ``publish``/``fetch`` of every worker through one
-server object — fine at tens of properties, a bottleneck at the paper's
-10k scale.  Clause traffic is also *wasted* across unrelated
-properties: a strengthening clause learned while proving one property
-only helps properties whose cones overlap, which is exactly what
+Section 11 of the paper notes that workers proving different properties
+*may* (but need not) exchange strengthening clauses.  With real worker
+processes the clause log must live outside any single worker, so it is
+hosted in :class:`multiprocessing.managers.BaseManager` server
+processes and reached through proxies.  One server object would
+serialize every ``publish``/``fetch`` of every worker — fine at tens of
+properties, a bottleneck at the paper's 10k scale — and clause traffic
+is *wasted* across unrelated properties: a strengthening clause learned
+while proving one property only helps properties whose cones overlap,
+which is exactly what
 :func:`repro.multiprop.clustering.cluster_properties` computes.
 
-This module shards the exchange by property cluster:
+This module therefore shards the exchange by property cluster:
 
 * :func:`build_shard_map` groups the run's properties with the
   structural clustering (Jaccard similarity of latch cones) and assigns
   whole clusters to shards, biggest-cluster-first onto the least
   loaded shard, so same-cluster properties always share a shard;
-* :class:`ExchangeShard` is one append-only deduplicated clause log —
-  the same cursor protocol as the legacy exchange, plus per-shard
-  traffic stats that record *which properties* published and fetched
-  (the routing-isolation tests rely on this).  Fetch replies are
-  **batched**: the whole cursor gap ships as one packed int64 buffer
-  (:func:`pack_clauses`) instead of one pickled tuple per clause, and
-  ``stats()["fetch_batches"]`` counts the non-empty replies;
-* each shard is hosted in its **own** manager process
-  (:func:`start_sharded_exchange`), so shards serialize independently
-  and publish/fetch throughput scales with the shard count;
+* :class:`ExchangeShard` is one append-only deduplicated clause log.
+  Workers ``fetch`` with a cursor (the log length they have already
+  seen) and ``publish`` the invariant of each finished local proof;
+  the log only grows, so a fetch never misses a clause published
+  before its cursor and the protocol needs no locking beyond what the
+  manager already serializes.  Per-shard traffic stats record *which
+  properties* published and fetched (the routing-isolation tests rely
+  on this).  Fetch replies are **batched**: the whole cursor gap ships
+  as one packed int64 buffer (:func:`pack_clauses`) instead of one
+  pickled tuple per clause, and ``stats()["fetch_batches"]`` counts
+  the non-empty replies;
+* shard ``i`` is hosted in manager process ``i`` of a
+  :class:`ShardHost`, so shards serialize independently and
+  publish/fetch throughput scales with the shard count;
 * :class:`ShardedExchange` is the picklable client-side router workers
   hold: ``publish``/``fetch`` take the property name and route to its
   shard, so a clause is only ever delivered to subscribers of the
@@ -31,10 +39,15 @@ This module shards the exchange by property cluster:
   impossible by construction, and :meth:`ShardedExchange.routing_violations`
   proves it from the recorded per-shard traffic.
 
-``shards=1`` degenerates to the old single-exchange behaviour (one log,
-one manager); ``shards="auto"`` takes one shard per cluster, capped at
-:data:`AUTO_SHARD_CAP` so a thousand singleton clusters do not spawn a
-thousand manager processes.
+Semantic validation (does the clause hold at the initial states? is it
+in range?) stays *worker-side* in
+:class:`~repro.multiprop.clausedb.ClauseDB`: the server would need the
+transition system for that, and every consumer re-validates on import
+anyway.
+
+``shards=1`` is one log in one manager; ``shards="auto"`` takes one
+shard per cluster, capped at :data:`AUTO_SHARD_CAP` so a thousand
+singleton clusters do not spawn a thousand manager processes.
 """
 
 from __future__ import annotations
@@ -178,12 +191,11 @@ def shard_clusters(clusters: Sequence[Sequence[str]], num_shards: int) -> ShardM
 class ExchangeShard:
     """One append-only deduplicated clause log (runs in its manager).
 
-    The cursor protocol matches the legacy single exchange: workers
-    ``fetch`` with the log length they have already seen, the log only
-    grows, so a fetch never misses a clause published before its
-    cursor.  On top of the legacy log this shard records which
-    *properties* published and fetched — the stress/fuzz suite uses
-    those sets to prove that no clause ever crossed a shard boundary.
+    Workers ``fetch`` with the log length they have already seen; the
+    log only grows, so a fetch never misses a clause published before
+    its cursor.  The shard also records which *properties* published
+    and fetched — the stress/fuzz suite uses those sets to prove that
+    no clause ever crossed a shard boundary.
     """
 
     def __init__(self, index: int = 0, members: Sequence[str] = ()) -> None:
@@ -333,17 +345,15 @@ ShardManager.register("ExchangeShard", ExchangeShard)
 class ShardHost:
     """A persistent set of shard-manager processes, reused across jobs.
 
-    The engine's per-run exchange spawns (and tears down) one manager
-    process per shard per run — fine for one-shot runs, a systematic
-    tax on a :class:`~repro.service.VerificationService` that keeps
-    many jobs in flight: every live job would hold its own manager
-    processes.  A host keeps one manager process per *shard index* for
-    the service's lifetime; shard ``i`` of every job is hosted in
-    manager ``i`` as its own :class:`ExchangeShard` object, so jobs
-    stay fully isolated (separate logs, separate stats) while the
-    process count stays bounded by the widest job, not the job count.
-    Freeing is by proxy refcount: when a job's last proxy dies, the
-    manager drops its shard objects.
+    Owned by a :class:`~repro.parallel.engine.SeatScheduler` for its
+    lifetime.  The host keeps one manager process per *shard index*,
+    started when a job first needs that many shards; shard ``i`` of
+    every job is hosted in manager ``i`` as its own
+    :class:`ExchangeShard` object, so jobs stay fully isolated
+    (separate logs, separate stats) while the process count stays
+    bounded by the widest job, not the job count.  Freeing is by proxy
+    refcount: when a job's last proxy dies, the manager drops its shard
+    objects.
     """
 
     def __init__(self, ctx=None) -> None:
@@ -380,29 +390,3 @@ class ShardHost:
         for manager in self._managers:
             manager.shutdown()
         self._managers = []
-
-
-def start_sharded_exchange(
-    shard_map: ShardMap, ctx=None
-) -> tuple[list[ShardManager], ShardedExchange]:
-    """One manager process per shard; returns ``(managers, exchange)``.
-
-    The caller owns the managers and must ``shutdown()`` each after
-    collecting :meth:`ShardedExchange.stats`; the returned exchange is
-    picklable and is handed to worker processes per run.
-    """
-    managers: list[ShardManager] = []
-    proxies: list[object] = []
-    try:
-        for shard in range(shard_map.num_shards):
-            manager = ShardManager(ctx=ctx)
-            manager.start()
-            managers.append(manager)
-            proxies.append(
-                manager.ExchangeShard(shard, shard_map.members(shard))
-            )
-    except BaseException:
-        for manager in managers:  # don't leak the shards already up
-            manager.shutdown()
-        raise
-    return managers, ShardedExchange(shard_map, proxies)

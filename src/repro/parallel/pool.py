@@ -1,14 +1,13 @@
 """A persistent, reusable pool of JA-verification worker processes.
 
-The PR-2 engine spawned worker processes per run and shipped the
-pickled design to each as a :class:`multiprocessing.Process` argument —
-an O(design) setup cost on *every* ``Session.run()``, which dominates
-server-style workloads that verify many small batches against the same
-design.  :class:`WorkerPool` removes that cost:
+Spawning worker processes per run and shipping them the pickled design
+is an O(design) setup cost on *every* ``Session.run()``, which
+dominates server-style workloads that verify many small batches
+against the same design.  :class:`WorkerPool` removes that cost:
 
 * **Workers outlive runs.**  The pool spawns its processes once
   (lazily, on the first run) and keeps them polling their private
-  control queues; successive runs reuse them via :meth:`begin_run`.
+  control queues; successive runs reuse them via :meth:`open_run`.
 * **Designs ship once.**  The parent pickles a design exactly once per
   content hash (``stats["design_pickles"]``, memoized by object
   identity so repeat runs do not even re-hash) and each worker caches
@@ -16,11 +15,11 @@ design.  :class:`WorkerPool` removes that cost:
   hash — the second run on a design sends only the hash.
 * **Runs are isolated.**  Every run gets a fresh run id; job, result
   and event messages are all tagged with it, workers rebuild their
-  per-run clause databases on every ``begin_run``, and the parent
+  per-run clause databases on every ``open_run``, and the parent
   discards any straggler message from an earlier run — no clause or
   verdict leakage between runs.
 * **Crashed workers are replaced between runs.**  Mid-run, a crash is
-  handled by the engine's bounded re-dispatch exactly as before;
+  handled by the engine's bounded re-dispatch;
   :meth:`ensure_workers` (called by the engine at the start of every
   run) respawns dead slots so the next run starts at full strength
   (``stats["workers_replaced"]``).
@@ -36,34 +35,22 @@ channel, which is discarded when :meth:`ensure_workers` replaces the
 seat — and the parent always knows exactly which job a dead worker
 held, so crash attribution needs no claim protocol.
 
-Cancellation is a shared *epoch* (a :class:`multiprocessing.Value`
-holding the highest cancelled run id) rather than a per-run event,
-because synchronization primitives cannot be shipped through queues to
-already-running processes: cancelling run ``r`` raises the epoch to
-``r``, and a worker declines (reports ``cancelled``) any assigned job
-whose run id is at or below the epoch.  Run ids increase monotonically,
-so old cancellations never affect new runs.
-
-Run protocol: **seat leasing, not exclusive ownership.**  The PR-4
-pool allowed exactly one batch at a time (``begin_run`` raised on
-concurrency), which blocked the server regime where many jobs share
-one pool.  The primitive is now :meth:`open_run` — any number of runs
-may be open concurrently, each identified by its monotonically
+Run protocol: **seat leasing.**  Any number of runs may be open
+concurrently (:meth:`open_run`), each identified by its monotonically
 increasing run id; the scheduler that drives them (the engine's
 ``SeatScheduler``, shared with :class:`repro.service.VerificationService`)
 leases idle seats job-by-job via :meth:`assign` and routes the single
 output queue's run-tagged messages itself.  Because one process may
 not have two consumers of that queue, a scheduler must take the
-message lease (:meth:`acquire_messages`) first; the legacy exclusive
-protocol (:meth:`begin_run` / :meth:`get` / :meth:`end_run`) survives
-as a thin shim over ``open_run`` that refuses to start while any other
-run is open.
+message lease (:meth:`acquire_messages`) first.
 
-Cancellation is per run: :meth:`cancel_run` raises the shared epoch (a
-:class:`multiprocessing.Value` holding a run id below which every job
-is declined) when the target is the *oldest* open run — run ids are
-monotonic, so that never touches a newer run — and falls back to
-explicit ``("cancel", run_id)`` control messages otherwise.  Workers
+Cancellation is per run, and never a per-run event object, because
+synchronization primitives cannot be shipped through queues to
+already-running processes.  :meth:`cancel_run` raises the shared epoch
+(a :class:`multiprocessing.Value` holding a run id at or below which
+every job is declined) when the target is the *oldest* open run — run
+ids are monotonic, so that never touches a newer run — and falls back
+to explicit ``("cancel", run_id)`` control messages otherwise.  Workers
 decline (report ``cancelled``) any assigned job of a cancelled run.
 
 Use :func:`default_pool` for the module-level shared pool
@@ -71,9 +58,8 @@ Use :func:`default_pool` for the module-level shared pool
 explicitly and pass them around; a pool is a context manager, every
 live pool is shut down at interpreter exit (an ``atexit`` hook walks a
 weak registry, so no seat process ever outlives the interpreter), and
-:meth:`shutdown` is idempotent.  The engine still creates a private
-single-run pool when no pool is supplied, preserving the original
-per-run semantics.
+:meth:`shutdown` is idempotent.  The engine creates a private
+single-run pool when no pool is supplied.
 """
 
 from __future__ import annotations
@@ -126,12 +112,19 @@ class _Slot:
 class _OpenRun:
     """Parent-side record of one open run (for late seat attachment)."""
 
-    __slots__ = ("ts", "settings", "exchange")
+    __slots__ = ("ts", "settings", "exchange_blob")
 
     def __init__(self, ts, settings, exchange) -> None:
         self.ts = ts
         self.settings = settings
-        self.exchange = exchange
+        # Pickled once here and unpickled by each seat under a guard: a
+        # busy seat may read its ``run`` message after the job released
+        # its shards, when the proxies inside can no longer be rebuilt.
+        self.exchange_blob = (
+            None
+            if exchange is None
+            else pickle.dumps(exchange, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
 
 class WorkerPool:
@@ -161,7 +154,6 @@ class WorkerPool:
         self._run_ids = itertools.count()
         self._open: dict[int, _OpenRun] = {}
         self._cancelled_runs: set = set()
-        self._active: int | None = None
         self._consumer: object | None = None  # message-lease holder
         self._closed = False
         _live_pools.add(self)
@@ -265,7 +257,6 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        self._active = None
         self._open.clear()
         self._cancelled_runs.clear()
         self._consumer = None
@@ -361,15 +352,10 @@ class WorkerPool:
         queue, a worker can never see a job before the run's design and
         settings.  Any number of runs may be open concurrently — their
         jobs are interleaved onto seats by whoever holds the message
-        lease — but an *exclusive* legacy run (:meth:`begin_run`)
-        blocks new opens until it ends.
+        lease.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is shut down")
-        if self._active is not None:
-            raise RuntimeError(
-                f"run {self._active} is still active on this pool"
-            )
         if not self._slots:
             self.ensure_workers()
         run_id = next(self._run_ids)
@@ -393,16 +379,12 @@ class WorkerPool:
         slot = self._slots[worker_id]
         body = None if digest in slot.designs else payload
         slot.ctrl.put(
-            ("run", run_id, digest, body, run.settings, run.exchange)
+            ("run", run_id, digest, body, run.settings, run.exchange_blob)
         )
         _lru_touch(slot.designs, digest, True)
 
-    def assign(self, worker_id: int, job, run_id: int | None = None) -> None:
+    def assign(self, worker_id: int, job, run_id: int) -> None:
         """Hand one job of a run to a specific worker seat."""
-        if run_id is None:
-            if self._active is None:
-                raise RuntimeError("no active run; call begin_run first")
-            run_id = self._active
         if run_id not in self._open:
             raise RuntimeError(f"run {run_id} is not open on this pool")
         self._slots[worker_id].ctrl.put(("job", run_id, job))
@@ -476,50 +458,6 @@ class WorkerPool:
                     slot.ctrl.put(("end", run_id))
                 except Exception:  # pragma: no cover - queue already broken
                     pass
-
-    # ------------------------------------------------------------------
-    # Run protocol — legacy exclusive shim (one batch at a time)
-    # ------------------------------------------------------------------
-    def begin_run(self, ts, settings, exchange=None) -> int:
-        """Open an *exclusive* run (the pre-service single-batch mode).
-
-        Raises while any other run is open; direct callers that want
-        concurrency should go through
-        :class:`~repro.service.VerificationService` (or :meth:`open_run`
-        with their own scheduler) instead.
-        """
-        if self._open:
-            raise RuntimeError(
-                f"run {min(self._open)} is still active on this pool"
-            )
-        run_id = self.open_run(ts, settings, exchange)
-        self._active = run_id
-        return run_id
-
-    def get(self, timeout: float = 0.2):
-        """Next message of the exclusive run, run-id tag stripped."""
-        if self._active is None:
-            raise RuntimeError("no active run; call begin_run first")
-        message = self.next_message(timeout)
-        return (message[0],) + tuple(message[2:])
-
-    def cancel_active(self) -> None:
-        """Cancel the exclusive run (see :meth:`cancel_run`)."""
-        if self._active is not None:
-            self.cancel_run(self._active)
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the exclusive run has been cancelled."""
-        return self._active is not None and self.run_cancelled(self._active)
-
-    def end_run(self) -> None:
-        """Close the exclusive run; anything still in flight goes stale."""
-        if self._active is None:
-            return
-        self.cancel_run(self._active)
-        self.close_run(self._active)
-        self._active = None
 
     # ------------------------------------------------------------------
     # Liveness (consumed by the engine's crash handling)

@@ -526,8 +526,6 @@ def portfolio_verify(
     """
     opts = options or ParallelOptions()
     emit = emit_or_null(emit)
-    if opts.schedule_only:
-        raise ValueError("the portfolio strategy has no schedule_only mode")
     order = list(opts.order) if opts.order else [p.name for p in ts.properties]
     unknown = set(order) - {p.name for p in ts.properties}
     if unknown:

@@ -7,10 +7,9 @@ needs to *show* that state, not just act on it.  These frozen records
 are the wire-free snapshot format: :class:`SeatStats` describes one
 seat (liveness, current assignment, crash/backoff bookkeeping),
 :class:`PoolStats` one whole pool at one instant (occupancy plus the
-pool's lifetime counters).  ``as_dict()`` keeps the JSON/legacy-dict
-shape stable: the pool's counter keys (``runs``, ``design_pickles``,
-``workers_spawned``, ...) stay top-level, exactly where pre-stats
-consumers of ``service.stats()["pool"]`` found them.
+pool's lifetime counters).  ``as_dict()`` is the JSON shape: the
+pool's counter keys (``runs``, ``design_pickles``,
+``workers_spawned``, ...) sit at the top level next to the occupancy.
 
 Snapshots are built by :meth:`SeatScheduler.stats` (full seat detail)
 or :meth:`PoolStats.from_pool` (a bare pool with no scheduler — seat
@@ -69,8 +68,7 @@ class PoolStats:
 
     ``counters`` is the pool's lifetime ``stats`` dict (runs opened,
     designs pickled/cached, workers spawned/replaced); ``as_dict``
-    splices it in at the top level so the snapshot is a strict
-    superset of the old ``dict(pool.stats)`` shape.
+    splices it in at the top level.
     """
 
     workers: int

@@ -12,14 +12,17 @@ the full spurious-CEX re-run ladder, and reports a
 
 Control messages (private queue, parent -> worker):
 
-``("run", run_id, design_hash, payload-or-None, settings, exchange)``
+``("run", run_id, design_hash, payload-or-None, settings, exchange-blob)``
     a new run: the pickled design ships only when this worker has not
     cached the hash yet; the worker builds the run's fresh clause
-    databases and acknowledges with ``ready``.  Several runs may be
-    live at once — the worker keeps one state record per open run and
-    serves whichever run each job message names, which is what lets a
-    :class:`~repro.service.VerificationService` interleave many jobs'
-    properties on one seat;
+    databases and acknowledges with ``ready``.  The exchange travels
+    pickled (or ``None``): a setup whose shard proxies can no longer be
+    rebuilt — the job finished while this seat was busy — is skipped
+    without an ack, so the seat is never fed that run.  Several runs
+    may be live at once — the worker keeps one state record per open
+    run and serves whichever run each job message names, which is what
+    lets a :class:`~repro.service.VerificationService` interleave many
+    jobs' properties on one seat;
 ``("job", run_id, PropertyJob)``
     one property to verify.  Scheduling is parent-side: the scheduler
     assigns the next backlog job to whichever worker reported idle, so
@@ -200,7 +203,7 @@ def pool_worker_main(
         if kind == "stop":
             break
         if kind == "run":
-            _, run_id, digest, payload, settings, exchange = message
+            _, run_id, digest, payload, settings, exchange_blob = message
             if payload is not None and digest not in designs:
                 designs[digest] = pickle.loads(payload)
             ts = designs.get(digest)
@@ -210,6 +213,15 @@ def pool_worker_main(
                 )
                 continue
             _lru_touch(designs, digest, ts)
+            exchange = None
+            if exchange_blob is not None:
+                try:
+                    exchange = pickle.loads(exchange_blob)
+                except Exception:  # noqa: BLE001 - the seat must outlive it
+                    # Rebuilding a proxy registers with its manager, which
+                    # fails (KeyError, connection error) once the job has
+                    # released the shard: the run is over, skip it.
+                    continue
             runs[run_id] = _ActiveRun(
                 run_id=run_id, ts=ts, settings=settings, exchange=exchange
             )

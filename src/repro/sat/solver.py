@@ -736,27 +736,19 @@ class Solver:
     def retire(self, act: int) -> None:
         """Permanently disable the clause group guarded by ``act``.
 
-        For a tracked activation variable (from :meth:`new_activation`)
-        this is a *hard* retirement: the group's clauses — and every
-        learnt clause mentioning the variable, since those are
-        consequences of the group — are deleted from the clause store
-        and watch lists, and the variable returns to the free list for
-        recycling.  The one exception is a variable pinned at root
-        (a group clause collapsed to the unit ``[-act]``): its
-        assignment already disables the group forever, but the variable
-        cannot be reused, so it is simply abandoned.
-
-        A plain variable never registered as an activation literal gets
-        the legacy soft retirement (a root unit ``[-act]``), kept for
-        direct callers.
+        ``act`` must come from :meth:`new_activation` and not have been
+        retired already.  The group's clauses — and every learnt clause
+        mentioning the variable, since those are consequences of the
+        group — are deleted from the clause store and watch lists, and
+        the variable returns to the free list for recycling.  The one
+        exception is a variable pinned at root (a group clause
+        collapsed to the unit ``[-act]``): its assignment already
+        disables the group forever, but the variable cannot be reused,
+        so it is simply abandoned.
         """
-        if act < 1 or act > self.num_vars:
-            raise ValueError(f"unknown activation literal {act}")
         group = self._act_groups.get(act)
         if group is None:
-            self.add_clause([-act])
-            self.counters["activations_retired"] += 1
-            return
+            raise ValueError(f"unknown activation literal {act}")
         if self._trail_lim:
             # Raise before mutating any bookkeeping so a caller that
             # backtracks to level 0 can retry the retirement cleanly.

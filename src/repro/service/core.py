@@ -16,21 +16,20 @@ submitter or raises :class:`~repro.service.QueueFull` with
 ``block=False``) until one of ``max_concurrent_jobs`` slots frees up.
 Admitted jobs execute one of two ways:
 
-* **pooled** — ``strategy="parallel-ja"`` (without ``schedule_only``):
-  the job's per-property proofs are *interleaved with every other
-  pooled job's* onto the shared pool's worker seats by the
+* **pooled** — ``strategy="parallel-ja"`` or ``"portfolio"``: the
+  job's per-property proofs are *interleaved with every other pooled
+  job's* onto the shared pool's worker seats by the
   :class:`~repro.parallel.engine.SeatScheduler` — weighted fair share
   across jobs (seats held per unit of ``priority``), LPT within each
   job, per-job run-id isolation, watchdogs, crash re-dispatch and
-  sharded clause exchanges all preserved from the single-run engine;
+  sharded clause exchanges;
 * **threaded** — every other strategy runs to completion on a service
   thread (sequential engines have no seat-level parallelism to
   multiplex; they still gain concurrent admission, handles, events and
   cancellation).
 
 A single dispatcher thread owns the scheduler, so all seat decisions
-are serialized and — with one worker and one job — deterministic,
-exactly like the engine it replaced.
+are serialized and — with one worker and one job — deterministic.
 
 The service either *owns* its pool (constructed lazily from
 ``workers=...``, shut down on :meth:`close`) or *attaches* to a caller
@@ -189,7 +188,6 @@ class VerificationService:
         self._workers = workers
         self._start_method = start_method
         self._scheduler: SeatScheduler | None = None
-        self._shard_host = None  # persistent exchange managers (pooled jobs)
         self._inline = False  # private Session mode: no pooled jobs
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -216,10 +214,9 @@ class VerificationService:
         """One-shot service backing a single ``Session.run()``.
 
         Inline mode: every strategy — including ``parallel-ja`` — runs
-        on the job thread, so the engine keeps exclusive ownership of
-        whatever pool the config names and the one-shot semantics
-        (ephemeral pool per run unless ``config.pool`` is set) are
-        byte-for-byte those of the pre-service engine.
+        on the job thread, so the engine's own single-job scheduler
+        drives whatever pool the config names (an ephemeral pool per
+        run unless ``config.pool`` is set).
         """
         service = cls(max_concurrent_jobs=1, max_pending=1)
         service._inline = True
@@ -456,7 +453,6 @@ class VerificationService:
             "pool"
             if (
                 base.strategy in ("parallel-ja", "portfolio")
-                and not base.schedule_only
                 and not self._inline
                 and order
             )
@@ -815,7 +811,6 @@ class VerificationService:
             self._pool = WorkerPool(
                 workers=workers, start_method=self._start_method
             )
-        from ..parallel.exchange import ShardHost
 
         def safe_service_emit(event: ProgressEvent) -> None:
             # Scheduler-originated events (revived seats) are delivered
@@ -826,12 +821,10 @@ class VerificationService:
             except Exception:
                 pass
 
-        self._shard_host = ShardHost(ctx=self._pool.context)
         self._scheduler = SeatScheduler(
             self._pool,
             revive_seats=True,
             service_emit=safe_service_emit,
-            shard_host=self._shard_host,
             backoff_base=self.seat_backoff_base,
             backoff_cap=self.seat_backoff_cap,
         )
@@ -994,9 +987,6 @@ class VerificationService:
         if self._scheduler is not None:
             self._scheduler.close()
             self._scheduler = None
-        if self._shard_host is not None:
-            self._shard_host.shutdown()
-            self._shard_host = None
         if self._owns_pool and self._pool is not None:
             self._pool.shutdown()
 

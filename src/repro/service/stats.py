@@ -6,11 +6,8 @@ pool's :class:`~repro.parallel.PoolStats` (per-seat liveness, crash
 streaks and backoff timers), clause-exchange traffic, and one
 :class:`JobStats` per submitted job with its queue-wait and run
 latency.  Snapshots are taken on the dispatcher thread (so seat
-assignments are read race-free) and returned as frozen records.
-
-``ServiceStats`` also answers ``stats["pool"]["runs"]``-style
-subscripting with the dict form, so callers written against the old
-plain-dict ``service.stats()`` keep working unchanged.
+assignments are read race-free) and returned as frozen records;
+:meth:`ServiceStats.as_dict` is the JSON form served by ``GET /stats``.
 """
 
 from __future__ import annotations
@@ -104,8 +101,6 @@ class ServiceStats:
     cache: dict | None = None
 
     def as_dict(self) -> dict:
-        # Top-level queue keys and a pool dict that splices the pool
-        # counters keep the pre-stats plain-dict shape as a subset.
         out = {
             "pending": self.pending,
             "running": self.running,
@@ -127,16 +122,6 @@ class ServiceStats:
         if self.cache is not None:
             out["cache"] = dict(self.cache)
         return out
-
-    # Dict-compatible reads for callers of the legacy plain-dict API.
-    def __getitem__(self, key: str):
-        return self.as_dict()[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.as_dict()
-
-    def get(self, key: str, default=None):
-        return self.as_dict().get(key, default)
 
     @property
     def terminal_jobs(self) -> tuple[JobStats, ...]:

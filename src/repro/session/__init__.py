@@ -98,10 +98,6 @@ property slot (paper Section 11) through
     a persistent :class:`~repro.parallel.pool.WorkerPool` shared
     across ``Session.run()`` calls (workers and shipped designs are
     reused; see :func:`repro.parallel.default_pool`);
-``VerificationConfig.schedule_only``
-    don't spawn processes — measure standalone local proofs
-    sequentially and *project* the makespan with the legacy greedy
-    list-scheduling simulator (:mod:`repro.multiprop.parallel`);
 ``VerificationConfig.stop_on_failure``
     early-cancel queued properties once one comes back FAILS (the
     run-level "all hold" verdict is then decided); cancelled

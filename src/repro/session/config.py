@@ -19,14 +19,12 @@ from ..ts.system import TransitionSystem
 #: ``IC3Options`` knobs that may be overridden through ``engine``.
 #: Budgets, assumptions and seeds are owned by the drivers; exposing
 #: them here would let a config silently break driver invariants.
-#: ``incremental`` is the rebuild-per-query benchmarking baseline.
 ENGINE_OVERRIDE_KEYS = frozenset(
     {
         "generalize_passes",
         "max_ctgs",
         "validate_cex",
         "validate_invariant",
-        "incremental",
     }
 )
 
@@ -79,8 +77,6 @@ class VerificationConfig:
     workers: int | None = None
     #: Live clause exchange between workers (requires ``clause_reuse``).
     exchange: bool = True
-    #: Fall back to the legacy list-scheduling simulator (no processes).
-    schedule_only: bool = False
     #: Cancel still-queued properties once one comes back FAILS.
     stop_on_failure: bool = False
     #: Clause-exchange shards: a positive count, or ``"auto"`` for one

@@ -129,7 +129,6 @@ def parallel_options(ts: "TransitionSystem", config: VerificationConfig):
         exchange=config.exchange,
         exchange_shards=config.exchange_shards,
         pool=config.pool,
-        schedule_only=config.schedule_only,
         stop_on_failure=config.stop_on_failure,
         max_seats=config.max_seats,
         clause_reuse=config.clause_reuse,

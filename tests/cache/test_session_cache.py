@@ -49,6 +49,17 @@ class TestSessionParity:
         plain = Session(TransitionSystem(fixed_counter(4))).run()
         assert _verdicts(cached) == _verdicts(plain)
 
+    def test_edit_reproves_only_the_changed_cone(self, tmp_path):
+        from tests.cache.test_resolve import _two_cones
+
+        _run(_two_cones(b_init=0), tmp_path)
+        events: list = []
+        edited = _run(_two_cones(b_init=1), tmp_path, events)  # Pb's cone changed
+        assert [e.name for e in events if e.kind == "cache-hit"] == ["Pa"]
+        assert edited.outcomes["Pa"].engine == "cache"
+        assert edited.outcomes["Pb"].engine != "cache"
+        assert _verdicts(edited) == _verdicts(Session(_two_cones(b_init=1)).run())
+
     def test_report_counts_hits(self, tmp_path):
         _run(TransitionSystem(fixed_counter(4)), tmp_path)
         warm = _run(TransitionSystem(fixed_counter(4)), tmp_path)

@@ -39,8 +39,16 @@ class TestPaperFamilies:
     def sequential(self, family):
         return statuses(Session(family, strategy="ja").run())
 
-    def test_two_workers_exchange_on(self, family, sequential):
-        assert statuses(run(family, workers=2)) == sequential
+    @pytest.mark.parametrize("backend", ["cdcl", "cdcl-compact"])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_two_workers_exchange_on(self, family, sequential, shards, backend):
+        """Sharding changes who sees which clause, the backend how each
+        query is searched; neither may change a verdict."""
+        report = run(
+            family, workers=2, exchange_shards=shards, solver_backend=backend
+        )
+        assert statuses(report) == sequential
+        assert report.stats["worker_crashes"] == 0
 
     def test_two_workers_exchange_off(self, family, sequential):
         assert statuses(run(family, workers=2, exchange=False)) == sequential
@@ -65,11 +73,6 @@ class TestPaperFamilies:
             run(ts, workers=4, per_property_conflicts=2000)
         )
         assert parallel == sequential
-
-    def test_schedule_only_statuses_match(self, family, sequential):
-        # The simulator proves standalone (no assumptions dropped), so
-        # HOLDS/FAILS statuses agree on families without budget pressure.
-        assert statuses(run(family, schedule_only=True, workers=4)) == sequential
 
 
 class TestGeneratedFamilies:

@@ -1,12 +1,18 @@
-"""Unit tests for the process-parallel JA engine and its clause exchange."""
+"""Unit tests for the process-parallel JA engine."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
 from repro.engines.result import PropStatus
-from repro.parallel import ParallelOptions, parallel_ja_verify, start_exchange
-from repro.parallel.sharing import ClauseExchange
+from repro.parallel import (
+    ParallelOptions,
+    SeatScheduler,
+    WorkerPool,
+    parallel_ja_verify,
+)
 from repro.progress import (
     PropertyCancelled,
     PropertySolved,
@@ -14,55 +20,6 @@ from repro.progress import (
 )
 from repro.session import Session
 from repro.ts.system import TransitionSystem
-
-
-class TestClauseExchange:
-    """Server-side log semantics (tested in-process, no manager)."""
-
-    def test_publish_fetch_roundtrip(self):
-        exchange = ClauseExchange()
-        assert exchange.publish([(1, 2), (-3,)]) == 2
-        clauses, cursor = exchange.fetch(0)
-        assert clauses == [(1, 2), (-3,)]
-        assert cursor == 2
-
-    def test_cursor_only_sees_new_clauses(self):
-        exchange = ClauseExchange()
-        exchange.publish([(1,)])
-        _, cursor = exchange.fetch(0)
-        exchange.publish([(2,), (1,)])  # (1,) is a duplicate
-        fresh, cursor = exchange.fetch(cursor)
-        assert fresh == [(2,)]
-        assert exchange.size() == 2
-
-    def test_duplicates_are_dropped(self):
-        exchange = ClauseExchange()
-        assert exchange.publish([(1, -2), (1, -2)]) == 1
-        assert exchange.publish([(1, -2)]) == 0
-
-    def test_clauses_normalized_by_variable(self):
-        exchange = ClauseExchange()
-        exchange.publish([(-2, 1)])
-        assert exchange.fetch(0)[0] == [(1, -2)]
-
-    def test_negative_cursor_rejected(self):
-        with pytest.raises(ValueError):
-            ClauseExchange().fetch(-1)
-
-    def test_stats(self):
-        exchange = ClauseExchange()
-        exchange.publish([(1,)])
-        exchange.publish([])
-        assert exchange.stats() == {"clauses": 1, "publishes": 2}
-
-    def test_manager_hosted_roundtrip(self):
-        manager, proxy = start_exchange()
-        try:
-            proxy.publish([(1, 2)])
-            clauses, cursor = proxy.fetch(0)
-            assert clauses == [(1, 2)] and cursor == 1
-        finally:
-            manager.shutdown()
 
 
 class TestEngine:
@@ -119,6 +76,30 @@ class TestEngine:
         )
         assert report.stats["exchange"] == 0
 
+    def test_shard_managers_do_not_outlive_the_scheduler(self, counter4):
+        """Engine mode hosts shards the way the service does: on the
+        scheduler's own managers, alive across jobs, gone on close."""
+
+        def managers():
+            return [
+                child
+                for child in multiprocessing.active_children()
+                if child.name.startswith("ShardManager")
+            ]
+
+        with WorkerPool(workers=2) as pool:
+            scheduler = SeatScheduler(pool)
+            try:
+                job = scheduler.admit(
+                    counter4, ParallelOptions(), "counter4", None, ["P0", "P1"]
+                )
+                scheduler.drive()
+                assert job.use_exchange and job.error is None
+                assert len(managers()) == 1
+            finally:
+                scheduler.close()
+            assert managers() == []
+
 
 class TestEarlyCancellation:
     def test_stop_on_failure_cancels_the_queue(self, toggler):
@@ -146,38 +127,6 @@ class TestEarlyCancellation:
             o.status is PropStatus.UNKNOWN for o in report.outcomes.values()
         )
         assert report.stats["cancelled"] == len(toggler.properties)
-
-
-class TestScheduleOnly:
-    def test_matches_process_verdicts(self, toggler):
-        simulated = parallel_ja_verify(
-            toggler, ParallelOptions(schedule_only=True, workers=4)
-        )
-        real = parallel_ja_verify(toggler, ParallelOptions(workers=2))
-        assert {n: o.status for n, o in simulated.outcomes.items()} == {
-            n: o.status for n, o in real.outcomes.items()
-        }
-
-    def test_projection_stats(self, counter4):
-        report = parallel_ja_verify(
-            counter4, ParallelOptions(schedule_only=True, workers=2)
-        )
-        assert report.stats["mode"] == "schedule_only"
-        assert report.stats["simulated_speedup"] >= 1.0
-        assert (
-            report.stats["simulated_makespan"]
-            <= report.stats["sequential_time"] + 1e-9
-        )
-
-    def test_emits_one_verdict_per_property(self, counter4):
-        events = []
-        parallel_ja_verify(
-            counter4,
-            ParallelOptions(schedule_only=True),
-            emit=events.append,
-        )
-        solved = [e for e in events if isinstance(e, PropertySolved)]
-        assert len(solved) == len(counter4.properties)
 
 
 class TestSessionIntegration:

@@ -19,10 +19,10 @@ from repro.parallel.exchange import (
     AUTO_SHARD_CAP,
     ExchangeShard,
     ShardedExchange,
+    ShardHost,
     ShardMap,
     build_shard_map,
     shard_clusters,
-    start_sharded_exchange,
 )
 from repro.ts.system import TransitionSystem
 
@@ -163,7 +163,7 @@ class TestShardMap:
 
 
 class TestExchangeShard:
-    def test_cursor_protocol_matches_legacy_exchange(self):
+    def test_cursor_protocol(self):
         shard = ExchangeShard(0, ("p", "q"))
         assert shard.publish("p", [(1, 2), (-3,)]) == 2
         clauses, cursor = shard.fetch("q", 0)
@@ -171,6 +171,12 @@ class TestExchangeShard:
         assert shard.publish("q", [(1, 2)]) == 0  # duplicate dropped
         fresh, cursor = shard.fetch("q", cursor)
         assert fresh == [] and cursor == 2
+        # A cursor only sees what was appended after it; clauses are
+        # normalized by variable before the duplicate check.
+        assert shard.publish("p", [(-5, 4), (2, 1), (4, -5)]) == 1
+        fresh, cursor = shard.fetch("q", cursor)
+        assert fresh == [(4, -5)] and cursor == 3
+        assert shard.size() == 3
 
     def test_negative_cursor_rejected(self):
         with pytest.raises(ValueError):
@@ -188,8 +194,10 @@ class TestExchangeShard:
 
     def test_manager_hosted_roundtrip(self):
         shard_map = shard_clusters([["p"], ["q"]], 2)
-        managers, exchange = start_sharded_exchange(shard_map)
+        host = ShardHost()
         try:
+            exchange = host.open_shards(shard_map)
+            assert host.processes == 2
             exchange.publish("p", [(1, 2)])
             clauses, cursor = exchange.fetch("p", 0)
             assert clauses == [(1, 2)] and cursor == 1
@@ -197,9 +205,14 @@ class TestExchangeShard:
             assert exchange.fetch("q", 0) == ([], 0)
             assert exchange.stats()["clauses"] == 1
             assert exchange.routing_violations() == 0
+            # A second job reuses the managers but shares no log.
+            other = host.open_shards(shard_map)
+            assert host.processes == 2
+            assert other.fetch("p", 0) == ([], 0)
         finally:
-            for manager in managers:
-                manager.shutdown()
+            host.shutdown()
+        with pytest.raises(RuntimeError):
+            host.open_shards(shard_map)
 
     def test_mismatched_handles_rejected(self):
         shard_map = shard_clusters([["p"], ["q"]], 2)

@@ -90,17 +90,6 @@ class TestPoolReuse:
 
 
 class TestPoolLifecycle:
-    def test_begin_run_rejects_concurrent_runs(self, pool, toggler):
-        pool.ensure_workers()
-        from repro.parallel.worker import WorkerSettings
-
-        pool.begin_run(toggler, WorkerSettings())
-        try:
-            with pytest.raises(RuntimeError, match="still active"):
-                pool.begin_run(toggler, WorkerSettings())
-        finally:
-            pool.end_run()
-
     def test_shutdown_is_idempotent_and_closes(self, toggler):
         pool = WorkerPool(workers=1)
         Session(toggler, strategy="parallel-ja", pool=pool).run()
@@ -226,15 +215,6 @@ class TestSeatLeasing:
         pool.close_run(old)
         pool.close_run(young)
 
-    def test_begin_run_refused_while_leased_runs_open(self, pool, toggler):
-        from repro.parallel.worker import WorkerSettings
-
-        pool.ensure_workers()
-        run = pool.open_run(toggler, WorkerSettings())
-        with pytest.raises(RuntimeError, match="still active"):
-            pool.begin_run(toggler, WorkerSettings())
-        pool.close_run(run)
-
     def test_message_lease_is_exclusive(self, pool):
         owner, thief = object(), object()
         pool.acquire_messages(owner)
@@ -256,3 +236,40 @@ class TestSeatLeasing:
         with pytest.raises(RuntimeError, match="not open"):
             pool.assign(0, PropertyJob(name="never_q"), run_id=run + 1)
         pool.close_run(run)
+
+    def test_seat_survives_a_run_setup_whose_shards_are_gone(
+        self, pool, toggler
+    ):
+        """A busy seat can read a ``run`` message after the job has
+        finished and released its exchange shards; rebuilding the
+        proxies then fails manager-side.  The seat must skip that run
+        (no ``ready`` ack) and serve the next one."""
+        import pickle
+
+        from repro.parallel.exchange import ShardHost, shard_clusters
+        from repro.parallel.worker import PropertyJob, WorkerSettings
+
+        pool.ensure_workers()
+        host = ShardHost(ctx=pool.context)
+        try:
+            exchange = host.open_shards(shard_clusters([["never_q"]], 1))
+            stale = pickle.dumps(exchange)
+            del exchange  # last proxy gone: the manager drops the shard
+            digest = pool._design_digest(toggler)
+            pool._slots[0].ctrl.put(
+                ("run", 10_000, digest, pool._pickled[digest],
+                 WorkerSettings(), stale)
+            )
+            run = pool.open_run(toggler, WorkerSettings())
+            pool.assign(0, PropertyJob(name="never_q"), run_id=run)
+            kinds = []
+            while "result" not in kinds:
+                message = pool.next_message(timeout=30.0)
+                if message[2] == 0:
+                    kinds.append(message[0])
+            assert kinds[0] == "ready"
+            assert pool.worker_alive(0)
+            assert pool.stats["workers_replaced"] == 0
+            pool.close_run(run)
+        finally:
+            host.shutdown()

@@ -72,10 +72,6 @@ class TestSlateParsing:
             strategy="portfolio", portfolio_engines="rw,ic3", seed=11
         ).validate()
 
-    def test_schedule_only_rejected(self, toggler):
-        with pytest.raises(ValueError, match="schedule_only"):
-            portfolio_verify(toggler, ParallelOptions(schedule_only=True))
-
 
 class TestParityWithSequentialJA:
     """Race verdicts == sequential JA verdicts, per property."""

@@ -179,11 +179,11 @@ class TestConcurrentJobs:
             ]
             for handle in handles:
                 handle.result(timeout=120)
-            pool_stats = service.stats()["pool"]
+            counters = service.stats().pool.counters
         # One design object: pickled once, 4 runs, seats spawned once.
-        assert pool_stats["runs"] == 4
-        assert pool_stats["design_pickles"] == 1
-        assert pool_stats["workers_spawned"] == 2
+        assert counters["runs"] == 4
+        assert counters["design_pickles"] == 1
+        assert counters["workers_spawned"] == 2
 
     def test_mixed_pooled_and_threaded_jobs(self, counter4, toggler):
         with VerificationService(workers=2, max_concurrent_jobs=4) as service:

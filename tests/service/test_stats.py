@@ -29,11 +29,9 @@ class TestIdleService:
             assert stats.pool is None and stats.exchange is None
             assert stats.jobs == ()
             assert stats.latency["wait_max_s"] == 0.0
-            # Legacy dict-style reads.
-            assert stats["pending"] == 0
-            assert "pool" not in stats
-            assert stats.get("pool") is None
             as_dict = stats.as_dict()
+            assert as_dict["pending"] == 0
+            assert "pool" not in as_dict
             assert as_dict["jobs"]["records"] == []
             assert as_dict["max_pending"] == service.max_pending
 
@@ -67,12 +65,14 @@ class TestStatsAfterJobs:
         with VerificationService(workers=2, max_concurrent_jobs=2) as service:
             service.submit(toggler, strategy="parallel-ja").result(timeout=120)
             stats = service.stats()
-            # Legacy subscripting straight through to the pool counters.
-            assert stats["pool"]["runs"] == 1
-            assert stats["pool"]["workers_spawned"] == 2
             pool = stats.pool
             assert isinstance(pool, PoolStats)
+            assert pool.counters["runs"] == 1
+            # The JSON form splices the counters in at the top level.
+            assert stats.as_dict()["pool"]["workers_spawned"] == 2
             assert pool.workers == 2
+            # Settled: every seat alive and idle, none still busy.
+            assert pool.alive == 2 and pool.busy == 0 and pool.idle == 2
             assert len(pool.seats) == 2
             for seat in pool.seats:
                 assert isinstance(seat, SeatStats)

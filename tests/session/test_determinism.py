@@ -91,23 +91,3 @@ def test_event_stream_covers_every_property(seeded_design, strategy):
     # Exactly one verdict event per property, for every strategy.
     assert len(solved) == len(verdicts)
 
-
-@pytest.mark.slow
-def test_parallel_schedule_only_is_deterministic(seeded_design):
-    runs = [
-        run_once_config(seeded_design, workers=2, schedule_only=True)
-        for _ in range(2)
-    ]
-    assert runs[0] == runs[1]
-
-
-def run_once_config(ts, **overrides):
-    events = []
-    report = Session(
-        ts, strategy="parallel-ja", on_event=events.append, **overrides
-    ).run()
-    return (
-        {name: o.status for name, o in report.outcomes.items()},
-        {name: o.frames for name, o in report.outcomes.items()},
-        [normalize(e) for e in events],
-    )

@@ -137,6 +137,10 @@ class TestCheck:
         assert main(["check", counter_file, "--order", "zigzag"]) == 2
         assert "unknown order" in capsys.readouterr().err
 
+    def test_rebuild_per_query_override_rejected(self, counter_file, capsys):
+        assert main(["check", counter_file, "--engine", "incremental=false"]) == 2
+        assert "unknown engine override" in capsys.readouterr().err
+
     def test_strategy_flag(self, counter_file):
         assert main(["check", counter_file, "--strategy", "joint"]) == 1
 
@@ -151,6 +155,45 @@ class TestCheck:
         assert "[run-started]" in out
         assert "[property-solved]" in out
         assert "[run-finished]" in out
+
+
+class TestInputErrors:
+    """A missing or garbled input file: exit 2, one line, no traceback."""
+
+    @pytest.fixture(
+        params=[
+            ("bad.aag", None),  # missing
+            ("bad.aag", b"not a design\n"),
+            ("bad.aag", b"aag 3 1 1 1 0\n2\n"),  # rows cut short
+            ("bad.aig", b"\x00\xff\x01"),
+            ("bad.aig", b"aig 3 1 1 1 1\n"),  # rows cut short
+        ]
+    )
+    def bad_design(self, request, tmp_path):
+        name, content = request.param
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check", "info", "sweep"])
+    def test_bad_design_file(self, command, bad_design, capsys):
+        assert main([command, bad_design]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {bad_design}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_bad_manifest_file(self, command, content, tmp_path, capsys):
+        path = tmp_path / "jobs.json"
+        if content is not None:
+            path.write_text(content)
+        extra = ["--host", "127.0.0.1:1"] if command == "submit" else []
+        assert main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}: ") and err.count("\n") == 1
 
 
 class TestTopLevelFlags:
@@ -263,7 +306,8 @@ class TestServe:
         with open(path, "w") as f:
             json.dump({"jobs": [{"design": counter_file, "nonsense": 1}]}, f)
         assert main(["serve", path]) == 2
-        assert "job #0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "job #0" in err
 
     def test_serve_rejects_missing_design(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
