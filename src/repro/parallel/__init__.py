@@ -13,6 +13,10 @@ that claim instead of simulating it:
   decided.  Its :class:`SeatScheduler` is the fair multiplexer behind
   :class:`repro.service.VerificationService`: any number of jobs'
   property backlogs interleaved onto one pool's seats;
+* :mod:`repro.parallel.portfolio` — per-property engine racing as a
+  scheduling *policy* over the same job type: one run per job, an
+  attempt per (property, engine) in its backlog, first definitive
+  verdict decides, losers are dropped or drain;
 * :mod:`repro.parallel.pool` — a persistent :class:`WorkerPool` that
   outlives a single run: workers cache pickled designs by content hash,
   accept successive job batches, and are shared across
@@ -33,13 +37,7 @@ Entry points: ``Session(design, strategy="parallel-ja", workers=4)`` or
 """
 
 from .engine import ParallelOptions, PooledJob, SeatScheduler, parallel_ja_verify
-from .portfolio import (
-    ENGINE_NAMES,
-    PortfolioController,
-    admit_portfolio,
-    parse_engine_slate,
-    portfolio_verify,
-)
+from .portfolio import ENGINE_NAMES, parse_engine_slate, portfolio_verify
 from .exchange import (
     ExchangeShard,
     ShardedExchange,
@@ -64,8 +62,6 @@ __all__ = [
     "PooledJob",
     "SeatScheduler",
     "ENGINE_NAMES",
-    "PortfolioController",
-    "admit_portfolio",
     "parse_engine_slate",
     "portfolio_verify",
     "PoolStats",

@@ -44,6 +44,19 @@ Design notes
   session's event sequence — is deterministic.  Every message is
   tagged with the run id; stragglers from a previous run on a shared
   pool are discarded by the pool.
+* **One run per job, one unit of work per seat.**  Every job — a
+  ``parallel-ja`` batch or a ``portfolio`` race alike — is one
+  :class:`PooledJob` on one pool run, and its backlog is a list of
+  :class:`~repro.parallel.worker.PropertyJob` *attempts*, one per
+  property and slate engine (the slate is ``(None,)``, the JAVerifier
+  ladder, unless ``portfolio_engines`` names a race).  The scheduler
+  tracks which attempt each seat holds and hands every terminal
+  message to the job's *policy* — :class:`LocalProofs` or
+  :class:`~repro.parallel.portfolio.EngineRace` — which says what it
+  means for the property.  A job's report is delivered when every
+  property is **decided**; its run is closed when the last attempt
+  still on a seat has **drained** (the two differ only for a race
+  whose losers are still running).
 * **Size-aware dispatch**: with no explicit property order, the backlog
   is ordered by *descending* estimated cone-of-influence size, the
   classic LPT list-scheduling heuristic — big proofs start first, so
@@ -53,9 +66,10 @@ Design notes
 * **Worker crashes** (a killed process, an OOM) are detected by polling
   worker liveness while the queue is idle; because assignment is
   parent-side, the engine knows exactly which job a dead worker held
-  and **re-dispatches it once** onto a surviving worker (emitting
+  and **re-dispatches it once** — the very attempt object, engine and
+  seed included — onto a surviving worker (emitting
   :class:`~repro.progress.PropertyRequeued`); only a second crash on
-  the same property — or a pool with no survivors — degrades it to
+  the same attempt — or a pool with no survivors — degrades it to
   UNKNOWN.  A dead seat on a persistent pool is respawned at the start
   of the *next* run by :meth:`WorkerPool.ensure_workers`.
 * **Sharded clause exchange** (``exchange=True`` with ``clause_reuse``)
@@ -79,6 +93,7 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
+from ..engines.randomwalk import derive_seed
 from ..engines.result import PropStatus
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
@@ -95,6 +110,7 @@ from ..progress import (
 from ..ts.system import TransitionSystem
 from .exchange import ShardHost, build_shard_map
 from .pool import WorkerPool
+from .portfolio import EngineRace
 from .stats import PoolStats, SeatStats
 from .worker import PropertyJob, WorkerSettings
 
@@ -111,9 +127,6 @@ class ParallelOptions:
     exchange: bool = True  # live clause exchange between workers
     stop_on_failure: bool = False  # cancel the queue on the first FAILS
     start_method: str | None = None  # fork where available, else spawn
-    # Queue jobs in descending estimated COI size (LPT heuristic) when
-    # no explicit ``order`` is given; an explicit order always wins.
-    size_dispatch: bool = True
     # SAT backend name (repro.sat registry); None = process default.
     solver_backend: str | None = None
     # A persistent WorkerPool to run on (shared across runs); None
@@ -146,8 +159,8 @@ class ParallelOptions:
     # Run-level seed for stochastic engines; per-property sub-seeds are
     # derived deterministically (repro.engines.randomwalk.derive_seed).
     seed: int | None = None
-    # Engine slate raced per property by the portfolio strategy; None
-    # means the default slate (see repro.parallel.portfolio).
+    # Engine slate raced per property (repro.parallel.portfolio); None
+    # means no race: one local JA proof per property.
     portfolio_engines: tuple[str, ...] | None = None
 
     def resolve_workers(self, num_jobs: int) -> int:
@@ -163,10 +176,15 @@ class PooledJob:
     """Parent-side state of one admitted job (= one open run on the pool).
 
     Everything tracked per run lives here, so a :class:`SeatScheduler`
-    can keep any number of them in flight: the property backlog, the
-    seats that acked this run's setup, outcomes and pending names,
-    crash/retry bookkeeping, the watchdog deadline, and the job's
-    sharded-exchange handle.
+    can keep any number of them in flight: the backlog of
+    :class:`~repro.parallel.worker.PropertyJob` attempts, the seats
+    that acked this run's setup, the undecided property names and the
+    verdicts so far, crash/retry bookkeeping, the watchdog deadline,
+    and the job's sharded-exchange handle.  What an attempt's terminal
+    message *means* for its property is the job's ``policy``:
+    :class:`LocalProofs` (one attempt per property, whatever ends it
+    is the verdict) or :class:`~repro.parallel.portfolio.EngineRace`
+    (several engines per property, first definitive verdict wins).
     """
 
     def __init__(
@@ -201,30 +219,28 @@ class PooledJob:
             if options.total_time is None
             else self.start + options.total_time
         )
-        self.pending = set(order)
+        self.pending = set(order)  # properties not yet decided
         self.outcomes: dict[str, PropOutcome] = {}
         self.backlog: list[PropertyJob] = []
         self.ready: set = set()  # seats that acked this run's setup
-        self.retried: set = set()
+        self.retried: set = set()  # attempts already re-dispatched once
         self.errors: list[str] = []
         self.error: BaseException | None = None
         self.cancelled = False
         self.cancelled_count = 0
         self.crashes = 0
         self.redispatched = 0
-        self.finished = False
+        self.finished = False  # every property decided, report deliverable
         self.total_time = 0.0
-        self.job_time: float | None = None
-        self.engine: str | None = None  # attempt engine tag (portfolio)
-        self.seed: int | None = None  # attempt sub-seed (portfolio)
         self.dispatch_mode = "fifo"
         self.use_exchange = False
         self.num_shards = 0
         self.exchange = None
         self.exchange_stats: dict = {}
+        self.policy = None  # LocalProofs or EngineRace, set at admission
 
-    # ------------------------------------------------------------------
     def record(self, outcome: PropOutcome, checkpoint: bool = True) -> None:
+        """Decide ``outcome.name``: the property leaves ``pending``."""
         if outcome.name not in self.pending:  # pragma: no cover - defensive
             return
         self.pending.discard(outcome.name)
@@ -236,44 +252,78 @@ class PooledJob:
                 )
             )
 
-    def record_cancelled(
-        self, name: str, worker_id: int | None, checkpoint: bool = True
-    ) -> None:
-        if name not in self.pending:  # pragma: no cover - defensive
-            return
-        self.cancelled_count += 1
-        self.emit(PropertyCancelled(name=name, worker=worker_id))
-        self.emit(
-            PropertySolved(name=name, status=PropStatus.UNKNOWN, local=True)
-        )
-        self.record(
-            PropOutcome(name=name, status=PropStatus.UNKNOWN, local=True),
-            checkpoint,
-        )
-
     def build_report(self, pool: WorkerPool) -> MultiPropReport:
         """The job's :class:`MultiPropReport` (property order preserved)."""
-        report = MultiPropReport(method="parallel-ja", design=self.design_name)
+        report = MultiPropReport(method=self.policy.method, design=self.design_name)
         for name in self.order:  # property order, not completion order
             report.outcomes[name] = self.outcomes[name]
         report.total_time = self.total_time
-        report.stats = {
+        report.stats = self.policy.stats(pool)
+        return report
+
+
+class LocalProofs:
+    """The ``parallel-ja`` policy: one attempt per property.
+
+    Whatever ends the attempt — the worker's verdict, a cancellation,
+    a verifier exception, a second seat crash — is the property's
+    verdict; anything but a result degrades it to UNKNOWN.  The worker
+    already streamed the ``PropertyStarted``/``PropertySolved`` pair of
+    an attempt that ran, so only the degraded endings emit here.
+    """
+
+    method = "parallel-ja"
+
+    def __init__(self, job: PooledJob) -> None:
+        self.job = job
+
+    def forward(self, attempt: PropertyJob, event) -> None:
+        self.job.emit(event)
+
+    def result(self, attempt: PropertyJob, outcome: PropOutcome) -> PropOutcome:
+        self.job.record(outcome)
+        return outcome
+
+    def cancelled(
+        self, attempt: PropertyJob, worker_id: int | None, checkpoint: bool = True
+    ) -> None:
+        self.job.cancelled_count += 1
+        self.job.emit(PropertyCancelled(name=attempt.name, worker=worker_id))
+        self.lost(attempt, checkpoint)
+
+    def error(self, attempt: PropertyJob, detail: str) -> None:
+        self.job.errors.append(f"{attempt.name}: {detail}")
+        self.job.record(
+            PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
+        )
+
+    def lost(self, attempt: PropertyJob, checkpoint: bool = False) -> None:
+        self.job.emit(
+            PropertySolved(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
+        )
+        self.job.record(
+            PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True),
+            checkpoint,
+        )
+
+    def stats(self, pool: WorkerPool) -> dict:
+        job = self.job
+        return {
             "mode": "process",
             "workers": pool.workers,
-            "exchange": int(self.use_exchange),
-            "exchange_clauses": self.exchange_stats.get("clauses", 0),
-            "exchange_shards": self.num_shards,
-            "exchange_per_shard": self.exchange_stats.get("shards", []),
-            "cancelled": self.cancelled_count,
-            "worker_crashes": self.crashes,
-            "dispatch": self.dispatch_mode,
-            "max_seats": self.max_seats,
-            "redispatched": self.redispatched,
-            "pool": self.pool_label,
+            "exchange": int(job.use_exchange),
+            "exchange_clauses": job.exchange_stats.get("clauses", 0),
+            "exchange_shards": job.num_shards,
+            "exchange_per_shard": job.exchange_stats.get("shards", []),
+            "cancelled": job.cancelled_count,
+            "worker_crashes": job.crashes,
+            "dispatch": job.dispatch_mode,
+            "max_seats": job.max_seats,
+            "redispatched": job.redispatched,
+            "pool": job.pool_label,
             "pool_runs": pool.stats["runs"],
             "design_pickles": pool.stats["design_pickles"],
         }
-        return report
 
 
 @dataclass
@@ -349,8 +399,8 @@ class SeatScheduler:
         # are started until a job asks for an exchange.
         self._shard_host = ShardHost(ctx=pool.context)
         self.jobs: dict[int, PooledJob] = {}
-        # seat -> (run id, property name) it is currently executing
-        self.assignments: dict[int, tuple[int, str]] = {}
+        # seat -> (run id, attempt) it is currently executing
+        self.assignments: dict[int, tuple[int, PropertyJob]] = {}
         self.idle: set = set()
         # seat -> crash/backoff record (created lazily, kept forever)
         self.seat_health: dict[int, _SeatHealth] = {}
@@ -385,14 +435,12 @@ class SeatScheduler:
         start: float | None = None,
         job_id: str | None = None,
         on_finish=None,
-        engine: str | None = None,
-        seed: int | None = None,
     ) -> PooledJob:
-        """Open one job on the pool and queue its property backlog.
+        """Open one job (one run) on the pool and queue its whole backlog.
 
-        ``engine``/``seed`` tag every backlog job (portfolio attempts:
-        one admitted job per property-engine pair); ``None`` keeps the
-        default JAVerifier path.
+        The backlog holds one attempt per property and slate engine:
+        the slate is ``options.portfolio_engines`` for a race and
+        ``(None,)`` — the JAVerifier ladder — otherwise.
         """
         if priority <= 0:
             raise ValueError(f"priority must be > 0, got {priority!r}")
@@ -437,9 +485,13 @@ class SeatScheduler:
                 if job_time is None
                 else min(job_time, options.total_time)
             )
+        slate = options.portfolio_engines or (None,)
+        racing = slate != (None,)
         # Dispatch order: LPT (descending cone size) unless the caller
-        # pinned an explicit order.  The report keeps ``order``.
-        if options.order is None and options.size_dispatch:
+        # pinned an explicit order.  Races keep property order: a race
+        # costs what its fastest engine costs, which cone size does not
+        # predict.  The report keeps ``order``.
+        if options.order is None and not racing:
             dispatch = _cone_descending(ts, order)
             dispatch_mode = "cone-desc"
         else:
@@ -448,7 +500,8 @@ class SeatScheduler:
 
         exchange = None
         num_shards = 0
-        use_exchange = options.exchange and options.clause_reuse
+        # Racing attempts compete; only plain local proofs exchange.
+        use_exchange = options.exchange and options.clause_reuse and not racing
         if use_exchange:
             shard_map = build_shard_map(ts, order, options.exchange_shards)
             num_shards = shard_map.num_shards
@@ -467,7 +520,6 @@ class SeatScheduler:
             coi_reduction=options.coi_reduction,
             ctg=options.ctg,
             max_frames=options.max_frames,
-            stop_on_failure=options.stop_on_failure,
             solver_backend=options.solver_backend,
             engine_overrides=dict(options.engine_overrides),
             warm_clauses=tuple(options.warm_clauses),
@@ -487,23 +539,26 @@ class SeatScheduler:
             job_id=job_id,
             on_finish=on_finish,
         )
-        job.job_time = job_time
         job.dispatch_mode = dispatch_mode
         job.use_exchange = use_exchange
         job.num_shards = num_shards
         job.exchange = exchange
-        job.engine = engine
-        job.seed = seed
         job.backlog = [
             PropertyJob(
                 name=name,
                 per_property_time=job_time,
                 per_property_conflicts=options.per_property_conflicts,
                 engine=engine,
-                seed=seed,
+                seed=(
+                    derive_seed(options.seed, design_name, name)
+                    if engine == "rw"
+                    else None
+                ),
             )
             for name in dispatch
+            for engine in slate
         ]
+        job.policy = EngineRace(job) if racing else LocalProofs(job)
         self.jobs[run_id] = job
         return job
 
@@ -512,10 +567,15 @@ class SeatScheduler:
     # ------------------------------------------------------------------
     @property
     def live_jobs(self) -> list[PooledJob]:
+        """Jobs with undecided properties.
+
+        ``jobs`` additionally holds finished jobs whose run is still
+        open because a losing attempt is draining on a seat.
+        """
         return [job for job in self.jobs.values() if not job.finished]
 
     def drive(self) -> None:
-        """Pump messages until every admitted job has finished."""
+        """Pump messages until every admitted job's report is decided."""
         while self.live_jobs:
             self.step()
 
@@ -557,46 +617,66 @@ class SeatScheduler:
     def _dispatch_message(self, message) -> None:
         kind, run_id, worker_id = message[0], message[1], message[2]
         job = self.jobs.get(run_id)
-        if job is None or job.finished:  # pragma: no cover - defensive
+        if job is None:  # pragma: no cover - defensive
             return
         if kind == "ready":
             job.ready.add(worker_id)
             if worker_id not in self.assignments:
                 self._feed_seat(worker_id)
         elif kind == "event":
-            job.emit(message[3])
+            held = self.assignments.get(worker_id)
+            if held is not None and held[0] == run_id:
+                job.policy.forward(held[1], message[3])
         elif kind == "result":
             outcome = message[3]
-            self.assignments.pop(worker_id, None)
+            attempt = self._release(worker_id, run_id, outcome.name)
+            if attempt is None:
+                return
             # A seat that served a full property is healthy: its crash
             # streak — and therefore its backoff schedule — resets.
             health = self._seat_health(worker_id)
             health.served += 1
             health.consecutive = 0
             health.delay = 0.0
-            job.record(outcome)
+            verdict = job.policy.result(attempt, outcome)
             if (
                 job.options.stop_on_failure
-                and outcome.status is PropStatus.FAILS
-                and not job.cancelled
+                and verdict is not None
+                and verdict.status is PropStatus.FAILS
             ):
                 self.cancel_job(job)
             self._feed_seat(worker_id)
         elif kind == "cancelled":
-            name = message[3]
-            if self.assignments.get(worker_id) == (run_id, name):
-                del self.assignments[worker_id]
-            job.record_cancelled(name, worker_id)
+            attempt = self._release(worker_id, run_id, message[3])
+            if attempt is None:
+                return
+            job.policy.cancelled(attempt, worker_id)
             self._feed_seat(worker_id)
         elif kind == "error":
             name, detail = message[3], message[4]
-            self.assignments.pop(worker_id, None)
-            job.errors.append(f"{name}: {detail}")
-            job.record(
-                PropOutcome(name=name, status=PropStatus.UNKNOWN, local=True)
-            )
+            attempt = self._release(worker_id, run_id, name)
+            if attempt is None:
+                # A run-setup failure: no attempt to pin it on.
+                job.errors.append(f"{name}: {detail}")
+            else:
+                job.policy.error(attempt, detail)
             self._feed_seat(worker_id)
         self._maybe_finish(job)
+
+    def _release(
+        self, worker_id: int, run_id: int, name: str
+    ) -> PropertyJob | None:
+        """Free the seat a terminal message speaks for; the attempt it held.
+
+        ``None`` for a straggler — the message of a process that
+        crashed, written before it died and read after its attempt was
+        re-dispatched: the seat's current assignment is not its to end.
+        """
+        held = self.assignments.get(worker_id)
+        if held is None or held[0] != run_id or held[1].name != name:
+            return None
+        del self.assignments[worker_id]
+        return held[1]
 
     # ------------------------------------------------------------------
     # Seat feeding (weighted fair share across jobs, LPT within one)
@@ -612,10 +692,10 @@ class SeatScheduler:
         if job is None:
             self.idle.add(worker_id)
             return
-        prop = job.backlog.pop(0)
-        self.assignments[worker_id] = (job.run_id, prop.name)
+        attempt = job.backlog.pop(0)
+        self.assignments[worker_id] = (job.run_id, attempt)
         self.idle.discard(worker_id)
-        self.pool.assign(worker_id, prop, run_id=job.run_id)
+        self.pool.assign(worker_id, attempt, run_id=job.run_id)
 
     def _pick_job(self, worker_id: int) -> PooledJob | None:
         """Weighted fair share: fewest held seats per unit of priority.
@@ -652,7 +732,7 @@ class SeatScheduler:
 
         Sibling jobs are untouched — the pool's per-run cancel either
         raises the epoch (oldest run, monotonic ids protect the rest)
-        or sends run-targeted cancel messages.  Properties already on a
+        or sends run-targeted cancel messages.  Attempts already on a
         seat still report (their per-property budget is clamped by this
         job's total), exactly like the single-run watchdog.
         """
@@ -660,14 +740,29 @@ class SeatScheduler:
             return
         job.cancelled = True
         self.pool.cancel_run(job.run_id)
-        while job.backlog:
-            prop = job.backlog.pop(0)
-            job.record_cancelled(prop.name, None)
+        self._drain_backlog(job)
         self._maybe_finish(job)
 
+    def _drain_backlog(self, job: PooledJob, checkpoint: bool = True) -> None:
+        backlog, job.backlog = job.backlog, []
+        for attempt in backlog:
+            job.policy.cancelled(attempt, None, checkpoint)
+
     def _maybe_finish(self, job: PooledJob) -> None:
+        """Deliver the report once decided; close the run once drained.
+
+        The two coincide unless a decided property's losing attempt is
+        still on a seat: the run stays open — and the seat ``busy`` —
+        until that attempt reports, so its message frees the seat
+        instead of being discarded as a closed run's straggler.
+        """
         if not job.finished and not job.pending:
             self._finish_job(job)
+        if job.finished and job.run_id in self.jobs:
+            seated = {run_id for run_id, _ in self.assignments.values()}
+            if job.run_id not in seated:
+                del self.jobs[job.run_id]
+                self.pool.close_run(job.run_id)
 
     def _finish_job(self, job: PooledJob) -> None:
         job.finished = True
@@ -681,18 +776,12 @@ class SeatScheduler:
                 self._exchange_totals[key] += job.exchange_stats.get(key, 0)
             # Dropping the proxies releases the host's shard objects.
             job.exchange = None
-        self.pool.close_run(job.run_id)
         if job.errors:
             job.error = RuntimeError(
                 "parallel JA worker failure(s): " + "; ".join(job.errors)
             )
         if job.on_finish is not None:
             job.on_finish(job)
-
-    def forget(self, job: PooledJob) -> None:
-        """Drop a finished job's state (long-lived service schedulers)."""
-        if job.finished:
-            self.jobs.pop(job.run_id, None)
 
     # ------------------------------------------------------------------
     # Crash handling
@@ -729,19 +818,21 @@ class SeatScheduler:
                 )
                 health.not_before = self._last_reap + health.delay
             self.idle.discard(worker_id)
-            for job in self.jobs.values():
-                # A finished job's state is sealed: a crash arriving
-                # between _maybe_finish and forget must not touch it.
-                if not job.finished:
-                    job.ready.discard(worker_id)
+            for job in self.live_jobs:
+                job.ready.discard(worker_id)
             held = self.assignments.pop(worker_id, None)
             if held is None:
                 continue
-            run_id, name = held
-            job = self.jobs.get(run_id)
-            if job is not None and not job.finished and name in job.pending:
+            run_id, attempt = held
+            job = self.jobs[run_id]
+            if attempt.name in job.pending:
                 job.crashes += 1
-                self._retry_or_give_up(job, name, worker_id)
+                self._retry_or_give_up(job, attempt, worker_id)
+            else:
+                # A decided property's loser died draining: nothing to
+                # retry, but it may have been the run's last attempt.
+                job.policy.lost(attempt)
+                self._maybe_finish(job)
         if self.revive_seats and not self.pool.closed:
             self._revive()
         if not self.pool.any_alive() and not self._revival_pending():
@@ -776,11 +867,11 @@ class SeatScheduler:
         )
 
     def _retry_or_give_up(
-        self, job: PooledJob, name: str, worker_id: int
+        self, job: PooledJob, attempt: PropertyJob, worker_id: int
     ) -> None:
-        """One bounded retry for a property lost to a seat crash.
+        """One bounded retry for an attempt lost to a seat crash.
 
-        The property goes to its job's backlog *front* (it already
+        The attempt goes back to its job's backlog *front* (it already
         waited its turn once) and straight to an idle live seat when
         one is parked; with no live seat, a revivable scheduler keeps
         it queued — the next revived seat's ``ready`` ack drains the
@@ -790,35 +881,20 @@ class SeatScheduler:
         """
         revivable = self.revive_seats and not self.pool.closed
         if (
-            name not in job.retried
+            attempt not in job.retried
             and not job.cancelled
             and (self.pool.any_alive() or revivable)
         ):
-            job.retried.add(name)
+            job.retried.add(attempt)
             job.redispatched += 1
-            job.backlog.insert(
-                0,
-                PropertyJob(
-                    name=name,
-                    per_property_time=job.job_time,
-                    per_property_conflicts=job.options.per_property_conflicts,
-                    engine=job.engine,
-                    seed=job.seed,
-                ),
-            )
-            job.emit(PropertyRequeued(name=name, worker=worker_id))
+            job.backlog.insert(0, attempt)
+            job.emit(PropertyRequeued(name=attempt.name, worker=worker_id))
             for idle_worker in sorted(self.idle):
                 if self.pool.worker_alive(idle_worker):
                     self._feed_seat(idle_worker)
                     break
             return
-        job.emit(
-            PropertySolved(name=name, status=PropStatus.UNKNOWN, local=True)
-        )
-        job.record(
-            PropOutcome(name=name, status=PropStatus.UNKNOWN, local=True),
-            checkpoint=False,
-        )
+        job.policy.lost(attempt)
         self._maybe_finish(job)
 
     def _revive(self) -> None:
@@ -870,7 +946,7 @@ class SeatScheduler:
                     alive=pool.worker_alive(worker_id),
                     busy=held is not None,
                     job=job_ids.get(held[0]) if held else None,
-                    prop=held[1] if held else None,
+                    prop=held[1].name if held else None,
                     crashes=health.crashes if health else 0,
                     consecutive_crashes=health.consecutive if health else 0,
                     backoff_s=health.delay if down else 0.0,
@@ -919,26 +995,32 @@ class SeatScheduler:
         return {**totals, "live": live}
 
     def _degrade_all(self) -> None:
-        """No seat left alive: every live job's remainder goes UNKNOWN."""
-        for job in self.live_jobs:
+        """No seat left alive: every open job's remainder goes UNKNOWN.
+
+        That includes attempts a seat took with it without crashing (a
+        pool shut down under the scheduler): nobody will report them.
+        """
+        for run_id, attempt in self.assignments.values():
+            self.jobs[run_id].backlog.insert(0, attempt)
+        self.assignments.clear()
+        for job in list(self.jobs.values()):
             self.pool.cancel_run(job.run_id)
             job.cancelled = True
-            job.backlog = []
-            for name in sorted(job.pending):
-                job.record_cancelled(name, None, checkpoint=False)
+            self._drain_backlog(job, checkpoint=False)
             self._maybe_finish(job)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the message lease; stop the shard managers.
 
-        Unfinished jobs only exist here on an exception path — close
-        their runs so a failed drive never leaks open-run state.
+        A run still open here belongs to a job abandoned on an
+        exception path, or to a decided one whose losers are draining —
+        close it so no open-run state outlives the scheduler.
         """
-        for job in list(self.jobs.values()):
-            if not job.finished and not self.pool.closed:
-                self.pool.cancel_run(job.run_id)
-                self.pool.close_run(job.run_id)
+        for run_id in self.jobs:
+            if not self.pool.closed:
+                self.pool.cancel_run(run_id)
+                self.pool.close_run(run_id)
         self._shard_host.shutdown()
         self.pool.release_messages(self)
 
@@ -971,11 +1053,7 @@ def parallel_ja_verify(
     finish), which the integration suite checks property-by-property.
     """
     opts = options or ParallelOptions()
-    emit = emit_or_null(emit)
-    order = list(opts.order) if opts.order else [p.name for p in ts.properties]
-    unknown = set(order) - {p.name for p in ts.properties}
-    if unknown:
-        raise KeyError(f"unknown properties in order: {sorted(unknown)}")
+    order = _property_order(ts, opts)
     if not order:
         report = MultiPropReport(method="parallel-ja", design=design_name)
         report.stats = {"mode": "process", "workers": 0, "exchange": 0}
@@ -983,26 +1061,37 @@ def parallel_ja_verify(
     return _run_pooled(ts, opts, design_name, emit, order)
 
 
+def _property_order(ts: TransitionSystem, opts: ParallelOptions) -> list[str]:
+    order = list(opts.order) if opts.order else [p.name for p in ts.properties]
+    unknown = set(order) - {p.name for p in ts.properties}
+    if unknown:
+        raise KeyError(f"unknown properties in order: {sorted(unknown)}")
+    return order
+
+
 def _run_pooled(
     ts: TransitionSystem,
     opts: ParallelOptions,
     design_name: str,
-    emit: Emit,
+    emit: Emit | None,
     order: list[str],
 ) -> MultiPropReport:
-    """One job driven to completion on a single-job seat scheduler.
+    """One job driven to its report on a single-job seat scheduler.
 
     The degenerate case of the multiplexer: one scheduler, one admitted
     job, drive, report.  Everything after pool creation runs under the
     teardown guard — a bad shard spec or a failed manager start must
-    not leak the worker processes just spawned.
+    not leak the worker processes just spawned.  A race's report is
+    decided as soon as every property is; losers still on a seat are
+    torn down with the run.
     """
     start = time.monotonic()
     pool = opts.pool
     ephemeral = pool is None
     if ephemeral:
+        attempts = len(order) * len(opts.portfolio_engines or (None,))
         pool = WorkerPool(
-            workers=opts.resolve_workers(len(order)),
+            workers=opts.resolve_workers(attempts),
             start_method=opts.start_method,
         )
     scheduler = None

@@ -24,17 +24,25 @@ Control messages (private queue, parent -> worker):
     lets a :class:`~repro.service.VerificationService` interleave many
     jobs' properties on one seat;
 ``("job", run_id, PropertyJob)``
-    one property to verify.  Scheduling is parent-side: the scheduler
-    assigns the next backlog job to whichever worker reported idle, so
-    the queue is FIFO and a setup always precedes the run's jobs.  The
-    job's ``engine`` selects the checker: ``None``/``"ic3"`` run the
-    full :class:`~repro.multiprop.ja.JAVerifier` ladder; ``"bmc"``,
+    one attempt on one property.  Scheduling is parent-side: the
+    scheduler assigns the next backlog job to whichever worker
+    reported idle, so the queue is FIFO and a setup always precedes
+    the run's jobs.  The job's ``engine`` selects the checker:
+    ``None``/``"ic3"`` run the full
+    :class:`~repro.multiprop.ja.JAVerifier` ladder; ``"bmc"``,
     ``"kind"`` and ``"rw"`` run the matching single engine under the
-    same local (``T^P``) semantics — that is what lets the portfolio
-    race heterogeneous engines through one seat protocol;
+    same local (``T^P``) semantics.  A seat executes a job the same
+    way whichever engine it names and whichever strategy queued it: a
+    portfolio job's races share one run, and the worker neither knows
+    nor cares that the attempts it is handed compete — who won is
+    decided parent-side;
 ``("cancel", run_id)``
     decline (report ``cancelled``) any later job of that run — the
-    per-run complement of the pool-wide cancel epoch;
+    per-run complement of the pool-wide cancel epoch.  Sent for a
+    cancelled *job* (user cancel, watchdog, stop on first failure —
+    all parent-side decisions); a decided race sends nothing, its
+    queued losers are dropped parent-side and a running one simply
+    reports late;
 ``("end", run_id)``
     the run is over; drop its cached state;
 ``("stop",)``
@@ -96,7 +104,7 @@ _POLL_TIMEOUT = 0.1
 
 @dataclass(frozen=True)
 class PropertyJob:
-    """One unit of work: verify one property locally."""
+    """One unit of work on a seat: one engine's attempt on one property."""
 
     name: str
     per_property_time: float | None = None
@@ -119,7 +127,6 @@ class WorkerSettings:
     coi_reduction: bool = False
     ctg: bool = False
     max_frames: int = 500
-    stop_on_failure: bool = False
     solver_backend: str | None = None
     engine_overrides: Mapping[str, object] = None  # type: ignore[assignment]
     #: Warm-start clauses from a cross-run proof cache: seeded into every

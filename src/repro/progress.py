@@ -279,13 +279,14 @@ class AttemptStarted(ProgressEvent):
 
 @dataclass(frozen=True)
 class AttemptCancelled(ProgressEvent):
-    """A losing portfolio attempt was cancelled (or its verdict dropped).
+    """A losing portfolio attempt was dropped (or its verdict rejected).
 
-    ``latency_s`` is the time from the race decision to the loser's
-    acknowledgement — ``None`` while the cancel is still in flight.  A
-    stale loser whose verdict arrived *after* the decision is reported
-    with this event too (the verdict itself is rejected by the attempt
-    epoch check).
+    ``latency_s`` is the time from the race decision to the loser being
+    accounted for: near zero for an attempt still queued, which the
+    decision drops on the spot; the time to its report for one that was
+    already on a seat and had to drain (its verdict is rejected — the
+    property is already decided).  ``None`` means there was no decision
+    to lose to: the job was cancelled with the race still open.
     """
 
     kind: ClassVar[str] = "attempt-cancelled"

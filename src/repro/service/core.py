@@ -581,7 +581,9 @@ class VerificationService:
             self._drain_commands()
             self._admit_ready()
             scheduler = self._scheduler
-            if scheduler is not None and scheduler.live_jobs:
+            if scheduler is not None and scheduler.jobs:
+                # Undecided jobs, and decided ones whose losing
+                # attempts still hold a seat.
                 scheduler.step(timeout=0.05)
                 continue
             if scheduler is not None:
@@ -612,16 +614,8 @@ class VerificationService:
             if command[0] == "cancel":
                 record = command[1]
                 job = record.pooled_job
-                if (
-                    self._scheduler is not None
-                    and job is not None
-                    and not job.finished
-                ):
-                    cancel_all = getattr(job, "cancel_all", None)
-                    if cancel_all is not None:  # portfolio controller
-                        cancel_all()
-                    else:
-                        self._scheduler.cancel_job(job)
+                if job is not None:
+                    self._scheduler.cancel_job(job)
                 # pooled_job is None while the job is still in cache
                 # resolution; cancel_requested is already set and the
                 # "admit" arm below honours it.
@@ -764,25 +758,6 @@ class VerificationService:
         options = parallel_options(record.ts, record.config)
         if record.warm_clauses:
             options.warm_clauses = record.warm_clauses
-        if record.config.strategy == "portfolio":
-            from ..parallel.portfolio import admit_portfolio
-
-            # The controller duck-types the PooledJob surface the
-            # service touches (finished/error/build_report/run_id), so
-            # completion funnels through _pooled_finished unchanged.
-            record.pooled_job = admit_portfolio(
-                self._scheduler,
-                record.ts,
-                options,
-                record.config.design_name,
-                self._guarded_job_emit(record),
-                order,
-                priority=record.priority,
-                pool_label="persistent",
-                job_id=record.handle.job_id,
-                on_finish=lambda job: self._pooled_finished(record, job),
-            )
-            return
         record.pooled_job = self._scheduler.admit(
             record.ts,
             options,
@@ -830,7 +805,6 @@ class VerificationService:
         )
 
     def _pooled_finished(self, record: _JobRecord, job) -> None:
-        self._scheduler.forget(job)
         record.pooled_job = None
         if job.error is not None:
             self._finalize(record, None, job.error)

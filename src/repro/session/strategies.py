@@ -122,7 +122,7 @@ def parallel_options(ts: "TransitionSystem", config: VerificationConfig):
     when it multiplexes a pooled job onto its shared pool, so the CLI,
     ``Session`` and ``submit()`` agree on every knob.
     """
-    from ..parallel import ParallelOptions
+    from ..parallel import ParallelOptions, parse_engine_slate
 
     return ParallelOptions(
         workers=config.workers,
@@ -143,14 +143,11 @@ def parallel_options(ts: "TransitionSystem", config: VerificationConfig):
         solver_backend=config.solver_backend,
         engine_overrides=dict(config.engine),
         seed=config.seed,
+        # The slate is what makes a pooled job a race.
         portfolio_engines=(
-            None
-            if config.portfolio_engines is None
-            else tuple(
-                part.strip()
-                for part in config.portfolio_engines.split(",")
-                if part.strip()
-            )
+            parse_engine_slate(config.portfolio_engines)
+            if config.strategy == "portfolio"
+            else None
         ),
     )
 
@@ -175,9 +172,10 @@ class PortfolioStrategy:
     """Per-property engine racing: first definitive verdict wins.
 
     Races the configured slate (``portfolio_engines``, default
-    ``rw,bmc,kind,ic3``) per property on the seat scheduler; losers are
-    cancelled through the per-run cancellation path and the winning
-    engine per property lands in ``report.stats["portfolio"]``.
+    ``rw,bmc,kind,ic3``) per property as one job on the seat scheduler;
+    a decided property's queued losers are dropped, running ones drain,
+    and the winning engine per property lands in
+    ``report.stats["portfolio"]``.
     """
 
     def run(self, ts, config, emit) -> "MultiPropReport":

@@ -58,30 +58,6 @@ def test_deleting_a_dispatch_arm_fails_the_lint():
     ), texts
 
 
-def test_portfolio_attempt_cancel_arm_is_gated():
-    # The portfolio controller's attempt queue is a wire protocol like
-    # any other: deleting the "cancelled" dispatch arm must fail the
-    # lint, or hung-loser acknowledgements would vanish silently.
-    sources = {
-        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
-        for path in sorted((SRC / "repro" / "parallel").glob("*.py"))
-    }
-    portfolio = "src/repro/parallel/portfolio.py"
-    assert 'elif kind == "cancelled":' in sources[portfolio]
-    sources[portfolio] = sources[portfolio].replace(
-        'elif kind == "cancelled":', 'elif kind == "cancelled-deleted":'
-    )
-    result = analyze_sources(sources, checkers=[get_checker("wire-protocol")])
-    texts = [f.message for f in result.findings]
-    assert any(
-        "'cancelled'" in m and "no dispatch arm" in m for m in texts
-    ), texts
-    assert any(
-        "'cancelled-deleted'" in m and "matches no send site" in m
-        for m in texts
-    ), texts
-
-
 def test_portfolio_decided_codec_entry_is_gated():
     # PortfolioDecided crosses the wire (SSE streams race decisions);
     # dropping its EVENT_TYPES row must be a net-protocol error.

@@ -60,7 +60,8 @@ class TestSubmitAndResult:
         job = client.submit(
             design_text=toggler_text(), strategy="ja", design_name="toggler"
         )
-        assert job.info["status"] in ("queued", "running")
+        # A two-latch design can be done before the submit response is built.
+        assert job.info["status"] in ("queued", "running", "done")
         report = job.result(timeout=60)
         assert verdicts(report) == expected
         assert report.design == "toggler"

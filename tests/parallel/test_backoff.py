@@ -56,7 +56,7 @@ class _StubPool:
             "workers_replaced": 0,
         }
         self.messages: deque = deque()
-        self.assigned: list[tuple[int, int, str]] = []
+        self.assigned: list = []  # (seat, run id, PropertyJob), in order
         self.respawn_calls: list[list[int]] = []
         self.cancelled_runs: list[int] = []
 
@@ -85,7 +85,7 @@ class _StubPool:
         self.messages.append(("ready", run_id, worker_id))
 
     def assign(self, worker_id, job, run_id=None) -> None:
-        self.assigned.append((worker_id, run_id, job.name))
+        self.assigned.append((worker_id, run_id, job))
 
     def next_message(self, timeout: float = 0.2):
         if self.messages:
@@ -167,16 +167,16 @@ def _pump(scheduler, limit: int = 200) -> None:
 
 def _serve(scheduler, worker_id: int) -> str:
     """Answer one seat's current assignment with a HOLDS result."""
-    run_id, name = scheduler.assignments[worker_id]
+    run_id, attempt = scheduler.assignments[worker_id]
     scheduler._dispatch_message(
         (
             "result",
             run_id,
             worker_id,
-            PropOutcome(name=name, status=PropStatus.HOLDS, local=True),
+            PropOutcome(name=attempt.name, status=PropStatus.HOLDS, local=True),
         )
     )
-    return name
+    return attempt.name
 
 
 def _serve_everything(scheduler, limit: int = 200) -> None:
@@ -222,15 +222,16 @@ class TestReviveAccounting:
 
 
 class TestFinishedJobsAreSealed:
-    def test_crash_between_finish_and_forget_leaves_job_intact(self):
-        # The service calls forget() from on_finish, but a scheduler
-        # may reap a crash while a finished job is still registered —
-        # its sealed state (ready set, outcomes) must not change.
+    def test_crash_after_finish_leaves_job_intact(self):
+        # A job whose last attempt reported has left the scheduler's
+        # table with its run closed, so a crash reaped afterwards has
+        # no way to reach its sealed state (ready set, outcomes).
         pool = _StubPool(workers=2)
         scheduler = _scheduler(pool)
         job = _admit(scheduler, ["p0"])
         _serve_everything(scheduler)
-        assert job.finished and job.run_id in scheduler.jobs
+        assert job.finished and job.run_id not in scheduler.jobs
+        assert job.run_id not in pool.open_runs
         ready_before = set(job.ready)
         outcomes_before = dict(job.outcomes)
         pool.kill(0)
@@ -249,7 +250,8 @@ class TestSeatlessBacklogDrains:
         scheduler = _scheduler(pool)
         job = _admit(scheduler, ["p0"])
         _pump(scheduler)
-        assert scheduler.assignments[0] == (job.run_id, "p0")
+        run_id, attempt = scheduler.assignments[0]
+        assert (run_id, attempt.name) == (job.run_id, "p0")
         pool.kill(0)
         scheduler._reap_crashed()  # retry queued, seat respawned
         assert job.redispatched == 1

@@ -173,9 +173,3 @@ class TestSizeAwareDispatch:
         )
         assert list(report.outcomes) == ["never_q", "never_r"]
         assert report.stats["dispatch"] == "fifo"
-
-    def test_size_dispatch_can_be_disabled(self, toggler):
-        report = parallel_ja_verify(
-            toggler, ParallelOptions(workers=1, size_dispatch=False)
-        )
-        assert report.stats["dispatch"] == "fifo"

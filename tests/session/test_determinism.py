@@ -29,7 +29,9 @@ TIMING_FIELDS = {"time_seconds", "elapsed", "total_time", "wall_s", "latency_s"}
 #: Strategy-specific config so every strategy runs deterministically.
 #: Both scheduler-backed strategies pin ``workers=1`` (see module
 #: docstring); ``portfolio`` additionally races deterministically there
-#: because a single seat runs attempts in admission order.
+#: because a single seat runs attempts in admission order — every loser
+#: is still queued when its property is decided, so the decision itself
+#: emits its ``AttemptCancelled``.
 STRATEGY_OVERRIDES = {
     "parallel-ja": {"workers": 1},
     "portfolio": {"workers": 1},
@@ -53,19 +55,7 @@ def run_once(ts, strategy):
     report = Session(ts, config, on_event=events.append).run()
     verdicts = {name: o.status for name, o in report.outcomes.items()}
     frames = {name: o.frames for name, o in report.outcomes.items()}
-    # Portfolio loser-cancel acknowledgements are wall-clock, not logic:
-    # whether a cancelled attempt's ack lands before the run finalizes
-    # depends on worker-process timing (its latency field is documented
-    # as None while still in flight).  Exclude them like timing fields.
-    return (
-        verdicts,
-        frames,
-        [
-            normalize(e)
-            for e in events
-            if type(e).__name__ != "AttemptCancelled"
-        ],
-    )
+    return verdicts, frames, [normalize(e) for e in events]
 
 
 @pytest.fixture(scope="module")
