@@ -1,14 +1,56 @@
-"""A lightweight CNF container with fresh-variable management.
+"""A lightweight CNF container, and the frozen block it turns into.
 
-All engines share this representation: clauses are lists of signed
-DIMACS literals, and :class:`CnfBuilder` hands out fresh variables and
-remembers the mapping from AIG nodes to CNF variables established by the
-Tseitin encoder.
+:class:`CnfBuilder` is a recording clause sink: it hands out fresh
+variables and keeps every clause, as signed DIMACS literals, in the
+order it was added.  :meth:`CnfBuilder.freeze` turns the recording into
+a :class:`CnfBlock` — the same clauses over variables ``1..num_vars``,
+normalised once, that can then be appended to any number of sinks at
+whatever variable base each sink has reached.  This is how a design's
+transition relation is Tseitin-encoded once and loaded many times (see
+:meth:`repro.ts.system.TransitionSystem.encode_step`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
+
+from ..sat.types import to_dimacs
+
+
+@dataclass(frozen=True)
+class CnfBlock:
+    """Clauses over a private range of variables, ready to load anywhere.
+
+    ``clauses`` are in the solver's internal literal form
+    (:mod:`repro.sat.types`: ``2*v`` / ``2*v + 1`` over 0-based ``v <
+    num_vars``), each sorted ascending without duplicates and never
+    tautological — what ``Solver.add_clause`` computes per call, done
+    once here.
+    """
+
+    num_vars: int
+    clauses: tuple[tuple[int, ...], ...]
+
+    def load(self, sink) -> int:
+        """Append the block to ``sink``; returns the variable base.
+
+        Block variable ``v`` (1-based) becomes sink variable ``base +
+        v``.  A sink with an ``add_block`` method (the bulk entry point
+        of :class:`repro.sat.backend.SatBackend`) takes the block in one
+        call; any other ``new_var``/``add_clause`` sink is fed the same
+        variables and clauses one at a time.
+        """
+        bulk = getattr(sink, "add_block", None)
+        if bulk is not None:
+            return bulk(self.num_vars, self.clauses)
+        fresh = [sink.new_var() for _ in range(self.num_vars)]
+        base = fresh[0] - 1 if fresh else 0
+        if fresh and fresh[-1] != base + self.num_vars:
+            raise ValueError("sink did not allocate consecutive variables")
+        for clause in self.clauses:
+            sink.add_clause([to_dimacs(lit + 2 * base) for lit in clause])
+        return base
 
 
 class CnfBuilder:
@@ -39,6 +81,16 @@ class CnfBuilder:
     def extend_vars(self, count: int) -> list[int]:
         """Allocate ``count`` fresh variables, returned in order."""
         return [self.new_var() for _ in range(count)]
+
+    def freeze(self) -> CnfBlock:
+        """The recorded clauses as a loadable block (tautologies dropped)."""
+        clauses = []
+        for clause in self.clauses:
+            # from_dimacs, inlined: this runs once per recorded literal.
+            lits = sorted({2 * lit - 2 if lit > 0 else -2 * lit - 1 for lit in clause})
+            if len({lit >> 1 for lit in lits}) == len(lits):  # no l and ~l
+                clauses.append(tuple(lits))
+        return CnfBlock(self.num_vars, tuple(clauses))
 
     def copy(self) -> "CnfBuilder":
         out = CnfBuilder()

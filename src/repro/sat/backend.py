@@ -67,6 +67,25 @@ class SatBackend(Protocol):
     clause groups through activation literals, so repeated
     nearly-identical queries (IC3 consecution, BMC depth extension)
     never pay re-encoding costs.
+
+    One further method is part of the contract but *optional*, which is
+    why it is documented here and not declared below (a declared member
+    would make ``isinstance(solver, SatBackend)`` reject every backend
+    without it):
+
+    ``add_block(num_vars, clauses) -> int``
+        The bulk entry point.  Appends ``num_vars`` fresh variables and
+        a block of clauses that mention only those variables, and
+        returns the base ``b`` such that block variable ``v`` (1-based)
+        is solver variable ``b + v``.  ``clauses`` are pre-normalised
+        (:class:`repro.encode.cnf.CnfBlock`): internal literals ``2*v``
+        / ``2*v + 1`` over the block's 0-based variables, each clause
+        sorted, duplicate- and tautology-free.  The effect, counters
+        included, must equal ``num_vars`` ``new_var`` calls followed by
+        one ``add_clause`` per clause.  ``cdcl`` implements it and
+        ``cdcl-compact`` inherits it; for a backend without it
+        :meth:`CnfBlock.load <repro.encode.cnf.CnfBlock.load>` makes
+        exactly those calls instead.
     """
 
     num_vars: int

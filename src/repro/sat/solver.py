@@ -174,32 +174,22 @@ class Solver:
             self._ensure_var(abs(lit))
             internal.append(from_dimacs(lit))
         # Sort/dedup; detect tautologies and already-falsified literals.
-        internal = sorted(set(internal))
+        # (At decision level 0 every assignment is a root assignment.)
+        assign = self._assign
         out = []
         prev = -1
-        for lit in internal:
-            if lit == prev ^ 1 and prev != -1:
+        for lit in sorted(set(internal)):
+            if lit ^ 1 == prev:
                 return True  # tautology: contains l and ~l
-            val = self._lit_value(lit)
-            if val == TRUE and self._level[lit >> 1] == 0:
-                return True  # satisfied at root
-            if val == FALSE and self._level[lit >> 1] == 0:
-                prev = lit
-                continue  # drop root-falsified literal
-            out.append(lit)
             prev = lit
-        if not out:
-            self._ok = False
-            return False
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
-                self._ok = False
-                return False
-            return True
+            val = assign[lit >> 1]
+            if val == UNASSIGNED:
+                out.append(lit)
+            elif val ^ (lit & 1) == TRUE:
+                return True  # satisfied at root
+            # else: drop the root-falsified literal
+        if len(out) < 2:
+            return self._assert_root(out)
         self._attach(out)
         self._clauses.append(out)
         self._clause_ids.add(id(out))
@@ -209,6 +199,83 @@ class Solver:
                 if group is not None:
                     group.append(out)
         return True
+
+    def add_block(self, num_vars: int, clauses: Sequence[Sequence[int]]) -> int:
+        """Append ``num_vars`` fresh variables and clauses over them.
+
+        The bulk entry point (see :class:`~repro.sat.backend.SatBackend`):
+        ``clauses`` are pre-normalised — internal literals over the
+        block's own 0-based variables, each clause sorted ascending,
+        duplicate- and tautology-free (:class:`repro.encode.cnf.CnfBlock`)
+        — and are stored shifted to the returned base: block variable
+        ``v`` (1-based) is solver variable ``base + v``.  The solver ends
+        in exactly the state ``num_vars`` ``new_var`` calls followed by
+        one ``add_clause`` per clause would leave (stored clauses, watch
+        order, root trail, ``clauses_added``), without the per-call
+        conversion, sorting and root-value checks: a block mentions only
+        its own fresh variables, so those checks can only matter after
+        one of its own unit clauses, and run only from there on.
+        """
+        if self._trail_lim:
+            raise RuntimeError("add_block is only allowed at decision level 0")
+        base = self.num_vars
+        self.num_vars = base + num_vars
+        self._assign.extend([UNASSIGNED] * num_vars)
+        self._level.extend([0] * num_vars)
+        self._reason.extend([None] * num_vars)
+        self._activity.extend([0.0] * num_vars)
+        self._polarity.extend([True] * num_vars)
+        self._seen.extend([False] * num_vars)
+        self._in_heap.extend([False] * num_vars)
+        watches = self._watches
+        watches.extend([[] for _ in range(2 * num_vars)])
+        if not self._ok:
+            return base
+        shift = 2 * base
+        store = self._clauses
+        ids = self._clause_ids
+        rooted = False  # has a block variable been assigned at root yet?
+        loaded = 0
+        for loaded, clause in enumerate(clauses, 1):
+            out = [lit + shift for lit in clause] if shift else list(clause)
+            if rooted:
+                out = self._strip_root(out)
+                if out is None:
+                    continue
+            if len(out) > 1:
+                watches[out[0] ^ 1].append(out)
+                watches[out[1] ^ 1].append(out)
+                store.append(out)
+                ids.add(id(out))
+                continue
+            rooted = True
+            if not self._assert_root(out):
+                break
+        self.counters["clauses_added"] += loaded
+        return base
+
+    def _strip_root(self, lits: list) -> list | None:
+        """``lits`` without root-falsified literals; None if satisfied.
+
+        ``add_clause``'s root simplification for a clause that is already
+        sorted and tautology-free (level 0 only, as there).
+        """
+        assign = self._assign
+        out = []
+        for lit in lits:
+            val = assign[lit >> 1]
+            if val == UNASSIGNED:
+                out.append(lit)
+            elif val ^ (lit & 1) == TRUE:
+                return None
+        return out
+
+    def _assert_root(self, lits: list) -> bool:
+        """Assert an empty or unit clause at level 0; False on contradiction."""
+        if lits and self._enqueue(lits[0], None) and self._propagate() is None:
+            return True
+        self._ok = False
+        return False
 
     def _attach(self, clause: list) -> None:
         self._watches[clause[0] ^ 1].append(clause)

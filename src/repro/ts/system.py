@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from ..circuit.aig import AIG, Property
+from ..encode.cnf import CnfBlock, CnfBuilder
 from ..encode.tseitin import ClauseSink, ConeEncoder
 
 Cube = tuple[int, ...]
@@ -73,7 +74,6 @@ class StepEncoding:
     inputs: dict[int, int]
     prop_curr: dict[str, int]
     constraint_curr: list[int]
-    encoder: ConeEncoder
 
     def cube_lits_curr(self, cube: Cube) -> list[int]:
         return [self.curr[abs(l) - 1] * (1 if l > 0 else -1) for l in cube]
@@ -93,7 +93,6 @@ class FrameEncoding:
     inputs: dict[int, int]
     prop_curr: dict[str, int]
     constraint_curr: list[int]
-    encoder: ConeEncoder
 
     def cube_lits_curr(self, cube: Cube) -> list[int]:
         return [self.curr[abs(l) - 1] * (1 if l > 0 else -1) for l in cube]
@@ -122,6 +121,9 @@ class TransitionSystem:
                 self.init_pattern.append(None)
             else:
                 self.init_pattern.append((i + 1) if latch.init == 1 else -(i + 1))
+        # kind -> (clauses, the encoding's maps) over variables 1..n.
+        self._templates: dict[str, tuple[CnfBlock, StepEncoding]] = {}
+        self._templates_key: tuple | None = None
 
     # ------------------------------------------------------------------
     # State helpers
@@ -152,21 +154,107 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # Encodings
     # ------------------------------------------------------------------
-    def _encode_frame(self, solver: ClauseSink) -> FrameEncoding:
-        enc = ConeEncoder(self.aig, solver)
+    # Each frame kind is Tseitin-encoded once per design into a template
+    # and every encode_* call loads that template into the caller's
+    # sink: JA-verification is k local proofs over one design, each
+    # opening several solvers on the same transition relation.
+
+    def __getstate__(self) -> dict:
+        # Templates never travel: a design pickles the same, byte for
+        # byte, however warm its sender is (pool payload digests rely on
+        # it), and the receiver rebuilds them on first use.
+        state = self.__dict__.copy()
+        state["_templates"] = {}
+        state["_templates_key"] = None
+        return state
+
+    def _template(self, kind: str) -> tuple[CnfBlock, StepEncoding]:
+        """The ``"step"``, ``"bad"`` or ``"init"`` template, built on first use.
+
+        A template is the frame's clauses over variables ``1..n`` plus
+        the encoding's maps over the same variables.  Templates are
+        dropped when anything they encode has changed since: the
+        properties, the latches, the inputs or the AIG's constraints.
+        AND nodes appended to the AIG afterwards (as
+        ``aggregate_property_lit`` does) are in no existing cone and
+        leave them valid.
+        """
+        key = (
+            tuple(self.properties),
+            tuple(self.latches),
+            tuple(self.aig.inputs),
+            tuple(self.aig.constraints),
+        )
+        if key != self._templates_key:
+            self._templates = {}
+            self._templates_key = key
+        template = self._templates.get(kind)
+        if template is None:
+            cnf = CnfBuilder()
+            maps = self._encode_into(kind, cnf)
+            template = self._templates[kind] = (cnf.freeze(), maps)
+        return template
+
+    def _encode_into(self, kind: str, sink: ClauseSink) -> StepEncoding:
+        """Tseitin-encode one frame kind straight into ``sink``.
+
+        The only place a frame's cones are walked (``next`` stays empty
+        for the combinational kinds).  Templates record it once per
+        kind; the tests run it into a solver as the reference a loaded
+        template must equal.
+        """
+        enc = ConeEncoder(self.aig, sink)
         curr = []
         for latch in self.latches:
-            var = solver.new_var()
+            var = sink.new_var()
             enc.set_leaf(latch.lit, var)
             curr.append(var)
         inputs = {}
         for inp in self.aig.inputs:
-            var = solver.new_var()
+            var = sink.new_var()
             enc.set_leaf(inp, var)
             inputs[inp] = var
         prop_curr = {p.name: enc.lit(p.lit) for p in self.properties}
         constraint_curr = [enc.lit(c) for c in self.aig.constraints]
-        return FrameEncoding(curr, inputs, prop_curr, constraint_curr, enc)
+        nxt = []
+        if kind == "step":
+            for latch in self.latches:
+                lit = enc.lit(latch.next)
+                var = sink.new_var()
+                sink.add_clause([-var, lit])
+                sink.add_clause([var, -lit])
+                nxt.append(var)
+        for c in constraint_curr:
+            sink.add_clause([c])
+        if kind == "init":
+            for var, latch in zip(curr, self.latches):
+                if latch.init == 0:
+                    sink.add_clause([-var])
+                elif latch.init == 1:
+                    sink.add_clause([var])
+        return StepEncoding(curr, nxt, inputs, prop_curr, constraint_curr)
+
+    def _load(self, kind: str, solver: ClauseSink) -> StepEncoding:
+        """Load a template into ``solver``; its maps, shifted to the base
+        the solver put the block at."""
+        block, maps = self._template(kind)
+        base = block.load(solver)
+        return StepEncoding(
+            curr=[var + base for var in maps.curr],
+            next=[var + base for var in maps.next],
+            inputs={inp: var + base for inp, var in maps.inputs.items()},
+            prop_curr={
+                name: lit + base if lit > 0 else lit - base
+                for name, lit in maps.prop_curr.items()
+            },
+            constraint_curr=[
+                lit + base if lit > 0 else lit - base for lit in maps.constraint_curr
+            ],
+        )
+
+    def _load_frame(self, kind: str, solver: ClauseSink) -> FrameEncoding:
+        enc = self._load(kind, solver)
+        return FrameEncoding(enc.curr, enc.inputs, enc.prop_curr, enc.constraint_curr)
 
     def encode_step(self, solver: ClauseSink) -> StepEncoding:
         """Encode one transition ``T(S, X, S')`` into a solver.
@@ -176,24 +264,7 @@ class TransitionSystem:
         the paper's ``T^P`` constraints by asserting units on
         ``prop_curr`` (see :mod:`repro.ts.projection`).
         """
-        frame = self._encode_frame(solver)
-        nxt = []
-        for latch in self.latches:
-            lit = frame.encoder.lit(latch.next)
-            var = solver.new_var()
-            solver.add_clause([-var, lit])
-            solver.add_clause([var, -lit])
-            nxt.append(var)
-        for c in frame.constraint_curr:
-            solver.add_clause([c])
-        return StepEncoding(
-            curr=frame.curr,
-            next=nxt,
-            inputs=frame.inputs,
-            prop_curr=frame.prop_curr,
-            constraint_curr=frame.constraint_curr,
-            encoder=frame.encoder,
-        )
+        return self._load("step", solver)
 
     def encode_bad_frame(self, solver: ClauseSink) -> FrameEncoding:
         """Encode a final (bad) frame: combinational only, constraints asserted.
@@ -203,20 +274,11 @@ class TransitionSystem:
         *not* apply here (the final state of a local CEX only needs to
         falsify the target property).
         """
-        frame = self._encode_frame(solver)
-        for c in frame.constraint_curr:
-            solver.add_clause([c])
-        return frame
+        return self._load_frame("bad", solver)
 
     def encode_init_frame(self, solver: ClauseSink) -> FrameEncoding:
         """Encode a frame constrained to the initial states."""
-        frame = self.encode_bad_frame(solver)
-        for i, latch in enumerate(self.latches):
-            if latch.init == 0:
-                solver.add_clause([-frame.curr[i]])
-            elif latch.init == 1:
-                solver.add_clause([frame.curr[i]])
-        return frame
+        return self._load_frame("init", solver)
 
     # ------------------------------------------------------------------
     def eth_properties(self) -> list[Property]:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.circuit.aig import AIG, aig_not
 from repro.gen.counter import buggy_counter
+from repro.ts import system
 from repro.ts.system import TransitionSystem
 
 
@@ -37,6 +38,46 @@ def random_cnf(
         for _ in range(num_clauses)
     ]
     return num_vars, clauses
+
+
+def solver_state(solver) -> dict:
+    """Everything a ``cdcl`` solver's search depends on, with clause
+    identity replaced by position in the store (bulk-loader tests)."""
+    store = solver._clauses + solver._learnts
+    index = {id(clause): i for i, clause in enumerate(store)}
+    return {
+        "num_vars": solver.num_vars,
+        "ok": solver.ok,
+        "clauses": [list(clause) for clause in store],
+        "original": len(solver._clauses),
+        "live": sorted(index[cid] for cid in solver._clause_ids | solver._learnt_ids),
+        "watches": [[index[id(c)] for c in watch] for watch in solver._watches],
+        "trail": list(solver._trail),
+        "qhead": solver._qhead,
+        "assign": list(solver._assign),
+        "level": list(solver._level),
+        "reason": [None if r is None else index[id(r)] for r in solver._reason],
+        "per_var": [
+            list(column)
+            for column in (solver._activity, solver._polarity, solver._seen, solver._in_heap)
+        ],
+        "counters": dict(solver.counters),
+    }
+
+
+@pytest.fixture
+def encoder_runs(monkeypatch) -> list[str]:
+    """One entry — the sink's type name — per ``ConeEncoder`` that
+    ``ts/system.py`` constructs while the test runs."""
+    runs: list[str] = []
+
+    class CountingEncoder(system.ConeEncoder):
+        def __init__(self, aig, sink) -> None:
+            super().__init__(aig, sink)
+            runs.append(type(sink).__name__)
+
+    monkeypatch.setattr(system, "ConeEncoder", CountingEncoder)
+    return runs
 
 
 @pytest.fixture
