@@ -18,20 +18,26 @@ structure, hash collision, cosmic rays — is counted as a
 re-proved.  The cache can therefore never produce a wrong verdict,
 only a wasted certification check.
 
-Assumption handling: the stored record remembers which properties were
-assumed when the verdict was produced.  On resolution the list is
-intersected with the assumptions *currently legal* for the property
-(``assumption_names`` on the current design): dropping an assumption
-only strengthens the certification obligation, so a record certified
-under the intersection is sound to report — while a record that needed
-a now-illegal assumption fails certification and degrades to a proof.
+Assumption handling: a record is certified under the assumptions *the
+requester makes* — for a local strategy (``local=True``) those
+currently legal for the property (``assumption_names`` on the current
+design), for a global one (``separate``, ``joint``, ``clustered``)
+none at all.  An invariant is checked under the part of that set its
+author also assumed: dropping an assumption only strengthens the
+obligation, so the verdict is sound to report, while an invariant that
+needed an assumption the requester does not make (a local proof asked
+for globally, a now-illegal assumption) is rejected and re-proved.  A
+counterexample is checked against the whole set, whatever its author
+assumed: a local counterexample is also a global one and still hits, a
+global one that an assumed property pre-empts is spurious locally and
+does not.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..circuit.coi import reduce_to_cone
+from ..circuit.coi import reduce_to_cone, remap_clause
 from ..engines.certify import certify_cex, certify_invariant
 from ..engines.result import PropStatus
 from ..multiprop.report import PropOutcome
@@ -46,33 +52,6 @@ __all__ = ["CacheResolver"]
 _STATUS = {"holds": PropStatus.HOLDS, "fails": PropStatus.FAILS}
 
 
-def _remap_clauses(ts, rts, latch_map, clauses):
-    """Translate 1-based latch-index clauses onto a COI reduction.
-
-    Returns ``None`` when any literal falls outside the reduction (or
-    outside the design entirely — poisoned records), signalling the
-    caller to certify against the full design instead.
-    """
-    index_by_lit = {latch.lit: i + 1 for i, latch in enumerate(rts.latches)}
-    full = ts.latches
-    mapped = []
-    for clause in clauses:
-        out = []
-        for lit in clause:
-            if not isinstance(lit, int):
-                return None
-            position = abs(lit) - 1
-            if not 0 <= position < len(full):
-                return None
-            reduced_lit = latch_map.get(full[position].lit)
-            if reduced_lit is None:
-                return None
-            index = index_by_lit[reduced_lit]
-            out.append(index if lit > 0 else -index)
-        mapped.append(tuple(out))
-    return mapped
-
-
 class CacheResolver:
     """Resolve properties from a :class:`ProofStore`, certification first."""
 
@@ -82,12 +61,14 @@ class CacheResolver:
         mode: str = "readwrite",
         *,
         solver_backend: str | None = None,
+        local: bool = True,
     ) -> None:
         if mode not in ("off", "read", "readwrite"):
             raise ValueError(f"bad cache mode {mode!r}")
         self.store = store
         self.mode = mode
         self.solver_backend = solver_backend
+        self.local = local  # does the requesting strategy assume the other properties?
 
     @property
     def readable(self) -> bool:
@@ -174,26 +155,28 @@ class CacheResolver:
         if status is None:
             return None
         start = time.monotonic()
-        allowed = set(assumption_names(ts, name))
-        assumed = [n for n in record.assumed if n in allowed]
+        allowed = assumption_names(ts, name) if self.local else []
         if status is PropStatus.HOLDS:
             if record.invariant is None:
                 return None
+            # Fewer assumptions only strengthen an invariant's obligation.
+            assumed = [n for n in record.assumed if n in allowed]
             report = self._certify_invariant(
                 ts, name, record.invariant, assumed, reduction
             )
-            if not report.valid:
-                return None
         else:
             if record.trace is None:
                 return None
+            # A counterexample must outlive *every* assumption the
+            # requester makes, whatever the record's author assumed.
+            assumed = allowed
             report = certify_cex(ts, name, record.trace, assumed)
-            if not report.valid:
-                return None
+        if not report.valid:
+            return None
         return PropOutcome(
             name=name,
             status=status,
-            local=bool(assumed) if record.local else False,
+            local=bool(assumed),
             frames=record.frames,
             time_seconds=time.monotonic() - start,
             cex_depth=record.cex_depth,
@@ -227,8 +210,8 @@ class CacheResolver:
         """
         if reduction is not None:
             rts = TransitionSystem(reduction.aig)
-            mapped = _remap_clauses(ts, rts, reduction.latch_map, invariant)
-            if mapped is not None:
+            mapped = [remap_clause(c, reduction.latch_positions) for c in invariant]
+            if None not in mapped:
                 kept = [n for n in assumed if n in rts.prop_by_name]
                 return certify_invariant(
                     rts, name, mapped, kept, solver_backend=self.solver_backend

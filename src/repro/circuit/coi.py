@@ -31,6 +31,8 @@ class CoiReduction:
     input_map: dict[int, int]  # original input lit -> reduced input lit
     latch_map: dict[int, int]  # original latch lit -> reduced latch lit
     kept_properties: list[str] = field(default_factory=list)
+    # original latch position -> reduced latch position (kept latches only)
+    latch_positions: dict[int, int] = field(default_factory=dict)
 
     def translate_inputs_back(self, frames: Sequence[dict[int, bool]]) -> list[dict[int, bool]]:
         """Map a reduced-design input trace to original-design literals.
@@ -43,6 +45,21 @@ class CoiReduction:
             {reverse[lit]: value for lit, value in frame.items() if lit in reverse}
             for frame in frames
         ]
+
+
+def remap_clause(clause: Iterable[int], positions: dict[int, int]) -> tuple | None:
+    """A clause over 1-based signed latch indices carried through ``positions``.
+
+    ``None`` when a literal names a latch the map does not cover (or is
+    no latch index at all): the clause has no meaning on the other side.
+    """
+    out = []
+    for lit in clause:
+        new_pos = positions.get(abs(lit) - 1) if isinstance(lit, int) else None
+        if new_pos is None:
+            return None
+        out.append(new_pos + 1 if lit > 0 else -(new_pos + 1))
+    return tuple(sorted(out, key=abs))
 
 
 def reduce_to_cone(aig: AIG, prop_names: Iterable[str]) -> CoiReduction:
@@ -70,10 +87,12 @@ def reduce_to_cone(aig: AIG, prop_names: Iterable[str]) -> CoiReduction:
         if aig_var(inp) in node_set:
             input_map[inp] = reduced.add_input(aig.input_names[i])
     latch_map: dict[int, int] = {}
+    latch_positions: dict[int, int] = {}
     kept_latches = []
-    for latch in aig.latches:
+    for position, latch in enumerate(aig.latches):
         if latch.lit in latch_lits:
             latch_map[latch.lit] = reduced.add_latch(latch.name, init=latch.init)
+            latch_positions[position] = len(kept_latches)
             kept_latches.append(latch)
 
     # Rebuild the combinational logic bottom-up with memoization.
@@ -129,6 +148,7 @@ def reduce_to_cone(aig: AIG, prop_names: Iterable[str]) -> CoiReduction:
         input_map=input_map,
         latch_map=latch_map,
         kept_properties=[p.name for p in props],
+        latch_positions=latch_positions,
     )
 
 

@@ -23,10 +23,12 @@ it implements the three features the paper's Ic3-db relies on:
 * **Strengthening-clause import/export** (Section 6): ``seed_clauses``
   initialize every frame, and a successful proof exports the final
   inductive clause set.  Because seeds proven under *different*
-  assumption sets are not automatically inductive here, the final
-  invariant is re-verified clause by clause (`validate_invariant`); on
-  certificate failure the engine signals the caller to retry without
-  seeds.  This keeps the paper's optimization while staying sound.
+  assumption sets are not automatically inductive here, every
+  converged run hands its invariant to the independent checker
+  (:func:`repro.engines.certify.certify_invariant`, the one the proof
+  cache uses); on rejection the engine signals the caller to retry
+  without seeds.  This keeps the paper's optimization while staying
+  sound.
 
 Solver management is fully incremental: the engine holds **one**
 persistent consecution solver (the transition relation is encoded
@@ -65,6 +67,7 @@ from ...ts.system import (
     normalize_cube,
 )
 from ...ts.trace import Trace
+from ..certify import certify_invariant
 from ..result import EngineResult, PropStatus, ResourceBudget
 
 
@@ -85,8 +88,6 @@ class IC3Options:
     seed_clauses: Sequence[Clause] = ()
     max_frames: int = 500
     budget: ResourceBudget | None = None
-    validate_cex: bool = True
-    validate_invariant: bool = True
     generalize_passes: int = 2
     # CTG handling during generalization (Hassan-Bradley-Somenzi, FMCAD'13):
     # when dropping a literal fails because of a counterexample-to-
@@ -349,11 +350,12 @@ class IC3:
         inputs: dict[int, bool],
         require_true: list[int],
         require_false: list[int],
+        respect_assumed: bool,
     ) -> Cube:
         from .ternary import lift_state
 
         require_true = list(require_true) + list(self.ts.aig.constraints)
-        if self.options.respect_constraints_in_lifting:
+        if respect_assumed:
             require_true += [p.lit for p in self.assumed_props]
         latch_order = [latch.lit for latch in self.ts.latches]
         lifted = lift_state(
@@ -386,21 +388,14 @@ class IC3:
                 require_true.append(next_fn)
             else:
                 require_false.append(next_fn)
-        return self._lift(state, inputs, require_true, require_false)
+        respect = self.options.respect_constraints_in_lifting
+        return self._lift(state, inputs, require_true, require_false, respect)
 
     def _lift_bad(self, state: tuple[bool, ...], inputs: dict[int, bool]) -> Cube:
         # The bad state must keep falsifying the property.  Assumed
         # properties are never required here: the final state of a local
         # counterexample is unconstrained (see module docstring).
-        from .ternary import lift_state
-
-        require_true = list(self.ts.aig.constraints)
-        require_false = [self.prop.lit]
-        latch_order = [latch.lit for latch in self.ts.latches]
-        lifted = lift_state(
-            self.ts.aig, latch_order, state, inputs, require_true, require_false
-        )
-        return self._cube_from_lifted(lifted, state)
+        return self._lift(state, inputs, [], [self.prop.lit], False)
 
     def _init_witness(self, cube: Cube) -> tuple[bool, ...]:
         """A concrete initial state inside ``cube`` (which intersects I)."""
@@ -597,43 +592,6 @@ class IC3:
                 clauses.append(negate_cube(cube))
         return clauses
 
-    def _check_certificate(self, clauses: list[Clause]) -> None:
-        """Verify the invariant: I ⊆ F, F ∧ C ∧ T ⊆ F', F ⊆ P.
-
-        Raises :class:`SeedCertificateError` on failure (only reachable
-        through unsound seeds; see module docstring).
-        """
-        for clause in clauses:
-            if not self.ts.clause_holds_at_init(clause):
-                raise SeedCertificateError(f"clause {clause} fails at init")
-        solver = self._new_solver()
-        enc = self.ts.encode_step(solver)
-        for p in self.assumed_props:
-            solver.add_clause([enc.prop_curr[p.name]])
-        for clause in clauses:
-            solver.add_clause(enc.clause_lits_curr(clause))
-        for clause in clauses:
-            cube = negate_cube(clause)
-            status = self._solve(solver, enc.cube_lits_next(cube))
-            if status == Status.SAT:
-                raise SeedCertificateError(
-                    f"invariant clause {clause} is not inductive"
-                )
-            if status == Status.UNKNOWN:
-                raise _BudgetExhausted()
-        # F ⊆ P: the final bad query of the main loop already established
-        # F_top ∧ ¬P UNSAT, and `clauses` includes all F_top clauses, but
-        # seeds may strengthen further; re-check cheaply for safety.
-        bad_solver = self._new_solver()
-        bad_enc = self.ts.encode_bad_frame(bad_solver)
-        for clause in clauses:
-            bad_solver.add_clause(bad_enc.clause_lits_curr(clause))
-        status = self._solve(bad_solver, [-bad_enc.prop_curr[self.prop.name]])
-        if status == Status.SAT:
-            raise SeedCertificateError("invariant does not imply the property")
-        if status == Status.UNKNOWN:
-            raise _BudgetExhausted()
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -699,14 +657,23 @@ class IC3:
             conv = self._propagate()
             if conv is not None:
                 clauses = self._invariant_clauses(conv)
-                if self.options.validate_invariant:
-                    self._check_certificate(clauses)
+                # I ⊆ F, F ∧ C ∧ T ⊆ F', F ⊆ P — rejected only through
+                # unsound seeds (see module docstring).
+                report = certify_invariant(
+                    self.ts,
+                    self.prop.name,
+                    clauses,
+                    self.options.assumed,
+                    self.options.solver_backend,
+                )
+                if not report.valid:
+                    raise SeedCertificateError(report.reason)
                 return self._result(
                     PropStatus.HOLDS, frames=self.top, invariant=clauses
                 )
 
     def _finish_cex(self, trace: Trace) -> EngineResult:
-        if self.options.validate_cex and not trace.validate(self.ts.aig, self.prop.lit):
+        if not trace.validate(self.ts.aig, self.prop.lit):
             raise RuntimeError(
                 f"IC3 produced an invalid counterexample for {self.prop.name}"
             )

@@ -18,30 +18,30 @@ pay).  It also exposes the hybrid the paper hints at: JA-verification
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from collections.abc import Mapping
+from dataclasses import dataclass
 
 from ..circuit.coi import coi_signature, reduce_to_cone
 from ..progress import ClusterStarted, Emit
 from ..ts.system import TransitionSystem
 from .ja import JAOptions, ja_verify
 from .joint import JointOptions, joint_verify
+from .local import ProofOptions
 from .report import MultiPropReport
 
 
-@dataclass
-class ClusterOptions:
-    """Configuration for clustered verification."""
+@dataclass(frozen=True)
+class ClusterOptions(ProofOptions):
+    """Configuration for clustered verification.
+
+    The inherited proof knobs reach the inner driver whole (``ja``) or
+    as far as one aggregate proof has a use for them (``joint``:
+    ``max_frames``, ``ctg``, ``solver_backend``, ``engine_overrides``).
+    """
 
     similarity_threshold: float = 0.5  # Jaccard threshold for merging
     use_coi_reduction: bool = True
     inner: str = "joint"  # "joint" or "ja" within each cluster
     total_time: float | None = None
-    per_property_time: float | None = None
-    # SAT backend name (repro.sat registry); None = process default.
-    solver_backend: str | None = None
-    # Extra IC3Options fields forwarded to the inner driver's engine runs.
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -117,8 +117,9 @@ def clustered_verify(
                 sub_ts,
                 JointOptions(
                     total_time=remaining,
+                    max_frames=opts.max_frames,
                     solver_backend=opts.solver_backend,
-                    engine_overrides=opts.engine_overrides,
+                    engine_overrides={"ctg": opts.ctg, **opts.engine_overrides},
                 ),
                 design_name=design_name,
                 emit=emit,
@@ -126,12 +127,7 @@ def clustered_verify(
         else:
             sub_report = ja_verify(
                 sub_ts,
-                JAOptions(
-                    per_property_time=opts.per_property_time,
-                    total_time=remaining,
-                    solver_backend=opts.solver_backend,
-                    engine_overrides=opts.engine_overrides,
-                ),
+                JAOptions(**opts.proof_fields(), total_time=remaining),
                 design_name=design_name,
                 emit=emit,
             )

@@ -28,57 +28,43 @@ not masked.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from collections.abc import Sequence
 
-from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
-from ..engines.result import EngineResult, PropStatus, ResourceBudget
+from ..engines.result import EngineResult, PropStatus
 from ..progress import (
     BudgetCheckpoint,
-    ClauseExport,
     ClauseImport,
     Emit,
-    PropertySolved,
     PropertyStarted,
     emit_or_null,
 )
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
 from .clausedb import ClauseDB
+from .local import ProofOptions, prove
+from .ordering import checked_order
 from .report import MultiPropReport, PropOutcome
 
 
-@dataclass
-class JAOptions:
-    """Configuration of one JA-verification run."""
+@dataclass(frozen=True)
+class JAOptions(ProofOptions):
+    """Configuration of one sequential run: the proof knobs plus the loop's."""
 
-    clause_reuse: bool = True
-    respect_constraints_in_lifting: bool = False
-    per_property_time: float | None = None
-    per_property_conflicts: int | None = None
     total_time: float | None = None
     order: Sequence[str] | None = None  # default: design order
-    max_frames: int = 500
     clause_db_path: str | None = None  # persist the clauseDB like Ja-ver
-    # Cone-of-influence front end: per property, reduce the design to the
-    # joint cone of the target and the (transitively) support-overlapping
-    # assumptions.  Assumptions with disjoint support are dropped, which
-    # is sound for HOLDS verdicts (fewer assumptions = stronger proof);
-    # counterexamples are re-validated against the *full* assumption set
-    # and the property is re-run without reduction if they turn out
-    # spurious.  See EXPERIMENTS.md's COI ablation.
-    coi_reduction: bool = False
-    ctg: bool = False  # forwarded to IC3 generalization
-    # SAT backend name (repro.sat registry); None = process default.
-    solver_backend: str | None = None
-    # Extra IC3Options fields (validated by the session layer) applied
-    # to every engine invocation, e.g. {"generalize_passes": 1}.
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
 
 
 class JAVerifier:
-    """Drives separate verification with local proofs (Ja-ver analogue).
+    """The sequential loop over :func:`~repro.multiprop.local.prove`.
+
+    With ``local=True`` (Ja-ver) every other ETH property is assumed
+    while one is proved; with ``local=False`` nothing is, which is
+    separate verification with global proofs — same loop, same clause
+    re-use, method ``separate-global``.
 
     ``emit``, when given, receives typed :mod:`repro.progress` events
     (property started/solved, clauseDB exports, budget checkpoints, and
@@ -90,9 +76,12 @@ class JAVerifier:
         ts: TransitionSystem,
         options: JAOptions | None = None,
         emit: Emit | None = None,
+        *,
+        local: bool = True,
     ) -> None:
         self.ts = ts
         self.options = options or JAOptions()
+        self.local = local
         self.clause_db = ClauseDB(ts)
         self.results: dict[str, EngineResult] = {}
         self._emit: Emit = emit_or_null(emit)
@@ -100,54 +89,32 @@ class JAVerifier:
     # ------------------------------------------------------------------
     def run(self, design_name: str = "design") -> MultiPropReport:
         opts = self.options
+        local = self.local
         start = time.monotonic()
         if opts.clause_db_path and opts.clause_reuse:
             self._load_clause_db(opts.clause_db_path)
-        report = MultiPropReport(method="ja", design=design_name)
-        order = list(opts.order) if opts.order else [p.name for p in self.ts.properties]
-        unknown_names = set(order) - {p.name for p in self.ts.properties}
-        if unknown_names:
-            raise KeyError(f"unknown properties in order: {sorted(unknown_names)}")
-
+        report = MultiPropReport(
+            method="ja" if local else "separate-global", design=design_name
+        )
         spurious_reruns = 0
         certificate_retries = 0
-        for name in order:
+        for name in checked_order(self.ts, opts.order):
             if opts.total_time is not None and time.monotonic() - start > opts.total_time:
-                report.outcomes[name] = PropOutcome(
-                    name=name, status=PropStatus.UNKNOWN, local=True
-                )
+                outcome = PropOutcome(name=name, status=PropStatus.UNKNOWN, local=local)
+                report.outcomes[name] = outcome
                 self._emit(PropertyStarted(name=name))
-                self._emit(
-                    PropertySolved(name=name, status=PropStatus.UNKNOWN, local=True)
-                )
+                self._emit(outcome.solved_event())
                 continue
-            outcome, result = self._check_one(name)
-            spurious_reruns += outcome.reruns
-            if (
-                result is not None
-                and result.status is PropStatus.HOLDS
-                and opts.clause_reuse
-                and result.invariant is not None
-            ):
-                exported = self.clause_db.add_all(result.invariant)
-                if exported:
-                    self._emit(ClauseExport(name=name, count=exported))
-                if opts.clause_db_path:
-                    self.clause_db.save(opts.clause_db_path)
-            certificate_retries += outcome_stats_get(result, "certificate_retry")
-            report.outcomes[name] = outcome
-            if result is not None:
-                self.results[name] = result
-            self._emit(
-                PropertySolved(
-                    name=name,
-                    status=outcome.status,
-                    local=True,
-                    time_seconds=outcome.time_seconds,
-                    cex_depth=outcome.cex_depth,
-                    assumed=tuple(outcome.assumed),
-                )
+            assumed = assumption_names(self.ts, name) if local else []
+            outcome, result = prove(
+                self.ts, name, assumed, opts, self.clause_db, self._emit, local=local
             )
+            if opts.clause_db_path and opts.clause_reuse and result.holds:
+                self.clause_db.save(opts.clause_db_path)
+            spurious_reruns += outcome.reruns
+            certificate_retries += int(result.stats.get("certificate_retry", 0))
+            report.outcomes[name] = outcome
+            self.results[name] = result
             self._emit(
                 BudgetCheckpoint(
                     scope="total", elapsed=time.monotonic() - start
@@ -174,212 +141,12 @@ class JAVerifier:
         engine's certificate re-check (``SeedCertificateError`` retry)
         backstops anything structural validation cannot catch.
         """
-        import os
-
         if not os.path.exists(path):
             return
         loaded = ClauseDB.load(path, self.ts)
         imported = self.clause_db.add_all(loaded.clauses())
         if imported:
             self._emit(ClauseImport(name="<clausedb>", count=imported))
-
-    # ------------------------------------------------------------------
-    def _check_one(self, name: str):
-        """One property: local IC3, spurious-CEX re-runs, seed fallback."""
-        opts = self.options
-        assumed = assumption_names(self.ts, name)
-        self._emit(PropertyStarted(name=name, assumed=tuple(assumed)))
-        prop_lit_by_name = {
-            n: self.ts.prop_by_name[n].lit for n in assumed
-        }
-        reruns = 0
-        respect = opts.respect_constraints_in_lifting
-        use_seeds = opts.clause_reuse
-        use_coi = opts.coi_reduction
-        result: EngineResult | None = None
-        while True:
-            result = self._run_ic3(name, assumed, respect, use_seeds, use_coi)
-            if result is None:  # certificate failure even without seeds: bug
-                raise RuntimeError(f"IC3 certificate failed without seeds on {name}")
-            if result.status is PropStatus.FAILS:
-                fail_frame, _ = result.cex.first_failures(self.ts.aig, prop_lit_by_name)
-                spurious = fail_frame is not None and fail_frame < len(result.cex) - 1
-                if spurious and use_coi:
-                    # A dropped assumption (or relaxed lifting) broke the
-                    # trace: retry on the full design first.
-                    use_coi = False
-                    reruns += 1
-                    continue
-                if spurious and not respect:
-                    # Spurious for the local semantics: an assumed property
-                    # fails strictly before the target does.  Re-run with
-                    # lifting that respects the constraints (Sec. 7-A).
-                    respect = True
-                    reruns += 1
-                    continue
-            break
-        outcome = PropOutcome(
-            name=name,
-            status=result.status,
-            local=True,
-            frames=result.frames,
-            time_seconds=result.time_seconds,
-            cex_depth=len(result.cex) if result.cex is not None else None,
-            assumed=assumed,
-            reruns=reruns,
-            expected_to_fail=self.ts.prop_by_name[name].expected_to_fail,
-            invariant=result.invariant,
-            cex=result.cex,
-        )
-        return outcome, result
-
-    def _run_ic3(
-        self,
-        name: str,
-        assumed: list[str],
-        respect: bool,
-        use_seeds: bool,
-        use_coi: bool = False,
-    ) -> EngineResult | None:
-        opts = self.options
-        budget = ResourceBudget(
-            time_limit=opts.per_property_time,
-            conflict_limit=opts.per_property_conflicts,
-        )
-        run_ts = self.ts
-        run_assumed = assumed
-        reduction = None
-        if use_coi:
-            reduction, run_assumed = self._coi_reduce(name, assumed)
-            run_ts = TransitionSystem(reduction.aig)
-        seeds = self.clause_db.clauses() if use_seeds else ()
-        if reduction is not None and seeds:
-            seeds = _translate_clauses(self.ts, run_ts, reduction, seeds)
-        ic3_opts = IC3Options(
-            assumed=run_assumed,
-            respect_constraints_in_lifting=respect,
-            seed_clauses=seeds,
-            budget=budget,
-            max_frames=opts.max_frames,
-            ctg=opts.ctg,
-            solver_backend=opts.solver_backend,
-            emit=self._emit,
-            **dict(opts.engine_overrides),
-        )
-        try:
-            result = ic3_check(run_ts, name, ic3_opts)
-        except SeedCertificateError:
-            if not use_seeds:
-                return None
-            # Poisoned seeds (possible when mixing invariants proven under
-            # different assumption sets): retry from scratch without them.
-            result = self._run_ic3(name, assumed, respect, False, use_coi)
-            if result is not None:
-                result.stats["certificate_retry"] = 1
-            return result
-        if reduction is not None:
-            result = _translate_result_back(self.ts, run_ts, reduction, result)
-        return result
-
-    def _coi_reduce(self, name: str, assumed: list[str]):
-        """Reduce the design to the support-connected cone of ``name``.
-
-        Grows the kept region to a fixpoint: an assumption is kept iff
-        its support (latches + inputs) overlaps the region spanned by the
-        target and the assumptions kept so far.  Dropping the others is
-        sound for proofs; counterexamples are re-validated by the caller.
-        """
-        from ..circuit.coi import reduce_to_cone, support_signature
-
-        aig = self.ts.aig
-        supports = {
-            n: support_signature(aig, self.ts.prop_by_name[n].lit)
-            for n in assumed
-        }
-        region = set(support_signature(aig, self.ts.prop_by_name[name].lit))
-        kept: list[str] = []
-        changed = True
-        while changed:
-            changed = False
-            for n in assumed:
-                if n in kept or not supports[n] & region:
-                    continue
-                kept.append(n)
-                region |= supports[n]
-                changed = True
-        reduction = reduce_to_cone(aig, [name] + kept)
-        return reduction, kept
-
-
-def outcome_stats_get(result: EngineResult | None, key: str) -> int:
-    if result is None:
-        return 0
-    return int(result.stats.get(key, 0))
-
-
-def _latch_position_map(original: TransitionSystem, reduced: TransitionSystem, reduction):
-    """original latch position -> reduced latch position (kept latches only)."""
-    reduced_pos = {latch.lit: i for i, latch in enumerate(reduced.latches)}
-    mapping = {}
-    for orig_pos, latch in enumerate(original.latches):
-        reduced_lit = reduction.latch_map.get(latch.lit)
-        if reduced_lit is not None:
-            mapping[orig_pos] = reduced_pos[reduced_lit]
-    return mapping
-
-
-def _translate_clauses(original, reduced, reduction, clauses):
-    """Project clauseDB clauses onto the reduced latch space (drop the rest)."""
-    pos_map = _latch_position_map(original, reduced, reduction)
-    out = []
-    for clause in clauses:
-        translated = []
-        ok = True
-        for lit in clause:
-            new_pos = pos_map.get(abs(lit) - 1)
-            if new_pos is None:
-                ok = False
-                break
-            translated.append((new_pos + 1) * (1 if lit > 0 else -1))
-        if ok:
-            out.append(tuple(sorted(translated, key=abs)))
-    return out
-
-
-def _translate_result_back(original, reduced, reduction, result: EngineResult) -> EngineResult:
-    """Map a reduced-design result (CEX inputs/uninit, invariant) back."""
-    if result.cex is not None:
-        from ..ts.trace import Trace
-
-        reverse_latch = {v: k for k, v in reduction.latch_map.items()}
-        result.cex = Trace(
-            inputs=reduction.translate_inputs_back(result.cex.inputs),
-            uninit={
-                reverse_latch[lit]: value
-                for lit, value in result.cex.uninit.items()
-                if lit in reverse_latch
-            },
-            property_name=result.cex.property_name,
-        )
-    if result.invariant is not None:
-        pos_map = _latch_position_map(original, reduced, reduction)
-        reverse_pos = {v: k for k, v in pos_map.items()}
-        translated = []
-        for clause in result.invariant:
-            translated.append(
-                tuple(
-                    sorted(
-                        (
-                            (reverse_pos[abs(lit) - 1] + 1)
-                            * (1 if lit > 0 else -1)
-                            for lit in clause
-                        ),
-                        key=abs,
-                    )
-                )
-            )
-        result.invariant = translated
-    return result
 
 
 def ja_verify(

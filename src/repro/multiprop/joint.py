@@ -23,7 +23,6 @@ from ..engines.result import PropStatus, ResourceBudget
 from ..progress import (
     BudgetCheckpoint,
     Emit,
-    PropertySolved,
     PropertyStarted,
     emit_or_null,
 )
@@ -77,15 +76,7 @@ def joint_verify(
     def record(prop_name: str, status: PropStatus, **kwargs: object) -> None:
         outcome = PropOutcome(name=prop_name, status=status, local=False, **kwargs)
         report.outcomes[prop_name] = outcome
-        send(
-            PropertySolved(
-                name=prop_name,
-                status=status,
-                local=False,
-                time_seconds=outcome.time_seconds,
-                cex_depth=outcome.cex_depth,
-            )
-        )
+        send(outcome.solved_event())
 
     while remaining:
         if budget.exhausted():

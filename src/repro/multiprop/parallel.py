@@ -26,10 +26,9 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
-from ..engines.ic3 import IC3Options, ic3_check
-from ..engines.result import ResourceBudget
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
+from .local import ProofOptions, prove
 
 
 @dataclass
@@ -72,64 +71,38 @@ def measure_local_proofs(
     max_frames: int = 500,
     per_property_conflicts: int | None = None,
     engine_overrides: Mapping[str, object] | None = None,
+    *,
+    local: bool = True,
 ) -> ParallelSimResult:
     """Prove each named property locally, independently (no clauseDB).
 
     This is the Table X measurement: proofs "generated independently of
     each other, i.e. there was no exchange of strengthening clauses".
     ``engine_overrides`` are extra :class:`IC3Options` fields (e.g.
-    ``ctg``), so the measurement can mirror a configured engine.
+    ``max_ctgs``), so the measurement can mirror a configured engine.
+    Times and query counts are those of the run that decided the
+    property; a spurious-counterexample re-run shows in ``prop_times``.
     """
+    options = ProofOptions(
+        per_property_time=per_property_time,
+        per_property_conflicts=per_property_conflicts,
+        max_frames=max_frames,
+        engine_overrides=dict(engine_overrides or {}),
+    )
     result = ParallelSimResult()
     for name in names or [p.name for p in ts.properties]:
-        assumed = assumption_names(ts, name)
-        budget = ResourceBudget(
-            time_limit=per_property_time, conflict_limit=per_property_conflicts
-        )
+        assumed = assumption_names(ts, name) if local else []
         start = time.monotonic()
-        engine_result = ic3_check(
-            ts,
-            name,
-            IC3Options(
-                assumed=assumed,
-                budget=budget,
-                max_frames=max_frames,
-                **dict(engine_overrides or {}),
-            ),
-        )
+        outcome, engine_result = prove(ts, name, assumed, options, local=local)
         result.prop_times[name] = time.monotonic() - start
-        result.prop_frames[name] = engine_result.frames
+        result.prop_frames[name] = outcome.frames
         result.prop_queries[name] = int(engine_result.stats.get("sat_queries", 0))
-        result.statuses[name] = engine_result.status.value
+        result.statuses[name] = outcome.status.value
     return result
 
 
 def measure_global_proofs(
-    ts: TransitionSystem,
-    names: Sequence[str] | None = None,
-    per_property_time: float | None = None,
-    max_frames: int = 500,
-    per_property_conflicts: int | None = None,
-    engine_overrides: Mapping[str, object] | None = None,
+    ts: TransitionSystem, names: Sequence[str] | None = None, **knobs: object
 ) -> ParallelSimResult:
-    """Global-proof counterpart for the Table X comparison."""
-    result = ParallelSimResult()
-    for name in names or [p.name for p in ts.properties]:
-        budget = ResourceBudget(
-            time_limit=per_property_time, conflict_limit=per_property_conflicts
-        )
-        start = time.monotonic()
-        engine_result = ic3_check(
-            ts,
-            name,
-            IC3Options(
-                budget=budget,
-                max_frames=max_frames,
-                **dict(engine_overrides or {}),
-            ),
-        )
-        result.prop_times[name] = time.monotonic() - start
-        result.prop_frames[name] = engine_result.frames
-        result.prop_queries[name] = int(engine_result.stats.get("sat_queries", 0))
-        result.statuses[name] = engine_result.status.value
-    return result
+    """Global-proof counterpart for the Table X comparison (same knobs)."""
+    return measure_local_proofs(ts, names, local=False, **knobs)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..engines.result import PropStatus
+from ..progress import PropertySolved
 
 
 @dataclass
@@ -32,6 +33,17 @@ class PropOutcome:
     # server-side; see repro/net/codec.py).
     invariant: list | None = None  # strengthening clauses for HOLDS
     cex: object | None = None  # Trace for FAILS
+
+    def solved_event(self) -> PropertySolved:
+        """The progress event announcing this verdict."""
+        return PropertySolved(
+            name=self.name,
+            status=self.status,
+            local=self.local,
+            time_seconds=self.time_seconds,
+            cex_depth=self.cex_depth,
+            assumed=tuple(self.assumed),
+        )
 
 
 @dataclass

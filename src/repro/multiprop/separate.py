@@ -9,39 +9,19 @@ Section 6-B justifies it).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
-
-from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
-from ..engines.result import PropStatus, ResourceBudget
-from ..progress import (
-    BudgetCheckpoint,
-    ClauseExport,
-    Emit,
-    PropertySolved,
-    PropertyStarted,
-    emit_or_null,
-)
+from ..progress import Emit
 from ..ts.system import TransitionSystem
-from .clausedb import ClauseDB
-from .report import MultiPropReport, PropOutcome
+from .ja import JAOptions, JAVerifier
+from .report import MultiPropReport
 
 
-@dataclass
-class SeparateOptions:
-    """Configuration of separate-global verification."""
+class SeparateOptions(JAOptions):
+    """Configuration of separate-global verification: ``JAOptions`` as is.
 
-    clause_reuse: bool = True
-    per_property_time: float | None = None
-    per_property_conflicts: int | None = None
-    total_time: float | None = None
-    order: Sequence[str] | None = None
-    max_frames: int = 500
-    # SAT backend name (repro.sat registry); None = process default.
-    solver_backend: str | None = None
-    # Extra IC3Options fields applied to every engine invocation.
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
+    The knobs about assumptions (``respect_constraints_in_lifting``)
+    have nothing to act on; every other one means what it means for
+    ``ja``.
+    """
 
 
 def separate_verify(
@@ -56,63 +36,4 @@ def separate_verify(
         Prefer ``repro.session.Session(ts, strategy="separate").run()``;
         this wrapper remains for backward compatibility.
     """
-    opts = options or SeparateOptions()
-    send: Emit = emit_or_null(emit)
-    start = time.monotonic()
-    report = MultiPropReport(method="separate-global", design=design_name)
-    clause_db = ClauseDB(ts)
-    order = list(opts.order) if opts.order else [p.name for p in ts.properties]
-
-    for name in order:
-        if opts.total_time is not None and time.monotonic() - start > opts.total_time:
-            report.outcomes[name] = PropOutcome(
-                name=name, status=PropStatus.UNKNOWN, local=False
-            )
-            send(PropertyStarted(name=name))
-            send(PropertySolved(name=name, status=PropStatus.UNKNOWN, local=False))
-            continue
-        send(PropertyStarted(name=name))
-        budget = ResourceBudget(
-            time_limit=opts.per_property_time,
-            conflict_limit=opts.per_property_conflicts,
-        )
-        seeds = clause_db.clauses() if opts.clause_reuse else ()
-        ic3_opts = dict(opts.engine_overrides)
-        ic3_opts.update(
-            budget=budget,
-            max_frames=opts.max_frames,
-            solver_backend=opts.solver_backend,
-            emit=send,
-        )
-        try:
-            result = ic3_check(
-                ts, name, IC3Options(seed_clauses=seeds, **ic3_opts)
-            )
-        except SeedCertificateError:
-            # Cannot happen with globally sound seeds, but fail safe.
-            result = ic3_check(ts, name, IC3Options(**ic3_opts))
-        if result.status is PropStatus.HOLDS and opts.clause_reuse:
-            exported = clause_db.add_all(result.invariant or [])
-            if exported:
-                send(ClauseExport(name=name, count=exported))
-        report.outcomes[name] = PropOutcome(
-            name=name,
-            status=result.status,
-            local=False,
-            frames=result.frames,
-            time_seconds=result.time_seconds,
-            cex_depth=len(result.cex) if result.cex is not None else None,
-        )
-        send(
-            PropertySolved(
-                name=name,
-                status=result.status,
-                local=False,
-                time_seconds=result.time_seconds,
-                cex_depth=len(result.cex) if result.cex is not None else None,
-            )
-        )
-        send(BudgetCheckpoint(scope="total", elapsed=time.monotonic() - start))
-    report.total_time = time.monotonic() - start
-    report.stats = {"clause_db_size": len(clause_db)}
-    return report
+    return JAVerifier(ts, options, emit=emit, local=False).run(design_name)

@@ -7,8 +7,8 @@ that claim instead of simulating it:
 
 * :mod:`repro.parallel.engine` — a pool of worker **processes**, each
   running per-property local IC3 proofs (the same
-  :class:`~repro.multiprop.ja.JAVerifier` machinery the sequential
-  driver uses), with verdict aggregation, a total-time watchdog, and
+  :func:`~repro.multiprop.local.prove` the sequential driver loops
+  over), with verdict aggregation, a total-time watchdog, and
   early cancellation of still-queued jobs once the run-level verdict is
   decided.  Its :class:`SeatScheduler` is the fair multiplexer behind
   :class:`repro.service.VerificationService`: any number of jobs'

@@ -48,8 +48,8 @@ Design notes
   ``parallel-ja`` batch or a ``portfolio`` race alike — is one
   :class:`PooledJob` on one pool run, and its backlog is a list of
   :class:`~repro.parallel.worker.PropertyJob` *attempts*, one per
-  property and slate engine (the slate is ``(None,)``, the JAVerifier
-  ladder, unless ``portfolio_engines`` names a race).  The scheduler
+  property and slate engine (the slate is ``(None,)``, the local
+  proof, unless ``portfolio_engines`` names a race).  The scheduler
   tracks which attempt each seat holds and hands every terminal
   message to the job's *policy* — :class:`LocalProofs` or
   :class:`~repro.parallel.portfolio.EngineRace` — which says what it
@@ -90,11 +90,13 @@ from __future__ import annotations
 
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from collections.abc import Sequence
 
 from ..engines.randomwalk import derive_seed
 from ..engines.result import PropStatus
+from ..multiprop.local import ProofOptions
+from ..multiprop.ordering import checked_order, cone_latches
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
     BudgetCheckpoint,
@@ -102,7 +104,6 @@ from ..progress import (
     PoolAttached,
     PropertyCancelled,
     PropertyRequeued,
-    PropertySolved,
     ShardOpened,
     WorkerStarted,
     emit_or_null,
@@ -115,20 +116,18 @@ from .stats import PoolStats, SeatStats
 from .worker import PropertyJob, WorkerSettings
 
 
-@dataclass
-class ParallelOptions:
+@dataclass(frozen=True)
+class ParallelOptions(ProofOptions):
     """Configuration of one process-parallel JA run.
 
-    The JA fields mirror :class:`~repro.multiprop.ja.JAOptions`; the
-    parallel knobs are new.
+    The proof knobs are inherited (and shipped to the seats as they
+    are); the loop's and the pool's are declared here.
     """
 
     workers: int | None = None  # None: one per CPU (capped by #props)
     exchange: bool = True  # live clause exchange between workers
     stop_on_failure: bool = False  # cancel the queue on the first FAILS
     start_method: str | None = None  # fork where available, else spawn
-    # SAT backend name (repro.sat registry); None = process default.
-    solver_backend: str | None = None
     # A persistent WorkerPool to run on (shared across runs); None
     # creates a private single-run pool sized by ``resolve_workers``.
     pool: WorkerPool | None = None
@@ -139,17 +138,9 @@ class ParallelOptions:
     # (weighted fair share alone governs).  A narrow quota keeps one
     # big job from monopolizing a shared service pool.
     max_seats: int | None = None
-    # -- JA-verification knobs (see JAOptions) -------------------------
-    clause_reuse: bool = True
-    respect_constraints_in_lifting: bool = False
-    per_property_time: float | None = None
-    per_property_conflicts: int | None = None
+    # -- the sequential loop's knobs (see JAOptions) -------------------
     total_time: float | None = None
     order: Sequence[str] | None = None
-    max_frames: int = 500
-    coi_reduction: bool = False
-    ctg: bool = False
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
     # Warm-start clauses (from a cross-run proof cache's clause log for
     # this exact design): every per-shard ClauseDB a worker opens for
     # this run is seeded with them, re-validated on insertion and
@@ -298,13 +289,9 @@ class LocalProofs:
         )
 
     def lost(self, attempt: PropertyJob, checkpoint: bool = False) -> None:
-        self.job.emit(
-            PropertySolved(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
-        )
-        self.job.record(
-            PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True),
-            checkpoint,
-        )
+        outcome = PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
+        self.job.emit(outcome.solved_event())
+        self.job.record(outcome, checkpoint)
 
     def stats(self, pool: WorkerPool) -> dict:
         job = self.job
@@ -440,7 +427,7 @@ class SeatScheduler:
 
         The backlog holds one attempt per property and slate engine:
         the slate is ``options.portfolio_engines`` for a race and
-        ``(None,)`` — the JAVerifier ladder — otherwise.
+        ``(None,)`` — the local proof — otherwise.
         """
         if priority <= 0:
             raise ValueError(f"priority must be > 0, got {priority!r}")
@@ -476,7 +463,7 @@ class SeatScheduler:
             )
         )
 
-        # Per-job budget, clamped by the total budget so a single
+        # Per-property budget, clamped by the total budget so a single
         # worker cannot overrun the watchdog by an unbounded amount.
         job_time = options.per_property_time
         if options.total_time is not None:
@@ -514,14 +501,7 @@ class SeatScheduler:
                 )
 
         settings = WorkerSettings(
-            design_name=design_name,
-            clause_reuse=options.clause_reuse,
-            respect_constraints_in_lifting=options.respect_constraints_in_lifting,
-            coi_reduction=options.coi_reduction,
-            ctg=options.ctg,
-            max_frames=options.max_frames,
-            solver_backend=options.solver_backend,
-            engine_overrides=dict(options.engine_overrides),
+            **{**options.proof_fields(), "per_property_time": job_time},
             warm_clauses=tuple(options.warm_clauses),
         )
         run_id = pool.open_run(ts, settings, exchange)
@@ -546,8 +526,6 @@ class SeatScheduler:
         job.backlog = [
             PropertyJob(
                 name=name,
-                per_property_time=job_time,
-                per_property_conflicts=options.per_property_conflicts,
                 engine=engine,
                 seed=(
                     derive_seed(options.seed, design_name, name)
@@ -1034,8 +1012,6 @@ def _cone_descending(ts: TransitionSystem, order: list[str]) -> list[str]:
     longest-processing-time-first list scheduling bounds the makespan
     much tighter than FIFO when property sizes are skewed.
     """
-    from ..multiprop.ordering import cone_latches
-
     position = {name: i for i, name in enumerate(order)}
     return sorted(order, key=lambda n: (-cone_latches(ts, n), position[n]))
 
@@ -1053,20 +1029,12 @@ def parallel_ja_verify(
     finish), which the integration suite checks property-by-property.
     """
     opts = options or ParallelOptions()
-    order = _property_order(ts, opts)
+    order = checked_order(ts, opts.order)
     if not order:
         report = MultiPropReport(method="parallel-ja", design=design_name)
         report.stats = {"mode": "process", "workers": 0, "exchange": 0}
         return report
     return _run_pooled(ts, opts, design_name, emit, order)
-
-
-def _property_order(ts: TransitionSystem, opts: ParallelOptions) -> list[str]:
-    order = list(opts.order) if opts.order else [p.name for p in ts.properties]
-    unknown = set(order) - {p.name for p in ts.properties}
-    if unknown:
-        raise KeyError(f"unknown properties in order: {sorted(unknown)}")
-    return order
 
 
 def _run_pooled(

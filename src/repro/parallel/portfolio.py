@@ -36,6 +36,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from ..engines.result import PropStatus
+from ..multiprop.ordering import checked_order
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
     AttemptCancelled,
@@ -212,16 +213,7 @@ class EngineRace:
                 losers=tuple(e for e in self.slate if e != winner),
             )
         )
-        job.emit(
-            PropertySolved(
-                name=name,
-                status=outcome.status,
-                local=outcome.local,
-                time_seconds=outcome.time_seconds,
-                cex_depth=outcome.cex_depth,
-                assumed=tuple(outcome.assumed),
-            )
-        )
+        job.emit(outcome.solved_event())
         job.record(outcome, checkpoint=False)
         # Decide: queued siblings never run.  Drain: siblings on a seat
         # report when they report; until then their latency is unknown.
@@ -284,13 +276,13 @@ def portfolio_verify(
     reported — so whichever attempt wins, the verdict is one sequential
     ``ja`` would also reach.  The parity suite asserts it end to end.
     """
-    from .engine import ParallelOptions, _property_order, _run_pooled
+    from .engine import ParallelOptions, _run_pooled
 
     opts = options or ParallelOptions()
     opts = replace(
         opts, portfolio_engines=parse_engine_slate(opts.portfolio_engines)
     )
-    order = _property_order(ts, opts)
+    order = checked_order(ts, opts.order)
     if not order:
         report = MultiPropReport(method="portfolio", design=design_name)
         report.stats = _stats(0, opts, {})

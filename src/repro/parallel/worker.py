@@ -4,10 +4,12 @@ Each worker process is a *persistent* pool member: it is spawned once
 by :class:`~repro.parallel.pool.WorkerPool`, caches unpickled designs
 by content hash across runs, and loops on its private FIFO control
 queue.  One job = one property: the worker computes the paper's
-``T^P`` projection for it (via
-:func:`repro.ts.projection.assumption_names`, inside
-:class:`~repro.multiprop.ja.JAVerifier`), runs the local IC3 proof with
-the full spurious-CEX re-run ladder, and reports a
+``T^P`` projection for it
+(:func:`repro.ts.projection.assumption_names`), calls
+:func:`repro.multiprop.local.prove` — the same function sequential
+``ja`` loops over — with the run's shipped
+:class:`~repro.multiprop.local.ProofOptions` and the shard's clause
+database, and reports the
 :class:`~repro.multiprop.report.PropOutcome` back on the output queue.
 
 Control messages (private queue, parent -> worker):
@@ -28,10 +30,9 @@ Control messages (private queue, parent -> worker):
     scheduler assigns the next backlog job to whichever worker
     reported idle, so the queue is FIFO and a setup always precedes
     the run's jobs.  The job's ``engine`` selects the checker:
-    ``None``/``"ic3"`` run the full
-    :class:`~repro.multiprop.ja.JAVerifier` ladder; ``"bmc"``,
-    ``"kind"`` and ``"rw"`` run the matching single engine under the
-    same local (``T^P``) semantics.  A seat executes a job the same
+    ``None``/``"ic3"`` is the local proof; ``"bmc"``, ``"kind"`` and
+    ``"rw"`` run the matching single engine under the same local
+    (``T^P``) semantics.  A seat executes a job the same
     way whichever engine it names and whichever strategy queued it: a
     portfolio job's races share one run, and the worker neither knows
     nor cares that the attempts it is handed compete — who won is
@@ -84,16 +85,15 @@ import pickle
 import queue as queue_mod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 from ..engines.bmc import bmc_check
 from ..engines.kinduction import kinduction_check
 from ..engines.randomwalk import randomwalk_check
-from ..engines.result import EngineResult, ResourceBudget
+from ..engines.result import EngineResult
 from ..multiprop.clausedb import ClauseDB
-from ..multiprop.ja import JAOptions, JAVerifier
+from ..multiprop.local import ProofOptions, outcome_of, prove
 from ..multiprop.report import PropOutcome
-from ..progress import BudgetCheckpoint, ProgressEvent, PropertyStarted
+from ..progress import ProgressEvent, PropertyStarted
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
 from .pool import _lru_touch
@@ -107,46 +107,22 @@ class PropertyJob:
     """One unit of work on a seat: one engine's attempt on one property."""
 
     name: str
-    per_property_time: float | None = None
-    per_property_conflicts: int | None = None
-    #: Which checker to run: ``None``/``"ic3"`` -> the full JAVerifier
-    #: ladder; ``"bmc"``/``"kind"``/``"rw"`` -> that single engine under
-    #: local semantics (portfolio attempts).
+    #: Which checker to run: ``None``/``"ic3"`` -> the local proof;
+    #: ``"bmc"``/``"kind"``/``"rw"`` -> that single engine under local
+    #: semantics (portfolio attempts).
     engine: str | None = None
     #: Sub-seed for stochastic engines (``"rw"``); ignored otherwise.
     seed: int | None = None
 
 
 @dataclass(frozen=True)
-class WorkerSettings:
-    """The per-run knobs every job of this run shares (picklable)."""
+class WorkerSettings(ProofOptions):
+    """What every job of a run shares: the job's proof knobs, shipped whole."""
 
-    design_name: str = "design"
-    clause_reuse: bool = True
-    respect_constraints_in_lifting: bool = False
-    coi_reduction: bool = False
-    ctg: bool = False
-    max_frames: int = 500
-    solver_backend: str | None = None
-    engine_overrides: Mapping[str, object] = None  # type: ignore[assignment]
     #: Warm-start clauses from a cross-run proof cache: seeded into every
     #: per-shard ClauseDB this run opens.  Insertion re-validates each
     #: clause structurally; certificate re-checks backstop the rest.
     warm_clauses: tuple = ()
-
-    def job_options(self, job: PropertyJob) -> JAOptions:
-        return JAOptions(
-            clause_reuse=self.clause_reuse,
-            respect_constraints_in_lifting=self.respect_constraints_in_lifting,
-            per_property_time=job.per_property_time,
-            per_property_conflicts=job.per_property_conflicts,
-            order=[job.name],
-            max_frames=self.max_frames,
-            coi_reduction=self.coi_reduction,
-            ctg=self.ctg,
-            solver_backend=self.solver_backend,
-            engine_overrides=dict(self.engine_overrides or {}),
-        )
 
 
 @dataclass
@@ -262,13 +238,9 @@ def _execute(worker_id, run: _ActiveRun, job: PropertyJob, out_queue) -> None:
     """Run one property job and report its terminal message."""
     settings = run.settings
     run_id = run.run_id
+    sharing = run.exchange is not None and settings.clause_reuse
 
     def forward(event: ProgressEvent) -> None:
-        # The verifier emits one BudgetCheckpoint(scope="total") per
-        # property against its own job-local clock; the parent emits the
-        # real run-level checkpoints, so drop the worker-local ones.
-        if isinstance(event, BudgetCheckpoint) and event.scope == "total":
-            return
         out_queue.put(("event", run_id, worker_id, event))
 
     try:
@@ -276,23 +248,14 @@ def _execute(worker_id, run: _ActiveRun, job: PropertyJob, out_queue) -> None:
             attempt_outcome = _run_attempt(run, job, forward)
             out_queue.put(("result", run_id, worker_id, attempt_outcome))
             return
-        db = run.db_for(job.name)
-        if run.exchange is not None and settings.clause_reuse:
+        db = run.db_for(job.name)  # accumulates across this worker's jobs
+        if sharing:
             db.add_all(run.exchange.fetch_fresh(job.name, run.cursors))
-        verifier = JAVerifier(run.ts, settings.job_options(job), emit=forward)
-        if settings.clause_reuse:
-            verifier.clause_db = db  # accumulate across this worker's jobs
-        report = verifier.run(settings.design_name)
-        outcome = report.outcomes[job.name]
+        outcome, result = prove(
+            run.ts, job.name, assumption_names(run.ts, job.name), settings, db, forward
+        )
         outcome.engine = job.engine
-        result = verifier.results.get(job.name)
-        if (
-            run.exchange is not None
-            and settings.clause_reuse
-            and result is not None
-            and result.holds
-            and result.invariant
-        ):
+        if sharing and result.holds and result.invariant:
             # Own clauses come back on the next fetch and dedup in the
             # local ClauseDB; skipping the cursor ahead here could
             # silently drop clauses other workers published to this
@@ -312,14 +275,11 @@ def _run_attempt(run: _ActiveRun, job: PropertyJob, emit) -> PropOutcome:
     strictly before the frame under test, and the random walk abandons
     any trace where an assumed property fails before the target — so a
     FAILS from any of them is a *local* counterexample by construction,
-    exactly the verdict the JAVerifier ladder would certify.
+    exactly the verdict the local proof's ladder would certify.
     """
     settings = run.settings
     assumed = assumption_names(run.ts, job.name)
-    budget = ResourceBudget(
-        time_limit=job.per_property_time,
-        conflict_limit=job.per_property_conflicts,
-    )
+    budget = settings.budget()
     emit(PropertyStarted(name=job.name, assumed=tuple(assumed)))
     result: EngineResult
     if job.engine == "bmc":
@@ -352,14 +312,4 @@ def _run_attempt(run: _ActiveRun, job: PropertyJob, emit) -> PropOutcome:
         )
     else:
         raise ValueError(f"unknown attempt engine {job.engine!r}")
-    return PropOutcome(
-        name=job.name,
-        status=result.status,
-        local=True,
-        frames=result.frames,
-        time_seconds=result.time_seconds,
-        cex_depth=len(result.cex) if result.cex is not None else None,
-        assumed=list(result.assumed),
-        expected_to_fail=run.ts.prop_by_name[job.name].expected_to_fail,
-        engine=job.engine,
-    )
+    return outcome_of(run.ts, result, engine=job.engine)

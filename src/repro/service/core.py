@@ -47,6 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from typing import Deque
 
 import queue as queue_mod
@@ -337,7 +338,10 @@ class VerificationService:
                 store = ProofStore(cache_dir)
                 self._stores[cache_dir] = store
         return CacheResolver(
-            store, mode, solver_backend=config.solver_backend
+            store,
+            mode,
+            solver_backend=config.solver_backend,
+            local=getattr(get_strategy(config.strategy), "local", True),
         )
 
     @staticmethod
@@ -755,9 +759,10 @@ class VerificationService:
             if record.remaining_order is not None
             else record.order
         )
-        options = parallel_options(record.ts, record.config)
-        if record.warm_clauses:
-            options.warm_clauses = record.warm_clauses
+        options = replace(
+            parallel_options(record.ts, record.config),
+            warm_clauses=record.warm_clauses,
+        )
         record.pooled_job = self._scheduler.admit(
             record.ts,
             options,

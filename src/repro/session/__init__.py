@@ -48,7 +48,13 @@ Migration from the pre-session entry points
 -------------------------------------------
 
 The per-driver functions remain available but are deprecated; each maps
-onto :class:`VerificationConfig` fields as follows:
+onto :class:`VerificationConfig` fields as follows.  The nine proof
+knobs (``clause_reuse`` … ``per_property_conflicts``) are declared once,
+on :class:`repro.multiprop.local.ProofOptions`, which ``JAOptions``,
+``SeparateOptions`` (= ``JAOptions``), ``ClusterOptions`` and
+``ParallelOptions`` extend — so ``separate`` and ``clustered`` honour
+all of them — and are read from a config in one function,
+:func:`repro.session.strategies.proof_knobs`:
 
 ===========================================  ==================================
 old entry point / option                      session equivalent
@@ -58,21 +64,23 @@ old entry point / option                      session equivalent
 ``separate_verify(ts, SeparateOptions(...))`` ``Session(ts, strategy="separate", ...)``
 ``clustered_verify(ts, ClusterOptions(...))`` ``Session(ts, strategy="clustered", ...)``
 ``swept_ja_verify(ts, ...)``                  ``Session(ts, strategy="sweep-ja", ...)``
-``JAOptions.clause_reuse``                    ``VerificationConfig.clause_reuse``
-``JAOptions.respect_constraints_in_lifting``  ``VerificationConfig.respect_constraints_in_lifting``
-``JAOptions.per_property_time``               ``VerificationConfig.per_property_time``
-``JAOptions.per_property_conflicts``          ``VerificationConfig.per_property_conflicts``
+``ProofOptions.clause_reuse``                 ``VerificationConfig.clause_reuse``
+``ProofOptions.respect_constraints_in_lifting`` ``VerificationConfig.respect_constraints_in_lifting``
+``ProofOptions.per_property_time``            ``VerificationConfig.per_property_time``
+``ProofOptions.per_property_conflicts``       ``VerificationConfig.per_property_conflicts``
 ``*Options.total_time``                       ``VerificationConfig.total_time``
 ``JointOptions.total_conflicts``              ``VerificationConfig.total_conflicts``
 ``JAOptions.order`` (explicit list)           ``VerificationConfig.order`` (list or
                                               ``"design" | "cone" | "shuffled:<seed>"``)
-``JAOptions.coi_reduction`` / ``.ctg``        ``VerificationConfig.coi_reduction`` / ``.ctg``
+``ProofOptions.coi_reduction`` / ``.ctg``     ``VerificationConfig.coi_reduction`` / ``.ctg``
+``ProofOptions.solver_backend``               ``VerificationConfig.solver_backend``
 ``JAOptions.clause_db_path``                  ``VerificationConfig.clause_db_path``
 ``*Options.max_frames``                       ``VerificationConfig.max_frames``
 ``JointOptions.include_etf``                  ``VerificationConfig.include_etf``
 ``ClusterOptions.inner``                      ``VerificationConfig.cluster_inner``
 ``ClusterOptions.similarity_threshold``       ``VerificationConfig.similarity_threshold``
-``IC3Options`` tuning knobs                   ``VerificationConfig.engine`` dict
+``ProofOptions.engine_overrides``             ``VerificationConfig.engine`` dict
+                                              (``generalize_passes``, ``max_ctgs``)
 ``design_name=...`` argument                  ``VerificationConfig.design_name``
 ===========================================  ==================================
 

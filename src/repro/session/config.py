@@ -19,14 +19,7 @@ from ..ts.system import TransitionSystem
 #: ``IC3Options`` knobs that may be overridden through ``engine``.
 #: Budgets, assumptions and seeds are owned by the drivers; exposing
 #: them here would let a config silently break driver invariants.
-ENGINE_OVERRIDE_KEYS = frozenset(
-    {
-        "generalize_passes",
-        "max_ctgs",
-        "validate_cex",
-        "validate_invariant",
-    }
-)
+ENGINE_OVERRIDE_KEYS = frozenset({"generalize_passes", "max_ctgs"})
 
 #: Named property orders understood by :func:`resolve_order`.
 ORDER_NAMES = ("design", "cone")

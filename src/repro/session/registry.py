@@ -54,7 +54,13 @@ class UnknownStrategyError(KeyError):
 
 @runtime_checkable
 class Strategy(Protocol):
-    """What `Session` requires of a pluggable verification method."""
+    """What `Session` requires of a pluggable verification method.
+
+    A strategy whose verdicts are *global* (no property assumed while
+    another is proved) sets a class attribute ``local = False``; the
+    proof cache then certifies stored witnesses for it with no
+    assumptions.  Absent, the strategy is taken to be local, like ``ja``.
+    """
 
     name: str
 

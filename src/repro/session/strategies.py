@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..multiprop.clustering import ClusterOptions, clustered_verify
-from ..multiprop.ja import JAOptions, JAVerifier
+from ..multiprop.ja import JAOptions, ja_verify
 from ..multiprop.joint import JointOptions, joint_verify
 from ..multiprop.separate import SeparateOptions, separate_verify
 from ..multiprop.sweep import swept_ja_verify
@@ -26,20 +26,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ts.system import TransitionSystem
 
 
-def _ja_options(ts: "TransitionSystem", config: VerificationConfig) -> JAOptions:
-    return JAOptions(
+def proof_knobs(config: VerificationConfig) -> dict[str, object]:
+    """The local-proof knobs of a config — the one place they are read.
+
+    Keyword arguments for any option class that extends
+    :class:`~repro.multiprop.local.ProofOptions`, so a knob added there
+    is wired here and nowhere else.
+    """
+    return dict(
         clause_reuse=config.clause_reuse,
         respect_constraints_in_lifting=config.respect_constraints_in_lifting,
-        per_property_time=config.per_property_time,
-        per_property_conflicts=config.per_property_conflicts,
-        total_time=config.total_time,
-        order=resolve_order(ts, config.order),
-        max_frames=config.max_frames,
-        clause_db_path=config.clause_db_path,
         coi_reduction=config.coi_reduction,
         ctg=config.ctg,
+        max_frames=config.max_frames,
         solver_backend=config.solver_backend,
         engine_overrides=dict(config.engine),
+        per_property_time=config.per_property_time,
+        per_property_conflicts=config.per_property_conflicts,
+    )
+
+
+def _loop_options(cls, ts: "TransitionSystem", config: VerificationConfig):
+    """``JAOptions`` / ``SeparateOptions``: proof knobs plus the loop's."""
+    return cls(
+        **proof_knobs(config),
+        total_time=config.total_time,
+        order=resolve_order(ts, config.order),
+        clause_db_path=config.clause_db_path,
     )
 
 
@@ -48,22 +61,25 @@ class JAStrategy:
     """JA-verification: local proofs under wrong assumptions (Ja-ver, Sec. 4)."""
 
     def run(self, ts, config, emit) -> "MultiPropReport":
-        verifier = JAVerifier(ts, _ja_options(ts, config), emit=emit)
-        return verifier.run(config.design_name)
+        options = _loop_options(JAOptions, ts, config)
+        return ja_verify(ts, options, design_name=config.design_name, emit=emit)
 
 
 @register_strategy("joint")
 class JointStrategy:
     """Joint verification of the aggregate property (Jnt-ver, Sec. 9)."""
 
+    local = False  # global verdicts: the proof cache certifies with no assumptions
+
     def run(self, ts, config, emit) -> "MultiPropReport":
+        knobs = proof_knobs(config)
         options = JointOptions(
             total_time=config.total_time,
             total_conflicts=config.total_conflicts,
-            max_frames=config.max_frames,
+            max_frames=knobs["max_frames"],
             include_etf=config.include_etf,
-            solver_backend=config.solver_backend,
-            engine_overrides=dict(config.engine),
+            solver_backend=knobs["solver_backend"],
+            engine_overrides=knobs["engine_overrides"],
         )
         return joint_verify(ts, options, design_name=config.design_name, emit=emit)
 
@@ -72,17 +88,10 @@ class JointStrategy:
 class SeparateStrategy:
     """Separate verification with global proofs (Tables V, VI, X baseline)."""
 
+    local = False
+
     def run(self, ts, config, emit) -> "MultiPropReport":
-        options = SeparateOptions(
-            clause_reuse=config.clause_reuse,
-            per_property_time=config.per_property_time,
-            per_property_conflicts=config.per_property_conflicts,
-            total_time=config.total_time,
-            order=resolve_order(ts, config.order),
-            max_frames=config.max_frames,
-            solver_backend=config.solver_backend,
-            engine_overrides=dict(config.engine),
-        )
+        options = _loop_options(SeparateOptions, ts, config)
         return separate_verify(ts, options, design_name=config.design_name, emit=emit)
 
 
@@ -90,14 +99,14 @@ class SeparateStrategy:
 class ClusteredStrategy:
     """Structure-aware grouping, joint or JA inside each cluster (Sec. 12)."""
 
+    local = False
+
     def run(self, ts, config, emit) -> "MultiPropReport":
         options = ClusterOptions(
+            **proof_knobs(config),
             similarity_threshold=config.similarity_threshold,
             inner=config.cluster_inner,
             total_time=config.total_time,
-            per_property_time=config.per_property_time,
-            solver_backend=config.solver_backend,
-            engine_overrides=dict(config.engine),
         )
         return clustered_verify(ts, options, design_name=config.design_name, emit=emit)
 
@@ -109,7 +118,7 @@ class SweptJAStrategy:
     def run(self, ts, config, emit) -> "MultiPropReport":
         return swept_ja_verify(
             ts,
-            options=_ja_options(ts, config),
+            options=_loop_options(JAOptions, ts, config),
             design_name=config.design_name,
             emit=emit,
         )
@@ -125,23 +134,15 @@ def parallel_options(ts: "TransitionSystem", config: VerificationConfig):
     from ..parallel import ParallelOptions, parse_engine_slate
 
     return ParallelOptions(
+        **proof_knobs(config),
         workers=config.workers,
         exchange=config.exchange,
         exchange_shards=config.exchange_shards,
         pool=config.pool,
         stop_on_failure=config.stop_on_failure,
         max_seats=config.max_seats,
-        clause_reuse=config.clause_reuse,
-        respect_constraints_in_lifting=config.respect_constraints_in_lifting,
-        per_property_time=config.per_property_time,
-        per_property_conflicts=config.per_property_conflicts,
         total_time=config.total_time,
         order=resolve_order(ts, config.order),
-        max_frames=config.max_frames,
-        coi_reduction=config.coi_reduction,
-        ctg=config.ctg,
-        solver_backend=config.solver_backend,
-        engine_overrides=dict(config.engine),
         seed=config.seed,
         # The slate is what makes a pooled job a race.
         portfolio_engines=(

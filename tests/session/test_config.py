@@ -68,7 +68,7 @@ class TestValidate:
 
     def test_known_engine_overrides_accepted(self):
         VerificationConfig(
-            engine={"generalize_passes": 1, "validate_invariant": False}
+            engine={"generalize_passes": 1, "max_ctgs": 1}
         ).validate()
 
 

@@ -80,12 +80,11 @@ class TestOtherStrategiesParity:
         assert not report.unsolved()
 
     def test_engine_overrides_reach_ic3(self, counter4):
-        # Disabling certificate validation is observable: the stats stay
-        # identical but the run still solves everything, proving the
-        # override took the documented IC3Options path.
+        # Both keys are IC3Options fields: an override that did not take
+        # the documented IC3Options(**engine) path would raise TypeError.
         report = Session(
             counter4,
             strategy="ja",
-            engine={"validate_invariant": False, "generalize_passes": 1},
+            engine={"max_ctgs": 1, "generalize_passes": 1},
         ).run()
         assert not report.unsolved()
