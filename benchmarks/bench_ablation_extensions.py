@@ -14,10 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.gen.families import ALL_TRUE_SPECS, FAILING_SPECS
-from repro.multiprop.clustering import ClusterOptions, clustered_verify
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.clustering import clustered_verify
+from repro.multiprop.ja import ja_verify
 from repro.multiprop.ordering import by_cone_size, design_order, shuffled
 from repro.multiprop.sweep import sweep
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 from benchmarks._harness import cell_time, publish_table, timed
@@ -35,7 +36,7 @@ def build_ordering_table():
         ):
             report, elapsed = timed(
                 lambda order=order: ja_verify(
-                    ts, JAOptions(order=list(order)), design_name=name
+                    ts, VerificationConfig(order=list(order), design_name=name)
                 )
             )
             rows.append(
@@ -55,13 +56,13 @@ def build_methods_table():
     for name in ("f207", "t124"):
         spec = FAILING_SPECS.get(name) or ALL_TRUE_SPECS[name]
         ts = TransitionSystem(spec.build())
-        ja, t_ja = timed(lambda: ja_verify(ts, design_name=name))
+        ja, t_ja = timed(lambda: ja_verify(ts, VerificationConfig(design_name=name)))
         ja_ctg, t_ctg = timed(
-            lambda: ja_verify(ts, JAOptions(ctg=True), design_name=name)
+            lambda: ja_verify(ts, VerificationConfig(ctg=True, design_name=name))
         )
         clustered, t_cl = timed(
             lambda: clustered_verify(
-                ts, ClusterOptions(inner="joint"), design_name=name
+                ts, VerificationConfig(cluster_inner="joint", design_name=name)
             )
         )
         swept, t_sw = timed(lambda: sweep(ts, runs=32, depth=32, seed=0))

@@ -14,8 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.gen.families import LARGE_DESIGN_NAMES, large_design
-from repro.multiprop.ja import JAOptions, ja_verify
-from repro.multiprop.joint import JointOptions, joint_verify
+from repro.multiprop.ja import ja_verify
+from repro.multiprop.joint import joint_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 from benchmarks._harness import cell_time, publish_table, timed
@@ -35,12 +36,17 @@ def build_table():
             ts = TransitionSystem(aig, properties=aig.properties[:count])
             joint, t_joint = timed(
                 lambda: joint_verify(
-                    ts, JointOptions(total_time=JOINT_BUDGET_S), design_name=name
+                    ts,
+                    VerificationConfig(total_time=JOINT_BUDGET_S, design_name=name),
                 )
             )
             ja, t_ja = timed(
                 lambda: ja_verify(
-                    ts, JAOptions(per_property_time=JA_PER_PROP_S), design_name=name
+                    ts,
+                    VerificationConfig(
+                        per_property_time=JA_PER_PROP_S,
+                        design_name=name,
+                    ),
                 )
             )
             rows.append(

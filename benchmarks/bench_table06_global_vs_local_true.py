@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.gen.families import all_true_designs
-from repro.multiprop.ja import JAOptions, ja_verify
-from repro.multiprop.separate import SeparateOptions, separate_verify
+from repro.multiprop.ja import ja_verify, separate_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 from benchmarks._harness import cell_time, publish_table, timed
@@ -26,12 +26,14 @@ def build_table():
         ts = TransitionSystem(aig)
         glob, t_glob = timed(
             lambda: separate_verify(
-                ts, SeparateOptions(per_property_time=PER_PROP_S), design_name=name
+                ts,
+                VerificationConfig(per_property_time=PER_PROP_S, design_name=name),
             )
         )
         local, t_local = timed(
             lambda: ja_verify(
-                ts, JAOptions(per_property_time=PER_PROP_S), design_name=name
+                ts,
+                VerificationConfig(per_property_time=PER_PROP_S, design_name=name),
             )
         )
         rows.append(

@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.gen.families import all_true_designs
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.ja import ja_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 from benchmarks._harness import cell_time, publish_table, timed
@@ -28,15 +29,21 @@ def build_table():
         without, t_without = timed(
             lambda: ja_verify(
                 ts,
-                JAOptions(clause_reuse=False, per_property_time=PER_PROP_S),
-                design_name=name,
+                VerificationConfig(
+                    clause_reuse=False,
+                    per_property_time=PER_PROP_S,
+                    design_name=name,
+                ),
             )
         )
         with_reuse, t_with = timed(
             lambda: ja_verify(
                 ts,
-                JAOptions(clause_reuse=True, per_property_time=PER_PROP_S),
-                design_name=name,
+                VerificationConfig(
+                    clause_reuse=True,
+                    per_property_time=PER_PROP_S,
+                    design_name=name,
+                ),
             )
         )
         rows.append(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.gen.families import all_true_designs
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.ja import ja_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 from benchmarks._harness import cell_time, publish_table, timed
@@ -26,21 +27,21 @@ def build_table():
         respecting, t_resp = timed(
             lambda: ja_verify(
                 ts,
-                JAOptions(
+                VerificationConfig(
                     respect_constraints_in_lifting=True,
                     per_property_time=PER_PROP_S,
+                    design_name=name,
                 ),
-                design_name=name,
             )
         )
         ignoring, t_ign = timed(
             lambda: ja_verify(
                 ts,
-                JAOptions(
+                VerificationConfig(
                     respect_constraints_in_lifting=False,
                     per_property_time=PER_PROP_S,
+                    design_name=name,
                 ),
-                design_name=name,
             )
         )
         rows.append(

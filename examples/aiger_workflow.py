@@ -17,7 +17,8 @@ import tempfile
 from repro import TransitionSystem
 from repro.circuit import load_aag, load_aig, save_aag, save_aig
 from repro.gen import FAILING_SPECS
-from repro.multiprop import JAOptions, ja_verify, sweep
+from repro.multiprop import ja_verify, sweep
+from repro.session import VerificationConfig
 
 
 def main() -> None:
@@ -57,7 +58,7 @@ def main() -> None:
 
         # --- JA-verification with the COI front end --------------------
         report = ja_verify(
-            ts, JAOptions(coi_reduction=True), design_name="f258"
+            ts, VerificationConfig(coi_reduction=True, design_name="f258")
         )
         print(report.summary())
         print(f"debugging set: {report.debugging_set()}")

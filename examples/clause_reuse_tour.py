@@ -18,7 +18,8 @@ import time
 from repro import TransitionSystem
 from repro.circuit.aig import AIG
 from repro.gen import shared_invariant_slice
-from repro.multiprop import ClauseDB, JAOptions, JAVerifier
+from repro.multiprop import ClauseDB, JAVerifier
+from repro.session import VerificationConfig
 
 
 def main() -> None:
@@ -31,7 +32,7 @@ def main() -> None:
 
     # --- without re-use ----------------------------------------------
     start = time.monotonic()
-    report_cold = JAVerifier(ts, JAOptions(clause_reuse=False)).run()
+    report_cold = JAVerifier(ts, VerificationConfig(clause_reuse=False)).run()
     t_cold = time.monotonic() - start
     assert not report_cold.debugging_set()
     print(f"without clause re-use: {t_cold:.2f}s")
@@ -40,7 +41,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db_path = os.path.join(tmp, "clauseDB")
         verifier = JAVerifier(
-            ts, JAOptions(clause_reuse=True, clause_db_path=db_path)
+            ts, VerificationConfig(clause_reuse=True, clause_db_path=db_path)
         )
         start = time.monotonic()
         report_warm = verifier.run()

@@ -10,7 +10,7 @@ pinpoints the debugging set = the two guards; after "fixing" the design
 Run:  python examples/debugging_workflow.py
 """
 
-from repro import TransitionSystem, ja_verify
+from repro import TransitionSystem, VerificationConfig, ja_verify
 from repro.circuit.aig import AIG, aig_not
 from repro.circuit import words
 from repro.gen import FAILING_SPECS
@@ -66,7 +66,7 @@ def main() -> None:
     print("=== step 1: JA-verification of the buggy design ===")
     buggy = FAILING_SPECS["f207"].build()
     ts = TransitionSystem(buggy)
-    report = ja_verify(ts, design_name="f207")
+    report = ja_verify(ts, VerificationConfig(design_name="f207"))
     analysis = debugging_report(report)
     print(report.summary())
     print(analysis.narrative())
@@ -80,7 +80,7 @@ def main() -> None:
     print("=== step 2: fix exactly the behaviours in the debugging set ===")
     fixed = build_fixed_f207()
     ts_fixed = TransitionSystem(fixed)
-    report_fixed = ja_verify(ts_fixed, design_name="f207-fixed")
+    report_fixed = ja_verify(ts_fixed, VerificationConfig(design_name="f207-fixed"))
     analysis_fixed = debugging_report(report_fixed)
     print(report_fixed.summary())
     print(analysis_fixed.narrative())

@@ -17,7 +17,7 @@ reported, and the ETF witness respects the ETH assumptions.
 Run:  python examples/etf_properties.py
 """
 
-from repro import TransitionSystem
+from repro import TransitionSystem, VerificationConfig
 from repro.circuit.aig import AIG, aig_not
 from repro.multiprop import JAVerifier
 
@@ -49,8 +49,8 @@ def main() -> None:
     print(f"ETH properties (the assumption pool): {eth}")
     print()
 
-    verifier = JAVerifier(ts)
-    report = verifier.run(design_name="etf-demo")
+    verifier = JAVerifier(ts, VerificationConfig(design_name="etf-demo"))
+    report = verifier.run()
     for name, outcome in report.outcomes.items():
         marker = "ETF" if name in etf else "ETH"
         print(

@@ -18,7 +18,8 @@ from collections import Counter
 
 from repro import TransitionSystem
 from repro.gen import FAILING_SPECS
-from repro.parallel import ParallelOptions, portfolio_verify
+from repro.parallel import portfolio_verify
+from repro.session import VerificationConfig
 from repro.progress import AttemptCancelled, PortfolioDecided, format_event
 
 
@@ -35,8 +36,7 @@ def main() -> None:
 
     report = portfolio_verify(
         ts,
-        ParallelOptions(workers=4, seed=7),
-        design_name="f175",
+        VerificationConfig(workers=4, seed=7, design_name="f175"),
         emit=on_event,
     )
     for line in race_log:

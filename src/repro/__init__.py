@@ -45,10 +45,10 @@ Progress events stream via callback or iterator::
 
 Every verification strategy (``ja``, ``joint``, ``separate``,
 ``clustered``, ``sweep-ja``, and anything registered with
-:func:`register_strategy`) runs through the same ``Session`` API; see
-:mod:`repro.session` for the migration table from the older per-driver
-entry points (``ja_verify`` & friends), which remain available but are
-deprecated.
+:func:`register_strategy`) runs through the same ``Session`` API, and
+every knob is a field of the one :class:`VerificationConfig` (see
+:mod:`repro.session`); the drivers themselves (``ja_verify`` & friends)
+take ``(ts, config, emit)``.
 """
 
 from .circuit import AIG, Simulator, load_aag, parse_aag, save_aag, write_aag
@@ -63,11 +63,8 @@ from .engines import (
 )
 from .multiprop import (
     ClauseDB,
-    JAOptions,
     JAVerifier,
-    JointOptions,
     MultiPropReport,
-    SeparateOptions,
     debugging_report,
     ja_verify,
     joint_verify,
@@ -138,11 +135,8 @@ __all__ = [
     "format_event",
     "ja_verify",
     "JAVerifier",
-    "JAOptions",
     "joint_verify",
-    "JointOptions",
     "separate_verify",
-    "SeparateOptions",
     "ClauseDB",
     "MultiPropReport",
     "debugging_report",

@@ -11,7 +11,7 @@ File format (TOML, read with the stdlib ``tomllib``)::
 
     [[suppression]]
     checker = "config-hygiene"
-    file = "src/repro/session/config.py"
+    file = "src/repro/config.py"
     message = "field 'pool' is not reachable from the CLI"
     justification = "pools are in-process objects; only the API sets them"
 

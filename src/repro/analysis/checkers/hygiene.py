@@ -142,7 +142,7 @@ class ConfigHygieneChecker(Checker):
     CONFIG_CLASS = "VerificationConfig"
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
-        config_ctx = project.find("session/config.py")
+        config_ctx = project.find("repro/config.py")
         if config_ctx is None or config_ctx.tree is None:
             return
         config_class = next(

@@ -932,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", type=_engine_override, action="append", default=None,
         metavar="KEY=VALUE",
         help="low-level IC3Options override (repeatable; see "
-        "ENGINE_OVERRIDE_KEYS in repro.session.config)",
+        "ENGINE_OVERRIDE_KEYS in repro.config)",
     )
     p_check.add_argument(
         "--design-name", default=None, metavar="NAME",

@@ -1,20 +1,26 @@
-"""The single configuration object consumed by every strategy.
+"""The run's options: one record, read by name where a knob acts.
 
-:class:`VerificationConfig` replaces the per-driver option dataclasses
-(``JAOptions``, ``JointOptions``, ``SeparateOptions``, ``ClusterOptions``)
-at the API surface: one object names the strategy, the budgets, the
-property ordering, the clause-reuse policy, and low-level engine
-overrides.  Strategy adapters translate the relevant subset into the
-driver options they wrap, so the drivers themselves stay unchanged and
-independently usable.
+A knob is a :class:`VerificationConfig` field.  Every driver —
+``ja_verify``, ``joint_verify``, ``clustered_verify``, the pool's
+:meth:`~repro.parallel.engine.SeatScheduler.admit` — takes the config
+itself and reads the fields it acts on; a driver that runs another one
+under a narrower budget hands it ``dataclasses.replace(config, ...)``.
+A field a method has no use for is ignored, mirroring how the paper's
+tables vary one axis at a time.
+
+:class:`ProofOptions` is the one projection of a config
+(:meth:`VerificationConfig.proof_options`): the frozen, picklable
+record :func:`~repro.multiprop.local.prove` reads and the pool ships to
+its seats — what crosses a process boundary, and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
-from ..ts.system import TransitionSystem
+from .engines.result import ResourceBudget
+from .ts.system import TransitionSystem
 
 #: ``IC3Options`` knobs that may be overridden through ``engine``.
 #: Budgets, assumptions and seeds are owned by the drivers; exposing
@@ -29,13 +35,44 @@ class ConfigError(ValueError):
     """A :class:`VerificationConfig` failed validation."""
 
 
+@dataclass(frozen=True)
+class ProofOptions:
+    """The knobs of one local proof (frozen and picklable)."""
+
+    clause_reuse: bool = True
+    respect_constraints_in_lifting: bool = False
+    # Cone-of-influence front end: reduce the design to the joint cone
+    # of the target and the (transitively) support-overlapping
+    # assumptions.  Assumptions with disjoint support are dropped, which
+    # is sound for HOLDS verdicts (fewer assumptions = stronger proof);
+    # counterexamples are re-validated against the *full* assumption set
+    # and the property is re-run without reduction if they turn out
+    # spurious.  See EXPERIMENTS.md's COI ablation.
+    coi_reduction: bool = False
+    ctg: bool = False  # forwarded to IC3 generalization
+    max_frames: int = 500
+    # SAT backend name (repro.sat registry); None = process default.
+    solver_backend: str | None = None
+    # Extra IC3Options fields (see ENGINE_OVERRIDE_KEYS) applied to
+    # every engine invocation, e.g. {"generalize_passes": 1}.
+    engine_overrides: Mapping[str, object] = field(default_factory=dict)
+    per_property_time: float | None = None
+    per_property_conflicts: int | None = None
+
+    def budget(self) -> ResourceBudget:
+        """A fresh per-property budget (every engine run gets its own)."""
+        return ResourceBudget(
+            time_limit=self.per_property_time,
+            conflict_limit=self.per_property_conflicts,
+        )
+
+
 @dataclass
 class VerificationConfig:
     """Everything one verification run needs, in one object.
 
-    Fields irrelevant to the selected strategy are ignored by its
-    adapter (e.g. ``cluster_inner`` outside the clustered strategy),
-    mirroring how the paper's tables vary one axis at a time.
+    Fields irrelevant to the selected strategy are ignored by it (e.g.
+    ``cluster_inner`` outside the clustered strategy).
     """
 
     strategy: str = "ja"
@@ -170,7 +207,7 @@ class VerificationConfig:
                 f"got {self.exchange_shards!r}"
             )
         if self.pool is not None:
-            from ..parallel.pool import WorkerPool
+            from .parallel.pool import WorkerPool
 
             if not isinstance(self.pool, WorkerPool):
                 raise ConfigError(
@@ -179,7 +216,7 @@ class VerificationConfig:
                 )
             if self.pool.closed:
                 raise ConfigError("pool has been shut down")
-        from ..sat import UnknownBackendError, default_backend, get_backend
+        from .sat import UnknownBackendError, default_backend, get_backend
 
         try:
             if self.solver_backend is not None:
@@ -197,7 +234,7 @@ class VerificationConfig:
                 f"seed must be a non-negative int or None, got {self.seed!r}"
             )
         if self.portfolio_engines is not None:
-            from ..parallel.portfolio import parse_engine_slate
+            from .parallel.portfolio import parse_engine_slate
 
             try:
                 parse_engine_slate(self.portfolio_engines)
@@ -246,6 +283,20 @@ class VerificationConfig:
             raise ConfigError("an explicit order must be a sequence of property names")
 
     # ------------------------------------------------------------------
+    def proof_options(self) -> ProofOptions:
+        """The local-proof knobs of this run, as ``prove`` reads them."""
+        return ProofOptions(
+            clause_reuse=self.clause_reuse,
+            respect_constraints_in_lifting=self.respect_constraints_in_lifting,
+            coi_reduction=self.coi_reduction,
+            ctg=self.ctg,
+            max_frames=self.max_frames,
+            solver_backend=self.solver_backend,
+            engine_overrides=dict(self.engine),
+            per_property_time=self.per_property_time,
+            per_property_conflicts=self.per_property_conflicts,
+        )
+
     def with_overrides(self, **overrides: object) -> "VerificationConfig":
         """A copy with the given fields replaced (unknown names rejected)."""
         known = {f.name for f in fields(self)}
@@ -264,7 +315,7 @@ def resolve_order(
     names in an explicit list are rejected here so every strategy fails
     the same way.
     """
-    from ..multiprop.ordering import by_cone_size, design_order, shuffled
+    from .multiprop.ordering import by_cone_size, design_order, shuffled
 
     if order is None:
         return None

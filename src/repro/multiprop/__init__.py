@@ -4,24 +4,20 @@ strengthening-clause database, debugging-set analysis, ordering
 heuristics, and Table X's makespan projection."""
 
 from .clausedb import ClauseDB
-from .clustering import ClusterOptions, cluster_properties, clustered_verify
+from .clustering import cluster_properties, clustered_verify
 from .debugging import DebuggingReport, check_proposition6, debugging_report
 from .sweep import SweepResult, sweep, swept_ja_verify
-from .ja import JAOptions, JAVerifier, ja_verify
-from .joint import JointOptions, joint_verify
+from .ja import JAVerifier, ja_verify, separate_verify
+from .joint import joint_verify
 from .ordering import by_cone_size, design_order, shuffled
 from .parallel import ParallelSimResult, measure_global_proofs, measure_local_proofs
 from .report import MultiPropReport, PropOutcome, format_time, render_table
-from .separate import SeparateOptions, separate_verify
 
 __all__ = [
     "ja_verify",
     "JAVerifier",
-    "JAOptions",
     "joint_verify",
-    "JointOptions",
     "separate_verify",
-    "SeparateOptions",
     "ClauseDB",
     "MultiPropReport",
     "PropOutcome",
@@ -38,7 +34,6 @@ __all__ = [
     "ParallelSimResult",
     "clustered_verify",
     "cluster_properties",
-    "ClusterOptions",
     "sweep",
     "swept_ja_verify",
     "SweepResult",

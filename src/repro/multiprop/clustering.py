@@ -9,39 +9,24 @@ structure-aware approach".
 
 This module implements the structural baseline so the comparison can be
 run: properties are clustered by Jaccard similarity of their latch
-cones, and each cluster is verified jointly (optionally with the cluster
-restricted to its own cone of influence, which is what makes grouping
-pay).  It also exposes the hybrid the paper hints at: JA-verification
-*within* each cluster, assuming only the cluster's own properties.
+cones, and each cluster is verified jointly (restricted to its own cone
+of influence, which is what makes grouping pay).  It also exposes the
+hybrid the paper hints at: JA-verification *within* each cluster,
+assuming only the cluster's own properties.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 from ..circuit.coi import coi_signature, reduce_to_cone
+from ..config import VerificationConfig
 from ..progress import ClusterStarted, Emit
 from ..ts.system import TransitionSystem
-from .ja import JAOptions, ja_verify
-from .joint import JointOptions, joint_verify
-from .local import ProofOptions
+from .ja import ja_verify
+from .joint import joint_verify
 from .report import MultiPropReport
-
-
-@dataclass(frozen=True)
-class ClusterOptions(ProofOptions):
-    """Configuration for clustered verification.
-
-    The inherited proof knobs reach the inner driver whole (``ja``) or
-    as far as one aggregate proof has a use for them (``joint``:
-    ``max_frames``, ``ctg``, ``solver_backend``, ``engine_overrides``).
-    """
-
-    similarity_threshold: float = 0.5  # Jaccard threshold for merging
-    use_coi_reduction: bool = True
-    inner: str = "joint"  # "joint" or "ja" within each cluster
-    total_time: float | None = None
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -82,56 +67,38 @@ def cluster_properties(
 
 def clustered_verify(
     ts: TransitionSystem,
-    options: ClusterOptions | None = None,
-    design_name: str = "design",
+    config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Verify property clusters independently (joint or JA per cluster).
+    """Structure-aware grouping, joint or JA inside each cluster (Sec. 12).
 
-    .. deprecated::
-        Prefer ``repro.session.Session(ts, strategy="clustered").run()``;
-        this wrapper remains for backward compatibility.
+    Each cluster is verified on its own cone of influence (which is
+    what makes grouping pay) by the inner driver, under the run's
+    config with ``total_time`` cut to what the earlier clusters left.
     """
-    opts = options or ClusterOptions()
-    if opts.inner not in ("joint", "ja"):
-        raise ValueError(f"unknown inner method {opts.inner!r}")
+    config = config or VerificationConfig()
+    inner = {"joint": joint_verify, "ja": ja_verify}.get(config.cluster_inner)
+    if inner is None:
+        raise ValueError(f"unknown inner method {config.cluster_inner!r}")
     start = time.monotonic()
-    clusters = cluster_properties(ts, opts.similarity_threshold)
-    report = MultiPropReport(method=f"clustered-{opts.inner}", design=design_name)
+    clusters = cluster_properties(ts, config.similarity_threshold)
+    report = MultiPropReport(
+        method=f"clustered-{config.cluster_inner}", design=config.design_name
+    )
 
     for cluster in clusters:
         if emit is not None:
             emit(ClusterStarted(members=tuple(cluster)))
         remaining = None
-        if opts.total_time is not None:
-            remaining = opts.total_time - (time.monotonic() - start)
-        if opts.use_coi_reduction:
-            reduction = reduce_to_cone(ts.aig, cluster)
-            sub_ts = TransitionSystem(reduction.aig)
-        else:
-            sub_ts = TransitionSystem(
-                ts.aig, properties=[ts.prop_by_name[n] for n in cluster]
-            )
-        if opts.inner == "joint":
-            sub_report = joint_verify(
-                sub_ts,
-                JointOptions(
-                    total_time=remaining,
-                    max_frames=opts.max_frames,
-                    solver_backend=opts.solver_backend,
-                    engine_overrides={"ctg": opts.ctg, **opts.engine_overrides},
-                ),
-                design_name=design_name,
-                emit=emit,
-            )
-        else:
-            sub_report = ja_verify(
-                sub_ts,
-                JAOptions(**opts.proof_fields(), total_time=remaining),
-                design_name=design_name,
-                emit=emit,
-            )
-        report.outcomes.update(sub_report.outcomes)
+        if config.total_time is not None:
+            remaining = config.total_time - (time.monotonic() - start)
+        sub_ts = TransitionSystem(reduce_to_cone(ts.aig, cluster).aig)
+        # ``order`` and ``clause_db_path`` name the whole design's
+        # properties and latches, not the reduced cluster's.
+        sub_config = replace(
+            config, total_time=remaining, order=None, clause_db_path=None
+        )
+        report.outcomes.update(inner(sub_ts, sub_config, emit).outcomes)
 
     report.total_time = time.monotonic() - start
     report.stats = {

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from collections.abc import Sequence
 
+from ..config import VerificationConfig, resolve_order
 from ..engines.result import EngineResult, PropStatus
 from ..progress import (
     BudgetCheckpoint,
@@ -44,18 +43,9 @@ from ..progress import (
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
 from .clausedb import ClauseDB
-from .local import ProofOptions, prove
-from .ordering import checked_order
+from .local import prove
+from .ordering import design_order
 from .report import MultiPropReport, PropOutcome
-
-
-@dataclass(frozen=True)
-class JAOptions(ProofOptions):
-    """Configuration of one sequential run: the proof knobs plus the loop's."""
-
-    total_time: float | None = None
-    order: Sequence[str] | None = None  # default: design order
-    clause_db_path: str | None = None  # persist the clauseDB like Ja-ver
 
 
 class JAVerifier:
@@ -74,32 +64,37 @@ class JAVerifier:
     def __init__(
         self,
         ts: TransitionSystem,
-        options: JAOptions | None = None,
+        config: VerificationConfig | None = None,
         emit: Emit | None = None,
         *,
         local: bool = True,
     ) -> None:
         self.ts = ts
-        self.options = options or JAOptions()
+        self.config = config or VerificationConfig()
         self.local = local
         self.clause_db = ClauseDB(ts)
         self.results: dict[str, EngineResult] = {}
         self._emit: Emit = emit_or_null(emit)
 
     # ------------------------------------------------------------------
-    def run(self, design_name: str = "design") -> MultiPropReport:
-        opts = self.options
+    def run(self) -> MultiPropReport:
+        config = self.config
+        proof = config.proof_options()
         local = self.local
         start = time.monotonic()
-        if opts.clause_db_path and opts.clause_reuse:
-            self._load_clause_db(opts.clause_db_path)
+        db_path = config.clause_db_path if config.clause_reuse else None
+        if db_path:
+            self._load_clause_db(db_path)
         report = MultiPropReport(
-            method="ja" if local else "separate-global", design=design_name
+            method="ja" if local else "separate-global", design=config.design_name
         )
         spurious_reruns = 0
         certificate_retries = 0
-        for name in checked_order(self.ts, opts.order):
-            if opts.total_time is not None and time.monotonic() - start > opts.total_time:
+        for name in resolve_order(self.ts, config.order) or design_order(self.ts):
+            if (
+                config.total_time is not None
+                and time.monotonic() - start > config.total_time
+            ):
                 outcome = PropOutcome(name=name, status=PropStatus.UNKNOWN, local=local)
                 report.outcomes[name] = outcome
                 self._emit(PropertyStarted(name=name))
@@ -107,10 +102,10 @@ class JAVerifier:
                 continue
             assumed = assumption_names(self.ts, name) if local else []
             outcome, result = prove(
-                self.ts, name, assumed, opts, self.clause_db, self._emit, local=local
+                self.ts, name, assumed, proof, self.clause_db, self._emit, local=local
             )
-            if opts.clause_db_path and opts.clause_reuse and result.holds:
-                self.clause_db.save(opts.clause_db_path)
+            if db_path and result.holds:
+                self.clause_db.save(db_path)
             spurious_reruns += outcome.reruns
             certificate_retries += int(result.stats.get("certificate_retry", 0))
             report.outcomes[name] = outcome
@@ -151,14 +146,26 @@ class JAVerifier:
 
 def ja_verify(
     ts: TransitionSystem,
-    options: JAOptions | None = None,
-    design_name: str = "design",
+    config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Convenience wrapper: run JA-verification on all properties.
+    """JA-verification: local proofs under wrong assumptions (Ja-ver, Sec. 4)."""
+    return JAVerifier(ts, config, emit).run()
 
-    .. deprecated::
-        Prefer ``repro.session.Session(ts, strategy="ja").run()``; this
-        wrapper remains for backward compatibility.
+
+def separate_verify(
+    ts: TransitionSystem,
+    config: VerificationConfig | None = None,
+    emit: Emit | None = None,
+) -> MultiPropReport:
+    """Separate verification with global proofs (Tables V, VI, X baseline).
+
+    Properties are checked one by one like JA-verification, but without
+    any assumptions: each verdict is global.  Clause re-use remains
+    available (invariants from global proofs over-approximate global
+    reachability, so re-using them is unconditionally sound — the
+    setting in which Section 6-B justifies it); the knob about
+    assumptions (``respect_constraints_in_lifting``) has nothing to act
+    on, every other one means what it means for ``ja``.
     """
-    return JAVerifier(ts, options, emit=emit).run(design_name)
+    return JAVerifier(ts, config, emit, local=False).run()

@@ -14,10 +14,9 @@ exactly what Tables II and III measure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 from ..circuit.aig import Property
+from ..config import VerificationConfig
 from ..engines.ic3 import IC3Options, ic3_check
 from ..engines.result import PropStatus, ResourceBudget
 from ..progress import (
@@ -29,47 +28,32 @@ from ..progress import (
 from ..ts.system import TransitionSystem
 from .report import MultiPropReport, PropOutcome
 
-
-@dataclass
-class JointOptions:
-    """Configuration of one joint-verification run."""
-
-    total_time: float | None = None
-    total_conflicts: int | None = None
-    max_frames: int = 500
-    include_etf: bool = True  # the HWMCC sets do not mark ETF properties
-    # SAT backend name (repro.sat registry); None = process default.
-    solver_backend: str | None = None
-    # Extra IC3Options fields applied to every engine invocation.
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
-
-
 _AGGREGATE_PREFIX = "__aggregate"
 
 
 def joint_verify(
     ts: TransitionSystem,
-    options: JointOptions | None = None,
-    design_name: str = "design",
+    config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Run joint verification; returns per-property global verdicts.
+    """Joint verification of the aggregate property (Jnt-ver, Sec. 9).
 
-    .. deprecated::
-        Prefer ``repro.session.Session(ts, strategy="joint").run()``;
-        this wrapper remains for backward compatibility.
+    Returns per-property global verdicts.  The budgets are the run's
+    (``total_time``, ``total_conflicts``): one aggregate proof has no
+    per-property step to budget.
     """
-    opts = options or JointOptions()
+    config = config or VerificationConfig()
     send: Emit = emit_or_null(emit)
     start = time.monotonic()
-    report = MultiPropReport(method="joint", design=design_name)
+    report = MultiPropReport(method="joint", design=config.design_name)
     remaining: list[Property] = [
         p
         for p in ts.properties
-        if opts.include_etf or not p.expected_to_fail
+        # The HWMCC sets do not mark ETF properties, hence the default.
+        if config.include_etf or not p.expected_to_fail
     ]
     budget = ResourceBudget(
-        time_limit=opts.total_time, conflict_limit=opts.total_conflicts
+        time_limit=config.total_time, conflict_limit=config.total_conflicts
     )
     iteration = 0
 
@@ -93,10 +77,11 @@ def joint_verify(
             aggregate_name,
             IC3Options(
                 budget=budget,
-                max_frames=opts.max_frames,
-                solver_backend=opts.solver_backend,
+                max_frames=config.max_frames,
+                ctg=config.ctg,
+                solver_backend=config.solver_backend,
                 emit=send,
-                **dict(opts.engine_overrides),
+                **config.engine,
             ),
         )
         elapsed = time.monotonic() - start

@@ -21,19 +21,20 @@ IC3 job (:mod:`repro.parallel.worker`), Table X's measurement
 With an empty assumption set the same function is a *global* proof
 (``local=False``): nothing can be spurious and every seed is sound.
 
-:class:`ProofOptions` is the one declaration of the knobs this step
-reads; the drivers' option classes extend it and the pool ships it to
-the seats as is.
+:class:`~repro.config.ProofOptions` is the one declaration of the knobs
+this step reads: a driver projects its
+:class:`~repro.config.VerificationConfig` onto it once
+(``config.proof_options()``) and the pool ships it to the seats as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from ..circuit.coi import reduce_to_cone, remap_clause, support_signature
+from ..config import ProofOptions
 from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
-from ..engines.result import EngineResult, PropStatus, ResourceBudget
+from ..engines.result import EngineResult, PropStatus
 from ..progress import (
     ClauseExport,
     Emit,
@@ -44,43 +45,6 @@ from ..ts.system import TransitionSystem
 from ..ts.trace import Trace
 from .clausedb import ClauseDB
 from .report import PropOutcome
-
-
-@dataclass(frozen=True)
-class ProofOptions:
-    """The knobs of one local proof (frozen and picklable)."""
-
-    clause_reuse: bool = True
-    respect_constraints_in_lifting: bool = False
-    # Cone-of-influence front end: reduce the design to the joint cone
-    # of the target and the (transitively) support-overlapping
-    # assumptions.  Assumptions with disjoint support are dropped, which
-    # is sound for HOLDS verdicts (fewer assumptions = stronger proof);
-    # counterexamples are re-validated against the *full* assumption set
-    # and the property is re-run without reduction if they turn out
-    # spurious.  See EXPERIMENTS.md's COI ablation.
-    coi_reduction: bool = False
-    ctg: bool = False  # forwarded to IC3 generalization
-    max_frames: int = 500
-    # SAT backend name (repro.sat registry); None = process default.
-    solver_backend: str | None = None
-    # Extra IC3Options fields (validated by the session layer) applied
-    # to every engine invocation, e.g. {"generalize_passes": 1}.
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
-    per_property_time: float | None = None
-    per_property_conflicts: int | None = None
-
-    def proof_fields(self) -> dict[str, object]:
-        """The fields above as keyword arguments, whatever the subclass —
-        how one option object hands its proof knobs to another."""
-        return {f.name: getattr(self, f.name) for f in fields(ProofOptions)}
-
-    def budget(self) -> ResourceBudget:
-        """A fresh per-property budget (every engine run gets its own)."""
-        return ResourceBudget(
-            time_limit=self.per_property_time,
-            conflict_limit=self.per_property_conflicts,
-        )
 
 
 def outcome_of(

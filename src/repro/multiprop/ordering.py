@@ -10,7 +10,6 @@ a different order.  These heuristics make that experiment reproducible.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 
 from ..ts.system import TransitionSystem
 
@@ -18,16 +17,6 @@ from ..ts.system import TransitionSystem
 def design_order(ts: TransitionSystem) -> list[str]:
     """The order properties appear in the design (the paper's default)."""
     return [p.name for p in ts.properties]
-
-
-def checked_order(ts: TransitionSystem, order: Sequence[str] | None) -> list[str]:
-    """An explicit order (every name a property) or, without one, design order."""
-    if not order:
-        return design_order(ts)
-    unknown = set(order) - set(ts.prop_by_name)
-    if unknown:
-        raise KeyError(f"unknown properties in order: {sorted(unknown)}")
-    return list(order)
 
 
 def cone_latches(ts: TransitionSystem, name: str) -> int:

@@ -26,9 +26,10 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
+from ..config import ProofOptions
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
-from .local import ProofOptions, prove
+from .local import prove
 
 
 @dataclass

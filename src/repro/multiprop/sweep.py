@@ -22,10 +22,11 @@ import time
 from dataclasses import dataclass, field
 
 from ..circuit.simulate import Simulator
+from ..config import VerificationConfig
 from ..progress import Emit
 from ..ts.system import TransitionSystem
 from ..ts.trace import Trace
-from .ja import JAOptions, ja_verify
+from .ja import ja_verify
 from .report import MultiPropReport
 
 
@@ -112,23 +113,20 @@ def sweep(
 
 def swept_ja_verify(
     ts: TransitionSystem,
-    sweep_runs: int = 32,
-    sweep_depth: int = 32,
-    seed: int = 0,
-    options: JAOptions | None = None,
-    design_name: str = "design",
+    config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Sweep first, then JA-verify everything.
+    """Random-simulation sweep for shallow failures, then JA-verification.
 
-    The sweep provides global failure witnesses early (and for free);
-    JA-verification still runs on *all* properties because only it can
-    establish local verdicts and the debugging set.  Sweep witnesses are
-    attached to the report's stats.
+    The sweep (seeded by ``config.seed``) provides global failure
+    witnesses early and for free; JA-verification still runs on *all*
+    properties because only it can establish local verdicts and the
+    debugging set.  Sweep witnesses are attached to the report's stats.
     """
+    config = config or VerificationConfig()
     start = time.monotonic()
-    swept = sweep(ts, runs=sweep_runs, depth=sweep_depth, seed=seed)
-    report = ja_verify(ts, options, design_name=design_name, emit=emit)
+    swept = sweep(ts, seed=config.seed or 0)
+    report = ja_verify(ts, config, emit)
     report.method = "sweep+ja"
     report.stats["sweep_failed"] = len(swept.failed)
     report.stats["sweep_runs"] = swept.runs

@@ -36,7 +36,7 @@ Entry points: ``Session(design, strategy="parallel-ja", workers=4)`` or
 :func:`parallel_ja_verify` directly.
 """
 
-from .engine import ParallelOptions, PooledJob, SeatScheduler, parallel_ja_verify
+from .engine import PooledJob, SeatScheduler, parallel_ja_verify
 from .portfolio import ENGINE_NAMES, parse_engine_slate, portfolio_verify
 from .exchange import (
     ExchangeShard,
@@ -57,7 +57,6 @@ from .pool import (
 from .stats import PoolStats, SeatStats
 
 __all__ = [
-    "ParallelOptions",
     "parallel_ja_verify",
     "PooledJob",
     "SeatScheduler",

@@ -24,11 +24,11 @@ Design notes
 
 * **Persistent pool.**  Dispatch runs over a
   :class:`~repro.parallel.pool.WorkerPool`: pass one via
-  ``ParallelOptions.pool`` (or ``VerificationConfig.pool``) and
-  successive runs reuse the same worker processes and their cached
-  designs — the server-style regime where per-run setup cost must be
-  amortized.  With no pool supplied the engine creates a private
-  single-run pool sized by ``resolve_workers`` and shuts it down
+  ``VerificationConfig.pool`` and successive runs reuse the same worker
+  processes and their cached designs — the server-style regime where
+  per-run setup cost must be amortized.  With no pool supplied the
+  engine creates a private single-run pool (``config.workers`` seats,
+  default one per CPU, capped by the attempt count) and shuts it down
   afterwards, preserving the original per-run semantics.
 * **Parent-side scheduling, shared with the service.**  The
   :class:`SeatScheduler` keeps each job's property backlog and assigns
@@ -49,7 +49,7 @@ Design notes
   :class:`PooledJob` on one pool run, and its backlog is a list of
   :class:`~repro.parallel.worker.PropertyJob` *attempts*, one per
   property and slate engine (the slate is ``(None,)``, the local
-  proof, unless ``portfolio_engines`` names a race).  The scheduler
+  proof, unless the config's strategy is ``portfolio``).  The scheduler
   tracks which attempt each seat holds and hands every terminal
   message to the job's *policy* — :class:`LocalProofs` or
   :class:`~repro.parallel.portfolio.EngineRace` — which says what it
@@ -88,15 +88,16 @@ Design notes
 
 from __future__ import annotations
 
+import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
+from ..config import VerificationConfig, resolve_order
 from ..engines.randomwalk import derive_seed
 from ..engines.result import PropStatus
-from ..multiprop.local import ProofOptions
-from ..multiprop.ordering import checked_order, cone_latches
+from ..multiprop.ordering import cone_latches, design_order
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
     BudgetCheckpoint,
@@ -111,56 +112,9 @@ from ..progress import (
 from ..ts.system import TransitionSystem
 from .exchange import ShardHost, build_shard_map
 from .pool import WorkerPool
-from .portfolio import EngineRace
+from .portfolio import EngineRace, parse_engine_slate
 from .stats import PoolStats, SeatStats
 from .worker import PropertyJob, WorkerSettings
-
-
-@dataclass(frozen=True)
-class ParallelOptions(ProofOptions):
-    """Configuration of one process-parallel JA run.
-
-    The proof knobs are inherited (and shipped to the seats as they
-    are); the loop's and the pool's are declared here.
-    """
-
-    workers: int | None = None  # None: one per CPU (capped by #props)
-    exchange: bool = True  # live clause exchange between workers
-    stop_on_failure: bool = False  # cancel the queue on the first FAILS
-    start_method: str | None = None  # fork where available, else spawn
-    # A persistent WorkerPool to run on (shared across runs); None
-    # creates a private single-run pool sized by ``resolve_workers``.
-    pool: WorkerPool | None = None
-    # Clause-exchange shards: a positive count, or "auto" for one shard
-    # per structural property cluster (capped, see repro.parallel.exchange).
-    exchange_shards: int | str = 1
-    # Ceiling on pool seats this job may hold at once; None = no cap
-    # (weighted fair share alone governs).  A narrow quota keeps one
-    # big job from monopolizing a shared service pool.
-    max_seats: int | None = None
-    # -- the sequential loop's knobs (see JAOptions) -------------------
-    total_time: float | None = None
-    order: Sequence[str] | None = None
-    # Warm-start clauses (from a cross-run proof cache's clause log for
-    # this exact design): every per-shard ClauseDB a worker opens for
-    # this run is seeded with them, re-validated on insertion and
-    # backstopped by the engine's SeedCertificateError retry.
-    warm_clauses: tuple = ()
-    # -- portfolio knobs ----------------------------------------------
-    # Run-level seed for stochastic engines; per-property sub-seeds are
-    # derived deterministically (repro.engines.randomwalk.derive_seed).
-    seed: int | None = None
-    # Engine slate raced per property (repro.parallel.portfolio); None
-    # means no race: one local JA proof per property.
-    portfolio_engines: tuple[str, ...] | None = None
-
-    def resolve_workers(self, num_jobs: int) -> int:
-        import os
-
-        workers = self.workers if self.workers is not None else os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return max(1, min(workers, num_jobs))
 
 
 class PooledJob:
@@ -182,8 +136,7 @@ class PooledJob:
         self,
         run_id: int,
         ts: TransitionSystem,
-        options: ParallelOptions,
-        design_name: str,
+        config: VerificationConfig,
         emit: Emit,
         order: list[str],
         *,
@@ -195,20 +148,19 @@ class PooledJob:
     ) -> None:
         self.run_id = run_id
         self.ts = ts
-        self.options = options
-        self.design_name = design_name
+        self.config = config
         self.emit = emit
         self.order = list(order)
         self.weight = weight
-        self.max_seats = options.max_seats
+        self.max_seats = config.max_seats
         self.pool_label = pool_label
         self.job_id = job_id
         self.on_finish = on_finish
         self.start = time.monotonic() if start is None else start
         self.deadline = (
             None
-            if options.total_time is None
-            else self.start + options.total_time
+            if config.total_time is None
+            else self.start + config.total_time
         )
         self.pending = set(order)  # properties not yet decided
         self.outcomes: dict[str, PropOutcome] = {}
@@ -245,7 +197,9 @@ class PooledJob:
 
     def build_report(self, pool: WorkerPool) -> MultiPropReport:
         """The job's :class:`MultiPropReport` (property order preserved)."""
-        report = MultiPropReport(method=self.policy.method, design=self.design_name)
+        report = MultiPropReport(
+            method=self.policy.method, design=self.config.design_name
+        )
         for name in self.order:  # property order, not completion order
             report.outcomes[name] = self.outcomes[name]
         report.total_time = self.total_time
@@ -412,11 +366,11 @@ class SeatScheduler:
     def admit(
         self,
         ts: TransitionSystem,
-        options: ParallelOptions,
-        design_name: str,
+        config: VerificationConfig,
         emit: Emit | None,
         order: list[str],
         *,
+        warm_clauses: Sequence = (),
         priority: float = 1.0,
         pool_label: str = "persistent",
         start: float | None = None,
@@ -425,15 +379,17 @@ class SeatScheduler:
     ) -> PooledJob:
         """Open one job (one run) on the pool and queue its whole backlog.
 
-        The backlog holds one attempt per property and slate engine:
-        the slate is ``options.portfolio_engines`` for a race and
-        ``(None,)`` — the local proof — otherwise.
+        The backlog holds one attempt per property and slate engine
+        (see :func:`_slate`).  ``warm_clauses`` — a cross-run proof
+        cache's clause log for this exact design — seed every per-shard
+        ClauseDB a seat opens for the run, re-validated on insertion
+        and backstopped by the engine's ``SeedCertificateError`` retry.
         """
         if priority <= 0:
             raise ValueError(f"priority must be > 0, got {priority!r}")
-        if options.max_seats is not None and options.max_seats < 1:
+        if config.max_seats is not None and config.max_seats < 1:
             raise ValueError(
-                f"max_seats must be >= 1, got {options.max_seats!r}"
+                f"max_seats must be >= 1, got {config.max_seats!r}"
             )
         pool = self.pool
         emit = emit_or_null(emit)
@@ -465,20 +421,20 @@ class SeatScheduler:
 
         # Per-property budget, clamped by the total budget so a single
         # worker cannot overrun the watchdog by an unbounded amount.
-        job_time = options.per_property_time
-        if options.total_time is not None:
+        job_time = config.per_property_time
+        if config.total_time is not None:
             job_time = (
-                options.total_time
+                config.total_time
                 if job_time is None
-                else min(job_time, options.total_time)
+                else min(job_time, config.total_time)
             )
-        slate = options.portfolio_engines or (None,)
+        slate = _slate(config)
         racing = slate != (None,)
         # Dispatch order: LPT (descending cone size) unless the caller
         # pinned an explicit order.  Races keep property order: a race
         # costs what its fastest engine costs, which cone size does not
         # predict.  The report keeps ``order``.
-        if options.order is None and not racing:
+        if config.order is None and not racing:
             dispatch = _cone_descending(ts, order)
             dispatch_mode = "cone-desc"
         else:
@@ -488,9 +444,9 @@ class SeatScheduler:
         exchange = None
         num_shards = 0
         # Racing attempts compete; only plain local proofs exchange.
-        use_exchange = options.exchange and options.clause_reuse and not racing
+        use_exchange = config.exchange and config.clause_reuse and not racing
         if use_exchange:
-            shard_map = build_shard_map(ts, order, options.exchange_shards)
+            shard_map = build_shard_map(ts, order, config.exchange_shards)
             num_shards = shard_map.num_shards
             exchange = self._shard_host.open_shards(shard_map)
             for shard in range(num_shards):
@@ -500,17 +456,14 @@ class SeatScheduler:
                     )
                 )
 
-        settings = WorkerSettings(
-            **{**options.proof_fields(), "per_property_time": job_time},
-            warm_clauses=tuple(options.warm_clauses),
-        )
+        proof = replace(config.proof_options(), per_property_time=job_time)
+        settings = WorkerSettings(**vars(proof), warm_clauses=tuple(warm_clauses))
         run_id = pool.open_run(ts, settings, exchange)
 
         job = PooledJob(
             run_id,
             ts,
-            options,
-            design_name,
+            config,
             emit,
             order,
             weight=priority,
@@ -528,7 +481,7 @@ class SeatScheduler:
                 name=name,
                 engine=engine,
                 seed=(
-                    derive_seed(options.seed, design_name, name)
+                    derive_seed(config.seed, config.design_name, name)
                     if engine == "rw"
                     else None
                 ),
@@ -536,7 +489,7 @@ class SeatScheduler:
             for name in dispatch
             for engine in slate
         ]
-        job.policy = EngineRace(job) if racing else LocalProofs(job)
+        job.policy = EngineRace(job, slate) if racing else LocalProofs(job)
         self.jobs[run_id] = job
         return job
 
@@ -618,7 +571,7 @@ class SeatScheduler:
             health.delay = 0.0
             verdict = job.policy.result(attempt, outcome)
             if (
-                job.options.stop_on_failure
+                job.config.stop_on_failure
                 and verdict is not None
                 and verdict.status is PropStatus.FAILS
             ):
@@ -1016,33 +969,36 @@ def _cone_descending(ts: TransitionSystem, order: list[str]) -> list[str]:
     return sorted(order, key=lambda n: (-cone_latches(ts, n), position[n]))
 
 
+def _slate(config: VerificationConfig) -> tuple:
+    """The engines attempted per property: the config's strategy being
+    ``portfolio`` is what makes a pooled job a race; ``(None,)`` is the
+    one local proof."""
+    if config.strategy == "portfolio":
+        return parse_engine_slate(config.portfolio_engines)
+    return (None,)
+
+
 def parallel_ja_verify(
     ts: TransitionSystem,
-    options: ParallelOptions | None = None,
-    design_name: str = "design",
+    config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Verify every property of ``ts`` with the process-parallel engine.
+    """Process-parallel JA-verification with live clause exchange (Sec. 11).
 
     Verdicts are the same as sequential JA-verification produces (local
     proofs are independent; clause exchange only changes how fast they
     finish), which the integration suite checks property-by-property.
     """
-    opts = options or ParallelOptions()
-    order = checked_order(ts, opts.order)
-    if not order:
-        report = MultiPropReport(method="parallel-ja", design=design_name)
+    config = config or VerificationConfig()
+    if not ts.properties:
+        report = MultiPropReport(method="parallel-ja", design=config.design_name)
         report.stats = {"mode": "process", "workers": 0, "exchange": 0}
         return report
-    return _run_pooled(ts, opts, design_name, emit, order)
+    return _run_pooled(ts, config, emit)
 
 
 def _run_pooled(
-    ts: TransitionSystem,
-    opts: ParallelOptions,
-    design_name: str,
-    emit: Emit | None,
-    order: list[str],
+    ts: TransitionSystem, config: VerificationConfig, emit: Emit | None
 ) -> MultiPropReport:
     """One job driven to its report on a single-job seat scheduler.
 
@@ -1054,22 +1010,24 @@ def _run_pooled(
     torn down with the run.
     """
     start = time.monotonic()
-    pool = opts.pool
+    order = resolve_order(ts, config.order) or design_order(ts)
+    pool = config.pool
     ephemeral = pool is None
     if ephemeral:
-        attempts = len(order) * len(opts.portfolio_engines or (None,))
-        pool = WorkerPool(
-            workers=opts.resolve_workers(attempts),
-            start_method=opts.start_method,
-        )
+        # One seat per CPU unless the config says otherwise, never more
+        # than there are attempts to seat.
+        attempts = len(order) * len(_slate(config))
+        workers = config.workers if config.workers is not None else os.cpu_count() or 1
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        pool = WorkerPool(workers=min(workers, attempts))
     scheduler = None
     job = None
     try:
         scheduler = SeatScheduler(pool)
         job = scheduler.admit(
             ts,
-            opts,
-            design_name,
+            config,
             emit,
             order,
             pool_label="ephemeral" if ephemeral else "persistent",

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from ..config import VerificationConfig
 from ..engines.result import PropStatus
-from ..multiprop.ordering import checked_order
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
     AttemptCancelled,
@@ -52,7 +52,7 @@ from ..ts.system import TransitionSystem
 from .worker import PropertyJob
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module
-    from .engine import ParallelOptions, PooledJob
+    from .engine import PooledJob
     from .pool import WorkerPool
 
 __all__ = [
@@ -124,9 +124,9 @@ class EngineRace:
 
     method = "portfolio"
 
-    def __init__(self, job: PooledJob) -> None:
+    def __init__(self, job: PooledJob, slate: tuple[str, ...]) -> None:
         self.job = job
-        self.slate: tuple[str, ...] = job.options.portfolio_engines
+        self.slate = slate
         self.races: dict[str, _Race] = {}
         for name in job.order:
             self.races[name] = _Race(job.start, set(self.slate))
@@ -236,7 +236,8 @@ class EngineRace:
     def stats(self, pool: WorkerPool) -> dict:
         return _stats(
             pool.workers,
-            self.job.options,
+            self.slate,
+            self.job.config.seed,
             {
                 name: {
                     "winner": race.winner,
@@ -250,12 +251,12 @@ class EngineRace:
         )
 
 
-def _stats(workers: int, options: ParallelOptions, races: dict) -> dict:
+def _stats(workers: int, slate: tuple[str, ...], seed: int | None, races: dict) -> dict:
     return {
         "mode": "portfolio",
         "workers": workers,
-        "engines": list(options.portfolio_engines),
-        "seed": options.seed,
+        "engines": list(slate),
+        "seed": seed,
         "exchange": 0,
         "portfolio": races,
     }
@@ -263,11 +264,16 @@ def _stats(workers: int, options: ParallelOptions, races: dict) -> dict:
 
 def portfolio_verify(
     ts: TransitionSystem,
-    options: ParallelOptions | None = None,
-    design_name: str = "design",
+    config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Race the engine slate on every property; first verdict wins.
+    """Per-property engine racing: first definitive verdict wins.
+
+    Races the configured slate (``portfolio_engines``, default
+    ``rw,bmc,kind,ic3``) per property as one job on the seat scheduler;
+    a decided property's queued losers are dropped, running ones drain,
+    and the winning engine per property lands in
+    ``report.stats["portfolio"]``.
 
     Verdict parity with sequential JA-verification is structural: every
     engine in the slate decides under the same local (``T^P``)
@@ -276,15 +282,13 @@ def portfolio_verify(
     reported — so whichever attempt wins, the verdict is one sequential
     ``ja`` would also reach.  The parity suite asserts it end to end.
     """
-    from .engine import ParallelOptions, _run_pooled
+    from .engine import _run_pooled
 
-    opts = options or ParallelOptions()
-    opts = replace(
-        opts, portfolio_engines=parse_engine_slate(opts.portfolio_engines)
-    )
-    order = checked_order(ts, opts.order)
-    if not order:
-        report = MultiPropReport(method="portfolio", design=design_name)
-        report.stats = _stats(0, opts, {})
+    # The strategy name is what makes the pooled job a race.
+    config = replace(config or VerificationConfig(), strategy="portfolio")
+    if not ts.properties:
+        report = MultiPropReport(method="portfolio", design=config.design_name)
+        slate = parse_engine_slate(config.portfolio_engines)
+        report.stats = _stats(0, slate, config.seed, {})
         return report
-    return _run_pooled(ts, opts, design_name, emit, order)
+    return _run_pooled(ts, config, emit)

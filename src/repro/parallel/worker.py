@@ -8,7 +8,7 @@ queue.  One job = one property: the worker computes the paper's
 (:func:`repro.ts.projection.assumption_names`), calls
 :func:`repro.multiprop.local.prove` — the same function sequential
 ``ja`` loops over — with the run's shipped
-:class:`~repro.multiprop.local.ProofOptions` and the shard's clause
+:class:`~repro.config.ProofOptions` and the shard's clause
 database, and reports the
 :class:`~repro.multiprop.report.PropOutcome` back on the output queue.
 
@@ -86,12 +86,13 @@ import queue as queue_mod
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from ..config import ProofOptions
 from ..engines.bmc import bmc_check
 from ..engines.kinduction import kinduction_check
 from ..engines.randomwalk import randomwalk_check
 from ..engines.result import EngineResult
 from ..multiprop.clausedb import ClauseDB
-from ..multiprop.local import ProofOptions, outcome_of, prove
+from ..multiprop.local import outcome_of, prove
 from ..multiprop.report import PropOutcome
 from ..progress import ProgressEvent, PropertyStarted
 from ..ts.projection import assumption_names

@@ -25,7 +25,7 @@ Two backends ship builtin:
 The process-wide default backend is ``cdcl``; the ``REPRO_SAT_BACKEND``
 environment variable overrides it (this is how the CI matrix runs the
 whole fast suite on the alternate backend), and every config surface
-(:class:`~repro.session.config.VerificationConfig.solver_backend`,
+(:class:`~repro.config.VerificationConfig.solver_backend`,
 CLI ``--backend``, engine options) overrides the environment.
 """
 
@@ -134,7 +134,7 @@ def register_backend(
 ) -> Callable[[type], type]:
     """Class decorator: register a :class:`SatBackend` factory under ``name``.
 
-    Unlike strategies (stateless adapters, instantiated once), backends
+    Unlike strategies (stateless, instantiated once), backends
     are *factories*: every engine query context gets its own fresh
     solver instance, so the class itself is registered and instantiated
     per :func:`create_solver` call.  Re-registration raises unless

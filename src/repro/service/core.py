@@ -16,9 +16,10 @@ submitter or raises :class:`~repro.service.QueueFull` with
 ``block=False``) until one of ``max_concurrent_jobs`` slots frees up.
 Admitted jobs execute one of two ways:
 
-* **pooled** — ``strategy="parallel-ja"`` or ``"portfolio"``: the
-  job's per-property proofs are *interleaved with every other pooled
-  job's* onto the shared pool's worker seats by the
+* **pooled** — a strategy registered with ``pooled = True``
+  (``parallel-ja``, ``portfolio``): the job's per-property proofs are
+  *interleaved with every other pooled job's* onto the shared pool's
+  worker seats by the
   :class:`~repro.parallel.engine.SeatScheduler` — weighted fair share
   across jobs (seats held per unit of ``priority``), LPT within each
   job, per-job run-id isolation, watchdogs, crash re-dispatch and
@@ -47,7 +48,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import replace
 from typing import Deque
 
 import queue as queue_mod
@@ -66,7 +66,8 @@ from ..progress import (
     ServiceSaturated,
     StatsSnapshot,
 )
-from ..session.config import VerificationConfig, resolve_order
+from ..config import VerificationConfig
+from ..session.core import prepare
 from ..session.registry import get_strategy
 from .jobs import JobHandle, JobStatus, QueueFull
 from .stats import JobStats, ServiceStats, latency_summary
@@ -437,17 +438,7 @@ class VerificationService:
         :class:`~repro.progress.ServiceSaturated` event records the
         back-pressure.
         """
-        from ..session.core import Session
-
-        base = config if config is not None else VerificationConfig()
-        if overrides:
-            base = base.with_overrides(**overrides)
-        ts, design_name = Session._coerce_design(design)
-        if base.design_name == "design" and design_name is not None:
-            base = base.with_overrides(design_name=design_name)
-        base.validate()
-        get_strategy(base.strategy)  # fail fast on unknown strategies
-        order = resolve_order(ts, base.order)
+        ts, base, strategy, order = prepare(design, config, overrides)
         if order is None:
             order = [p.name for p in ts.properties]
         weight = float(priority) if priority is not None else float(base.priority)
@@ -455,11 +446,7 @@ class VerificationService:
             raise ValueError(f"priority must be > 0, got {weight!r}")
         kind = (
             "pool"
-            if (
-                base.strategy in ("parallel-ja", "portfolio")
-                and not self._inline
-                and order
-            )
+            if getattr(strategy, "pooled", False) and not self._inline and order
             else "thread"
         )
 
@@ -741,8 +728,6 @@ class VerificationService:
         )
 
     def _start_pooled(self, record: _JobRecord, announce: bool = True) -> None:
-        from ..session.strategies import parallel_options
-
         self._ensure_scheduler(record)
         if announce:
             self._emit_job(
@@ -759,16 +744,12 @@ class VerificationService:
             if record.remaining_order is not None
             else record.order
         )
-        options = replace(
-            parallel_options(record.ts, record.config),
-            warm_clauses=record.warm_clauses,
-        )
         record.pooled_job = self._scheduler.admit(
             record.ts,
-            options,
-            record.config.design_name,
+            record.config,
             self._guarded_job_emit(record),
             order,
+            warm_clauses=record.warm_clauses,
             priority=record.priority,
             pool_label="persistent",
             job_id=record.handle.job_id,

@@ -33,56 +33,32 @@ New strategies plug in without touching this package or the CLI::
         def run(self, ts, config, emit):
             ...
 
-The SAT solver underneath every engine is pluggable the same way:
+One options record
+------------------
+
+A knob is a :class:`VerificationConfig` field, and nothing else.  Every
+driver (``ja_verify``, ``joint_verify``, ``separate_verify``,
+``clustered_verify``, ``swept_ja_verify``, ``parallel_ja_verify``,
+``portfolio_verify``) has :meth:`Strategy.run`'s signature
+``(ts, config, emit)`` and reads the fields it acts on by name, so a
+value set on the run reaches every method unchanged — the premise of
+the paper's one-axis-at-a-time tables.  A driver that runs another one
+under a narrower budget (``clustered``) hands it
+``dataclasses.replace(config, total_time=...)``.  The one projection is
+``config.proof_options()`` → :class:`~repro.config.ProofOptions`: the
+frozen, picklable nine-knob record
+:func:`~repro.multiprop.local.prove` reads, and the only thing that
+crosses to a pool seat.
+
+The SAT solver underneath every engine is one such knob:
 ``VerificationConfig.solver_backend`` names an entry of the
 :mod:`repro.sat` backend registry (builtin: ``"cdcl"`` and
 ``"cdcl-compact"``; ``None`` defers to the ``REPRO_SAT_BACKEND``
 environment variable, then ``"cdcl"``).  The name is validated at
-session construction and threaded through every strategy adapter,
-including into ``parallel-ja`` worker processes, so one config field
-switches the solver for an entire run::
+session construction and switches the solver for an entire run,
+``parallel-ja`` worker processes included::
 
     Session("design.aag", strategy="ja", solver_backend="cdcl-compact").run()
-
-Migration from the pre-session entry points
--------------------------------------------
-
-The per-driver functions remain available but are deprecated; each maps
-onto :class:`VerificationConfig` fields as follows.  The nine proof
-knobs (``clause_reuse`` … ``per_property_conflicts``) are declared once,
-on :class:`repro.multiprop.local.ProofOptions`, which ``JAOptions``,
-``SeparateOptions`` (= ``JAOptions``), ``ClusterOptions`` and
-``ParallelOptions`` extend — so ``separate`` and ``clustered`` honour
-all of them — and are read from a config in one function,
-:func:`repro.session.strategies.proof_knobs`:
-
-===========================================  ==================================
-old entry point / option                      session equivalent
-===========================================  ==================================
-``ja_verify(ts, JAOptions(...))``             ``Session(ts, strategy="ja", ...)``
-``joint_verify(ts, JointOptions(...))``       ``Session(ts, strategy="joint", ...)``
-``separate_verify(ts, SeparateOptions(...))`` ``Session(ts, strategy="separate", ...)``
-``clustered_verify(ts, ClusterOptions(...))`` ``Session(ts, strategy="clustered", ...)``
-``swept_ja_verify(ts, ...)``                  ``Session(ts, strategy="sweep-ja", ...)``
-``ProofOptions.clause_reuse``                 ``VerificationConfig.clause_reuse``
-``ProofOptions.respect_constraints_in_lifting`` ``VerificationConfig.respect_constraints_in_lifting``
-``ProofOptions.per_property_time``            ``VerificationConfig.per_property_time``
-``ProofOptions.per_property_conflicts``       ``VerificationConfig.per_property_conflicts``
-``*Options.total_time``                       ``VerificationConfig.total_time``
-``JointOptions.total_conflicts``              ``VerificationConfig.total_conflicts``
-``JAOptions.order`` (explicit list)           ``VerificationConfig.order`` (list or
-                                              ``"design" | "cone" | "shuffled:<seed>"``)
-``ProofOptions.coi_reduction`` / ``.ctg``     ``VerificationConfig.coi_reduction`` / ``.ctg``
-``ProofOptions.solver_backend``               ``VerificationConfig.solver_backend``
-``JAOptions.clause_db_path``                  ``VerificationConfig.clause_db_path``
-``*Options.max_frames``                       ``VerificationConfig.max_frames``
-``JointOptions.include_etf``                  ``VerificationConfig.include_etf``
-``ClusterOptions.inner``                      ``VerificationConfig.cluster_inner``
-``ClusterOptions.similarity_threshold``       ``VerificationConfig.similarity_threshold``
-``ProofOptions.engine_overrides``             ``VerificationConfig.engine`` dict
-                                              (``generalize_passes``, ``max_ctgs``)
-``design_name=...`` argument                  ``VerificationConfig.design_name``
-===========================================  ==================================
 
 Process-parallel JA-verification
 --------------------------------
@@ -164,7 +140,7 @@ from ..progress import (
     WorkerStarted,
     format_event,
 )
-from .config import ENGINE_OVERRIDE_KEYS, ConfigError, VerificationConfig, resolve_order
+from ..config import ENGINE_OVERRIDE_KEYS, ConfigError, VerificationConfig, resolve_order
 from .core import Session, load_design
 from .registry import (
     Strategy,

@@ -2,7 +2,7 @@
 
 A session binds a design (path, :class:`~repro.circuit.aig.AIG`, or
 :class:`~repro.ts.system.TransitionSystem`) to one
-:class:`~repro.session.config.VerificationConfig`, resolves the strategy
+:class:`~repro.config.VerificationConfig`, resolves the strategy
 through the registry, and fans progress events out to subscribers.
 Events can be consumed two ways:
 
@@ -21,11 +21,11 @@ import threading
 from collections.abc import Iterator
 
 from ..circuit.aig import AIG
+from ..config import ConfigError, VerificationConfig, resolve_order
 from ..multiprop.report import MultiPropReport
 from ..progress import Emit, ProgressEvent, RunFinished, RunStarted
 from ..ts.system import TransitionSystem
-from .config import ConfigError, VerificationConfig, resolve_order
-from .registry import get_strategy
+from .registry import Strategy, get_strategy
 
 DesignLike = str | os.PathLike | AIG | TransitionSystem
 
@@ -43,6 +43,41 @@ def load_design(path: "str | os.PathLike[str]") -> AIG:
     if path.endswith(".aig"):
         return load_aig(path)
     return load_aag(path)
+
+
+def prepare(
+    design: DesignLike,
+    config: VerificationConfig | None,
+    overrides: dict[str, object],
+) -> tuple[TransitionSystem, VerificationConfig, Strategy, list[str] | None]:
+    """Normalise what ``Session(...)`` and ``service.submit(...)`` accept.
+
+    Applies ``overrides`` on top of ``config`` (or of a default one),
+    loads the design, names the run after the design's path unless the
+    config already names it, and fails fast — before anything is queued
+    — on an invalid config, an unknown strategy or unknown property
+    names in ``order``.  Returns the design, the final config, its
+    strategy and the resolved order (``None``: the design's own).
+    """
+    base = config if config is not None else VerificationConfig()
+    if overrides:
+        base = base.with_overrides(**overrides)
+    if isinstance(design, TransitionSystem):
+        ts = design
+    elif isinstance(design, AIG):
+        ts = TransitionSystem(design)
+    elif isinstance(design, (str, os.PathLike)):
+        path = os.fspath(design)
+        ts = TransitionSystem(load_design(path))
+        if base.design_name == "design":
+            base = base.with_overrides(design_name=path)
+    else:
+        raise ConfigError(
+            f"design must be a path, AIG, or TransitionSystem, "
+            f"not {type(design).__name__}"
+        )
+    base.validate()
+    return ts, base, get_strategy(base.strategy), resolve_order(ts, base.order)
 
 
 class Session:
@@ -63,35 +98,11 @@ class Session:
         on_event: Emit | None = None,
         **overrides: object,
     ) -> None:
-        base = config if config is not None else VerificationConfig()
-        if overrides:
-            base = base.with_overrides(**overrides)
-        self.ts, design_name = self._coerce_design(design)
-        if base.design_name == "design" and design_name is not None:
-            base = base.with_overrides(design_name=design_name)
-        base.validate()
-        get_strategy(base.strategy)  # fail fast on unknown strategies
-        resolve_order(self.ts, base.order)  # ... and on unknown property names
-        self.config = base
+        self.ts, self.config, _, _ = prepare(design, config, overrides)
         self.report: MultiPropReport | None = None
         self._subscribers: list[Emit] = []
         if on_event is not None:
             self.subscribe(on_event)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce_design(design: DesignLike):
-        if isinstance(design, TransitionSystem):
-            return design, None
-        if isinstance(design, AIG):
-            return TransitionSystem(design), None
-        if isinstance(design, (str, os.PathLike)):
-            path = os.fspath(design)
-            return TransitionSystem(load_design(path)), path
-        raise ConfigError(
-            f"design must be a path, AIG, or TransitionSystem, "
-            f"not {type(design).__name__}"
-        )
 
     # ------------------------------------------------------------------
     # Event channel

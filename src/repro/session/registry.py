@@ -19,10 +19,10 @@ touching ``session`` or ``cli`` code:
             ...
             return report
 
-The built-in adapters in :mod:`repro.session.strategies` register the
-paper's four methods (``ja``, ``joint``, ``separate``, ``clustered``),
-the simulation-assisted ``sweep-ja`` pipeline, and the process-parallel
-``parallel-ja`` engine (Section 11) the same way.
+The built-ins need no class: every driver (``ja_verify``,
+``joint_verify``, …) already has ``run``'s signature, so
+:mod:`repro.session.strategies` registers the functions themselves,
+one table row each.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..multiprop.report import MultiPropReport
     from ..progress import Emit
     from ..ts.system import TransitionSystem
-    from .config import VerificationConfig
+    from ..config import VerificationConfig
 
 
 class UnknownStrategyError(KeyError):
@@ -56,10 +56,15 @@ class UnknownStrategyError(KeyError):
 class Strategy(Protocol):
     """What `Session` requires of a pluggable verification method.
 
-    A strategy whose verdicts are *global* (no property assumed while
-    another is proved) sets a class attribute ``local = False``; the
-    proof cache then certifies stored witnesses for it with no
-    assumptions.  Absent, the strategy is taken to be local, like ``ja``.
+    Two optional attributes tell the service how to host it.  A
+    strategy whose verdicts are *global* (no property assumed while
+    another is proved) sets ``local = False``; the proof cache then
+    certifies stored witnesses for it with no assumptions.  Absent, the
+    strategy is taken to be local, like ``ja``.  A strategy whose
+    properties are proved on the shared pool's seats sets
+    ``pooled = True``; a :class:`~repro.service.VerificationService`
+    then admits the job to its seat scheduler instead of calling
+    ``run`` on a thread.  Absent, the strategy runs threaded.
     """
 
     name: str
@@ -82,22 +87,26 @@ def register_strategy(
 ) -> Callable[[type], type]:
     """Class decorator: instantiate and register a strategy under ``name``.
 
-    The decorated class is instantiated once (strategies are stateless
-    adapters; per-run state belongs in the drivers they wrap) and its
-    ``name`` attribute is set to the registered name.  Re-registration
-    raises unless ``replace=True`` — silent shadowing of a built-in
-    would be a debugging nightmare.
+    The decorated class is instantiated once (strategies are
+    stateless; per-run state belongs in the run) and its ``name``
+    attribute is set to the registered name.  Re-registration raises
+    unless ``replace=True`` — silent shadowing of a built-in would be a
+    debugging nightmare.
     """
 
     def decorator(cls: type) -> type:
-        if name in _REGISTRY and not replace:
-            raise ValueError(f"strategy {name!r} is already registered")
-        instance = cls()
-        instance.name = name
-        _REGISTRY[name] = instance
+        add_strategy(name, cls(), replace=replace)
         return cls
 
     return decorator
+
+
+def add_strategy(name: str, strategy: Strategy, *, replace: bool = False) -> None:
+    """Register a strategy *object* under ``name`` (and name it so)."""
+    if name in _REGISTRY and not replace:
+        raise ValueError(f"strategy {name!r} is already registered")
+    strategy.name = name
+    _REGISTRY[name] = strategy
 
 
 def unregister_strategy(name: str) -> None:
@@ -121,6 +130,6 @@ def available_strategies() -> dict[str, str]:
     """
     out: dict[str, str] = {}
     for name in sorted(_REGISTRY):
-        doc = (type(_REGISTRY[name]).__doc__ or "").strip()
+        doc = (_REGISTRY[name].__doc__ or "").strip()
         out[name] = doc.splitlines()[0] if doc else ""
     return out

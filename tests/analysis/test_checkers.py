@@ -291,7 +291,7 @@ def test_config_hygiene_dead_unreachable_unvalidated_fields():
     result = run_checker(
         "config-hygiene",
         {
-            "src/repro/session/config.py": CONFIG_PY,
+            "src/repro/config.py": CONFIG_PY,
             "src/repro/cli.py": CLI_PY,
             "src/repro/runner.py": CONSUMER_PY,
         },

@@ -11,7 +11,8 @@ from repro.cache.store import ProofStore
 from repro.circuit.aig import AIG, aig_not
 from repro.engines.result import PropStatus
 from repro.gen.counter import fixed_counter
-from repro.multiprop.ja import JAOptions, JAVerifier
+from repro.multiprop.ja import JAVerifier
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
@@ -152,7 +153,7 @@ class TestPoisoning:
         ts = _counter_ts()
         resolver = CacheResolver(store)
         outcomes, remaining = resolver.resolve(ts, ["P0", "P1"])
-        report = JAVerifier(ts, JAOptions(order=remaining)).run()
+        report = JAVerifier(ts, VerificationConfig(order=remaining)).run()
         merged = dict(outcomes)
         merged.update(report.outcomes)
         assert merged["P0"].status is PropStatus.FAILS
@@ -181,7 +182,7 @@ class TestIncremental:
         edited = _two_cones(b_init=1)
         resolver = CacheResolver(store)
         _, remaining = resolver.resolve(edited, ["Pa", "Pb"])
-        report = JAVerifier(edited, JAOptions(order=remaining)).run()
+        report = JAVerifier(edited, VerificationConfig(order=remaining)).run()
         assert report.outcomes["Pb"].status is PropStatus.FAILS
         resolver.record_outcomes(edited, report.outcomes)
         outcomes, remaining = resolver.resolve(_two_cones(b_init=1), ["Pa", "Pb"])

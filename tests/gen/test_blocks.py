@@ -14,8 +14,7 @@ from repro.gen.blocks import (
     lfsr_ballast,
     token_ring_slice,
 )
-from repro.multiprop.ja import ja_verify
-from repro.multiprop.separate import separate_verify
+from repro.multiprop.ja import ja_verify, separate_verify
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
 

@@ -13,7 +13,8 @@ from repro.gen.families import (
     huge_design,
     large_design,
 )
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.ja import ja_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
@@ -53,7 +54,7 @@ class TestFailingStructure:
     def test_debugging_set_is_the_guards(self, name):
         aig = FAILING_SPECS[name].build()
         ts = TransitionSystem(aig)
-        report = ja_verify(ts, design_name=name)
+        report = ja_verify(ts, VerificationConfig(design_name=name))
         assert not report.unsolved()
         debug = report.debugging_set()
         expected_guards = sorted(
@@ -63,12 +64,12 @@ class TestFailingStructure:
 
     def test_debugging_set_smaller_than_global_failures(self):
         # The defining Table III property, checked on one mid-size design.
-        from repro.multiprop.separate import SeparateOptions, separate_verify
+        from repro.multiprop.ja import separate_verify
 
         aig = FAILING_SPECS["f254"].build()
         ts = TransitionSystem(aig)
         ja = ja_verify(ts)
-        sep = separate_verify(ts, SeparateOptions(per_property_time=1.0))
+        sep = separate_verify(ts, VerificationConfig(per_property_time=1.0))
         assert len(ja.debugging_set()) < len(sep.false_props())
 
 
@@ -76,7 +77,7 @@ class TestAllTrueStructure:
     @pytest.mark.parametrize("name", ["t135", "t256", "t273", "tbob"])
     def test_everything_holds(self, name):
         aig = ALL_TRUE_SPECS[name].build()
-        report = ja_verify(TransitionSystem(aig), design_name=name)
+        report = ja_verify(TransitionSystem(aig), VerificationConfig(design_name=name))
         assert not report.debugging_set()
         assert not report.unsolved()
 
@@ -91,7 +92,7 @@ class TestHugeDesign:
     def test_sampled_properties_hold_locally(self):
         ts = TransitionSystem(huge_design(chain_depth=20))
         report = ja_verify(
-            ts, JAOptions(order=["c0_C5", "c0_C15"], clause_reuse=False)
+            ts, VerificationConfig(order=["c0_C5", "c0_C15"], clause_reuse=False)
         )
         assert report.outcomes["c0_C5"].status.value == "holds"
         assert report.outcomes["c0_C15"].status.value == "holds"

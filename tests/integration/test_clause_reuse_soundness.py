@@ -15,7 +15,8 @@ from __future__ import annotations
 from repro.engines.ic3 import IC3Options, ic3_check
 from repro.gen.random_designs import random_design
 from repro.multiprop.clausedb import ClauseDB
-from repro.multiprop.ja import JAOptions, JAVerifier
+from repro.multiprop.ja import JAVerifier
+from repro.session import VerificationConfig
 from repro.ts.projection import ProjectedReachability, assumption_names
 from repro.ts.system import TransitionSystem
 from tests.engines.test_ic3 import check_invariant
@@ -26,14 +27,14 @@ class TestReuseNeverChangesVerdicts:
         for seed in range(60):
             ts = TransitionSystem(random_design(seed))
             gt = ProjectedReachability(ts)
-            verifier = JAVerifier(ts, JAOptions(clause_reuse=True))
+            verifier = JAVerifier(ts, VerificationConfig(clause_reuse=True))
             report = verifier.run()
             assert report.debugging_set() == sorted(gt.debugging_set()), seed
 
     def test_certificates_always_valid(self):
         for seed in range(25):
             ts = TransitionSystem(random_design(seed))
-            verifier = JAVerifier(ts, JAOptions(clause_reuse=True))
+            verifier = JAVerifier(ts, VerificationConfig(clause_reuse=True))
             verifier.run()
             for name, result in verifier.results.items():
                 if result.holds:

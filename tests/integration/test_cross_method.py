@@ -11,9 +11,8 @@ from repro.engines.kinduction import kinduction_check
 from repro.engines.result import PropStatus
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.ja import ja_verify, separate_verify
 from repro.multiprop.joint import joint_verify
-from repro.multiprop.separate import separate_verify
 from repro.ts.system import TransitionSystem
 
 

@@ -8,12 +8,12 @@ from repro.circuit.aig import AIG
 from repro.gen.blocks import hold_slice, token_ring_slice
 from repro.gen.random_designs import random_design
 from repro.multiprop.clustering import (
-    ClusterOptions,
     cluster_properties,
     clustered_verify,
     jaccard,
 )
-from repro.multiprop.separate import separate_verify
+from repro.multiprop.ja import separate_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
@@ -79,23 +79,17 @@ class TestClusteredVerify:
 
         for seed in range(8):
             ts = TransitionSystem(random_design(seed))
-            report = clustered_verify(ts, ClusterOptions(inner="ja"))
+            report = clustered_verify(ts, VerificationConfig(cluster_inner="ja"))
             assert not report.unsolved(), seed
             flat = separate_verify(ts)
             full_ja = ja_verify(ts)
             assert set(full_ja.debugging_set()) <= set(report.false_props()), seed
             assert set(report.false_props()) <= set(flat.false_props()), seed
 
-    def test_without_coi_reduction(self):
-        ts = TransitionSystem(random_design(3))
-        with_coi = clustered_verify(ts, ClusterOptions(use_coi_reduction=True))
-        without = clustered_verify(ts, ClusterOptions(use_coi_reduction=False))
-        assert with_coi.false_props() == without.false_props()
-
     def test_rejects_bad_inner(self):
         ts = TransitionSystem(random_design(0))
         with pytest.raises(ValueError):
-            clustered_verify(ts, ClusterOptions(inner="magic"))
+            clustered_verify(ts, VerificationConfig(cluster_inner="magic"))
 
     def test_stats_report_clusters(self):
         ts = TransitionSystem(random_design(1))

@@ -9,7 +9,8 @@ from repro.engines.result import PropStatus
 from repro.gen.blocks import guarded_counter_slice, token_ring_slice
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import JAOptions, JAVerifier, ja_verify
+from repro.multiprop.ja import JAVerifier, ja_verify
+from repro.session import ConfigError, VerificationConfig
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
 
@@ -47,8 +48,8 @@ class TestAgainstGroundTruth:
     def test_both_lifting_modes_agree(self):
         for seed in range(25):
             ts = TransitionSystem(random_design(seed))
-            fast = ja_verify(ts, JAOptions(respect_constraints_in_lifting=False))
-            slow = ja_verify(ts, JAOptions(respect_constraints_in_lifting=True))
+            fast = ja_verify(ts, VerificationConfig(respect_constraints_in_lifting=False))
+            slow = ja_verify(ts, VerificationConfig(respect_constraints_in_lifting=True))
             assert fast.debugging_set() == slow.debugging_set(), seed
 
     def test_spurious_reruns_happen_and_are_corrected(self):
@@ -64,8 +65,8 @@ class TestAgainstGroundTruth:
     def test_clause_reuse_does_not_change_verdicts(self):
         for seed in range(30):
             ts = TransitionSystem(random_design(seed))
-            with_reuse = ja_verify(ts, JAOptions(clause_reuse=True))
-            without = ja_verify(ts, JAOptions(clause_reuse=False))
+            with_reuse = ja_verify(ts, VerificationConfig(clause_reuse=True))
+            without = ja_verify(ts, VerificationConfig(clause_reuse=False))
             for name in with_reuse.outcomes:
                 assert (
                     with_reuse.outcomes[name].status
@@ -144,27 +145,27 @@ class TestETF:
 
 class TestOptions:
     def test_order_override(self, counter4):
-        report = ja_verify(counter4, JAOptions(order=["P1", "P0"]))
+        report = ja_verify(counter4, VerificationConfig(order=["P1", "P0"]))
         assert set(report.outcomes) == {"P0", "P1"}
 
     def test_bad_order_rejected(self, counter4):
-        with pytest.raises(KeyError):
-            ja_verify(counter4, JAOptions(order=["nope"]))
+        with pytest.raises(ConfigError):
+            ja_verify(counter4, VerificationConfig(order=["nope"]))
 
     def test_per_property_budget_gives_unknown(self):
         aig = AIG()
         guarded_counter_slice(aig, "s", 6, 2, [20, 30])
         ts = TransitionSystem(aig)
-        report = ja_verify(ts, JAOptions(per_property_time=0.0))
+        report = ja_verify(ts, VerificationConfig(per_property_time=0.0))
         assert report.unsolved()
 
     def test_total_time_budget(self, counter4):
-        report = ja_verify(counter4, JAOptions(total_time=0.0))
+        report = ja_verify(counter4, VerificationConfig(total_time=0.0))
         assert len(report.unsolved()) == 2
 
     def test_clause_db_persisted(self, counter4, tmp_path):
         path = str(tmp_path / "clauses.db")
-        verifier = JAVerifier(counter4, JAOptions(clause_db_path=path))
+        verifier = JAVerifier(counter4, VerificationConfig(clause_db_path=path))
         verifier.run()
         from repro.multiprop.clausedb import ClauseDB
 

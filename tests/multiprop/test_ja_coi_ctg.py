@@ -5,7 +5,8 @@ from __future__ import annotations
 from repro.engines.ic3 import IC3Options, ic3_check
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.ja import ja_verify
+from repro.session import VerificationConfig
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
 
@@ -15,7 +16,7 @@ class TestCoiJA:
         for seed in range(40):
             ts = TransitionSystem(random_design(seed))
             gt = ProjectedReachability(ts)
-            report = ja_verify(ts, JAOptions(coi_reduction=True))
+            report = ja_verify(ts, VerificationConfig(coi_reduction=True))
             assert not report.unsolved(), seed
             assert report.debugging_set() == sorted(gt.debugging_set()), seed
 
@@ -23,7 +24,7 @@ class TestCoiJA:
         # P0 and P1 interact only through the `req` input; the COI fixpoint
         # must keep P0 as an assumption when reducing for P1.
         ts = TransitionSystem(buggy_counter(5))
-        report = ja_verify(ts, JAOptions(coi_reduction=True))
+        report = ja_verify(ts, VerificationConfig(coi_reduction=True))
         assert report.debugging_set() == ["P0"]
         assert report.true_props() == ["P1"]
         assert report.outcomes["P1"].assumed == ["P0"]
@@ -40,7 +41,7 @@ class TestCoiJA:
         token_ring_slice(aig, "r", 4)
         ts = TransitionSystem(aig)
         plain = ja_verify(ts)
-        reduced = ja_verify(ts, JAOptions(coi_reduction=True))
+        reduced = ja_verify(ts, VerificationConfig(coi_reduction=True))
         assert plain.true_props() == reduced.true_props()
         assert reduced.total_time <= plain.total_time
 
@@ -49,7 +50,7 @@ class TestCoiJA:
 
         for seed in range(15):
             ts = TransitionSystem(random_design(seed))
-            verifier = JAVerifier(ts, JAOptions(coi_reduction=True))
+            verifier = JAVerifier(ts, VerificationConfig(coi_reduction=True))
             verifier.run()
             for name, result in verifier.results.items():
                 if result.cex is not None:
@@ -61,7 +62,7 @@ class TestCoiJA:
         from repro.multiprop.ja import JAVerifier
 
         ts = TransitionSystem(buggy_counter(4))
-        verifier = JAVerifier(ts, JAOptions(coi_reduction=True))
+        verifier = JAVerifier(ts, VerificationConfig(coi_reduction=True))
         verifier.run()
         result = verifier.results["P1"]
         assert result.holds
@@ -93,5 +94,5 @@ class TestCtg:
         assert result.stats.get("ctg_blocked", 0) > 0
 
     def test_ctg_with_ja(self, counter4):
-        report = ja_verify(counter4, JAOptions(ctg=True))
+        report = ja_verify(counter4, VerificationConfig(ctg=True))
         assert report.debugging_set() == ["P0"]

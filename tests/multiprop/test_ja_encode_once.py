@@ -20,12 +20,13 @@ from __future__ import annotations
 import pytest
 
 from repro.gen import all_true_designs, failing_designs
-from repro.multiprop.ja import JAOptions, JAVerifier
+from repro.multiprop.ja import JAVerifier
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 #: design -> property -> (status, frames, IC3 clause_insertions, invariant),
 #: status/frames/invariant recorded at 759c48e on the `cdcl` backend, other
-#: JAOptions at their defaults (clause_insertions: see the module docstring).
+#: ``ja`` at its default knobs (clause_insertions: see the module docstring).
 PINNED = {
     "f175": {
         "s0_G": ("FAILS", 2, 315, None),
@@ -49,8 +50,8 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_ja_builds_at_most_three_templates_and_changes_no_result(name, encoder_runs):
     ts = TransitionSystem({**failing_designs(), **all_true_designs()}[name])
-    verifier = JAVerifier(ts, JAOptions(solver_backend="cdcl"))
-    verifier.run(name)
+    verifier = JAVerifier(ts, VerificationConfig(solver_backend="cdcl", design_name=name))
+    verifier.run()
 
     assert len(ts.properties) == len(PINNED[name]) > 3
     # However many properties: one encoder run per frame kind, each into

@@ -5,7 +5,8 @@ from __future__ import annotations
 from repro.circuit.aig import AIG, aig_not
 from repro.engines.result import PropStatus
 from repro.gen.random_designs import random_design
-from repro.multiprop.joint import JointOptions, joint_verify
+from repro.multiprop.joint import joint_verify
+from repro.session import VerificationConfig
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
 
@@ -51,13 +52,13 @@ class TestAgainstGroundTruth:
 
 class TestBudgets:
     def test_zero_budget_reports_all_unknown(self, counter4):
-        report = joint_verify(counter4, JointOptions(total_time=0.0))
+        report = joint_verify(counter4, VerificationConfig(total_time=0.0))
         assert len(report.unsolved()) == 2
 
     def test_conflict_budget(self):
         aig = random_design(3)
         ts = TransitionSystem(aig)
-        report = joint_verify(ts, JointOptions(total_conflicts=0))
+        report = joint_verify(ts, VerificationConfig(total_conflicts=0))
         # With a zero conflict budget at most the trivial iteration runs.
         assert len(report.outcomes) == len(ts.properties)
 

@@ -10,9 +10,10 @@ import pytest
 import repro
 from repro.gen import all_true_designs, failing_designs
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import JAOptions, JAVerifier
+from repro.multiprop.ja import JAVerifier
 from repro.multiprop.parallel import measure_local_proofs
 from repro.parallel.worker import PropertyJob, WorkerSettings, _ActiveRun, _execute
+from repro.session import VerificationConfig
 from repro.ts import ProjectedReachability
 from repro.ts.system import TransitionSystem
 
@@ -47,7 +48,7 @@ class _Outbox(list):
 @pytest.mark.parametrize("name", ["f175", "t256"])
 def test_a_seat_and_the_sequential_loop_prove_alike(name):
     aig = {**failing_designs(), **all_true_designs()}[name]
-    sequential = JAVerifier(TransitionSystem(aig), JAOptions()).run(name)
+    sequential = JAVerifier(TransitionSystem(aig), VerificationConfig(design_name=name)).run()
 
     ts = TransitionSystem(aig)
     run = _ActiveRun(run_id=1, ts=ts, settings=WorkerSettings(), exchange=None)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from repro.circuit.aig import AIG, aig_not
 from repro.gen.blocks import good_chain_slice, token_ring_slice
-from repro.multiprop.ja import JAOptions, ja_verify
+from repro.multiprop.ja import ja_verify
 from repro.multiprop.ordering import by_cone_size, design_order, shuffled
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
@@ -44,8 +45,8 @@ class TestOrders:
 class TestOrderAffectsRunButNotVerdicts:
     def test_all_orders_same_verdicts(self):
         ts = _mixed_design()
-        baseline = ja_verify(ts, JAOptions(order=design_order(ts)))
+        baseline = ja_verify(ts, VerificationConfig(order=design_order(ts)))
         for order in (by_cone_size(ts), shuffled(ts, 1), shuffled(ts, 2)):
-            report = ja_verify(ts, JAOptions(order=list(order)))
+            report = ja_verify(ts, VerificationConfig(order=list(order)))
             assert report.true_props() == baseline.true_props()
             assert report.debugging_set() == baseline.debugging_set()

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.engines.result import PropStatus
 from repro.gen.random_designs import random_design
-from repro.multiprop.separate import SeparateOptions, separate_verify
+from repro.multiprop.ja import separate_verify
+from repro.session import VerificationConfig
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
 
@@ -36,8 +37,8 @@ class TestAgainstGroundTruth:
     def test_reuse_does_not_change_verdicts(self):
         for seed in range(25):
             ts = TransitionSystem(random_design(seed))
-            with_reuse = separate_verify(ts, SeparateOptions(clause_reuse=True))
-            without = separate_verify(ts, SeparateOptions(clause_reuse=False))
+            with_reuse = separate_verify(ts, VerificationConfig(clause_reuse=True))
+            without = separate_verify(ts, VerificationConfig(clause_reuse=False))
             for name in with_reuse.outcomes:
                 assert (
                     with_reuse.outcomes[name].status == without.outcomes[name].status
@@ -59,15 +60,15 @@ class TestAgainstGroundTruth:
 class TestBudgets:
     def test_per_property_conflicts(self):
         ts = TransitionSystem(random_design(0))
-        report = separate_verify(ts, SeparateOptions(per_property_conflicts=0))
+        report = separate_verify(ts, VerificationConfig(per_property_conflicts=0))
         # Tiny designs may still solve within the first unbudgeted query;
         # the run must at least terminate with a verdict for everything.
         assert len(report.outcomes) == len(ts.properties)
 
     def test_total_time_zero(self, counter4):
-        report = separate_verify(counter4, SeparateOptions(total_time=0.0))
+        report = separate_verify(counter4, VerificationConfig(total_time=0.0))
         assert len(report.unsolved()) == 2
 
     def test_order_respected(self, counter4):
-        report = separate_verify(counter4, SeparateOptions(order=["P1", "P0"]))
+        report = separate_verify(counter4, VerificationConfig(order=["P1", "P0"]))
         assert list(report.outcomes) == ["P1", "P0"]

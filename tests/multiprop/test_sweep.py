@@ -71,7 +71,7 @@ class TestSweptJA:
     def test_verdicts_match_plain_ja(self, counter4):
         from repro.multiprop.ja import ja_verify
 
-        swept = swept_ja_verify(counter4, sweep_runs=8, sweep_depth=8)
+        swept = swept_ja_verify(counter4)
         plain = ja_verify(counter4)
         assert swept.debugging_set() == plain.debugging_set()
         assert swept.method == "sweep+ja"

@@ -21,9 +21,10 @@ import pytest
 
 from repro.engines.result import PropStatus
 from repro.multiprop.report import PropOutcome
-from repro.parallel import ParallelOptions, SeatScheduler
+from repro.parallel import SeatScheduler
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import pool_worker_main  # real entry, pre-patch
+from repro.session import VerificationConfig
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -137,7 +138,8 @@ def _scheduler(pool, **kwargs) -> SeatScheduler:
 
 
 def _admit(scheduler, names, *, priority=1.0, max_seats=None, job_id=None):
-    options = ParallelOptions(
+    config = VerificationConfig(
+        design_name="stub-design",
         workers=scheduler.pool.workers,
         exchange=False,
         order=list(names),
@@ -145,8 +147,7 @@ def _admit(scheduler, names, *, priority=1.0, max_seats=None, job_id=None):
     )
     return scheduler.admit(
         object(),  # the stub never touches the design
-        options,
-        "stub-design",
+        config,
         None,
         list(names),
         priority=priority,

@@ -8,7 +8,6 @@ import pytest
 
 from repro.engines.result import PropStatus
 from repro.parallel import (
-    ParallelOptions,
     SeatScheduler,
     WorkerPool,
     parallel_ja_verify,
@@ -18,14 +17,14 @@ from repro.progress import (
     PropertySolved,
     WorkerStarted,
 )
-from repro.session import Session
+from repro.session import ConfigError, Session, VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
 class TestEngine:
     def test_verdicts_and_stats(self, toggler):
         report = parallel_ja_verify(
-            toggler, ParallelOptions(workers=2), design_name="toggler"
+            toggler, VerificationConfig(workers=2, design_name="toggler")
         )
         assert report.method == "parallel-ja"
         assert report.design == "toggler"
@@ -36,7 +35,7 @@ class TestEngine:
         assert report.stats["worker_crashes"] == 0
 
     def test_outcomes_follow_dispatch_order(self, counter4):
-        options = ParallelOptions(workers=2, order=["P1", "P0"])
+        options = VerificationConfig(workers=2, order=["P1", "P0"])
         report = parallel_ja_verify(counter4, options)
         assert list(report.outcomes) == ["P1", "P0"]
 
@@ -49,30 +48,30 @@ class TestEngine:
         assert report.outcomes == {}
 
     def test_unknown_order_name_rejected(self, toggler):
-        with pytest.raises(KeyError):
-            parallel_ja_verify(toggler, ParallelOptions(order=["nope"]))
+        with pytest.raises(ConfigError):
+            parallel_ja_verify(toggler, VerificationConfig(order=["nope"]))
 
     def test_invalid_worker_count_rejected(self, toggler):
         with pytest.raises(ValueError):
-            parallel_ja_verify(toggler, ParallelOptions(workers=0))
+            parallel_ja_verify(toggler, VerificationConfig(workers=0))
 
     def test_worker_events_are_merged(self, toggler):
         events = []
-        parallel_ja_verify(toggler, ParallelOptions(workers=2), emit=events.append)
+        parallel_ja_verify(toggler, VerificationConfig(workers=2), emit=events.append)
         assert sum(isinstance(e, WorkerStarted) for e in events) == 2
         solved = [e for e in events if isinstance(e, PropertySolved)]
         assert {e.name for e in solved} == {"never_r", "never_q"}
 
     def test_exchange_off_shares_nothing(self, counter4):
         report = parallel_ja_verify(
-            counter4, ParallelOptions(workers=2, exchange=False)
+            counter4, VerificationConfig(workers=2, exchange=False)
         )
         assert report.stats["exchange"] == 0
         assert report.stats["exchange_clauses"] == 0
 
     def test_clause_reuse_off_disables_exchange(self, counter4):
         report = parallel_ja_verify(
-            counter4, ParallelOptions(workers=2, clause_reuse=False)
+            counter4, VerificationConfig(workers=2, clause_reuse=False)
         )
         assert report.stats["exchange"] == 0
 
@@ -91,7 +90,7 @@ class TestEngine:
             scheduler = SeatScheduler(pool)
             try:
                 job = scheduler.admit(
-                    counter4, ParallelOptions(), "counter4", None, ["P0", "P1"]
+                    counter4, VerificationConfig(), None, ["P0", "P1"]
                 )
                 scheduler.drive()
                 assert job.use_exchange and job.error is None
@@ -106,7 +105,7 @@ class TestEarlyCancellation:
         # One worker, failing property first: everything behind it in
         # the queue must be cancelled deterministically.
         events = []
-        options = ParallelOptions(
+        options = VerificationConfig(
             workers=1, stop_on_failure=True, order=["never_q", "never_r"]
         )
         report = parallel_ja_verify(toggler, options, emit=events.append)
@@ -121,7 +120,7 @@ class TestEarlyCancellation:
 
     def test_zero_total_time_cancels_everything(self, toggler):
         report = parallel_ja_verify(
-            toggler, ParallelOptions(workers=2, total_time=0.0)
+            toggler, VerificationConfig(workers=2, total_time=0.0)
         )
         assert all(
             o.status is PropStatus.UNKNOWN for o in report.outcomes.values()
@@ -140,7 +139,5 @@ class TestSessionIntegration:
         assert session.report is not None
 
     def test_workers_validated_by_config(self, toggler):
-        from repro.session import ConfigError
-
         with pytest.raises(ConfigError):
             Session(toggler, strategy="parallel-ja", workers=0)

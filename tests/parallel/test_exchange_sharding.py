@@ -24,6 +24,7 @@ from repro.parallel.exchange import (
     build_shard_map,
     shard_clusters,
 )
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
@@ -227,7 +228,7 @@ class TestWorkerSideIsolation:
         exchange routes strictly, and the worker's local clause
         database has to match (one DB per shard per run)."""
         from repro.circuit.aig import AIG, aig_not
-        from repro.parallel import ParallelOptions, parallel_ja_verify
+        from repro.parallel import parallel_ja_verify
         from repro.progress import ClauseImport
 
         aig = AIG()
@@ -241,7 +242,7 @@ class TestWorkerSideIsolation:
         events = []
         report = parallel_ja_verify(
             ts,
-            ParallelOptions(
+            VerificationConfig(
                 workers=1,
                 exchange_shards=2,
                 order=["never_r", "never_s"],
@@ -308,9 +309,9 @@ class TestBatchedFetchReplies:
         )
 
     def test_engine_reports_fetch_batches_per_shard(self):
-        from repro.parallel import ParallelOptions, parallel_ja_verify
+        from repro.parallel import parallel_ja_verify
 
         ts = TransitionSystem(buggy_counter(bits=4))
-        report = parallel_ja_verify(ts, ParallelOptions(workers=2))
+        report = parallel_ja_verify(ts, VerificationConfig(workers=2))
         for shard_stats in report.stats["exchange_per_shard"]:
             assert "fetch_batches" in shard_stats

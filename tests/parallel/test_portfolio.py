@@ -27,18 +27,17 @@ from hypothesis import strategies as st
 
 from repro.engines.randomwalk import derive_seed
 from repro.engines.result import PropStatus
-from repro.multiprop.ja import JAOptions, JAVerifier
+from repro.multiprop.ja import JAVerifier
 from repro.multiprop.report import PropOutcome
 from repro.gen.random_designs import random_design
 from repro.parallel import (
     ENGINE_NAMES,
-    ParallelOptions,
     SeatScheduler,
     parse_engine_slate,
     portfolio_verify,
 )
 from repro.progress import AttemptCancelled, AttemptStarted, PortfolioDecided
-from repro.session.config import ConfigError, VerificationConfig
+from repro.session import ConfigError, VerificationConfig
 from repro.ts.system import TransitionSystem
 from tests.parallel.test_backoff import _pump, _StubPool
 
@@ -80,7 +79,7 @@ class TestParityWithSequentialJA:
 
     @staticmethod
     def _sequential(ts: TransitionSystem, backend: str) -> dict[str, PropStatus]:
-        report = JAVerifier(ts, JAOptions(solver_backend=backend)).run("seq")
+        report = JAVerifier(ts, VerificationConfig(solver_backend=backend)).run()
         return {name: o.status for name, o in report.outcomes.items()}
 
     @given(design_seed=st.integers(min_value=0, max_value=400))
@@ -91,7 +90,7 @@ class TestParityWithSequentialJA:
             expected = self._sequential(ts, backend)
             report = portfolio_verify(
                 ts,
-                ParallelOptions(
+                VerificationConfig(
                     workers=2, solver_backend=backend, seed=design_seed
                 ),
             )
@@ -108,7 +107,7 @@ class TestParityWithSequentialJA:
             expected = self._sequential(counter4, backend)
             report = portfolio_verify(
                 counter4,
-                ParallelOptions(workers=2, solver_backend=backend, seed=0),
+                VerificationConfig(workers=2, solver_backend=backend, seed=0),
             )
             assert {n: o.status for n, o in report.outcomes.items()} == expected
             assert report.stats["mode"] == "portfolio"
@@ -121,13 +120,14 @@ def _race(ts, order, engines, *, workers=2, events=None, **options):
     scheduler = SeatScheduler(pool)
     job = scheduler.admit(
         ts,
-        ParallelOptions(
+        VerificationConfig(
+            strategy="portfolio",
+            design_name="stub-design",
             workers=workers,
-            portfolio_engines=engines,
+            portfolio_engines=",".join(engines),
             order=list(order),
             **options,
         ),
-        "stub-design",
         events.append if events is not None else None,
         list(order),
         job_id="race",
@@ -385,11 +385,12 @@ class TestOneJobOnTheScheduler:
         delivered: list = []
         pool = _StubPool(workers=2)
         scheduler = SeatScheduler(pool)
-        options = ParallelOptions(workers=2, order=["never_q"])
+        options = VerificationConfig(
+            design_name="stub-design", workers=2, order=["never_q"]
+        )
         race = scheduler.admit(
             toggler,
-            replace(options, portfolio_engines=("rw", "bmc")),
-            "stub-design",
+            replace(options, strategy="portfolio", portfolio_engines="rw,bmc"),
             None,
             ["never_q"],
             job_id="race",
@@ -406,7 +407,6 @@ class TestOneJobOnTheScheduler:
         follow = scheduler.admit(
             toggler,
             replace(options, order=["never_r", "never_q"]),
-            "stub-design",
             None,
             ["never_r", "never_q"],
             job_id="follow",

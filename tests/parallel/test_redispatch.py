@@ -16,10 +16,11 @@ import pytest
 
 from repro.engines.result import PropStatus
 from repro.gen.counter import buggy_counter
-from repro.parallel import ParallelOptions, parallel_ja_verify
+from repro.parallel import parallel_ja_verify
 from repro.parallel import engine as engine_mod
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import pool_worker_main  # real entry, pre-patch
+from repro.session import VerificationConfig
 from repro.progress import PropertyRequeued
 from repro.ts.system import TransitionSystem
 
@@ -96,7 +97,7 @@ class TestCrashRedispatch:
         events = []
         report = parallel_ja_verify(
             toggler,
-            ParallelOptions(workers=2, start_method="fork"),
+            VerificationConfig(workers=2),
             emit=events.append,
         )
         # The crashed worker's job was recovered: no UNKNOWN verdicts.
@@ -117,7 +118,7 @@ class TestCrashRedispatch:
             worker_mod, "pool_worker_main", _crash_before_ready(marker)
         )
         report = parallel_ja_verify(
-            toggler, ParallelOptions(workers=2, start_method="fork")
+            toggler, VerificationConfig(workers=2)
         )
         # The dead worker never held a job, so nothing was lost: the
         # survivor works through the whole backlog and the run
@@ -136,7 +137,7 @@ class TestCrashRedispatch:
 
         monkeypatch.setattr(worker_mod, "pool_worker_main", die_immediately)
         report = parallel_ja_verify(
-            toggler, ParallelOptions(workers=2, start_method="fork")
+            toggler, VerificationConfig(workers=2)
         )
         assert all(
             o.status is PropStatus.UNKNOWN for o in report.outcomes.values()
@@ -162,14 +163,14 @@ class TestSizeAwareDispatch:
 
     def test_report_keeps_property_order(self):
         ts = TransitionSystem(buggy_counter(bits=4))
-        report = parallel_ja_verify(ts, ParallelOptions(workers=1))
+        report = parallel_ja_verify(ts, VerificationConfig(workers=1))
         assert list(report.outcomes) == [p.name for p in ts.properties]
         assert report.stats["dispatch"] == "cone-desc"
 
     def test_explicit_order_wins_over_size_dispatch(self, toggler):
         report = parallel_ja_verify(
             toggler,
-            ParallelOptions(workers=1, order=["never_q", "never_r"]),
+            VerificationConfig(workers=1, order=["never_q", "never_r"]),
         )
         assert list(report.outcomes) == ["never_q", "never_r"]
         assert report.stats["dispatch"] == "fifo"

@@ -23,8 +23,9 @@ import os
 import pytest
 
 from repro.circuit.aig import AIG, aig_not
-from repro.multiprop.ja import JAOptions, JAVerifier
-from repro.parallel import ParallelOptions, WorkerPool, parallel_ja_verify
+from repro.multiprop.ja import JAVerifier
+from repro.parallel import WorkerPool, parallel_ja_verify
+from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
 SHARDS = int(os.environ.get("REPRO_STRESS_SHARDS", "4"))
@@ -77,11 +78,11 @@ def frames(report) -> dict:
 class TestParallelStress:
     def test_sharded_run_matches_sequential_ja(self, stress_ts):
         assert len(stress_ts.properties) >= 100
-        sequential = JAVerifier(stress_ts, JAOptions()).run()
+        sequential = JAVerifier(stress_ts, VerificationConfig()).run()
         with WorkerPool(workers=WORKERS) as pool:
             parallel = parallel_ja_verify(
                 stress_ts,
-                ParallelOptions(pool=pool, exchange_shards=SHARDS),
+                VerificationConfig(pool=pool, exchange_shards=SHARDS),
             )
         assert verdicts(parallel) == verdicts(sequential)
         assert list(parallel.outcomes) == list(sequential.outcomes)
@@ -109,12 +110,12 @@ class TestParallelStress:
         computations in either driver: verdicts AND frame counts must
         match property-for-property."""
         sequential = JAVerifier(
-            stress_ts, JAOptions(clause_reuse=False)
+            stress_ts, VerificationConfig(clause_reuse=False)
         ).run()
         with WorkerPool(workers=WORKERS) as pool:
             parallel = parallel_ja_verify(
                 stress_ts,
-                ParallelOptions(pool=pool, clause_reuse=False),
+                VerificationConfig(pool=pool, clause_reuse=False),
             )
         assert verdicts(parallel) == verdicts(sequential)
         assert frames(parallel) == frames(sequential)

@@ -20,6 +20,7 @@ import dataclasses
 import pytest
 
 from repro.gen.random_designs import random_design
+from repro.multiprop.sweep import sweep
 from repro.session import Session, VerificationConfig, available_strategies
 from repro.ts.system import TransitionSystem
 
@@ -37,6 +38,16 @@ STRATEGY_OVERRIDES = {
     "portfolio": {"workers": 1},
 }
 
+#: Every registered strategy at its deterministic knobs ...
+STRATEGY_CASES = [
+    pytest.param(name, STRATEGY_OVERRIDES.get(name, {}), id=name)
+    for name in sorted(available_strategies())
+]
+#: ... plus the seeded run: ``sweep-ja`` sweeps under ``config.seed``.
+REPLAY_CASES = STRATEGY_CASES + [
+    pytest.param("sweep-ja", {"seed": 5}, id="sweep-ja-seeded")
+]
+
 
 def normalize(event):
     """The event with timing fields zeroed, as a comparable tuple."""
@@ -47,11 +58,9 @@ def normalize(event):
     return (type(event).__name__, tuple(values))
 
 
-def run_once(ts, strategy):
+def run_once(ts, strategy, overrides):
     events = []
-    config = VerificationConfig(
-        strategy=strategy, **STRATEGY_OVERRIDES.get(strategy, {})
-    )
+    config = VerificationConfig(strategy=strategy, **overrides)
     report = Session(ts, config, on_event=events.append).run()
     verdicts = {name: o.status for name, o in report.outcomes.items()}
     frames = {name: o.frames for name, o in report.outcomes.items()}
@@ -64,20 +73,33 @@ def seeded_design():
     return TransitionSystem(random_design(seed=20260727, n_props=3))
 
 
-@pytest.mark.parametrize("strategy", sorted(available_strategies()))
-def test_strategy_replays_identically(seeded_design, strategy):
-    first = run_once(seeded_design, strategy)
-    second = run_once(seeded_design, strategy)
+@pytest.mark.parametrize("strategy, overrides", REPLAY_CASES)
+def test_strategy_replays_identically(seeded_design, strategy, overrides):
+    first = run_once(seeded_design, strategy, overrides)
+    second = run_once(seeded_design, strategy, overrides)
     assert first[0] == second[0], "verdicts differ between runs"
     assert first[1] == second[1], "frame counts differ between runs"
     assert first[2] == second[2], "event sequences differ between runs"
     assert first[0], "the design must actually have properties"
 
 
-@pytest.mark.parametrize("strategy", sorted(available_strategies()))
-def test_event_stream_covers_every_property(seeded_design, strategy):
-    verdicts, _, events = run_once(seeded_design, strategy)
+@pytest.mark.parametrize("strategy, overrides", STRATEGY_CASES)
+def test_event_stream_covers_every_property(seeded_design, strategy, overrides):
+    verdicts, _, events = run_once(seeded_design, strategy, overrides)
     solved = [payload for name, payload in events if name == "PropertySolved"]
     # Exactly one verdict event per property, for every strategy.
     assert len(solved) == len(verdicts)
 
+
+
+def test_sweep_follows_the_config_seed(seeded_design):
+    def swept(seed):
+        stats = Session(seeded_design, strategy="sweep-ja", seed=seed).run().stats
+        return stats["sweep_runs"], stats["sweep_frames"]
+
+    def direct(seed):
+        result = sweep(seeded_design, seed=seed)
+        return result.runs, result.frames_simulated
+
+    assert swept(5) == direct(5) != direct(0)
+    assert swept(None) == swept(0) == direct(0)

@@ -1,83 +1,176 @@
-"""Every strategy that runs local proofs honours every proof knob.
+"""Strategy × knob: a value set on the run reaches every method unchanged.
 
-``separate`` and ``clustered`` once built their engine options by hand
-and dropped ``max_frames``, ``ctg``, ``clause_reuse``, ``coi_reduction``
-and ``per_property_conflicts`` on the way; they now hand the driver the
-same ``ProofOptions`` ``ja`` gets.
+The paper's evidence is one-axis-at-a-time ablation, which only means
+something if a knob set on the config acts in every strategy that has a
+use for it.  The rows come from the registry (``clustered`` once per
+inner method), so a strategy registered later is in the matrix by
+default; each cell sets one ``VerificationConfig`` field away from its
+default and checks what every engine run was handed — the
+``IC3Options`` of an in-process run, or, for a pooled strategy, the
+``ProofOptions`` shipped to the seats (the one record ``prove`` reads
+there, as it does in-process).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from collections.abc import Callable
 
 import pytest
 
 import repro.multiprop.joint as joint_module
 import repro.multiprop.local as local_module
 from repro.engines.result import PropStatus
-from repro.gen import all_true_designs, failing_designs
-from repro.session import Session
+from repro.gen import ALL_TRUE_SPECS, buggy_counter
+from repro.parallel import WorkerPool
+from repro.session import Session, available_strategies, get_strategy
 from repro.ts.system import TransitionSystem
 
-STRATEGIES = [
-    pytest.param({"strategy": "separate"}, id="separate"),
-    pytest.param({"strategy": "clustered", "cluster_inner": "ja"}, id="clustered-ja"),
-    pytest.param({"strategy": "clustered", "cluster_inner": "joint"}, id="clustered-joint"),
-]
-#: The ones whose unit of work is the per-property proof.
-PER_PROPERTY = STRATEGIES[:2]
+
+def _rows():
+    for name in available_strategies():
+        if name == "clustered":
+            for inner in ("ja", "joint"):
+                yield pytest.param(
+                    {"strategy": name, "cluster_inner": inner}, id=f"{name}-{inner}"
+                )
+        else:
+            yield pytest.param({"strategy": name}, id=name)
+
+
+ROWS = list(_rows())
+
+
+def _aggregate(selector) -> bool:
+    """One proof of the conjunction: no per-property step to tune."""
+    return "joint" in (selector["strategy"], selector.get("cluster_inner"))
+
+
+def _pooled(selector) -> bool:
+    return getattr(get_strategy(selector["strategy"]), "pooled", False)
+
+
+AGGREGATE = [row for row in ROWS if _aggregate(*row.values)]
+PER_PROPERTY = [row for row in ROWS if not _aggregate(*row.values)]
+
+
+class _Shipped(Exception):
+    """Ends a pooled run once its seats' options are recorded."""
+
+
+@dataclass
+class _Seen:
+    engines: list  # IC3Options of every in-process engine run
+    seats: list  # ProofOptions of every run opened on a pool
+
+    def of(self, selector) -> list:
+        return self.seats if _pooled(selector) else self.engines
 
 
 @pytest.fixture
-def engine_calls(monkeypatch):
-    """``IC3Options`` of every engine run, whichever module started it."""
-    calls = []
+def seen(monkeypatch):
+    seen = _Seen([], [])
     real = local_module.ic3_check
 
     def spy(ts, name, options):
-        calls.append(options)
+        seen.engines.append(options)
         return real(ts, name, options)
+
+    def open_run(self, ts, settings, exchange=None):
+        seen.seats.append(settings)
+        raise _Shipped
 
     monkeypatch.setattr(local_module, "ic3_check", spy)
     monkeypatch.setattr(joint_module, "ic3_check", spy)
-    return calls
+    monkeypatch.setattr(WorkerPool, "open_run", open_run)
+    return seen
 
 
-def _run(design, selector, events=None, **knobs):
-    aig = {**all_true_designs(), **failing_designs()}[design]
-    on_event = events.append if events is not None else None
-    return Session(TransitionSystem(aig), on_event=on_event, **selector, **knobs).run()
+def _run(selector, design=None, **knobs):
+    ts = TransitionSystem(design or ALL_TRUE_SPECS["t256"].build())
+    try:
+        return Session(ts, workers=1, **selector, **knobs).run()
+    except _Shipped:
+        return None
 
 
-def _statuses(report):
-    return {o.status for o in report.outcomes.values()}
+@dataclass
+class Knob:
+    """One config field off its default, and how to see that it arrived."""
+
+    value: object
+    engine: Callable  # holds of the IC3Options of every engine run
+    seat: Callable  # holds of the ProofOptions shipped to a seat
+    rows: list
 
 
-@pytest.mark.parametrize("selector", STRATEGIES)
-def test_max_frames(selector):
-    assert _statuses(_run("t256", selector)) == {PropStatus.HOLDS}
-    assert _statuses(_run("t256", selector, max_frames=1)) == {PropStatus.UNKNOWN}
+KNOBS = {
+    "ctg": Knob(True, lambda o: o.ctg, lambda p: p.ctg, ROWS),
+    "max_frames": Knob(
+        7, lambda o: o.max_frames == 7, lambda p: p.max_frames == 7, ROWS
+    ),
+    "solver_backend": Knob(
+        "cdcl-compact",
+        lambda o: o.solver_backend == "cdcl-compact",
+        lambda p: p.solver_backend == "cdcl-compact",
+        ROWS,
+    ),
+    "engine": Knob(
+        {"generalize_passes": 1},
+        lambda o: o.generalize_passes == 1,
+        lambda p: p.engine_overrides == {"generalize_passes": 1},
+        ROWS,
+    ),
+    "respect_constraints_in_lifting": Knob(
+        True,
+        lambda o: o.respect_constraints_in_lifting,
+        lambda p: p.respect_constraints_in_lifting,
+        PER_PROPERTY,
+    ),
+    "per_property_conflicts": Knob(
+        5,
+        lambda o: o.budget.conflict_limit == 5,
+        lambda p: p.per_property_conflicts == 5,
+        PER_PROPERTY,
+    ),
+    "per_property_time": Knob(
+        30.0,
+        lambda o: o.budget.time_limit == 30.0,
+        lambda p: p.per_property_time == 30.0,
+        PER_PROPERTY,
+    ),
+    "clause_reuse": Knob(
+        False,
+        lambda o: not o.seed_clauses,
+        lambda p: not p.clause_reuse,
+        PER_PROPERTY,
+    ),
+    "total_conflicts": Knob(
+        5, lambda o: o.budget.conflict_limit == 5, None, AGGREGATE
+    ),
+}
+
+CELLS = [
+    pytest.param(field, *row.values, id=f"{row.id}-{field}")
+    for field, knob in KNOBS.items()
+    for row in knob.rows
+]
 
 
-@pytest.mark.parametrize("selector", STRATEGIES)
-def test_ctg(selector, engine_calls):
-    _run("t256", selector, ctg=True)
-    assert engine_calls and all(options.ctg for options in engine_calls)
+@pytest.mark.parametrize("field, selector", CELLS)
+def test_knob_reaches_every_engine_run(field, selector, seen):
+    knob = KNOBS[field]
+    arrived = knob.seat if _pooled(selector) else knob.engine
+    _run(selector)
+    handed = seen.of(selector)
+    assert handed and not all(map(arrived, handed)), "the cell cannot fail"
+    handed.clear()
+    _run(selector, **{field: knob.value})
+    assert handed and all(map(arrived, handed))
 
 
 @pytest.mark.parametrize("selector", PER_PROPERTY)
-def test_clause_reuse(selector, engine_calls):
-    events: list = []
-    _run("t256", selector, events)
-    assert any(e.kind == "clause-import" for e in events)
-    assert any(options.seed_clauses for options in engine_calls)
-    events.clear()
-    engine_calls.clear()
-    _run("t256", selector, events, clause_reuse=False)
-    assert not [e for e in events if e.kind in ("clause-import", "clause-export")]
-    assert not any(options.seed_clauses for options in engine_calls)
-
-
-@pytest.mark.parametrize("selector", PER_PROPERTY)
-def test_coi_reduction(selector, monkeypatch):
+def test_coi_reduction(selector, seen, monkeypatch):
     reductions = []
     real = local_module.reduce_to_cone
 
@@ -86,16 +179,28 @@ def test_coi_reduction(selector, monkeypatch):
         return real(aig, names)
 
     monkeypatch.setattr(local_module, "reduce_to_cone", spy)
-    plain = _run("t256", selector)
+    plain = _run(selector)
     assert not reductions
-    reduced = _run("t256", selector, coi_reduction=True)
+    reduced = _run(selector, coi_reduction=True)
+    if _pooled(selector):
+        assert [p.coi_reduction for p in seen.seats] == [False, True]
+        return
     assert len(reductions) >= len(reduced.outcomes)
-    assert _statuses(reduced) == _statuses(plain)
+    assert {o.status for o in reduced.outcomes.values()} == {
+        o.status for o in plain.outcomes.values()
+    }
 
 
-@pytest.mark.parametrize("selector", PER_PROPERTY)
-def test_per_property_conflicts(selector, engine_calls):
-    assert PropStatus.UNKNOWN not in _statuses(_run("f175", selector))
-    starved = _run("f175", selector, per_property_conflicts=0)
-    assert PropStatus.UNKNOWN in _statuses(starved)
-    assert all(options.budget.conflict_limit == 0 for options in engine_calls[-len(starved.outcomes):])
+@pytest.mark.parametrize("selector", AGGREGATE)
+def test_include_etf(selector):
+    design = buggy_counter(4)
+    design.properties[0] = replace(design.properties[0], expected_to_fail=True)
+    assert _run(selector, design).outcomes["P0"].status is PropStatus.FAILS
+    left_out = _run(selector, design, include_etf=False)
+    assert left_out.outcomes["P0"].status is PropStatus.UNKNOWN
+
+
+@pytest.mark.parametrize("selector", [r for r in ROWS if not _pooled(*r.values)])
+def test_max_frames_bounds_every_verdict(selector):
+    statuses = {o.status for o in _run(selector, max_frames=1).outcomes.values()}
+    assert statuses == {PropStatus.UNKNOWN}
