@@ -5,8 +5,15 @@ and total time for joint verification and for JA-verification.
 
 Expected shape: joint verification degrades sharply as k grows on the
 failing, heterogeneous designs (r400, r355) and stays competitive only
-on the homogeneous all-true ones; r403 is the exception where joint
-wins (large shared logic amortized over one aggregate run).
+on the homogeneous all-true ones.  In the paper r403 is the exception
+where joint wins (large shared logic amortized over one aggregate run).
+Here that row is a relation between two sub-second wall clocks, and two
+speed-ups have flipped it in turn: the exception was not reproduced
+since PR 14, which made JA's k local proofs share one encoding of the
+design (r403 at full k, 3 runs each at 4dda519: joint 0.83-1.02 s, JA
+0.64-0.77 s), and is back since lifting runs over the compiled netlist,
+which joint's one long aggregate run was bound by (joint 0.38-0.43 s,
+JA 0.73-0.76 s).  r403's times are therefore reported, not asserted.
 """
 
 from __future__ import annotations
@@ -75,7 +82,9 @@ def build_table():
         rows,
         note=(
             f"joint budget {JOINT_BUDGET_S:.0f}s/design, JA budget "
-            f"{JA_PER_PROP_S:.0f}s/property (paper: 10h and 0.3h)"
+            f"{JA_PER_PROP_S:.0f}s/property (paper: 10h and 0.3h); "
+            "r403 (joint-friendly exception): not reproduced since PR 14, "
+            "back with compiled lifting; reported, not asserted"
         ),
     )
     return rows
@@ -97,6 +106,3 @@ def test_table02_many_props(benchmark):
     for name in ("r400", "r355"):
         full = by_design[name][-1]
         assert full[3] > 0 or seconds(full[4]) > seconds(full[6])
-    # r403 is the joint-friendly exception at full k.
-    full = by_design["r403"][-1]
-    assert seconds(full[4]) < seconds(full[6])

@@ -67,6 +67,35 @@ class _AndNode:
     right: int
 
 
+class Netlist:
+    """An AIG's combinational structure as flat arrays indexed by node.
+
+    ``fanin0[n]``/``fanin1[n]`` are the fan-in literals of AND node
+    ``n`` (``-1`` for inputs, latches and the constant); ``fanouts[n]``
+    lists the AND nodes that read node ``n``.  An AND is always created
+    after its fan-ins, so ascending node index is a topological order.
+    Never mutated once built (see :meth:`AIG.netlist`).
+    """
+
+    def __init__(self, aig: AIG, base: Netlist | None = None) -> None:
+        if base is None:
+            self.fanin0: list[int] = []
+            self.fanin1: list[int] = []
+            self.fanouts: list[list[int]] = []
+        else:
+            self.fanin0 = list(base.fanin0)
+            self.fanin1 = list(base.fanin1)
+            self.fanouts = [list(readers) for readers in base.fanouts]
+        for idx in range(len(self.fanouts), aig.num_nodes):
+            left, right = aig.and_fanins(idx) if aig.kind(idx) == "and" else (-1, -1)
+            self.fanin0.append(left)
+            self.fanin1.append(right)
+            self.fanouts.append([])
+            if left >= 0:
+                self.fanouts[left >> 1].append(idx)
+                self.fanouts[right >> 1].append(idx)
+
+
 class AIG:
     """A mutable And-Inverter Graph with structural hashing.
 
@@ -91,6 +120,7 @@ class AIG:
         self._ands: dict[int, _AndNode] = {}  # node index -> fanins
         self._strash: dict[tuple[int, int], int] = {}
         self._latch_pos: dict[int, int] = {}  # node index -> position in latches
+        self._netlist: Netlist | None = None  # derived; see netlist()
 
     # ------------------------------------------------------------------
     # Node creation
@@ -149,8 +179,11 @@ class AIG:
         cached = self._strash.get(key)
         if cached is not None:
             return cached
-        idx = self._new_node("and")
+        # Fan-ins first: a node that num_nodes counts is complete, for a
+        # thread compiling the netlist meanwhile.
+        idx = len(self._kinds)
         self._ands[idx] = _AndNode(a, b)
+        self._kinds.append("and")
         lit = idx * 2
         self._strash[key] = lit
         return lit
@@ -222,6 +255,27 @@ class AIG:
     def _check_lit(self, lit: int) -> None:
         if lit < 0 or aig_var(lit) >= len(self._kinds):
             raise ValueError(f"literal {lit} out of range")
+
+    def netlist(self) -> Netlist:
+        """The design compiled for simulation, built on first use.
+
+        Compiled once per design; when AND nodes have been appended
+        since (``aggregate_property_lit`` does that mid-life) only the
+        new nodes are walked, into a fresh :class:`Netlist`, so a
+        simulation in flight on another thread keeps the one it holds.
+        """
+        net = self._netlist
+        if net is None or len(net.fanouts) != len(self._kinds):
+            net = self._netlist = Netlist(self, net)
+        return net
+
+    def __getstate__(self) -> dict:
+        # The netlist never travels: a design pickles the same, byte for
+        # byte, whether or not it has been simulated (same hygiene as
+        # TransitionSystem's templates).
+        state = self.__dict__.copy()
+        state["_netlist"] = None
+        return state
 
     def cone_of_influence(self, roots: Iterable[int]) -> tuple[set, set]:
         """Transitive fanin of ``roots`` through ANDs *and* latch next-fns.

@@ -2,13 +2,12 @@
 strengthening-clause import/export (the paper's Ic3-db analogue)."""
 
 from .core import IC3, IC3Options, SeedCertificateError, ic3_check
-from .ternary import TernaryEvaluator, lift_state
+from .ternary import Lifter
 
 __all__ = [
     "IC3",
     "IC3Options",
     "SeedCertificateError",
     "ic3_check",
-    "TernaryEvaluator",
-    "lift_state",
+    "Lifter",
 ]

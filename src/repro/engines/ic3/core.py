@@ -19,6 +19,9 @@ it implements the three features the paper's Ic3-db relies on:
   assumed-property constraints or ignoring them.  Ignoring gives larger
   cubes but may yield spurious counterexamples; callers detect these by
   replay (the driver re-runs with respecting mode, as Ic3-db does).
+  Each run owns one :class:`~repro.engines.ic3.ternary.Lifter` over the
+  design's compiled netlist (:meth:`repro.circuit.aig.AIG.netlist`,
+  built on the first lift and shared by every run on the design).
 
 * **Strengthening-clause import/export** (Section 6): ``seed_clauses``
   initialize every frame, and a successful proof exports the final
@@ -69,6 +72,7 @@ from ...ts.system import (
 from ...ts.trace import Trace
 from ..certify import certify_invariant
 from ..result import EngineResult, PropStatus, ResourceBudget
+from .ternary import Lifter
 
 
 class SeedCertificateError(Exception):
@@ -123,6 +127,7 @@ class IC3:
         if self.prop.name in self.options.assumed:
             raise ValueError("a property cannot be assumed while checking itself")
         self.assumed_props = [ts.prop_by_name[n] for n in self.options.assumed]
+        self._lifter = Lifter(ts.aig, [latch.lit for latch in ts.latches])
         # frames[k] = cubes blocked at exactly level k (k >= 1).
         self.frames: list[list[Cube]] = [[], []]
         # Persistent incremental solvers (lazily created, never rebuilt):
@@ -352,15 +357,10 @@ class IC3:
         require_false: list[int],
         respect_assumed: bool,
     ) -> Cube:
-        from .ternary import lift_state
-
         require_true = list(require_true) + list(self.ts.aig.constraints)
         if respect_assumed:
             require_true += [p.lit for p in self.assumed_props]
-        latch_order = [latch.lit for latch in self.ts.latches]
-        lifted = lift_state(
-            self.ts.aig, latch_order, state, inputs, require_true, require_false
-        )
+        lifted = self._lifter.lift(state, inputs, require_true, require_false)
         return self._cube_from_lifted(lifted, state)
 
     def _cube_from_lifted(

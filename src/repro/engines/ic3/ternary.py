@@ -1,4 +1,4 @@
-"""Ternary simulation and IC3 state lifting (paper Sections 6-C and 7-A).
+"""IC3 state lifting by ternary simulation (paper Sections 6-C and 7-A).
 
 Lifting enlarges a concrete state ``q`` (extracted from a SAT model) to a
 cube ``Cq`` of states that all behave the same for the purpose at hand:
@@ -22,116 +22,63 @@ Both modes are implemented via the ``require_true`` argument.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
-from ...circuit.aig import AIG, aig_var, is_negated
-
-# Ternary values: True / False / None (= X, unknown).
-TernaryValue = bool | None
+from ...circuit.aig import AIG
+from ...circuit.simulate import FALSE, TRUE, X, ConeEvaluator
 
 
-class TernaryEvaluator:
-    """Evaluates AIG literals over three-valued latch/input assignments."""
+class Lifter:
+    """Lifts states of one design; ``latch_order`` lists its latch
+    literals positionally."""
 
-    def __init__(self, aig: AIG) -> None:
-        self.aig = aig
+    def __init__(self, aig: AIG, latch_order: Sequence[int]) -> None:
+        self._eval = ConeEvaluator(aig)
+        self._nodes = [lit >> 1 for lit in latch_order]
+        self._position = {node: pos for pos, node in enumerate(self._nodes)}
 
-    def evaluate(
+    def lift(
         self,
-        roots: Sequence[int],
-        latch_values: dict[int, TernaryValue],
-        input_values: dict[int, TernaryValue],
-    ) -> list[TernaryValue]:
-        """Ternary values of ``roots`` (AIG literals).
+        latch_values: Sequence[bool],
+        input_values: Mapping[int, bool | None],
+        require_true: Sequence[int],
+        require_false: Sequence[int] = (),
+    ) -> list[bool | None]:
+        """Greedily X out latches while all requirements stay *definite*.
 
-        Missing latches/inputs default to X.  AND over ternary: False
-        dominates, then X, then True.
+        ``latch_values`` are the concrete model values, by position.
+        ``require_true``/``require_false`` are AIG literals that must
+        keep evaluating to a definite True/False under the (fixed)
+        ``input_values``.  A cone latch outside ``latch_order`` and an
+        input without a value are X throughout.
+
+        Returns per-position values with ``None`` for lifted-away latches.
+        The result always contains the original state and is sound by
+        construction: ternary simulation is conservative, so a definite
+        output is definite for every completion of the X-ed latches.
         """
-        cache: dict[int, TernaryValue] = {0: False}
-        aig = self.aig
-        out: list[TernaryValue] = []
-        for root in roots:
-            stack = [aig_var(root)]
-            while stack:
-                idx = stack[-1]
-                if idx in cache:
-                    stack.pop()
-                    continue
-                kind = aig.kind(idx)
-                if kind == "input":
-                    cache[idx] = input_values.get(idx * 2, None)
-                    stack.pop()
-                elif kind == "latch":
-                    cache[idx] = latch_values.get(idx * 2, None)
-                    stack.pop()
-                else:  # and
-                    left, right = aig.and_fanins(idx)
-                    lv, rv = aig_var(left), aig_var(right)
-                    pending = [v for v in (lv, rv) if v not in cache]
-                    if pending:
-                        stack.extend(pending)
-                        continue
-                    lval = _apply_sign(cache[lv], is_negated(left))
-                    rval = _apply_sign(cache[rv], is_negated(right))
-                    if lval is False or rval is False:
-                        cache[idx] = False
-                    elif lval is None or rval is None:
-                        cache[idx] = None
-                    else:
-                        cache[idx] = True
-                    stack.pop()
-            out.append(_apply_sign(cache[aig_var(root)], is_negated(root)))
-        return out
+        ev, position = self._eval, self._position
+        targets = [*require_true, *require_false]
 
+        def leaf_value(node: int) -> int:
+            pos = position.get(node)
+            value = latch_values[pos] if pos is not None else input_values.get(2 * node)
+            return X if value is None else TRUE if value else FALSE
 
-def _apply_sign(value: TernaryValue, negated: bool) -> TernaryValue:
-    if value is None:
-        return None
-    return (not value) if negated else value
-
-
-def lift_state(
-    aig: AIG,
-    latch_order: Sequence[int],
-    latch_values: Sequence[bool],
-    input_values: dict[int, bool],
-    require_true: Sequence[int],
-    require_false: Sequence[int] = (),
-) -> list[bool | None]:
-    """Greedily X out latches while all requirements stay *definite*.
-
-    ``latch_order`` lists latch literals positionally; ``latch_values``
-    the concrete model values.  ``require_true``/``require_false`` are
-    AIG literals that must keep evaluating to a definite True/False under
-    the (fixed, concrete) ``input_values``.
-
-    Returns per-position values with ``None`` for lifted-away latches.
-    The result always contains the original state and is sound by
-    construction: ternary simulation is conservative, so a definite
-    output is definite for every completion of the X-ed latches.
-    """
-    evaluator = TernaryEvaluator(aig)
-    targets = list(require_true) + list(require_false)
-    n_true = len(list(require_true))
-
-    def check(assignment: dict[int, TernaryValue]) -> bool:
-        values = evaluator.evaluate(targets, assignment, input_values)
-        for i, value in enumerate(values):
-            expected = i < n_true
-            if value is None or value is not expected:
-                return False
-        return True
-
-    current: dict[int, TernaryValue] = {
-        lit: bool(v) for lit, v in zip(latch_order, latch_values)
-    }
-    if not check(current):
-        raise ValueError("lifting targets do not hold in the concrete state")
-    # Greedy elimination, last latch first (later latches are usually
-    # deeper in the design's pipelines and more often irrelevant).
-    for lit in reversed(list(latch_order)):
-        saved = current[lit]
-        current[lit] = None
-        if not check(current):
-            current[lit] = saved
-    return [current[lit] for lit in latch_order]
+        ev.evaluate(targets, leaf_value)
+        val = ev.val
+        if any(val[lit] != TRUE for lit in require_true) or any(
+            val[lit] != FALSE for lit in require_false
+        ):
+            raise ValueError("lifting targets do not hold in the concrete state")
+        required = {lit >> 1 for lit in targets}
+        lifted: list[bool | None] = [bool(value) for value in latch_values]
+        # Greedy elimination, last latch first (later latches are usually
+        # deeper in the design's pipelines and more often irrelevant).  A
+        # latch outside the cone goes without simulation.
+        stamp, epoch, nodes = ev.stamp, ev.epoch, self._nodes
+        for pos in range(len(nodes) - 1, -1, -1):
+            node = nodes[pos]
+            if stamp[node] != epoch or ev.x_out(node, required):
+                lifted[pos] = None
+        return lifted

@@ -60,10 +60,10 @@ class Trace:
         """
         sim = Simulator(aig)
         sim.reset(self.uninit)
+        lits = list(prop_lits.values())
         for t, frame_inputs in enumerate(self.inputs):
-            failed = [
-                name for name, lit in prop_lits.items() if not sim.eval_lit(lit, frame_inputs)
-            ]
+            values = sim.eval_lits(lits, frame_inputs)
+            failed = [name for name, value in zip(prop_lits, values) if not value]
             if failed:
                 return t, sorted(failed)
             sim.step(frame_inputs)

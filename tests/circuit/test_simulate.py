@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from repro.circuit.aig import AIG, aig_not
 from repro.circuit.simulate import Simulator
+from repro.gen.random_designs import random_design
+from repro.ts.trace import Trace
 
 
 class TestCombinational:
@@ -119,3 +123,93 @@ class TestPropertyFailure:
         sim = Simulator(aig)
         seq = [{x: True}, {x: True}, {x: False}]
         assert sim.check_property_failure(seq, x) == 2
+
+
+# ----------------------------------------------------------------------
+# Against a reference: a memo-free recursive evaluator over the AIG
+# ----------------------------------------------------------------------
+def reference_eval(aig, lit, state, inputs):
+    idx = lit >> 1
+    kind = aig.kind(idx)
+    if kind == "const":
+        value = False
+    elif kind == "input":
+        value = bool(inputs.get(2 * idx, False))
+    elif kind == "latch":
+        value = state[2 * idx]
+    else:
+        left, right = aig.and_fanins(idx)
+        value = reference_eval(aig, left, state, inputs) and reference_eval(
+            aig, right, state, inputs
+        )
+    return value != bool(lit & 1)
+
+
+def reference_step(aig, state, inputs):
+    return {l.lit: reference_eval(aig, l.next, state, inputs) for l in aig.latches}
+
+
+def reference_reset(aig, uninit):
+    return {
+        l.lit: bool(uninit.get(l.lit, False)) if l.init is None else bool(l.init)
+        for l in aig.latches
+    }
+
+
+@st.composite
+def design_and_stimulus(draw):
+    aig = random_design(
+        draw(st.integers(0, 10_000)), n_latches=5, n_inputs=3, n_gates=18, n_props=3
+    )
+    frame = st.fixed_dictionaries({}, optional={x: st.booleans() for x in aig.inputs})
+    frames = draw(st.lists(frame, min_size=1, max_size=6))
+    uninit = {l.lit: draw(st.booleans()) for l in aig.latches if l.init is None}
+    return aig, frames, uninit
+
+
+class TestAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(design_and_stimulus())
+    def test_step_and_eval_lit(self, case):
+        aig, frames, uninit = case
+        sim = Simulator(aig)
+        sim.reset(uninit)
+        state = reference_reset(aig, uninit)
+        lits = [p.lit for p in aig.properties] + [l.next ^ 1 for l in aig.latches]
+        for inputs in frames:
+            assert sim.state == state
+            for lit in lits:
+                assert sim.eval_lit(lit, inputs) is reference_eval(aig, lit, state, inputs)
+            sim.step(inputs)
+            state = reference_step(aig, state, inputs)
+        assert sim.state == state
+
+    @settings(max_examples=120, deadline=None)
+    @given(design_and_stimulus())
+    def test_check_property_failure_and_first_failures(self, case):
+        aig, frames, uninit = case
+        props = {p.name: p.lit for p in aig.properties}
+        state = reference_reset(aig, uninit)
+        failing = []  # per frame, the properties FALSE there
+        for inputs in frames:
+            failing.append(
+                sorted(n for n, lit in props.items() if not reference_eval(aig, lit, state, inputs))
+            )
+            state = reference_step(aig, state, inputs)
+        sim = Simulator(aig)
+        for name, lit in props.items():
+            expected = next((t for t, names in enumerate(failing) if name in names), None)
+            assert sim.check_property_failure(frames, lit, uninit) == expected
+        first = next((t for t, names in enumerate(failing) if names), None)
+        trace = Trace(inputs=frames, uninit=uninit)
+        assert trace.first_failures(aig, props) == (
+            (None, []) if first is None else (first, failing[first])
+        )
+
+    def test_and_nodes_appended_after_the_first_evaluation(self):
+        aig = AIG()
+        a, b = aig.add_input("a"), aig.add_input("b")
+        sim = Simulator(aig)
+        assert sim.eval_lit(aig.and_(a, b), {a: True, b: True}) is True
+        late = aig.and_(aig.and_(a, b), aig_not(b))
+        assert sim.eval_lit(aig_not(late), {a: True, b: True}) is True
