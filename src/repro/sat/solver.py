@@ -22,8 +22,9 @@ which the test-suite and the experiment harness rely on.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from heapq import heapify, heappop, heappush
 
-from .types import FALSE, TRUE, UNASSIGNED, Status, from_dimacs, to_dimacs
+from .types import FALSE, TRUE, UNASSIGNED, Status, to_dimacs
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
@@ -42,6 +43,20 @@ def luby(y: float, x: int) -> float:
     return y**seq
 
 
+def _internal(lits: Iterable[int]) -> list[int]:
+    """Signed DIMACS literals as internal codes (``from_dimacs`` per literal,
+    without the call: this runs for every clause added and every solve)."""
+    out = []
+    for lit in lits:
+        if lit > 0:
+            out.append(2 * lit - 2)
+        elif lit < 0:
+            out.append(-2 * lit - 1)
+        else:
+            raise ValueError("DIMACS literal must be non-zero")
+    return out
+
+
 class Solver:
     """Incremental CDCL SAT solver.
 
@@ -56,6 +71,15 @@ class Solver:
     <Status.SAT: 1>
     >>> s.value(2)
     True
+
+    Layout: clauses are plain lists of literal codes (``2v`` / ``2v+1``)
+    whose first two positions are the watched ones, and ``_propagate``
+    compacts each watch list in place, keeping the order of what stays.
+    The decision heap is lazy: ``_in_heap[var]`` means "the heap holds an
+    entry with ``var``'s current activity", stale entries are skipped
+    when popped and swept once they outnumber the variables, and the
+    pick is always the unassigned variable of highest activity, lowest
+    index on ties, which is what makes the search deterministic.
 
     The class attributes below are the tuning knobs that backend
     variants (e.g. ``cdcl-compact``) override; they never change
@@ -102,6 +126,7 @@ class Solver:
         # long incremental runs.
         self._act_groups: dict = {}
         self._act_learnts: dict = {}
+        self._act_learnt_refs = 0  # sum of len() over _act_learnts' values
         self._act_free: list[int] = []
         self._cla_activity: dict = {}
         self._cla_inc = 1.0
@@ -109,8 +134,15 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._order_heap: list[tuple] = []  # lazy (-activity, var) heap
+        # Decision order: a lazy heap of (-activity, var) entries.
+        # ``_in_heap[var]`` is True exactly when the heap holds an entry
+        # carrying ``var``'s *current* activity, so an unassigned
+        # variable is pushed only when it has lost that entry; entries
+        # left behind by activity bumps are skipped when popped and
+        # swept once they outnumber the variables (_cancel_until).
+        self._order_heap: list[tuple] = []
         self._in_heap: list[bool] = []
+        self._heap_seeded = 0  # variables below this have been seeded
         self._ok = True
         self._model: list[int] = []
         self._conflict_core: frozenset = frozenset()
@@ -169,16 +201,16 @@ class Solver:
         if self._trail_lim:
             raise RuntimeError("add_clause is only allowed at decision level 0")
         self.counters["clauses_added"] += 1
-        internal = []
-        for lit in lits:
-            self._ensure_var(abs(lit))
-            internal.append(from_dimacs(lit))
-        # Sort/dedup; detect tautologies and already-falsified literals.
-        # (At decision level 0 every assignment is a root assignment.)
+        internal = sorted(set(_internal(lits)))
+        if internal:
+            self._ensure_var((internal[-1] >> 1) + 1)
+        # Sorted, duplicate-free; detect tautologies and already-falsified
+        # literals.  (At decision level 0 every assignment is a root
+        # assignment.)
         assign = self._assign
         out = []
         prev = -1
-        for lit in sorted(set(internal)):
+        for lit in internal:
             if lit ^ 1 == prev:
                 return True  # tautology: contains l and ~l
             prev = lit
@@ -284,80 +316,86 @@ class Solver:
     # ------------------------------------------------------------------
     # Assignment helpers
     # ------------------------------------------------------------------
-    def _lit_value(self, lit: int) -> int:
-        val = self._assign[lit >> 1]
-        if val == UNASSIGNED:
-            return UNASSIGNED
-        return val ^ (lit & 1)
-
+    # A literal's value is ``_assign[lit >> 1] ^ (lit & 1)``: TRUE (1),
+    # FALSE (0), or UNASSIGNED and above (2, 3) when the variable is free.
     def _enqueue(self, lit: int, reason: list | None) -> bool:
-        val = self._lit_value(lit)
-        if val != UNASSIGNED:
-            return val == TRUE
         var = lit >> 1
+        val = self._assign[var] ^ (lit & 1)
+        if val < UNASSIGNED:
+            return val == TRUE
         self._assign[var] = TRUE ^ (lit & 1)
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     # ------------------------------------------------------------------
     # Unit propagation
     # ------------------------------------------------------------------
     def _propagate(self) -> list | None:
-        """Propagate all enqueued facts; return a conflicting clause or None."""
+        """Propagate all enqueued facts; return a conflicting clause or None.
+
+        Each watch list is compacted in place: a clause that stays is
+        written back at ``keep`` and the tail is cut off with one slice
+        delete, so the surviving order is the scan order.  A clause that
+        finds a new watch moves to that literal's list, never this one
+        (the new watch is not false, this list's literal is).
+        """
         watches = self._watches
         assign = self._assign
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.counters["propagations"] += 1
+        trail = self._trail
+        level = self._level
+        reason = self._reason
+        cur_level = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             falsified = lit ^ 1
             watch_list = watches[lit]
-            new_list = []
-            i = 0
-            n = len(watch_list)
-            while i < n:
-                clause = watch_list[i]
-                i += 1
+            keep = 0
+            moved = 0
+            for clause in watch_list:
                 # Make sure the falsified literal is at position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                v0 = assign[first >> 1]
-                if v0 != UNASSIGNED and (v0 ^ (first & 1)) == TRUE:
-                    new_list.append(clause)
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                v0 = assign[first >> 1] ^ (first & 1)
+                if v0 == TRUE:
+                    watch_list[keep] = clause
+                    keep += 1
                     continue
-                # Look for a new literal to watch.
-                found = False
+                # Look for a new literal to watch: any that is not false.
                 for k in range(2, len(clause)):
                     lk = clause[k]
-                    vk = assign[lk >> 1]
-                    if vk == UNASSIGNED or (vk ^ (lk & 1)) == TRUE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches[clause[1] ^ 1].append(clause)
-                        found = True
+                    if assign[lk >> 1] ^ (lk & 1):
+                        clause[1] = lk
+                        clause[k] = falsified
+                        watches[lk ^ 1].append(clause)
+                        moved += 1
                         break
-                if found:
-                    continue
-                new_list.append(clause)
-                # Clause is unit or conflicting on `first`.
-                if v0 == UNASSIGNED:
-                    var = first >> 1
-                    assign[var] = TRUE ^ (first & 1)
-                    self._level[var] = len(self._trail_lim)
-                    self._reason[var] = clause
-                    self._trail.append(first)
                 else:
-                    # Conflict: restore remaining watches and bail out.
-                    new_list.extend(watch_list[i:])
-                    watches[lit] = new_list
-                    self._qhead = len(self._trail)
-                    return clause
-            watches[lit] = new_list
+                    watch_list[keep] = clause
+                    keep += 1
+                    # Clause is unit or conflicting on `first`.
+                    if v0:  # unassigned
+                        var = first >> 1
+                        assign[var] = TRUE ^ (first & 1)
+                        level[var] = cur_level
+                        reason[var] = clause
+                        trail.append(first)
+                    else:
+                        # Conflict: close the gap the moved clauses left;
+                        # the un-scanned tail keeps its watches, in order.
+                        del watch_list[keep : keep + moved]
+                        self.counters["propagations"] += qhead - start
+                        self._qhead = len(trail)
+                        return clause
+            if moved:
+                del watch_list[keep:]
+        self.counters["propagations"] += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
@@ -368,10 +406,13 @@ class Solver:
         learnt = [0]  # placeholder for the asserting literal
         seen = self._seen
         level = self._level
+        trail = self._trail
+        reasons = self._reason
+        bump_var = self._bump_var
         counter = 0
         lit = -1
-        index = len(self._trail) - 1
-        cur_level = self._decision_level()
+        index = len(trail) - 1
+        cur_level = len(self._trail_lim)
         reason_lits: Iterable[int] = conflict
         self._bump_clause(conflict)
         while True:
@@ -381,22 +422,22 @@ class Solver:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump_var(var)
+                    bump_var(var)
                     if level[var] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Pick the next literal on the trail to resolve on.
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            lit = self._trail[index]
+            lit = trail[index]
             index -= 1
             var = lit >> 1
             seen[var] = False
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[var]
+            reason = reasons[var]
             assert reason is not None
             self._bump_clause(reason)
             reason_lits = reason
@@ -410,7 +451,7 @@ class Solver:
         for q in learnt[1:]:
             seen[q >> 1] = True
         for q in learnt[1:]:
-            if self._reason[q >> 1] is None or not self._lit_redundant(q, abstract_levels):
+            if reasons[q >> 1] is None or not self._lit_redundant(q, abstract_levels):
                 minimized.append(q)
             else:
                 self.counters["minimized_lits"] += 1
@@ -434,28 +475,30 @@ class Solver:
 
     def _lit_redundant(self, lit: int, abstract_levels: int) -> bool:
         """Check whether ``lit`` is implied by the other learnt literals."""
+        seen = self._seen
+        level = self._level
+        reasons = self._reason
+        touched = self._minimize_touched
         stack = [lit]
-        top = len(self._minimize_touched)
+        top = len(touched)
         while stack:
             p = stack.pop()
-            reason = self._reason[p >> 1]
+            reason = reasons[p >> 1]
             assert reason is not None
             for q in reason:
-                if q == p or (q >> 1) == (p >> 1):
-                    continue
                 var = q >> 1
-                if self._seen[var] or self._level[var] == 0:
+                if var == p >> 1 or seen[var] or level[var] == 0:
                     continue
-                if self._reason[var] is None or not (
-                    (1 << (self._level[var] & 31)) & abstract_levels
+                if reasons[var] is None or not (
+                    (1 << (level[var] & 31)) & abstract_levels
                 ):
                     # Undo the marks made during this check.
-                    for marked in self._minimize_touched[top:]:
-                        self._seen[marked] = False
-                    del self._minimize_touched[top:]
+                    for marked in touched[top:]:
+                        seen[marked] = False
+                    del touched[top:]
                     return False
-                self._seen[var] = True
-                self._minimize_touched.append(var)
+                seen[var] = True
+                touched.append(var)
                 stack.append(q)
         return True
 
@@ -463,19 +506,21 @@ class Solver:
     # Activities
     # ------------------------------------------------------------------
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > _RESCALE_LIMIT:
+        activity = self._activity
+        bumped = activity[var] = activity[var] + self._var_inc
+        if bumped > _RESCALE_LIMIT:
             for i in range(self.num_vars):
-                self._activity[i] *= _RESCALE_FACTOR
+                activity[i] *= _RESCALE_FACTOR
             self._var_inc *= _RESCALE_FACTOR
             self._rebuild_heap()
-            return
-        if self._assign[var] == UNASSIGNED:
+        elif self._assign[var] == UNASSIGNED:
             # Lazy heap: push an updated entry; stale ones are skipped on pop.
-            import heapq
-
-            heapq.heappush(self._order_heap, (-self._activity[var], var))
+            heappush(self._order_heap, (-bumped, var))
             self._in_heap[var] = True
+        else:
+            # Its entry, if any, is stale now: _cancel_until pushes a
+            # fresh one when the variable is unassigned again.
+            self._in_heap[var] = False
 
     def _bump_clause(self, clause: list) -> None:
         key = id(clause)
@@ -494,61 +539,67 @@ class Solver:
     # Decision heuristic (lazy binary heap over activities)
     # ------------------------------------------------------------------
     def _rebuild_heap(self) -> None:
-        import heapq
-
-        self._order_heap = [
-            (-self._activity[v], v)
-            for v in range(self.num_vars)
-            if self._assign[v] == UNASSIGNED
-        ]
-        for v in range(self.num_vars):
-            self._in_heap[v] = self._assign[v] == UNASSIGNED
-        heapq.heapify(self._order_heap)
-
-    def _heap_push(self, var: int) -> None:
-        import heapq
-
-        heapq.heappush(self._order_heap, (-self._activity[var], var))
-        self._in_heap[var] = True
+        """Exactly one current entry per unassigned variable, nothing else."""
+        assign = self._assign
+        activity = self._activity
+        in_heap = self._in_heap
+        heap = self._order_heap = []
+        for var in range(self.num_vars):
+            live = in_heap[var] = assign[var] == UNASSIGNED
+            if live:
+                heap.append((-activity[var], var))
+        heapify(heap)
+        self._heap_seeded = self.num_vars
 
     def _pick_branch_var(self) -> int:
-        import heapq
+        """The unassigned variable of highest activity, lowest index on ties.
 
+        Only called while a variable is unassigned (``_search`` detects
+        SAT by trail length first), and every unassigned variable has a
+        current entry, so the heap cannot run dry.
+        """
         heap = self._order_heap
         activity = self._activity
         assign = self._assign
-        while heap:
-            neg_act, var = heapq.heappop(heap)
-            if assign[var] != UNASSIGNED:
-                continue
+        in_heap = self._in_heap
+        while True:
+            neg_act, var = heappop(heap)
             if -neg_act != activity[var]:
-                continue  # stale entry; a fresher one exists
-            self._in_heap[var] = False
-            return var
-        # Heap exhausted: linear scan fallback (covers vars never pushed).
-        best, best_act = -1, -1.0
-        for v in range(self.num_vars):
-            if assign[v] == UNASSIGNED and activity[v] > best_act:
-                best, best_act = v, activity[v]
-        return best
+                continue  # stale entry; a fresher one exists or will be pushed
+            in_heap[var] = False
+            if assign[var] == UNASSIGNED:
+                return var
 
     # ------------------------------------------------------------------
     # Backtracking
     # ------------------------------------------------------------------
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for idx in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[idx]
+        trail = self._trail
+        assign = self._assign
+        polarity = self._polarity
+        reason = self._reason
+        in_heap = self._in_heap
+        activity = self._activity
+        heap = self._order_heap
+        bound = trail_lim[level]
+        for lit in reversed(trail[bound:]):
             var = lit >> 1
-            self._assign[var] = UNASSIGNED
-            self._polarity[var] = bool(lit & 1)
-            self._reason[var] = None
-            self._heap_push(var)
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            assign[var] = UNASSIGNED
+            polarity[var] = (lit & 1) == 1
+            reason[var] = None
+            if not in_heap[var]:
+                in_heap[var] = True
+                heappush(heap, (-activity[var], var))
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = bound
+        # Activity bumps leave stale entries behind; sweep them once they
+        # outnumber the variables (amortized O(1), as _compact_stores).
+        if len(heap) > 2 * self.num_vars + 64:
+            self._rebuild_heap()
 
     # ------------------------------------------------------------------
     # Learned-clause DB reduction
@@ -618,15 +669,23 @@ class Solver:
         self.counters["solves"] += 1
         if not self._ok:
             return Status.UNSAT
-        for lit in assumptions:
-            self._ensure_var(abs(lit))
-        self._assumptions = [from_dimacs(lit) for lit in assumptions]
+        self._assumptions = internal = _internal(assumptions)
+        if internal:
+            self._ensure_var((max(internal) >> 1) + 1)
         self._budget_conflict_mark = self.counters["conflicts"]
         self._budget_prop_mark = self.counters["propagations"]
-        # (Re)seed the decision heap.
-        for var in range(self.num_vars):
-            if not self._in_heap[var] and self._assign[var] == UNASSIGNED:
-                self._heap_push(var)
+        # Seed the decision heap with the variables created since the
+        # last solve; the older ones kept their entries (_in_heap).
+        if self._heap_seeded < self.num_vars:
+            assign = self._assign
+            activity = self._activity
+            in_heap = self._in_heap
+            heap = self._order_heap
+            for var in range(self._heap_seeded, self.num_vars):
+                if assign[var] == UNASSIGNED:
+                    in_heap[var] = True
+                    heappush(heap, (-activity[var], var))
+            self._heap_seeded = self.num_vars
 
         restarts = 0
         while True:
@@ -643,20 +702,29 @@ class Solver:
 
     def _search(self, conflict_budget: int) -> Status | None:
         conflicts_here = 0
+        counters = self.counters
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        trail_lim = self._trail_lim
+        assumptions = self._assumptions
+        num_assumptions = len(assumptions)
+        num_vars = self.num_vars
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.counters["conflicts"] += 1
+                counters["conflicts"] += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._ok = False
                     return Status.UNSAT
-                if self._decision_level() <= len(self._assumptions):
+                if len(trail_lim) <= num_assumptions:
                     # Conflict under assumptions: compute the failed core.
                     self._conflict_core = self._analyze_final(conflict)
                     return Status.UNSAT
                 learnt, bt_level = self._analyze(conflict)
-                self._cancel_until(max(bt_level, 0))
+                self._cancel_until(bt_level)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
@@ -675,43 +743,46 @@ class Solver:
                                 self._act_learnts.setdefault(var1, []).append(
                                     learnt
                                 )
-                self.counters["learned"] += 1
+                                self._act_learnt_refs += 1
+                counters["learned"] += 1
                 self._decay_activities()
                 if not self._within_budget():
                     return None
                 if conflicts_here >= conflict_budget:
-                    self._cancel_until(len(self._assumptions))
+                    self._cancel_until(num_assumptions)
                     return None
                 if (
                     len(self._learnts)
                     > self.LEARNT_CAP_BASE
-                    + self.LEARNT_CAP_SLOPE * self.counters["restarts"] // 10
+                    + self.LEARNT_CAP_SLOPE * counters["restarts"] // 10
                 ):
                     self._reduce_db()
-            else:
+                continue
+            if len(trail_lim) < num_assumptions:
                 # Place assumptions as pseudo-decisions.
-                if self._decision_level() < len(self._assumptions):
-                    lit = self._assumptions[self._decision_level()]
-                    val = self._lit_value(lit)
-                    if val == TRUE:
-                        self._trail_lim.append(len(self._trail))
-                        continue
-                    if val == FALSE:
-                        self._conflict_core = self._analyze_final_lit(lit)
-                        return Status.UNSAT
-                    self.counters["decisions"] += 1
-                    self._trail_lim.append(len(self._trail))
-                    self._enqueue(lit, None)
+                lit = assumptions[len(trail_lim)]
+                val = assign[lit >> 1] ^ (lit & 1)
+                if val == TRUE:
+                    trail_lim.append(len(trail))
                     continue
+                if val == FALSE:
+                    self._conflict_core = self._analyze_final_lit(lit)
+                    return Status.UNSAT
+            elif len(trail) == num_vars:
+                # All variables assigned: SAT.
+                self._model = list(assign)
+                return Status.SAT
+            else:
                 var = self._pick_branch_var()
-                if var == -1:
-                    # All variables assigned: SAT.
-                    self._model = list(self._assign)
-                    return Status.SAT
-                self.counters["decisions"] += 1
-                self._trail_lim.append(len(self._trail))
                 lit = var * 2 + (1 if self._polarity[var] else 0)
-                self._enqueue(lit, None)
+            # Decide `lit` (unassigned) at a new level.
+            counters["decisions"] += 1
+            trail_lim.append(len(trail))
+            var = lit >> 1
+            assign[var] = TRUE ^ (lit & 1)
+            level[var] = len(trail_lim)
+            reason[var] = None
+            trail.append(lit)
 
     # ------------------------------------------------------------------
     # Final-conflict (assumption core) analysis
@@ -823,6 +894,7 @@ class Solver:
         del self._act_groups[act]
         self.counters["activations_retired"] += 1
         dependents = self._act_learnts.pop(act, [])
+        self._act_learnt_refs -= len(dependents)
         if self._assign[act - 1] != UNASSIGNED:
             # Pinned at root: the group is already permanently decided;
             # deleting its clauses could dangle root reasons, and the
@@ -869,7 +941,7 @@ class Solver:
         # Long-lived activation variables (IC3's per-frame literals are
         # never retired) would otherwise pin every learnt that ever
         # mentioned them, even after _reduce_db dropped it.
-        tracked = sum(len(refs) for refs in self._act_learnts.values())
+        tracked = self._act_learnt_refs
         if tracked > 64 and tracked > 2 * len(self._learnt_ids):
             for var, refs in list(self._act_learnts.items()):
                 live = [c for c in refs if id(c) in self._learnt_ids]
@@ -877,6 +949,7 @@ class Solver:
                     self._act_learnts[var] = live
                 else:
                     del self._act_learnts[var]
+            self._act_learnt_refs = sum(map(len, self._act_learnts.values()))
 
     # ------------------------------------------------------------------
     # Results

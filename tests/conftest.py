@@ -40,6 +40,14 @@ def random_cnf(
     return num_vars, clauses
 
 
+def three_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> list[list[int]]:
+    """Uniform random 3-CNF, three distinct variables per clause."""
+    return [
+        [var if rng.random() < 0.5 else -var for var in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
+
+
 def solver_state(solver) -> dict:
     """Everything a ``cdcl`` solver's search depends on, with clause
     identity replaced by position in the store (bulk-loader tests)."""
