@@ -589,7 +589,7 @@ def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
     ``design`` path.
     """
 
-    def _inline(spec: dict) -> dict:
+    def _embed(spec: dict) -> dict:
         design = spec.get("design")
         if (
             isinstance(design, str)
@@ -623,7 +623,7 @@ def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
                 # Server-side path: the proof store lives on the server.
                 spec.setdefault("cache_dir", args.cache_dir)
                 spec.setdefault("cache_mode", args.cache_mode)
-            specs.append(_inline(spec))
+            specs.append(_embed(spec))
         return specs
     spec: dict = {"design": target}
     if args.strategy:
@@ -633,7 +633,7 @@ def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
     if args.cache_dir is not None:
         spec["cache_dir"] = args.cache_dir
         spec["cache_mode"] = args.cache_mode
-    return [_inline(spec)]
+    return [_embed(spec)]
 
 
 def _design_name(path: str) -> str:

@@ -113,7 +113,7 @@ class VerificationConfig:
     #: shard per structural property cluster (see repro.parallel.exchange).
     exchange_shards: int | str = 1
     #: A persistent :class:`repro.parallel.WorkerPool` shared across
-    #: ``Session.run()`` calls; ``None`` uses a private single-run pool.
+    #: ``Session.run()`` calls; ``None``: a pool of the run's own.
     pool: object | None = None
     # -- service specifics (repro.service) -----------------------------
     #: Default fair-share weight when this config is ``submit()``-ed to

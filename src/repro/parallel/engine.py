@@ -1,10 +1,10 @@
-"""The process-pool executor behind the ``parallel-ja`` strategy.
+"""Seat scheduling behind the pooled strategies (``parallel-ja``, ``portfolio``).
 
-:func:`parallel_ja_verify` dispatches one local-proof job per property
-to a pool of worker processes (Section 11's "one processor per
-property", generalized to ``workers <= len(properties)``), merges the
-workers' progress-event streams into the caller's ``emit`` channel,
-aggregates the per-property verdicts into one
+A pooled job hands one local-proof attempt per property to a pool of
+worker processes (Section 11's "one processor per property",
+generalized to ``workers <= len(properties)``), merges the workers'
+progress-event streams into the job's ``emit`` channel, aggregates the
+per-property verdicts into one
 :class:`~repro.multiprop.report.MultiPropReport`, and cancels the
 still-queued remainder early when
 
@@ -22,28 +22,24 @@ driver's budget-exhausted tail.
 Design notes
 ------------
 
-* **Persistent pool.**  Dispatch runs over a
-  :class:`~repro.parallel.pool.WorkerPool`: pass one via
-  ``VerificationConfig.pool`` and successive runs reuse the same worker
-  processes and their cached designs — the server-style regime where
-  per-run setup cost must be amortized.  With no pool supplied the
-  engine creates a private single-run pool (``config.workers`` seats,
-  default one per CPU, capped by the attempt count) and shuts it down
-  afterwards, preserving the original per-run semantics.
-* **Parent-side scheduling, shared with the service.**  The
-  :class:`SeatScheduler` keeps each job's property backlog and assigns
-  the next property to whichever worker reports idle, through that
-  worker's private queue (see :mod:`repro.parallel.pool` for why a
-  shared task queue cannot survive worker crashes).  The same
-  scheduler multiplexes *many* concurrent jobs for
-  :class:`~repro.service.VerificationService` — weighted fair share
-  across jobs, LPT within one — and this engine is its degenerate
-  single-job case.  One output queue carries events, results and
-  errors, so the parent needs no auxiliary threads and, with one
-  worker and one job, the whole message stream — and therefore the
-  session's event sequence — is deterministic.  Every message is
-  tagged with the run id; stragglers from a previous run on a shared
-  pool are discarded by the pool.
+* **One route to a seat.**  A served ``repro submit``, a one-shot
+  ``Session`` and a direct :func:`parallel_ja_verify` call are all one
+  :class:`PooledJob` on the :class:`SeatScheduler` of a
+  :class:`~repro.service.VerificationService`; the one-shot ones open
+  and close that service around their job
+  (:func:`repro.service.core.run_one`), on ``VerificationConfig.pool``
+  when given (workers and cached designs are reused across runs), else
+  on a pool of their own.
+* **Parent-side scheduling.**  The scheduler keeps each job's property
+  backlog and assigns the next property to whichever worker reports
+  idle, through that worker's private queue (see
+  :mod:`repro.parallel.pool` for why a shared task queue cannot survive
+  worker crashes) — weighted fair share across jobs, LPT within one.
+  One output queue carries events, results and errors, so the parent
+  needs no auxiliary threads and, with one worker and one job, the
+  message stream — and so the session's event sequence — is
+  deterministic.  Messages carry their run id; a previous run's
+  stragglers on a shared pool are discarded by the pool.
 * **One run per job, one unit of work per seat.**  Every job — a
   ``parallel-ja`` batch or a ``portfolio`` race alike — is one
   :class:`PooledJob` on one pool run, and its backlog is a list of
@@ -65,13 +61,13 @@ Design notes
   the property order.
 * **Worker crashes** (a killed process, an OOM) are detected by polling
   worker liveness while the queue is idle; because assignment is
-  parent-side, the engine knows exactly which job a dead worker held
+  parent-side, the scheduler knows exactly which job a dead worker held
   and **re-dispatches it once** — the very attempt object, engine and
-  seed included — onto a surviving worker (emitting
+  seed included — onto a live seat or the dead seat's respawn (emitting
   :class:`~repro.progress.PropertyRequeued`); only a second crash on
-  the same attempt — or a pool with no survivors — degrades it to
-  UNKNOWN.  A dead seat on a persistent pool is respawned at the start
-  of the *next* run by :meth:`WorkerPool.ensure_workers`.
+  the same attempt degrades it to UNKNOWN.  Dead seats respawn under a
+  backoff schedule; a job's remainder degrades to UNKNOWN only when the
+  pool was shut down or every seat is in a crash loop.
 * **Sharded clause exchange** (``exchange=True`` with ``clause_reuse``)
   routes clause traffic through one
   :class:`~repro.parallel.exchange.ExchangeShard` per property cluster
@@ -88,16 +84,15 @@ Design notes
 
 from __future__ import annotations
 
-import os
 import queue as queue_mod
 import time
 from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
-from ..config import VerificationConfig, resolve_order
+from ..config import VerificationConfig
 from ..engines.randomwalk import derive_seed
 from ..engines.result import PropStatus
-from ..multiprop.ordering import cone_latches, design_order
+from ..multiprop.ordering import cone_latches
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
     BudgetCheckpoint,
@@ -112,7 +107,7 @@ from ..progress import (
 from ..ts.system import TransitionSystem
 from .exchange import ShardHost, build_shard_map
 from .pool import WorkerPool
-from .portfolio import EngineRace, parse_engine_slate
+from .portfolio import EngineRace, parse_engine_slate, race_stats
 from .stats import PoolStats, SeatStats
 from .worker import PropertyJob, WorkerSettings
 
@@ -141,8 +136,6 @@ class PooledJob:
         order: list[str],
         *,
         weight: float = 1.0,
-        pool_label: str = "persistent",
-        start: float | None = None,
         job_id: str | None = None,
         on_finish=None,
     ) -> None:
@@ -153,10 +146,9 @@ class PooledJob:
         self.order = list(order)
         self.weight = weight
         self.max_seats = config.max_seats
-        self.pool_label = pool_label
         self.job_id = job_id
         self.on_finish = on_finish
-        self.start = time.monotonic() if start is None else start
+        self.start = time.monotonic()
         self.deadline = (
             None
             if config.total_time is None
@@ -176,6 +168,7 @@ class PooledJob:
         self.finished = False  # every property decided, report deliverable
         self.total_time = 0.0
         self.dispatch_mode = "fifo"
+        self.pool_label = "persistent"
         self.use_exchange = False
         self.num_shards = 0
         self.exchange = None
@@ -267,6 +260,11 @@ class LocalProofs:
         }
 
 
+#: Consecutive crashes, with no property served in between, after which
+#: a dead seat no longer keeps jobs waiting for its respawn.
+CRASH_LOOP = 3
+
+
 @dataclass
 class _SeatHealth:
     """Crash/backoff bookkeeping of one seat, as one scheduler sees it.
@@ -295,32 +293,29 @@ class SeatScheduler:
     feeds it by **weighted fair share** — the job minimizing
     ``(seats it holds + 1) / priority`` wins, ties to the oldest run —
     with LPT order inside each job's backlog.  One scheduler owns the
-    pool's message stream (:meth:`WorkerPool.acquire_messages`); the
-    engine drives a single-job scheduler to completion, while a
+    pool's message stream (:meth:`WorkerPool.acquire_messages`); a
     :class:`~repro.service.VerificationService` keeps one alive across
     arbitrarily many concurrent jobs.
 
     Jobs are isolated from each other: run-id tagged messages, per-job
     watchdog deadlines, per-job sharded exchanges, exact crash
     attribution with one bounded re-dispatch,
-    and per-job cancellation that never touches sibling jobs.  With
-    ``revive_seats=True`` (service mode) a crashed seat is respawned
-    *mid-flight* and re-attached to every open run, under per-seat
-    exponential backoff: the first crash respawns immediately, each
-    further crash without a served property in between doubles the
-    delay (``backoff_base`` up to ``backoff_cap``), and a seat that
-    completes a property resets its schedule.  A crash-looping seat
-    therefore costs a bounded respawn rate — never a hot loop — while
-    a long-lived service is never *permanently* degraded.  Without
-    ``revive_seats`` (single-run engine mode) dead seats stay down
-    until the next run.
+    and per-job cancellation that never touches sibling jobs.  A
+    crashed seat is respawned *mid-flight* and re-attached to every
+    open run, under per-seat exponential backoff: the first crash
+    respawns immediately, each further crash without a served property
+    in between doubles the delay (``backoff_base`` up to
+    ``backoff_cap``), and a seat that completes a property resets its
+    schedule.  A crash-looping seat therefore costs a bounded respawn
+    rate — never a hot loop — while a long-lived service is never
+    *permanently* degraded; jobs stop waiting for such a seat after
+    :data:`CRASH_LOOP` crashes in a row (see :meth:`_revival_pending`).
     """
 
     def __init__(
         self,
         pool: WorkerPool,
         *,
-        revive_seats: bool = False,
         service_emit: Emit | None = None,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
@@ -332,7 +327,9 @@ class SeatScheduler:
             )
         pool.acquire_messages(self)
         self.pool = pool
-        self.revive_seats = revive_seats
+        # "ephemeral" when set by whoever created the pool just for this
+        # scheduler; lands in PoolAttached and ``report.stats["pool"]``.
+        self.pool_label = "persistent"
         self.service_emit = service_emit
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -372,15 +369,13 @@ class SeatScheduler:
         *,
         warm_clauses: Sequence = (),
         priority: float = 1.0,
-        pool_label: str = "persistent",
-        start: float | None = None,
         job_id: str | None = None,
         on_finish=None,
     ) -> PooledJob:
         """Open one job (one run) on the pool and queue its whole backlog.
 
         The backlog holds one attempt per property and slate engine
-        (see :func:`_slate`).  ``warm_clauses`` — a cross-run proof
+        (see :func:`slate_of`).  ``warm_clauses`` — a cross-run proof
         cache's clause log for this exact design — seed every per-shard
         ClauseDB a seat opens for the run, re-validated on insertion
         and backstopped by the engine's ``SeedCertificateError`` retry.
@@ -393,28 +388,18 @@ class SeatScheduler:
             )
         pool = self.pool
         emit = emit_or_null(emit)
-        if self.revive_seats:
-            # Service mode: fill never-started seats, then run a full
-            # reap — even with no jobs registered — so a seat that died
-            # between jobs is *accounted* before it is revived.  An
-            # admission must never hot-respawn a seat that is waiting
-            # out its backoff delay.
-            started = pool.start_missing_workers()
-            replaced: list[int] = []
-            self._reap_crashed()
-        else:
-            if self.jobs:
-                # Settle any crashed seat BEFORE the respawn erases the
-                # crash evidence — otherwise the property that seat
-                # held would never be re-dispatched.
-                self._reap_crashed()
-            started, replaced = pool.ensure_workers()
-        for worker_id in sorted(started + replaced):
+        # Fill never-started seats, then run a full reap — even with no
+        # jobs registered — so a seat that died between jobs is
+        # *accounted* before it is revived: an admission must never
+        # hot-respawn a seat that is waiting out its backoff delay.
+        started = pool.start_missing_workers()
+        self._reap_crashed(emit)
+        for worker_id in started:
             emit(WorkerStarted(worker=worker_id))
         emit(
             PoolAttached(
                 workers=pool.workers,
-                persistent=pool_label == "persistent",
+                persistent=self.pool_label == "persistent",
                 runs=pool.stats["runs"],
             )
         )
@@ -428,7 +413,7 @@ class SeatScheduler:
                 if job_time is None
                 else min(job_time, config.total_time)
             )
-        slate = _slate(config)
+        slate = slate_of(config)
         racing = slate != (None,)
         # Dispatch order: LPT (descending cone size) unless the caller
         # pinned an explicit order.  Races keep property order: a race
@@ -467,12 +452,11 @@ class SeatScheduler:
             emit,
             order,
             weight=priority,
-            pool_label=pool_label,
-            start=start,
             job_id=job_id,
             on_finish=on_finish,
         )
         job.dispatch_mode = dispatch_mode
+        job.pool_label = self.pool_label
         job.use_exchange = use_exchange
         job.num_shards = num_shards
         job.exchange = exchange
@@ -505,22 +489,16 @@ class SeatScheduler:
         """
         return [job for job in self.jobs.values() if not job.finished]
 
-    def drive(self) -> None:
-        """Pump messages until every admitted job's report is decided."""
-        while self.live_jobs:
-            self.step()
-
     def step(self, timeout: float = 0.2, max_messages: int = 64) -> None:
         """One pump iteration: watchdogs, a message burst, crash reaping.
 
-        Mirrors the single-run collect loop, generalized: the deadline
-        check walks every live job, and an idle (or long-silent) queue
-        triggers the crash sweep so a dead seat in a *busy* multi-job
-        scheduler is still noticed promptly.  Only the first message
-        blocks (up to ``timeout``); whatever else is already queued is
-        drained in the same step, up to ``max_messages`` — with many
-        jobs streaming progress events, the per-step bookkeeping cost
-        is paid per burst, not per event.
+        The deadline check walks every live job, and an idle (or
+        long-silent) queue triggers the crash sweep so a dead seat in a
+        *busy* multi-job scheduler is still noticed promptly.  Only the
+        first message blocks (up to ``timeout``); whatever else is
+        already queued is drained in the same step, up to
+        ``max_messages`` — with many jobs streaming progress events,
+        the per-step bookkeeping cost is paid per burst, not per event.
         """
         now = time.monotonic()
         for job in self.live_jobs:
@@ -665,7 +643,7 @@ class SeatScheduler:
         raises the epoch (oldest run, monotonic ids protect the rest)
         or sends run-targeted cancel messages.  Attempts already on a
         seat still report (their per-property budget is clamped by this
-        job's total), exactly like the single-run watchdog.
+        job's total).
         """
         if job.finished or job.cancelled:
             return
@@ -717,8 +695,8 @@ class SeatScheduler:
     # ------------------------------------------------------------------
     # Crash handling
     # ------------------------------------------------------------------
-    def _reap_crashed(self) -> None:
-        """Account for dead seats; degrade or revive as configured.
+    def _reap_crashed(self, emit: Emit | None = None) -> None:
+        """Account for dead seats, revive the due ones, degrade if none can.
 
         A crash (OOM kill, hard fault) is a degraded-but-valid run: the
         property the dead seat held is re-dispatched once within its
@@ -726,7 +704,9 @@ class SeatScheduler:
         property — or a retry with nobody to run it — reports it
         UNKNOWN and counts in ``stats["worker_crashes"]`` either way.
         Only *verifier exceptions* (the ``error`` message kind) fail a
-        job, matching the sequential driver's propagation.
+        job, matching the sequential driver's propagation.  Revived
+        seats are announced on ``emit`` (the job being admitted), else
+        on ``service_emit``.
         """
         self._last_reap = time.monotonic()
         failed = self.pool.failed_workers()
@@ -764,8 +744,8 @@ class SeatScheduler:
                 # retry, but it may have been the run's last attempt.
                 job.policy.lost(attempt)
                 self._maybe_finish(job)
-        if self.revive_seats and not self.pool.closed:
-            self._revive()
+        if not self.pool.closed:
+            self._revive(emit or self.service_emit)
         if not self.pool.any_alive() and not self._revival_pending():
             self._degrade_all()
 
@@ -775,26 +755,24 @@ class SeatScheduler:
         The service dispatcher calls this between jobs so a seat whose
         backoff expires while the pool sits idle is revived promptly —
         returning to full strength must not wait for the next
-        admission.  Throttled to a few liveness sweeps per second; a
-        no-op outside revive mode or once the pool is closed.
+        admission.  Throttled to a few liveness sweeps per second.
         """
-        if not self.revive_seats or self.pool.closed:
-            return
-        if time.monotonic() - self._last_reap < 0.2:
-            return
-        self._reap_crashed()
+        if time.monotonic() - self._last_reap >= 0.2:
+            self._reap_crashed()
 
     def _revival_pending(self) -> bool:
-        """True while a crashed seat will eventually respawn.
+        """True while a crashed seat's respawn is worth waiting for.
 
         Keeps :meth:`_degrade_all` honest under delayed revival: with
         every seat dead but a respawn merely waiting out its backoff,
         jobs must wait for the revived seat, not degrade to UNKNOWN.
+        A seat :data:`CRASH_LOOP` crashes into a streak still respawns
+        on schedule, but no job waits for it — they end UNKNOWN instead
+        of hanging.
         """
-        return (
-            self.revive_seats
-            and not self.pool.closed
-            and bool(self.pool.failed_workers())
+        return not self.pool.closed and any(
+            self._seat_health(worker_id).consecutive < CRASH_LOOP
+            for worker_id in self.pool.failed_workers()
         )
 
     def _retry_or_give_up(
@@ -804,17 +782,15 @@ class SeatScheduler:
 
         The attempt goes back to its job's backlog *front* (it already
         waited its turn once) and straight to an idle live seat when
-        one is parked; with no live seat, a revivable scheduler keeps
-        it queued — the next revived seat's ``ready`` ack drains the
-        seatless backlog — while a non-revivable one degrades it to
-        UNKNOWN here, never claiming a re-dispatch that could not
-        execute.
+        one is parked; with no live seat it stays queued — the next
+        revived seat's ``ready`` ack drains the seatless backlog.  On a
+        pool shut down under the scheduler it degrades to UNKNOWN here,
+        never claiming a re-dispatch that could not execute.
         """
-        revivable = self.revive_seats and not self.pool.closed
         if (
             attempt not in job.retried
             and not job.cancelled
-            and (self.pool.any_alive() or revivable)
+            and not self.pool.closed
         ):
             job.retried.add(attempt)
             job.redispatched += 1
@@ -828,7 +804,7 @@ class SeatScheduler:
         job.policy.lost(attempt)
         self._maybe_finish(job)
 
-    def _revive(self) -> None:
+    def _revive(self, emit: Emit | None) -> None:
         """Respawn dead seats whose backoff has elapsed; re-attach runs.
 
         Only seats the scheduler actually lost are touched (and hence
@@ -852,8 +828,8 @@ class SeatScheduler:
             self._seat_health(worker_id).down = False
             for job in self.live_jobs:
                 self.pool.attach_worker(job.run_id, worker_id)
-            if self.service_emit is not None:
-                self.service_emit(WorkerStarted(worker=worker_id))
+            if emit is not None:
+                emit(WorkerStarted(worker=worker_id))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -969,13 +945,25 @@ def _cone_descending(ts: TransitionSystem, order: list[str]) -> list[str]:
     return sorted(order, key=lambda n: (-cone_latches(ts, n), position[n]))
 
 
-def _slate(config: VerificationConfig) -> tuple:
+def slate_of(config: VerificationConfig) -> tuple:
     """The engines attempted per property: the config's strategy being
     ``portfolio`` is what makes a pooled job a race; ``(None,)`` is the
     one local proof."""
     if config.strategy == "portfolio":
         return parse_engine_slate(config.portfolio_engines)
     return (None,)
+
+
+def empty_report(config: VerificationConfig) -> MultiPropReport:
+    """A pooled job with no property to prove: no pool, no run, no seat."""
+    slate = slate_of(config)
+    if slate == (None,):
+        method = LocalProofs.method
+        stats = {"mode": "process", "workers": 0, "exchange": 0}
+    else:
+        method = EngineRace.method
+        stats = race_stats(0, slate, config.seed, {})
+    return MultiPropReport(method=method, design=config.design_name, stats=stats)
 
 
 def parallel_ja_verify(
@@ -989,56 +977,7 @@ def parallel_ja_verify(
     proofs are independent; clause exchange only changes how fast they
     finish), which the integration suite checks property-by-property.
     """
-    config = config or VerificationConfig()
-    if not ts.properties:
-        report = MultiPropReport(method="parallel-ja", design=config.design_name)
-        report.stats = {"mode": "process", "workers": 0, "exchange": 0}
-        return report
-    return _run_pooled(ts, config, emit)
+    from ..service.core import run_one
 
-
-def _run_pooled(
-    ts: TransitionSystem, config: VerificationConfig, emit: Emit | None
-) -> MultiPropReport:
-    """One job driven to its report on a single-job seat scheduler.
-
-    The degenerate case of the multiplexer: one scheduler, one admitted
-    job, drive, report.  Everything after pool creation runs under the
-    teardown guard — a bad shard spec or a failed manager start must
-    not leak the worker processes just spawned.  A race's report is
-    decided as soon as every property is; losers still on a seat are
-    torn down with the run.
-    """
-    start = time.monotonic()
-    order = resolve_order(ts, config.order) or design_order(ts)
-    pool = config.pool
-    ephemeral = pool is None
-    if ephemeral:
-        # One seat per CPU unless the config says otherwise, never more
-        # than there are attempts to seat.
-        attempts = len(order) * len(_slate(config))
-        workers = config.workers if config.workers is not None else os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        pool = WorkerPool(workers=min(workers, attempts))
-    scheduler = None
-    job = None
-    try:
-        scheduler = SeatScheduler(pool)
-        job = scheduler.admit(
-            ts,
-            config,
-            emit,
-            order,
-            pool_label="ephemeral" if ephemeral else "persistent",
-            start=start,
-        )
-        scheduler.drive()
-    finally:
-        if scheduler is not None:
-            scheduler.close()
-        if ephemeral:
-            pool.shutdown()
-    if job.error is not None:
-        raise job.error
-    return job.build_report(pool)
+    config = replace(config or VerificationConfig(), strategy="parallel-ja")
+    return run_one(ts, config, emit)

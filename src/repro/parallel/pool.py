@@ -18,27 +18,27 @@ against the same design.  :class:`WorkerPool` removes that cost:
   per-run clause databases on every ``open_run``, and the parent
   discards any straggler message from an earlier run — no clause or
   verdict leakage between runs.
-* **Crashed workers are replaced between runs.**  Mid-run, a crash is
-  handled by the engine's bounded re-dispatch;
-  :meth:`ensure_workers` (called by the engine at the start of every
-  run) respawns dead slots so the next run starts at full strength
-  (``stats["workers_replaced"]``).
+* **Crashed workers are replaced.**  A crash costs the scheduler one
+  bounded re-dispatch of the attempt the seat held, and the scheduler
+  respawns the dead seat under its per-seat backoff through
+  :meth:`respawn_workers` — mid-run, at the next admission or while
+  idle, whichever comes first (``stats["workers_replaced"]``).
 
 Queueing discipline: jobs flow through **per-worker queues** with the
-scheduling done parent-side (the engine assigns the next backlog job
+scheduling done parent-side (the scheduler assigns the next backlog job
 to whichever worker reports idle), not through one shared task queue.
 A shared queue load-balances for free but is fragile against exactly
 the failure this pool must survive: a worker killed while blocked in
 ``Queue.get`` dies *holding the queue's reader lock*, deadlocking every
 sibling.  With private queues a dead worker poisons only its own
-channel, which is discarded when :meth:`ensure_workers` replaces the
+channel, which is discarded when :meth:`respawn_workers` replaces the
 seat — and the parent always knows exactly which job a dead worker
 held, so crash attribution needs no claim protocol.
 
 Run protocol: **seat leasing.**  Any number of runs may be open
 concurrently (:meth:`open_run`), each identified by its monotonically
-increasing run id; the scheduler that drives them (the engine's
-``SeatScheduler``, shared with :class:`repro.service.VerificationService`)
+increasing run id; the scheduler that drives them (the
+``SeatScheduler`` of a :class:`repro.service.VerificationService`)
 leases idle seats job-by-job via :meth:`assign` and routes the single
 output queue's run-tagged messages itself.  Because one process may
 not have two consumers of that queue, a scheduler must take the
@@ -58,8 +58,8 @@ Use :func:`default_pool` for the module-level shared pool
 explicitly and pass them around; a pool is a context manager, every
 live pool is shut down at interpreter exit (an ``atexit`` hook walks a
 weak registry, so no seat process ever outlives the interpreter), and
-:meth:`shutdown` is idempotent.  The engine creates a private
-single-run pool when no pool is supplied.
+:meth:`shutdown` is idempotent.  A one-shot run with no pool supplied
+gets a private one of its own, shut down with the run.
 """
 
 from __future__ import annotations
@@ -200,27 +200,12 @@ class WorkerPool:
         self.stats["workers_spawned"] += 1
         return _Slot(process, ctrl)
 
-    def ensure_workers(self) -> tuple[list[int], list[int]]:
-        """Bring the pool to full strength; ``(new_ids, replaced_ids)``.
-
-        Called by the engine at the start of every run: missing seats
-        are filled, and a seat whose process died (crash in a previous
-        run) gets a fresh process — with a fresh control queue and an
-        empty design cache, since whatever the dead worker held is gone.
-        Service-mode schedulers do NOT use this blanket respawn: a
-        crashed seat's respawn timing is governed by the scheduler's
-        per-seat backoff, through :meth:`respawn_workers`.
-        """
-        replaced = self.respawn_workers(range(len(self._slots)))
-        started = self.start_missing_workers()
-        return started, replaced
-
     def start_missing_workers(self) -> list[int]:
         """Spawn seats that have never been started; ids, no respawns.
 
-        The service-mode admission path: brings a fresh pool to
-        strength without touching dead seats, whose (possibly
-        backoff-delayed) respawn belongs to the scheduler.
+        The admission path: brings a fresh pool to strength without
+        touching dead seats, whose (possibly backoff-delayed) respawn
+        belongs to the scheduler.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -237,7 +222,9 @@ class WorkerPool:
         Seats still alive (or never spawned) are left untouched, so a
         backoff-aware scheduler can revive precisely the seats whose
         delay has elapsed — and is only ever charged for those
-        (``stats["workers_replaced"]``).
+        (``stats["workers_replaced"]``).  The fresh process has a fresh
+        control queue and an empty design cache: whatever the dead
+        worker held is gone.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -319,8 +306,8 @@ class WorkerPool:
         ``SeatScheduler``, usually inside a
         :class:`~repro.service.VerificationService`) must hold this
         lease.  Re-acquiring by the same owner is a no-op; a second
-        owner is refused — attach to the service instead of running the
-        engine directly on its pool.
+        owner is refused — submit to the service instead of opening a
+        second one on its pool.
         """
         if self._consumer is not None and self._consumer is not owner:
             raise RuntimeError(
@@ -356,8 +343,6 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("WorkerPool is shut down")
-        if not self._slots:
-            self.ensure_workers()
         run_id = next(self._run_ids)
         self._open[run_id] = _OpenRun(ts, settings, exchange)
         for worker_id, slot in enumerate(self._slots):
@@ -460,7 +445,7 @@ class WorkerPool:
                     pass
 
     # ------------------------------------------------------------------
-    # Liveness (consumed by the engine's crash handling)
+    # Liveness (consumed by the scheduler's crash handling)
     # ------------------------------------------------------------------
     def worker_alive(self, worker_id: int) -> bool:
         """True for a live seat (False for one not yet spawned)."""

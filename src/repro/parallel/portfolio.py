@@ -234,7 +234,7 @@ class EngineRace:
         self.job.emit(AttemptCancelled(name=name, engine=engine, latency_s=latency))
 
     def stats(self, pool: WorkerPool) -> dict:
-        return _stats(
+        return race_stats(
             pool.workers,
             self.slate,
             self.job.config.seed,
@@ -251,7 +251,7 @@ class EngineRace:
         )
 
 
-def _stats(workers: int, slate: tuple[str, ...], seed: int | None, races: dict) -> dict:
+def race_stats(workers: int, slate: tuple[str, ...], seed: int | None, races: dict) -> dict:
     return {
         "mode": "portfolio",
         "workers": workers,
@@ -282,13 +282,8 @@ def portfolio_verify(
     reported — so whichever attempt wins, the verdict is one sequential
     ``ja`` would also reach.  The parity suite asserts it end to end.
     """
-    from .engine import _run_pooled
+    from ..service.core import run_one
 
     # The strategy name is what makes the pooled job a race.
     config = replace(config or VerificationConfig(), strategy="portfolio")
-    if not ts.properties:
-        report = MultiPropReport(method="portfolio", design=config.design_name)
-        slate = parse_engine_slate(config.portfolio_engines)
-        report.stats = _stats(0, slate, config.seed, {})
-        return report
-    return _run_pooled(ts, config, emit)
+    return run_one(ts, config, emit)

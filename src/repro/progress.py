@@ -208,7 +208,8 @@ class PoolAttached(ProgressEvent):
 
     Emitted once per run, after any :class:`WorkerStarted` events for
     newly spawned (or crash-replaced) workers.  ``persistent`` is True
-    when the pool is shared across runs (``VerificationConfig.pool``);
+    when the pool outlives the service running the job — it was handed
+    in (``VerificationConfig.pool``), not created by that service;
     ``runs`` counts the batches the pool completed before this one, so
     a warm server-style pool shows ``runs > 0``.
     """
@@ -462,7 +463,7 @@ def format_event(event: ProgressEvent) -> str:
     if isinstance(event, WorkerStarted):
         return f"[{event.kind}] worker {event.worker}"
     if isinstance(event, PoolAttached):
-        mode = "persistent" if event.persistent else "per-run"
+        mode = "persistent" if event.persistent else "ephemeral"
         return (
             f"[{event.kind}] {event.workers} workers ({mode}, "
             f"{event.runs} prior runs)"

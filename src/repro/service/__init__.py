@@ -23,9 +23,8 @@ Property-level work of all pooled jobs is interleaved onto the shared
 worker seats by a weighted fair-share scheduler (see
 :class:`~repro.parallel.engine.SeatScheduler`), admission is bounded
 (:class:`QueueFull`, :class:`~repro.progress.ServiceSaturated`), and
-:class:`~repro.session.Session` is a thin synchronous wrapper over a
-private single-job service — the one-shot API and the server API are
-the same machinery.
+a one-shot :class:`~repro.session.Session` run is one job on such a
+service — the one-shot API and the server API are the same machinery.
 """
 
 from .core import VerificationService

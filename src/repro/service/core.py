@@ -35,16 +35,18 @@ are serialized and — with one worker and one job — deterministic.
 The service either *owns* its pool (constructed lazily from
 ``workers=...``, shut down on :meth:`close`) or *attaches* to a caller
 pool (left running on close).  While a service is attached, the pool's
-message stream is leased to its scheduler — running the engine
-directly on the same pool is refused rather than silently corrupted.
+message stream is leased to its scheduler — a second service (so also
+a one-shot run) on the same pool is refused, not silently corrupted.
 
-:class:`~repro.session.Session` is a thin synchronous wrapper over a
-private single-job service, so the one-shot API and the server API
-exercise the same machinery.
+:class:`~repro.session.Session` and the ``parallel_ja_verify`` /
+``portfolio_verify`` drivers are :func:`run_one` — one job on a service
+opened and closed around it — so the one-shot API and the server API
+are the same machinery.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -54,7 +56,7 @@ import queue as queue_mod
 
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..engines.result import PropStatus
-from ..parallel.engine import SeatScheduler
+from ..parallel.engine import SeatScheduler, empty_report, slate_of
 from ..parallel.pool import WorkerPool
 from ..parallel.stats import PoolStats
 from ..progress import (
@@ -69,6 +71,7 @@ from ..progress import (
 from ..config import VerificationConfig
 from ..session.core import prepare
 from ..session.registry import get_strategy
+from ..ts.system import TransitionSystem
 from .jobs import JobHandle, JobStatus, QueueFull
 from .stats import JobStats, ServiceStats, latency_summary
 
@@ -116,7 +119,7 @@ class _JobRecord:
         # warm-start clauses for the job's clause DBs.
         self.resolver = None
         self.cached_outcomes: dict[str, PropOutcome] = {}
-        self.remaining_order: list[str] | None = None
+        self.remaining_order: list[str] = order
         self.warm_clauses: tuple = ()
         # First exception a subscriber raised while consuming this
         # job's events (e.g. BrokenPipeError from a print callback);
@@ -190,7 +193,6 @@ class VerificationService:
         self._workers = workers
         self._start_method = start_method
         self._scheduler: SeatScheduler | None = None
-        self._inline = False  # private Session mode: no pooled jobs
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._pending: Deque[_JobRecord] = deque()
@@ -207,22 +209,6 @@ class VerificationService:
         self._torn_down = False
         if on_event is not None:
             self.subscribe(on_event)
-
-    # ------------------------------------------------------------------
-    # Private single-job mode (the Session facade's backend)
-    # ------------------------------------------------------------------
-    @classmethod
-    def _private(cls) -> "VerificationService":
-        """One-shot service backing a single ``Session.run()``.
-
-        Inline mode: every strategy — including ``parallel-ja`` — runs
-        on the job thread, so the engine's own single-job scheduler
-        drives whatever pool the config names (an ephemeral pool per
-        run unless ``config.pool`` is set).
-        """
-        service = cls(max_concurrent_jobs=1, max_pending=1)
-        service._inline = True
-        return service
 
     # ------------------------------------------------------------------
     # Introspection and events
@@ -249,8 +235,8 @@ class VerificationService:
         timers are read between scheduler steps, never mid-mutation; a
         dead or absent dispatcher — or a subscriber calling back in
         from dispatcher-delivered events — falls back to a best-effort
-        direct read.  Dict-style access (``stats()["pool"]["runs"]``)
-        keeps working via :class:`ServiceStats` subscripting.
+        direct read.  For a plain dict (``["pool"]["runs"]``, JSON) call
+        :meth:`ServiceStats.as_dict` on the snapshot.
         """
         dispatcher = self._dispatcher
         if (
@@ -397,9 +383,11 @@ class VerificationService:
         which must outlive any one job — so a subscriber exception
         (``BrokenPipeError`` from a print callback is the classic) is
         recorded as the job's failure and later events are dropped,
-        instead of unwinding the scheduler.  Threaded jobs keep the
-        raise-at-call-site behaviour (it aborts the strategy early,
-        exactly like the pre-service ``Session`` did).
+        instead of unwinding the scheduler.  The job's result is that
+        exception from then on, so its queued attempts are cancelled
+        (by command: this may be running mid scheduler step).  Threaded
+        jobs keep the raise-at-call-site behaviour (it aborts the
+        strategy early, exactly like the pre-service ``Session`` did).
         """
 
         def emit(event: ProgressEvent) -> None:
@@ -409,6 +397,8 @@ class VerificationService:
                 self._emit_job(record, event)
             except BaseException as exc:  # surfaced via the job's future
                 record.emit_failure = exc
+                self._commands.put(("cancel", record))
+                self._wake.set()
 
         return emit
 
@@ -444,11 +434,7 @@ class VerificationService:
         weight = float(priority) if priority is not None else float(base.priority)
         if weight <= 0:
             raise ValueError(f"priority must be > 0, got {weight!r}")
-        kind = (
-            "pool"
-            if getattr(strategy, "pooled", False) and not self._inline and order
-            else "thread"
-        )
+        kind = "pool" if getattr(strategy, "pooled", False) else "thread"
 
         deadline = None if timeout is None else time.monotonic() + timeout
         saturation_announced = False
@@ -571,6 +557,19 @@ class VerificationService:
         while True:
             self._drain_commands()
             self._admit_ready()
+            if self._stopping:
+                with self._lock:
+                    # A running record with no pooled_job yet may be mid
+                    # cache-resolution on a helper thread; its "admit"
+                    # command still needs this loop, so stop only when
+                    # the running set is empty (not merely thread-kind
+                    # free).
+                    stop = not self._pending and not self._running
+                if stop:
+                    # Every job is final.  A decided race's losers may
+                    # still hold seats; close() cancels their runs, it
+                    # does not wait for them.
+                    return
             scheduler = self._scheduler
             if scheduler is not None and scheduler.jobs:
                 # Undecided jobs, and decided ones whose losing
@@ -581,18 +580,6 @@ class VerificationService:
                 # Idle upkeep: a crashed seat whose backoff expires
                 # between jobs is revived now, not at the next admission.
                 scheduler.maintain()
-            with self._lock:
-                # A running record with no pooled_job yet may be mid
-                # cache-resolution on a helper thread; its "admit"
-                # command still needs this loop, so stop only when the
-                # running set is empty (not merely thread-kind free).
-                stop = (
-                    self._stopping
-                    and not self._pending
-                    and not self._running
-                )
-            if stop:
-                return
             self._wake.wait(timeout=0.05)
             self._wake.clear()
 
@@ -608,17 +595,13 @@ class VerificationService:
                 if job is not None:
                     self._scheduler.cancel_job(job)
                 # pooled_job is None while the job is still in cache
-                # resolution; cancel_requested is already set and the
-                # "admit" arm below honours it.
+                # resolution; _start_pooled honours the request.
             elif command[0] == "admit":
                 # A pooled job finished cache resolution off-thread and
                 # is ready for its (possibly reduced) seat admission.
                 record = command[1]
-                if record.cancel_requested:
-                    self._finalize(record, self._cancelled_report(record), None)
-                    continue
                 try:
-                    self._start_pooled(record, announce=False)
+                    self._start_pooled(record)
                 except BaseException as exc:
                     self._finalize(record, None, exc)
             elif command[0] == "stats":
@@ -648,110 +631,95 @@ class VerificationService:
         handle._transition(JobStatus.RUNNING)
         try:
             record.resolver = self._resolver_for(record)
-            if record.kind == "pool":
-                if record.resolver is not None and record.resolver.readable:
-                    # Cache resolution certifies stored witnesses (SAT
-                    # work); it must not run on the dispatcher thread.
-                    self._emit_job(
-                        record,
-                        JobStarted(
-                            job=handle.job_id,
-                            design=record.config.design_name,
-                            strategy=record.config.strategy,
-                            mode="pool",
-                        ),
-                    )
-                    record.thread = threading.Thread(
-                        target=self._resolve_pooled,
-                        args=(record,),
-                        name=f"repro-cache-{handle.job_id}",
-                        daemon=True,
-                    )
-                    record.thread.start()
-                else:
-                    self._start_pooled(record)
+            self._emit_job(
+                record,
+                JobStarted(
+                    job=handle.job_id,
+                    design=record.config.design_name,
+                    strategy=record.config.strategy,
+                    mode=record.kind,
+                ),
+            )
+            if record.kind == "thread":
+                target = self._run_threaded
+            elif record.resolver is not None and record.resolver.readable:
+                # Cache resolution certifies stored witnesses (SAT
+                # work); it must not run on the dispatcher thread.
+                target = self._resolve_pooled
             else:
-                self._emit_job(
-                    record,
-                    JobStarted(
-                        job=handle.job_id,
-                        design=record.config.design_name,
-                        strategy=record.config.strategy,
-                        mode="thread",
-                    ),
-                )
-                record.thread = threading.Thread(
-                    target=self._run_threaded,
-                    args=(record,),
-                    name=f"repro-{handle.job_id}",
-                    daemon=True,
-                )
-                record.thread.start()
+                self._start_pooled(record)
+                return
+            record.thread = threading.Thread(
+                target=target,
+                args=(record,),
+                name=f"repro-{handle.job_id}",
+                daemon=True,
+            )
+            record.thread.start()
         except BaseException as exc:  # admission failed: fail the job
             self._finalize(record, None, exc)
 
-    def _resolve_pooled(self, record: _JobRecord) -> None:
-        """Off-dispatcher cache pass for a pooled job.
+    def _resolve(self, record: _JobRecord, emit: Emit) -> MultiPropReport | None:
+        """The job's cache pass; its report if the cache served it whole.
 
-        Serves certified hits, loads warm clauses, then either finishes
-        the job outright (everything cached) or posts an ``admit``
-        command so the dispatcher seats only the remaining properties.
+        Serves certified hits and notes what is left to prove.  A
+        pooled remainder also gets the store's warm-start clauses for
+        its seats' clause DBs.
         """
+        resolver = record.resolver
+        if resolver is None or not resolver.readable:
+            return None
+        record.cached_outcomes, record.remaining_order = resolver.resolve(
+            record.ts, record.order, emit
+        )
+        if not record.remaining_order:
+            return self._cache_report(record)
+        if record.kind == "pool":
+            record.warm_clauses = tuple(resolver.warm_clauses(record.ts))
+        return None
+
+    def _resolve_pooled(self, record: _JobRecord) -> None:
+        """Off-dispatcher cache pass for a pooled job: what it leaves to
+        prove goes back to the dispatcher as an ``admit`` command."""
         try:
-            cached, remaining = record.resolver.resolve(
-                record.ts, record.order, self._guarded_job_emit(record)
-            )
-            record.cached_outcomes = cached
-            record.remaining_order = remaining
-            if remaining:
-                record.warm_clauses = tuple(record.resolver.warm_clauses(record.ts))
-            if record.cancel_requested:
-                self._finalize(record, self._cancelled_report(record), None)
-            elif not remaining:
-                self._finalize(record, self._cache_report(record), None)
-            else:
-                self._commands.put(("admit", record))
+            report = self._resolve(record, self._guarded_job_emit(record))
         except BaseException as exc:
             self._finalize(record, None, exc)
-        finally:
-            self._wake.set()
+        else:
+            if report is None:
+                self._commands.put(("admit", record))
+            else:
+                self._finalize(record, report, None)
+        self._wake.set()
 
     def _cache_report(self, record: _JobRecord) -> MultiPropReport:
         """Report for a job fully served from the proof cache."""
-        started = record.started_at if record.started_at is not None else time.monotonic()
         return MultiPropReport(
             method=record.config.strategy,
             design=record.config.design_name,
             outcomes={},  # cached outcomes merged in _finalize
-            total_time=time.monotonic() - started,
+            total_time=time.monotonic() - record.started_at,
             stats={"mode": "cache", "cache_hits": len(record.cached_outcomes)},
         )
 
-    def _start_pooled(self, record: _JobRecord, announce: bool = True) -> None:
+    def _start_pooled(self, record: _JobRecord) -> None:
+        """Seat what is left to prove of a pooled job (dispatcher thread)."""
+        if record.cancel_requested or record.emit_failure is not None:
+            # Settled while it was still resolving: cancelled, or failed
+            # by its own subscriber.
+            self._finalize(record, self._cancelled_report(record), None)
+            return
+        if not record.remaining_order:
+            self._finalize(record, empty_report(record.config), None)
+            return
         self._ensure_scheduler(record)
-        if announce:
-            self._emit_job(
-                record,
-                JobStarted(
-                    job=record.handle.job_id,
-                    design=record.config.design_name,
-                    strategy=record.config.strategy,
-                    mode="pool",
-                ),
-            )
-        order = (
-            record.remaining_order
-            if record.remaining_order is not None
-            else record.order
-        )
         record.pooled_job = self._scheduler.admit(
             record.ts,
             record.config,
             self._guarded_job_emit(record),
-            order,
+            record.remaining_order,
             warm_clauses=record.warm_clauses,
             priority=record.priority,
-            pool_label="persistent",
             job_id=record.handle.job_id,
             on_finish=lambda job: self._pooled_finished(record, job),
         )
@@ -784,11 +752,12 @@ class VerificationService:
 
         self._scheduler = SeatScheduler(
             self._pool,
-            revive_seats=True,
             service_emit=safe_service_emit,
             backoff_base=self.seat_backoff_base,
             backoff_cap=self.seat_backoff_cap,
         )
+        if self._owns_pool:
+            self._scheduler.pool_label = "ephemeral"
 
     def _pooled_finished(self, record: _JobRecord, job) -> None:
         record.pooled_job = None
@@ -798,29 +767,18 @@ class VerificationService:
             self._finalize(record, job.build_report(self._pool), None)
 
     def _run_threaded(self, record: _JobRecord) -> None:
+        """A sequential strategy, cache pass to report, on its own thread."""
+
+        def emit(event: ProgressEvent) -> None:
+            self._emit_job(record, event)
+
         try:
-            config = record.config
-            resolver = record.resolver
-            if resolver is not None and resolver.readable:
-                cached, remaining = resolver.resolve(
-                    record.ts,
-                    record.order,
-                    lambda event: self._emit_job(record, event),
-                )
-                record.cached_outcomes = cached
-                record.remaining_order = remaining
-                if not remaining:
-                    self._finalize(record, self._cache_report(record), None)
-                    self._wake.set()
-                    return
-                if cached:
-                    config = config.with_overrides(order=remaining)
-            strategy = get_strategy(config.strategy)
-            report = strategy.run(
-                record.ts,
-                config,
-                lambda event: self._emit_job(record, event),
-            )
+            report = self._resolve(record, emit)
+            if report is None:
+                config = record.config
+                if record.cached_outcomes:
+                    config = config.with_overrides(order=record.remaining_order)
+                report = get_strategy(config.strategy).run(record.ts, config, emit)
             error = None
         except BaseException as exc:  # re-raised at handle.result()
             report, error = None, exc
@@ -962,3 +920,29 @@ class VerificationService:
             f"VerificationService({state}, "
             f"{len(self._running)} running, {len(self._pending)} pending)"
         )
+
+
+def run_one(
+    ts: TransitionSystem,
+    config: VerificationConfig,
+    emit: Emit | None = None,
+) -> MultiPropReport:
+    """One job, start to report, on a service opened and closed around it.
+
+    The service attaches to ``config.pool`` if set; else a pooled
+    strategy gets its own pool for the run: ``config.workers`` seats
+    (default one per CPU), never more than there are attempts to seat.
+    """
+    order = config.order
+    properties = ts.properties if order is None or isinstance(order, str) else order
+    workers = config.workers if config.workers is not None else os.cpu_count() or 1
+    service = VerificationService(
+        pool=config.pool,
+        workers=min(workers, len(properties) * len(slate_of(config))),
+        max_concurrent_jobs=1,
+        max_pending=1,
+    )
+    try:
+        return service.submit(ts, config, on_event=emit).result()
+    finally:
+        service.close()

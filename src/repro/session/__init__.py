@@ -90,7 +90,7 @@ property slot (paper Section 11) through
 Worker progress events are merged into the session's normal event
 channel; :class:`WorkerStarted`, :class:`PropertyCancelled` and
 :class:`PropertyRequeued` (a crashed worker's job re-dispatched onto a
-survivor) make the pool's lifecycle observable.  Jobs are dispatched
+live seat or the seat's respawn) make the pool's lifecycle observable.  Jobs are dispatched
 largest-estimated-cone-first unless the config pins an explicit
 ``order``.
 

@@ -126,11 +126,11 @@ class Session:
     def run(self) -> MultiPropReport:
         """Run the configured strategy to completion, emitting events.
 
-        The session is a thin synchronous wrapper over a **private
-        single-job** :class:`~repro.service.VerificationService`: the
-        run is submitted as one job and awaited, so the one-shot API
-        exercises exactly the machinery the server API does (the job
-        lifecycle shows up in the event stream as
+        A thin synchronous wrapper over
+        :func:`~repro.service.core.run_one`: the run is the one job of
+        a :class:`~repro.service.VerificationService`, so the one-shot
+        API exercises exactly the machinery the server API does (the
+        job lifecycle shows up in the event stream as
         ``job-queued``/``job-started``/``job-finished`` between the
         session's :class:`RunStarted`/:class:`RunFinished` brackets).
 
@@ -138,7 +138,7 @@ class Session:
         (with zeroed counters), so subscribers can always close their
         bookkeeping on it; the exception then propagates to the caller.
         """
-        from ..service.core import VerificationService
+        from ..service.core import run_one
 
         get_strategy(self.config.strategy)  # fail fast, as before
         self._emit(
@@ -150,14 +150,7 @@ class Session:
         )
         report: MultiPropReport | None = None
         try:
-            service = VerificationService._private()
-            try:
-                handle = service.submit(
-                    self.ts, self.config, on_event=self._emit
-                )
-                report = handle.result()
-            finally:
-                service.close()
+            report = run_one(self.ts, self.config, self._emit)
         finally:
             self._emit(
                 RunFinished(

@@ -9,6 +9,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import ProofStore
 from repro.gen.counter import fixed_counter
 from repro.service import VerificationService
 from repro.session import Session, VerificationConfig
@@ -94,6 +95,46 @@ class TestServiceCache:
         assert warm.stats.get("cache_hits") == 2
         assert stats.cache["hits"] == 2
         assert stats.cache["writes"] == 2
+
+    def test_partial_hit_warm_starts_on_every_route(self, tmp_path, monkeypatch):
+        """A one-shot pooled run is a service job: it seeds its seats'
+        clause DBs from the design's warm log exactly as a submit does."""
+        stores = []
+        load_warm = ProofStore.load_warm
+
+        def spy(store, design, ts):
+            stores.append(store)
+            return load_warm(store, design, ts)
+
+        monkeypatch.setattr(ProofStore, "load_warm", spy)
+
+        def one_shot(ts, config):
+            return Session(ts, config).run()
+
+        def served(ts, config):
+            with VerificationService(workers=1) as service:
+                return service.submit(ts, config).result()
+
+        def partial_hit(route, cache_dir):
+            config = VerificationConfig(
+                strategy="parallel-ja", workers=1, cache_dir=str(cache_dir)
+            )
+            route(TransitionSystem(fixed_counter(4)), config)  # cold: writes
+            for entry in (cache_dir / "entries").iterdir():
+                if json.loads(entry.read_text())["prop"] == "P1":
+                    entry.unlink()  # P1 is left to prove; P0 still hits
+            del stores[:]
+            report = route(TransitionSystem(fixed_counter(4)), config)
+            assert report.stats["cache_hits"] == 1
+            assert report.outcomes["P1"].engine != "cache"
+            return _verdicts(report), sum(
+                store.stats()["warm_clauses"] for store in set(stores)
+            )
+
+        session_verdicts, session_warm = partial_hit(one_shot, tmp_path / "a")
+        service_verdicts, service_warm = partial_hit(served, tmp_path / "b")
+        assert session_verdicts == service_verdicts
+        assert session_warm == service_warm > 0
 
     def test_service_default_cache_dir(self, tmp_path):
         with VerificationService(workers=2, cache_dir=str(tmp_path)) as service:

@@ -5,7 +5,8 @@ pool: seats are plain set entries, crashes are ``kill()`` calls, and
 messages are a deque — so the crash bookkeeping (transition-based
 accounting, the exponential schedule, reset-on-healthy, the seatless
 backlog drain) is exercised deterministically, with no processes and no
-sleeps.  The one fork-based test at the bottom injects a real
+sleeps.  One class runs a whole :class:`VerificationService` over the
+stub; the one fork-based test at the bottom injects a real
 crash-looping worker through the service stack.
 """
 
@@ -24,6 +25,8 @@ from repro.multiprop.report import PropOutcome
 from repro.parallel import SeatScheduler
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import pool_worker_main  # real entry, pre-patch
+from repro.progress import PropertyStarted
+from repro.service import JobStatus, VerificationService
 from repro.session import VerificationConfig
 
 needs_fork = pytest.mark.skipif(
@@ -65,9 +68,18 @@ class _StubPool:
     def kill(self, worker_id: int) -> None:
         self._alive.discard(worker_id)
 
+    def shutdown(self) -> None:
+        """An orderly stop: seats exit cleanly, so none counts as failed."""
+        self.closed = True
+        self._started.clear()
+        self._alive.clear()
+
     # -- WorkerPool surface ---------------------------------------------
     def acquire_messages(self, owner) -> None:
         self._owner = owner
+
+    def release_messages(self, owner) -> None:
+        self._owner = None
 
     @property
     def open_runs(self) -> list[int]:
@@ -91,6 +103,8 @@ class _StubPool:
     def next_message(self, timeout: float = 0.2):
         if self.messages:
             return self.messages.popleft()
+        if timeout > 0:
+            time.sleep(0.001)  # a dispatcher thread polling: do not spin
         raise queue_mod.Empty
 
     def cancel_run(self, run_id: int) -> None:
@@ -126,15 +140,6 @@ class _StubPool:
                 self.stats["workers_replaced"] += 1
                 fresh.append(worker_id)
         return fresh
-
-    def ensure_workers(self):
-        replaced = self.respawn_workers(sorted(self._started))
-        return self.start_missing_workers(), replaced
-
-
-def _scheduler(pool, **kwargs) -> SeatScheduler:
-    kwargs.setdefault("revive_seats", True)
-    return SeatScheduler(pool, **kwargs)
 
 
 def _admit(scheduler, names, *, priority=1.0, max_seats=None, job_id=None):
@@ -191,11 +196,11 @@ def _serve_everything(scheduler, limit: int = 200) -> None:
 
 class TestReviveAccounting:
     def test_revive_touches_only_seats_actually_lost(self):
-        # Regression: the old path charged its revive budget with
-        # len(started + replaced) from ensure_workers(), counting seats
-        # it never lost.  Now only failed seats are respawned/accounted.
+        # Regression: the old path charged its revive budget with every
+        # seat a blanket respawn touched, counting seats it never lost.
+        # Now only failed seats are respawned/accounted.
         pool = _StubPool(workers=3)
-        scheduler = _scheduler(pool)
+        scheduler = SeatScheduler(pool)
         _admit(scheduler, ["p0", "p1"])
         _pump(scheduler)
         spawned_before = pool.stats["workers_spawned"]
@@ -208,7 +213,7 @@ class TestReviveAccounting:
 
     def test_repeated_reaps_account_one_crash(self):
         pool = _StubPool(workers=2)
-        scheduler = _scheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
         _admit(scheduler, ["p0"])
         _pump(scheduler)
         pool.kill(0)
@@ -228,7 +233,7 @@ class TestFinishedJobsAreSealed:
         # table with its run closed, so a crash reaped afterwards has
         # no way to reach its sealed state (ready set, outcomes).
         pool = _StubPool(workers=2)
-        scheduler = _scheduler(pool)
+        scheduler = SeatScheduler(pool)
         job = _admit(scheduler, ["p0"])
         _serve_everything(scheduler)
         assert job.finished and job.run_id not in scheduler.jobs
@@ -248,7 +253,7 @@ class TestSeatlessBacklogDrains:
         # in the backlog with nobody alive, the revived seat's ready
         # ack must drain it.
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool)
+        scheduler = SeatScheduler(pool)
         job = _admit(scheduler, ["p0"])
         _pump(scheduler)
         run_id, attempt = scheduler.assignments[0]
@@ -263,7 +268,7 @@ class TestSeatlessBacklogDrains:
 
     def test_degrade_waits_for_backoff_pending_revival(self):
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
         job = _admit(scheduler, ["p0"])
         pool.kill(0)
         scheduler._reap_crashed()  # crash 1: immediate respawn
@@ -279,21 +284,65 @@ class TestSeatlessBacklogDrains:
         _serve_everything(scheduler)
         assert job.outcomes["p0"].status is PropStatus.HOLDS
 
-    def test_non_revivable_scheduler_still_degrades(self):
+    def test_crash_on_a_closed_pool_is_not_retried(self):
+        # A closed pool is the one thing a scheduler cannot revive: the
+        # lost attempt degrades at once, claiming no re-dispatch.
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool, revive_seats=False)
+        scheduler = SeatScheduler(pool)
         job = _admit(scheduler, ["p0"])
         _pump(scheduler)
         pool.kill(0)
+        pool.closed = True
         scheduler._reap_crashed()
-        assert job.finished
+        assert job.finished and job.redispatched == 0
         assert job.outcomes["p0"].status is PropStatus.UNKNOWN
+        assert pool.respawn_calls == []
+
+    def test_pool_shutdown_degrades_every_job(self):
+        # Seats that exit cleanly take their attempts with them: nobody
+        # will report p0, nobody will ever take p1.
+        pool = _StubPool(workers=1)
+        scheduler = SeatScheduler(pool)
+        job = _admit(scheduler, ["p0", "p1"])
+        _pump(scheduler)
+        assert scheduler.assignments[0][1].name == "p0"
+        pool.shutdown()
+        scheduler._reap_crashed()
+        assert job.finished and job.error is None
+        assert job.crashes == 0 and job.cancelled_count == 2
+        assert {o.status for o in job.outcomes.values()} == {PropStatus.UNKNOWN}
+
+    def test_crash_looping_seat_ends_job_unknown(self):
+        # Every attempt the seat takes kills it.  Each property costs at
+        # most two crashes (one re-dispatch), and CRASH_LOOP crashes in
+        # a row end the wait for the seat: the job terminates UNKNOWN
+        # instead of riding the backoff schedule forever.
+        pool = _StubPool(workers=1)
+        scheduler = SeatScheduler(pool)
+        job = _admit(scheduler, ["p0", "p1", "p2"])
+        crashes: dict[str, int] = {}
+        for _ in range(10):
+            if job.finished:
+                break
+            scheduler._seat_health(0).not_before = 0.0  # skip the backoff
+            scheduler._reap_crashed()
+            _pump(scheduler)
+            if 0 in scheduler.assignments:
+                name = scheduler.assignments[0][1].name
+                crashes[name] = crashes.get(name, 0) + 1
+                pool.kill(0)
+                scheduler._reap_crashed()
+        assert job.finished and job.error is None
+        assert crashes == {"p0": 2, "p1": 1}
+        assert job.crashes == 3 and job.redispatched == 2
+        assert {o.status for o in job.outcomes.values()} == {PropStatus.UNKNOWN}
+        assert set(job.outcomes) == {"p0", "p1", "p2"}
 
 
 class TestBackoffSchedule:
     def test_delay_doubles_from_base_and_caps(self):
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool, backoff_base=5.0, backoff_cap=8.0)
+        scheduler = SeatScheduler(pool, backoff_base=5.0, backoff_cap=8.0)
         _admit(scheduler, ["p0"])
         health = scheduler._seat_health(0)
         observed = []
@@ -309,7 +358,7 @@ class TestBackoffSchedule:
 
     def test_backoff_delays_the_respawn(self):
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
         _admit(scheduler, ["p0"])
         pool.kill(0)
         scheduler._reap_crashed()  # immediate
@@ -327,7 +376,7 @@ class TestBackoffSchedule:
         # still fire a due respawn so full strength never waits for the
         # next admission.
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
         job = _admit(scheduler, ["p0"])
         _serve_everything(scheduler)
         assert job.finished
@@ -350,7 +399,7 @@ class TestBackoffSchedule:
 
     def test_served_property_resets_the_schedule(self):
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
         job = _admit(scheduler, ["p0", "p1"])
         _pump(scheduler)
         pool.kill(0)
@@ -371,7 +420,7 @@ class TestBackoffSchedule:
 class TestSeatQuota:
     def test_max_seats_caps_a_jobs_held_seats(self):
         pool = _StubPool(workers=4)
-        scheduler = _scheduler(pool)
+        scheduler = SeatScheduler(pool)
         capped = _admit(
             scheduler, [f"a{i}" for i in range(4)], max_seats=1, job_id="capped"
         )
@@ -400,7 +449,7 @@ class TestSeatQuota:
 
     def test_admit_rejects_non_positive_quota(self):
         pool = _StubPool(workers=1)
-        scheduler = _scheduler(pool)
+        scheduler = SeatScheduler(pool)
         with pytest.raises(ValueError, match="max_seats"):
             _admit(scheduler, ["p0"], max_seats=0)
 
@@ -414,7 +463,7 @@ class TestSeatQuota:
 class TestSchedulerStats:
     def test_snapshot_reports_occupancy_and_backoff(self):
         pool = _StubPool(workers=2)
-        scheduler = _scheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
         _admit(scheduler, ["p0", "p1"], job_id="job-0")
         _pump(scheduler)
         stats = scheduler.stats()
@@ -436,6 +485,58 @@ class TestSchedulerStats:
         as_dict = snap.as_dict()
         assert as_dict["runs"] == pool.stats["runs"]  # legacy splice
         assert as_dict["seats"][0]["crashes"] == 2
+
+
+def _wait_for(condition, what: str) -> None:
+    """Block until the dispatcher thread got there (a sync point, not a
+    timing assertion: the deadline only turns a hang into a failure)."""
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline, f"never happened: {what}"
+        time.sleep(0.001)
+
+
+class TestEmitFailure:
+    def test_first_failure_cancels_queued_attempts(self, counter4):
+        # The job's result is decided — the subscriber's exception — the
+        # moment an emit fails; its queued attempts must not be seated.
+        pool = _StubPool(workers=1)
+        seen = []
+
+        def explode(event):
+            seen.append(event.kind)
+            if isinstance(event, PropertyStarted):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with VerificationService(pool=pool) as service:
+            handle = service.submit(
+                counter4,
+                strategy="parallel-ja",
+                exchange=False,
+                order=["P0", "P1"],
+                on_event=explode,
+            )
+            _wait_for(lambda: pool.assigned, "first attempt seated")
+            seat, run_id, attempt = pool.assigned[0]
+            assert attempt.name == "P0"
+            pool.messages.append(
+                ("event", run_id, seat, PropertyStarted(name="P0", assumed=("P1",)))
+            )
+            _wait_for(lambda: pool.cancelled_runs, "job cancelled")
+            pool.messages.append(
+                (
+                    "result",
+                    run_id,
+                    seat,
+                    PropOutcome(name="P0", status=PropStatus.HOLDS, local=True),
+                )
+            )
+            with pytest.raises(BrokenPipeError):
+                handle.result(timeout=30)
+            assert handle.status is JobStatus.FAILED  # not CANCELLED
+        assert [job.name for _, _, job in pool.assigned] == ["P0"]
+        # Everything between the failure and the verdict was dropped.
+        assert seen[-2:] == ["property-started", "job-finished"]
 
 
 def _crash_loop_until(marker: str):

@@ -76,8 +76,8 @@ class TestEngine:
         assert report.stats["exchange"] == 0
 
     def test_shard_managers_do_not_outlive_the_scheduler(self, counter4):
-        """Engine mode hosts shards the way the service does: on the
-        scheduler's own managers, alive across jobs, gone on close."""
+        """A job's shards live on the scheduler's own managers: alive
+        across jobs, gone on close."""
 
         def managers():
             return [
@@ -92,7 +92,8 @@ class TestEngine:
                 job = scheduler.admit(
                     counter4, VerificationConfig(), None, ["P0", "P1"]
                 )
-                scheduler.drive()
+                while scheduler.live_jobs:
+                    scheduler.step()
                 assert job.use_exchange and job.error is None
                 assert len(managers()) == 1
             finally:

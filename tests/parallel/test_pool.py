@@ -97,7 +97,7 @@ class TestPoolLifecycle:
         pool.shutdown()
         assert pool.closed
         with pytest.raises(RuntimeError):
-            pool.ensure_workers()
+            pool.start_missing_workers()
 
     def test_config_rejects_closed_pool(self, toggler):
         pool = WorkerPool(workers=1)
@@ -148,7 +148,7 @@ class TestSeatLeasing:
 
         from repro.parallel.worker import PropertyJob, WorkerSettings
 
-        pool.ensure_workers()
+        pool.start_missing_workers()
         first = pool.open_run(toggler, WorkerSettings(clause_reuse=False))
         second = pool.open_run(counter4, WorkerSettings(clause_reuse=False))
         assert pool.open_runs == [first, second]
@@ -181,7 +181,7 @@ class TestSeatLeasing:
     def test_cancel_run_spares_younger_siblings(self, pool, toggler):
         from repro.parallel.worker import PropertyJob, WorkerSettings
 
-        pool.ensure_workers()
+        pool.start_missing_workers()
         old = pool.open_run(toggler, WorkerSettings())
         young = pool.open_run(toggler, WorkerSettings())
         pool.cancel_run(old)  # oldest: epoch path
@@ -206,7 +206,7 @@ class TestSeatLeasing:
     def test_cancel_younger_run_spares_the_oldest(self, pool, toggler):
         from repro.parallel.worker import WorkerSettings
 
-        pool.ensure_workers()
+        pool.start_missing_workers()
         old = pool.open_run(toggler, WorkerSettings())
         young = pool.open_run(toggler, WorkerSettings())
         pool.cancel_run(young)  # non-oldest: per-worker cancel messages
@@ -231,7 +231,7 @@ class TestSeatLeasing:
     def test_assign_to_unopened_run_rejected(self, pool, toggler):
         from repro.parallel.worker import PropertyJob, WorkerSettings
 
-        pool.ensure_workers()
+        pool.start_missing_workers()
         run = pool.open_run(toggler, WorkerSettings())
         with pytest.raises(RuntimeError, match="not open"):
             pool.assign(0, PropertyJob(name="never_q"), run_id=run + 1)
@@ -249,7 +249,7 @@ class TestSeatLeasing:
         from repro.parallel.exchange import ShardHost, shard_clusters
         from repro.parallel.worker import PropertyJob, WorkerSettings
 
-        pool.ensure_workers()
+        pool.start_missing_workers()
         host = ShardHost(ctx=pool.context)
         try:
             exchange = host.open_shards(shard_clusters([["never_q"]], 1))

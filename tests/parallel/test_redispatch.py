@@ -4,7 +4,8 @@ The crash tests replace the pool worker entry point with wrappers that
 ``os._exit`` at controlled points (fork start method only: the patched
 function must be inherited by the child).  A file marker gates the
 surviving worker so the crash always wins the race for the first job,
-making the scenarios deterministic.
+and makes the crash a one-off — the seat's respawn runs the real worker
+— making the scenarios deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ needs_fork = pytest.mark.skipif(
 
 
 def _crash_on_first_job(marker: str):
-    """Worker 0 absorbs its setup, takes its first job, then dies.
+    """Worker 0 absorbs its setup, takes its first job, then dies — once.
 
     The parent assigned the job, so the crash loses work it must
     recover; the sibling workers wait for the marker so worker 0 is
@@ -42,7 +43,7 @@ def _crash_on_first_job(marker: str):
     def entry(worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event):
         import time
 
-        if worker_id == 0:
+        if worker_id == 0 and not os.path.exists(marker):
             while True:
                 message = ctrl_queue.get(timeout=10)
                 if message[0] == "run":
@@ -65,12 +66,12 @@ def _crash_on_first_job(marker: str):
 
 
 def _crash_before_ready(marker: str):
-    """Worker 0 dies before even acknowledging the run setup."""
+    """Worker 0 dies before even acknowledging the run setup — once."""
 
     def entry(worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event):
         import time
 
-        if worker_id == 0:
+        if worker_id == 0 and not os.path.exists(marker):
             ctrl_queue.get(timeout=10)  # swallow the setup, say nothing
             with open(marker, "w"):
                 pass
@@ -110,6 +111,21 @@ class TestCrashRedispatch:
         # Assignment is parent-side, so attribution is exact.
         assert requeued[0].worker == 0
 
+    def test_only_seat_dying_once_keeps_the_verdicts(
+        self, toggler, tmp_path, monkeypatch
+    ):
+        # A one-shot run revives its seats like a service does: with no
+        # survivor to take the lost attempt, the seat's respawn does.
+        marker = str(tmp_path / "crashed")
+        monkeypatch.setattr(
+            worker_mod, "pool_worker_main", _crash_on_first_job(marker)
+        )
+        report = parallel_ja_verify(toggler, VerificationConfig(workers=1))
+        assert report.outcomes["never_r"].status is PropStatus.HOLDS
+        assert report.outcomes["never_q"].status is PropStatus.FAILS
+        assert report.stats["worker_crashes"] == 1
+        assert report.stats["redispatched"] == 1
+
     def test_worker_dead_before_ack_does_not_stall_the_run(
         self, toggler, tmp_path, monkeypatch
     ):
@@ -121,8 +137,7 @@ class TestCrashRedispatch:
             toggler, VerificationConfig(workers=2)
         )
         # The dead worker never held a job, so nothing was lost: the
-        # survivor works through the whole backlog and the run
-        # terminates with full verdicts instead of hanging.
+        # run terminates with full verdicts instead of hanging.
         assert report.outcomes["never_r"].status is PropStatus.HOLDS
         assert report.outcomes["never_q"].status is PropStatus.FAILS
         assert report.stats["worker_crashes"] == 0
@@ -135,6 +150,8 @@ class TestCrashRedispatch:
                             stop_event):
             os._exit(1)
 
+        # Every respawn dies too: after CRASH_LOOP crashes in a row on
+        # each seat the job stops waiting for them.
         monkeypatch.setattr(worker_mod, "pool_worker_main", die_immediately)
         report = parallel_ja_verify(
             toggler, VerificationConfig(workers=2)

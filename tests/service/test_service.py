@@ -52,7 +52,7 @@ class TestSubmitBasics:
             handle = service.submit(counter4, strategy="parallel-ja")
             report = handle.result(timeout=60)
         assert verdicts(report) == expected
-        assert report.stats["pool"] == "persistent"
+        assert report.stats["pool"] == "ephemeral"
 
     def test_job_lifecycle_events_in_order(self, toggler):
         events = []
