@@ -2,7 +2,7 @@
 
 The cross-process plumbing (:mod:`repro.parallel.pool` /
 :mod:`repro.parallel.worker` / :mod:`repro.parallel.engine`) speaks
-tuple-tagged messages: ``slot.ctrl.put(("job", run_id, job))`` on the
+tuple-tagged messages: ``slot.ctrl.put(("job", run_id, job, seq))`` on the
 sending side, ``if kind == "job": ...`` on the receiving side.  Nothing
 type-checks that pairing — a tag typo, a new message kind without a
 dispatch arm, or a dispatch arm for a message nobody sends all fail

@@ -17,7 +17,7 @@ its seats — what crosses a process boundary, and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .engines.result import ResourceBudget
 from .ts.system import TransitionSystem
@@ -59,11 +59,15 @@ class ProofOptions:
     per_property_time: float | None = None
     per_property_conflicts: int | None = None
 
-    def budget(self) -> ResourceBudget:
-        """A fresh per-property budget (every engine run gets its own)."""
+    def budget(self, stop: Callable[[], bool] | None = None) -> ResourceBudget:
+        """A fresh per-property budget (every engine run gets its own).
+
+        ``stop`` is the caller's give-up check (see :class:`ResourceBudget`).
+        """
         return ResourceBudget(
             time_limit=self.per_property_time,
             conflict_limit=self.per_property_conflicts,
+            stop=stop,
         )
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import enum
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..ts.system import Clause
@@ -81,17 +83,22 @@ class ResourceBudget:
     The paper's experiments use per-property time limits; pure wall-clock
     limits make tests flaky, so budgets can also be expressed in SAT
     conflicts (deterministic).  Whichever limit is hit first wins.
+
+    ``stop``, when given, is asked at every :meth:`exhausted` check too:
+    once it returns true the budget counts as spent, so an engine gives
+    up at its next check and returns UNKNOWN.  A pool seat passes one to
+    let the parent stop a race's losing attempt.
     """
 
     def __init__(
         self,
         time_limit: float | None = None,
         conflict_limit: int | None = None,
+        stop: Callable[[], bool] | None = None,
     ) -> None:
-        import time
-
         self.time_limit = time_limit
         self.conflict_limit = conflict_limit
+        self.stop = stop
         self._start = time.monotonic()
         self.conflicts_used = 0
 
@@ -99,15 +106,11 @@ class ResourceBudget:
         self.conflicts_used += amount
 
     def exhausted(self) -> bool:
-        import time
-
         if self.time_limit is not None and time.monotonic() - self._start > self.time_limit:
             return True
         if self.conflict_limit is not None and self.conflicts_used > self.conflict_limit:
             return True
-        return False
+        return self.stop is not None and self.stop()
 
     def elapsed(self) -> float:
-        import time
-
         return time.monotonic() - self._start

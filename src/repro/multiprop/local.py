@@ -29,7 +29,7 @@ this step reads: a driver projects its
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ..circuit.coi import reduce_to_cone, remap_clause, support_signature
 from ..config import ProofOptions
@@ -87,12 +87,15 @@ def prove(
     emit: Emit | None = None,
     *,
     local: bool = True,
+    stop: Callable[[], bool] | None = None,
 ) -> tuple[PropOutcome, EngineResult]:
     """Decide ``name`` under ``assumed``: the ladder, the export, the events.
 
     Emits ``PropertyStarted``, the engine's own progress, ``ClauseExport``
     and ``PropertySolved``.  ``db`` is read for seeds and receives the
-    invariant only when ``options.clause_reuse`` is set.
+    invariant only when ``options.clause_reuse`` is set.  ``stop`` goes
+    into every rung's budget: once it returns true the proof gives up
+    UNKNOWN at the engine's next budget check.
     """
     send = emit_or_null(emit)
     assumed = list(assumed)
@@ -104,7 +107,9 @@ def prove(
     use_coi = options.coi_reduction
     reruns = 0
     while True:
-        result = _run_ic3(ts, name, assumed, options, respect, use_coi, seeds, send)
+        result = _run_ic3(
+            ts, name, assumed, options, respect, use_coi, seeds, send, stop
+        )
         if result.status is not PropStatus.FAILS or not assumed:
             break
         fail_frame, _ = result.cex.first_failures(ts.aig, assumed_lits)
@@ -140,6 +145,7 @@ def _run_ic3(
     use_coi: bool,
     seeds: Sequence,
     emit: Emit,
+    stop: Callable[[], bool] | None,
 ) -> EngineResult:
     """One rung: one IC3 run, translated back from its COI reduction."""
     run_ts, run_assumed, run_seeds, reduction = ts, assumed, seeds, None
@@ -153,7 +159,7 @@ def _run_ic3(
         assumed=run_assumed,
         respect_constraints_in_lifting=respect,
         seed_clauses=run_seeds,
-        budget=options.budget(),
+        budget=options.budget(stop),
         max_frames=options.max_frames,
         ctg=options.ctg,
         solver_backend=options.solver_backend,
@@ -169,7 +175,9 @@ def _run_ic3(
             ) from exc
         # Poisoned seeds (possible when mixing invariants proven under
         # different assumption sets): retry from scratch without them.
-        result = _run_ic3(ts, name, assumed, options, respect, use_coi, (), emit)
+        result = _run_ic3(
+            ts, name, assumed, options, respect, use_coi, (), emit, stop
+        )
         result.stats["certificate_retry"] = 1
         return result
     if reduction is not None:

@@ -16,7 +16,7 @@ that claim instead of simulating it:
 * :mod:`repro.parallel.portfolio` — per-property engine racing as a
   scheduling *policy* over the same job type: one run per job, an
   attempt per (property, engine) in its backlog, first definitive
-  verdict decides, losers are dropped or drain;
+  verdict decides, queued losers are dropped and running ones stopped;
 * :mod:`repro.parallel.pool` — a persistent :class:`WorkerPool` that
   outlives a single run: workers cache pickled designs by content hash,
   accept successive job batches, and are shared across

@@ -52,7 +52,10 @@ Design notes
   means for the property.  A job's report is delivered when every
   property is **decided**; its run is closed when the last attempt
   still on a seat has **drained** (the two differ only for a race
-  whose losers are still running).
+  whose losers are still running).  A decision stops the seats that
+  still run the property's other attempts
+  (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), so a loser
+  drains within one budget check of its engine.
 * **Size-aware dispatch**: with no explicit property order, the backlog
   is ordered by *descending* estimated cone-of-influence size, the
   classic LPT list-scheduling heuristic — big proofs start first, so
@@ -548,12 +551,13 @@ class SeatScheduler:
             health.consecutive = 0
             health.delay = 0.0
             verdict = job.policy.result(attempt, outcome)
-            if (
-                job.config.stop_on_failure
-                and verdict is not None
-                and verdict.status is PropStatus.FAILS
-            ):
-                self.cancel_job(job)
+            if verdict is not None:
+                self._stop_losers(job, verdict.name)
+                if (
+                    job.config.stop_on_failure
+                    and verdict.status is PropStatus.FAILS
+                ):
+                    self.cancel_job(job)
             self._feed_seat(worker_id)
         elif kind == "cancelled":
             attempt = self._release(worker_id, run_id, message[3])
@@ -586,6 +590,17 @@ class SeatScheduler:
             return None
         del self.assignments[worker_id]
         return held[1]
+
+    def _stop_losers(self, job: PooledJob, name: str) -> None:
+        """Stop every seat still running an attempt of a decided property.
+
+        Only a race ever has one: ``LocalProofs`` queues one attempt per
+        property, and it has just reported.  A stopped attempt reports
+        UNKNOWN at its engine's next budget check, which frees the seat.
+        """
+        for worker_id, (run_id, attempt) in self.assignments.items():
+            if run_id == job.run_id and attempt.name == name:
+                self.pool.stop_seat(worker_id)
 
     # ------------------------------------------------------------------
     # Seat feeding (weighted fair share across jobs, LPT within one)

@@ -53,6 +53,15 @@ ids are monotonic, so that never touches a newer run — and falls back
 to explicit ``("cancel", run_id)`` control messages otherwise.  Workers
 decline (report ``cancelled``) any assigned job of a cancelled run.
 
+A job already *running* is stopped per seat, through **stop marks**: one
+shared ``Array("q", workers)`` created with the pool and handed to
+every seat it spawns or respawns.  Each job message carries a pool-wide
+sequence number, ``("job", run_id, job, seq)``, and the seat's engines
+give up — UNKNOWN, at their next budget check — once
+``marks[worker_id] == seq``.  :meth:`stop_seat` writes the seat's
+current ``seq`` into its mark; numbers only grow, so a mark left over
+from an earlier job can never stop a later one, and no reset is needed.
+
 Use :func:`default_pool` for the module-level shared pool
 (``VerificationConfig(pool=default_pool())``), or construct pools
 explicitly and pass them around; a pool is a context manager, every
@@ -99,7 +108,7 @@ def _lru_touch(cache: "OrderedDict", key, value) -> None:
 class _Slot:
     """One worker seat: its process, control queue and design cache map."""
 
-    __slots__ = ("process", "ctrl", "designs")
+    __slots__ = ("process", "ctrl", "designs", "seq")
 
     def __init__(self, process, ctrl) -> None:
         self.process = process
@@ -107,6 +116,7 @@ class _Slot:
         # Content hashes this worker holds, mirroring the worker's own
         # LRU (same keys, same order, same cap).
         self.designs: "OrderedDict" = OrderedDict()
+        self.seq = 0  # sequence number of the last job assigned here
 
 
 class _OpenRun:
@@ -146,6 +156,11 @@ class WorkerPool:
         self._out_queue = self.context.Queue()
         # Highest cancelled run id; workers decline jobs at or below it.
         self._cancel_epoch = self.context.Value("q", -1)
+        # Per-seat stop marks (see "Cancellation" above).  One writer (this
+        # process) and one reader per entry, so no lock: the seat polls
+        # its entry at every budget check.
+        self._stop_marks = self.context.Array("q", resolved, lock=False)
+        self._seqs = itertools.count(1)  # job sequence numbers; marks start at 0
         self._stop = self.context.Event()
         self._slots: list[_Slot] = []
         # content hash -> pickled payload (LRU, DESIGN_CACHE_SIZE deep)
@@ -191,6 +206,7 @@ class WorkerPool:
                 ctrl,
                 self._out_queue,
                 self._cancel_epoch,
+                self._stop_marks,
                 self._stop,
             ),
             name=f"repro-pool-worker-{worker_id}",
@@ -372,7 +388,18 @@ class WorkerPool:
         """Hand one job of a run to a specific worker seat."""
         if run_id not in self._open:
             raise RuntimeError(f"run {run_id} is not open on this pool")
-        self._slots[worker_id].ctrl.put(("job", run_id, job))
+        slot = self._slots[worker_id]
+        slot.seq = next(self._seqs)
+        slot.ctrl.put(("job", run_id, job, slot.seq))
+
+    def stop_seat(self, worker_id: int) -> None:
+        """Stop the job last assigned to a seat, if it is still running.
+
+        Its engines give up at their next budget check and the seat
+        reports the attempt UNKNOWN, which frees it; a job already
+        finished is unaffected, and so is every later one.
+        """
+        self._stop_marks[worker_id] = self._slots[worker_id].seq
 
     def next_message(self, timeout: float = 0.2):
         """Next message of any open run: ``(kind, run_id, worker, ...)``.

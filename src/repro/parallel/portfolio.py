@@ -15,13 +15,16 @@ The policy splits *decide* from *drain*.  The first **definitive**
 verdict (anything but UNKNOWN; the falsifier and BMC never return
 HOLDS, so nothing unsound can win) decides the property, and its
 still-queued siblings are dropped from the backlog on the spot — no
-message to any worker.  A sibling already on a seat cannot be
-interrupted; it drains under its per-property budget, and whatever it
-reports is rejected because the property is already decided — only the
-latency of that acknowledgement is recorded.  The report is delivered
-as soon as every property is decided, so portfolio wall-clock tracks
-the *fastest* engine per property; the scheduler keeps the run open,
-and the seat busy, until the last draining attempt has reported.
+message to any worker.  A sibling already on a seat is stopped: the
+scheduler sets that seat's stop mark
+(:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), the engine gives
+up at its next budget check, and whatever it reports is rejected
+because the property is already decided — only the latency of that
+acknowledgement is recorded.  The report is delivered as soon as every
+property is decided, so portfolio wall-clock tracks the *fastest*
+engine per property; the scheduler keeps the run open, and the seat
+busy, until the last stopped attempt has reported — a few
+milliseconds, not the loser's whole budget.
 
 ``report.stats["portfolio"]`` records, per property, the winning
 engine, the race wall-clock and each loser's cancel latency (``None``
@@ -216,7 +219,8 @@ class EngineRace:
         job.emit(outcome.solved_event())
         job.record(outcome, checkpoint=False)
         # Decide: queued siblings never run.  Drain: siblings on a seat
-        # report when they report; until then their latency is unknown.
+        # are stopped by the scheduler and report at their next budget
+        # check; until then their latency is unknown.
         queued = {a.engine for a in job.backlog if a.name == name}
         job.backlog = [a for a in job.backlog if a.name != name]
         for engine in self.slate:
@@ -271,8 +275,9 @@ def portfolio_verify(
 
     Races the configured slate (``portfolio_engines``, default
     ``rw,bmc,kind,ic3``) per property as one job on the seat scheduler;
-    a decided property's queued losers are dropped, running ones drain,
-    and the winning engine per property lands in
+    a decided property's queued losers are dropped, running ones are
+    stopped at their next budget check, and the winning engine per
+    property lands in
     ``report.stats["portfolio"]``.
 
     Verdict parity with sequential JA-verification is structural: every

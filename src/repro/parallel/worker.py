@@ -25,7 +25,7 @@ Control messages (private queue, parent -> worker):
     run and serves whichever run each job message names, which is what
     lets a :class:`~repro.service.VerificationService` interleave many
     jobs' properties on one seat;
-``("job", run_id, PropertyJob)``
+``("job", run_id, PropertyJob, seq)``
     one attempt on one property.  Scheduling is parent-side: the
     scheduler assigns the next backlog job to whichever worker
     reported idle, so the queue is FIFO and a setup always precedes
@@ -36,14 +36,20 @@ Control messages (private queue, parent -> worker):
     way whichever engine it names and whichever strategy queued it: a
     portfolio job's races share one run, and the worker neither knows
     nor cares that the attempts it is handed compete — who won is
-    decided parent-side;
+    decided parent-side.  ``seq`` is the job's pool-wide sequence
+    number: every budget the attempt creates also asks
+    ``marks[worker_id] == seq`` of the pool's shared stop marks, so
+    once the parent stops the seat (a decided race's loser,
+    :meth:`~repro.parallel.pool.WorkerPool.stop_seat`) the engine gives
+    up at its next budget check and the job reports UNKNOWN;
 ``("cancel", run_id)``
     decline (report ``cancelled``) any later job of that run — the
     per-run complement of the pool-wide cancel epoch.  Sent for a
     cancelled *job* (user cancel, watchdog, stop on first failure —
-    all parent-side decisions); a decided race sends nothing, its
-    queued losers are dropped parent-side and a running one simply
-    reports late;
+    all parent-side decisions), which a running job outlives: its
+    verdict still counts.  A decided race sends nothing here: its
+    queued losers are dropped parent-side and a running one is
+    stopped through its mark;
 ``("end", run_id)``
     the run is over; drop its cached state;
 ``("stop",)``
@@ -158,6 +164,7 @@ def pool_worker_main(
     ctrl_queue,
     out_queue,
     cancel_epoch,
+    stop_marks,
     stop_event,
 ) -> None:
     """Worker loop: absorb run setups, execute assigned jobs, repeat.
@@ -223,7 +230,7 @@ def pool_worker_main(
             # disagree about the wire protocol; drop it rather than
             # mis-unpack it as a job.
             continue
-        _, run_id, job = message
+        _, run_id, job, seq = message
         run = runs.get(run_id)
         if run is None:
             # A job of a run this worker never set up: impossible on the
@@ -232,11 +239,17 @@ def pool_worker_main(
         if run_id <= cancel_epoch.value or run_id in cancelled:
             out_queue.put(("cancelled", run_id, worker_id, job.name))
             continue
-        _execute(worker_id, run, job, out_queue)
+        _execute(worker_id, run, job, seq, stop_marks, out_queue)
 
 
-def _execute(worker_id, run: _ActiveRun, job: PropertyJob, out_queue) -> None:
-    """Run one property job and report its terminal message."""
+def _execute(
+    worker_id, run: _ActiveRun, job: PropertyJob, seq: int, stop_marks, out_queue
+) -> None:
+    """Run one property job and report its terminal message.
+
+    The job gives up (UNKNOWN) at its engine's next budget check once
+    ``stop_marks[worker_id]`` holds its ``seq``.
+    """
     settings = run.settings
     run_id = run.run_id
     sharing = run.exchange is not None and settings.clause_reuse
@@ -244,16 +257,25 @@ def _execute(worker_id, run: _ActiveRun, job: PropertyJob, out_queue) -> None:
     def forward(event: ProgressEvent) -> None:
         out_queue.put(("event", run_id, worker_id, event))
 
+    def stopped() -> bool:
+        return stop_marks[worker_id] == seq
+
     try:
         if job.engine not in (None, "ic3"):
-            attempt_outcome = _run_attempt(run, job, forward)
+            attempt_outcome = _run_attempt(run, job, forward, stopped)
             out_queue.put(("result", run_id, worker_id, attempt_outcome))
             return
         db = run.db_for(job.name)  # accumulates across this worker's jobs
         if sharing:
             db.add_all(run.exchange.fetch_fresh(job.name, run.cursors))
         outcome, result = prove(
-            run.ts, job.name, assumption_names(run.ts, job.name), settings, db, forward
+            run.ts,
+            job.name,
+            assumption_names(run.ts, job.name),
+            settings,
+            db,
+            forward,
+            stop=stopped,
         )
         outcome.engine = job.engine
         if sharing and result.holds and result.invariant:
@@ -269,7 +291,7 @@ def _execute(worker_id, run: _ActiveRun, job: PropertyJob, out_queue) -> None:
         )
 
 
-def _run_attempt(run: _ActiveRun, job: PropertyJob, emit) -> PropOutcome:
+def _run_attempt(run: _ActiveRun, job: PropertyJob, emit, stop) -> PropOutcome:
     """Run one non-IC3 engine attempt under local (``T^P``) semantics.
 
     BMC and k-induction pin the assumed properties on every frame
@@ -280,7 +302,7 @@ def _run_attempt(run: _ActiveRun, job: PropertyJob, emit) -> PropOutcome:
     """
     settings = run.settings
     assumed = assumption_names(run.ts, job.name)
-    budget = settings.budget()
+    budget = settings.budget(stop)
     emit(PropertyStarted(name=job.name, assumed=tuple(assumed)))
     result: EngineResult
     if job.engine == "bmc":

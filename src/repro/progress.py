@@ -285,9 +285,10 @@ class AttemptCancelled(ProgressEvent):
     ``latency_s`` is the time from the race decision to the loser being
     accounted for: near zero for an attempt still queued, which the
     decision drops on the spot; the time to its report for one that was
-    already on a seat and had to drain (its verdict is rejected — the
-    property is already decided).  ``None`` means there was no decision
-    to lose to: the job was cancelled with the race still open.
+    already on a seat, which the decision stops at its engine's next
+    budget check (whatever it reports is rejected — the property is
+    already decided).  ``None`` means there was no decision to lose to:
+    the job was cancelled with the race still open.
     """
 
     kind: ClassVar[str] = "attempt-cancelled"

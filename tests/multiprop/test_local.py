@@ -53,8 +53,9 @@ def test_a_seat_and_the_sequential_loop_prove_alike(name):
     ts = TransitionSystem(aig)
     run = _ActiveRun(run_id=1, ts=ts, settings=WorkerSettings(), exchange=None)
     outbox = _Outbox()
-    for prop in ts.properties:
-        _execute(0, run, PropertyJob(name=prop.name), outbox)
+    stop_marks = [0]  # never set: no job is stopped
+    for seq, prop in enumerate(ts.properties, start=1):
+        _execute(0, run, PropertyJob(name=prop.name), seq, stop_marks, outbox)
     seated = {m[3].name: m[3] for m in outbox if m[0] == "result"}
 
     assert not [m for m in outbox if m[0] == "error"]

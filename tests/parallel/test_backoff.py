@@ -40,9 +40,9 @@ class _StubPool:
 
     Seat liveness is a set, the message stream a deque, ``kill()`` the
     crash injector.  ``open_run``/``attach_worker`` push the ``ready``
-    acks a real worker would send, and ``assign`` just records — tests
-    answer assignments by feeding ``result`` messages back through the
-    scheduler.
+    acks a real worker would send, and ``assign`` and ``stop_seat`` just
+    record — tests answer assignments by feeding ``result`` messages
+    back through the scheduler.
     """
 
     def __init__(self, workers: int = 2) -> None:
@@ -61,6 +61,9 @@ class _StubPool:
         }
         self.messages: deque = deque()
         self.assigned: list = []  # (seat, run id, PropertyJob), in order
+        # seat -> the attempt it was last assigned: what a stop would hit
+        self.last_assigned: dict = {}
+        self.stopped: list = []  # (seat, PropertyJob) per stop_seat call
         self.respawn_calls: list[list[int]] = []
         self.cancelled_runs: list[int] = []
 
@@ -99,6 +102,10 @@ class _StubPool:
 
     def assign(self, worker_id, job, run_id=None) -> None:
         self.assigned.append((worker_id, run_id, job))
+        self.last_assigned[worker_id] = job
+
+    def stop_seat(self, worker_id: int) -> None:
+        self.stopped.append((worker_id, self.last_assigned[worker_id]))
 
     def next_message(self, timeout: float = 0.2):
         if self.messages:
@@ -192,6 +199,36 @@ def _serve_everything(scheduler, limit: int = 200) -> None:
             return
         _serve(scheduler, next(iter(scheduler.assignments)))
     raise AssertionError("assignments did not drain")
+
+
+class TestStopSeats:
+    def test_parallel_ja_never_stops_a_seat(self):
+        # One attempt per property: when it reports there is no sibling
+        # on a seat to stop, FAILS or HOLDS, and crash retries alike.
+        pool = _StubPool(workers=2)
+        scheduler = SeatScheduler(pool)
+        job = _admit(scheduler, ["p0", "p1", "p2", "p3"])
+        _pump(scheduler)
+        pool.kill(0)
+        scheduler._reap_crashed()  # p0 re-dispatched
+        statuses = iter([PropStatus.FAILS, PropStatus.HOLDS] * 2)
+        for _ in range(10):
+            _pump(scheduler)
+            if not scheduler.assignments:
+                break
+            worker_id = min(scheduler.assignments)
+            run_id, attempt = scheduler.assignments[worker_id]
+            scheduler._dispatch_message(
+                (
+                    "result",
+                    run_id,
+                    worker_id,
+                    PropOutcome(name=attempt.name, status=next(statuses), local=True),
+                )
+            )
+        assert job.finished and job.redispatched == 1
+        assert len(pool.assigned) == 5
+        assert pool.stopped == []
 
 
 class TestReviveAccounting:
@@ -542,11 +579,13 @@ class TestEmitFailure:
 def _crash_loop_until(marker: str):
     """Seat 0 dies instantly on every spawn until ``marker`` exists."""
 
-    def entry(worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event):
+    def entry(
+        worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
+    ):
         if worker_id == 0 and not os.path.exists(marker):
             os._exit(1)
         pool_worker_main(
-            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event
+            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
         )
 
     return entry

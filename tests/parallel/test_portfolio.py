@@ -6,9 +6,10 @@ Four layers, mirroring how a portfolio job runs in production:
   backends: whatever engine wins the race, the verdicts must equal what
   sequential JA-verification reports for the same design.
 * **Arbitration fault injection** — ``test_backoff``'s stub pool makes the races fully deterministic: a hung
-  loser cannot block the decision, queued losers are dropped by it,
-  cancel latencies are recorded as the drained losers report, and a
-  loser's verdict arriving after the decision is rejected.
+  loser cannot block the decision, queued losers are dropped by it and
+  running ones stopped (the stub records each ``stop_seat``), cancel
+  latencies are recorded as the stopped losers report, and a loser's
+  verdict arriving after the decision is rejected.
 * **One job on the scheduler** — the whole slate rides one pool run,
   so ``max_seats``, ``stop_on_failure``, crash re-dispatch and seat
   occupancy act on the job, not on each attempt.
@@ -181,9 +182,10 @@ class TestArbitrationFaultInjection:
         _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
         assert job.finished
         assert job.outcomes["never_q"].status is PropStatus.FAILS
-        # No cancel message goes out; the loser drains on its seat, the
-        # run stays open for its report ...
+        # No cancel message goes out; the loser's seat is stopped and
+        # drains, the run stays open for its report ...
         assert pool.cancelled_runs == []
+        assert [(a.name, a.engine) for _, a in pool.stopped] == [("never_q", "bmc")]
         assert pool.open_runs == [job.run_id]
         # ... and until that arrives, its latency reads "in flight".
         report = job.build_report(pool)
@@ -247,6 +249,7 @@ class TestArbitrationFaultInjection:
         assert not job.finished  # bmc still racing
         _answer(scheduler, job, "never_q", "bmc", PropStatus.UNKNOWN, frames=7)
         assert job.finished and job.error is None
+        assert pool.stopped == []  # decided by exhaustion: no loser left
         decided = [e for e in events if isinstance(e, PortfolioDecided)]
         assert decided[-1].winner is None
         assert decided[-1].losers == ("rw", "bmc")
@@ -300,6 +303,8 @@ class TestArbitrationFaultInjection:
         scheduler.cancel_job(job)
         # never_q's attempts were still queued: settled on the spot.
         assert "never_q" not in job.pending and not job.finished
+        # A job cancel stops no running attempt: in-flight verdicts count.
+        assert pool.stopped == []
         for name, engine in seated:  # the workers decline theirs
             scheduler._dispatch_message(
                 ("cancelled", job.run_id, _seat_of(scheduler, name, engine), name)
@@ -312,6 +317,36 @@ class TestArbitrationFaultInjection:
         assert len([e for e in events if isinstance(e, AttemptStarted)]) == 4
         acks = [e for e in events if isinstance(e, AttemptCancelled)]
         assert len(acks) == 4 and all(e.latency_s is None for e in acks)
+
+    def test_decision_stops_exactly_the_seats_of_its_losers(self, toggler):
+        pool, scheduler, job = _race(
+            toggler, ["never_q", "never_r"], ("rw", "bmc", "kind"), workers=4
+        )
+        assert _seated(scheduler) == [
+            ("never_q", "rw"), ("never_q", "bmc"), ("never_q", "kind"), ("never_r", "rw")
+        ]
+        losers = {
+            (_seat_of(scheduler, "never_q", engine), "never_q", engine)
+            for engine in ("bmc", "kind")
+        }
+        # An inconclusive report decides nothing and stops nothing.
+        _answer(scheduler, job, "never_r", "rw", PropStatus.UNKNOWN)
+        assert pool.stopped == []
+        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
+        # Each stop hits the attempt its seat holds: a loser, never the
+        # other property's race.
+        assert {(seat, a.name, a.engine) for seat, a in pool.stopped} == losers
+        assert len(pool.stopped) == 2
+        # The stopped losers report UNKNOWN: rejected, nothing stopped again.
+        for engine in ("bmc", "kind"):
+            _answer(scheduler, job, "never_q", engine, PropStatus.UNKNOWN)
+        assert job.outcomes["never_q"].status is PropStatus.FAILS
+        _answer(scheduler, job, "never_r", "kind", PropStatus.HOLDS)
+        stopped_last = pool.stopped[2:]
+        assert [(a.name, a.engine) for _, a in stopped_last] == [("never_r", "bmc")]
+        assert job.finished
+        races = job.build_report(pool).stats["portfolio"]
+        assert set(races["never_q"]["cancelled"]) == {"bmc", "kind"}
 
     def test_per_property_races_are_independent(self, toggler):
         # Deciding one property must not disturb the other's race.
@@ -368,8 +403,10 @@ class TestOneJobOnTheScheduler:
         )
         _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
         # The failure cancels the job: never_r's queued attempts are
-        # drained unrun, never_q's loser is left to report.
+        # drained unrun, never_q's loser is stopped — as the decision's
+        # loser, not by the cancel — and left to report.
         assert pool.cancelled_runs == [job.run_id]
+        assert [(a.name, a.engine) for _, a in pool.stopped] == [("never_q", "bmc")]
         assert job.finished and job.cancelled and job.backlog == []
         assert [a.name for _, _, a in pool.assigned] == ["never_q", "never_q"]
         report = job.build_report(pool)

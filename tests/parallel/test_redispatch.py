@@ -40,7 +40,9 @@ def _crash_on_first_job(marker: str):
     fed a job.
     """
 
-    def entry(worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event):
+    def entry(
+        worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
+    ):
         import time
 
         if worker_id == 0 and not os.path.exists(marker):
@@ -59,7 +61,7 @@ def _crash_on_first_job(marker: str):
         while not os.path.exists(marker):
             time.sleep(0.01)
         pool_worker_main(
-            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event
+            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
         )
 
     return entry
@@ -68,7 +70,9 @@ def _crash_on_first_job(marker: str):
 def _crash_before_ready(marker: str):
     """Worker 0 dies before even acknowledging the run setup — once."""
 
-    def entry(worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event):
+    def entry(
+        worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
+    ):
         import time
 
         if worker_id == 0 and not os.path.exists(marker):
@@ -79,7 +83,7 @@ def _crash_before_ready(marker: str):
         while not os.path.exists(marker):
             time.sleep(0.01)
         pool_worker_main(
-            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_event
+            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
         )
 
     return entry
@@ -147,7 +151,7 @@ class TestCrashRedispatch:
         self, toggler, tmp_path, monkeypatch
     ):
         def die_immediately(worker_id, ctrl_queue, out_queue, cancel_epoch,
-                            stop_event):
+                            stop_marks, stop_event):
             os._exit(1)
 
         # Every respawn dies too: after CRASH_LOOP crashes in a row on

@@ -137,6 +137,38 @@ def test_one_shot_parallel_ja_agrees_with_ja(family):
     assert pooled.debugging_set() == sequential.debugging_set()
 
 
+#: Families whose two-seat portfolio run takes half a minute or more:
+#: most properties are true, so each race waits for a prover while the
+#: falsifiers hold both seats.  Nightly rows (``stress``, off by
+#: default); the other twelve take ~10 s at most and run per push.
+STRESS_FAMILIES = ("t124", "t407", "t275", "f380")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(
+            family, marks=[pytest.mark.stress] if family in STRESS_FAMILIES else []
+        )
+        for family in [*ALL_TRUE_SPECS, *FAILING_SPECS]
+    ],
+)
+def test_one_shot_portfolio_agrees_with_ja(family):
+    # Runnable at all only because a decision stops the losers on their
+    # seats: left running, BMC and the random walk hold every seat to
+    # their depth bounds on each true property.
+    spec = {**ALL_TRUE_SPECS, **FAILING_SPECS}[family]
+    sequential = Session(TransitionSystem(spec.build()), strategy="ja").run()
+    raced = Session(
+        TransitionSystem(spec.build()), strategy="portfolio", workers=2, seed=0
+    ).run()
+    assert {n: o.status for n, o in raced.outcomes.items()} == {
+        n: o.status for n, o in sequential.outcomes.items()
+    }
+    assert raced.debugging_set() == sequential.debugging_set()
+
+
 def test_one_scheduler_and_one_pool_factory():
     """Structural pin: nothing outside the service builds a scheduler,
     and nothing outside the service and the pool module builds a pool."""
