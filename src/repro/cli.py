@@ -19,8 +19,8 @@ strategies registered by plugins are immediately usable — drives it via
 :class:`~repro.session.Session`, prints the verdict table and the
 debugging-set narrative, and optionally dumps machine-readable JSON.
 ``--progress`` streams the typed progress events as they happen;
-``--workers``/``--exchange-shards`` size the parallel-ja pool and its
-cluster-sharded clause exchange (``auto``: one shard per cluster);
+``--workers`` sizes the parallel-ja pool and ``--no-exchange`` turns
+off the clause relay between its seats;
 ``--list-strategies`` enumerates the strategy registry and
 ``--list-backends`` the SAT backend registry (``check --backend NAME``
 selects one; the ``REPRO_SAT_BACKEND`` environment variable sets the
@@ -207,7 +207,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         similarity_threshold=args.similarity_threshold,
         workers=args.workers,
         exchange=not args.no_exchange,
-        exchange_shards=args.exchange_shards,
         stop_on_failure=args.stop_on_failure,
         max_seats=args.max_seats,
         seed=args.seed,
@@ -772,21 +771,6 @@ def _engine_override(value: str):
     return key, parsed
 
 
-def _shard_count(value: str):
-    """``--exchange-shards`` values: a positive integer or ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        )
-    return count
-
-
 class _ListStrategiesAction(argparse.Action):
     """``--list-strategies``: print the registry and exit."""
 
@@ -946,11 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--no-exchange", action="store_true",
         help="disable live clause exchange between parallel workers",
-    )
-    p_check.add_argument(
-        "--exchange-shards", type=_shard_count, default=1, metavar="N|auto",
-        help="clause-exchange shards for parallel-ja: a count, or 'auto' "
-        "for one shard per property cluster (default: 1)",
     )
     p_check.add_argument(
         "--stop-on-failure", action="store_true",

@@ -113,9 +113,6 @@ class VerificationConfig:
     exchange: bool = True
     #: Cancel still-queued properties once one comes back FAILS.
     stop_on_failure: bool = False
-    #: Clause-exchange shards: a positive count, or ``"auto"`` for one
-    #: shard per structural property cluster (see repro.parallel.exchange).
-    exchange_shards: int | str = 1
     #: A persistent :class:`repro.parallel.WorkerPool` shared across
     #: ``Session.run()`` calls; ``None``: a pool of the run's own.
     pool: object | None = None
@@ -201,14 +198,6 @@ class VerificationConfig:
         ):
             raise ConfigError(
                 f"max_seats must be >= 1 or None, got {self.max_seats!r}"
-            )
-        if isinstance(self.exchange_shards, bool) or not (
-            self.exchange_shards == "auto"
-            or (isinstance(self.exchange_shards, int) and self.exchange_shards >= 1)
-        ):
-            raise ConfigError(
-                f"exchange_shards must be a positive int or 'auto', "
-                f"got {self.exchange_shards!r}"
             )
         if self.pool is not None:
             from .parallel.pool import WorkerPool

@@ -17,6 +17,10 @@ from .tseitin import ClauseSink, ConeEncoder
 class Unroller:
     """Unrolls an AIG into numbered time frames within one sink."""
 
+    #: Leave frame 0's latches unconstrained instead of tying them to
+    #: their reset values (k-induction's step case sets this).
+    free_init = False
+
     def __init__(self, aig: AIG, sink: ClauseSink) -> None:
         self.aig = aig
         self.sink = sink
@@ -46,6 +50,8 @@ class Unroller:
             for latch in self.aig.latches:
                 var = self.sink.new_var()
                 enc.set_leaf(latch.lit, var)
+                if self.free_init:
+                    continue
                 if latch.init == 0:
                     self.sink.add_clause([-var])
                 elif latch.init == 1:

@@ -53,12 +53,7 @@ def kinduction_check(
 
     # --- step case: unrolling without initial-state constraints -----
     step_solver = create_solver(solver_backend)
-    step = Unroller(ts.aig, step_solver)
-    # Frame 0 of `step` is unconstrained: suppress init clauses by
-    # building a fresh system view... the Unroller always asserts init
-    # values at frame 0, so instead we give the step unroller an AIG
-    # alias whose latches are uninitialized.
-    step = _FreeUnroller(ts, step_solver)
+    step = _FreeUnroller(ts.aig, step_solver)
 
     stats = {"sat_queries": 0}
 
@@ -129,31 +124,11 @@ class _FreeUnroller(Unroller):
     """Unroller whose frame 0 leaves all latches unconstrained, plus
     simple-path (pairwise-distinct state) constraints for completeness."""
 
-    def __init__(self, ts: TransitionSystem, sink) -> None:
-        aig = ts.aig
-        self._ts = ts
-        super().__init__(aig, sink)
-        self._saved_inits = [latch.init for latch in aig.latches]
-        self._uniqueness_done = set()
+    free_init = True
 
-    def _extend(self) -> None:
-        t = len(self._frames)
-        if t == 0:
-            # Temporarily strip init values so the base class adds no
-            # reset clauses for frame 0.
-            aig = self.aig
-            originals = list(aig.latches)
-            for i, latch in enumerate(originals):
-                aig.latches[i] = type(latch)(
-                    lit=latch.lit, next=latch.next, init=None, name=latch.name
-                )
-            try:
-                super()._extend()
-            finally:
-                for i, latch in enumerate(originals):
-                    aig.latches[i] = latch
-        else:
-            super()._extend()
+    def __init__(self, aig, sink) -> None:
+        super().__init__(aig, sink)
+        self._uniqueness_done = set()
 
     def add_uniqueness(self, upto: int) -> None:
         """Assert pairwise distinctness of frames 0..upto."""

@@ -55,7 +55,6 @@ from ..progress import (
     RunFinished,
     RunStarted,
     ServiceSaturated,
-    ShardOpened,
     StatsSnapshot,
     WorkerStarted,
 )
@@ -94,7 +93,6 @@ EVENT_TYPES: tuple[type[ProgressEvent], ...] = (
     ClusterStarted,
     WorkerStarted,
     PoolAttached,
-    ShardOpened,
     PropertyCancelled,
     PropertyRequeued,
     AttemptStarted,

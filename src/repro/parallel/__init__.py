@@ -23,10 +23,10 @@ that claim instead of simulating it:
   ``Session.run()`` calls (``VerificationConfig.pool`` or the
   module-level :func:`default_pool`), amortizing the per-run O(design)
   setup cost of server-style workloads;
-* :mod:`repro.parallel.exchange` — the cluster-sharded clause exchange:
-  one append-only clause log per property cluster, hosted in the
-  scheduler's manager processes, with clause traffic routed only
-  between same-shard subscribers (``exchange_shards=N`` or ``"auto"``);
+* :mod:`repro.parallel.exchange` — the packed wire form of the clauses
+  the scheduler relays: each job keeps one clause log (cache warm
+  start, then every HOLDS invariant) and each job message carries the
+  part of it the seat has not received yet;
 * :mod:`repro.parallel.worker` — the pool worker entry point and the
   picklable job/result messages; every worker forwards its typed
   :class:`~repro.progress.ProgressEvent` stream to the parent, which
@@ -38,16 +38,7 @@ Entry points: ``Session(design, strategy="parallel-ja", workers=4)`` or
 
 from .engine import PooledJob, SeatScheduler, parallel_ja_verify
 from .portfolio import ENGINE_NAMES, parse_engine_slate, portfolio_verify
-from .exchange import (
-    ExchangeShard,
-    ShardedExchange,
-    ShardHost,
-    ShardMap,
-    build_shard_map,
-    pack_clauses,
-    shard_clusters,
-    unpack_clauses,
-)
+from .exchange import pack_clauses, unpack_clauses
 from .pool import (
     WorkerPool,
     default_pool,
@@ -69,12 +60,6 @@ __all__ = [
     "default_pool",
     "shutdown_default_pool",
     "shutdown_all_pools",
-    "ExchangeShard",
-    "ShardedExchange",
-    "ShardHost",
-    "ShardMap",
-    "build_shard_map",
-    "shard_clusters",
     "pack_clauses",
     "unpack_clauses",
 ]

@@ -71,18 +71,17 @@ Design notes
   the same attempt degrades it to UNKNOWN.  Dead seats respawn under a
   backoff schedule; a job's remainder degrades to UNKNOWN only when the
   pool was shut down or every seat is in a crash loop.
-* **Sharded clause exchange** (``exchange=True`` with ``clause_reuse``)
-  routes clause traffic through one
-  :class:`~repro.parallel.exchange.ExchangeShard` per property cluster
-  (``exchange_shards``: a count, or ``"auto"`` for one shard per
-  structural cluster).  Shard ``i`` of every job lives in manager
-  process ``i`` of the scheduler's
-  :class:`~repro.parallel.exchange.ShardHost` (started by the first
-  exchanging job, stopped by :meth:`SeatScheduler.close`) —
-  publish/fetch throughput scales with the shard count and clauses
-  never cross cluster boundaries.  With ``exchange=False`` each worker
-  still re-uses its *own* proofs' clauses, Section 6 style, but nothing
-  crosses process boundaries (Table X's independent-proof mode).
+* **Clause exchange is a relay** (``exchange=True`` with
+  ``clause_reuse``; races never exchange).  Each job keeps one
+  append-only, deduplicated clause log (:attr:`PooledJob.clause_log`):
+  the proof cache's warm-start clauses first, then the invariant of
+  every HOLDS result, which the ``result`` message carries anyway.
+  Every job message takes along the part of the log its seat has not
+  received yet (:meth:`PooledJob.unsent`), packed as one blob, and the
+  seat adds it to the run's clause database before it proves.  With
+  ``exchange=False`` nothing is appended, so seats get the warm start
+  only and otherwise re-use their *own* proofs' clauses, Section 6
+  style (Table X's independent-proof mode).
 """
 
 from __future__ import annotations
@@ -103,16 +102,15 @@ from ..progress import (
     PoolAttached,
     PropertyCancelled,
     PropertyRequeued,
-    ShardOpened,
     WorkerStarted,
     emit_or_null,
 )
 from ..ts.system import TransitionSystem
-from .exchange import ShardHost, build_shard_map
+from .exchange import pack_clauses
 from .pool import WorkerPool
 from .portfolio import EngineRace, parse_engine_slate, race_stats
 from .stats import PoolStats, SeatStats
-from .worker import PropertyJob, WorkerSettings
+from .worker import PropertyJob
 
 
 class PooledJob:
@@ -123,7 +121,7 @@ class PooledJob:
     :class:`~repro.parallel.worker.PropertyJob` attempts, the seats
     that acked this run's setup, the undecided property names and the
     verdicts so far, crash/retry bookkeeping, the watchdog deadline,
-    and the job's sharded-exchange handle.  What an attempt's terminal
+    and the job's clause log.  What an attempt's terminal
     message *means* for its property is the job's ``policy``:
     :class:`LocalProofs` (one attempt per property, whatever ends it
     is the verdict) or :class:`~repro.parallel.portfolio.EngineRace`
@@ -173,9 +171,12 @@ class PooledJob:
         self.dispatch_mode = "fifo"
         self.pool_label = "persistent"
         self.use_exchange = False
-        self.num_shards = 0
-        self.exchange = None
-        self.exchange_stats: dict = {}
+        # Warm-start clauses, then (exchange on) every HOLDS invariant;
+        # append-only, so what a seat has received is a log prefix.
+        self.clause_log: list[tuple[int, ...]] = []
+        self._logged: set = set()
+        self.relayed: dict[int, int] = {}  # seat -> log prefix it holds
+        self.exchanged = 0  # clauses the job's own proofs appended
         self.policy = None  # LocalProofs or EngineRace, set at admission
 
     def record(self, outcome: PropOutcome, checkpoint: bool = True) -> None:
@@ -190,6 +191,27 @@ class PooledJob:
                     scope="total", elapsed=time.monotonic() - self.start
                 )
             )
+
+    def log(self, clauses) -> int:
+        """Append the clauses not logged yet (sorted by variable); #new."""
+        added = 0
+        for clause in clauses:
+            key = tuple(sorted(clause, key=abs))
+            if key and key not in self._logged:
+                self._logged.add(key)
+                self.clause_log.append(key)
+                added += 1
+        return added
+
+    def unsent(self, worker_id: int) -> bytes:
+        """The packed log entries ``worker_id`` has not received; now sent.
+
+        A seat's ``ready`` ack resets its prefix: the run setup it
+        acknowledges built a fresh clause database.
+        """
+        start = self.relayed.get(worker_id, 0)
+        self.relayed[worker_id] = len(self.clause_log)
+        return pack_clauses(self.clause_log[start:])
 
     def build_report(self, pool: WorkerPool) -> MultiPropReport:
         """The job's :class:`MultiPropReport` (property order preserved)."""
@@ -249,9 +271,7 @@ class LocalProofs:
             "mode": "process",
             "workers": pool.workers,
             "exchange": int(job.use_exchange),
-            "exchange_clauses": job.exchange_stats.get("clauses", 0),
-            "exchange_shards": job.num_shards,
-            "exchange_per_shard": job.exchange_stats.get("shards", []),
+            "exchange_clauses": job.exchanged,
             "cancelled": job.cancelled_count,
             "worker_crashes": job.crashes,
             "dispatch": job.dispatch_mode,
@@ -301,7 +321,7 @@ class SeatScheduler:
     arbitrarily many concurrent jobs.
 
     Jobs are isolated from each other: run-id tagged messages, per-job
-    watchdog deadlines, per-job sharded exchanges, exact crash
+    watchdog deadlines, per-job clause logs, exact crash
     attribution with one bounded re-dispatch,
     and per-job cancellation that never touches sibling jobs.  A
     crashed seat is respawned *mid-flight* and re-attached to every
@@ -336,22 +356,15 @@ class SeatScheduler:
         self.service_emit = service_emit
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        # Manager processes hosting every job's exchange shards; none
-        # are started until a job asks for an exchange.
-        self._shard_host = ShardHost(ctx=pool.context)
         self.jobs: dict[int, PooledJob] = {}
         # seat -> (run id, attempt) it is currently executing
         self.assignments: dict[int, tuple[int, PropertyJob]] = {}
         self.idle: set = set()
         # seat -> crash/backoff record (created lazily, kept forever)
         self.seat_health: dict[int, _SeatHealth] = {}
-        # clause-exchange totals of finished jobs (stats surface)
-        self._exchange_totals = {
-            "clauses": 0,
-            "publishes": 0,
-            "fetches": 0,
-            "fetch_batches": 0,
-        }
+        # clause-exchange traffic since this scheduler opened: clauses
+        # appended to logs, results that appended, job messages relayed
+        self._exchange = {"clauses": 0, "publishes": 0, "fetches": 0}
         self._last_reap = time.monotonic()
 
     def _seat_health(self, worker_id: int) -> _SeatHealth:
@@ -379,9 +392,10 @@ class SeatScheduler:
 
         The backlog holds one attempt per property and slate engine
         (see :func:`slate_of`).  ``warm_clauses`` — a cross-run proof
-        cache's clause log for this exact design — seed every per-shard
-        ClauseDB a seat opens for the run, re-validated on insertion
-        and backstopped by the engine's ``SeedCertificateError`` retry.
+        cache's clause log for this exact design — head the job's clause
+        log, so every seat's clause DB for the run receives them,
+        re-validated on insertion and backstopped by the engine's
+        ``SeedCertificateError`` retry.
         """
         if priority <= 0:
             raise ValueError(f"priority must be > 0, got {priority!r}")
@@ -429,24 +443,8 @@ class SeatScheduler:
             dispatch = list(order)
             dispatch_mode = "fifo"
 
-        exchange = None
-        num_shards = 0
-        # Racing attempts compete; only plain local proofs exchange.
-        use_exchange = config.exchange and config.clause_reuse and not racing
-        if use_exchange:
-            shard_map = build_shard_map(ts, order, config.exchange_shards)
-            num_shards = shard_map.num_shards
-            exchange = self._shard_host.open_shards(shard_map)
-            for shard in range(num_shards):
-                emit(
-                    ShardOpened(
-                        shard=shard, members=len(shard_map.members(shard))
-                    )
-                )
-
         proof = replace(config.proof_options(), per_property_time=job_time)
-        settings = WorkerSettings(**vars(proof), warm_clauses=tuple(warm_clauses))
-        run_id = pool.open_run(ts, settings, exchange)
+        run_id = pool.open_run(ts, proof)
 
         job = PooledJob(
             run_id,
@@ -460,9 +458,9 @@ class SeatScheduler:
         )
         job.dispatch_mode = dispatch_mode
         job.pool_label = self.pool_label
-        job.use_exchange = use_exchange
-        job.num_shards = num_shards
-        job.exchange = exchange
+        # Racing attempts compete; only plain local proofs exchange.
+        job.use_exchange = config.exchange and config.clause_reuse and not racing
+        job.log(warm_clauses)
         job.backlog = [
             PropertyJob(
                 name=name,
@@ -533,6 +531,7 @@ class SeatScheduler:
             return
         if kind == "ready":
             job.ready.add(worker_id)
+            job.relayed[worker_id] = 0
             if worker_id not in self.assignments:
                 self._feed_seat(worker_id)
         elif kind == "event":
@@ -550,6 +549,7 @@ class SeatScheduler:
             health.served += 1
             health.consecutive = 0
             health.delay = 0.0
+            self._publish(job, outcome)
             verdict = job.policy.result(attempt, outcome)
             if verdict is not None:
                 self._stop_losers(job, verdict.name)
@@ -591,6 +591,18 @@ class SeatScheduler:
         del self.assignments[worker_id]
         return held[1]
 
+    def _publish(self, job: PooledJob, outcome: PropOutcome) -> None:
+        """Append an exchanging job's new invariant to its clause log."""
+        if (
+            job.use_exchange
+            and outcome.status is PropStatus.HOLDS
+            and outcome.invariant
+        ):
+            added = job.log(outcome.invariant)
+            job.exchanged += added
+            self._exchange["clauses"] += added
+            self._exchange["publishes"] += 1
+
     def _stop_losers(self, job: PooledJob, name: str) -> None:
         """Stop every seat still running an attempt of a decided property.
 
@@ -619,7 +631,11 @@ class SeatScheduler:
         attempt = job.backlog.pop(0)
         self.assignments[worker_id] = (job.run_id, attempt)
         self.idle.discard(worker_id)
-        self.pool.assign(worker_id, attempt, run_id=job.run_id)
+        if job.use_exchange:
+            self._exchange["fetches"] += 1
+        self.pool.assign(
+            worker_id, attempt, run_id=job.run_id, clauses=job.unsent(worker_id)
+        )
 
     def _pick_job(self, worker_id: int) -> PooledJob | None:
         """Weighted fair share: fewest held seats per unit of priority.
@@ -691,15 +707,6 @@ class SeatScheduler:
     def _finish_job(self, job: PooledJob) -> None:
         job.finished = True
         job.total_time = time.monotonic() - job.start
-        if job.exchange is not None:
-            try:
-                job.exchange_stats = job.exchange.stats()
-            except Exception:  # pragma: no cover - managers died
-                job.exchange_stats = {}
-            for key in self._exchange_totals:
-                self._exchange_totals[key] += job.exchange_stats.get(key, 0)
-            # Dropping the proxies releases the host's shard objects.
-            job.exchange = None
         if job.errors:
             job.error = RuntimeError(
                 "parallel JA worker failure(s): " + "; ".join(job.errors)
@@ -890,31 +897,13 @@ class SeatScheduler:
         )
 
     def exchange_traffic(self) -> dict:
-        """Clause-exchange totals: finished jobs plus live shard reads.
-
-        Live jobs' shard managers can die mid-read; those are skipped
-        rather than failing the snapshot.
-        """
-        totals = dict(self._exchange_totals)
-        live = []
-        for job in self.live_jobs:
-            if job.exchange is None:
-                continue
-            try:
-                stats = job.exchange.stats()
-            except Exception:  # pragma: no cover - managers died
-                continue
-            live.append(
-                {
-                    "job": job.job_id or f"run-{job.run_id}",
-                    "clauses": stats.get("clauses", 0),
-                    "fetch_batches": stats.get("fetch_batches", 0),
-                    "shards": stats.get("shards", []),
-                }
-            )
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        return {**totals, "live": live}
+        """Clause-exchange totals, plus what each live job has logged."""
+        live = [
+            {"job": job.job_id or f"run-{job.run_id}", "clauses": job.exchanged}
+            for job in self.live_jobs
+            if job.use_exchange
+        ]
+        return {**self._exchange, "live": live}
 
     def _degrade_all(self) -> None:
         """No seat left alive: every open job's remainder goes UNKNOWN.
@@ -933,7 +922,7 @@ class SeatScheduler:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the message lease; stop the shard managers.
+        """Release the message lease.
 
         A run still open here belongs to a job abandoned on an
         exception path, or to a decided one whose losers are draining —
@@ -943,7 +932,6 @@ class SeatScheduler:
             if not self.pool.closed:
                 self.pool.cancel_run(run_id)
                 self.pool.close_run(run_id)
-        self._shard_host.shutdown()
         self.pool.release_messages(self)
 
 

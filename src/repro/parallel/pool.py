@@ -119,24 +119,6 @@ class _Slot:
         self.seq = 0  # sequence number of the last job assigned here
 
 
-class _OpenRun:
-    """Parent-side record of one open run (for late seat attachment)."""
-
-    __slots__ = ("ts", "settings", "exchange_blob")
-
-    def __init__(self, ts, settings, exchange) -> None:
-        self.ts = ts
-        self.settings = settings
-        # Pickled once here and unpickled by each seat under a guard: a
-        # busy seat may read its ``run`` message after the job released
-        # its shards, when the proxies inside can no longer be rebuilt.
-        self.exchange_blob = (
-            None
-            if exchange is None
-            else pickle.dumps(exchange, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-
 class WorkerPool:
     """A persistent process pool shared across verification runs."""
 
@@ -167,7 +149,8 @@ class WorkerPool:
         self._pickled: "OrderedDict[str, bytes]" = OrderedDict()
         self._hash_memo: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._run_ids = itertools.count()
-        self._open: dict[int, _OpenRun] = {}
+        # run id -> (design, ProofOptions), for late seat attachment
+        self._open: dict[int, tuple] = {}
         self._cancelled_runs: set = set()
         self._consumer: object | None = None  # message-lease holder
         self._closed = False
@@ -346,21 +329,21 @@ class WorkerPool:
         """Ids of runs currently open, oldest first."""
         return sorted(self._open)
 
-    def open_run(self, ts, settings, exchange=None) -> int:
-        """Open a run: ship the design + settings to every live worker.
+    def open_run(self, ts, options) -> int:
+        """Open a run: ship the design + proof options to every live worker.
 
         Returns the run id.  Each worker acknowledges its setup with a
         ``ready`` message (surfaced through :meth:`next_message`);
         because setup and job messages share the worker's FIFO control
         queue, a worker can never see a job before the run's design and
-        settings.  Any number of runs may be open concurrently — their
+        options.  Any number of runs may be open concurrently — their
         jobs are interleaved onto seats by whoever holds the message
         lease.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is shut down")
         run_id = next(self._run_ids)
-        self._open[run_id] = _OpenRun(ts, settings, exchange)
+        self._open[run_id] = (ts, options)
         for worker_id, slot in enumerate(self._slots):
             if slot.process.is_alive():
                 self.attach_worker(run_id, worker_id)
@@ -372,25 +355,27 @@ class WorkerPool:
 
         Used by schedulers that revive crashed seats mid-flight: the
         fresh process knows nothing, so every open run's design and
-        settings must be re-shipped before it can serve their jobs.
+        options must be re-shipped before it can serve their jobs.
         """
-        run = self._open[run_id]
-        digest = self._design_digest(run.ts)
+        ts, options = self._open[run_id]
+        digest = self._design_digest(ts)
         payload = self._pickled[digest]
         slot = self._slots[worker_id]
         body = None if digest in slot.designs else payload
-        slot.ctrl.put(
-            ("run", run_id, digest, body, run.settings, run.exchange_blob)
-        )
+        slot.ctrl.put(("run", run_id, digest, body, options))
         _lru_touch(slot.designs, digest, True)
 
-    def assign(self, worker_id: int, job, run_id: int) -> None:
-        """Hand one job of a run to a specific worker seat."""
+    def assign(self, worker_id: int, job, run_id: int, clauses: bytes = b"") -> None:
+        """Hand one job of a run to a specific worker seat.
+
+        ``clauses`` (a :func:`~repro.parallel.exchange.pack_clauses`
+        blob) rides along into the seat's clause database for the run.
+        """
         if run_id not in self._open:
             raise RuntimeError(f"run {run_id} is not open on this pool")
         slot = self._slots[worker_id]
         slot.seq = next(self._seqs)
-        slot.ctrl.put(("job", run_id, job, slot.seq))
+        slot.ctrl.put(("job", run_id, job, slot.seq, clauses))
 
     def stop_seat(self, worker_id: int) -> None:
         """Stop the job last assigned to a seat, if it is still running.

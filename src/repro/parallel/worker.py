@@ -8,24 +8,21 @@ queue.  One job = one property: the worker computes the paper's
 (:func:`repro.ts.projection.assumption_names`), calls
 :func:`repro.multiprop.local.prove` — the same function sequential
 ``ja`` loops over — with the run's shipped
-:class:`~repro.config.ProofOptions` and the shard's clause
-database, and reports the
-:class:`~repro.multiprop.report.PropOutcome` back on the output queue.
+:class:`~repro.config.ProofOptions` and the run's clause database, and
+reports the :class:`~repro.multiprop.report.PropOutcome` back on the
+output queue.
 
 Control messages (private queue, parent -> worker):
 
-``("run", run_id, design_hash, payload-or-None, settings, exchange-blob)``
+``("run", run_id, design_hash, payload-or-None, options)``
     a new run: the pickled design ships only when this worker has not
     cached the hash yet; the worker builds the run's fresh clause
-    databases and acknowledges with ``ready``.  The exchange travels
-    pickled (or ``None``): a setup whose shard proxies can no longer be
-    rebuilt — the job finished while this seat was busy — is skipped
-    without an ack, so the seat is never fed that run.  Several runs
-    may be live at once — the worker keeps one state record per open
-    run and serves whichever run each job message names, which is what
-    lets a :class:`~repro.service.VerificationService` interleave many
-    jobs' properties on one seat;
-``("job", run_id, PropertyJob, seq)``
+    database and acknowledges with ``ready``.  Several runs may be live
+    at once — the worker keeps one state record per open run and serves
+    whichever run each job message names, which is what lets a
+    :class:`~repro.service.VerificationService` interleave many jobs'
+    properties on one seat;
+``("job", run_id, PropertyJob, seq, clauses)``
     one attempt on one property.  Scheduling is parent-side: the
     scheduler assigns the next backlog job to whichever worker
     reported idle, so the queue is FIFO and a setup always precedes
@@ -41,7 +38,11 @@ Control messages (private queue, parent -> worker):
     ``marks[worker_id] == seq`` of the pool's shared stop marks, so
     once the parent stops the seat (a decided race's loser,
     :meth:`~repro.parallel.pool.WorkerPool.stop_seat`) the engine gives
-    up at its next budget check and the job reports UNKNOWN;
+    up at its next budget check and the job reports UNKNOWN.
+    ``clauses`` is a :func:`~repro.parallel.exchange.pack_clauses`
+    blob: the part of the job's clause log this seat has not received
+    yet, which goes into the run's clause database before anything
+    else happens to the job — even a declined one;
 ``("cancel", run_id)``
     decline (report ``cancelled``) any later job of that run — the
     per-run complement of the pool-wide cancel epoch.  Sent for a
@@ -72,17 +73,13 @@ worker, the whole stream is deterministic:
     the verifier raised; the parent re-raises after the run (terminal).
 
 Clause traffic: the worker keeps one private
-:class:`~repro.multiprop.clausedb.ClauseDB` **per shard per run**
-(fresh on every setup, so runs never leak clauses into each other, and
-a worker serving jobs from several shards never lets one shard's
-clauses seed another shard's proofs), accumulating its own proofs —
-the sequential driver's Section 6 re-use, per worker.  When the run
-carries a :class:`~repro.parallel.exchange.ShardedExchange` the worker
-additionally imports everything the job's *shard* published since its
-last fetch before each job and publishes each new invariant to that
-same shard — clauses never cross shard boundaries, worker-side
-included.  Imported clauses are re-validated by ``ClauseDB.add``
-worker-side.
+:class:`~repro.multiprop.clausedb.ClauseDB` per run (fresh on every
+setup, so runs never leak clauses into each other) that accumulates
+its own proofs — the sequential driver's Section 6 re-use, per worker —
+and everything the scheduler relays on job messages: the proof cache's
+warm-start clauses and, with exchange on, the invariants other seats
+proved for the same job.  ``ClauseDB.add`` re-validates every relayed
+clause worker-side.
 """
 
 from __future__ import annotations
@@ -103,6 +100,7 @@ from ..multiprop.report import PropOutcome
 from ..progress import ProgressEvent, PropertyStarted
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
+from .exchange import unpack_clauses
 from .pool import _lru_touch
 
 #: Poll interval while waiting for work (seconds).
@@ -122,41 +120,18 @@ class PropertyJob:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class WorkerSettings(ProofOptions):
-    """What every job of a run shares: the job's proof knobs, shipped whole."""
-
-    #: Warm-start clauses from a cross-run proof cache: seeded into every
-    #: per-shard ClauseDB this run opens.  Insertion re-validates each
-    #: clause structurally; certificate re-checks backstop the rest.
-    warm_clauses: tuple = ()
-
-
 @dataclass
 class _ActiveRun:
-    """Worker-local state of the run currently being served."""
+    """Worker-local state of one open run."""
 
     run_id: int
     ts: TransitionSystem
-    settings: WorkerSettings
-    exchange: object | None  # ShardedExchange or None
-    # One clause database per exchange shard (key -1 without exchange):
-    # a worker that serves jobs from several shards must not let one
-    # shard's imports seed another shard's proofs, or the cross-shard
-    # isolation the exchange enforces would leak back in worker-side.
-    dbs: dict[int, ClauseDB] = field(default_factory=dict)
-    cursors: dict[int, int] = field(default_factory=dict)
+    options: ProofOptions
+    #: Relayed clauses plus this seat's own proofs; fresh per setup.
+    db: ClauseDB = field(init=False)
 
-    def db_for(self, name: str) -> ClauseDB:
-        shard = -1 if self.exchange is None else self.exchange.shard_of(name)
-        db = self.dbs.get(shard)
-        if db is None:
-            db = self.dbs[shard] = ClauseDB(self.ts)
-            if self.settings.warm_clauses:
-                # Cross-run warm start: pre-seed the fresh shard DB with
-                # the cache's clause log for this design.
-                db.add_all(self.settings.warm_clauses)
-        return db
+    def __post_init__(self) -> None:
+        self.db = ClauseDB(self.ts)
 
 
 def pool_worker_main(
@@ -194,7 +169,7 @@ def pool_worker_main(
         if kind == "stop":
             break
         if kind == "run":
-            _, run_id, digest, payload, settings, exchange_blob = message
+            _, run_id, digest, payload, options = message
             if payload is not None and digest not in designs:
                 designs[digest] = pickle.loads(payload)
             ts = designs.get(digest)
@@ -204,18 +179,7 @@ def pool_worker_main(
                 )
                 continue
             _lru_touch(designs, digest, ts)
-            exchange = None
-            if exchange_blob is not None:
-                try:
-                    exchange = pickle.loads(exchange_blob)
-                except Exception:  # noqa: BLE001 - the seat must outlive it
-                    # Rebuilding a proxy registers with its manager, which
-                    # fails (KeyError, connection error) once the job has
-                    # released the shard: the run is over, skip it.
-                    continue
-            runs[run_id] = _ActiveRun(
-                run_id=run_id, ts=ts, settings=settings, exchange=exchange
-            )
+            runs[run_id] = _ActiveRun(run_id=run_id, ts=ts, options=options)
             out_queue.put(("ready", run_id, worker_id))
             continue
         if kind == "cancel":
@@ -230,12 +194,15 @@ def pool_worker_main(
             # disagree about the wire protocol; drop it rather than
             # mis-unpack it as a job.
             continue
-        _, run_id, job, seq = message
+        _, run_id, job, seq, clauses = message
         run = runs.get(run_id)
         if run is None:
             # A job of a run this worker never set up: impossible on the
             # FIFO queue unless the run is long gone — drop it.
             continue
+        # The parent counts these clauses as delivered to this seat, so
+        # they are absorbed even when the job itself is declined.
+        run.db.add_all(unpack_clauses(clauses))
         if run_id <= cancel_epoch.value or run_id in cancelled:
             out_queue.put(("cancelled", run_id, worker_id, job.name))
             continue
@@ -250,9 +217,7 @@ def _execute(
     The job gives up (UNKNOWN) at its engine's next budget check once
     ``stop_marks[worker_id]`` holds its ``seq``.
     """
-    settings = run.settings
     run_id = run.run_id
-    sharing = run.exchange is not None and settings.clause_reuse
 
     def forward(event: ProgressEvent) -> None:
         out_queue.put(("event", run_id, worker_id, event))
@@ -262,28 +227,18 @@ def _execute(
 
     try:
         if job.engine not in (None, "ic3"):
-            attempt_outcome = _run_attempt(run, job, forward, stopped)
-            out_queue.put(("result", run_id, worker_id, attempt_outcome))
-            return
-        db = run.db_for(job.name)  # accumulates across this worker's jobs
-        if sharing:
-            db.add_all(run.exchange.fetch_fresh(job.name, run.cursors))
-        outcome, result = prove(
-            run.ts,
-            job.name,
-            assumption_names(run.ts, job.name),
-            settings,
-            db,
-            forward,
-            stop=stopped,
-        )
-        outcome.engine = job.engine
-        if sharing and result.holds and result.invariant:
-            # Own clauses come back on the next fetch and dedup in the
-            # local ClauseDB; skipping the cursor ahead here could
-            # silently drop clauses other workers published to this
-            # shard in between, so don't.
-            run.exchange.publish(job.name, result.invariant)
+            outcome = _run_attempt(run, job, forward, stopped)
+        else:
+            outcome, _ = prove(
+                run.ts,
+                job.name,
+                assumption_names(run.ts, job.name),
+                run.options,
+                run.db,  # accumulates across this worker's jobs
+                forward,
+                stop=stopped,
+            )
+            outcome.engine = job.engine
         out_queue.put(("result", run_id, worker_id, outcome))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
         out_queue.put(
@@ -300,29 +255,29 @@ def _run_attempt(run: _ActiveRun, job: PropertyJob, emit, stop) -> PropOutcome:
     FAILS from any of them is a *local* counterexample by construction,
     exactly the verdict the local proof's ladder would certify.
     """
-    settings = run.settings
+    options = run.options
     assumed = assumption_names(run.ts, job.name)
-    budget = settings.budget(stop)
+    budget = options.budget(stop)
     emit(PropertyStarted(name=job.name, assumed=tuple(assumed)))
     result: EngineResult
     if job.engine == "bmc":
         result = bmc_check(
             run.ts,
             job.name,
-            max_depth=min(settings.max_frames, 256),
+            max_depth=min(options.max_frames, 256),
             assumed=assumed,
             budget=budget,
             emit=emit,
-            solver_backend=settings.solver_backend,
+            solver_backend=options.solver_backend,
         )
     elif job.engine == "kind":
         result = kinduction_check(
             run.ts,
             job.name,
-            max_k=min(settings.max_frames, 64),
+            max_k=min(options.max_frames, 64),
             assumed=assumed,
             budget=budget,
-            solver_backend=settings.solver_backend,
+            solver_backend=options.solver_backend,
         )
     elif job.engine == "rw":
         result = randomwalk_check(

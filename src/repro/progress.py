@@ -21,13 +21,12 @@ The event vocabulary mirrors what the paper's tables measure:
 * :class:`BudgetCheckpoint` — resource usage at a known-safe point,
   the hook for external schedulers to preempt or re-balance work;
 * :class:`ClusterStarted` — the structural baseline opened a group;
-* :class:`WorkerStarted` / :class:`PoolAttached` / :class:`ShardOpened`
-  / :class:`PropertyCancelled` — the process-parallel engine spawned a
-  worker, attached a run to its (possibly persistent) pool, opened a
-  clause-exchange shard, or abandoned a queued property after early
-  cancellation (the property still gets its UNKNOWN
-  :class:`PropertySolved`, preserving the one-verdict-per-property
-  invariant);
+* :class:`WorkerStarted` / :class:`PoolAttached` /
+  :class:`PropertyCancelled` — the process-parallel engine spawned a
+  worker, attached a run to its (possibly persistent) pool, or
+  abandoned a queued property after early cancellation (the property
+  still gets its UNKNOWN :class:`PropertySolved`, preserving the
+  one-verdict-per-property invariant);
 * :class:`RunStarted` / :class:`RunFinished` — session bracketing;
 * :class:`AttemptStarted` / :class:`AttemptCancelled` /
   :class:`PortfolioDecided` — the portfolio strategy launched one
@@ -69,7 +68,6 @@ __all__ = [
     "ClusterStarted",
     "WorkerStarted",
     "PoolAttached",
-    "ShardOpened",
     "PropertyCancelled",
     "PropertyRequeued",
     "AttemptStarted",
@@ -218,19 +216,6 @@ class PoolAttached(ProgressEvent):
     workers: int
     persistent: bool
     runs: int = 0
-
-
-@dataclass(frozen=True)
-class ShardOpened(ProgressEvent):
-    """The parallel engine opened one clause-exchange shard.
-
-    One event per shard per run; ``members`` is how many of the run's
-    properties route their clause traffic through this shard.
-    """
-
-    kind: ClassVar[str] = "shard-opened"
-    shard: int
-    members: int
 
 
 @dataclass(frozen=True)
@@ -385,7 +370,7 @@ class StatsSnapshot(ProgressEvent):
     ``stats`` is the ``as_dict()`` form of
     :class:`~repro.service.ServiceStats` (typed loosely to keep this
     module dependency-free): pool occupancy, per-seat crash/backoff
-    state, admission-queue depth, per-shard exchange traffic and
+    state, admission-queue depth, clause-exchange traffic and
     per-job wait/run latency.  Emitted by
     :meth:`~repro.service.VerificationService.emit_stats` — e.g. on the
     ``repro serve --stats-interval`` polling loop.
@@ -469,8 +454,6 @@ def format_event(event: ProgressEvent) -> str:
             f"[{event.kind}] {event.workers} workers ({mode}, "
             f"{event.runs} prior runs)"
         )
-    if isinstance(event, ShardOpened):
-        return f"[{event.kind}] shard {event.shard}: {event.members} properties"
     if isinstance(event, PropertyCancelled):
         by = f" (worker {event.worker})" if event.worker is not None else ""
         return f"[{event.kind}] {event.name}{by}"

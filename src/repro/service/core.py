@@ -23,7 +23,7 @@ Admitted jobs execute one of two ways:
   :class:`~repro.parallel.engine.SeatScheduler` — weighted fair share
   across jobs (seats held per unit of ``priority``), LPT within each
   job, per-job run-id isolation, watchdogs, crash re-dispatch and
-  sharded clause exchanges;
+  per-job clause exchange;
 * **threaded** — every other strategy runs to completion on a service
   thread (sequential engines have no seat-level parallelism to
   multiplex; they still gain concurrent admission, handles, events and

@@ -82,7 +82,8 @@ class ServiceStats:
 
     ``pool`` is ``None`` until the first pooled job creates the shared
     pool; ``exchange`` is ``None`` until a scheduler exists (totals
-    cover finished jobs plus every live job's shards).
+    since the scheduler opened, plus a ``live`` row per exchanging
+    job still running).
     """
 
     pending: int

@@ -70,14 +70,10 @@ property slot (paper Section 11) through
 ``VerificationConfig.workers``
     worker processes (``None``: one per CPU, capped by #properties);
 ``VerificationConfig.exchange``
-    live strengthening-clause exchange between workers through the
-    cluster-sharded :class:`~repro.parallel.exchange.ShardedExchange`
-    (only meaningful with ``clause_reuse``; off = Table X's
-    independent-proof mode);
-``VerificationConfig.exchange_shards``
-    clause-exchange shards: a count or ``"auto"`` for one shard per
-    structural property cluster — clauses are routed only between
-    same-shard subscribers;
+    live strengthening-clause exchange between workers: the scheduler
+    logs each proof's invariant and relays it to the job's other
+    seats on their next job message (only meaningful with
+    ``clause_reuse``; off = Table X's independent-proof mode);
 ``VerificationConfig.pool``
     a persistent :class:`~repro.parallel.pool.WorkerPool` shared
     across ``Session.run()`` calls (workers and shipped designs are

@@ -163,14 +163,14 @@ def test_stale_codec_entry_fails_the_lint():
     # no longer a ProgressEvent subclass is a stale registry entry.
     sources = _net_sources()
     progress = "src/repro/progress.py"
-    assert "class ShardOpened(ProgressEvent):" in sources[progress]
+    assert "class ClusterStarted(ProgressEvent):" in sources[progress]
     sources[progress] = sources[progress].replace(
-        "class ShardOpened(ProgressEvent):", "class ShardOpened:"
+        "class ClusterStarted(ProgressEvent):", "class ClusterStarted:"
     )
     result = analyze_sources(sources, checkers=[get_checker("net-protocol")])
     texts = [f.message for f in result.findings]
     assert any(
-        "'ShardOpened'" in m and "stale" in m for m in texts
+        "'ClusterStarted'" in m and "stale" in m for m in texts
     ), texts
 
 

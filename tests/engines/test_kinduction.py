@@ -45,6 +45,20 @@ class TestBasic:
         result = kinduction_check(ts, "P1", max_k=24, unique_states=True)
         assert result.holds
 
+    def test_the_design_is_never_written(self, counter4):
+        # The step case's free frame 0 once swapped every latch of the
+        # shared design for an uninitialized copy and back.
+        class Recording(list):
+            writes = 0
+
+            def __setitem__(self, index, value):
+                Recording.writes += 1
+                super().__setitem__(index, value)
+
+        counter4.aig.latches = Recording(counter4.aig.latches)
+        assert kinduction_check(counter4, "P1", max_k=16, assumed=["P0"]).holds
+        assert Recording.writes == 0
+
 
 class TestAgreesWithGroundTruth:
     def test_small_random_designs(self):

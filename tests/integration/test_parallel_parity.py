@@ -40,13 +40,10 @@ class TestPaperFamilies:
         return statuses(Session(family, strategy="ja").run())
 
     @pytest.mark.parametrize("backend", ["cdcl", "cdcl-compact"])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_two_workers_exchange_on(self, family, sequential, shards, backend):
-        """Sharding changes who sees which clause, the backend how each
-        query is searched; neither may change a verdict."""
-        report = run(
-            family, workers=2, exchange_shards=shards, solver_backend=backend
-        )
+    def test_two_workers_exchange_on(self, family, sequential, backend):
+        """The relay changes which clauses seed a proof, the backend how
+        each query is searched; neither may change a verdict."""
+        report = run(family, workers=2, solver_backend=backend)
         assert statuses(report) == sequential
         assert report.stats["worker_crashes"] == 0
 

@@ -12,7 +12,8 @@ from repro.gen import all_true_designs, failing_designs
 from repro.gen.random_designs import random_design
 from repro.multiprop.ja import JAVerifier
 from repro.multiprop.parallel import measure_local_proofs
-from repro.parallel.worker import PropertyJob, WorkerSettings, _ActiveRun, _execute
+from repro.config import ProofOptions
+from repro.parallel.worker import PropertyJob, _ActiveRun, _execute
 from repro.session import VerificationConfig
 from repro.ts import ProjectedReachability
 from repro.ts.system import TransitionSystem
@@ -51,7 +52,7 @@ def test_a_seat_and_the_sequential_loop_prove_alike(name):
     sequential = JAVerifier(TransitionSystem(aig), VerificationConfig(design_name=name)).run()
 
     ts = TransitionSystem(aig)
-    run = _ActiveRun(run_id=1, ts=ts, settings=WorkerSettings(), exchange=None)
+    run = _ActiveRun(run_id=1, ts=ts, options=ProofOptions())
     outbox = _Outbox()
     stop_marks = [0]  # never set: no job is stopped
     for seq, prop in enumerate(ts.properties, start=1):

@@ -22,7 +22,7 @@ import pytest
 
 from repro.engines.result import PropStatus
 from repro.multiprop.report import PropOutcome
-from repro.parallel import SeatScheduler
+from repro.parallel import SeatScheduler, unpack_clauses
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import pool_worker_main  # real entry, pre-patch
 from repro.progress import PropertyStarted
@@ -41,14 +41,14 @@ class _StubPool:
     Seat liveness is a set, the message stream a deque, ``kill()`` the
     crash injector.  ``open_run``/``attach_worker`` push the ``ready``
     acks a real worker would send, and ``assign`` and ``stop_seat`` just
-    record — tests answer assignments by feeding ``result`` messages
-    back through the scheduler.
+    record — ``assign`` also the clauses each job message relays — and
+    tests answer assignments by feeding ``result`` messages back
+    through the scheduler.
     """
 
     def __init__(self, workers: int = 2) -> None:
         self.workers = workers
         self.closed = False
-        self.context = None
         self._run_ids = 0
         self._open: set[int] = set()
         self._started = set(range(workers))
@@ -61,6 +61,7 @@ class _StubPool:
         }
         self.messages: deque = deque()
         self.assigned: list = []  # (seat, run id, PropertyJob), in order
+        self.relayed: list = []  # (seat, run id, clause list), per assign
         # seat -> the attempt it was last assigned: what a stop would hit
         self.last_assigned: dict = {}
         self.stopped: list = []  # (seat, PropertyJob) per stop_seat call
@@ -88,7 +89,7 @@ class _StubPool:
     def open_runs(self) -> list[int]:
         return sorted(self._open)
 
-    def open_run(self, ts, settings, exchange=None) -> int:
+    def open_run(self, ts, options) -> int:
         run_id = self._run_ids
         self._run_ids += 1
         self._open.add(run_id)
@@ -100,8 +101,9 @@ class _StubPool:
     def attach_worker(self, run_id: int, worker_id: int) -> None:
         self.messages.append(("ready", run_id, worker_id))
 
-    def assign(self, worker_id, job, run_id=None) -> None:
+    def assign(self, worker_id, job, run_id=None, clauses=b"") -> None:
         self.assigned.append((worker_id, run_id, job))
+        self.relayed.append((worker_id, run_id, unpack_clauses(clauses)))
         self.last_assigned[worker_id] = job
 
     def stop_seat(self, worker_id: int) -> None:

@@ -75,30 +75,28 @@ class TestEngine:
         )
         assert report.stats["exchange"] == 0
 
-    def test_shard_managers_do_not_outlive_the_scheduler(self, counter4):
-        """A job's shards live on the scheduler's own managers: alive
-        across jobs, gone on close."""
-
-        def managers():
-            return [
-                child
-                for child in multiprocessing.active_children()
-                if child.name.startswith("ShardManager")
-            ]
-
+    def test_a_jobs_only_child_processes_are_the_seats(self, counter4):
+        """Clause exchange rides on the job messages: an exchanging job
+        starts no process besides the pool's seats."""
+        before = {child.pid for child in multiprocessing.active_children()}
         with WorkerPool(workers=2) as pool:
             scheduler = SeatScheduler(pool)
             try:
                 job = scheduler.admit(
                     counter4, VerificationConfig(), None, ["P0", "P1"]
                 )
+                assert job.use_exchange
+                seats = {slot.process.pid for slot in pool._slots}
+                assert len(seats) == 2
                 while scheduler.live_jobs:
+                    started = {
+                        child.pid for child in multiprocessing.active_children()
+                    } - before
+                    assert started == seats
                     scheduler.step()
-                assert job.use_exchange and job.error is None
-                assert len(managers()) == 1
+                assert job.error is None
             finally:
                 scheduler.close()
-            assert managers() == []
 
 
 class TestEarlyCancellation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import ProofOptions
 from repro.engines.result import PropStatus
 from repro.parallel import WorkerPool, default_pool, shutdown_default_pool
 from repro.progress import PoolAttached, WorkerStarted
@@ -146,11 +147,11 @@ class TestSeatLeasing:
     ):
         import queue as queue_mod
 
-        from repro.parallel.worker import PropertyJob, WorkerSettings
+        from repro.parallel.worker import PropertyJob
 
         pool.start_missing_workers()
-        first = pool.open_run(toggler, WorkerSettings(clause_reuse=False))
-        second = pool.open_run(counter4, WorkerSettings(clause_reuse=False))
+        first = pool.open_run(toggler, ProofOptions(clause_reuse=False))
+        second = pool.open_run(counter4, ProofOptions(clause_reuse=False))
         assert pool.open_runs == [first, second]
         # Wait for every seat to ack both setups, then run one property
         # of each run on the same seat.
@@ -179,11 +180,11 @@ class TestSeatLeasing:
         assert pool.open_runs == []
 
     def test_cancel_run_spares_younger_siblings(self, pool, toggler):
-        from repro.parallel.worker import PropertyJob, WorkerSettings
+        from repro.parallel.worker import PropertyJob
 
         pool.start_missing_workers()
-        old = pool.open_run(toggler, WorkerSettings())
-        young = pool.open_run(toggler, WorkerSettings())
+        old = pool.open_run(toggler, ProofOptions())
+        young = pool.open_run(toggler, ProofOptions())
         pool.cancel_run(old)  # oldest: epoch path
         assert pool.run_cancelled(old)
         assert not pool.run_cancelled(young)
@@ -204,11 +205,9 @@ class TestSeatLeasing:
         pool.close_run(young)
 
     def test_cancel_younger_run_spares_the_oldest(self, pool, toggler):
-        from repro.parallel.worker import WorkerSettings
-
         pool.start_missing_workers()
-        old = pool.open_run(toggler, WorkerSettings())
-        young = pool.open_run(toggler, WorkerSettings())
+        old = pool.open_run(toggler, ProofOptions())
+        young = pool.open_run(toggler, ProofOptions())
         pool.cancel_run(young)  # non-oldest: per-worker cancel messages
         assert pool.run_cancelled(young)
         assert not pool.run_cancelled(old)
@@ -229,47 +228,10 @@ class TestSeatLeasing:
         pool.release_messages(thief)
 
     def test_assign_to_unopened_run_rejected(self, pool, toggler):
-        from repro.parallel.worker import PropertyJob, WorkerSettings
+        from repro.parallel.worker import PropertyJob
 
         pool.start_missing_workers()
-        run = pool.open_run(toggler, WorkerSettings())
+        run = pool.open_run(toggler, ProofOptions())
         with pytest.raises(RuntimeError, match="not open"):
             pool.assign(0, PropertyJob(name="never_q"), run_id=run + 1)
         pool.close_run(run)
-
-    def test_seat_survives_a_run_setup_whose_shards_are_gone(
-        self, pool, toggler
-    ):
-        """A busy seat can read a ``run`` message after the job has
-        finished and released its exchange shards; rebuilding the
-        proxies then fails manager-side.  The seat must skip that run
-        (no ``ready`` ack) and serve the next one."""
-        import pickle
-
-        from repro.parallel.exchange import ShardHost, shard_clusters
-        from repro.parallel.worker import PropertyJob, WorkerSettings
-
-        pool.start_missing_workers()
-        host = ShardHost(ctx=pool.context)
-        try:
-            exchange = host.open_shards(shard_clusters([["never_q"]], 1))
-            stale = pickle.dumps(exchange)
-            del exchange  # last proxy gone: the manager drops the shard
-            digest = pool._design_digest(toggler)
-            pool._slots[0].ctrl.put(
-                ("run", 10_000, digest, pool._pickled[digest],
-                 WorkerSettings(), stale)
-            )
-            run = pool.open_run(toggler, WorkerSettings())
-            pool.assign(0, PropertyJob(name="never_q"), run_id=run)
-            kinds = []
-            while "result" not in kinds:
-                message = pool.next_message(timeout=30.0)
-                if message[2] == 0:
-                    kinds.append(message[0])
-            assert kinds[0] == "ready"
-            assert pool.worker_alive(0)
-            assert pool.stats["workers_replaced"] == 0
-            pool.close_run(run)
-        finally:
-            host.shutdown()

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import ProofOptions
 from repro.engines.result import PropStatus
 from repro.gen.counter import buggy_counter
 from repro.parallel import WorkerPool
-from repro.parallel.worker import PropertyJob, WorkerSettings, _ActiveRun, _execute
+from repro.parallel.worker import PropertyJob, _ActiveRun, _execute
 from repro.progress import FrameAdvanced
 from repro.ts.system import TransitionSystem
 
@@ -45,9 +46,7 @@ class _Outbox(list):
 
 
 def _attempt(ts, name, engine, marks, outbox, max_frames=500):
-    run = _ActiveRun(
-        run_id=1, ts=ts, settings=WorkerSettings(max_frames=max_frames), exchange=None
-    )
+    run = _ActiveRun(run_id=1, ts=ts, options=ProofOptions(max_frames=max_frames))
     _execute(0, run, PropertyJob(name=name, engine=engine, seed=3), SEQ, marks, outbox)
     return outbox.result()
 
@@ -110,7 +109,7 @@ def test_a_real_seat_stops_on_its_mark_also_after_a_respawn():
 
     with WorkerPool(workers=1) as pool:
         pool.start_missing_workers()
-        run = pool.open_run(ts, WorkerSettings(max_frames=256))
+        run = pool.open_run(ts, ProofOptions(max_frames=256))
         wait_ready(pool)
         for respawned in (False, True):
             if respawned:

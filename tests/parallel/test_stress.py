@@ -1,24 +1,15 @@
-"""Parallel stress suite: 100+ properties through shards x workers.
+"""Parallel stress suite: 100+ properties through 4 pool workers.
 
-Slow-marked end-to-end hardening of the persistent-pool + sharded-
-exchange engine at a property count an order of magnitude above the
-unit tests: a synthetic design of many independent latch groups (so
-the structural clustering produces many real clusters) is pushed
-through 4 exchange shards x 4 pool workers and checked for
-
-* verdict parity with the sequential JA driver (exchange on), and
-  verdict *and frame* parity with clause re-use disabled on both sides
-  (where the proofs are bit-identical by construction);
-* zero cross-shard clause deliveries, straight from the per-shard
-  traffic stats the exchange records.
-
-``REPRO_STRESS_SHARDS`` scales the shard count (CI's nightly job runs
-the suite at 2); workers stay at 4.
+Slow-marked end-to-end hardening of the persistent pool and its clause
+relay at a property count an order of magnitude above the unit tests:
+a synthetic design of many independent latch groups is pushed through
+4 pool workers and checked for verdict parity with the sequential JA
+driver (exchange on), and verdict *and frame* parity with clause re-use
+disabled on both sides (where the proofs are bit-identical by
+construction).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -28,7 +19,6 @@ from repro.parallel import WorkerPool, parallel_ja_verify
 from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
-SHARDS = int(os.environ.get("REPRO_STRESS_SHARDS", "4"))
 WORKERS = 4
 GROUPS = 35  # 3 properties each -> 105 properties
 
@@ -39,10 +29,9 @@ def many_group_design(groups: int = GROUPS) -> AIG:
     Per block: ``x`` toggles every frame, ``y`` is stuck at 0, ``z``
     latches ``y`` (so it is stuck at 0 too).  The three properties have
     overlapping cones inside the block and disjoint cones across
-    blocks, so the structural clustering yields one cluster per block —
-    exactly the regime the sharded exchange is built for.  Every 7th
-    block swaps one holding property for ``never x``, which fails at
-    frame 1, so failures are spread across shards.
+    blocks, so the structural clustering yields one cluster per block.
+    Every 7th block swaps one holding property for ``never x``, which
+    fails at frame 1, so failures are spread across the run.
     """
     aig = AIG()
     for g in range(groups):
@@ -76,33 +65,18 @@ def frames(report) -> dict:
 
 @pytest.mark.slow
 class TestParallelStress:
-    def test_sharded_run_matches_sequential_ja(self, stress_ts):
+    def test_exchanging_run_matches_sequential_ja(self, stress_ts):
         assert len(stress_ts.properties) >= 100
         sequential = JAVerifier(stress_ts, VerificationConfig()).run()
         with WorkerPool(workers=WORKERS) as pool:
             parallel = parallel_ja_verify(
-                stress_ts,
-                VerificationConfig(pool=pool, exchange_shards=SHARDS),
+                stress_ts, VerificationConfig(pool=pool)
             )
         assert verdicts(parallel) == verdicts(sequential)
         assert list(parallel.outcomes) == list(sequential.outcomes)
-        assert parallel.stats["exchange_shards"] == SHARDS
         assert parallel.stats["worker_crashes"] == 0
-        # Zero cross-shard clause deliveries: every shard only ever saw
-        # traffic from its own member properties.
-        per_shard = parallel.stats["exchange_per_shard"]
-        assert len(per_shard) == SHARDS
-        for stats in per_shard:
-            members = set(stats["members"])
-            assert set(stats["publishers"]) <= members
-            assert set(stats["fetchers"]) <= members
-        # The run's properties partition exactly across the shards.
-        everyone = sorted(
-            name for stats in per_shard for name in stats["members"]
-        )
-        assert everyone == sorted(o.name for o in parallel.outcomes.values())
         # The exchange actually carried clauses (the holding properties
-        # export invariants), all within shards.
+        # export invariants).
         assert parallel.stats["exchange_clauses"] > 0
 
     def test_no_reuse_run_matches_sequential_frames_exactly(self, stress_ts):

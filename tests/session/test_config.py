@@ -53,15 +53,6 @@ class TestValidate:
         with pytest.raises(ConfigError, match="engine override"):
             VerificationConfig(engine={"seed_clauses": []}).validate()
 
-    @pytest.mark.parametrize("shards", [0, -2, "many", 1.5, True])
-    def test_bad_exchange_shards_rejected(self, shards):
-        with pytest.raises(ConfigError, match="exchange_shards"):
-            VerificationConfig(exchange_shards=shards).validate()
-
-    @pytest.mark.parametrize("shards", [1, 4, "auto"])
-    def test_good_exchange_shards_accepted(self, shards):
-        VerificationConfig(exchange_shards=shards).validate()
-
     def test_bad_pool_rejected(self):
         with pytest.raises(ConfigError, match="WorkerPool"):
             VerificationConfig(pool="not-a-pool").validate()

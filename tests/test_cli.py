@@ -112,26 +112,17 @@ class TestCheck:
         assert data["debugging_set"] == ["P0"]
         assert data["outcomes"]["P1"]["status"] == "holds"
 
-    def test_parallel_with_exchange_shards(self, counter_file):
+    def test_parallel_with_exchange(self, counter_file):
         assert main([
             "check", counter_file, "--strategy", "parallel-ja",
-            "--workers", "2", "--exchange-shards", "2",
+            "--workers", "2",
         ]) == 1  # counter4's P0 fails
 
-    def test_exchange_shards_auto(self, counter_file):
+    def test_parallel_without_exchange(self, counter_file):
         assert main([
             "check", counter_file, "--strategy", "parallel-ja",
-            "--workers", "1", "--exchange-shards", "auto",
+            "--workers", "1", "--no-exchange",
         ]) == 1
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "several"])
-    def test_bad_exchange_shards_rejected(self, counter_file, bad, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "check", counter_file, "--strategy", "parallel-ja",
-                "--exchange-shards", bad,
-            ])
-        assert "positive integer or 'auto'" in capsys.readouterr().err
 
     def test_bad_order_rejected(self, counter_file, capsys):
         assert main(["check", counter_file, "--order", "zigzag"]) == 2
