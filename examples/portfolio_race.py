@@ -4,8 +4,10 @@
 Builds one of the failing benchmark families, races the full engine
 slate (random-walk falsifier, BMC, k-induction, IC3) on every property,
 and prints the winning-engine breakdown the race records in
-``report.stats["portfolio"]`` — which engine decided each property, how
-long the race took, and how quickly the losers were cancelled.
+``report.stats["portfolio"]`` — which engine decided each property and
+how long its race took on its seat.  Each race runs whole on one seat,
+the engines taking turns in doubling slices, so no engine is ever left
+running against a decided property.
 
 The run is seeded: the random-walk falsifier derives a per-property
 sub-seed from the run-level seed, so re-running this script reproduces
@@ -20,7 +22,7 @@ from repro import TransitionSystem
 from repro.gen import FAILING_SPECS
 from repro.parallel import portfolio_verify
 from repro.session import VerificationConfig
-from repro.progress import AttemptCancelled, PortfolioDecided, format_event
+from repro.progress import PortfolioDecided, format_event
 
 
 def main() -> None:
@@ -31,7 +33,7 @@ def main() -> None:
     race_log = []
 
     def on_event(event):
-        if isinstance(event, (PortfolioDecided, AttemptCancelled)):
+        if isinstance(event, PortfolioDecided):
             race_log.append(format_event(event))
 
     report = portfolio_verify(
@@ -48,14 +50,9 @@ def main() -> None:
     tally = Counter(race["winner"] for race in races.values())
     print("winners:", dict(tally))
     for name, race in races.items():
-        cancelled = ", ".join(
-            f"{engine}@{latency:.3f}s" if latency is not None else engine
-            for engine, latency in race["cancelled"].items()
-        )
         print(
             f"  {name}: {race['status']} by {race['winner']} "
             f"in {race['wall_s']:.3f}s"
-            + (f" (cancelled: {cancelled})" if cancelled else "")
         )
 
     # --- the verdicts are ordinary report outcomes --------------------

@@ -60,7 +60,7 @@ class ProofOptions:
     per_property_conflicts: int | None = None
 
     def budget(self, stop: Callable[[], bool] | None = None) -> ResourceBudget:
-        """A fresh per-property budget (every engine run gets its own).
+        """A fresh per-property budget: one property's proof, or its race.
 
         ``stop`` is the caller's give-up check (see :class:`ResourceBudget`).
         """

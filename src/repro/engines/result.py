@@ -87,7 +87,14 @@ class ResourceBudget:
     ``stop``, when given, is asked at every :meth:`exhausted` check too:
     once it returns true the budget counts as spent, so an engine gives
     up at its next check and returns UNKNOWN.  A pool seat passes one to
-    let the parent stop a race's losing attempt.
+    let the parent stop the attempt of a job the user cancelled.
+
+    A budget can be cut into slices (:meth:`slice`), the way a portfolio
+    race (:func:`repro.parallel.portfolio.race`) bounds each engine's
+    turn: a slice is spent once its own conflict cap is used up *or*
+    the budget it was cut from is spent, and every conflict it is
+    charged is charged to that budget too — so the slices of one race
+    draw on one budget, never on one each.
     """
 
     def __init__(
@@ -95,20 +102,30 @@ class ResourceBudget:
         time_limit: float | None = None,
         conflict_limit: int | None = None,
         stop: Callable[[], bool] | None = None,
+        parent: ResourceBudget | None = None,
     ) -> None:
         self.time_limit = time_limit
         self.conflict_limit = conflict_limit
         self.stop = stop
+        self.parent = parent
         self._start = time.monotonic()
         self.conflicts_used = 0
 
+    def slice(self, conflicts: int | None = None) -> ResourceBudget:
+        """A sub-budget capped at ``conflicts`` of its own (see above)."""
+        return ResourceBudget(conflict_limit=conflicts, parent=self)
+
     def charge_conflicts(self, amount: int) -> None:
         self.conflicts_used += amount
+        if self.parent is not None:
+            self.parent.charge_conflicts(amount)
 
     def exhausted(self) -> bool:
         if self.time_limit is not None and time.monotonic() - self._start > self.time_limit:
             return True
         if self.conflict_limit is not None and self.conflicts_used > self.conflict_limit:
+            return True
+        if self.parent is not None and self.parent.exhausted():
             return True
         return self.stop is not None and self.stop()
 

@@ -29,12 +29,12 @@ this step reads: a driver projects its
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from ..circuit.coi import reduce_to_cone, remap_clause, support_signature
 from ..config import ProofOptions
 from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
-from ..engines.result import EngineResult, PropStatus
+from ..engines.result import EngineResult, PropStatus, ResourceBudget
 from ..progress import (
     ClauseExport,
     Emit,
@@ -87,15 +87,16 @@ def prove(
     emit: Emit | None = None,
     *,
     local: bool = True,
-    stop: Callable[[], bool] | None = None,
+    budget: ResourceBudget | None = None,
 ) -> tuple[PropOutcome, EngineResult]:
     """Decide ``name`` under ``assumed``: the ladder, the export, the events.
 
     Emits ``PropertyStarted``, the engine's own progress, ``ClauseExport``
     and ``PropertySolved``.  ``db`` is read for seeds and receives the
-    invariant only when ``options.clause_reuse`` is set.  ``stop`` goes
-    into every rung's budget: once it returns true the proof gives up
-    UNKNOWN at the engine's next budget check.
+    invariant only when ``options.clause_reuse`` is set.  ``budget``,
+    when given, bounds the whole ladder (a pool seat's, which carries its
+    stop check; a race's slice); by default every rung gets a fresh
+    ``options.budget()``.
     """
     send = emit_or_null(emit)
     assumed = list(assumed)
@@ -108,7 +109,7 @@ def prove(
     reruns = 0
     while True:
         result = _run_ic3(
-            ts, name, assumed, options, respect, use_coi, seeds, send, stop
+            ts, name, assumed, options, respect, use_coi, seeds, send, budget
         )
         if result.status is not PropStatus.FAILS or not assumed:
             break
@@ -145,7 +146,7 @@ def _run_ic3(
     use_coi: bool,
     seeds: Sequence,
     emit: Emit,
-    stop: Callable[[], bool] | None,
+    budget: ResourceBudget | None,
 ) -> EngineResult:
     """One rung: one IC3 run, translated back from its COI reduction."""
     run_ts, run_assumed, run_seeds, reduction = ts, assumed, seeds, None
@@ -159,7 +160,7 @@ def _run_ic3(
         assumed=run_assumed,
         respect_constraints_in_lifting=respect,
         seed_clauses=run_seeds,
-        budget=options.budget(stop),
+        budget=budget if budget is not None else options.budget(),
         max_frames=options.max_frames,
         ctg=options.ctg,
         solver_backend=options.solver_backend,
@@ -176,7 +177,7 @@ def _run_ic3(
         # Poisoned seeds (possible when mixing invariants proven under
         # different assumption sets): retry from scratch without them.
         result = _run_ic3(
-            ts, name, assumed, options, respect, use_coi, (), emit, stop
+            ts, name, assumed, options, respect, use_coi, (), emit, budget
         )
         result.stats["certificate_retry"] = 1
         return result

@@ -28,6 +28,7 @@ class PropOutcome:
     reruns: int = 0  # spurious-CEX re-runs with respecting lifting
     expected_to_fail: bool = False  # ETF properties (Section 5)
     engine: str | None = None  # which engine produced the verdict (portfolio)
+    errors: list[str] = field(default_factory=list)  # engines that raised (portfolio)
     # Witnesses, carried so the proof cache can persist and re-certify
     # them.  Deliberately kept off the network report wire (traces stay
     # server-side; see repro/net/codec.py).

@@ -13,10 +13,10 @@ that claim instead of simulating it:
   decided.  Its :class:`SeatScheduler` is the fair multiplexer behind
   :class:`repro.service.VerificationService`: any number of jobs'
   property backlogs interleaved onto one pool's seats;
-* :mod:`repro.parallel.portfolio` — per-property engine racing as a
-  scheduling *policy* over the same job type: one run per job, an
-  attempt per (property, engine) in its backlog, first definitive
-  verdict decides, queued losers are dropped and running ones stopped;
+* :mod:`repro.parallel.portfolio` — per-property engine racing over
+  the same job type: one attempt per property carries the engine
+  slate, and the seat that holds it races the engines in doubling
+  work slices until the first definitive verdict;
 * :mod:`repro.parallel.pool` — a persistent :class:`WorkerPool` that
   outlives a single run: workers cache pickled designs by content hash,
   accept successive job batches, and are shared across

@@ -40,22 +40,20 @@ Design notes
   message stream — and so the session's event sequence — is
   deterministic.  Messages carry their run id; a previous run's
   stragglers on a shared pool are discarded by the pool.
-* **One run per job, one unit of work per seat.**  Every job — a
-  ``parallel-ja`` batch or a ``portfolio`` race alike — is one
+* **One run per job, one attempt per property.**  Every job — a
+  ``parallel-ja`` batch or a ``portfolio`` one alike — is one
   :class:`PooledJob` on one pool run, and its backlog is a list of
   :class:`~repro.parallel.worker.PropertyJob` *attempts*, one per
-  property and slate engine (the slate is ``(None,)``, the local
-  proof, unless the config's strategy is ``portfolio``).  The scheduler
+  property: the local proof, or — when the config's strategy is
+  ``portfolio`` — a race of the engine slate that the seat runs by
+  itself (:func:`~repro.parallel.portfolio.race`).  The scheduler
   tracks which attempt each seat holds and hands every terminal
-  message to the job's *policy* — :class:`LocalProofs` or
-  :class:`~repro.parallel.portfolio.EngineRace` — which says what it
-  means for the property.  A job's report is delivered when every
-  property is **decided**; its run is closed when the last attempt
-  still on a seat has **drained** (the two differ only for a race
-  whose losers are still running).  A decision stops the seats that
-  still run the property's other attempts
-  (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), so a loser
-  drains within one budget check of its engine.
+  message to :class:`LocalProofs`, which records what it means for
+  the property.  When the last property is decided, no attempt of the
+  job is left on a seat: the report is delivered and the run closed
+  together.  A user's cancel stops the seats that hold the job's
+  attempts (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), so
+  they report UNKNOWN within one budget check of their engine.
 * **Size-aware dispatch**: with no explicit property order, the backlog
   is ordered by *descending* estimated cone-of-influence size, the
   classic LPT list-scheduling heuristic — big proofs start first, so
@@ -108,7 +106,7 @@ from ..progress import (
 from ..ts.system import TransitionSystem
 from .exchange import pack_clauses
 from .pool import WorkerPool
-from .portfolio import EngineRace, parse_engine_slate, race_stats
+from .portfolio import parse_engine_slate, race_stats
 from .stats import PoolStats, SeatStats
 from .worker import PropertyJob
 
@@ -122,10 +120,9 @@ class PooledJob:
     that acked this run's setup, the undecided property names and the
     verdicts so far, crash/retry bookkeeping, the watchdog deadline,
     and the job's clause log.  What an attempt's terminal
-    message *means* for its property is the job's ``policy``:
-    :class:`LocalProofs` (one attempt per property, whatever ends it
-    is the verdict) or :class:`~repro.parallel.portfolio.EngineRace`
-    (several engines per property, first definitive verdict wins).
+    message *means* for its property is the job's ``policy``,
+    :class:`LocalProofs`; ``slate`` is the engine slate a portfolio
+    job races (``None`` for ``parallel-ja``).
     """
 
     def __init__(
@@ -139,6 +136,7 @@ class PooledJob:
         weight: float = 1.0,
         job_id: str | None = None,
         on_finish=None,
+        slate: tuple[str, ...] | None = None,
     ) -> None:
         self.run_id = run_id
         self.ts = ts
@@ -166,7 +164,7 @@ class PooledJob:
         self.cancelled_count = 0
         self.crashes = 0
         self.redispatched = 0
-        self.finished = False  # every property decided, report deliverable
+        self.finished = False  # every property decided, run closed
         self.total_time = 0.0
         self.dispatch_mode = "fifo"
         self.pool_label = "persistent"
@@ -177,7 +175,8 @@ class PooledJob:
         self._logged: set = set()
         self.relayed: dict[int, int] = {}  # seat -> log prefix it holds
         self.exchanged = 0  # clauses the job's own proofs appended
-        self.policy = None  # LocalProofs or EngineRace, set at admission
+        self.slate = slate
+        self.policy = LocalProofs(self)
 
     def record(self, outcome: PropOutcome, checkpoint: bool = True) -> None:
         """Decide ``outcome.name``: the property leaves ``pending``."""
@@ -226,26 +225,26 @@ class PooledJob:
 
 
 class LocalProofs:
-    """The ``parallel-ja`` policy: one attempt per property.
+    """The policy of every pooled job: one attempt per property.
 
-    Whatever ends the attempt — the worker's verdict, a cancellation,
-    a verifier exception, a second seat crash — is the property's
-    verdict; anything but a result degrades it to UNKNOWN.  The worker
-    already streamed the ``PropertyStarted``/``PropertySolved`` pair of
-    an attempt that ran, so only the degraded endings emit here.
+    Whatever ends the attempt — the worker's verdict (a local proof's
+    or a whole race's), a cancellation, a verifier exception, a second
+    seat crash — is the property's verdict; anything but a result
+    degrades it to UNKNOWN.  The worker already streamed the
+    ``PropertyStarted``/``PropertySolved`` pair of an attempt that ran,
+    so only the degraded endings emit here.  The job's slate decides
+    the report's ``method`` and ``stats``.
     """
-
-    method = "parallel-ja"
 
     def __init__(self, job: PooledJob) -> None:
         self.job = job
 
-    def forward(self, attempt: PropertyJob, event) -> None:
-        self.job.emit(event)
+    @property
+    def method(self) -> str:
+        return "parallel-ja" if self.job.slate is None else "portfolio"
 
-    def result(self, attempt: PropertyJob, outcome: PropOutcome) -> PropOutcome:
+    def result(self, attempt: PropertyJob, outcome: PropOutcome) -> None:
         self.job.record(outcome)
-        return outcome
 
     def cancelled(
         self, attempt: PropertyJob, worker_id: int | None, checkpoint: bool = True
@@ -257,7 +256,12 @@ class LocalProofs:
     def error(self, attempt: PropertyJob, detail: str) -> None:
         self.job.errors.append(f"{attempt.name}: {detail}")
         self.job.record(
-            PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
+            PropOutcome(
+                name=attempt.name,
+                status=PropStatus.UNKNOWN,
+                local=True,
+                errors=[detail],
+            )
         )
 
     def lost(self, attempt: PropertyJob, checkpoint: bool = False) -> None:
@@ -267,6 +271,13 @@ class LocalProofs:
 
     def stats(self, pool: WorkerPool) -> dict:
         job = self.job
+        if job.slate is not None:
+            return race_stats(
+                pool.workers,
+                job.slate,
+                job.config.seed,
+                [job.outcomes[name] for name in job.order],
+            )
         return {
             "mode": "process",
             "workers": pool.workers,
@@ -390,12 +401,12 @@ class SeatScheduler:
     ) -> PooledJob:
         """Open one job (one run) on the pool and queue its whole backlog.
 
-        The backlog holds one attempt per property and slate engine
-        (see :func:`slate_of`).  ``warm_clauses`` — a cross-run proof
-        cache's clause log for this exact design — head the job's clause
-        log, so every seat's clause DB for the run receives them,
-        re-validated on insertion and backstopped by the engine's
-        ``SeedCertificateError`` retry.
+        The backlog holds one attempt per property, carrying the slate
+        of a portfolio job (see :func:`slate_of`).  ``warm_clauses`` — a
+        cross-run proof cache's clause log for this exact design — head
+        the job's clause log, so every seat's clause DB for the run
+        receives them, re-validated on insertion and backstopped by the
+        engine's ``SeedCertificateError`` retry.
         """
         if priority <= 0:
             raise ValueError(f"priority must be > 0, got {priority!r}")
@@ -431,12 +442,11 @@ class SeatScheduler:
                 else min(job_time, config.total_time)
             )
         slate = slate_of(config)
-        racing = slate != (None,)
         # Dispatch order: LPT (descending cone size) unless the caller
         # pinned an explicit order.  Races keep property order: a race
         # costs what its fastest engine costs, which cone size does not
         # predict.  The report keeps ``order``.
-        if config.order is None and not racing:
+        if config.order is None and slate is None:
             dispatch = _cone_descending(ts, order)
             dispatch_mode = "cone-desc"
         else:
@@ -455,41 +465,32 @@ class SeatScheduler:
             weight=priority,
             job_id=job_id,
             on_finish=on_finish,
+            slate=slate,
         )
         job.dispatch_mode = dispatch_mode
         job.pool_label = self.pool_label
-        # Racing attempts compete; only plain local proofs exchange.
-        job.use_exchange = config.exchange and config.clause_reuse and not racing
+        # A race's seat keeps its engines' clauses to itself; only plain
+        # local proofs exchange.
+        job.use_exchange = config.exchange and config.clause_reuse and slate is None
         job.log(warm_clauses)
         job.backlog = [
             PropertyJob(
                 name=name,
-                engine=engine,
+                slate=slate,
                 seed=(
-                    derive_seed(config.seed, config.design_name, name)
-                    if engine == "rw"
-                    else None
+                    None
+                    if slate is None
+                    else derive_seed(config.seed, config.design_name, name)
                 ),
             )
             for name in dispatch
-            for engine in slate
         ]
-        job.policy = EngineRace(job, slate) if racing else LocalProofs(job)
         self.jobs[run_id] = job
         return job
 
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
-    @property
-    def live_jobs(self) -> list[PooledJob]:
-        """Jobs with undecided properties.
-
-        ``jobs`` additionally holds finished jobs whose run is still
-        open because a losing attempt is draining on a seat.
-        """
-        return [job for job in self.jobs.values() if not job.finished]
-
     def step(self, timeout: float = 0.2, max_messages: int = 64) -> None:
         """One pump iteration: watchdogs, a message burst, crash reaping.
 
@@ -502,7 +503,7 @@ class SeatScheduler:
         the per-step bookkeeping cost is paid per burst, not per event.
         """
         now = time.monotonic()
-        for job in self.live_jobs:
+        for job in list(self.jobs.values()):
             if (
                 job.deadline is not None
                 and now > job.deadline
@@ -537,7 +538,7 @@ class SeatScheduler:
         elif kind == "event":
             held = self.assignments.get(worker_id)
             if held is not None and held[0] == run_id:
-                job.policy.forward(held[1], message[3])
+                job.emit(message[3])
         elif kind == "result":
             outcome = message[3]
             attempt = self._release(worker_id, run_id, outcome.name)
@@ -550,14 +551,9 @@ class SeatScheduler:
             health.consecutive = 0
             health.delay = 0.0
             self._publish(job, outcome)
-            verdict = job.policy.result(attempt, outcome)
-            if verdict is not None:
-                self._stop_losers(job, verdict.name)
-                if (
-                    job.config.stop_on_failure
-                    and verdict.status is PropStatus.FAILS
-                ):
-                    self.cancel_job(job)
+            job.policy.result(attempt, outcome)
+            if job.config.stop_on_failure and outcome.status is PropStatus.FAILS:
+                self.cancel_job(job)
             self._feed_seat(worker_id)
         elif kind == "cancelled":
             attempt = self._release(worker_id, run_id, message[3])
@@ -603,17 +599,6 @@ class SeatScheduler:
             self._exchange["clauses"] += added
             self._exchange["publishes"] += 1
 
-    def _stop_losers(self, job: PooledJob, name: str) -> None:
-        """Stop every seat still running an attempt of a decided property.
-
-        Only a race ever has one: ``LocalProofs`` queues one attempt per
-        property, and it has just reported.  A stopped attempt reports
-        UNKNOWN at its engine's next budget check, which frees the seat.
-        """
-        for worker_id, (run_id, attempt) in self.assignments.items():
-            if run_id == job.run_id and attempt.name == name:
-                self.pool.stop_seat(worker_id)
-
     # ------------------------------------------------------------------
     # Seat feeding (weighted fair share across jobs, LPT within one)
     # ------------------------------------------------------------------
@@ -652,7 +637,7 @@ class SeatScheduler:
         best = None
         best_key = None
         for job in self.jobs.values():
-            if job.finished or job.cancelled or not job.backlog:
+            if not job.backlog:
                 continue
             if worker_id not in job.ready:
                 continue
@@ -667,16 +652,25 @@ class SeatScheduler:
     # ------------------------------------------------------------------
     # Cancellation and completion
     # ------------------------------------------------------------------
-    def cancel_job(self, job: PooledJob) -> None:
+    def cancel_job(self, job: PooledJob, *, stop: bool = False) -> None:
         """Cancel one job: drain its backlog, let assigned seats report.
 
         Sibling jobs are untouched — the pool's per-run cancel either
         raises the epoch (oldest run, monotonic ids protect the rest)
         or sends run-targeted cancel messages.  Attempts already on a
-        seat still report (their per-property budget is clamped by this
-        job's total).
+        seat still report: with ``stop`` (a user's cancel) their seats
+        are stopped, so they report UNKNOWN at their next budget check;
+        without it (the watchdog, ``stop_on_failure``) they run on and
+        their verdicts count — their per-property budget is clamped by
+        this job's total.
         """
-        if job.finished or job.cancelled:
+        if job.finished:
+            return
+        if stop:
+            for worker_id, (run_id, _) in self.assignments.items():
+                if run_id == job.run_id:
+                    self.pool.stop_seat(worker_id)
+        if job.cancelled:
             return
         job.cancelled = True
         self.pool.cancel_run(job.run_id)
@@ -689,23 +683,16 @@ class SeatScheduler:
             job.policy.cancelled(attempt, None, checkpoint)
 
     def _maybe_finish(self, job: PooledJob) -> None:
-        """Deliver the report once decided; close the run once drained.
+        """Once every property is decided: close the run, deliver the report.
 
-        The two coincide unless a decided property's losing attempt is
-        still on a seat: the run stays open — and the seat ``busy`` —
-        until that attempt reports, so its message frees the seat
-        instead of being discarded as a closed run's straggler.
+        A decided property has no attempt left on a seat, so nothing of
+        the job can still report.
         """
-        if not job.finished and not job.pending:
-            self._finish_job(job)
-        if job.finished and job.run_id in self.jobs:
-            seated = {run_id for run_id, _ in self.assignments.values()}
-            if job.run_id not in seated:
-                del self.jobs[job.run_id]
-                self.pool.close_run(job.run_id)
-
-    def _finish_job(self, job: PooledJob) -> None:
+        if job.finished or job.pending:
+            return
         job.finished = True
+        del self.jobs[job.run_id]
+        self.pool.close_run(job.run_id)
         job.total_time = time.monotonic() - job.start
         if job.errors:
             job.error = RuntimeError(
@@ -751,21 +738,15 @@ class SeatScheduler:
                 )
                 health.not_before = self._last_reap + health.delay
             self.idle.discard(worker_id)
-            for job in self.live_jobs:
+            for job in self.jobs.values():
                 job.ready.discard(worker_id)
             held = self.assignments.pop(worker_id, None)
             if held is None:
                 continue
             run_id, attempt = held
             job = self.jobs[run_id]
-            if attempt.name in job.pending:
-                job.crashes += 1
-                self._retry_or_give_up(job, attempt, worker_id)
-            else:
-                # A decided property's loser died draining: nothing to
-                # retry, but it may have been the run's last attempt.
-                job.policy.lost(attempt)
-                self._maybe_finish(job)
+            job.crashes += 1
+            self._retry_or_give_up(job, attempt, worker_id)
         if not self.pool.closed:
             self._revive(emit or self.service_emit)
         if not self.pool.any_alive() and not self._revival_pending():
@@ -848,7 +829,7 @@ class SeatScheduler:
         fresh = self.pool.respawn_workers(due)
         for worker_id in fresh:
             self._seat_health(worker_id).down = False
-            for job in self.live_jobs:
+            for job in self.jobs.values():
                 self.pool.attach_worker(job.run_id, worker_id)
             if emit is not None:
                 emit(WorkerStarted(worker=worker_id))
@@ -900,7 +881,7 @@ class SeatScheduler:
         """Clause-exchange totals, plus what each live job has logged."""
         live = [
             {"job": job.job_id or f"run-{job.run_id}", "clauses": job.exchanged}
-            for job in self.live_jobs
+            for job in self.jobs.values()
             if job.use_exchange
         ]
         return {**self._exchange, "live": live}
@@ -925,8 +906,8 @@ class SeatScheduler:
         """Release the message lease.
 
         A run still open here belongs to a job abandoned on an
-        exception path, or to a decided one whose losers are draining —
-        close it so no open-run state outlives the scheduler.
+        exception path — close it so no open-run state outlives the
+        scheduler.
         """
         for run_id in self.jobs:
             if not self.pool.closed:
@@ -948,24 +929,24 @@ def _cone_descending(ts: TransitionSystem, order: list[str]) -> list[str]:
     return sorted(order, key=lambda n: (-cone_latches(ts, n), position[n]))
 
 
-def slate_of(config: VerificationConfig) -> tuple:
-    """The engines attempted per property: the config's strategy being
-    ``portfolio`` is what makes a pooled job a race; ``(None,)`` is the
-    one local proof."""
+def slate_of(config: VerificationConfig) -> tuple[str, ...] | None:
+    """The engines raced per property: the config's strategy being
+    ``portfolio`` is what makes a pooled job a race; ``None`` is the
+    local proof."""
     if config.strategy == "portfolio":
         return parse_engine_slate(config.portfolio_engines)
-    return (None,)
+    return None
 
 
 def empty_report(config: VerificationConfig) -> MultiPropReport:
     """A pooled job with no property to prove: no pool, no run, no seat."""
     slate = slate_of(config)
-    if slate == (None,):
-        method = LocalProofs.method
+    if slate is None:
+        method = "parallel-ja"
         stats = {"mode": "process", "workers": 0, "exchange": 0}
     else:
-        method = EngineRace.method
-        stats = race_stats(0, slate, config.seed, {})
+        method = "portfolio"
+        stats = race_stats(0, slate, config.seed, [])
     return MultiPropReport(method=method, design=config.design_name, stats=stats)
 
 

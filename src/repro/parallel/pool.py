@@ -53,7 +53,8 @@ ids are monotonic, so that never touches a newer run — and falls back
 to explicit ``("cancel", run_id)`` control messages otherwise.  Workers
 decline (report ``cancelled``) any assigned job of a cancelled run.
 
-A job already *running* is stopped per seat, through **stop marks**: one
+A job already *running* is stopped per seat, through **stop marks**
+(the scheduler stops the seats of a job its user cancelled): one
 shared ``Array("q", workers)`` created with the pool and handed to
 every seat it spawns or respawns.  Each job message carries a pool-wide
 sequence number, ``("job", run_id, job, seq)``, and the seat's engines

@@ -1,75 +1,74 @@
-"""Per-property engine racing as a scheduling policy (portfolio mode).
+"""Per-property engine racing inside one seat (portfolio mode).
 
 The portfolio strategy races an *engine slate* — by default the random
 walk falsifier, BMC, k-induction and the full IC3/JA ladder — on every
-property.  A race is not a job of its own: the whole portfolio job is
-one :class:`~repro.parallel.engine.PooledJob` on one pool run, whose
-backlog :meth:`SeatScheduler.admit` fills with one
-:class:`~repro.parallel.worker.PropertyJob` attempt per (property,
-engine) pair, and whose ``policy`` is the :class:`EngineRace` below —
-so fair share, ``max_seats``, ``stop_on_failure``, the watchdog and
-crash re-dispatch act on a portfolio job exactly as they do on a
-``parallel-ja`` one.
+property.  A portfolio job is an ordinary pooled job: its backlog holds
+one :class:`~repro.parallel.worker.PropertyJob` per property, carrying
+the slate, and :class:`~repro.parallel.engine.LocalProofs` takes each
+verdict the way it takes a ``parallel-ja`` one — so fair share,
+``max_seats``, ``stop_on_failure``, the watchdog and crash re-dispatch
+act on a race exactly as they act on a local proof.
 
-The policy splits *decide* from *drain*.  The first **definitive**
-verdict (anything but UNKNOWN; the falsifier and BMC never return
-HOLDS, so nothing unsound can win) decides the property, and its
-still-queued siblings are dropped from the backlog on the spot — no
-message to any worker.  A sibling already on a seat is stopped: the
-scheduler sets that seat's stop mark
-(:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), the engine gives
-up at its next budget check, and whatever it reports is rejected
-because the property is already decided — only the latency of that
-acknowledgement is recorded.  The report is delivered as soon as every
-property is decided, so portfolio wall-clock tracks the *fastest*
-engine per property; the scheduler keeps the run open, and the seat
-busy, until the last stopped attempt has reported — a few
-milliseconds, not the loser's whole budget.
+The race runs on the seat that holds the property (:func:`race`), the
+way SMPT races its engines inside one process.  It goes in rounds
+r = 0, 1, 2, …: in each, every engine still in the rotation runs once,
+in slate order, on a slice of 2^r times its base (:data:`BASE_SLICES`).
+Slices count work units — walks, depths, conflicts — never wall time,
+so a seeded race replays exactly, whichever seat runs it.  The first
+definitive verdict ends the race.  An engine leaves the rotation once a
+slice reached its natural bound (:func:`_bound`) or came back UNKNOWN
+for another reason than running out, and the last engine left runs to
+its bound at once.  Each slice restarts its engine; with doubling
+slices, the restarts before the deciding slice cost at most as much as
+that slice.  Nothing is ever left running against a decided property.
 
 ``report.stats["portfolio"]`` records, per property, the winning
-engine, the race wall-clock and each loser's cancel latency (``None``
-while the loser is still draining at report time).
+engine, the verdict, the race's wall-clock on its seat and the error
+of every engine that raised.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from dataclasses import replace
+from collections.abc import Callable, Sequence
 
-from ..config import VerificationConfig
-from ..engines.result import PropStatus
+from ..cache.hashing import joined_digest
+from ..config import ProofOptions, VerificationConfig
+from ..engines.bmc import bmc_check
+from ..engines.kinduction import kinduction_check
+from ..engines.randomwalk import randomwalk_check
+from ..engines.result import PropStatus, ResourceBudget
+from ..multiprop.clausedb import ClauseDB
+from ..multiprop.local import outcome_of, prove
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
-    AttemptCancelled,
     AttemptStarted,
     Emit,
     PortfolioDecided,
-    PropertyCancelled,
     PropertySolved,
     PropertyStarted,
+    emit_or_null,
 )
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
-from .worker import PropertyJob
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports this module
-    from .engine import PooledJob
-    from .pool import WorkerPool
 
 __all__ = [
+    "BASE_SLICES",
     "ENGINE_NAMES",
-    "EngineRace",
     "parse_engine_slate",
     "portfolio_verify",
+    "race",
 ]
 
-#: Engines the portfolio can race, in default (cheap-first) race order.
-#: Cheap-first admission matters on a narrow pool: with fewer seats
-#: than slate entries, the falsifier and BMC get seats first and decide
-#: shallow failures before IC3 ever leaves the queue.
+#: Engines the portfolio can race, in default slate order: the cheap
+#: falsifiers take their slice of each round first.
 ENGINE_NAMES: tuple[str, ...] = ("rw", "bmc", "kind", "ic3")
+
+#: Round-0 slice of each engine, in its own work unit: random walks,
+#: BMC depth, induction depth ``k``, IC3 conflicts.  Round ``r`` gives
+#: every engine ``2**r`` times its base.
+BASE_SLICES = {"rw": 16, "bmc": 8, "kind": 4, "ic3": 1000}
 
 
 def parse_engine_slate(spec: str | Sequence[str] | None) -> tuple[str, ...]:
@@ -100,169 +99,192 @@ def parse_engine_slate(spec: str | Sequence[str] | None) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass
-class _Race:
-    """One property's engine race."""
-
-    started_at: float
-    open: set  # engines whose attempt is still queued or on a seat
-    frames: int = 0  # deepest inconclusive attempt
-    cancelled: dict[str, float | None] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-    decided_at: float | None = None
-    winner: str | None = None
+def _bound(engine: str, options: ProofOptions) -> int | None:
+    """The engine's natural bound in its slice unit; IC3 has none (it
+    stops at ``max_frames`` by itself)."""
+    if engine == "ic3":
+        return None
+    if engine == "rw":
+        return 512
+    return min(options.max_frames, 256 if engine == "bmc" else 64)
 
 
-class EngineRace:
-    """The ``portfolio`` policy: first definitive verdict wins.
+def _round_seed(seed: int, r: int) -> int:
+    """The random walk's seed in round ``r``: no walk is repeated."""
+    return int.from_bytes(joined_digest(seed, r)[:8], "big")
 
-    Called by the :class:`~repro.parallel.engine.SeatScheduler` with
-    each attempt's terminal message, like
-    :class:`~repro.parallel.engine.LocalProofs`.  It emits one
-    canonical stream per property — ``PropertyStarted``, one
-    ``AttemptStarted`` per engine, ``PortfolioDecided`` +
-    ``PropertySolved`` at the decision, one ``AttemptCancelled`` per
-    loser — and passes engine progress through until the decision.
+
+def _slice(
+    engine: str,
+    ts: TransitionSystem,
+    name: str,
+    assumed: list[str],
+    options: ProofOptions,
+    db: ClauseDB,
+    emit: Emit,
+    budget: ResourceBudget,
+    size: int | None,
+    seed: int,
+) -> PropOutcome:
+    """Run ``engine`` for at most ``size`` of its work units.
+
+    IC3's unit is conflicts, which ``budget`` caps; the others take
+    ``size`` as their walk count or depth.  BMC and k-induction pin the
+    assumed properties on every frame before the one under test, and
+    the random walk abandons any trace where an assumed property fails
+    first — so a FAILS from any of them is a local counterexample.
     """
-
-    method = "portfolio"
-
-    def __init__(self, job: PooledJob, slate: tuple[str, ...]) -> None:
-        self.job = job
-        self.slate = slate
-        self.races: dict[str, _Race] = {}
-        for name in job.order:
-            self.races[name] = _Race(job.start, set(self.slate))
-            job.emit(
-                PropertyStarted(
-                    name=name, assumed=tuple(assumption_names(job.ts, name))
-                )
-            )
-            for engine in self.slate:
-                job.emit(AttemptStarted(name=name, engine=engine))
-
-    def forward(self, attempt: PropertyJob, event) -> None:
-        # The attempt's own lifecycle events would double the canonical
-        # pair, and a loser's progress after the decision is noise.
-        if isinstance(event, (PropertyStarted, PropertySolved, PropertyCancelled)):
-            return
-        if self.races[attempt.name].decided_at is None:
-            self.job.emit(event)
-
-    # -- terminal messages ---------------------------------------------
-    def result(
-        self, attempt: PropertyJob, outcome: PropOutcome
-    ) -> PropOutcome | None:
-        """The property's verdict if this attempt decided it, else None."""
-        race = self.races[attempt.name]
-        if race.decided_at is None and outcome.status is not PropStatus.UNKNOWN:
-            return self._decide(attempt.name, attempt.engine, outcome)
-        race.frames = max(race.frames, outcome.frames)
-        return self._inconclusive(attempt)
-
-    def cancelled(
-        self, attempt: PropertyJob, worker_id: int | None, checkpoint: bool = True
-    ) -> None:
-        if self.races[attempt.name].decided_at is None:
-            # Watchdog deadline or job cancel: nothing was raced against.
-            self.job.emit(AttemptCancelled(name=attempt.name, engine=attempt.engine))
-        self._inconclusive(attempt)
-
-    def error(self, attempt: PropertyJob, detail: str) -> None:
-        self.races[attempt.name].errors.append(f"{attempt.engine}: {detail}")
-        self._inconclusive(attempt)
-
-    def lost(self, attempt: PropertyJob) -> None:
-        self._inconclusive(attempt)
-
-    # -- arbitration ---------------------------------------------------
-    def _inconclusive(self, attempt: PropertyJob) -> PropOutcome | None:
-        """An attempt ended without deciding: a late loser, or one less
-        engine standing between the property and UNKNOWN."""
-        name, race = attempt.name, self.races[attempt.name]
-        race.open.discard(attempt.engine)
-        if race.decided_at is not None:
-            self._drop(name, attempt.engine)
-            return None
-        if race.open:
-            return None
-        # An attempt raised *and* nobody else decided the property:
-        # surface it exactly like a parallel-ja worker failure.
-        self.job.errors += [f"{name}: {error}" for error in race.errors]
-        return self._decide(
-            name,
-            None,
-            PropOutcome(
-                name=name,
-                status=PropStatus.UNKNOWN,
-                local=True,
-                frames=race.frames,
-                time_seconds=time.monotonic() - race.started_at,
-                expected_to_fail=self.job.ts.prop_by_name[name].expected_to_fail,
-            ),
-        )
-
-    def _decide(self, name: str, winner: str | None, outcome: PropOutcome) -> PropOutcome:
-        job, race = self.job, self.races[name]
-        race.decided_at = time.monotonic()
-        race.winner = winner
-        race.open.discard(winner)
-        job.emit(
-            PortfolioDecided(
-                name=name,
-                winner=winner,
-                status=outcome.status,
-                wall_s=race.decided_at - race.started_at,
-                losers=tuple(e for e in self.slate if e != winner),
-            )
-        )
-        job.emit(outcome.solved_event())
-        job.record(outcome, checkpoint=False)
-        # Decide: queued siblings never run.  Drain: siblings on a seat
-        # are stopped by the scheduler and report at their next budget
-        # check; until then their latency is unknown.
-        queued = {a.engine for a in job.backlog if a.name == name}
-        job.backlog = [a for a in job.backlog if a.name != name]
-        for engine in self.slate:
-            if engine in queued:
-                race.open.discard(engine)
-                self._drop(name, engine)
-            elif engine in race.open:
-                race.cancelled[engine] = None
+    if engine == "ic3":
+        outcome, _ = prove(ts, name, assumed, options, db, emit, budget=budget)
         return outcome
-
-    def _drop(self, name: str, engine: str) -> None:
-        race = self.races[name]
-        latency = time.monotonic() - race.decided_at
-        race.cancelled[engine] = latency
-        self.job.emit(AttemptCancelled(name=name, engine=engine, latency_s=latency))
-
-    def stats(self, pool: WorkerPool) -> dict:
-        return race_stats(
-            pool.workers,
-            self.slate,
-            self.job.config.seed,
-            {
-                name: {
-                    "winner": race.winner,
-                    "status": self.job.outcomes[name].status.value,
-                    "wall_s": race.decided_at - race.started_at,
-                    "cancelled": dict(race.cancelled),
-                    "errors": list(race.errors),
-                }
-                for name, race in self.races.items()
-            },
+    if engine == "rw":
+        result = randomwalk_check(
+            ts, name, restarts=size, seed=seed, assumed=assumed, budget=budget, emit=emit
         )
+    elif engine == "bmc":
+        result = bmc_check(
+            ts,
+            name,
+            max_depth=size,
+            assumed=assumed,
+            budget=budget,
+            emit=emit,
+            solver_backend=options.solver_backend,
+        )
+    else:
+        result = kinduction_check(
+            ts,
+            name,
+            max_k=size,
+            assumed=assumed,
+            budget=budget,
+            solver_backend=options.solver_backend,
+        )
+    return outcome_of(ts, result)
 
 
-def race_stats(workers: int, slate: tuple[str, ...], seed: int | None, races: dict) -> dict:
+def race(
+    ts: TransitionSystem,
+    name: str,
+    slate: Sequence[str],
+    options: ProofOptions,
+    db: ClauseDB | None,
+    emit: Emit | None,
+    *,
+    seed: int,
+    stop: Callable[[], bool] | None = None,
+) -> PropOutcome:
+    """Decide ``name`` by racing ``slate`` in doubling slices (see above).
+
+    Emits ``PropertyStarted``, an ``AttemptStarted`` when an engine's
+    first slice begins, the engines' own progress, and at the end
+    ``PortfolioDecided`` and ``PropertySolved`` — one of each per race,
+    however many IC3 ladders ran.  ``options``' per-property budget and
+    ``stop`` bound the race as a whole: every slice draws on one
+    :class:`~repro.engines.result.ResourceBudget`.  ``seed`` is the
+    random walk's sub-seed; IC3 seeds from ``db`` but exports into a
+    copy, so one race never seeds another and the winner does not depend
+    on what the seat decided before.  An engine that raises leaves the
+    rotation; if no engine decides, its error is raised
+    (``RuntimeError``), else it is listed in the verdict's ``errors``.
+    """
+    send = emit_or_null(emit)
+    start = time.monotonic()
+    assumed = assumption_names(ts, name)
+    budget = options.budget(stop)
+    send(PropertyStarted(name=name, assumed=tuple(assumed)))
+
+    def engine_emit(event) -> None:
+        # Every IC3 slice is a whole ladder, which brackets itself.
+        if not isinstance(event, (PropertyStarted, PropertySolved)):
+            send(event)
+
+    scratch = ClauseDB(ts)
+    if db is not None:
+        scratch.add_all(db.clauses())
+    rotation, ran, errors = list(slate), [], []
+    verdict, frames, r = None, 0, 0
+    while rotation and verdict is None and not budget.exhausted():
+        for engine in list(rotation):
+            if budget.exhausted():
+                break
+            bound = _bound(engine, options)
+            size = BASE_SLICES[engine] << r
+            if len(rotation) == 1 or (bound is not None and size >= bound):
+                size = bound
+            if engine not in ran:
+                ran.append(engine)
+                send(AttemptStarted(name=name, engine=engine))
+            piece = budget.slice(size if engine == "ic3" else None)
+            try:
+                outcome = _slice(
+                    engine, ts, name, assumed, options, scratch,
+                    engine_emit, piece, size, _round_seed(seed, r),
+                )
+            except Exception as exc:  # noqa: BLE001 - recorded, race goes on
+                errors.append(f"{engine}: {type(exc).__name__}: {exc}")
+                rotation.remove(engine)
+                continue
+            if outcome.status is not PropStatus.UNKNOWN:
+                outcome.engine = engine
+                verdict = outcome
+                break
+            frames = max(frames, outcome.frames)
+            # Out of rotation at its bound, or when IC3 stopped short of
+            # its conflict cap (it hit max_frames).
+            if size == bound or (engine == "ic3" and not piece.exhausted()):
+                rotation.remove(engine)
+        r += 1
+    wall = time.monotonic() - start
+    if verdict is None:
+        if errors:
+            raise RuntimeError("; ".join(errors))
+        verdict = PropOutcome(
+            name=name,
+            status=PropStatus.UNKNOWN,
+            local=True,
+            frames=frames,
+            assumed=list(assumed),
+            expected_to_fail=ts.prop_by_name[name].expected_to_fail,
+        )
+    verdict.time_seconds = wall
+    verdict.errors = errors
+    send(
+        PortfolioDecided(
+            name=name,
+            winner=verdict.engine,
+            status=verdict.status,
+            wall_s=wall,
+            losers=tuple(engine for engine in ran if engine != verdict.engine),
+        )
+    )
+    send(verdict.solved_event())
+    return verdict
+
+
+def race_stats(
+    workers: int,
+    slate: tuple[str, ...],
+    seed: int | None,
+    outcomes: Sequence[PropOutcome],
+) -> dict:
+    """A portfolio report's ``stats``: the slate, and per property the
+    race record its verdict carries."""
     return {
         "mode": "portfolio",
         "workers": workers,
         "engines": list(slate),
         "seed": seed,
         "exchange": 0,
-        "portfolio": races,
+        "portfolio": {
+            outcome.name: {
+                "winner": outcome.engine,
+                "status": outcome.status.value,
+                "wall_s": outcome.time_seconds,
+                "errors": list(outcome.errors),
+            }
+            for outcome in outcomes
+        },
     }
 
 
@@ -274,17 +296,15 @@ def portfolio_verify(
     """Per-property engine racing: first definitive verdict wins.
 
     Races the configured slate (``portfolio_engines``, default
-    ``rw,bmc,kind,ic3``) per property as one job on the seat scheduler;
-    a decided property's queued losers are dropped, running ones are
-    stopped at their next budget check, and the winning engine per
-    property lands in
-    ``report.stats["portfolio"]``.
+    ``rw,bmc,kind,ic3``) per property as one job on the seat scheduler,
+    one seat per property at a time, and records the winning engine per
+    property in ``report.stats["portfolio"]``.
 
     Verdict parity with sequential JA-verification is structural: every
     engine in the slate decides under the same local (``T^P``)
     semantics, provers (IC3/k-induction) alone may return HOLDS, and
     falsifier counterexamples are replay-validated before they are
-    reported — so whichever attempt wins, the verdict is one sequential
+    reported — so whichever engine wins, the verdict is one sequential
     ``ja`` would also reach.  The parity suite asserts it end to end.
     """
     from ..service.core import run_one

@@ -7,7 +7,8 @@ queue.  One job = one property: the worker computes the paper's
 ``T^P`` projection for it
 (:func:`repro.ts.projection.assumption_names`), calls
 :func:`repro.multiprop.local.prove` — the same function sequential
-``ja`` loops over — with the run's shipped
+``ja`` loops over — or, for a portfolio job,
+:func:`repro.parallel.portfolio.race`, with the run's shipped
 :class:`~repro.config.ProofOptions` and the run's clause database, and
 reports the :class:`~repro.multiprop.report.PropOutcome` back on the
 output queue.
@@ -26,18 +27,14 @@ Control messages (private queue, parent -> worker):
     one attempt on one property.  Scheduling is parent-side: the
     scheduler assigns the next backlog job to whichever worker
     reported idle, so the queue is FIFO and a setup always precedes
-    the run's jobs.  The job's ``engine`` selects the checker:
-    ``None``/``"ic3"`` is the local proof; ``"bmc"``, ``"kind"`` and
-    ``"rw"`` run the matching single engine under the same local
-    (``T^P``) semantics.  A seat executes a job the same
-    way whichever engine it names and whichever strategy queued it: a
-    portfolio job's races share one run, and the worker neither knows
-    nor cares that the attempts it is handed compete — who won is
-    decided parent-side.  ``seq`` is the job's pool-wide sequence
-    number: every budget the attempt creates also asks
-    ``marks[worker_id] == seq`` of the pool's shared stop marks, so
-    once the parent stops the seat (a decided race's loser,
-    :meth:`~repro.parallel.pool.WorkerPool.stop_seat`) the engine gives
+    the run's jobs.  A job without a slate is the local proof; a
+    portfolio job's carries the engine slate, which the seat races in
+    doubling slices (:func:`~repro.parallel.portfolio.race`) until one
+    engine decides — the whole race is this one job.  ``seq`` is the
+    job's pool-wide sequence number: every budget the attempt creates
+    also asks ``marks[worker_id] == seq`` of the pool's shared stop
+    marks, so once the parent stops the seat
+    (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`) the engine gives
     up at its next budget check and the job reports UNKNOWN.
     ``clauses`` is a :func:`~repro.parallel.exchange.pack_clauses`
     blob: the part of the job's clause log this seat has not received
@@ -47,10 +44,9 @@ Control messages (private queue, parent -> worker):
     decline (report ``cancelled``) any later job of that run — the
     per-run complement of the pool-wide cancel epoch.  Sent for a
     cancelled *job* (user cancel, watchdog, stop on first failure —
-    all parent-side decisions), which a running job outlives: its
-    verdict still counts.  A decided race sends nothing here: its
-    queued losers are dropped parent-side and a running one is
-    stopped through its mark;
+    all parent-side decisions).  A running job outlives it and its
+    verdict counts, unless the parent also stops its seat, which it
+    does for a user's cancel (and a failed subscriber's) only;
 ``("end", run_id)``
     the run is over; drop its cached state;
 ``("stop",)``
@@ -75,11 +71,11 @@ worker, the whole stream is deterministic:
 Clause traffic: the worker keeps one private
 :class:`~repro.multiprop.clausedb.ClauseDB` per run (fresh on every
 setup, so runs never leak clauses into each other) that accumulates
-its own proofs — the sequential driver's Section 6 re-use, per worker —
-and everything the scheduler relays on job messages: the proof cache's
-warm-start clauses and, with exchange on, the invariants other seats
-proved for the same job.  ``ClauseDB.add`` re-validates every relayed
-clause worker-side.
+its own local proofs — the sequential driver's Section 6 re-use, per
+worker; a race only reads it — and everything the scheduler relays on
+job messages: the proof cache's warm-start clauses and, with exchange
+on, the invariants other seats proved for the same job.
+``ClauseDB.add`` re-validates every relayed clause worker-side.
 """
 
 from __future__ import annotations
@@ -90,18 +86,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..config import ProofOptions
-from ..engines.bmc import bmc_check
-from ..engines.kinduction import kinduction_check
-from ..engines.randomwalk import randomwalk_check
-from ..engines.result import EngineResult
 from ..multiprop.clausedb import ClauseDB
-from ..multiprop.local import outcome_of, prove
-from ..multiprop.report import PropOutcome
-from ..progress import ProgressEvent, PropertyStarted
+from ..multiprop.local import prove
+from ..progress import ProgressEvent
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
 from .exchange import unpack_clauses
 from .pool import _lru_touch
+from .portfolio import race
 
 #: Poll interval while waiting for work (seconds).
 _POLL_TIMEOUT = 0.1
@@ -109,14 +101,13 @@ _POLL_TIMEOUT = 0.1
 
 @dataclass(frozen=True)
 class PropertyJob:
-    """One unit of work on a seat: one engine's attempt on one property."""
+    """One unit of work on a seat: one property's proof or race."""
 
     name: str
-    #: Which checker to run: ``None``/``"ic3"`` -> the local proof;
-    #: ``"bmc"``/``"kind"``/``"rw"`` -> that single engine under local
-    #: semantics (portfolio attempts).
-    engine: str | None = None
-    #: Sub-seed for stochastic engines (``"rw"``); ignored otherwise.
+    #: The engines a portfolio job races, in slate order; ``None`` is
+    #: the local proof (:func:`~repro.multiprop.local.prove`).
+    slate: tuple[str, ...] | None = None
+    #: The random walk's sub-seed (races only).
     seed: int | None = None
 
 
@@ -226,9 +217,7 @@ def _execute(
         return stop_marks[worker_id] == seq
 
     try:
-        if job.engine not in (None, "ic3"):
-            outcome = _run_attempt(run, job, forward, stopped)
-        else:
+        if job.slate is None:
             outcome, _ = prove(
                 run.ts,
                 job.name,
@@ -236,58 +225,21 @@ def _execute(
                 run.options,
                 run.db,  # accumulates across this worker's jobs
                 forward,
+                budget=run.options.budget(stopped),
+            )
+        else:
+            outcome = race(
+                run.ts,
+                job.name,
+                job.slate,
+                run.options,
+                run.db,
+                forward,
+                seed=job.seed or 0,
                 stop=stopped,
             )
-            outcome.engine = job.engine
         out_queue.put(("result", run_id, worker_id, outcome))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
         out_queue.put(
             ("error", run_id, worker_id, job.name, f"{type(exc).__name__}: {exc}")
         )
-
-
-def _run_attempt(run: _ActiveRun, job: PropertyJob, emit, stop) -> PropOutcome:
-    """Run one non-IC3 engine attempt under local (``T^P``) semantics.
-
-    BMC and k-induction pin the assumed properties on every frame
-    strictly before the frame under test, and the random walk abandons
-    any trace where an assumed property fails before the target — so a
-    FAILS from any of them is a *local* counterexample by construction,
-    exactly the verdict the local proof's ladder would certify.
-    """
-    options = run.options
-    assumed = assumption_names(run.ts, job.name)
-    budget = options.budget(stop)
-    emit(PropertyStarted(name=job.name, assumed=tuple(assumed)))
-    result: EngineResult
-    if job.engine == "bmc":
-        result = bmc_check(
-            run.ts,
-            job.name,
-            max_depth=min(options.max_frames, 256),
-            assumed=assumed,
-            budget=budget,
-            emit=emit,
-            solver_backend=options.solver_backend,
-        )
-    elif job.engine == "kind":
-        result = kinduction_check(
-            run.ts,
-            job.name,
-            max_k=min(options.max_frames, 64),
-            assumed=assumed,
-            budget=budget,
-            solver_backend=options.solver_backend,
-        )
-    elif job.engine == "rw":
-        result = randomwalk_check(
-            run.ts,
-            job.name,
-            seed=job.seed if job.seed is not None else 0,
-            assumed=assumed,
-            budget=budget,
-            emit=emit,
-        )
-    else:
-        raise ValueError(f"unknown attempt engine {job.engine!r}")
-    return outcome_of(run.ts, result, engine=job.engine)

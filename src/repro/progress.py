@@ -28,11 +28,11 @@ The event vocabulary mirrors what the paper's tables measure:
   still gets its UNKNOWN :class:`PropertySolved`, preserving the
   one-verdict-per-property invariant);
 * :class:`RunStarted` / :class:`RunFinished` — session bracketing;
-* :class:`AttemptStarted` / :class:`AttemptCancelled` /
-  :class:`PortfolioDecided` — the portfolio strategy launched one
-  engine attempt in a per-property race, cancelled a losing attempt
-  after the race was decided, or recorded the race verdict (winning
-  engine + wall-clock) for one property;
+* :class:`AttemptStarted` / :class:`PortfolioDecided` — a portfolio
+  race gave one engine its first slice, or reached its verdict
+  (winning engine + wall-clock) for one property;
+  :class:`AttemptCancelled` is no longer emitted and stays for wire
+  compatibility only;
 * :class:`JobQueued` / :class:`JobStarted` / :class:`JobFinished` /
   :class:`ServiceSaturated` — the job-oriented
   :class:`~repro.service.VerificationService` admitted, started or
@@ -249,12 +249,12 @@ class PropertyRequeued(ProgressEvent):
 
 @dataclass(frozen=True)
 class AttemptStarted(ProgressEvent):
-    """The portfolio launched one engine attempt on one property.
+    """A portfolio race gave one engine its first slice on one property.
 
-    A property race emits one ``AttemptStarted`` per engine in the
-    slate; the canonical :class:`PropertyStarted` still brackets the
-    race as a whole, so the one-started-one-solved invariant per
-    property is preserved.
+    The seat emits it once per engine that actually ran, however many
+    slices it got; the canonical :class:`PropertyStarted` still
+    brackets the race as a whole, so the one-started-one-solved
+    invariant per property is preserved.
     """
 
     kind: ClassVar[str] = "attempt-started"
@@ -265,15 +265,13 @@ class AttemptStarted(ProgressEvent):
 
 @dataclass(frozen=True)
 class AttemptCancelled(ProgressEvent):
-    """A losing portfolio attempt was dropped (or its verdict rejected).
+    """Kept for wire compatibility only: nothing emits it any more.
 
-    ``latency_s`` is the time from the race decision to the loser being
-    accounted for: near zero for an attempt still queued, which the
-    decision drops on the spot; the time to its report for one that was
-    already on a seat, which the decision stops at its engine's next
-    budget check (whatever it reports is rejected — the property is
-    already decided).  ``None`` means there was no decision to lose to:
-    the job was cancelled with the race still open.
+    It announced a losing portfolio attempt cancelled after its race
+    was decided.  A race now runs whole on one seat and stops at its
+    first definitive verdict, so there is no loser to cancel; the
+    class and its codec entry stay until the wire format is next
+    bumped.
     """
 
     kind: ClassVar[str] = "attempt-cancelled"
@@ -288,10 +286,12 @@ class PortfolioDecided(ProgressEvent):
     """A per-property engine race reached its verdict.
 
     ``winner`` names the engine whose verdict was kept (``None`` when
-    every attempt returned UNKNOWN and the race was decided by
-    exhaustion); ``status`` is the ``PropStatus`` value, typed loosely
-    to keep this module dependency-free; ``wall_s`` is race wall-clock
-    from the first attempt's admission to the decision.
+    every engine left the rotation with UNKNOWN and the race was
+    decided by exhaustion); ``status`` is the ``PropStatus`` value,
+    typed loosely to keep this module dependency-free; ``wall_s`` is
+    the race's wall-clock on its seat; ``losers`` are the other engines
+    that got a slice.  Emitted just before the race's
+    :class:`PropertySolved`.
     """
 
     kind: ClassVar[str] = "portfolio-decided"

@@ -56,7 +56,7 @@ import queue as queue_mod
 
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..engines.result import PropStatus
-from ..parallel.engine import SeatScheduler, empty_report, slate_of
+from ..parallel.engine import SeatScheduler, empty_report
 from ..parallel.pool import WorkerPool
 from ..parallel.stats import PoolStats
 from ..progress import (
@@ -566,14 +566,9 @@ class VerificationService:
                     # free).
                     stop = not self._pending and not self._running
                 if stop:
-                    # Every job is final.  A decided race's losers may
-                    # still hold seats; close() cancels their runs, it
-                    # does not wait for them.
-                    return
+                    return  # every job is final
             scheduler = self._scheduler
             if scheduler is not None and scheduler.jobs:
-                # Undecided jobs, and decided ones whose losing
-                # attempts still hold a seat.
                 scheduler.step(timeout=0.05)
                 continue
             if scheduler is not None:
@@ -590,10 +585,12 @@ class VerificationService:
             except queue_mod.Empty:
                 return
             if command[0] == "cancel":
+                # A user's cancel, or a failed subscriber: nobody wants
+                # the verdicts in flight, so their seats are stopped.
                 record = command[1]
                 job = record.pooled_job
                 if job is not None:
-                    self._scheduler.cancel_job(job)
+                    self._scheduler.cancel_job(job, stop=True)
                 # pooled_job is None while the job is still in cache
                 # resolution; _start_pooled honours the request.
             elif command[0] == "admit":
@@ -931,14 +928,14 @@ def run_one(
 
     The service attaches to ``config.pool`` if set; else a pooled
     strategy gets its own pool for the run: ``config.workers`` seats
-    (default one per CPU), never more than there are attempts to seat.
+    (default one per CPU), never more than there are properties.
     """
     order = config.order
     properties = ts.properties if order is None or isinstance(order, str) else order
     workers = config.workers if config.workers is not None else os.cpu_count() or 1
     service = VerificationService(
         pool=config.pool,
-        workers=min(workers, len(properties) * len(slate_of(config))),
+        workers=min(workers, len(properties)),
         max_concurrent_jobs=1,
         max_pending=1,
     )

@@ -19,9 +19,10 @@ job's lifecycle four ways:
 Cancellation (:meth:`JobHandle.cancel`) is cooperative and never
 perturbs sibling jobs: a queued job is cancelled outright (its report
 marks every property UNKNOWN), a running pooled job stops feeding
-seats and records its remaining properties UNKNOWN (in-flight
-properties still report — their budgets are clamped), and a running
-*threaded* job cannot be preempted (``cancel`` returns False).
+seats, records its remaining properties UNKNOWN and stops the seats
+that hold its in-flight properties (they report UNKNOWN at their next
+budget check), and a running *threaded* job cannot be preempted
+(``cancel`` returns False).
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ class JobHandle:
 
         Queued jobs and running *pooled* jobs are cancellable; a
         running threaded job has no preemption point and a terminal job
-        is past cancelling (both return False).  The job still resolves
-        normally: :meth:`result` returns the partial report with the
-        cancelled remainder UNKNOWN.
+        is past cancelling (both return False).  A pooled job's seats
+        are stopped, so its attempts in flight give up at their next
+        budget check.  The job still resolves normally: :meth:`result`
+        returns the partial report with the cancelled remainder UNKNOWN.
         """
         request = self._cancel_request
         if request is None or self._status.terminal:

@@ -232,6 +232,54 @@ class TestStopSeats:
         assert len(pool.assigned) == 5
         assert pool.stopped == []
 
+    def test_a_user_cancel_stops_the_seats_of_its_job(self, counter4):
+        # Nobody wants the verdict in flight, so its seat is stopped and
+        # reports UNKNOWN at the next budget check.
+        pool = _StubPool(workers=1)
+        with VerificationService(pool=pool) as service:
+            handle = service.submit(
+                counter4, strategy="parallel-ja", exchange=False, order=["P0", "P1"]
+            )
+            _wait_for(lambda: pool.assigned, "first attempt seated")
+            seat, run_id, attempt = pool.assigned[0]
+            assert handle.cancel()
+            _wait_for(lambda: pool.stopped, "seat stopped")
+            assert pool.stopped == [(seat, attempt)]
+            pool.messages.append(
+                (
+                    "result",
+                    run_id,
+                    seat,
+                    PropOutcome(name="P0", status=PropStatus.UNKNOWN, local=True),
+                )
+            )
+            report = handle.result(timeout=30)
+        assert handle.status is JobStatus.CANCELLED
+        assert {o.status for o in report.outcomes.values()} == {PropStatus.UNKNOWN}
+        assert [job.name for _, _, job in pool.assigned] == ["P0"]
+
+    def test_the_watchdog_lets_attempts_in_flight_finish(self):
+        pool = _StubPool(workers=2)
+        scheduler = SeatScheduler(pool)
+        names = ["p0", "p1", "p2"]
+        job = scheduler.admit(
+            object(),
+            VerificationConfig(
+                design_name="stub-design", exchange=False, order=names, total_time=0.0
+            ),
+            None,
+            names,
+        )
+        _pump(scheduler)
+        scheduler.step(timeout=0)  # past the deadline: the job is cancelled
+        assert job.cancelled and pool.stopped == []
+        _serve_everything(scheduler)
+        assert [job.outcomes[name].status for name in names] == [
+            PropStatus.HOLDS,
+            PropStatus.HOLDS,
+            PropStatus.UNKNOWN,
+        ]
+
 
 class TestReviveAccounting:
     def test_revive_touches_only_seats_actually_lost(self):
@@ -574,6 +622,8 @@ class TestEmitFailure:
                 handle.result(timeout=30)
             assert handle.status is JobStatus.FAILED  # not CANCELLED
         assert [job.name for _, _, job in pool.assigned] == ["P0"]
+        # Nobody is left to take the verdict in flight: its seat is stopped.
+        assert [(seat, job.name) for seat, job in pool.stopped] == [(seat, "P0")]
         # Everything between the failure and the verdict was dropped.
         assert seen[-2:] == ["property-started", "job-finished"]
 

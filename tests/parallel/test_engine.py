@@ -88,7 +88,7 @@ class TestEngine:
                 assert job.use_exchange
                 seats = {slot.process.pid for slot in pool._slots}
                 assert len(seats) == 2
-                while scheduler.live_jobs:
+                while scheduler.jobs:
                     started = {
                         child.pid for child in multiprocessing.active_children()
                     } - before

@@ -1,33 +1,37 @@
-"""Portfolio arbitration: parity, fault injection, the service path.
+"""Portfolio racing: parity, the race on one seat, the scheduler, the service.
 
-Four layers, mirroring how a portfolio job runs in production:
+Five layers, mirroring how a portfolio job runs in production:
 
 * **Parity** — real worker processes, Hypothesis design mixes, both SAT
   backends: whatever engine wins the race, the verdicts must equal what
   sequential JA-verification reports for the same design.
-* **Arbitration fault injection** — ``test_backoff``'s stub pool makes the races fully deterministic: a hung
-  loser cannot block the decision, queued losers are dropped by it and
-  running ones stopped (the stub records each ``stop_seat``), cancel
-  latencies are recorded as the stopped losers report, and a loser's
-  verdict arriving after the decision is rejected.
-* **One job on the scheduler** — the whole slate rides one pool run,
-  so ``max_seats``, ``stop_on_failure``, crash re-dispatch and seat
-  occupancy act on the job, not on each attempt.
+* **The race on one seat** — :func:`~repro.parallel.portfolio.race`
+  in-process, no pool: which engine ran which slice is read from spies
+  on the engine entry points, and budgets from a conflict-counting SAT
+  backend — counters, not clocks.
+* **Arbitration fault injection** — the same race with engines that
+  hang, raise or would contradict the decision.
+* **One job on the scheduler** — ``test_backoff``'s stub pool: one
+  attempt per property carries the slate, so ``max_seats``,
+  ``stop_on_failure``, a user's cancel and crash re-dispatch act on a
+  race as on any pooled attempt.
 * **Service** — real :class:`VerificationService` runs, where the job
-  is stepped by the service dispatcher rather than the engine's own
-  drive loop.
+  is stepped by the service dispatcher.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit import words
+from repro.circuit.aig import AIG, aig_not
+from repro.config import ProofOptions
 from repro.engines.randomwalk import derive_seed
-from repro.engines.result import PropStatus
+from repro.engines.result import EngineResult, PropStatus
+from repro.gen import FAILING_SPECS, ALL_TRUE_SPECS
+from repro.multiprop.clausedb import ClauseDB
 from repro.multiprop.ja import JAVerifier
 from repro.multiprop.report import PropOutcome
 from repro.gen.random_designs import random_design
@@ -37,7 +41,16 @@ from repro.parallel import (
     parse_engine_slate,
     portfolio_verify,
 )
-from repro.progress import AttemptCancelled, AttemptStarted, PortfolioDecided
+from repro.parallel import portfolio as portfolio_mod
+from repro.parallel.portfolio import race
+from repro.progress import (
+    AttemptStarted,
+    ClauseExport,
+    PortfolioDecided,
+    PropertySolved,
+    PropertyStarted,
+)
+from repro.sat import Solver, register_backend, unregister_backend
 from repro.session import ConfigError, VerificationConfig
 from repro.ts.system import TransitionSystem
 from tests.parallel.test_backoff import _pump, _StubPool
@@ -98,10 +111,10 @@ class TestParityWithSequentialJA:
             got = {name: o.status for name, o in report.outcomes.items()}
             assert got == expected, (design_seed, backend)
             races = report.stats["portfolio"]
-            for name, race in races.items():
-                assert race["winner"] in ENGINE_NAMES
-                assert race["status"] == got[name].value
-                assert report.outcomes[name].engine == race["winner"]
+            for name, race_stats in races.items():
+                assert race_stats["winner"] in ENGINE_NAMES
+                assert race_stats["status"] == got[name].value
+                assert report.outcomes[name].engine == race_stats["winner"]
 
     def test_counter_both_backends(self, counter4):
         for backend in BACKENDS:
@@ -115,16 +128,303 @@ class TestParityWithSequentialJA:
             assert report.stats["seed"] == 0
 
 
-def _race(ts, order, engines, *, workers=2, events=None, **options):
-    """One portfolio job admitted on a stub pool, its seats fed."""
-    pool = _StubPool(workers=workers)
-    scheduler = SeatScheduler(pool)
-    job = scheduler.admit(
+# ----------------------------------------------------------------------
+# The race on one seat, in-process
+# ----------------------------------------------------------------------
+def _deep_counter(bits: int, target: int) -> TransitionSystem:
+    """One property, false at depth ``target + 1``: an enabled counter
+    must reach ``target`` (no other property, so nothing is assumed)."""
+    aig = AIG()
+    enable = aig.add_input("enable")
+    val = words.word_latches(aig, "val", bits, init=0)
+    words.set_next_word(
+        aig, val, words.mux_word(aig, enable, words.inc(aig, val), val)
+    )
+    aig.add_property("below", aig_not(words.eq_const(aig, val, target)))
+    return TransitionSystem(aig)
+
+
+class _Slices(list):
+    """Every non-IC3 slice a race ran — (engine, size, status, frames,
+    walks), in order — with ``fakes`` to stand in for engines by name."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fakes: dict = {}
+
+
+@pytest.fixture
+def slices(monkeypatch) -> _Slices:
+    ran = _Slices()
+    entry = {"rw": "randomwalk_check", "bmc": "bmc_check", "kind": "kinduction_check"}
+    size_of = {"rw": "restarts", "bmc": "max_depth", "kind": "max_k"}
+    for engine, attr in entry.items():
+        real = getattr(portfolio_mod, attr)
+
+        def spy(*args, _engine=engine, _real=real, **kwargs):
+            result = ran.fakes.get(_engine, _real)(*args, **kwargs)
+            ran.append(
+                (
+                    _engine,
+                    kwargs[size_of[_engine]],
+                    result.status,
+                    result.frames,
+                    result.stats.get("walks"),
+                )
+            )
+            return result
+
+        monkeypatch.setattr(portfolio_mod, attr, spy)
+    return ran
+
+
+def _race(ts, name, slate, events=None, seed=0, **options):
+    return race(
+        ts,
+        name,
+        slate,
+        ProofOptions(**options),
+        None,
+        None if events is None else events.append,
+        seed=seed,
+    )
+
+
+class TestRaceOnOneSeat:
+    def test_kind_wins_round_0_on_a_true_property(self, toggler, slices):
+        events: list = []
+        outcome = _race(toggler, "never_r", ENGINE_NAMES, events)
+        assert (outcome.status, outcome.engine) == (PropStatus.HOLDS, "kind")
+        # Round 0: exactly 16 walks, BMC to depth 8, then k = 4 decides;
+        # IC3 never gets a slice.
+        assert slices == [
+            ("rw", 16, PropStatus.UNKNOWN, 0, 16),
+            ("bmc", 8, PropStatus.UNKNOWN, 8, None),
+            ("kind", 4, PropStatus.HOLDS, 1, None),
+        ]
+        started = [e.engine for e in events if isinstance(e, AttemptStarted)]
+        assert started == ["rw", "bmc", "kind"]
+        (decided,) = [e for e in events if isinstance(e, PortfolioDecided)]
+        assert decided.winner == "kind" and decided.losers == ("rw", "bmc")
+
+    def test_a_cex_deeper_than_8_is_found_by_bmc_in_a_later_round(self, slices):
+        outcome = _race(_deep_counter(4, 12), "below", ("bmc", "kind"))
+        assert (outcome.status, outcome.engine) == (PropStatus.FAILS, "bmc")
+        assert outcome.cex_depth == 13
+        assert slices == [
+            ("bmc", 8, PropStatus.UNKNOWN, 8, None),
+            ("kind", 4, PropStatus.UNKNOWN, 4, None),
+            ("bmc", 16, PropStatus.FAILS, 13, None),
+        ]
+
+    def test_per_property_conflicts_bound_the_whole_race(self):
+        # Every solver the race creates counts its conflicts.  Left
+        # alone the race spends thousands; with N = 50 it stops one SAT
+        # call past N, where a budget per slice would spend N per slice.
+        made: list = []
+
+        @register_backend("race-conflict-counter")
+        class Counting(Solver):
+            def __init__(self) -> None:
+                super().__init__()
+                made.append(self)
+
+        def spent(**options) -> tuple[PropStatus, int]:
+            made.clear()
+            outcome = _race(
+                _deep_counter(6, 40),
+                "below",
+                ("bmc", "kind"),
+                solver_backend="race-conflict-counter",
+                **options,
+            )
+            return outcome.status, sum(s.stats()["conflicts"] for s in made)
+
+        try:
+            free = spent()
+            bounded = spent(per_property_conflicts=50)
+        finally:
+            unregister_backend("race-conflict-counter")
+        assert free[0] is PropStatus.FAILS and free[1] > 1000
+        assert bounded[0] is PropStatus.UNKNOWN
+        assert 50 < bounded[1] <= 2 * 50
+
+    def test_one_started_and_one_solved_per_race(self, toggler):
+        # IC3's slices run the whole ladder, which brackets itself: the
+        # race keeps one pair however many engines and slices ran.
+        events: list = []
+        outcome = _race(toggler, "never_r", ("rw", "ic3"), events)
+        assert outcome.engine == "ic3"
+        kinds = [type(e) for e in events]
+        assert kinds.count(PropertyStarted) == 1 and kinds[0] is PropertyStarted
+        assert kinds.count(PropertySolved) == 1
+        assert kinds[-2:] == [PortfolioDecided, PropertySolved]
+        started = [e.engine for e in events if isinstance(e, AttemptStarted)]
+        assert started == ["rw", "ic3"]
+
+
+    def test_a_race_reads_the_seats_clauses_but_never_writes_them(self):
+        # What a seat proved before must not seed a later race: winners
+        # would then depend on which seat ran which property.
+        ts = TransitionSystem(ALL_TRUE_SPECS["t135"].build())
+        db = ClauseDB(ts)
+        events: list = []
+        outcome = race(ts, "r0_X0", ("ic3",), ProofOptions(), db, events.append, seed=0)
+        assert (outcome.status, outcome.engine) == (PropStatus.HOLDS, "ic3")
+        assert [e.count for e in events if isinstance(e, ClauseExport)] == [1]
+        assert len(db) == 0
+
+
+class TestArbitrationFaultInjection:
+    """The seat's arbitration with injected faults — no processes."""
+
+    def test_first_verdict_wins_despite_hung_loser(self, toggler, slices):
+        # A BMC that would search forever only ever gets its slice; the
+        # walk behind it decides in the same round.
+        def hung_bmc(ts, name, max_depth, **_):
+            return EngineResult(PropStatus.UNKNOWN, name, frames=max_depth)
+
+        slices.fakes["bmc"] = hung_bmc
+        outcome = _race(toggler, "never_q", ("bmc", "rw"))
+        assert (outcome.status, outcome.engine) == (PropStatus.FAILS, "rw")
+        assert [(engine, size) for engine, size, *_ in slices] == [
+            ("bmc", 8),
+            ("rw", 16),
+        ]
+
+    def test_late_loser_verdict_is_rejected(self, toggler, slices):
+        # An engine behind the winner in the rotation would contradict
+        # it: it is never asked, and one decision is announced.
+        def contradicting_bmc(*_, **__):  # pragma: no cover - never runs
+            raise AssertionError("a decided race consulted a later engine")
+
+        slices.fakes["bmc"] = contradicting_bmc
+        events: list = []
+        outcome = _race(toggler, "never_q", ("rw", "bmc"), events)
+        assert (outcome.status, outcome.engine) == (PropStatus.FAILS, "rw")
+        assert outcome.errors == [] and [engine for engine, *_ in slices] == ["rw"]
+        decided = [e for e in events if isinstance(e, PortfolioDecided)]
+        assert len(decided) == 1 and decided[0].winner == "rw"
+
+    def test_queued_losers_are_dropped_by_the_decision(self, toggler, slices):
+        events: list = []
+        outcome = _race(toggler, "never_q", ENGINE_NAMES, events)
+        assert outcome.engine == "rw"
+        assert [engine for engine, *_ in slices] == ["rw"]
+        assert [e.engine for e in events if isinstance(e, AttemptStarted)] == ["rw"]
+        assert [type(e) for e in events][-2:] == [PortfolioDecided, PropertySolved]
+        assert events[-2].losers == ()
+
+    def test_all_attempts_exhausted_settles_unknown(self, toggler, slices):
+        # max_frames=7 caps BMC below its first slice, so it leaves after
+        # round 0; the walk, left alone, then runs to its 512 walks at once.
+        events: list = []
+        outcome = _race(toggler, "never_r", ("rw", "bmc"), events, max_frames=7)
+        assert [(engine, size) for engine, size, *_ in slices] == [
+            ("rw", 16),
+            ("bmc", 7),
+            ("rw", 512),
+        ]
+        assert outcome.status is PropStatus.UNKNOWN and outcome.frames == 7
+        assert outcome.engine is None and outcome.errors == []
+        (decided,) = [e for e in events if isinstance(e, PortfolioDecided)]
+        assert decided.winner is None and decided.losers == ("rw", "bmc")
+
+    def test_attempt_error_without_winner_fails_the_race(self, toggler, slices):
+        def boom(*_, **__):
+            raise ValueError("boom")
+
+        slices.fakes["rw"] = boom
+        with pytest.raises(RuntimeError, match="rw: ValueError: boom"):
+            _race(toggler, "never_r", ("rw", "bmc"), max_frames=7)
+        # On the scheduler the seat's error message fails the job.
+        pool, scheduler, job = _admit_race(toggler, ["never_r"], ("rw", "bmc"))
+        scheduler._dispatch_message(
+            ("error", job.run_id, 0, "never_r", "RuntimeError: rw: ValueError: boom")
+        )
+        assert job.finished and isinstance(job.error, RuntimeError)
+        assert "never_r: RuntimeError: rw: ValueError: boom" in str(job.error)
+
+    def test_attempt_error_masked_by_a_winner(self, toggler, slices):
+        def boom(*_, **__):
+            raise ValueError("boom")
+
+        slices.fakes["rw"] = boom
+        outcome = _race(toggler, "never_q", ("rw", "bmc"))
+        assert (outcome.status, outcome.engine) == (PropStatus.FAILS, "bmc")
+        assert outcome.errors == ["rw: ValueError: boom"]
+        # The error rides the verdict into the report's race record.
+        pool, scheduler, job = _admit_race(toggler, ["never_q"], ("rw", "bmc"))
+        scheduler._dispatch_message(("result", job.run_id, 0, outcome))
+        assert job.finished and job.error is None
+        record = job.build_report(pool).stats["portfolio"]["never_q"]
+        assert record["winner"] == "bmc"
+        assert record["errors"] == ["rw: ValueError: boom"]
+
+    def test_cancel_settles_every_race(self, toggler):
+        # A user's cancel stops the seat of the race in flight, which
+        # reports UNKNOWN; the queued race is settled on the spot.
+        pool, scheduler, job = _admit_race(
+            toggler, ["never_r", "never_q"], ENGINE_NAMES, workers=1
+        )
+        (seated,) = [a for _, a in scheduler.assignments.values()]
+        scheduler.cancel_job(job, stop=True)
+        assert [(seat, a.name) for seat, a in pool.stopped] == [(0, "never_r")]
+        assert "never_q" not in job.pending and not job.finished
+        _answer(scheduler, job, "never_r", PropStatus.UNKNOWN)
+        assert job.finished and job.cancelled and job.error is None
+        assert pool.cancelled_runs == [job.run_id]
+        report = job.build_report(pool)
+        for name in ("never_r", "never_q"):
+            assert report.outcomes[name].status is PropStatus.UNKNOWN
+            assert report.stats["portfolio"][name]["winner"] is None
+        assert seated.slate == ENGINE_NAMES
+
+    def test_cancel_stops_exactly_the_seats_of_its_job(self, toggler):
+        pool = _StubPool(workers=4)
+        scheduler = SeatScheduler(pool)
+        jobs = [
+            _admit_on(scheduler, toggler, ["never_r", "never_q"], ("rw", "bmc"))
+            for _ in range(2)
+        ]
+        _pump(scheduler)
+        assert len(scheduler.assignments) == 4
+        held = {
+            seat for seat, (run_id, _) in scheduler.assignments.items()
+            if run_id == jobs[0].run_id
+        }
+        # The watchdog's cancel lets the races in flight finish ...
+        scheduler.cancel_job(jobs[0])
+        assert pool.stopped == []
+        # ... a user's cancel, even after it, stops them: the job's own
+        # seats, never its sibling's.
+        scheduler.cancel_job(jobs[0], stop=True)
+        assert {seat for seat, _ in pool.stopped} == held and len(held) == 2
+
+    def test_per_property_races_are_independent(self, toggler):
+        # Deciding one property must not disturb the other's race.
+        pool, scheduler, job = _admit_race(
+            toggler, ["never_r", "never_q"], ("rw", "bmc")
+        )
+        _answer(scheduler, job, "never_q", PropStatus.FAILS, engine="rw", cex_depth=2)
+        assert job.pending == {"never_r"} and not job.finished
+        assert pool.stopped == []
+        _answer(scheduler, job, "never_r", PropStatus.HOLDS, engine="bmc")
+        assert job.finished
+        races = job.build_report(pool).stats["portfolio"]
+        assert races["never_q"]["winner"] == "rw"
+        assert races["never_r"]["winner"] == "bmc"
+
+
+# ----------------------------------------------------------------------
+# One job on the scheduler (stub pool)
+# ----------------------------------------------------------------------
+def _admit_on(scheduler, ts, order, engines, *, events=None, **options):
+    return scheduler.admit(
         ts,
         VerificationConfig(
             strategy="portfolio",
             design_name="stub-design",
-            workers=workers,
             portfolio_engines=",".join(engines),
             order=list(order),
             **options,
@@ -133,360 +433,148 @@ def _race(ts, order, engines, *, workers=2, events=None, **options):
         list(order),
         job_id="race",
     )
+
+
+def _admit_race(ts, order, engines, *, workers=2, events=None, **options):
+    """One portfolio job admitted on a stub pool, its seats fed."""
+    pool = _StubPool(workers=workers)
+    scheduler = SeatScheduler(pool)
+    job = _admit_on(scheduler, ts, order, engines, events=events, **options)
     _pump(scheduler)
     return pool, scheduler, job
 
 
-def _seat_of(scheduler, name: str, engine: str | None) -> int:
+def _seat_of(scheduler, name: str) -> int:
     for worker_id, (_, attempt) in scheduler.assignments.items():
-        if (attempt.name, attempt.engine) == (name, engine):
+        if attempt.name == name:
             return worker_id
-    raise AssertionError(f"{name}:{engine} holds no seat")
+    raise AssertionError(f"{name} holds no seat")
 
 
-def _answer(scheduler, job, name, engine, status: PropStatus, **fields) -> None:
-    """Serve one attempt's assignment with a scripted verdict."""
+def _answer(scheduler, job, name, status: PropStatus, **fields) -> None:
+    """Serve one race's assignment with a scripted verdict."""
     scheduler._dispatch_message(
         (
             "result",
             job.run_id,
-            _seat_of(scheduler, name, engine),
-            PropOutcome(
-                name=name, status=status, local=True, engine=engine, **fields
-            ),
+            _seat_of(scheduler, name),
+            PropOutcome(name=name, status=status, local=True, **fields),
         )
     )
 
 
-def _seated(scheduler) -> list[tuple[str, str | None]]:
-    return [
-        (attempt.name, attempt.engine)
-        for _, (_, attempt) in sorted(scheduler.assignments.items())
-    ]
-
-
-class TestArbitrationFaultInjection:
-    """Deterministic races on the stub pool — no processes, no sleeps.
-
-    Attempts are addressed as (property, engine) on the job's one run.
-    """
-
-    def test_first_verdict_wins_despite_hung_loser(self, toggler):
-        # bmc's attempt hangs (its seat never answers): the rw verdict
-        # must decide the property and deliver the report anyway.
-        events: list = []
-        pool, scheduler, job = _race(
-            toggler, ["never_q"], ("rw", "bmc"), events=events
-        )
-        assert _seated(scheduler) == [("never_q", "rw"), ("never_q", "bmc")]
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        assert job.finished
-        assert job.outcomes["never_q"].status is PropStatus.FAILS
-        # No cancel message goes out; the loser's seat is stopped and
-        # drains, the run stays open for its report ...
-        assert pool.cancelled_runs == []
-        assert [(a.name, a.engine) for _, a in pool.stopped] == [("never_q", "bmc")]
-        assert pool.open_runs == [job.run_id]
-        # ... and until that arrives, its latency reads "in flight".
-        report = job.build_report(pool)
-        race = report.stats["portfolio"]["never_q"]
-        assert race["winner"] == "rw" and race["cancelled"] == {"bmc": None}
-        # The loser reports after the report: its verdict is dropped,
-        # the latency becomes measurable, the run closes.
-        _answer(scheduler, job, "never_q", "bmc", PropStatus.UNKNOWN)
-        assert pool.open_runs == [] and not scheduler.jobs
-        late = job.build_report(pool)
-        latency = late.stats["portfolio"]["never_q"]["cancelled"]["bmc"]
-        assert isinstance(latency, float) and latency >= 0.0
-        cancelled = [e for e in events if isinstance(e, AttemptCancelled)]
-        assert [e.engine for e in cancelled] == ["bmc"]
-        assert cancelled[0].latency_s == latency
-
-    def test_late_loser_verdict_is_rejected(self, toggler):
-        # The loser's verdict — even a *conflicting definitive* one —
-        # arrives after the decision and must not overwrite it.
-        events: list = []
-        pool, scheduler, job = _race(
-            toggler, ["never_q"], ("rw", "bmc"), events=events
-        )
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        _answer(scheduler, job, "never_q", "bmc", PropStatus.HOLDS)
-        assert job.finished
-        assert job.outcomes["never_q"].status is PropStatus.FAILS
-        decided = [e for e in events if isinstance(e, PortfolioDecided)]
-        assert len(decided) == 1 and decided[0].winner == "rw"
-        stale = [e for e in events if isinstance(e, AttemptCancelled)]
-        assert [e.engine for e in stale] == ["bmc"]
-        assert stale[0].latency_s is not None
-        assert pool.cancelled_runs == []
-        race = job.build_report(pool).stats["portfolio"]["never_q"]
-        assert race["winner"] == "rw"
-        assert isinstance(race["cancelled"]["bmc"], float)
-
-    def test_queued_losers_are_dropped_by_the_decision(self, toggler):
-        # One seat: bmc is still queued when rw decides, so it never
-        # runs and its cancellation is part of the decision itself.
-        events: list = []
-        pool, scheduler, job = _race(
-            toggler, ["never_q"], ("rw", "bmc"), workers=1, events=events
-        )
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        assert job.finished and job.backlog == []
-        assert pool.open_runs == [] and not scheduler.assignments
-        assert [a.engine for _, _, a in pool.assigned] == ["rw"]
-        kinds = [type(e).__name__ for e in events]
-        assert kinds[-3:] == [
-            "PortfolioDecided", "PropertySolved", "AttemptCancelled"
-        ]
-        assert events[-1].engine == "bmc" and events[-1].latency_s is not None
-
-    def test_all_attempts_exhausted_settles_unknown(self, toggler):
-        events: list = []
-        pool, scheduler, job = _race(
-            toggler, ["never_q"], ("rw", "bmc"), events=events
-        )
-        _answer(scheduler, job, "never_q", "rw", PropStatus.UNKNOWN)
-        assert not job.finished  # bmc still racing
-        _answer(scheduler, job, "never_q", "bmc", PropStatus.UNKNOWN, frames=7)
-        assert job.finished and job.error is None
-        assert pool.stopped == []  # decided by exhaustion: no loser left
-        decided = [e for e in events if isinstance(e, PortfolioDecided)]
-        assert decided[-1].winner is None
-        assert decided[-1].losers == ("rw", "bmc")
-        report = job.build_report(pool)
-        assert report.outcomes["never_q"].status is PropStatus.UNKNOWN
-        assert report.outcomes["never_q"].frames == 7
-        assert report.stats["portfolio"]["never_q"]["winner"] is None
-
-    def test_attempt_error_without_winner_fails_the_race(self, toggler):
-        pool, scheduler, job = _race(toggler, ["never_q"], ("rw", "bmc"))
-        scheduler._dispatch_message(
-            (
-                "error",
-                job.run_id,
-                _seat_of(scheduler, "never_q", "rw"),
-                "never_q",
-                "boom",
-            )
-        )
-        _answer(scheduler, job, "never_q", "bmc", PropStatus.UNKNOWN)
-        assert job.finished
-        assert isinstance(job.error, RuntimeError)
-        assert "never_q: rw: boom" in str(job.error)
-
-    def test_attempt_error_masked_by_a_winner(self, toggler):
-        # An engine blowing up is irrelevant once a sibling decided.
-        pool, scheduler, job = _race(toggler, ["never_q"], ("rw", "bmc"))
-        scheduler._dispatch_message(
-            (
-                "error",
-                job.run_id,
-                _seat_of(scheduler, "never_q", "rw"),
-                "never_q",
-                "boom",
-            )
-        )
-        _answer(scheduler, job, "never_q", "bmc", PropStatus.FAILS, cex_depth=1)
-        assert job.finished and job.error is None
-        race = job.build_report(pool).stats["portfolio"]["never_q"]
-        assert race["winner"] == "bmc"
-        (entry,) = race["errors"]
-        assert entry.startswith("rw:") and "boom" in entry
-
-    def test_cancel_settles_every_race(self, toggler):
-        events: list = []
-        pool, scheduler, job = _race(
-            toggler, ["never_r", "never_q"], ("rw", "bmc"), events=events
-        )
-        seated = _seated(scheduler)
-        assert seated == [("never_r", "rw"), ("never_r", "bmc")]
-        scheduler.cancel_job(job)
-        # never_q's attempts were still queued: settled on the spot.
-        assert "never_q" not in job.pending and not job.finished
-        # A job cancel stops no running attempt: in-flight verdicts count.
-        assert pool.stopped == []
-        for name, engine in seated:  # the workers decline theirs
-            scheduler._dispatch_message(
-                ("cancelled", job.run_id, _seat_of(scheduler, name, engine), name)
-            )
-        assert job.finished and job.cancelled and job.error is None
-        assert pool.cancelled_runs == [job.run_id]
-        report = job.build_report(pool)
-        for name in ("never_r", "never_q"):
-            assert report.outcomes[name].status is PropStatus.UNKNOWN
-        assert len([e for e in events if isinstance(e, AttemptStarted)]) == 4
-        acks = [e for e in events if isinstance(e, AttemptCancelled)]
-        assert len(acks) == 4 and all(e.latency_s is None for e in acks)
-
-    def test_decision_stops_exactly_the_seats_of_its_losers(self, toggler):
-        pool, scheduler, job = _race(
-            toggler, ["never_q", "never_r"], ("rw", "bmc", "kind"), workers=4
-        )
-        assert _seated(scheduler) == [
-            ("never_q", "rw"), ("never_q", "bmc"), ("never_q", "kind"), ("never_r", "rw")
-        ]
-        losers = {
-            (_seat_of(scheduler, "never_q", engine), "never_q", engine)
-            for engine in ("bmc", "kind")
-        }
-        # An inconclusive report decides nothing and stops nothing.
-        _answer(scheduler, job, "never_r", "rw", PropStatus.UNKNOWN)
-        assert pool.stopped == []
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        # Each stop hits the attempt its seat holds: a loser, never the
-        # other property's race.
-        assert {(seat, a.name, a.engine) for seat, a in pool.stopped} == losers
-        assert len(pool.stopped) == 2
-        # The stopped losers report UNKNOWN: rejected, nothing stopped again.
-        for engine in ("bmc", "kind"):
-            _answer(scheduler, job, "never_q", engine, PropStatus.UNKNOWN)
-        assert job.outcomes["never_q"].status is PropStatus.FAILS
-        _answer(scheduler, job, "never_r", "kind", PropStatus.HOLDS)
-        stopped_last = pool.stopped[2:]
-        assert [(a.name, a.engine) for _, a in stopped_last] == [("never_r", "bmc")]
-        assert job.finished
-        races = job.build_report(pool).stats["portfolio"]
-        assert set(races["never_q"]["cancelled"]) == {"bmc", "kind"}
-
-    def test_per_property_races_are_independent(self, toggler):
-        # Deciding one property must not disturb the other's race.
-        pool, scheduler, job = _race(
-            toggler, ["never_r", "never_q"], ("rw", "bmc"), workers=4
-        )
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        assert job.pending == {"never_r"} and not job.finished
-        _answer(scheduler, job, "never_r", "bmc", PropStatus.HOLDS)
-        assert job.finished
-        report = job.build_report(pool)
-        assert report.outcomes["never_q"].status is PropStatus.FAILS
-        assert report.outcomes["never_r"].status is PropStatus.HOLDS
-        races = report.stats["portfolio"]
-        assert races["never_q"]["winner"] == "rw"
-        assert races["never_r"]["winner"] == "bmc"
+def _seated(scheduler) -> list[str]:
+    return [attempt.name for _, (_, attempt) in sorted(scheduler.assignments.items())]
 
 
 class TestOneJobOnTheScheduler:
-    """A portfolio job is one ``PooledJob``: one run, job-level knobs."""
+    """A portfolio job is one ``PooledJob``: one run, one attempt per property."""
 
     def test_whole_slate_rides_one_run(self, toggler):
-        pool, scheduler, job = _race(
-            toggler, ["never_r", "never_q"], ENGINE_NAMES, workers=2
+        pool, scheduler, job = _admit_race(
+            toggler, ["never_r", "never_q"], ENGINE_NAMES, seed=9
         )
-        assert pool.stats["runs"] == 1
-        assert len(scheduler.jobs) == 1
-        queued = [(a.name, a.engine) for a in job.backlog]
-        assert _seated(scheduler) + queued == [
-            (name, engine)
-            for name in ("never_r", "never_q")
-            for engine in ENGINE_NAMES
+        assert pool.stats["runs"] == 1 and len(scheduler.jobs) == 1
+        attempts = [attempt for _, _, attempt in pool.assigned]
+        assert [(a.name, a.slate) for a in attempts] == [
+            ("never_r", ENGINE_NAMES),
+            ("never_q", ENGINE_NAMES),
         ]
+        for attempt in attempts:
+            assert attempt.seed == derive_seed(9, "stub-design", attempt.name)
+        assert job.backlog == []
         assert {run_id for _, run_id, _ in pool.assigned} == {job.run_id}
 
     def test_max_seats_caps_the_whole_job(self, toggler):
-        # The quota is the job's, not each attempt's: a max_seats=1
-        # race on two seats holds one of them.
-        pool, scheduler, job = _race(
+        # The quota is the job's: a max_seats=1 race on two seats holds
+        # one of them.
+        pool, scheduler, job = _admit_race(
             toggler, ["never_r", "never_q"], ("rw", "bmc"), max_seats=1
         )
-        assert _seated(scheduler) == [("never_r", "rw")]
-        _answer(scheduler, job, "never_r", "rw", PropStatus.UNKNOWN)
-        assert _seated(scheduler) == [("never_r", "bmc")]
+        assert _seated(scheduler) == ["never_r"]
+        _answer(scheduler, job, "never_r", PropStatus.HOLDS, engine="bmc")
+        assert _seated(scheduler) == ["never_q"]
 
-    def test_stop_on_failure_cancels_the_remaining_races(self, toggler):
-        events: list = []
-        pool, scheduler, job = _race(
-            toggler,
-            ["never_q", "never_r"],
-            ("rw", "bmc"),
-            events=events,
-            stop_on_failure=True,
+    def test_stop_on_failure_cancels_the_remaining_races(self):
+        # The failure cancels the job: the queued race is drained unrun,
+        # the one on the other seat is not stopped and its verdict counts.
+        names = ["p0", "p1", "p2"]
+        pool, scheduler, job = _admit_race(
+            object(), names, ("rw", "bmc"), stop_on_failure=True
         )
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        # The failure cancels the job: never_r's queued attempts are
-        # drained unrun, never_q's loser is stopped — as the decision's
-        # loser, not by the cancel — and left to report.
-        assert pool.cancelled_runs == [job.run_id]
-        assert [(a.name, a.engine) for _, a in pool.stopped] == [("never_q", "bmc")]
-        assert job.finished and job.cancelled and job.backlog == []
-        assert [a.name for _, _, a in pool.assigned] == ["never_q", "never_q"]
+        assert _seated(scheduler) == ["p0", "p1"]
+        _answer(scheduler, job, "p0", PropStatus.FAILS, engine="rw")
+        assert pool.cancelled_runs == [job.run_id] and job.cancelled
+        assert pool.stopped == [] and job.backlog == [] and not job.finished
+        _answer(scheduler, job, "p1", PropStatus.HOLDS, engine="kind")
+        assert job.finished
         report = job.build_report(pool)
-        assert report.outcomes["never_q"].status is PropStatus.FAILS
-        assert report.outcomes["never_r"].status is PropStatus.UNKNOWN
-        assert report.stats["portfolio"]["never_r"]["winner"] is None
-        assert _seated(scheduler) == [("never_q", "bmc")]
+        assert [report.outcomes[n].status for n in names] == [
+            PropStatus.FAILS,
+            PropStatus.HOLDS,
+            PropStatus.UNKNOWN,
+        ]
+        assert [a.name for _, _, a in pool.assigned] == ["p0", "p1"]
 
-    def test_draining_loser_keeps_its_seat_busy_until_it_reports(self, toggler):
-        # The settle() contract: after the report is delivered the
-        # loser's seat still counts as busy, and only its report frees
-        # it for the next job.
+    def test_a_stopped_attempt_keeps_its_seat_busy_until_it_reports(self, toggler):
         delivered: list = []
         pool = _StubPool(workers=2)
         scheduler = SeatScheduler(pool)
-        options = VerificationConfig(
-            design_name="stub-design", workers=2, order=["never_q"]
-        )
-        race = scheduler.admit(
+        job = scheduler.admit(
             toggler,
-            replace(options, strategy="portfolio", portfolio_engines="rw,bmc"),
+            VerificationConfig(
+                strategy="portfolio",
+                design_name="stub-design",
+                order=["never_q"],
+            ),
             None,
             ["never_q"],
             job_id="race",
             on_finish=delivered.append,
         )
         _pump(scheduler)
-        _answer(scheduler, race, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        assert delivered == [race]
+        scheduler.cancel_job(job, stop=True)
+        # Stopped, not yet reported: the seat is busy and nothing is
+        # delivered.
         stats = scheduler.stats()
-        assert stats.busy == 1 and stats.open_runs == 1
+        assert stats.busy == 1 and stats.open_runs == 1 and delivered == []
         (busy,) = [seat for seat in stats.seats if seat.busy]
         assert (busy.job, busy.prop) == ("race", "never_q")
-        # The next job gets the free seat now, the loser's seat later.
-        follow = scheduler.admit(
-            toggler,
-            replace(options, order=["never_r", "never_q"]),
-            None,
-            ["never_r", "never_q"],
-            job_id="follow",
-        )
-        _pump(scheduler)
-        assert _seated(scheduler).count(("never_r", None)) == 1
-        assert [a.name for a in follow.backlog] == ["never_q"]
-        _answer(scheduler, race, "never_q", "bmc", PropStatus.UNKNOWN)
-        assert pool.open_runs == [follow.run_id]
-        assert sorted(_seated(scheduler)) == [("never_q", None), ("never_r", None)]
-        assert delivered == [race]  # delivered once, not again on close
+        _answer(scheduler, job, "never_q", PropStatus.UNKNOWN)
+        assert delivered == [job] and pool.open_runs == []
+        assert scheduler.stats().busy == 0
 
     def test_crashed_attempt_is_redispatched_once_as_it_was(self, toggler):
         events: list = []
-        pool, scheduler, job = _race(
+        pool, scheduler, job = _admit_race(
             toggler, ["never_q"], ("rw", "bmc"), events=events, seed=9
         )
-        seat = _seat_of(scheduler, "never_q", "rw")
+        seat = _seat_of(scheduler, "never_q")
         (lost,) = [a for w, _, a in pool.assigned if w == seat]
+        assert lost.slate == ("rw", "bmc")
         assert lost.seed == derive_seed(9, "stub-design", "never_q")
         pool.kill(seat)
         scheduler._reap_crashed()
-        # The held object goes back to the backlog front, untouched.
-        assert job.redispatched == 1 and job.backlog == [lost]
+        # The held object goes back on a seat, untouched.
+        assert job.redispatched == 1
         assert [type(e).__name__ for e in events][-1] == "PropertyRequeued"
-        # The surviving seat picks it up after its own attempt ...
-        _answer(scheduler, job, "never_q", "bmc", PropStatus.UNKNOWN)
         assert pool.assigned[-1][2] is lost
-        # ... and a second crash on it is final: the race is exhausted.
-        pool.kill(_seat_of(scheduler, "never_q", "rw"))
+        # ... and a second crash on it is final: the race ends UNKNOWN.
+        pool.kill(_seat_of(scheduler, "never_q"))
         scheduler._reap_crashed()
         assert job.redispatched == 1 and job.crashes == 2
         assert job.finished
         assert job.outcomes["never_q"].status is PropStatus.UNKNOWN
 
-    def test_draining_loser_dying_with_its_seat_closes_the_run(self, toggler):
-        pool, scheduler, job = _race(toggler, ["never_q"], ("rw", "bmc"))
-        _answer(scheduler, job, "never_q", "rw", PropStatus.FAILS, cex_depth=2)
-        outcomes = dict(job.outcomes)
-        pool.kill(_seat_of(scheduler, "never_q", "bmc"))
+    def test_a_stopped_attempt_dying_with_its_seat_closes_the_run(self, toggler):
+        pool, scheduler, job = _admit_race(toggler, ["never_q"], ("rw", "bmc"))
+        scheduler.cancel_job(job, stop=True)
+        pool.kill(_seat_of(scheduler, "never_q"))
         scheduler._reap_crashed()
+        # A cancelled job's attempt is never re-dispatched.
         assert pool.open_runs == [] and not scheduler.assignments
-        assert job.outcomes == outcomes and job.redispatched == 0
+        assert job.finished and job.redispatched == 0
+        assert job.outcomes["never_q"].status is PropStatus.UNKNOWN
 
 
 class TestServicePortfolio:
@@ -501,7 +589,7 @@ class TestServicePortfolio:
             report = service.submit(
                 toggler, strategy="portfolio", seed=5, exchange=False
             ).result(timeout=120)
-            # Two properties x four engines, one pool run.
+            # Two races, one pool run.
             assert service.stats().pool.counters["runs"] == runs + 1
         assert report.method == "portfolio"
         assert report.outcomes["never_r"].status is PropStatus.HOLDS
@@ -532,3 +620,22 @@ class TestServicePortfolio:
             n: o.status for n, o in second.outcomes.items()
         }
         assert first.stats["engines"] == ["rw", "ic3"]
+
+    @pytest.mark.parametrize("family", ["f175", "t135"])
+    def test_winners_do_not_depend_on_the_seat_count(self, family):
+        # Each race runs whole on one seat and reads nothing another
+        # seat wrote, so the same seed picks the same winners at any
+        # width.
+        from repro.service import VerificationService
+
+        spec = {**FAILING_SPECS, **ALL_TRUE_SPECS}[family]
+        seen = {}
+        for workers in (1, 2, 4):
+            with VerificationService(workers=workers) as service:
+                report = service.submit(
+                    TransitionSystem(spec.build()), strategy="portfolio", seed=3
+                ).result(timeout=120)
+            seen[workers] = {
+                name: (o.status, o.engine) for name, o in report.outcomes.items()
+            }
+        assert seen[1] == seen[2] == seen[4]

@@ -46,8 +46,10 @@ class _Outbox(list):
 
 
 def _attempt(ts, name, engine, marks, outbox, max_frames=500):
+    """``engine`` alone as a race's slate; ``None`` is the local proof."""
     run = _ActiveRun(run_id=1, ts=ts, options=ProofOptions(max_frames=max_frames))
-    _execute(0, run, PropertyJob(name=name, engine=engine, seed=3), SEQ, marks, outbox)
+    slate = None if engine is None else (engine,)
+    _execute(0, run, PropertyJob(name=name, slate=slate, seed=3), SEQ, marks, outbox)
     return outbox.result()
 
 
@@ -119,13 +121,44 @@ def test_a_real_seat_stops_on_its_mark_also_after_a_respawn():
                 assert pool.respawn_workers([0]) == [0]
                 pool.attach_worker(run, 0)
                 wait_ready(pool)
-            pool.assign(0, PropertyJob(name="P1", engine="bmc"), run_id=run)
+            pool.assign(0, PropertyJob(name="P1", slate=("bmc",)), run_id=run)
             pool.stop_seat(0)
             kind, _, _, outcome = terminal(pool)
             assert kind == "result"
             assert outcome.status is PropStatus.UNKNOWN and outcome.frames < 256
             # The stopped attempt's mark does not touch the next one.
-            pool.assign(0, PropertyJob(name="P0", engine="bmc"), run_id=run)
+            pool.assign(0, PropertyJob(name="P0", slate=("bmc",)), run_id=run)
             kind, _, _, outcome = terminal(pool)
             assert kind == "result" and outcome.status is PropStatus.FAILS
         pool.close_run(run)
+
+
+def test_a_cancelled_race_stops_on_its_seat():
+    # A user's cancel reaches the race on the one seat through its stop
+    # mark: the BMC-only race on counter6's true P1, cancelled at its
+    # first depth, reports UNKNOWN long before depth 256.
+    from repro.service import JobStatus, VerificationService
+
+    ts = TransitionSystem(buggy_counter(bits=6))
+    handles: list = []
+
+    def cancel_at_first_depth(event) -> None:
+        if isinstance(event, FrameAdvanced) and handles:
+            handles[0].cancel()
+
+    with VerificationService(workers=1) as service:
+        handles.append(
+            service.submit(
+                ts,
+                strategy="portfolio",
+                portfolio_engines="bmc",
+                order=["P1"],
+                max_frames=256,
+                on_event=cancel_at_first_depth,
+            )
+        )
+        report = handles[0].result(timeout=60)
+    assert handles[0].status is JobStatus.CANCELLED
+    outcome = report.outcomes["P1"]
+    assert outcome.status is PropStatus.UNKNOWN
+    assert 1 <= outcome.frames < 256

@@ -29,10 +29,9 @@ TIMING_FIELDS = {"time_seconds", "elapsed", "total_time", "wall_s", "latency_s"}
 
 #: Strategy-specific config so every strategy runs deterministically.
 #: Both scheduler-backed strategies pin ``workers=1`` (see module
-#: docstring); ``portfolio`` additionally races deterministically there
-#: because a single seat runs attempts in admission order — every loser
-#: is still queued when its property is decided, so the decision itself
-#: emits its ``AttemptCancelled``.
+#: docstring); a ``portfolio`` race is deterministic on any seat, since
+#: its slices count work, not time, but with more seats the races'
+#: event streams interleave.
 STRATEGY_OVERRIDES = {
     "parallel-ja": {"workers": 1},
     "portfolio": {"workers": 1},
