@@ -136,8 +136,9 @@ class VerificationConfig:
     #: seed 0 (still deterministic).
     seed: int | None = None
     #: Engine slate the portfolio strategy races per property, as a
-    #: comma-separated subset of ``rw,bmc,kind,ic3`` (race order =
-    #: admission order); ``None`` races the full default slate.
+    #: comma-separated subset of ``rw,bmc,kind,ic3`` (the order each
+    #: round gives them their slices); ``None`` races the full default
+    #: slate.
     portfolio_engines: str | None = None
     # -- escape hatch: validated IC3Options overrides ------------------
     engine: dict[str, object] = field(default_factory=dict)
