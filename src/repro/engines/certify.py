@@ -51,6 +51,15 @@ def certify_invariant(
        the source frame;
     3. ``F ⊆ P`` — no F-state falsifies the property under any input.
 
+    Condition 2 runs on the design's full step frame: an invariant may
+    mention any latch, so the check reads every next-state function and
+    stays independent of the slice an engine worked on.  Condition 3
+    runs on the bad frame projected onto the property's cone
+    (:meth:`~repro.ts.system.TransitionSystem.encode_cone`): every latch
+    keeps its variable, so F's clauses load as they are, and the other
+    properties' cones could only add definitions that are satisfiable
+    for every state.
+
     A valid certificate proves the property holds *locally* w.r.t. the
     assumption set (globally when ``assumed`` is empty).
     """
@@ -99,7 +108,7 @@ def certify_invariant(
         )
 
     bad_solver = create_solver(solver_backend)
-    bad_enc = ts.encode_bad_frame(bad_solver)
+    bad_enc = ts.encode_cone(bad_solver, "bad", prop_name)
     for clause in normalized:
         bad_solver.add_clause(bad_enc.clause_lits_curr(clause))
     if bad_solver.solve([-bad_enc.prop_curr[prop_name]]) != Status.UNSAT:

@@ -34,9 +34,16 @@ it implements the three features the paper's Ic3-db relies on:
   sound.
 
 Solver management is fully incremental: the engine holds **one**
-persistent consecution solver (the transition relation is encoded
+persistent consecution solver (the transition relation is loaded
 exactly once per property) plus one persistent bad-state solver, both
-obtained from the pluggable :mod:`repro.sat.backend` registry.  Frame
+obtained from the pluggable :mod:`repro.sat.backend` registry.  Each
+solver loads the frame projected onto what its queries read
+(:meth:`~repro.ts.system.TransitionSystem.encode_cone`): the init and
+bad solvers the property's combinational cone, the consecution solver
+the assumed properties' cones plus the next-state functions of the
+property's sequential cone of influence — lifting keeps every cube
+inside it, and the one-literal fallback of an empty cube is latch 0,
+which the slice always includes.  Frame
 membership is expressed with per-level activation literals — a clause
 blocked at level ``L`` is inserted once, guarded by ``act(L)``, and a
 query relative to ``F_k`` simply assumes ``act(k) .. act(top)`` — so
@@ -198,7 +205,13 @@ class IC3:
         """
         if self._step is None:
             solver = self._new_solver()
-            enc = self.ts.encode_step(solver)
+            enc = self.ts.encode_cone(
+                solver,
+                "step",
+                self.prop.name,
+                self.options.assumed,
+                self.options.respect_constraints_in_lifting,
+            )
             for p in self.assumed_props:
                 solver.add_clause([enc.prop_curr[p.name]])
             for seed in self._seeds:
@@ -224,7 +237,7 @@ class IC3:
         """
         if self._bad is None:
             solver = self._new_solver()
-            enc = self.ts.encode_bad_frame(solver)
+            enc = self.ts.encode_cone(solver, "bad", self.prop.name)
             for seed in self._seeds:
                 solver.add_clause(enc.clause_lits_curr(seed))
             self._bad, self._bad_enc = solver, enc
@@ -604,7 +617,7 @@ class IC3:
     def _solve_main(self) -> EngineResult:
         # Depth-1 check: does the property fail at an initial state?
         init_solver = self._new_solver()
-        init_enc = self.ts.encode_init_frame(init_solver)
+        init_enc = self.ts.encode_cone(init_solver, "init", self.prop.name)
         status = self._solve(init_solver, [-init_enc.prop_curr[self.prop.name]])
         if status == Status.UNKNOWN:
             raise _BudgetExhausted()

@@ -7,6 +7,8 @@ from .system import (
     Clause,
     Cube,
     FrameEncoding,
+    NextSlice,
+    OutOfSliceError,
     StepEncoding,
     TransitionSystem,
     cube_subsumes,
@@ -19,6 +21,8 @@ __all__ = [
     "TransitionSystem",
     "StepEncoding",
     "FrameEncoding",
+    "NextSlice",
+    "OutOfSliceError",
     "Cube",
     "Clause",
     "normalize_cube",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from ..circuit.aig import AIG, Property
-from ..encode.cnf import CnfBlock, CnfBuilder
+from ..encode.cnf import CnfBlock, CnfBuilder, ConeIndex
 from ..encode.tseitin import ClauseSink, ConeEncoder
 
 Cube = tuple[int, ...]
@@ -59,6 +59,27 @@ def cube_subsumes(small: Cube, big: Cube) -> bool:
     return set(small) <= set(big)
 
 
+class OutOfSliceError(LookupError):
+    """A step frame has no next-state variable for the latch asked for.
+
+    Raised by ``StepEncoding.next[i]`` of a step frame projected onto a
+    target (:meth:`TransitionSystem.encode_cone`) when latch ``i`` is
+    outside the frame's slice.
+    """
+
+
+class NextSlice(dict):
+    """``next`` of a projected step frame: latch position -> variable,
+    defined on the frame's slice only."""
+
+    __slots__ = ()
+
+    def __missing__(self, position: int) -> int:
+        raise OutOfSliceError(
+            f"latch {position} is outside this step frame's slice"
+        )
+
+
 @dataclass
 class StepEncoding:
     """One copy of the transition relation inside a solver.
@@ -66,11 +87,12 @@ class StepEncoding:
     ``curr[i]``/``next[i]`` are the CNF variables of latch ``i`` in the
     present and next state; ``inputs`` maps AIG input literals to CNF
     variables; ``prop_curr`` maps property names to signed CNF literals
-    evaluated over the *present* frame (latches + inputs).
+    evaluated over the *present* frame (latches + inputs).  A step frame
+    projected onto a target has a :class:`NextSlice` for ``next``.
     """
 
     curr: list[int]
-    next: list[int]
+    next: list[int] | NextSlice
     inputs: dict[int, int]
     prop_curr: dict[str, int]
     constraint_curr: list[int]
@@ -121,9 +143,11 @@ class TransitionSystem:
                 self.init_pattern.append(None)
             else:
                 self.init_pattern.append((i + 1) if latch.init == 1 else -(i + 1))
-        # kind -> (clauses, the encoding's maps) over variables 1..n.
-        self._templates: dict[str, tuple[CnfBlock, StepEncoding]] = {}
+        # frame key -> (clauses, the encoding's maps) over variables 1..n
+        # (see _template), and the step template's cone index.
+        self._templates: dict[object, tuple[CnfBlock, StepEncoding]] = {}
         self._templates_key: tuple | None = None
+        self._cones: ConeIndex | None = None
 
     # ------------------------------------------------------------------
     # State helpers
@@ -154,10 +178,15 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # Encodings
     # ------------------------------------------------------------------
-    # Each frame kind is Tseitin-encoded once per design into a template
-    # and every encode_* call loads that template into the caller's
-    # sink: JA-verification is k local proofs over one design, each
-    # opening several solvers on the same transition relation.
+    # A design is Tseitin-encoded once, into the full step template, and
+    # every other frame is an order-preserving projection of it: the
+    # whole-design bad and init frames encode_bad_frame/encode_init_frame
+    # load, and the per-target frames encode_cone loads for IC3's solvers
+    # and the certifier's F ⊆ P query.  JA-verification is k local
+    # proofs over one design, each opening several solvers, and a query
+    # about one property reads only that property's cone: a solver loads
+    # what its query reads, not the other k-1 cones and every latch's
+    # next-state function.
 
     def __getstate__(self) -> dict:
         # Templates never travel: a design pickles the same, byte for
@@ -166,42 +195,108 @@ class TransitionSystem:
         state = self.__dict__.copy()
         state["_templates"] = {}
         state["_templates_key"] = None
+        state["_cones"] = None
         return state
 
-    def _template(self, kind: str) -> tuple[CnfBlock, StepEncoding]:
-        """The ``"step"``, ``"bad"`` or ``"init"`` template, built on first use.
+    def _template(self, key) -> tuple[CnfBlock, StepEncoding]:
+        """The frame template under ``key``, built on first use.
 
-        A template is the frame's clauses over variables ``1..n`` plus
-        the encoding's maps over the same variables.  Templates are
-        dropped when anything they encode has changed since: the
-        properties, the latches, the inputs or the AIG's constraints.
-        AND nodes appended to the AIG afterwards (as
+        ``"step"`` is the full step template, the design's one Tseitin
+        run; every other key names a projection of it (built by
+        :meth:`_project`): ``("bad", target)`` and ``("init", target)``,
+        where a ``None`` target is the whole design, and ``("step",
+        target, assumed, respect)``.  A template is the frame's clauses
+        over variables ``1..n`` plus the encoding's maps over the same
+        variables.  Templates are dropped when anything they encode has
+        changed since: the properties, the latches, the inputs or the
+        AIG's constraints.  AND nodes appended to the AIG afterwards (as
         ``aggregate_property_lit`` does) are in no existing cone and
         leave them valid.
         """
-        key = (
+        design = (
             tuple(self.properties),
             tuple(self.latches),
             tuple(self.aig.inputs),
             tuple(self.aig.constraints),
         )
-        if key != self._templates_key:
+        if design != self._templates_key:
             self._templates = {}
-            self._templates_key = key
-        template = self._templates.get(kind)
+            self._templates_key = design
+            self._cones = None
+        template = self._templates.get(key)
         if template is None:
-            cnf = CnfBuilder()
-            maps = self._encode_into(kind, cnf)
-            template = self._templates[kind] = (cnf.freeze(), maps)
+            if key == "step":
+                cnf = CnfBuilder()
+                maps = self._encode_into("step", cnf)
+                template = (cnf.freeze(), maps)
+            else:
+                template = self._project(*key)
+            self._templates[key] = template
         return template
+
+    def _project(
+        self,
+        kind: str,
+        target: str | None,
+        assumed: tuple[str, ...] = (),
+        respect: bool = False,
+    ) -> tuple[CnfBlock, StepEncoding]:
+        """Project the step template onto one frame's roots (see
+        :meth:`encode_cone` for what each kind keeps)."""
+        if kind == "init":
+            block, maps = self._template(("bad", target))
+            resets = tuple(
+                self._cones.intern((2 * var - 1,) if latch.init == 0 else (2 * var - 2,))
+                for var, latch in zip(maps.curr, self.latches)
+                if latch.init is not None
+            )
+            return CnfBlock(block.num_vars, block.clauses + resets), maps
+        full, maps = self._template("step")
+        if self._cones is None:
+            self._cones = ConeIndex(full, len(maps.curr) + len(maps.inputs))
+        if kind == "bad":
+            names = [target] if target is not None else list(maps.prop_curr)
+            slice_ = []
+        else:
+            assumed_set = set(assumed)
+            names = [p.name for p in self.properties if p.name in assumed_set]
+            seq_roots = [self.prop_by_name[target].lit, *self.aig.constraints]
+            if respect:
+                seq_roots += [self.prop_by_name[name].lit for name in names]
+            _, cone = self.aig.cone_of_influence(seq_roots)
+            slice_ = [
+                position
+                for position, latch in enumerate(self.latches)
+                if latch.lit in cone or position == 0
+            ]
+        block, renumber = self._cones.project(
+            [abs(maps.prop_curr[name]) for name in names]
+            + [abs(lit) for lit in maps.constraint_curr]
+            + [maps.next[position] for position in slice_]
+        )
+
+        def lit(old: int) -> int:
+            return renumber[old] if old > 0 else -renumber[-old]
+
+        # Latches and inputs are the template's first variables and a
+        # projection keeps them all, in place: their maps are shared.
+        return block, StepEncoding(
+            curr=maps.curr,
+            next=NextSlice({pos: renumber[maps.next[pos]] for pos in slice_})
+            if kind == "step"
+            else [],
+            inputs=maps.inputs,
+            prop_curr={name: lit(maps.prop_curr[name]) for name in names},
+            constraint_curr=[lit(c) for c in maps.constraint_curr],
+        )
 
     def _encode_into(self, kind: str, sink: ClauseSink) -> StepEncoding:
         """Tseitin-encode one frame kind straight into ``sink``.
 
         The only place a frame's cones are walked (``next`` stays empty
-        for the combinational kinds).  Templates record it once per
-        kind; the tests run it into a solver as the reference a loaded
-        template must equal.
+        for the combinational kinds).  The step template records it once
+        per design; the tests run it into a solver, for every kind, as
+        the reference a loaded frame must equal.
         """
         enc = ConeEncoder(self.aig, sink)
         curr = []
@@ -234,14 +329,17 @@ class TransitionSystem:
                     sink.add_clause([var])
         return StepEncoding(curr, nxt, inputs, prop_curr, constraint_curr)
 
-    def _load(self, kind: str, solver: ClauseSink) -> StepEncoding:
+    def _load(self, key, solver: ClauseSink) -> StepEncoding:
         """Load a template into ``solver``; its maps, shifted to the base
         the solver put the block at."""
-        block, maps = self._template(kind)
+        block, maps = self._template(key)
         base = block.load(solver)
+        nxt = maps.next
         return StepEncoding(
             curr=[var + base for var in maps.curr],
-            next=[var + base for var in maps.next],
+            next=NextSlice({pos: var + base for pos, var in nxt.items()})
+            if isinstance(nxt, NextSlice)
+            else [var + base for var in nxt],
             inputs={inp: var + base for inp, var in maps.inputs.items()},
             prop_curr={
                 name: lit + base if lit > 0 else lit - base
@@ -252,9 +350,47 @@ class TransitionSystem:
             ],
         )
 
-    def _load_frame(self, kind: str, solver: ClauseSink) -> FrameEncoding:
-        enc = self._load(kind, solver)
+    def _load_frame(self, key, solver: ClauseSink) -> FrameEncoding:
+        enc = self._load(key, solver)
         return FrameEncoding(enc.curr, enc.inputs, enc.prop_curr, enc.constraint_curr)
+
+    def encode_cone(
+        self,
+        solver: ClauseSink,
+        kind: str,
+        target: str,
+        assumed: Iterable[str] = (),
+        respect: bool = False,
+    ) -> StepEncoding | FrameEncoding:
+        """Load the ``kind`` frame projected onto what a query about
+        ``target`` reads.
+
+        * ``"bad"``: ``target``'s combinational cone, constraints
+          asserted (``prop_curr`` holds ``target`` only);
+        * ``"init"``: the same plus the reset units;
+        * ``"step"``: the ``assumed`` properties' cones (``prop_curr``
+          holds them only), the constraints, and the next-state
+          functions of the *slice*: the latches in the sequential cone
+          of influence of ``target``, the constraints and — with
+          ``respect`` (constraint-respecting lifting) — the assumed
+          properties, plus latch 0, an empty lifted cube's fallback
+          literal.  ``next`` is a :class:`NextSlice`.
+
+        Every latch and input keeps its variable, and a Tseitin
+        definition left out is satisfiable for every value of them, so
+        a query over latches and inputs gets the answers the
+        whole-design frame gives.  IC3 lifts every cube onto the slice
+        (the ternary lifter drops the latches outside a requirement's
+        cone), so its consecution queries never ask for a next-state
+        variable outside it.
+        """
+        if target not in self.prop_by_name:
+            raise KeyError(f"unknown property {target!r}")
+        if kind == "step":
+            return self._load(("step", target, tuple(assumed), bool(respect)), solver)
+        if kind in ("bad", "init"):
+            return self._load_frame((kind, target), solver)
+        raise ValueError(f"unknown frame kind {kind!r}")
 
     def encode_step(self, solver: ClauseSink) -> StepEncoding:
         """Encode one transition ``T(S, X, S')`` into a solver.
@@ -274,11 +410,11 @@ class TransitionSystem:
         *not* apply here (the final state of a local CEX only needs to
         falsify the target property).
         """
-        return self._load_frame("bad", solver)
+        return self._load_frame(("bad", None), solver)
 
     def encode_init_frame(self, solver: ClauseSink) -> FrameEncoding:
         """Encode a frame constrained to the initial states."""
-        return self._load_frame("init", solver)
+        return self._load_frame(("init", None), solver)
 
     # ------------------------------------------------------------------
     def eth_properties(self) -> list[Property]:

@@ -14,6 +14,16 @@ database (``CompactSolver``'s low cap) and to rescale activities.
 (b) the drivers: ``joint`` on f175 and ``ja`` without clause reuse on
 t256, per-property frames and queries plus the counters of every
 solver they opened, summed.
+
+Two driver counters were re-recorded, downward, when IC3's solvers began
+loading per-target projections of the design's step template
+(``TransitionSystem.encode_cone``): ``clauses_added`` (joint-f175 1394
+-> 887, ja-noreuse-t256 438 -> 368), because the dropped Tseitin
+definitions are never loaded, and ``propagations`` (4784 -> 2859, 823 ->
+698), because nothing assigns their variables any more.  Every latch
+and input keeps its place in the variable order and no dropped variable
+can take part in a conflict, so decisions, conflicts, learnt clauses,
+solves and every per-property row stayed equal.
 """
 
 from __future__ import annotations
@@ -234,16 +244,16 @@ PINNED_DRIVERS = {
         'properties': {'s0_G': ('FAILS', 2, 2), 's1_G': ('FAILS', 3, 3), 's0_T': ('HOLDS', 4, None),
         's1_T': ('HOLDS', 4, None), 'c0_C0': ('HOLDS', 4, None)},
         'solvers': 11,
-        'counters': {'conflicts': 18, 'decisions': 718, 'propagations': 4784, 'restarts': 0,
-        'learned': 11, 'removed': 0, 'minimized_lits': 0, 'clauses_added': 1394, 'solves': 69,
+        'counters': {'conflicts': 18, 'decisions': 718, 'propagations': 2859, 'restarts': 0,
+        'learned': 11, 'removed': 0, 'minimized_lits': 0, 'clauses_added': 887, 'solves': 69,
         'activations_retired': 43, 'activations_recycled': 40},
     },
     'ja-noreuse-t256': {
         'properties': {'c0_C0': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 3, 19), 'c0_C8': ('HOLDS', 3,
         19), 'z_Z0': ('HOLDS', 2, 5)},
         'solvers': 20,
-        'counters': {'conflicts': 0, 'decisions': 266, 'propagations': 823, 'restarts': 0,
-        'learned': 0, 'removed': 0, 'minimized_lits': 0, 'clauses_added': 438, 'solves': 56,
+        'counters': {'conflicts': 0, 'decisions': 266, 'propagations': 698, 'restarts': 0,
+        'learned': 0, 'removed': 0, 'minimized_lits': 0, 'clauses_added': 368, 'solves': 56,
         'activations_retired': 32, 'activations_recycled': 30},
     },
 }

@@ -1,24 +1,37 @@
-"""Frame templates: one Tseitin run per design and frame kind, loaded many times.
+"""Frame templates: one Tseitin run per design, every frame projected from it.
 
 ``TransitionSystem.encode_*`` load a per-design template into the
 caller's sink.  The reference is ``TransitionSystem._encode_into`` run
 straight into a solver — the ``ConeEncoder`` path the templates record —
 and "equal" means equal solver state (``tests.conftest.solver_state``),
 so that every search over a loaded template is bit-identical.
+
+``TransitionSystem.encode_cone`` loads a frame projected onto one
+target's cone.  Its reference is the simulator: with every latch and
+input fixed, each literal the frame exposes (properties, constraints,
+next-state variables) must take the value ``repro.circuit.simulate``
+gives it, and proofs over projected frames must keep the verdicts,
+frames and query counts recorded before projections existed.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.aig import AIG, Property, aig_not
+from repro.circuit.simulate import Simulator
 from repro.encode.cnf import CnfBuilder
+from repro.engines.ic3 import IC3, IC3Options
 from repro.gen import all_true_designs, failing_designs, random_design
+from repro.multiprop.ja import JAVerifier
 from repro.sat import Solver, Status
-from repro.ts.system import FrameEncoding, TransitionSystem
+from repro.session import VerificationConfig
+from repro.ts.projection import assumption_names
+from repro.ts.system import FrameEncoding, OutOfSliceError, TransitionSystem
 from tests.conftest import solver_state
 
 FAMILIES = {**failing_designs(), **all_true_designs()}
@@ -126,12 +139,15 @@ class TestLoadedEqualsDirect:
 
 
 class TestCacheLifetime:
-    def test_one_encoder_run_per_kind_however_many_loads(self, encoder_runs):
+    def test_one_encoder_run_per_design_however_many_loads(self, encoder_runs):
         ts = TransitionSystem(FAMILIES["f175"])
         for _ in range(5):
             for kind in KINDS:
                 LOADERS[kind](ts, Solver())
-        assert len(encoder_runs) == 3
+            for name in ts.prop_by_name:
+                for kind in KINDS:
+                    ts.encode_cone(Solver(), kind, name, ts.prop_by_name.keys() - {name})
+        assert encoder_runs == ["CnfBuilder"]
 
     def test_pickle_is_byte_identical_cold_and_warm(self, encoder_runs):
         ts = TransitionSystem(FAMILIES["f175"])
@@ -194,3 +210,213 @@ class TestCacheLifetime:
         ts.latches.pop()
         assert len(ts.encode_step(Solver()).next) == len(ts.latches)
         assert len(encoder_runs) == 2
+
+
+# ----------------------------------------------------------------------
+# Per-target projections
+# ----------------------------------------------------------------------
+def cone_frames(ts: TransitionSystem):
+    """Every per-target frame ``ja`` and ``separate`` load: (kind,
+    target, assumed, respect)."""
+    for prop in ts.properties:
+        yield "bad", prop.name, (), False
+        yield "init", prop.name, (), False
+        yield "step", prop.name, (), False
+        assumed = assumption_names(ts, prop.name)
+        for respect in (False, True):
+            yield "step", prop.name, assumed, respect
+
+
+def assert_projections_simulate(aig: AIG, seed: int) -> None:
+    ts = TransitionSystem(aig)
+    rng = random.Random(seed)
+    sim = Simulator(aig)
+    for kind, target, assumed, respect in cone_frames(ts):
+        solver = Solver()
+        enc = ts.encode_cone(solver, kind, target, assumed, respect)
+        state = {latch.lit: rng.random() < 0.5 for latch in ts.latches}
+        if kind == "init":
+            for latch in ts.latches:
+                if latch.init is not None:
+                    state[latch.lit] = bool(latch.init)
+        inputs = {inp: rng.random() < 0.5 for inp in aig.inputs}
+        fixed = [
+            var if state[latch.lit] else -var
+            for var, latch in zip(enc.curr, ts.latches)
+        ] + [var if inputs[inp] else -var for inp, var in enc.inputs.items()]
+        sim.state = state
+        admitted = all(sim.eval_lits(aig.constraints, inputs))
+        status = solver.solve(fixed)
+        assert status is (Status.SAT if admitted else Status.UNSAT)
+        assert set(enc.prop_curr) == ({target} if kind != "step" else set(assumed))
+        if not admitted:
+            continue
+        for name, lit in enc.prop_curr.items():
+            assert solver.value(lit) == sim.eval_lit(ts.prop_by_name[name].lit, inputs)
+        assert all(solver.value(lit) for lit in enc.constraint_curr)
+        if kind == "step":
+            assert 0 in enc.next
+            for position, var in enc.next.items():
+                expected = sim.eval_lit(ts.latches[position].next, inputs)
+                assert solver.value(var) == expected
+            for position in set(range(len(ts.latches))) - set(enc.next):
+                with pytest.raises(OutOfSliceError):
+                    enc.cube_lits_next((position + 1,))
+
+
+def input_only_design() -> AIG:
+    """Targets over inputs only: a lifted cube is empty, so IC3 falls
+    back to a latch-0 literal, and latch 0 is in no property's cone."""
+    aig = AIG()
+    x = aig.add_input("x")
+    y = aig.add_input("y")
+    a = aig.add_latch("a", init=1)
+    q = aig.add_latch("q", init=0)
+    r = aig.add_latch("r", init=0)
+    aig.set_next(a, a)
+    aig.set_next(q, x)
+    aig.set_next(r, q)
+    aig.add_constraint(aig.or_(x, y))
+    aig.add_property("in_only", aig.or_(x, y))
+    aig.add_property("in_mix", aig_not(aig.and_(x, y)))
+    aig.add_property("r_low", aig_not(r))
+    return aig
+
+
+def latch_constraint_design() -> AIG:
+    """A constraint over a latch no property reads: ``h`` stays 1 and
+    keeps ``x`` at 0, so ``q`` and ``r`` stay 0.  Lifting keeps ``h`` in
+    the cubes that need the constraint, so the slice must follow the
+    constraints' cones too."""
+    aig = AIG()
+    x = aig.add_input("x")
+    z = aig.add_latch("z", init=0)
+    h = aig.add_latch("h", init=1)
+    q = aig.add_latch("q", init=0)
+    r = aig.add_latch("r", init=0)
+    aig.set_next(z, z)
+    aig.set_next(h, h)
+    aig.set_next(q, x)
+    aig.set_next(r, q)
+    aig.add_constraint(aig_not(aig.and_(h, x)))
+    aig.add_property("r_low", aig_not(r))
+    aig.add_property("z_low", aig_not(z))
+    return aig
+
+
+def results(aig: AIG, local: bool) -> dict:
+    verifier = JAVerifier(
+        TransitionSystem(aig), VerificationConfig(solver_backend="cdcl"), local=local
+    )
+    report = verifier.run()
+    return {
+        name: (
+            outcome.status.name,
+            outcome.frames,
+            verifier.results[name].stats["sat_queries"],
+            outcome.cex_depth,
+            outcome.reruns,
+        )
+        for name, outcome in report.outcomes.items()
+    }
+
+
+#: design -> strategy -> property -> (status, frames, sat_queries,
+#: cex_depth, reruns), recorded on whole-design frames, before
+#: per-target projections existed.
+_INPUT_ONLY = {
+    "in_only": ("HOLDS", 2, 2, None, 0),
+    "in_mix": ("FAILS", 1, 1, 1, 0),
+    "r_low": ("FAILS", 3, 8, 3, 0),
+}
+_CONSTRAINED = {"const_true": ("HOLDS", 2, 2, None, 0), "p": ("HOLDS", 3, 9, None, 0)}
+_LATCH_CONSTRAINT = {"r_low": ("HOLDS", 3, 15, None, 0), "z_low": ("HOLDS", 2, 5, None, 0)}
+EDGE_PINS = {
+    "input_only": {"ja": _INPUT_ONLY, "separate": _INPUT_ONLY},
+    "constrained": {"ja": _CONSTRAINED, "separate": _CONSTRAINED},
+    "latch_constraint": {"ja": _LATCH_CONSTRAINT, "separate": _LATCH_CONSTRAINT},
+    "random_design(0)": {
+        # P2's first local run finds a CEX spurious under P0/P1: the
+        # ladder re-runs it with constraint-respecting lifting.
+        "ja": {
+            "P0": ("FAILS", 2, 3, 2, 0),
+            "P1": ("FAILS", 1, 1, 1, 0),
+            "P2": ("HOLDS", 3, 21, None, 1),
+        },
+        "separate": {
+            "P0": ("FAILS", 2, 3, 2, 0),
+            "P1": ("FAILS", 1, 1, 1, 0),
+            "P2": ("FAILS", 2, 3, 2, 0),
+        },
+    },
+}
+EDGE_DESIGNS = {
+    "input_only": input_only_design,
+    "constrained": constrained_design,
+    "latch_constraint": latch_constraint_design,
+    "random_design(0)": lambda: random_design(0),
+}
+
+
+class TestProjections:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_frames_compute_what_the_simulator_does(self, name):
+        assert_projections_simulate(FAMILIES[name], seed=len(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(RANDOM_DESIGNS, st.integers(min_value=0, max_value=10_000))
+    def test_random_design_frames_compute_what_the_simulator_does(self, aig, seed):
+        assert_projections_simulate(aig, seed)
+
+    @pytest.mark.parametrize("design", sorted(EDGE_DESIGNS))
+    def test_edge_design_frames_compute_what_the_simulator_does(self, design):
+        assert_projections_simulate(EDGE_DESIGNS[design](), seed=0)
+
+    def test_bad_and_init_frames_hold_the_target_cone_only(self):
+        ts = TransitionSystem(FAMILIES["f380"])
+        whole = Solver()
+        ts.encode_bad_frame(whole)
+        for prop in ts.properties[:4]:
+            solver = Solver()
+            ts.encode_cone(solver, "bad", prop.name)
+            assert 0 < solver.num_vars < whole.num_vars
+
+    def test_unknown_target_and_kind_are_named(self):
+        ts = TransitionSystem(FAMILIES["f175"])
+        with pytest.raises(KeyError, match="nope"):
+            ts.encode_cone(Solver(), "bad", "nope")
+        with pytest.raises(ValueError, match="frame kind"):
+            ts.encode_cone(Solver(), "next", ts.properties[0].name)
+
+
+class TestProjectedProofs:
+    """Edge cases of the slice, proved with the verdicts recorded on
+    whole-design frames."""
+
+    @pytest.mark.parametrize("design", sorted(EDGE_DESIGNS))
+    @pytest.mark.parametrize("strategy", ["ja", "separate"])
+    def test_verdicts_frames_and_queries_are_unchanged(self, design, strategy):
+        aig = EDGE_DESIGNS[design]()
+        assert results(aig, strategy == "ja") == EDGE_PINS[design][strategy]
+
+    def test_the_latch_zero_cube_of_an_input_only_target_has_a_next_state(self):
+        ts = TransitionSystem(input_only_design())
+        ic3 = IC3(ts, "in_only", IC3Options(assumed=["in_mix", "r_low"]))
+        _, enc = ic3._step_solver()
+        # Nothing the target or the constraint reads is a latch: the
+        # slice is latch 0 alone, which an empty lifted cube falls back to.
+        assert set(enc.next) == {0}
+        with pytest.raises(OutOfSliceError):
+            enc.cube_lits_next((2,))
+        cube = ic3._cube_from_lifted([None, None, None], (False, True, False))
+        assert cube == (-1,)
+        blocked, _ = ic3._consecution(cube, 0)
+        assert blocked  # latch a is 1 initially and forever
+
+    def test_a_spurious_local_cex_reruns_on_a_respecting_slice(self):
+        ts = TransitionSystem(random_design(0))
+        report = JAVerifier(ts, VerificationConfig(solver_backend="cdcl")).run()
+        assert report.outcomes["P2"].reruns == 1
+        # The rerun loaded the slice that also follows the assumptions.
+        assumed = tuple(assumption_names(ts, "P2"))
+        assert ("step", "P2", assumed, True) in ts._templates
