@@ -7,7 +7,6 @@ from .system import (
     Clause,
     Cube,
     FrameEncoding,
-    NextSlice,
     OutOfSliceError,
     StepEncoding,
     TransitionSystem,
@@ -21,7 +20,6 @@ __all__ = [
     "TransitionSystem",
     "StepEncoding",
     "FrameEncoding",
-    "NextSlice",
     "OutOfSliceError",
     "Cube",
     "Clause",
