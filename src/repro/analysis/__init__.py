@@ -1,99 +1,46 @@
-"""repro.analysis — project-native static analysis for the repro tree.
+"""repro.analysis — the project's own lint pass (``repro lint``).
 
 Generic linters see syntax; this package checks the *protocols* the
-codebase actually runs on: that every tuple-tagged message sent across
-a process queue has a dispatch arm on the other side, that nothing
-unpicklable rides in a cross-process payload, that supervision loops
-cannot block forever on a dead peer, that critical sections stay
-bookkeeping-only, and that the event/config registries stay closed
-under the CLI.  ``repro lint`` (see :mod:`repro.cli`) is the entry
-point; CI runs it as a blocking gate.
+codebase runs on, with exactly the checkers that caught a real defect
+here (reverting that fix makes the checker fire):
+
+* ``wire-protocol`` — every tuple-tagged message sent on a process
+  queue has a dispatch arm on the other side, and every arm a sender;
+* ``queue-discipline`` — supervision loops never block forever on a
+  dead peer, bounded queues never block their producer;
+* ``config-hygiene`` — every ``VerificationConfig`` field is consumed,
+  reachable from the CLI and, if numeric, validated.
 
 Layout::
 
-    findings.py    Finding / Severity, fingerprints for baselining
-    registry.py    @register_checker, mirrors the strategy registry
-    context.py     FileContext / ProjectContext + naming-convention helpers
-    checkers/      the built-in domain checkers (register on import)
-    baseline.py    analysis_baseline.toml — justified false positives
-    runner.py      analyze_paths / analyze_sources, parallel driver
-    reporting.py   text and JSON reports
+    context.py     Finding, FileContext / ProjectContext, AST helpers
+    checkers/      the checkers, listed in checkers.CHECKERS
+    runner.py      analyze_paths / analyze_sources: one serial pass
 
-Suppressing a finding, in preference order: fix the code; add an inline
-``# repro: ignore[checker-id]`` pragma on (or just above) the line; add
-a justified entry to ``analysis_baseline.toml``.  Baseline entries
-without a real justification are rejected at load time.
+The pass is serial and in-process.  A false positive is suppressed
+where it occurs, with a ``# repro: ignore[checker-id]`` pragma on (or
+just above) the flagged line and a comment saying why; there is no
+baseline file.
 
-Docstring conventions for checker modules
------------------------------------------
-Checkers are documentation-first — a finding nobody understands gets
-suppressed, not fixed.  Every checker module follows these rules:
-
-* the **module docstring** explains the *hazard* (what breaks at
-  runtime, where in this codebase it would bite) before the *rule*,
-  and ends by enumerating exactly what is flagged and what is
-  deliberately excluded;
-* the **class docstring's first line** is the one-line rule statement
-  shown by ``repro lint --list-checkers`` — imperative mood, under 72
-  characters, no trailing period needed;
-* **finding messages** state the consequence, not just the pattern
-  ("a crashed peer hangs this loop forever", not "get() without
-  timeout"), and never contain line numbers or other position-dependent
-  data — the baseline fingerprints on the message text;
-* helper functions carry one-line docstrings describing their
-  *contract* (what maps to what), not their implementation.
+Checker modules explain the *hazard* (what breaks at runtime, where in
+this codebase it would bite) before the *rule*; a class docstring's
+first line is the rule ``repro lint --list-checkers`` prints, and a
+finding's message states the consequence, not just the pattern ("a
+crashed peer hangs this loop forever", not "get() without timeout").
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    BaselineEntry,
-    BaselineError,
-    load_baseline,
-    parse_baseline,
-    render_baseline,
-    save_baseline,
-    split_baselined,
-)
-from .context import FileContext, ProjectContext, channel_of, terminal_name
-from .findings import Finding, Severity
-from .registry import (
-    Checker,
-    UnknownCheckerError,
-    all_checkers,
-    available_checkers,
-    get_checker,
-    register_checker,
-    unregister_checker,
-)
-from .reporting import render_json, render_text
-from .runner import AnalysisResult, analyze_paths, analyze_sources, collect_files
+from .checkers import CHECKERS
+from .context import FileContext, Finding, ProjectContext
+from .runner import AnalysisResult, analyze_paths, analyze_sources
 
 __all__ = [
     "AnalysisResult",
-    "BaselineEntry",
-    "BaselineError",
-    "Checker",
+    "CHECKERS",
     "FileContext",
     "Finding",
     "ProjectContext",
-    "Severity",
-    "UnknownCheckerError",
-    "all_checkers",
     "analyze_paths",
     "analyze_sources",
-    "available_checkers",
-    "channel_of",
-    "collect_files",
-    "get_checker",
-    "load_baseline",
-    "parse_baseline",
-    "register_checker",
-    "render_baseline",
-    "render_json",
-    "render_text",
-    "save_baseline",
-    "split_baselined",
-    "terminal_name",
-    "unregister_checker",
 ]

@@ -1,29 +1,23 @@
-"""Built-in checkers; importing this package registers all of them.
+"""The checkers ``repro lint`` runs, in report order.
 
-Each module registers its checkers via :func:`@register_checker
-<repro.analysis.registry.register_checker>` at import time, exactly as
-verification strategies register with the session registry.  Add a new
-checker by dropping a module here and importing it below.
+A checker is an object with an ``id``, a ``check(project)`` method
+yielding :class:`~repro.analysis.context.Finding` objects, and a
+docstring whose first line is the rule ``repro lint --list-checkers``
+prints.  Each one stays only while reverting a real past fix makes it
+fire (see the README's "Static analysis" section); add one by writing a
+module here and listing an instance below.
 """
 
 from __future__ import annotations
 
-from . import (
-    cache_hygiene,
-    hygiene,
-    locks,
-    net_protocol,
-    pickle_safety,
-    queue_discipline,
-    wire_protocol,
+from .config_hygiene import ConfigHygieneChecker
+from .queue_discipline import QueueDisciplineChecker
+from .wire_protocol import WireProtocolChecker
+
+CHECKERS = (
+    ConfigHygieneChecker(),
+    QueueDisciplineChecker(),
+    WireProtocolChecker(),
 )
 
-__all__ = [
-    "cache_hygiene",
-    "hygiene",
-    "locks",
-    "net_protocol",
-    "pickle_safety",
-    "queue_discipline",
-    "wire_protocol",
-]
+__all__ = ["CHECKERS"]

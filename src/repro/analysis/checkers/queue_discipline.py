@@ -29,9 +29,16 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from ..context import FileContext, QueueBindings, is_method_call, terminal_name
-from ..findings import Finding
-from ..registry import Checker, register_checker
+from ..context import (
+    FileContext,
+    Finding,
+    ProjectContext,
+    call_name,
+    is_method_call,
+    terminal_name,
+)
+
+_QUEUE_CTORS = ("Queue", "SimpleQueue", "JoinableQueue")
 
 
 def _has_timeout(node: ast.Call) -> bool:
@@ -55,26 +62,49 @@ def _positional_timeout(node: ast.Call) -> bool:
     return len(node.args) >= 2
 
 
-def _loop_bodies(ctx: FileContext) -> Iterable[ast.AST]:
+def _bounded_queues(ctx: FileContext) -> set[str]:
+    """Terminal names this file binds to a queue with a positive maxsize."""
+    names: set[str] = set()
     for node in ctx.walk():
-        if isinstance(node, (ast.While, ast.For)):
-            for stmt in node.body:
-                yield stmt
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        call = node.value
+        if not isinstance(call, ast.Call) or call_name(call) not in _QUEUE_CTORS:
+            continue
+        size = call.args[0] if call.args else None
+        for kw in call.keywords:
+            if kw.arg == "maxsize":
+                size = kw.value
+        if (
+            isinstance(size, ast.Constant)
+            and isinstance(size.value, int)
+            and size.value > 0
+        ):
+            names.update(filter(None, map(terminal_name, targets)))
+    return names
 
 
-@register_checker("queue-discipline")
-class QueueDisciplineChecker(Checker):
+class QueueDisciplineChecker:
     """Supervision loops must time out; bounded puts must back-pressure."""
 
-    scope = "file"
+    id = "queue-discipline"
 
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        bounded = QueueBindings(ctx).bounded
+    def check(self, project: ProjectContext) -> Iterable[Finding]:
+        for ctx in project.files():
+            yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        bounded = _bounded_queues(ctx)
 
         in_loop: set[int] = set()
-        for stmt in _loop_bodies(ctx):
-            for node in ast.walk(stmt):
-                in_loop.add(id(node))
+        for node in ctx.walk():
+            if isinstance(node, (ast.While, ast.For)):
+                for stmt in node.body:
+                    in_loop.update(id(inner) for inner in ast.walk(stmt))
 
         for node in ctx.walk():
             if not isinstance(node, ast.Call):

@@ -40,6 +40,7 @@ from collections.abc import Iterable
 
 from ..context import (
     FileContext,
+    Finding,
     ProjectContext,
     call_name,
     channel_of,
@@ -47,8 +48,6 @@ from ..context import (
     str_const,
     terminal_name,
 )
-from ..findings import Finding
-from ..registry import Checker, register_checker
 
 #: ``WorkerPool.next_message`` re-streams the pool's single output
 #: queue; by project convention its results are ``out``-channel messages.
@@ -226,13 +225,12 @@ def _scan_module(ctx: FileContext) -> tuple[list[tuple[str, str, _Site]], list[_
     return sends, list(scans.values())
 
 
-@register_checker("wire-protocol")
-class WireProtocolChecker(Checker):
+class WireProtocolChecker:
     """Every tuple-tagged queue message must have a matching dispatch arm."""
 
-    scope = "project"
+    id = "wire-protocol"
 
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
+    def check(self, project: ProjectContext) -> Iterable[Finding]:
         protocols: dict[str, _Protocol] = {}
         for ctx in project.files():
             if ctx.tree is None:

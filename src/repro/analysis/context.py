@@ -1,14 +1,12 @@
-"""Parsed-source contexts handed to checkers, plus shared AST helpers.
+"""Findings, parsed-source contexts and the AST helpers checkers share.
 
 A :class:`FileContext` owns one file's source, AST and suppression
 table; a :class:`ProjectContext` owns the whole analyzed set (parsed
-lazily, so a project checker that only reads three files never pays for
-the rest).  The helpers at the bottom encode the project's *naming
+lazily, so a checker that only reads three files never pays for the
+rest).  The helpers at the bottom encode the project's *naming
 conventions* for cross-process plumbing — most importantly
 :func:`channel_of`, which maps a queue expression to its wire-channel
-name (``slot.ctrl`` → ``"ctrl"``, ``self._out_queue`` → ``"out"``) so
-the wire-protocol and pickle-safety checkers agree on what they are
-looking at.
+name (``slot.ctrl`` → ``"ctrl"``, ``self._out_queue`` → ``"out"``).
 
 Suppressions: a ``# repro: ignore[checker-id]`` comment suppresses
 matching findings on its own line, or — when the whole line is just the
@@ -21,27 +19,38 @@ from __future__ import annotations
 import ast
 import re
 from collections.abc import Iterator
-
-from .findings import Finding, Severity
+from dataclasses import dataclass
 
 #: ``# repro: ignore[wire-protocol]`` / ``# repro: ignore[a, b]`` / ``[*]``
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore\[([^\]]*)\]")
 
 
+@dataclass(frozen=True, order=True)
+class Finding:
+    """One diagnostic produced by one checker at one source location."""
+
+    file: str
+    line: int
+    checker: str
+    message: str
+
+    def render(self) -> str:
+        """The one-line text form (``file:line: [checker] message``)."""
+        return f"{self.file}:{self.line}: [{self.checker}] {self.message}"
+
+
 class FileContext:
-    """One file: path, source, AST, line table and suppressions."""
+    """One file: path, AST (or the error parsing it) and suppressions."""
 
     def __init__(self, path: str, source: str) -> None:
         self.path = path
-        self.source = source
-        self.lines = source.splitlines()
         self.tree: ast.Module | None = None
         self.parse_error: SyntaxError | None = None
         try:
             self.tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
             self.parse_error = exc
-        self.suppressions = _parse_suppressions(self.lines)
+        self.suppressions = _parse_suppressions(source.splitlines())
 
     def walk(self) -> Iterator[ast.AST]:
         """Every AST node of the file (empty if it failed to parse)."""
@@ -54,21 +63,13 @@ class FileContext:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield node
 
-    def finding(
-        self,
-        node: ast.AST,
-        checker: str,
-        message: str,
-        severity: Severity = Severity.ERROR,
-    ) -> Finding:
+    def finding(self, node: ast.AST, checker: str, message: str) -> Finding:
         """A finding anchored at ``node`` in this file."""
         return Finding(
             file=self.path,
             line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0),
             checker=checker,
             message=message,
-            severity=severity,
         )
 
     def suppressed(self, finding: Finding) -> bool:
@@ -122,80 +123,8 @@ def _parse_suppressions(lines: list[str]) -> dict[int, set[str]]:
 
 
 # ----------------------------------------------------------------------
-# Naming-convention helpers shared by the concurrency checkers
+# Naming-convention helpers shared by the checkers
 # ----------------------------------------------------------------------
-class QueueBindings:
-    """Which queue names a file binds, and to what kind of queue.
-
-    ``thread`` holds terminal names assigned from the stdlib ``queue``
-    module (under any import alias), ``mp`` names assigned from any
-    other ``Queue``/``SimpleQueue``/``JoinableQueue`` constructor
-    (multiprocessing or a context object), and ``bounded`` the subset
-    constructed with a positive ``maxsize``.  Purely syntactic, per
-    file — good enough because this codebase constructs queues next to
-    where it names them.
-    """
-
-    _CTORS = ("Queue", "SimpleQueue", "JoinableQueue")
-
-    def __init__(self, ctx: "FileContext") -> None:
-        self.thread: set[str] = set()
-        self.mp: set[str] = set()
-        self.bounded: set[str] = set()
-        modules, names = self._queue_module_aliases(ctx)
-        for node in ctx.walk():
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign):
-                targets = [node.target]
-            else:
-                continue
-            call = getattr(node, "value", None)
-            if not isinstance(call, ast.Call) or call_name(call) not in self._CTORS:
-                continue
-            is_thread = False
-            if isinstance(call.func, ast.Name):
-                is_thread = call.func.id in names
-            elif isinstance(call.func, ast.Attribute) and isinstance(
-                call.func.value, ast.Name
-            ):
-                is_thread = call.func.value.id in modules
-            for target in targets:
-                name = terminal_name(target)
-                if name is None:
-                    continue
-                (self.thread if is_thread else self.mp).add(name)
-                if self._is_bounded(call):
-                    self.bounded.add(name)
-
-    @staticmethod
-    def _queue_module_aliases(ctx: "FileContext") -> tuple[set[str], set[str]]:
-        """``(aliases of the stdlib queue module, names imported from it)``."""
-        modules: set[str] = set()
-        names: set[str] = set()
-        for node in ctx.walk():
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "queue":
-                        modules.add(alias.asname or "queue")
-            elif isinstance(node, ast.ImportFrom) and node.module == "queue":
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-        return modules, names
-
-    @staticmethod
-    def _is_bounded(call: ast.Call) -> bool:
-        size: ast.expr | None = call.args[0] if call.args else None
-        for kw in call.keywords:
-            if kw.arg == "maxsize":
-                size = kw.value
-        return (
-            isinstance(size, ast.Constant)
-            and isinstance(size.value, int)
-            and size.value > 0
-        )
-
-
 def terminal_name(node: ast.AST) -> str | None:
     """The last name of an attribute chain (``slot.ctrl`` -> ``"ctrl"``).
 

@@ -1,15 +1,12 @@
-"""The analysis driver: collect files, run checkers, apply the baseline.
+"""The analysis driver: collect files, run every checker, apply pragmas.
 
 :func:`analyze_paths` is what ``repro lint`` calls: it expands the
-given paths to ``*.py`` files, runs every registered *file-scope*
-checker over them — in parallel across files when ``jobs > 1``, one
-worker process per chunk of files — then runs the *project-scope*
-checkers over the whole set in-process, applies inline suppressions and
-the TOML baseline, and returns an :class:`AnalysisResult`.
-
-:func:`analyze_sources` is the in-memory variant the test suite uses to
-feed fixture snippets (and mutated copies of real modules) through the
-exact same pipeline without touching disk.
+given paths to ``*.py`` files and hands their sources to
+:func:`analyze_sources`, the one pass — every checker in
+:data:`~repro.analysis.checkers.CHECKERS` sees the whole file set, in
+one process, and findings an inline pragma covers are dropped.  The
+test suite calls :func:`analyze_sources` directly to feed fixture
+snippets (and mutated copies of real modules) through the same pass.
 
 A file that fails to parse yields one ``parse-error`` finding instead
 of crashing the run — broken source must fail the lint gate, not the
@@ -19,40 +16,34 @@ linter.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
-from .baseline import BaselineEntry, load_baseline, split_baselined
-from .context import FileContext, ProjectContext
-from .findings import Finding, Severity
-from .registry import Checker, all_checkers, get_checker
-
-#: Files per parallel work unit; small enough to balance, large enough
-#: that process overhead does not dominate on medium trees.
-_CHUNK = 8
+from .checkers import CHECKERS
+from .context import Finding, ProjectContext
 
 
 @dataclass
 class AnalysisResult:
     """Everything one analysis run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
-    files_analyzed: int = 0
-    checkers: list[str] = field(default_factory=list)
-    baselined: int = 0
-    suppressed: int = 0
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
-
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
+    findings: list[Finding]
+    files_analyzed: int
+    suppressed: int
 
     @property
     def ok(self) -> bool:
-        """True when nothing new at error severity was found."""
-        return not self.errors()
+        return not self.findings
+
+    def render(self) -> str:
+        """The text report: one line per finding, then the verdict."""
+        lines = [finding.render() for finding in self.findings]
+        lines.append(
+            f"{'clean' if self.ok else 'FAILED'}: {len(self.findings)} "
+            f"finding(s) in {self.files_analyzed} file(s) "
+            f"({self.suppressed} suppressed inline)"
+        )
+        return "\n".join(lines)
 
 
 def collect_files(paths: list[str]) -> list[str]:
@@ -67,184 +58,42 @@ def collect_files(paths: list[str]) -> list[str]:
                 for name in sorted(names):
                     if name.endswith(".py"):
                         out.add(os.path.join(root, name))
-        elif path.endswith(".py") or os.path.isfile(path):
+        elif os.path.isfile(path):
             out.add(path)
         else:
             raise FileNotFoundError(f"no such file or directory: {path!r}")
     return sorted(out)
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
-def _parse_error_finding(ctx: FileContext) -> Finding:
-    exc = ctx.parse_error
-    assert exc is not None
-    return Finding(
-        file=ctx.path,
-        line=exc.lineno or 1,
-        checker="parse-error",
-        message=f"file does not parse: {exc.msg}",
-    )
-
-
-def _check_one_file(
-    ctx: FileContext, checkers: list[Checker]
-) -> tuple[list[Finding], int]:
-    """``(kept findings, inline-suppressed count)`` for one file."""
-    if ctx.parse_error is not None:
-        return [_parse_error_finding(ctx)], 0
-    kept: list[Finding] = []
-    suppressed = 0
-    for checker in checkers:
-        if checker.scope != "file":
-            continue
-        for finding in checker.check_file(ctx):
-            if ctx.suppressed(finding):
-                suppressed += 1
-            else:
-                kept.append(finding)
-    return kept, suppressed
-
-
-def _worker_check_paths(
-    paths: list[str], checker_ids: list[str]
-) -> tuple[list[Finding], int]:
-    """Process-pool work unit: read, parse and file-check a path chunk.
-
-    Checkers travel as registry ids (the instances need not be
-    picklable); each worker re-resolves them against its own registry,
-    which the package import populates identically.
-    """
-    checkers = [get_checker(checker_id) for checker_id in checker_ids]
+def analyze_sources(
+    sources: dict[str, str], checkers: Sequence = CHECKERS
+) -> AnalysisResult:
+    """Run ``checkers`` over in-memory ``{path: source}`` pairs."""
+    project = ProjectContext(sources)
     findings: list[Finding] = []
-    suppressed = 0
-    for path in paths:
-        ctx = FileContext(path, _read(path))
-        kept, skipped = _check_one_file(ctx, checkers)
-        findings.extend(kept)
-        suppressed += skipped
-    return findings, suppressed
-
-
-def _run_project_checkers(
-    project: ProjectContext, checkers: list[Checker]
-) -> tuple[list[Finding], int]:
-    findings: list[Finding] = []
-    suppressed = 0
-    for checker in checkers:
-        if checker.scope != "project":
-            continue
-        for finding in checker.check_project(project):
-            ctx = (
-                project.file(finding.file)
-                if finding.file in project.paths
-                else None
+    for ctx in project.files():
+        exc = ctx.parse_error
+        if exc is not None:
+            findings.append(
+                Finding(
+                    ctx.path, exc.lineno or 1, "parse-error",
+                    f"file does not parse: {exc.msg}",
+                )
             )
-            if ctx is not None and ctx.suppressed(finding):
+    suppressed = 0
+    for checker in checkers:
+        for finding in checker.check(project):
+            if project.file(finding.file).suppressed(finding):
                 suppressed += 1
             else:
                 findings.append(finding)
-    return findings, suppressed
+    return AnalysisResult(sorted(findings), len(project.paths), suppressed)
 
 
-def _finish(
-    findings: list[Finding],
-    suppressed: int,
-    *,
-    files: int,
-    checkers: list[Checker],
-    baseline: list[BaselineEntry],
-) -> AnalysisResult:
-    new, baselined, stale = split_baselined(sorted(findings), baseline)
-    return AnalysisResult(
-        findings=new,
-        files_analyzed=files,
-        checkers=[c.id for c in checkers],
-        baselined=len(baselined),
-        suppressed=suppressed,
-        stale_baseline=stale,
-    )
-
-
-def analyze_sources(
-    sources: dict[str, str],
-    *,
-    checkers: list[Checker] | None = None,
-    baseline: list[BaselineEntry] | None = None,
-) -> AnalysisResult:
-    """Run the full pipeline over in-memory ``{path: source}`` pairs."""
-    selected = checkers if checkers is not None else all_checkers()
-    project = ProjectContext(sources)
-    findings: list[Finding] = []
-    suppressed = 0
-    for ctx in project.files():
-        kept, skipped = _check_one_file(ctx, selected)
-        findings.extend(kept)
-        suppressed += skipped
-    project_findings, project_skipped = _run_project_checkers(project, selected)
-    findings.extend(project_findings)
-    suppressed += project_skipped
-    return _finish(
-        findings,
-        suppressed,
-        files=len(project.paths),
-        checkers=selected,
-        baseline=baseline or [],
-    )
-
-
-def analyze_paths(
-    paths: list[str],
-    *,
-    jobs: int | None = None,
-    baseline_path: str | None = None,
-    checkers: list[Checker] | None = None,
-) -> AnalysisResult:
-    """Analyze files/directories on disk (the ``repro lint`` entry).
-
-    ``jobs`` is the file-scope parallelism: ``None`` sizes to the host
-    (one process per CPU, capped by the chunk count), ``1`` forces the
-    serial path.  Project-scope checkers always run in-process — they
-    need the whole file set at once.
-    """
-    selected = checkers if checkers is not None else all_checkers()
-    files = collect_files(paths)
-    baseline = load_baseline(baseline_path) if baseline_path else []
-    chunks = [files[i : i + _CHUNK] for i in range(0, len(files), _CHUNK)]
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, len(chunks)) or 1
-
-    findings: list[Finding] = []
-    suppressed = 0
-    sources: dict[str, str] = {path: _read(path) for path in files}
-    project = ProjectContext(sources)
-    if jobs > 1 and len(chunks) > 1:
-        checker_ids = [c.id for c in selected if c.scope == "file"]
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            futures = [
-                executor.submit(_worker_check_paths, chunk, checker_ids)
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_findings, chunk_suppressed = future.result()
-                findings.extend(chunk_findings)
-                suppressed += chunk_suppressed
-    else:
-        for path in files:
-            kept, skipped = _check_one_file(project.file(path), selected)
-            findings.extend(kept)
-            suppressed += skipped
-
-    project_findings, project_skipped = _run_project_checkers(project, selected)
-    findings.extend(project_findings)
-    suppressed += project_skipped
-    return _finish(
-        findings,
-        suppressed,
-        files=len(files),
-        checkers=selected,
-        baseline=baseline,
-    )
+def analyze_paths(paths: list[str]) -> AnalysisResult:
+    """Analyze files/directories on disk (the ``repro lint`` entry)."""
+    sources = {}
+    for path in collect_files(paths):
+        with open(path, encoding="utf-8") as f:
+            sources[path] = f.read()
+    return analyze_sources(sources)

@@ -12,8 +12,7 @@ hits from cone-level hits on an edited design) but deliberately kept
 out of the key — that is what lets an unchanged-cone property of an
 edited design resolve from cache.
 
-Three robustness rules, enforced here and audited by the
-``cache-hygiene`` lint checker:
+Three robustness rules, enforced here:
 
 * **Atomic writes.**  Every file this package writes goes through
   :func:`atomic_write` (temp file + ``os.replace``), so a crashed or

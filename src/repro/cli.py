@@ -40,7 +40,10 @@ shape::
        {"design": "dma.aag", "strategy": "ja", "order": ["P3", "P1"]}
      ]}
 
-(a bare JSON list of job objects is also accepted).  ``--stats-interval
+(a bare JSON list of job objects is also accepted).  Any other
+manifest-level field is a default for every job, which a job's own
+field overrides; ``workers`` and ``max_concurrent_jobs`` size the
+service and never reach a job.  ``--stats-interval
 S`` polls the service's live stats surface every S seconds and prints a
 one-line occupancy/queue digest per tick (the same
 :class:`~repro.progress.StatsSnapshot` events reach ``--progress``
@@ -108,6 +111,26 @@ def _read_json(path: str):
 def _read_text(path: str) -> str:
     with open(path) as f:
         return f.read()
+
+
+def _read_manifest(path: str) -> tuple[dict, list[dict]]:
+    """``(service sizing, job specs)`` of a JSON job manifest.
+
+    Manifest-level fields are every job's defaults, and a job's own
+    fields override them.  ``workers`` and ``max_concurrent_jobs`` at
+    the manifest level size the service and never reach a job.
+    """
+    manifest = _load_input(_read_json, path)
+    if isinstance(manifest, list):
+        manifest = {"jobs": manifest}
+    shared = {k: v for k, v in manifest.items() if k != "jobs"}
+    sizing = {
+        k: shared.pop(k) for k in ("workers", "max_concurrent_jobs") if k in shared
+    }
+    jobs = manifest.get("jobs") or []
+    if not jobs:
+        raise InputError(f"{path}: manifest names no jobs")
+    return sizing, [dict(shared, **spec) for spec in jobs]
 
 
 def _save_design(aig, path: str) -> None:
@@ -297,38 +320,15 @@ def _report_to_json(report: MultiPropReport) -> dict:
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint`` — run the project's own static analysis.
 
-    Exit status: 0 clean (new warnings do not fail the run), 1 new
-    error-severity findings, 2 on a malformed baseline or bad paths.
+    Exit status: 0 clean, 1 findings, 2 a path that does not exist.
     """
-    from .analysis import (
-        BaselineError,
-        analyze_paths,
-        render_json,
-        render_text,
-        save_baseline,
-    )
+    from .analysis import analyze_paths
 
     try:
-        result = analyze_paths(
-            args.paths,
-            jobs=args.jobs,
-            baseline_path=args.baseline,
-        )
-    except (BaselineError, FileNotFoundError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        save_baseline(args.baseline, result.findings)
-        print(
-            f"wrote {args.baseline} with {len(result.findings)} entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'}; "
-            f"replace every TODO justification before committing"
-        )
-        return 0
-    if args.format == "json":
-        sys.stdout.write(render_json(result))
-    else:
-        print(render_text(result))
+        result = analyze_paths(args.paths)
+    except FileNotFoundError as exc:
+        raise InputError(str(exc)) from None
+    print(result.render())
     return 0 if result.ok else 1
 
 
@@ -429,19 +429,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.manifest is None:
         print("serve needs a manifest (or --listen HOST:PORT)", file=sys.stderr)
         return 2
-    manifest = _load_input(_read_json, args.manifest)
-    if isinstance(manifest, list):
-        defaults, jobs = {}, manifest
-    else:
-        defaults = {k: v for k, v in manifest.items() if k != "jobs"}
-        jobs = manifest.get("jobs", [])
-    if not jobs:
-        raise InputError(f"{args.manifest}: manifest names no jobs")
-
-    workers = args.workers or defaults.get("workers")
+    sizing, jobs = _read_manifest(args.manifest)
+    workers = args.workers or sizing.get("workers")
     max_jobs = (
         args.max_concurrent_jobs
-        or defaults.get("max_concurrent_jobs")
+        or sizing.get("max_concurrent_jobs")
         or min(4, len(jobs))
     )
     service = VerificationService(
@@ -503,7 +495,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         try:
             for index, spec in enumerate(jobs):
-                spec = dict(spec)
                 try:
                     design = spec.pop("design")
                 except KeyError:
@@ -511,9 +502,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         f"{args.manifest}: job #{index} names no design"
                     ) from None
                 priority = spec.pop("priority", None)
-                spec.setdefault(
-                    "strategy", defaults.get("strategy", "parallel-ja")
-                )
+                spec.setdefault("strategy", "parallel-ja")
                 try:
                     config = VerificationConfig().with_overrides(**spec)
                     handles.append(
@@ -601,22 +590,10 @@ def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
         return spec
 
     if target.endswith(".json"):
-        manifest = _load_input(_read_json, target)
-        if isinstance(manifest, list):
-            defaults, jobs = {}, manifest
-        else:
-            defaults = {
-                k: v
-                for k, v in manifest.items()
-                # Service sizing is the server's business, not the job's.
-                if k not in ("jobs", "workers", "max_concurrent_jobs")
-            }
-            jobs = manifest.get("jobs", [])
-        if not jobs:
-            raise InputError(f"{target}: manifest names no jobs")
+        # Service sizing is the server's business, not the job's.
+        _, jobs = _read_manifest(target)
         specs = []
         for spec in jobs:
-            spec = dict(defaults, **spec)
             spec.setdefault("strategy", args.strategy or "parallel-ja")
             if args.cache_dir is not None:
                 # Server-side path: the proof store lives on the server.
@@ -790,13 +767,13 @@ class _ListBackendsAction(argparse.Action):
 
 
 class _ListCheckersAction(argparse.Action):
-    """``lint --list-checkers``: print the checker registry and exit."""
+    """``lint --list-checkers``: print each checker's rule and exit."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        from .analysis import available_checkers
+        from .analysis import CHECKERS
 
-        for name, description in available_checkers().items():
-            print(f"{name:<22} {description}")
+        for checker in CHECKERS:
+            print(f"{checker.id:<22} {checker.__doc__.splitlines()[0]}")
         parser.exit(0)
 
 
@@ -967,28 +944,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src)",
     )
     p_lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    p_lint.add_argument(
-        "--baseline", default="analysis_baseline.toml", metavar="PATH",
-        help="justified false-positive baseline (default: "
-        "analysis_baseline.toml; a missing file is an empty baseline)",
-    )
-    p_lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parallel analysis processes (default: one per CPU)",
-    )
-    p_lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="adopt the current findings into --baseline with TODO "
-        "justifications (which must be replaced before the file loads)",
-    )
-    p_lint.add_argument(
         "--list-checkers",
         action=_ListCheckersAction,
         nargs=0,
-        help="list registered checkers and exit",
+        help="list the checkers and exit",
     )
     p_lint.set_defaults(func=cmd_lint)
 

@@ -114,8 +114,9 @@ class VerificationConfig:
     #: Cancel still-queued properties once one comes back FAILS.
     stop_on_failure: bool = False
     #: A persistent :class:`repro.parallel.WorkerPool` shared across
-    #: ``Session.run()`` calls; ``None``: a pool of the run's own.
-    pool: object | None = None
+    #: ``Session.run()`` calls; ``None``: a pool of the run's own.  A
+    #: live in-process object, so API-only: no command-line value names it.
+    pool: object | None = None  # repro: ignore[config-hygiene]
     # -- service specifics (repro.service) -----------------------------
     #: Default fair-share weight when this config is ``submit()``-ed to
     #: a :class:`repro.service.VerificationService` (> 0; a job holding

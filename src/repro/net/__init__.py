@@ -4,8 +4,7 @@ This package turns the in-process :class:`~repro.service.VerificationService`
 into a network service three layers deep:
 
 * :mod:`repro.net.codec` — the versioned JSON wire format: one codec
-  entry per :class:`~repro.progress.ProgressEvent` subclass (the
-  ``net-protocol`` lint checker enforces exhaustiveness) plus
+  entry per :class:`~repro.progress.ProgressEvent` subclass plus
   encode/decode for whole :class:`~repro.multiprop.report.MultiPropReport`
   results;
 * :mod:`repro.net.server` — a stdlib-``asyncio`` HTTP/1.1 server

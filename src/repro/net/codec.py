@@ -9,11 +9,10 @@ client-side (counterexample *traces* deliberately stay server-side —
 they can be arbitrarily deep; the wire carries their depth).
 
 The event registry is the load-bearing piece: :data:`EVENT_TYPES` is a
-**literal tuple naming every event class**, scanned statically by the
-``net-protocol`` lint checker against the subclasses declared in
-``repro/progress.py`` — adding an event without a codec entry (or
-leaving a stale entry behind) fails ``repro lint``, the same way a
-missing dispatch arm fails the wire-protocol checker.
+**literal tuple naming every event class**, and
+``tests/net/test_codec.py`` pins it to exactly the subclasses declared
+in ``repro/progress.py`` — adding an event without a codec entry (or
+leaving a stale entry behind) fails the suite.
 
 Round-trip contract (pinned by the Hypothesis suite in
 ``tests/net/test_codec.py``)::
@@ -78,8 +77,8 @@ WIRE_VERSION = 1
 #: Every event class the wire speaks, one entry per
 #: :class:`~repro.progress.ProgressEvent` subclass.  This literal tuple
 #: is the codec registry: ``encode_event``/``decode_event`` resolve
-#: through it, and the ``net-protocol`` checker statically diffs it
-#: against ``repro/progress.py`` so it can never silently fall behind.
+#: through it, and the codec tests diff it against ``repro/progress.py``
+#: so it can never silently fall behind.
 EVENT_TYPES: tuple[type[ProgressEvent], ...] = (
     RunStarted,
     RunFinished,

@@ -5,9 +5,8 @@ No framework, no third-party dependencies: requests are parsed from
 carries ``Connection: close``), and the only long-lived connections are
 the Server-Sent-Events streams of ``GET /jobs/{id}/events``.
 
-Endpoints (the :data:`ROUTES` table is the single source of truth; the
-``net-protocol`` lint checker pairs every entry with its
-``_handle_<name>`` method and vice versa):
+Endpoints (the :data:`ROUTES` table is the single source of truth;
+every entry pairs with its ``_handle_<name>`` method and vice versa):
 
 =======  =====================  ==============================================
 method   path                   meaning
@@ -80,7 +79,7 @@ class Route:
 
     ``pattern`` uses ``{name}`` placeholders for path parameters;
     ``handler`` names the ``_handle_<handler>`` coroutine on
-    :class:`VerificationServer` (statically checked by ``repro lint``).
+    :class:`VerificationServer`.
     """
 
     method: str
@@ -88,9 +87,8 @@ class Route:
     handler: str
 
 
-#: The route table.  Declarative on purpose: the ``net-protocol``
-#: checker reads this literal to prove every route has a handler and
-#: every handler a route.
+#: The route table: every route has a handler and every handler a
+#: route (``tests/net/test_server.py`` pins the pairing).
 ROUTES: tuple[Route, ...] = (
     Route("POST", "/jobs", "submit"),
     Route("GET", "/jobs/{id}", "job_status"),
@@ -472,7 +470,7 @@ class VerificationServer:
         return handle, log
 
     # ------------------------------------------------------------------
-    # Handlers (paired with ROUTES by the net-protocol checker)
+    # Handlers (one per ROUTES row)
     # ------------------------------------------------------------------
     async def _handle_submit(self, request: _Request, writer) -> _Response:
         if self._draining or self.service.closed:

@@ -47,11 +47,10 @@ Design notes
   property: the local proof, or — when the config's strategy is
   ``portfolio`` — a race of the engine slate that the seat runs by
   itself (:func:`~repro.parallel.portfolio.race`).  The scheduler
-  tracks which attempt each seat holds and hands every terminal
-  message to :class:`LocalProofs`, which records what it means for
-  the property.  When the last property is decided, no attempt of the
-  job is left on a seat: the report is delivered and the run closed
-  together.  A user's cancel stops the seats that hold the job's
+  tracks which attempt each seat holds, and whatever ends an attempt
+  decides its property on the :class:`PooledJob`.  When the last
+  property is decided, no attempt of the job is left on a seat: the
+  report is delivered and the run closed together.  A user's cancel stops the seats that hold the job's
   attempts (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), so
   they report UNKNOWN within one budget check of their engine.
 * **Size-aware dispatch**: with no explicit property order, the backlog
@@ -119,10 +118,16 @@ class PooledJob:
     :class:`~repro.parallel.worker.PropertyJob` attempts, the seats
     that acked this run's setup, the undecided property names and the
     verdicts so far, crash/retry bookkeeping, the watchdog deadline,
-    and the job's clause log.  What an attempt's terminal
-    message *means* for its property is the job's ``policy``,
-    :class:`LocalProofs`; ``slate`` is the engine slate a portfolio
-    job races (``None`` for ``parallel-ja``).
+    and the job's clause log.  ``slate`` is the engine slate a portfolio
+    job races (``None`` for ``parallel-ja``); it decides the report's
+    ``method`` and ``stats``.
+
+    Whatever ends an attempt — the worker's verdict (a local proof's or
+    a whole race's), a cancellation, a verifier exception, a second
+    seat crash — is its property's verdict; anything but a result
+    degrades it to UNKNOWN.  The worker already streamed the
+    ``PropertyStarted``/``PropertySolved`` pair of an attempt that ran,
+    so only the degraded endings emit here.
     """
 
     def __init__(
@@ -176,7 +181,6 @@ class PooledJob:
         self.relayed: dict[int, int] = {}  # seat -> log prefix it holds
         self.exchanged = 0  # clauses the job's own proofs appended
         self.slate = slate
-        self.policy = LocalProofs(self)
 
     def record(self, outcome: PropOutcome, checkpoint: bool = True) -> None:
         """Decide ``outcome.name``: the property leaves ``pending``."""
@@ -190,6 +194,32 @@ class PooledJob:
                     scope="total", elapsed=time.monotonic() - self.start
                 )
             )
+
+    def cancel_attempt(
+        self, attempt: PropertyJob, worker_id: int | None, checkpoint: bool = True
+    ) -> None:
+        """``attempt`` was cancelled (on ``worker_id``, or still queued)."""
+        self.cancelled_count += 1
+        self.emit(PropertyCancelled(name=attempt.name, worker=worker_id))
+        self.lose_attempt(attempt, checkpoint)
+
+    def fail_attempt(self, attempt: PropertyJob, detail: str) -> None:
+        """``attempt`` raised in its worker: UNKNOWN, and the job errs."""
+        self.errors.append(f"{attempt.name}: {detail}")
+        self.record(
+            PropOutcome(
+                name=attempt.name,
+                status=PropStatus.UNKNOWN,
+                local=True,
+                errors=[detail],
+            )
+        )
+
+    def lose_attempt(self, attempt: PropertyJob, checkpoint: bool = False) -> None:
+        """``attempt`` ended without a verdict: its property is UNKNOWN."""
+        outcome = PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
+        self.emit(outcome.solved_event())
+        self.record(outcome, checkpoint)
 
     def log(self, clauses) -> int:
         """Append the clauses not logged yet (sorted by variable); #new."""
@@ -215,83 +245,35 @@ class PooledJob:
     def build_report(self, pool: WorkerPool) -> MultiPropReport:
         """The job's :class:`MultiPropReport` (property order preserved)."""
         report = MultiPropReport(
-            method=self.policy.method, design=self.config.design_name
+            method="parallel-ja" if self.slate is None else "portfolio",
+            design=self.config.design_name,
         )
         for name in self.order:  # property order, not completion order
             report.outcomes[name] = self.outcomes[name]
         report.total_time = self.total_time
-        report.stats = self.policy.stats(pool)
-        return report
-
-
-class LocalProofs:
-    """The policy of every pooled job: one attempt per property.
-
-    Whatever ends the attempt — the worker's verdict (a local proof's
-    or a whole race's), a cancellation, a verifier exception, a second
-    seat crash — is the property's verdict; anything but a result
-    degrades it to UNKNOWN.  The worker already streamed the
-    ``PropertyStarted``/``PropertySolved`` pair of an attempt that ran,
-    so only the degraded endings emit here.  The job's slate decides
-    the report's ``method`` and ``stats``.
-    """
-
-    def __init__(self, job: PooledJob) -> None:
-        self.job = job
-
-    @property
-    def method(self) -> str:
-        return "parallel-ja" if self.job.slate is None else "portfolio"
-
-    def result(self, attempt: PropertyJob, outcome: PropOutcome) -> None:
-        self.job.record(outcome)
-
-    def cancelled(
-        self, attempt: PropertyJob, worker_id: int | None, checkpoint: bool = True
-    ) -> None:
-        self.job.cancelled_count += 1
-        self.job.emit(PropertyCancelled(name=attempt.name, worker=worker_id))
-        self.lost(attempt, checkpoint)
-
-    def error(self, attempt: PropertyJob, detail: str) -> None:
-        self.job.errors.append(f"{attempt.name}: {detail}")
-        self.job.record(
-            PropOutcome(
-                name=attempt.name,
-                status=PropStatus.UNKNOWN,
-                local=True,
-                errors=[detail],
-            )
-        )
-
-    def lost(self, attempt: PropertyJob, checkpoint: bool = False) -> None:
-        outcome = PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True)
-        self.job.emit(outcome.solved_event())
-        self.job.record(outcome, checkpoint)
-
-    def stats(self, pool: WorkerPool) -> dict:
-        job = self.job
-        if job.slate is not None:
-            return race_stats(
+        if self.slate is not None:
+            report.stats = race_stats(
                 pool.workers,
-                job.slate,
-                job.config.seed,
-                [job.outcomes[name] for name in job.order],
+                self.slate,
+                self.config.seed,
+                list(report.outcomes.values()),
             )
-        return {
+            return report
+        report.stats = {
             "mode": "process",
             "workers": pool.workers,
-            "exchange": int(job.use_exchange),
-            "exchange_clauses": job.exchanged,
-            "cancelled": job.cancelled_count,
-            "worker_crashes": job.crashes,
-            "dispatch": job.dispatch_mode,
-            "max_seats": job.max_seats,
-            "redispatched": job.redispatched,
-            "pool": job.pool_label,
+            "exchange": int(self.use_exchange),
+            "exchange_clauses": self.exchanged,
+            "cancelled": self.cancelled_count,
+            "worker_crashes": self.crashes,
+            "dispatch": self.dispatch_mode,
+            "max_seats": self.max_seats,
+            "redispatched": self.redispatched,
+            "pool": self.pool_label,
             "pool_runs": pool.stats["runs"],
             "design_pickles": pool.stats["design_pickles"],
         }
+        return report
 
 
 #: Consecutive crashes, with no property served in between, after which
@@ -551,7 +533,7 @@ class SeatScheduler:
             health.consecutive = 0
             health.delay = 0.0
             self._publish(job, outcome)
-            job.policy.result(attempt, outcome)
+            job.record(outcome)
             if job.config.stop_on_failure and outcome.status is PropStatus.FAILS:
                 self.cancel_job(job)
             self._feed_seat(worker_id)
@@ -559,7 +541,7 @@ class SeatScheduler:
             attempt = self._release(worker_id, run_id, message[3])
             if attempt is None:
                 return
-            job.policy.cancelled(attempt, worker_id)
+            job.cancel_attempt(attempt, worker_id)
             self._feed_seat(worker_id)
         elif kind == "error":
             name, detail = message[3], message[4]
@@ -568,7 +550,7 @@ class SeatScheduler:
                 # A run-setup failure: no attempt to pin it on.
                 job.errors.append(f"{name}: {detail}")
             else:
-                job.policy.error(attempt, detail)
+                job.fail_attempt(attempt, detail)
             self._feed_seat(worker_id)
         self._maybe_finish(job)
 
@@ -680,7 +662,7 @@ class SeatScheduler:
     def _drain_backlog(self, job: PooledJob, checkpoint: bool = True) -> None:
         backlog, job.backlog = job.backlog, []
         for attempt in backlog:
-            job.policy.cancelled(attempt, None, checkpoint)
+            job.cancel_attempt(attempt, None, checkpoint)
 
     def _maybe_finish(self, job: PooledJob) -> None:
         """Once every property is decided: close the run, deliver the report.
@@ -804,7 +786,7 @@ class SeatScheduler:
                     self._feed_seat(idle_worker)
                     break
             return
-        job.policy.lost(attempt)
+        job.lose_attempt(attempt)
         self._maybe_finish(job)
 
     def _revive(self, emit: Emit | None) -> None:

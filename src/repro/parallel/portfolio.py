@@ -4,7 +4,7 @@ The portfolio strategy races an *engine slate* — by default the random
 walk falsifier, BMC, k-induction and the full IC3/JA ladder — on every
 property.  A portfolio job is an ordinary pooled job: its backlog holds
 one :class:`~repro.parallel.worker.PropertyJob` per property, carrying
-the slate, and :class:`~repro.parallel.engine.LocalProofs` takes each
+the slate, and its :class:`~repro.parallel.engine.PooledJob` takes each
 verdict the way it takes a ``parallel-ja`` one — so fair share,
 ``max_seats``, ``stop_on_failure``, the watchdog and crash re-dispatch
 act on a race exactly as they act on a local proof.

@@ -1,78 +1,17 @@
-"""Registry semantics, inline suppressions, reporters and the baseline."""
+"""The checker tuple, inline suppressions, parse errors and the report."""
 
 from __future__ import annotations
 
-import json
+from repro.analysis import CHECKERS, analyze_sources
 
-import pytest
-
-from repro.analysis import (
-    BaselineError,
-    Checker,
-    Finding,
-    UnknownCheckerError,
-    analyze_sources,
-    available_checkers,
-    get_checker,
-    parse_baseline,
-    register_checker,
-    render_baseline,
-    render_json,
-    render_text,
-    split_baselined,
-    unregister_checker,
-)
-
-BUILTIN_IDS = {
-    "blocking-while-locked",
-    "config-hygiene",
-    "event-hygiene",
-    "pickle-safety",
-    "queue-discipline",
-    "wire-protocol",
-}
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
+BUILTIN_IDS = ["config-hygiene", "queue-discipline", "wire-protocol"]
+QUEUE_DISCIPLINE = [c for c in CHECKERS if c.id == "queue-discipline"]
 
 
 def test_builtins_registered_with_descriptions():
-    listing = available_checkers()
-    assert BUILTIN_IDS <= set(listing)
-    for checker_id in BUILTIN_IDS:
-        assert listing[checker_id], f"{checker_id} has no one-line description"
-
-
-def test_unknown_checker_error_names_alternatives():
-    with pytest.raises(UnknownCheckerError) as excinfo:
-        get_checker("no-such-pass")
-    assert "no-such-pass" in str(excinfo.value)
-    assert "wire-protocol" in str(excinfo.value)
-
-
-def test_duplicate_registration_rejected_unless_replace():
-    @register_checker("test-dummy")
-    class Dummy(Checker):
-        """A no-op checker for registry tests."""
-
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_checker("test-dummy")
-            class DummyAgain(Checker):
-                """Collides with Dummy."""
-
-        @register_checker("test-dummy", replace=True)
-        class DummyReplacement(Checker):
-            """Replaces Dummy explicitly."""
-
-        assert type(get_checker("test-dummy")).__name__ == "DummyReplacement"
-    finally:
-        unregister_checker("test-dummy")
-    with pytest.raises(UnknownCheckerError):
-        get_checker("test-dummy")
+    assert [checker.id for checker in CHECKERS] == BUILTIN_IDS
+    for checker in CHECKERS:
+        assert checker.__doc__.splitlines()[0], f"{checker.id} has no rule line"
 
 
 # ----------------------------------------------------------------------
@@ -90,11 +29,10 @@ def test_inline_pragma_suppresses_finding():
     source = NOISY.replace(
         "q.get()", "q.get()  # repro: ignore[queue-discipline]"
     )
-    result = analyze_sources(
-        {"drain.py": source}, checkers=[get_checker("queue-discipline")]
-    )
+    result = analyze_sources({"drain.py": source}, QUEUE_DISCIPLINE)
     assert result.findings == []
     assert result.suppressed == 1
+    assert result.ok
 
 
 def test_inline_pragma_wildcard_and_comment_line():
@@ -102,9 +40,7 @@ def test_inline_pragma_wildcard_and_comment_line():
         "        item = q.get()",
         "        # repro: ignore[*]\n        item = q.get()",
     )
-    result = analyze_sources(
-        {"drain.py": source}, checkers=[get_checker("queue-discipline")]
-    )
+    result = analyze_sources({"drain.py": source}, QUEUE_DISCIPLINE)
     assert result.findings == []
     assert result.suppressed == 1
 
@@ -116,91 +52,13 @@ def test_unparsable_file_yields_parse_error_finding():
 
 
 # ----------------------------------------------------------------------
-# Reporters
+# Report
 # ----------------------------------------------------------------------
-
-
-def _noisy_result():
-    return analyze_sources(
-        {"drain.py": NOISY}, checkers=[get_checker("queue-discipline")]
-    )
 
 
 def test_text_report_has_location_and_verdict():
-    text = render_text(_noisy_result())
-    assert "drain.py:3: error [queue-discipline]" in text
+    text = analyze_sources({"drain.py": NOISY}, QUEUE_DISCIPLINE).render()
+    assert "drain.py:3: [queue-discipline]" in text
     assert text.endswith(
-        "FAILED: 1 error(s), 0 warning(s) in 1 file(s) "
-        "(0 baselined, 0 suppressed inline)"
+        "FAILED: 1 finding(s) in 1 file(s) (0 suppressed inline)"
     )
-
-
-def test_json_report_shape():
-    document = json.loads(render_json(_noisy_result()))
-    assert document["tool"] == "repro-lint"
-    assert document["ok"] is False
-    assert document["counts"]["errors"] == 1
-    (finding,) = document["findings"]
-    assert finding["file"] == "drain.py"
-    assert finding["line"] == 3
-    assert finding["checker"] == "queue-discipline"
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-
-def test_baseline_round_trip():
-    findings = _noisy_result().findings
-    entries = parse_baseline(
-        render_baseline(findings).replace('"TODO"', '"reviewed: fixture"')
-    )
-    assert len(entries) == 1
-    new, baselined, stale = split_baselined(findings, entries)
-    assert (new, len(baselined), stale) == ([], 1, [])
-
-
-def test_baseline_rejects_todo_and_missing_justification():
-    rendered = render_baseline(_noisy_result().findings)
-    with pytest.raises(BaselineError, match="real\\s+justification"):
-        parse_baseline(rendered)
-    with pytest.raises(BaselineError, match="missing"):
-        parse_baseline('[[suppression]]\nchecker = "x"\n')
-
-
-def test_baseline_is_line_independent_and_reports_stale():
-    result = _noisy_result()
-    entries = parse_baseline(
-        render_baseline(result.findings).replace('"TODO"', '"fixture"')
-    )
-    moved = [
-        Finding(
-            file=f.file, line=f.line + 40, checker=f.checker, message=f.message
-        )
-        for f in result.findings
-    ]
-    new, baselined, stale = split_baselined(moved, entries)
-    assert (new, len(baselined), stale) == ([], 1, [])
-
-    unrelated = [
-        Finding(file="other.py", line=1, checker="pickle-safety", message="m")
-    ]
-    new, baselined, stale = split_baselined(unrelated, entries)
-    assert new == unrelated
-    assert stale == entries
-
-
-def test_baselined_findings_do_not_fail_the_run():
-    base = _noisy_result()
-    entries = parse_baseline(
-        render_baseline(base.findings).replace('"TODO"', '"fixture"')
-    )
-    result = analyze_sources(
-        {"drain.py": NOISY},
-        checkers=[get_checker("queue-discipline")],
-        baseline=entries,
-    )
-    assert result.ok
-    assert result.baselined == 1
-    assert result.findings == []

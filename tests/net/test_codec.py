@@ -4,7 +4,9 @@ The contract under test is exactly what the server and client rely on:
 ``decode_event(json.loads(json.dumps(encode_event(e)))) == e`` for every
 registered ``ProgressEvent`` subclass — including tuple-valued fields
 (which JSON flattens to lists) and the ``PropStatus`` enum — plus the
-report codec, version gating, and tolerance for unknown fields.
+report codec, version gating, and tolerance for unknown fields.  The
+registry rows also pin what every event type owes the CLI: its own
+``format_event`` arm and a place in ``repro.progress.__all__``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from repro.net.codec import (
     encode_event,
     encode_report,
 )
-from repro.progress import JobFinished, ProgressEvent, PropertySolved, RunStarted
+from repro.progress import (
+    JobFinished,
+    ProgressEvent,
+    PropertySolved,
+    RunStarted,
+    format_event,
+)
 
 # JSON-native scalars that compare equal after a dump/load cycle.
 _SCALARS = st.one_of(
@@ -88,6 +96,8 @@ def test_every_event_type_round_trips(cls, data):
     decoded = decode_event(wire)
     assert type(decoded) is cls
     assert decoded == event
+    # The CLI renders it through its own arm, not the generic fallback.
+    assert format_event(event) != f"[{event.kind}] {event!r}"
 
 
 def test_registry_covers_every_progress_event_subclass():
@@ -101,6 +111,7 @@ def test_registry_covers_every_progress_event_subclass():
         and obj is not ProgressEvent
     }
     assert declared == set(EVENT_TYPES)
+    assert {cls.__name__ for cls in declared} <= set(progress.__all__)
 
 
 def test_unknown_kind_raises():

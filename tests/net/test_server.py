@@ -24,6 +24,7 @@ from repro.net import (
     ServiceClient,
     ServiceUnavailable,
 )
+from repro.net.server import ROUTES, VerificationServer
 from repro.progress import JobFinished, JobQueued
 from repro.service import VerificationService
 from repro.session import Session, unregister_strategy
@@ -183,6 +184,13 @@ class TestErrorMapping:
         status, payload = self._raw(server, "GET", "/nope")
         assert status == 404
         assert "unknown path" in payload["error"]
+        # The known paths are exactly ROUTES, one _handle_ method per row.
+        handlers = {
+            name[len("_handle_"):]
+            for name in dir(VerificationServer)
+            if name.startswith("_handle_")
+        }
+        assert sorted(handlers) == sorted(route.handler for route in ROUTES)
 
     def test_wrong_method_is_405(self, remote):
         _, server = remote

@@ -285,6 +285,23 @@ class TestServe:
         assert "[job-started]" in out
         assert "[job-finished]" in out
 
+    def test_serve_applies_manifest_level_fields(self, tmp_path, capsys):
+        # Manifest-level fields are every job's defaults, as for submit:
+        # max_frames=1 leaves t256's properties unproved (exit 3) ...
+        design = str(tmp_path / "t256.aag")
+        assert main(["gen", "t256", "-o", design]) == 0
+        path = str(tmp_path / "jobs.json")
+        manifest = {"strategy": "ja", "max_frames": 1, "workers": 1,
+                    "jobs": [{"design": design}]}
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        assert main(["serve", path]) == 3
+        # ... and a job's own field overrides the manifest's.
+        manifest["jobs"][0]["max_frames"] = 500
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        assert main(["serve", path]) == 0
+
     def test_serve_rejects_empty_manifest(self, tmp_path, capsys):
         path = str(tmp_path / "empty.json")
         with open(path, "w") as f:
