@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 
 from ..circuit.coi import reduce_to_cone, remap_clause
-from ..engines.certify import certify_cex, certify_invariant
+from ..engines.certify import Certifier, certify_cex, certify_invariant
 from ..engines.result import PropStatus
 from ..multiprop.report import PropOutcome
 from ..progress import CacheHit, Emit, emit_or_null
@@ -204,7 +204,11 @@ class CacheResolver:
         cheaper.  Clause latch indices are remapped through the
         reduction's latch map; a clause that mentions an out-of-cone
         latch (legacy full-DB invariants) falls back to full-design
-        certification.  Assumptions absent from the cone are dropped —
+        certification.  That fallback rejects a literal naming no latch
+        of this design: a record another design wrote for a
+        structurally identical cone (same digest) is stored in that
+        design's latch positions and is re-proved, never trusted.
+        Assumptions absent from the cone are dropped —
         the support fixpoint guarantees they are variable-disjoint, and
         dropping only strengthens the obligation.
         """
@@ -242,6 +246,7 @@ class CacheResolver:
         written = 0
         warm: list = []
         supports: dict[str, frozenset] = {}  # shared support-signature memo
+        certifier = Certifier(ts, self.solver_backend)  # one for the whole write-back
         for name, outcome in outcomes.items():
             if outcome.engine == "cache":
                 continue
@@ -250,7 +255,9 @@ class CacheResolver:
             if outcome.status is PropStatus.HOLDS and invariant is not None:
                 status = "holds"
                 warm.extend(invariant)
-                invariant = self._cone_invariant(ts, name, kept, outcome, supports)
+                invariant = self._cone_invariant(
+                    certifier, name, kept, outcome, supports
+                )
             elif outcome.status is PropStatus.FAILS and outcome.cex is not None:
                 status = "fails"
             else:
@@ -277,7 +284,8 @@ class CacheResolver:
             self.store.save_warm(design, ts, warm)
         return written
 
-    def _cone_invariant(self, ts, name, kept, outcome, supports=None) -> list:
+    @staticmethod
+    def _cone_invariant(certifier, name, kept, outcome, supports=None) -> list:
         """The invariant restricted to the property's cone, if it certifies.
 
         The JA clause DB shares strengthening clauses across properties,
@@ -287,9 +295,11 @@ class CacheResolver:
         cone key exists to provide.  Dropping the out-of-cone clauses
         cannot break consecution of the in-cone ones (their transition
         functions read only in-cone variables), but rather than argue,
-        we check: the restricted invariant is re-certified here and the
-        full one kept as a fallback if it somehow does not pass.
+        we check: the restricted invariant is re-certified here, on the
+        write-back's one ``certifier``, and the full one kept as a
+        fallback if it somehow does not pass.
         """
+        ts = certifier.ts
         invariant = [tuple(c) for c in outcome.invariant]
         region = cone_support(ts, name, kept, supports)
         latches = ts.latches
@@ -300,13 +310,7 @@ class CacheResolver:
         ]
         if restricted == invariant:
             return invariant
-        report = certify_invariant(
-            ts,
-            name,
-            restricted,
-            list(outcome.assumed),
-            solver_backend=self.solver_backend,
-        )
+        report = certifier.certify(name, restricted, list(outcome.assumed))
         return restricted if report.valid else invariant
 
     def warm_clauses(self, ts: TransitionSystem) -> list:

@@ -5,21 +5,42 @@ certificate:
 
 * FAILS  → a :class:`~repro.ts.trace.Trace`, replayed on the concrete
   simulator (optionally also checking local-CEX side conditions);
-* HOLDS  → an inductive invariant, checked with fresh SAT queries
-  against the (possibly constrained) transition relation.
+* HOLDS  → an inductive invariant, checked with SAT queries against the
+  (possibly constrained) transition relation.
 
 The engines already self-check; this module exposes the checks as a
 public API so users can re-certify stored results, cross-check foreign
 tools' invariants, or audit a clauseDB.
+
+A run that certifies many proofs of one design — the k local proofs of
+a ``ja`` run, a pool seat's jobs, a cache write-back — keeps one
+:class:`Certifier`.  It holds one full-step consecution solver per
+assumption set, loaded once, and two facts keep that solver set small
+and its queries short:
+
+* **Set extension.**  Once ``F ⊆ P`` is checked, ``F ∧ A ∧ T ⊆ F'``
+  holds exactly when ``F ∧ (A ∪ {P}) ∧ T ⊆ F'`` does: every F-state
+  satisfies P under every input, so asserting P on the source frame
+  removes no transition out of F.  A target that is itself assumable
+  (Expected To Hold) therefore joins a non-empty set, and all k targets
+  of a ``ja`` run share one set, the ETH properties (an ETF target's set
+  already is that); a global run's targets share the empty set.
+* **Proof reuse.**  If the clauses of H were proved inductive relative
+  to H under a set, and ``H ⊆ F`` as clause sets, then
+  ``F ∧ S ∧ T ⊆ H ∧ S ∧ T ⊆ H'``: only the clauses of ``F \\ H`` still
+  need a consecution query.  Under the paper's clause reuse every later
+  invariant of a run contains the earlier ones (the clauseDB seeds each
+  IC3 run and gets its whole invariant back), so each certificate pays
+  for its new clauses only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from ..sat import Status, create_solver
-from ..ts.system import Clause, TransitionSystem, negate_cube
+from ..sat import SatBackend, Status, create_solver
+from ..ts.system import Clause, StepEncoding, TransitionSystem, negate_cube
 from ..ts.trace import Trace
 
 
@@ -34,6 +55,158 @@ class CertificateReport:
         return self.valid
 
 
+@dataclass
+class _SetSolver:
+    """The consecution solver of one assumption set, and what it proved."""
+
+    solver: SatBackend
+    enc: StepEncoding
+    #: Accepted invariants H: every clause of H is inductive relative to
+    #: H under this set.  None contains another (a superset replaces it).
+    proven: list[frozenset] = field(default_factory=list)
+
+
+class Certifier:
+    """Certifies invariants of one design on one solver per assumption set.
+
+    :meth:`certify` checks the three inductive-invariant conditions for
+    ``F = ⋀ clauses``:
+
+    1. ``I ⊆ F`` — every clause holds in all initial states (syntactic,
+       clause by clause, after every literal is checked to name a latch);
+    2. ``F ⊆ P`` — no F-state falsifies the property under any input;
+    3. ``F ∧ C ∧ T ⊆ F'`` — F is closed under the (constrained)
+       transition relation, where C asserts the assumed properties on
+       the source frame.
+
+    Condition 2 runs first, on a fresh solver loaded with the bad frame
+    projected onto the property's cone
+    (:meth:`~repro.ts.system.TransitionSystem.encode_cone`): every latch
+    keeps its variable, so F's clauses load as they are, and the other
+    properties' cones could only add definitions that are satisfiable
+    for every state.  Condition 3 runs on the design's full step frame
+    (an invariant may mention any latch), in the solver of its
+    assumption set after the set extension (see the module docstring),
+    with the set asserted as hard units.  F's clauses and the
+    per-clause next-state violation selectors are added under one
+    activation literal, retired when the check ends; one aggregate query
+    ``F ∧ C ∧ T ∧ (∨ ¬c')`` over the clauses not already proved is UNSAT
+    exactly when they are all inductive, and the per-clause queries run
+    only on failure, to name the offender.
+    """
+
+    def __init__(self, ts: TransitionSystem, solver_backend: str | None = None) -> None:
+        self.ts = ts
+        self.solver_backend = solver_backend
+        self._sets: dict[frozenset, _SetSolver] = {}
+
+    def certify(
+        self,
+        prop_name: str,
+        clauses: Sequence[Clause],
+        assumed: Sequence[str] = (),
+    ) -> CertificateReport:
+        """Check that ``clauses`` certify ``prop_name`` (under ``assumed``).
+
+        A valid certificate proves the property holds *locally* w.r.t.
+        the assumption set (globally when ``assumed`` is empty).
+        """
+        ts = self.ts
+        prop = ts.prop_by_name.get(prop_name)
+        if prop is None:
+            return CertificateReport(False, f"unknown property {prop_name!r}")
+        for name in assumed:
+            if name not in ts.prop_by_name:
+                return CertificateReport(False, f"unknown assumed property {name!r}")
+        latches = ts.num_state_vars
+        normalized: list[Clause] = []
+        for clause in clauses:
+            clause = tuple(clause)
+            for lit in clause:
+                if not 1 <= abs(lit) <= latches:
+                    return CertificateReport(
+                        False,
+                        f"clause {clause} names latch {abs(lit)}, but the design "
+                        f"has latches 1..{latches}",
+                    )
+            if not ts.clause_holds_at_init(clause):
+                return CertificateReport(
+                    False, f"clause {clause} does not hold at the initial states"
+                )
+            normalized.append(clause)
+
+        bad_solver = create_solver(self.solver_backend)
+        bad_enc = ts.encode_cone(bad_solver, "bad", prop_name)
+        for clause in normalized:
+            bad_solver.add_clause(bad_enc.clause_lits_curr(clause))
+        if bad_solver.solve([-bad_enc.prop_curr[prop_name]]) != Status.UNSAT:
+            return CertificateReport(False, "invariant does not imply the property")
+
+        key = frozenset(assumed)
+        if key and not prop.expected_to_fail:
+            key |= {prop_name}  # the set extension: F ⊆ P was just checked
+        reason = self._consecution(key, normalized)
+        if reason is not None:
+            return CertificateReport(False, reason)
+        return CertificateReport(True, f"{len(normalized)} clauses certify {prop_name}")
+
+    def _set_solver(self, key: frozenset) -> _SetSolver:
+        """The consecution solver of ``key``, loaded on first use."""
+        entry = self._sets.get(key)
+        if entry is None:
+            solver = create_solver(self.solver_backend)
+            enc = self.ts.encode_step(solver)
+            for prop in self.ts.properties:
+                if prop.name in key:
+                    solver.add_clause([enc.prop_curr[prop.name]])
+            entry = self._sets[key] = _SetSolver(solver, enc)
+        return entry
+
+    def _consecution(self, key: frozenset, clauses: list[Clause]) -> str | None:
+        """``F ∧ key ∧ T ⊆ F'``?  ``None`` if so, else why not.  Records
+        F as proved when it is."""
+        entry = self._set_solver(key)
+        unique = list(dict.fromkeys(clauses))
+        invariant = frozenset(unique)
+        proved: set = set()
+        for hypothesis in entry.proven:
+            if hypothesis <= invariant:
+                proved |= hypothesis
+        fresh = [clause for clause in unique if clause not in proved]
+        if fresh:
+            solver, enc = entry.solver, entry.enc
+            act = solver.new_activation()
+            for clause in unique:
+                solver.add_clause([-act, *enc.clause_lits_curr(clause)])
+            selectors = []
+            for clause in fresh:
+                selector = solver.new_var()
+                for lit in enc.cube_lits_next(negate_cube(clause)):
+                    solver.add_clause([-act, -selector, lit])
+                selectors.append(selector)
+            solver.add_clause([-act, *selectors])
+            inductive = solver.solve([act]) == Status.UNSAT
+            offender = None
+            if not inductive:
+                offender = next(
+                    (
+                        clause
+                        for clause in fresh
+                        if solver.solve([act, *enc.cube_lits_next(negate_cube(clause))])
+                        != Status.UNSAT
+                    ),
+                    None,
+                )
+            solver.retire(act)
+            if not inductive:
+                if offender is None:  # unreachable unless the solver lies
+                    return "invariant is not inductive relative to the set"
+                return f"clause {offender} is not inductive relative to the set"
+        entry.proven = [h for h in entry.proven if not h <= invariant]
+        entry.proven.append(invariant)
+        return None
+
+
 def certify_invariant(
     ts: TransitionSystem,
     prop_name: str,
@@ -43,79 +216,10 @@ def certify_invariant(
 ) -> CertificateReport:
     """Check that ``clauses`` certify ``prop_name`` (under ``assumed``).
 
-    Verifies the three inductive-invariant conditions for ``F = ⋀ clauses``:
-
-    1. ``I ⊆ F`` — every clause holds in all initial states;
-    2. ``F ∧ C ∧ T ⊆ F'`` — F is closed under the (constrained)
-       transition relation, where C asserts the assumed properties on
-       the source frame;
-    3. ``F ⊆ P`` — no F-state falsifies the property under any input.
-
-    Condition 2 runs on the design's full step frame: an invariant may
-    mention any latch, so the check reads every next-state function and
-    stays independent of the slice an engine worked on.  Condition 3
-    runs on the bad frame projected onto the property's cone
-    (:meth:`~repro.ts.system.TransitionSystem.encode_cone`): every latch
-    keeps its variable, so F's clauses load as they are, and the other
-    properties' cones could only add definitions that are satisfiable
-    for every state.
-
-    A valid certificate proves the property holds *locally* w.r.t. the
-    assumption set (globally when ``assumed`` is empty).
+    The one-shot form of :meth:`Certifier.certify`, on a certifier of
+    its own: the same checks, nothing shared with any other call.
     """
-    prop = ts.prop_by_name.get(prop_name)
-    if prop is None:
-        return CertificateReport(False, f"unknown property {prop_name!r}")
-    normalized: list[Clause] = []
-    for clause in clauses:
-        clause = tuple(clause)
-        if not ts.clause_holds_at_init(clause):
-            return CertificateReport(
-                False, f"clause {clause} does not hold at the initial states"
-            )
-        normalized.append(clause)
-
-    solver = create_solver(solver_backend)
-    enc = ts.encode_step(solver)
-    for name in assumed:
-        if name not in ts.prop_by_name:
-            return CertificateReport(False, f"unknown assumed property {name!r}")
-        solver.add_clause([enc.prop_curr[name]])
-    for clause in normalized:
-        solver.add_clause(enc.clause_lits_curr(clause))
-    # One aggregate consecution query: F ∧ C ∧ T ∧ (∨ ¬c') is UNSAT
-    # exactly when every clause is inductive relative to the set.  A
-    # selector variable per clause encodes its next-state violation, an
-    # activation literal keeps the disjunction out of later queries, and
-    # the per-clause checks run only on failure — to name the offender.
-    selectors = []
-    for clause in normalized:
-        selector = solver.new_var()
-        for lit in enc.cube_lits_next(negate_cube(clause)):
-            solver.add_clause([-selector, lit])
-        selectors.append(selector)
-    activate = solver.new_var()
-    solver.add_clause([-activate, *selectors])
-    if solver.solve([activate]) != Status.UNSAT:
-        for clause in normalized:
-            cube = negate_cube(clause)
-            if solver.solve(enc.cube_lits_next(cube)) != Status.UNSAT:
-                return CertificateReport(
-                    False, f"clause {clause} is not inductive relative to the set"
-                )
-        return CertificateReport(  # unreachable unless the solver lies
-            False, "invariant is not inductive relative to the set"
-        )
-
-    bad_solver = create_solver(solver_backend)
-    bad_enc = ts.encode_cone(bad_solver, "bad", prop_name)
-    for clause in normalized:
-        bad_solver.add_clause(bad_enc.clause_lits_curr(clause))
-    if bad_solver.solve([-bad_enc.prop_curr[prop_name]]) != Status.UNSAT:
-        return CertificateReport(
-            False, "invariant does not imply the property"
-        )
-    return CertificateReport(True, f"{len(normalized)} clauses certify {prop_name}")
+    return Certifier(ts, solver_backend).certify(prop_name, clauses, assumed)
 
 
 def certify_cex(

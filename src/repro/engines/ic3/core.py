@@ -28,10 +28,14 @@ it implements the three features the paper's Ic3-db relies on:
   inductive clause set.  Because seeds proven under *different*
   assumption sets are not automatically inductive here, every
   converged run hands its invariant to the independent checker
-  (:func:`repro.engines.certify.certify_invariant`, the one the proof
-  cache uses); on rejection the engine signals the caller to retry
-  without seeds.  This keeps the paper's optimization while staying
-  sound.
+  (:class:`repro.engines.certify.Certifier`, whose one-shot form the
+  proof cache uses); on rejection the engine signals the caller to
+  retry without seeds.  This keeps the paper's optimization while
+  staying sound.  A driver passes its run's certifier in
+  ``IC3Options.certifier``, so the k proofs of a run are checked on one
+  consecution solver per assumption set and each pays only for the
+  clauses the earlier proofs did not already prove; a run on another
+  design (a COI reduction) gets a one-shot certifier of its own.
 
 Solver management is fully incremental: the engine holds **one**
 persistent consecution solver (the transition relation is loaded
@@ -77,7 +81,7 @@ from ...ts.system import (
     normalize_cube,
 )
 from ...ts.trace import Trace
-from ..certify import certify_invariant
+from ..certify import Certifier
 from ..result import EngineResult, PropStatus, ResourceBudget
 from .ternary import Lifter
 
@@ -112,6 +116,10 @@ class IC3Options:
     # Progress events (frame advances, seed imports, budget checkpoints)
     # are sent here; None keeps the engine silent.
     emit: Emit | None = None
+    # The run's certifier (one per driver run, see engines/certify.py);
+    # used only when it is bound to this run's design, else (None, or a
+    # COI-reduced design) a converged run certifies on a one-shot one.
+    certifier: Certifier | None = None
 
 
 @dataclass
@@ -670,14 +678,13 @@ class IC3:
             conv = self._propagate()
             if conv is not None:
                 clauses = self._invariant_clauses(conv)
-                # I ⊆ F, F ∧ C ∧ T ⊆ F', F ⊆ P — rejected only through
+                # I ⊆ F, F ⊆ P, F ∧ C ∧ T ⊆ F' — rejected only through
                 # unsound seeds (see module docstring).
-                report = certify_invariant(
-                    self.ts,
-                    self.prop.name,
-                    clauses,
-                    self.options.assumed,
-                    self.options.solver_backend,
+                certifier = self.options.certifier
+                if certifier is None or certifier.ts is not self.ts:
+                    certifier = Certifier(self.ts, self.options.solver_backend)
+                report = certifier.certify(
+                    self.prop.name, clauses, self.options.assumed
                 )
                 if not report.valid:
                     raise SeedCertificateError(report.reason)

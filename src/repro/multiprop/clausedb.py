@@ -24,6 +24,15 @@ therefore re-validates its final certificate and raises
 drivers respond by re-running without seeds.  In the (empirically rare)
 poisoned-seed case the paper's Ja-ver would silently keep an unchecked
 proof; we keep the optimization and add the check.
+
+The check is cheap because of this database: every later invariant of a
+run contains the earlier ones (it is seeded with them and exports them
+back), and the run's :class:`~repro.engines.certify.Certifier` skips the
+consecution query for clauses already proved inductive relative to an
+accepted invariant the new one contains, so each certificate is queried
+for its new clauses only.  That reuse needs the earlier invariant as a
+hypothesis, not just its clauses: a clause proved relative to H is
+queried again when the new invariant does not contain H.
 """
 
 from __future__ import annotations

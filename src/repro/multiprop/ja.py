@@ -32,6 +32,7 @@ import os
 import time
 
 from ..config import VerificationConfig, resolve_order
+from ..engines.certify import Certifier
 from ..engines.result import EngineResult, PropStatus
 from ..progress import (
     BudgetCheckpoint,
@@ -90,6 +91,9 @@ class JAVerifier:
         )
         spurious_reruns = 0
         certificate_retries = 0
+        # Every proof of the run is certified on one consecution solver
+        # per assumption set (engines/certify.py).
+        certifier = Certifier(self.ts, proof.solver_backend)
         for name in resolve_order(self.ts, config.order) or design_order(self.ts):
             if (
                 config.total_time is not None
@@ -102,7 +106,14 @@ class JAVerifier:
                 continue
             assumed = assumption_names(self.ts, name) if local else []
             outcome, result = prove(
-                self.ts, name, assumed, proof, self.clause_db, self._emit, local=local
+                self.ts,
+                name,
+                assumed,
+                proof,
+                self.clause_db,
+                self._emit,
+                local=local,
+                certifier=certifier,
             )
             if db_path and result.holds:
                 self.clause_db.save(db_path)

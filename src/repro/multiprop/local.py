@@ -33,6 +33,7 @@ from collections.abc import Sequence
 
 from ..circuit.coi import reduce_to_cone, remap_clause, support_signature
 from ..config import ProofOptions
+from ..engines.certify import Certifier
 from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
 from ..engines.result import EngineResult, PropStatus, ResourceBudget
 from ..progress import (
@@ -88,6 +89,7 @@ def prove(
     *,
     local: bool = True,
     budget: ResourceBudget | None = None,
+    certifier: Certifier | None = None,
 ) -> tuple[PropOutcome, EngineResult]:
     """Decide ``name`` under ``assumed``: the ladder, the export, the events.
 
@@ -96,7 +98,9 @@ def prove(
     invariant only when ``options.clause_reuse`` is set.  ``budget``,
     when given, bounds the whole ladder (a pool seat's, which carries its
     stop check; a race's slice); by default every rung gets a fresh
-    ``options.budget()``.
+    ``options.budget()``.  ``certifier`` is the caller's run certifier
+    on ``ts`` (:class:`~repro.engines.certify.Certifier`); a COI rung
+    runs on a reduced design, so IC3 certifies it on a one-shot one.
     """
     send = emit_or_null(emit)
     assumed = list(assumed)
@@ -109,7 +113,7 @@ def prove(
     reruns = 0
     while True:
         result = _run_ic3(
-            ts, name, assumed, options, respect, use_coi, seeds, send, budget
+            ts, name, assumed, options, respect, use_coi, seeds, send, budget, certifier
         )
         if result.status is not PropStatus.FAILS or not assumed:
             break
@@ -147,6 +151,7 @@ def _run_ic3(
     seeds: Sequence,
     emit: Emit,
     budget: ResourceBudget | None,
+    certifier: Certifier | None,
 ) -> EngineResult:
     """One rung: one IC3 run, translated back from its COI reduction."""
     run_ts, run_assumed, run_seeds, reduction = ts, assumed, seeds, None
@@ -165,6 +170,7 @@ def _run_ic3(
         ctg=options.ctg,
         solver_backend=options.solver_backend,
         emit=emit,
+        certifier=certifier,
         **dict(options.engine_overrides),
     )
     try:
@@ -177,7 +183,7 @@ def _run_ic3(
         # Poisoned seeds (possible when mixing invariants proven under
         # different assumption sets): retry from scratch without them.
         result = _run_ic3(
-            ts, name, assumed, options, respect, use_coi, (), emit, budget
+            ts, name, assumed, options, respect, use_coi, (), emit, budget, certifier
         )
         result.stats["certificate_retry"] = 1
         return result

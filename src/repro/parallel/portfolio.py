@@ -36,6 +36,7 @@ from collections.abc import Callable, Sequence
 from ..cache.hashing import joined_digest
 from ..config import ProofOptions, VerificationConfig
 from ..engines.bmc import bmc_check
+from ..engines.certify import Certifier
 from ..engines.kinduction import kinduction_check
 from ..engines.randomwalk import randomwalk_check
 from ..engines.result import PropStatus, ResourceBudget
@@ -125,6 +126,7 @@ def _slice(
     budget: ResourceBudget,
     size: int | None,
     seed: int,
+    certifier: Certifier | None,
 ) -> PropOutcome:
     """Run ``engine`` for at most ``size`` of its work units.
 
@@ -135,7 +137,9 @@ def _slice(
     first — so a FAILS from any of them is a local counterexample.
     """
     if engine == "ic3":
-        outcome, _ = prove(ts, name, assumed, options, db, emit, budget=budget)
+        outcome, _ = prove(
+            ts, name, assumed, options, db, emit, budget=budget, certifier=certifier
+        )
         return outcome
     if engine == "rw":
         result = randomwalk_check(
@@ -173,6 +177,7 @@ def race(
     *,
     seed: int,
     stop: Callable[[], bool] | None = None,
+    certifier: Certifier | None = None,
 ) -> PropOutcome:
     """Decide ``name`` by racing ``slate`` in doubling slices (see above).
 
@@ -184,7 +189,8 @@ def race(
     :class:`~repro.engines.result.ResourceBudget`.  ``seed`` is the
     random walk's sub-seed; IC3 seeds from ``db`` but exports into a
     copy, so one race never seeds another and the winner does not depend
-    on what the seat decided before.  An engine that raises leaves the
+    on what the seat decided before.  ``certifier`` is the seat's run
+    certifier; it only checks proofs, so sharing it decides nothing.  An engine that raises leaves the
     rotation; if no engine decides, its error is raised
     (``RuntimeError``), else it is listed in the verdict's ``errors``.
     """
@@ -219,7 +225,7 @@ def race(
             try:
                 outcome = _slice(
                     engine, ts, name, assumed, options, scratch,
-                    engine_emit, piece, size, _round_seed(seed, r),
+                    engine_emit, piece, size, _round_seed(seed, r), certifier,
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, race goes on
                 errors.append(f"{engine}: {type(exc).__name__}: {exc}")

@@ -86,6 +86,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..config import ProofOptions
+from ..engines.certify import Certifier
 from ..multiprop.clausedb import ClauseDB
 from ..multiprop.local import prove
 from ..progress import ProgressEvent
@@ -120,9 +121,12 @@ class _ActiveRun:
     options: ProofOptions
     #: Relayed clauses plus this seat's own proofs; fresh per setup.
     db: ClauseDB = field(init=False)
+    #: Certifies this seat's IC3 proofs of the run, races included.
+    certifier: Certifier = field(init=False)
 
     def __post_init__(self) -> None:
         self.db = ClauseDB(self.ts)
+        self.certifier = Certifier(self.ts, self.options.solver_backend)
 
 
 def pool_worker_main(
@@ -226,6 +230,7 @@ def _execute(
                 run.db,  # accumulates across this worker's jobs
                 forward,
                 budget=run.options.budget(stopped),
+                certifier=run.certifier,
             )
         else:
             outcome = race(
@@ -237,6 +242,7 @@ def _execute(
                 forward,
                 seed=job.seed or 0,
                 stop=stopped,
+                certifier=run.certifier,
             )
         out_queue.put(("result", run_id, worker_id, outcome))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent

@@ -10,9 +10,10 @@ from repro.cache.resolve import CacheResolver
 from repro.cache.store import ProofStore
 from repro.circuit.aig import AIG, aig_not
 from repro.engines.result import PropStatus
+from repro.gen import all_true_designs, failing_designs
 from repro.gen.counter import fixed_counter
 from repro.multiprop.ja import JAVerifier
-from repro.session import VerificationConfig
+from repro.session import Session, VerificationConfig
 from repro.ts.system import TransitionSystem
 
 
@@ -158,6 +159,27 @@ class TestPoisoning:
         merged.update(report.outcomes)
         assert merged["P0"].status is PropStatus.FAILS
         assert merged["P1"].status is PropStatus.HOLDS
+
+    def test_a_record_written_for_another_design_is_reproved(self, tmp_path):
+        # f104 and t135 share structurally identical cones, so those
+        # properties' cone digests match across the two designs; the
+        # records f104 wrote use f104's 30 latch positions and t135 has
+        # 21, so their invariants cannot certify on t135 and must be
+        # rejected (not index past t135's latches) and re-proved.
+        designs = {**failing_designs(), **all_true_designs()}
+        Session(TransitionSystem(designs["f104"]), strategy="ja", cache_dir=str(tmp_path)).run()
+        ts = TransitionSystem(designs["t135"])
+        assert ts.num_state_vars < TransitionSystem(designs["f104"]).num_state_vars
+        store = ProofStore(tmp_path)
+        outcomes, remaining = CacheResolver(store).resolve(ts, [p.name for p in ts.properties])
+        assert store.counters["certify_rejects"] > 0
+        assert len(outcomes) + len(remaining) == len(ts.properties)
+
+        warm = Session(ts, strategy="ja", cache_dir=str(tmp_path)).run()
+        cold = Session(TransitionSystem(designs["t135"]), strategy="ja").run()
+        assert {n: o.status for n, o in warm.outcomes.items()} == {
+            n: o.status for n, o in cold.outcomes.items()
+        }
 
 
 class TestIncremental:
