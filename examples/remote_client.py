@@ -3,9 +3,10 @@
 
 Where ``service_concurrent.py`` drives a ``VerificationService``
 in-process, this demo puts the network in the middle: a
-``BackgroundServer`` (the asyncio HTTP front end on a daemon thread —
-the same server ``repro serve --listen`` runs as a process) and a
-``ServiceClient`` talking to it over real sockets on 127.0.0.1.
+``VerificationServer`` (the stdlib threaded HTTP server, serving on a
+daemon thread — the same server ``repro serve --listen`` runs as a
+process) and a ``ServiceClient`` talking to it over real sockets on
+127.0.0.1.
 
 The demo:
 
@@ -29,7 +30,7 @@ import tempfile
 from repro import Session, TransitionSystem, VerificationService
 from repro.circuit.aiger import parse_aag, write_aag
 from repro.gen import ALL_TRUE_SPECS, buggy_counter
-from repro.net import BackgroundServer, ServiceClient, ServiceUnavailable
+from repro.net import ServiceClient, ServiceUnavailable, VerificationServer
 from repro.progress import format_event
 
 WORKERS = 2
@@ -40,7 +41,7 @@ def main() -> None:
     small_text = write_aag(buggy_counter(bits=4))
 
     service = VerificationService(workers=WORKERS, max_concurrent_jobs=4)
-    server = BackgroundServer(service).start()
+    server = VerificationServer(service).start()
     client = ServiceClient(server.address)
     print(f"server up on {server.address}, healthz: {client.health()}")
 

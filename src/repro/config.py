@@ -122,9 +122,6 @@ class VerificationConfig:
     #: a :class:`repro.service.VerificationService` (> 0; a job holding
     #: seats proportional to its weight relative to its siblings').
     priority: float = 1.0
-    #: Jobs a service built from this config runs concurrently (``repro
-    #: serve``); ``None`` defers to the service's own default.
-    max_concurrent_jobs: int | None = None
     #: Ceiling on shared-pool seats this job may hold at once when
     #: ``submit()``-ed to a service; ``None`` leaves fair share alone
     #: to govern.  A narrow quota keeps one big job from monopolizing
@@ -188,11 +185,6 @@ class VerificationConfig:
             or self.priority <= 0
         ):
             raise ConfigError(f"priority must be > 0, got {self.priority!r}")
-        if self.max_concurrent_jobs is not None and self.max_concurrent_jobs < 1:
-            raise ConfigError(
-                f"max_concurrent_jobs must be >= 1, "
-                f"got {self.max_concurrent_jobs!r}"
-            )
         if self.max_seats is not None and (
             isinstance(self.max_seats, bool)
             or not isinstance(self.max_seats, int)

@@ -32,16 +32,8 @@ class ConeEncoder:
         self.aig = aig
         self.sink = sink
         self._node_var: dict[int, int] = {}
-        self._true_var: int | None = None
 
     # ------------------------------------------------------------------
-    def true_var(self) -> int:
-        """A variable constrained to TRUE (lazily created)."""
-        if self._true_var is None:
-            self._true_var = self.sink.new_var()
-            self.sink.add_clause([self._true_var])
-        return self._true_var
-
     def set_leaf(self, node_lit: int, var: int) -> None:
         """Register the CNF variable of a leaf (input or latch) literal.
 

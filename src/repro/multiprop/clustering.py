@@ -82,9 +82,7 @@ def clustered_verify(
         raise ValueError(f"unknown inner method {config.cluster_inner!r}")
     start = time.monotonic()
     clusters = cluster_properties(ts, config.similarity_threshold)
-    report = MultiPropReport(
-        method=f"clustered-{config.cluster_inner}", design=config.design_name
-    )
+    report = MultiPropReport(method="clustered", design=config.design_name)
 
     for cluster in clusters:
         if emit is not None:
@@ -102,6 +100,7 @@ def clustered_verify(
 
     report.total_time = time.monotonic() - start
     report.stats = {
+        "cluster_inner": config.cluster_inner,
         "clusters": len(clusters),
         "largest_cluster": max((len(c) for c in clusters), default=0),
     }

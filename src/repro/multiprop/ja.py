@@ -55,7 +55,7 @@ class JAVerifier:
     With ``local=True`` (Ja-ver) every other ETH property is assumed
     while one is proved; with ``local=False`` nothing is, which is
     separate verification with global proofs — same loop, same clause
-    re-use, method ``separate-global``.
+    re-use, method ``separate``.
 
     ``emit``, when given, receives typed :mod:`repro.progress` events
     (property started/solved, clauseDB exports, budget checkpoints, and
@@ -87,7 +87,7 @@ class JAVerifier:
         if db_path:
             self._load_clause_db(db_path)
         report = MultiPropReport(
-            method="ja" if local else "separate-global", design=config.design_name
+            method="ja" if local else "separate", design=config.design_name
         )
         spurious_reruns = 0
         certificate_retries = 0

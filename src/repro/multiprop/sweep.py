@@ -127,7 +127,7 @@ def swept_ja_verify(
     start = time.monotonic()
     swept = sweep(ts, seed=config.seed or 0)
     report = ja_verify(ts, config, emit)
-    report.method = "sweep+ja"
+    report.method = "sweep-ja"
     report.stats["sweep_failed"] = len(swept.failed)
     report.stats["sweep_runs"] = swept.runs
     report.stats["sweep_frames"] = swept.frames_simulated

@@ -7,8 +7,8 @@ into a network service three layers deep:
   entry per :class:`~repro.progress.ProgressEvent` subclass plus
   encode/decode for whole :class:`~repro.multiprop.report.MultiPropReport`
   results;
-* :mod:`repro.net.server` — a stdlib-``asyncio`` HTTP/1.1 server
-  fronting one service: manifest-format job submission, resumable SSE
+* :mod:`repro.net.server` — the stdlib threaded HTTP server fronting
+  one service: manifest-format job submission, resumable SSE
   event streams, cancellation, results, the live stats surface, and
   back-pressure mapped onto 429/503;
 * :mod:`repro.net.client` — a thin blocking client
@@ -37,7 +37,7 @@ from .codec import (
     encode_event,
     encode_report,
 )
-from .server import BackgroundServer, VerificationServer
+from .server import VerificationServer
 
 __all__ = [
     "WIRE_VERSION",
@@ -47,7 +47,6 @@ __all__ = [
     "encode_report",
     "decode_report",
     "VerificationServer",
-    "BackgroundServer",
     "ServiceClient",
     "RemoteJob",
     "RemoteError",

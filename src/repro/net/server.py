@@ -1,9 +1,12 @@
-"""The asyncio HTTP/1.1 front end over one :class:`VerificationService`.
+"""The HTTP front end over one :class:`VerificationService`.
 
-No framework, no third-party dependencies: requests are parsed from
-``asyncio`` streams by hand, one request per connection (every response
-carries ``Connection: close``), and the only long-lived connections are
-the Server-Sent-Events streams of ``GET /jobs/{id}/events``.
+No framework, no third-party dependencies: the standard library's
+:class:`http.server.ThreadingHTTPServer` parses the requests and gives
+each connection its own thread, and the handlers call the blocking
+service directly (submit, cancel, wait, stats).  Responses speak
+HTTP/1.0, so a connection carries one request and ends with its
+response; the only long-lived connections are the Server-Sent-Events
+streams of ``GET /jobs/{id}/events``.
 
 Endpoints (the :data:`ROUTES` table is the single source of truth;
 every entry pairs with its ``_handle_<name>`` method and vice versa):
@@ -28,7 +31,8 @@ travel).  A stream names its start cursor via the standard
 sequence numbers per job, ``after=N`` means "resume with event N+1".  A
 killed-and-reconnected stream therefore never drops or duplicates
 events.  Streams end by themselves once the job's terminal
-:class:`~repro.progress.JobFinished` has been delivered.
+:class:`~repro.progress.JobFinished` has been delivered, or once their
+client hangs up.
 
 **Back-pressure is HTTP-visible.**  A submit that finds the bounded
 admission queue full maps :class:`~repro.service.QueueFull` to ``429``
@@ -36,23 +40,28 @@ with a ``Retry-After`` hint; a draining or closed service answers
 ``503`` (and the service-side :class:`~repro.progress.ServiceSaturated`
 event still reaches every subscribed stream).
 
-**Shutdown is graceful.**  :meth:`VerificationServer.drain` — wired to
-SIGINT/SIGTERM by :meth:`run` — stops admission (``503``), gives
-running jobs ``drain_grace`` seconds to finish, cancels the stragglers,
-waits for every job to reach a terminal state, lets open event streams
-flush their final events, then closes the listener and the service.
+**Shutdown is graceful.**  :meth:`VerificationServer.stop` — wired to
+SIGINT/SIGTERM by :meth:`~VerificationServer.run` and to ``__exit__`` —
+stops admission (``503``), gives running jobs ``drain_grace`` seconds
+to finish, cancels the stragglers, waits for every job to reach a
+terminal state, lets open event streams flush their final events, then
+closes the listener and the service.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
+import select
 import signal
+import socket
+import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
-
+from email.message import Message
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..circuit.aiger import parse_aag
@@ -62,15 +71,17 @@ from ..session import ConfigError, UnknownStrategyError, VerificationConfig
 from ..ts.system import TransitionSystem
 from .codec import WIRE_VERSION, CodecError, encode_event, encode_report
 
-__all__ = ["Route", "ROUTES", "VerificationServer", "BackgroundServer"]
+__all__ = ["Route", "ROUTES", "VerificationServer"]
 
 #: Largest accepted request body (an inline ``design_text`` AIGER).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Ceiling on one ``/result?timeout=`` long-poll leg (clients loop).
 MAX_RESULT_WAIT_S = 60.0
-#: How often an idle SSE stream re-checks its log (also bounds how
-#: long a lost wakeup could stall a stream).
+#: How long an idle SSE stream waits for an event before it checks
+#: whether its client is still there.
 STREAM_POLL_S = 0.5
+#: Tick of the drain's waits and of the listener's shutdown check.
+_TICK_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ class Route:
     """One row of the HTTP route table.
 
     ``pattern`` uses ``{name}`` placeholders for path parameters;
-    ``handler`` names the ``_handle_<handler>`` coroutine on
+    ``handler`` names the ``_handle_<handler>`` method on
     :class:`VerificationServer`.
     """
 
@@ -115,19 +126,6 @@ _COMPILED: tuple[tuple[Route, re.Pattern], ...] = tuple(
     (route, _compile_pattern(route.pattern)) for route in ROUTES
 )
 
-_STATUS_TEXT = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
 
 class _HttpError(Exception):
     """An error response raised from request handling."""
@@ -138,15 +136,34 @@ class _HttpError(Exception):
         self.message = message
         self.retry_after = retry_after
 
+    def response(self) -> _Response:
+        return _Response(self.status, {"error": self.message}, self.retry_after)
+
 
 @dataclass
 class _Request:
     method: str
     path: str
     query: dict[str, list[str]]
-    headers: dict[str, str]
+    headers: Message
     body: bytes
     params: dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def read(cls, http: BaseHTTPRequestHandler) -> _Request:
+        """The request ``http`` parsed; the body's size is checked
+        before a byte of it is read."""
+        try:
+            length = int(http.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise _HttpError(400, "bad Content-Length") from None
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
+        body = http.rfile.read(length) if length else b""
+        if len(body) < length:
+            raise ConnectionError("request body cut short")
+        split = urlsplit(http.path)
+        return cls(http.command, split.path, parse_qs(split.query), http.headers, body)
 
     def json(self) -> dict:
         try:
@@ -168,12 +185,8 @@ class _Request:
 
     def cursor(self) -> int:
         """The resume cursor: ``?after=N`` beats ``Last-Event-ID: N``."""
-        raw = None
         values = self.query.get("after")
-        if values:
-            raw = values[0]
-        elif "last-event-id" in self.headers:
-            raw = self.headers["last-event-id"]
+        raw = values[0] if values else self.headers.get("Last-Event-ID")
         if raw is None:
             return 0
         try:
@@ -191,39 +204,30 @@ class _Response:
     payload: dict
     retry_after: float | None = None
 
-    def render(self) -> bytes:
-        body = json.dumps(self.payload).encode("utf-8")
-        extra = (
-            f"Retry-After: {self.retry_after:g}\r\n"
-            if self.retry_after is not None
-            else ""
-        )
-        head = (
-            f"HTTP/1.1 {self.status} {_STATUS_TEXT.get(self.status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"{extra}"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        return head.encode("latin-1") + body
+    def send(self, http: BaseHTTPRequestHandler) -> None:
+        body = json.dumps({"v": WIRE_VERSION, **self.payload}).encode("utf-8")
+        http.send_response(self.status)
+        http.send_header("Content-Type", "application/json")
+        if self.retry_after is not None:
+            http.send_header("Retry-After", f"{self.retry_after:g}")
+        http.send_header("Content-Length", str(len(body)))
+        http.end_headers()
+        http.wfile.write(body)
 
 
 class _EventLog:
     """The replayable, thread-safe event history of one job.
 
-    Appends arrive on service/dispatcher threads; SSE readers live on
-    the asyncio loop.  Events are encoded once at append time (the
-    encoded dict is immutable shared data), ids are 1-based positions,
-    and ``updated`` is pulsed onto the loop so idle streams wake
-    promptly without polling hard.
+    Appends arrive on service/dispatcher threads; SSE streams wait on
+    the condition on their connections' threads.  Events are encoded
+    once at append time (the encoded dict is immutable shared data) and
+    ids are 1-based positions.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        self._changed = threading.Condition()
         self._events: list[dict] = []
         self._done = False
-        self.updated = asyncio.Event()
 
     def append(self, event: ProgressEvent) -> None:
         try:
@@ -232,31 +236,92 @@ class _EventLog:
             # An unregistered (plugin) event must not fail the job just
             # because a stream is attached; ship an opaque stand-in.
             data = {"v": WIRE_VERSION, "kind": "event", "opaque": repr(event)}
-        with self._lock:
+        with self._changed:
             self._events.append(data)
             if isinstance(event, JobFinished):
                 self._done = True
-        try:
-            self._loop.call_soon_threadsafe(self.updated.set)
-        except RuntimeError:
-            pass  # loop already closed: readers are gone anyway
+            self._changed.notify_all()
 
-    def snapshot(self, after: int) -> tuple[list[tuple[int, dict]], bool]:
-        """``(events numbered > after, job finished?)``."""
-        with self._lock:
+    def snapshot(self, after: int, wait: float = 0.0) -> tuple[list[tuple[int, dict]], bool]:
+        """``(events numbered > after, job finished?)``, waiting up to
+        ``wait`` seconds for a first new event."""
+        with self._changed:
+            if wait and len(self._events) <= after and not self._done:
+                self._changed.wait(wait)
             items = list(enumerate(self._events[after:], start=after + 1))
             return items, self._done
 
 
-async def _wait_for_update(event: asyncio.Event, timeout: float) -> None:
-    try:
-        await asyncio.wait_for(event.wait(), timeout)
-    except TimeoutError:
-        pass
+def _peer_closed(sock: socket.socket) -> bool:
+    """Has the client hung up?  (A stream's client sends nothing after
+    its request, so a readable socket with no data is an EOF.)"""
+    readable, _, _ = select.select([sock], [], [], 0)
+    return bool(readable) and not sock.recv(1, socket.MSG_PEEK)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: routes its request to the :class:`VerificationServer`."""
+
+    # A response's header and body are two writes; Nagle would hold the
+    # body back until the client acknowledged the header.
+    disable_nagle_algorithm = True
+    server: _Listener
+
+    def _route(self) -> None:
+        self.server.app._serve(self)
+
+    # Every method goes through the route table, so a known path with a
+    # wrong method is a 405, not the stdlib's 501.
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _route
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        # The stdlib's own refusals (a malformed request line, say)
+        # answer in the same JSON as the routes' errors.
+        _HttpError(code, message or self.responses[code][0]).response().send(self)
+
+    def log_message(self, format: str, *args: object) -> None:
+        pass  # requests are counted on /healthz, not logged
+
+
+class _Listener(ThreadingHTTPServer):
+    """The listening socket: one daemon thread per connection."""
+
+    daemon_threads = True
+    # stop() has already settled the jobs and flushed the streams; a
+    # client that never finishes its request must not hold the close.
+    block_on_close = False
+    # socketserver listens with a backlog of 5, too few for a burst of
+    # submits and streams.
+    request_queue_size = 100
+
+    def __init__(self, address: tuple[str, int], app: VerificationServer) -> None:
+        super().__init__(address, _Handler)
+        self.app = app
+
+    def server_bind(self) -> None:
+        # HTTPServer.server_bind would also look up the host's FQDN, a
+        # DNS round trip for a name nothing here reads.
+        socketserver.TCPServer.server_bind(self)
+
+    def handle_error(self, request, client_address) -> None:
+        # A peer that went away mid-exchange leaves nothing to salvage;
+        # anything else is a bug and keeps its traceback.
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
 
 
 class VerificationServer:
-    """One service, exposed over HTTP (see the module docstring)."""
+    """One service, exposed over HTTP (see the module docstring).
+
+    Embedded in a process (the example and the in-process tests)::
+
+        with VerificationServer(service) as server:
+            client = ServiceClient(server.address)
+            ...
+
+    :meth:`start` binds and serves on a daemon thread; :meth:`stop`
+    (and ``__exit__``) drains, which closes the service too.
+    """
 
     def __init__(
         self,
@@ -272,8 +337,8 @@ class VerificationServer:
         self.host = host
         self.port = port
         self.drain_grace = drain_grace
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.Server | None = None
+        self._listener: _Listener | None = None
+        self._thread: threading.Thread | None = None
         self._registry_lock = threading.Lock()
         self._handles: dict[str, JobHandle] = {}
         self._logs: dict[str, _EventLog] = {}
@@ -281,24 +346,25 @@ class VerificationServer:
         self._open_streams = 0
         self._requests_served = 0
 
+    @property
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        """Bind and listen; returns the actual ``(host, port)``."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+    def start(self) -> VerificationServer:
+        """Bind (``port`` 0 picks a free one) and serve on a thread."""
+        self._listener = _Listener((self.host, self.port), self)
+        self.port = self._listener.server_address[1]
+        self._thread = threading.Thread(
+            target=self._listener.serve_forever,
+            args=(_TICK_S,),
+            name="repro-net-server",
+            daemon=True,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.host, self.port
-
-    async def serve_until(self, stop: asyncio.Event) -> None:
-        """Serve until ``stop`` is set, then drain gracefully."""
-        if self._server is None:
-            await self.start()
-        await stop.wait()
-        await self.drain()
+        self._thread.start()
+        return self
 
     def run(self, *, on_ready=None) -> None:
         """Blocking entry point: serve until SIGINT/SIGTERM, then drain.
@@ -307,50 +373,50 @@ class VerificationServer:
         the CLI prints the listening address from it so callers
         (tests, CI) can discover an ephemeral port.
         """
-
-        async def main() -> None:
-            await self.start()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.default_int_handler)
+        try:
+            self.start()
             if on_ready is not None:
                 on_ready(self.host, self.port)
-            loop = asyncio.get_running_loop()
-            stop = asyncio.Event()
+            while True:
+                time.sleep(1.0)
+        except KeyboardInterrupt:
+            # A second signal must not cut the drain short.
             for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, stop.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    signal.signal(signum, lambda *_: stop.set())
-            await self.serve_until(stop)
+                signal.signal(signum, signal.SIG_IGN)
+        self.stop()
 
-        asyncio.run(main())
-
-    async def drain(self) -> None:
-        """Stop admission, settle every job, flush streams, close.
+    def stop(self) -> None:
+        """Drain: stop admission, settle every job, flush streams, close.
 
         Jobs get ``drain_grace`` seconds to finish on their own;
         whatever still runs is cancelled (queued jobs immediately,
-        pooled jobs cooperatively) and awaited to a terminal state.
+        pooled jobs cooperatively) and waited out to a terminal state.
         Open SSE streams are given time to deliver the terminal events
         they are owed before the listener closes.
         """
+        if self._listener is None:
+            return
         self._draining = True
-        loop = asyncio.get_running_loop()
-        deadline = time.monotonic() + self.drain_grace
-        while self._unfinished() and time.monotonic() < deadline:
-            await asyncio.sleep(0.05)
+        _wait_until(lambda: not self._unfinished(), self.drain_grace)
         for handle in self._unfinished():
-            await loop.run_in_executor(None, handle.cancel)
+            handle.cancel()
         # Cancellation is cooperative: properties already on a seat run
         # to completion, so this wait is bounded generously, not tightly.
-        settle = time.monotonic() + max(30.0, self.drain_grace)
-        while self._unfinished() and time.monotonic() < settle:
-            await asyncio.sleep(0.05)
-        flush = time.monotonic() + 5.0
-        while self._open_streams and time.monotonic() < flush:
-            await asyncio.sleep(0.05)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await loop.run_in_executor(None, self.service.close)
+        _wait_until(lambda: not self._unfinished(), max(30.0, self.drain_grace))
+        _wait_until(lambda: not self._open_streams, 5.0)
+        self._listener.shutdown()
+        self._listener.server_close()
+        self._thread.join()
+        self._listener = self._thread = None
+        self.service.close()
+
+    def __enter__(self) -> VerificationServer:
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
     def _unfinished(self) -> list[JobHandle]:
         with self._registry_lock:
@@ -358,69 +424,20 @@ class VerificationServer:
         return [h for h in handles if not h.status.terminal]
 
     # ------------------------------------------------------------------
-    # Connection plumbing
+    # Request plumbing (on the connection's thread)
     # ------------------------------------------------------------------
-    async def _serve_connection(self, reader, writer) -> None:
+    def _serve(self, http: _Handler) -> None:
         try:
-            try:
-                request = await self._read_request(reader)
-            except _HttpError as exc:
-                writer.write(self._error_response(exc).render())
-                await writer.drain()
-                return
-            if request is None:
-                return
-            self._requests_served += 1
-            await self._dispatch(request, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away mid-exchange; nothing to salvage
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - platform noise
-                pass
+            request = _Request.read(http)
+            with self._registry_lock:
+                self._requests_served += 1
+            response = self._dispatch(request, http)
+        except _HttpError as exc:
+            response = exc.response()
+        if response is not None:  # a stream answers inline
+            response.send(http)
 
-    @staticmethod
-    async def _read_request(reader) -> _Request | None:
-        try:
-            line = await reader.readline()
-        except ValueError:
-            raise _HttpError(400, "request line too long") from None
-        if not line:
-            return None
-        parts = line.decode("latin-1", "replace").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _HttpError(400, "malformed request line")
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            try:
-                raw = await reader.readline()
-            except ValueError:
-                raise _HttpError(400, "header line too long") from None
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1", "replace").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "bad Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
-        split = urlsplit(target)
-        return _Request(
-            method=method,
-            path=split.path,
-            query=parse_qs(split.query),
-            headers=headers,
-            body=body,
-        )
-
-    async def _dispatch(self, request: _Request, writer) -> None:
+    def _dispatch(self, request: _Request, http: _Handler) -> _Response | None:
         matched_path = False
         for route, pattern in _COMPILED:
             match = pattern.match(request.path)
@@ -432,33 +449,14 @@ class VerificationServer:
             request.params = match.groupdict()
             handler = getattr(self, f"_handle_{route.handler}")
             try:
-                response = await handler(request, writer)
-            except _HttpError as exc:
-                response = self._error_response(exc)
+                return handler(request, http)
+            except _HttpError:
+                raise
             except Exception as exc:  # noqa: BLE001 - must answer the client
-                response = _Response(
-                    500, {"v": WIRE_VERSION, "error": f"{type(exc).__name__}: {exc}"}
-                )
-            if response is not None:  # streaming handlers answer inline
-                writer.write(response.render())
-                await writer.drain()
-            return
-        status = 405 if matched_path else 404
-        message = (
-            f"no route for {request.method} {request.path}"
-            if matched_path
-            else f"unknown path {request.path}"
-        )
-        writer.write(_Response(status, {"v": WIRE_VERSION, "error": message}).render())
-        await writer.drain()
-
-    @staticmethod
-    def _error_response(exc: _HttpError) -> _Response:
-        return _Response(
-            exc.status,
-            {"v": WIRE_VERSION, "error": exc.message},
-            retry_after=exc.retry_after,
-        )
+                return _Response(500, {"error": f"{type(exc).__name__}: {exc}"})
+        if matched_path:
+            raise _HttpError(405, f"no route for {request.method} {request.path}")
+        raise _HttpError(404, f"unknown path {request.path}")
 
     def _job(self, request: _Request) -> tuple[JobHandle, _EventLog]:
         job_id = request.params.get("id", "")
@@ -472,16 +470,29 @@ class VerificationServer:
     # ------------------------------------------------------------------
     # Handlers (one per ROUTES row)
     # ------------------------------------------------------------------
-    async def _handle_submit(self, request: _Request, writer) -> _Response:
+    def _handle_submit(self, request: _Request, http: _Handler) -> _Response:
+        """Parse one manifest-format job spec and submit it."""
         if self._draining or self.service.closed:
-            raise _HttpError(
-                503, "service is draining; resubmit elsewhere", retry_after=5
-            )
+            raise _HttpError(503, "service is draining; resubmit elsewhere", retry_after=5)
         spec = request.json()
-        loop = asyncio.get_running_loop()
-        assert self._loop is not None
+        design_text = spec.pop("design_text", None)
+        design = spec.pop("design", None)
+        priority = spec.pop("priority", None)
+        if design_text is not None:
+            if not isinstance(design_text, str):
+                raise _HttpError(400, "design_text must be an ASCII-AIGER string")
+            try:
+                design = TransitionSystem(parse_aag(design_text))
+            except ValueError as exc:
+                raise _HttpError(400, f"bad design_text: {exc}") from None
+        elif design is None:
+            raise _HttpError(400, "job spec names no design (design / design_text)")
+        log = _EventLog()
         try:
-            handle = await loop.run_in_executor(None, self._submit_blocking, spec)
+            config = VerificationConfig().with_overrides(**spec)
+            handle = self.service.submit(
+                design, config, priority=priority, block=False, on_event=log.append
+            )
         except QueueFull as exc:
             raise _HttpError(
                 429,
@@ -492,271 +503,97 @@ class VerificationServer:
             raise _HttpError(400, str(exc)) from None
         except OSError as exc:
             raise _HttpError(400, f"cannot load design: {exc}") from None
-        return _Response(
-            201,
-            {
-                "v": WIRE_VERSION,
-                "job": handle.job_id,
-                "status": handle.status.value,
-                "design": handle.design_name,
-                "strategy": handle.strategy,
-                "priority": handle.priority,
-            },
-        )
-
-    def _submit_blocking(self, spec: dict) -> JobHandle:
-        """Parse one manifest-format job spec and submit it (executor)."""
-        spec = dict(spec)
-        design_text = spec.pop("design_text", None)
-        design_path = spec.pop("design", None)
-        priority = spec.pop("priority", None)
-        if design_text is not None:
-            if not isinstance(design_text, str):
-                raise _HttpError(400, "design_text must be an ASCII-AIGER string")
-            try:
-                design: object = TransitionSystem(parse_aag(design_text))
-            except ValueError as exc:
-                raise _HttpError(400, f"bad design_text: {exc}") from None
-        elif design_path is not None:
-            design = design_path
-        else:
-            raise _HttpError(400, "job spec names no design (design / design_text)")
-        config = VerificationConfig().with_overrides(**spec)
-        log = _EventLog(self._loop)
-        handle = self.service.submit(
-            design, config, priority=priority, block=False, on_event=log.append
-        )
         with self._registry_lock:
             self._handles[handle.job_id] = handle
             self._logs[handle.job_id] = log
-        return handle
+        return _Response(201, _job_info(handle))
 
-    async def _handle_job_status(self, request: _Request, writer) -> _Response:
+    def _handle_job_status(self, request: _Request, http: _Handler) -> _Response:
         handle, log = self._job(request)
         events, done = log.snapshot(0)
-        return _Response(
-            200,
-            {
-                "v": WIRE_VERSION,
-                "job": handle.job_id,
-                "status": handle.status.value,
-                "design": handle.design_name,
-                "strategy": handle.strategy,
-                "priority": handle.priority,
-                "events": len(events),
-                "finished": done,
-            },
-        )
+        return _Response(200, {**_job_info(handle), "events": len(events), "finished": done})
 
-    async def _handle_job_events(self, request: _Request, writer) -> None:
+    def _handle_job_events(self, request: _Request, http: _Handler) -> None:
         """The SSE stream (streams inline; returns no :class:`_Response`)."""
         handle, log = self._job(request)
         cursor = request.cursor()
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-            b"retry: 500\n\n"
-        )
-        self._open_streams += 1
+        http.send_response(200)
+        http.send_header("Content-Type", "text/event-stream")
+        http.send_header("Cache-Control", "no-cache")
+        http.end_headers()
+        with self._registry_lock:
+            self._open_streams += 1
         try:
+            http.wfile.write(b"retry: 500\n\n")
             while True:
-                items, done = log.snapshot(cursor)
-                for seq, data in items:
-                    chunk = f"id: {seq}\ndata: {json.dumps(data)}\n\n"
-                    writer.write(chunk.encode("utf-8"))
-                    cursor = seq
-                await writer.drain()
-                if done and not log.snapshot(cursor)[0]:
+                items, done = log.snapshot(cursor, STREAM_POLL_S)
+                if items:
+                    chunks = (f"id: {seq}\ndata: {json.dumps(data)}\n\n" for seq, data in items)
+                    http.wfile.write("".join(chunks).encode("utf-8"))
+                    cursor = items[-1][0]
+                elif done or _peer_closed(http.connection):
                     return
-                log.updated.clear()
-                await _wait_for_update(log.updated, STREAM_POLL_S)
-        except (ConnectionError, OSError):
+        except OSError:
             return  # client went away; its cursor lets it resume
         finally:
-            self._open_streams -= 1
+            with self._registry_lock:
+                self._open_streams -= 1
 
-    async def _handle_job_cancel(self, request: _Request, writer) -> _Response:
+    def _handle_job_cancel(self, request: _Request, http: _Handler) -> _Response:
         handle, _ = self._job(request)
-        loop = asyncio.get_running_loop()
-        cancelled = await loop.run_in_executor(None, handle.cancel)
+        cancelled = handle.cancel()
         return _Response(
             200,
-            {
-                "v": WIRE_VERSION,
-                "job": handle.job_id,
-                "cancelled": bool(cancelled),
-                "status": handle.status.value,
-            },
+            {"job": handle.job_id, "cancelled": bool(cancelled), "status": handle.status.value},
         )
 
-    async def _handle_job_result(self, request: _Request, writer) -> _Response:
+    def _handle_job_result(self, request: _Request, http: _Handler) -> _Response:
         handle, _ = self._job(request)
         timeout = min(max(request.query_float("timeout", 0.0), 0.0), MAX_RESULT_WAIT_S)
-        loop = asyncio.get_running_loop()
         if timeout and not handle.status.terminal:
-            await loop.run_in_executor(None, handle.wait, timeout)
-        status = handle.status
-        if not status.terminal:
-            return _Response(
-                202,
-                {"v": WIRE_VERSION, "job": handle.job_id, "status": status.value},
-            )
-        try:
-            error = handle.done.exception(timeout=0)
-        except TimeoutError:
-            # The terminal transition lands a beat before the future
-            # resolves (the service emits JobFinished in between), so a
-            # result request racing that gap must wait the future out,
-            # not 500.
-            error = await loop.run_in_executor(
-                None, lambda: handle.done.exception(timeout=5.0)
-            )
+            handle.wait(timeout)
+        payload = {"job": handle.job_id, "status": handle.status.value}
+        if not handle.status.terminal:
+            return _Response(202, payload)
+        # The terminal transition lands a beat before the future
+        # resolves (the service emits JobFinished in between), so a
+        # result request racing that gap waits the future out, not 500.
+        error = handle.done.exception(timeout=5.0)
         if error is not None:
-            return _Response(
-                500,
-                {
-                    "v": WIRE_VERSION,
-                    "job": handle.job_id,
-                    "status": status.value,
-                    "error": f"{type(error).__name__}: {error}",
-                },
-            )
-        report = handle.done.result(timeout=0)
-        return _Response(
-            200,
-            {
-                "v": WIRE_VERSION,
-                "job": handle.job_id,
-                "status": status.value,
-                "report": encode_report(report),
-            },
-        )
+            return _Response(500, {**payload, "error": f"{type(error).__name__}: {error}"})
+        return _Response(200, {**payload, "report": encode_report(handle.done.result(0))})
 
-    async def _handle_stats(self, request: _Request, writer) -> _Response:
-        loop = asyncio.get_running_loop()
-        stats = await loop.run_in_executor(None, self.service.stats)
-        payload = stats.as_dict()
-        payload["v"] = WIRE_VERSION
+    def _handle_stats(self, request: _Request, http: _Handler) -> _Response:
+        payload = self.service.stats().as_dict()
         payload["draining"] = self._draining
         return _Response(200, payload)
 
-    async def _handle_cache_stats(self, request: _Request, writer) -> _Response:
-        loop = asyncio.get_running_loop()
-        stats = await loop.run_in_executor(None, self.service.stats)
-        cache = stats.as_dict().get("cache")
-        return _Response(
-            200,
-            {
-                "v": WIRE_VERSION,
-                "enabled": cache is not None,
-                "cache": cache,
-            },
-        )
+    def _handle_cache_stats(self, request: _Request, http: _Handler) -> _Response:
+        cache = self.service.stats().as_dict().get("cache")
+        return _Response(200, {"enabled": cache is not None, "cache": cache})
 
-    async def _handle_health(self, request: _Request, writer) -> _Response:
+    def _handle_health(self, request: _Request, http: _Handler) -> _Response:
         with self._registry_lock:
-            jobs = len(self._handles)
-        return _Response(
-            200,
-            {
-                "v": WIRE_VERSION,
+            payload = {
                 "status": "draining" if self._draining else "ok",
-                "jobs": jobs,
+                "jobs": len(self._handles),
                 "requests": self._requests_served,
                 "streams": self._open_streams,
-            },
-        )
+            }
+        return _Response(200, payload)
 
 
-class BackgroundServer:
-    """A :class:`VerificationServer` on a private loop thread.
+def _job_info(handle: JobHandle) -> dict:
+    return {
+        "job": handle.job_id,
+        "status": handle.status.value,
+        "design": handle.design_name,
+        "strategy": handle.strategy,
+        "priority": handle.priority,
+    }
 
-    The embedding used by the example and the in-process tests::
 
-        with BackgroundServer(service) as server:
-            client = ServiceClient(server.address)
-            ...
-
-    ``__exit__`` drains the server (which closes the service) and joins
-    the thread.
-    """
-
-    def __init__(
-        self,
-        service: VerificationService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        drain_grace: float = 5.0,
-    ) -> None:
-        self.server = VerificationServer(
-            service, host, port, drain_grace=drain_grace
-        )
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._startup_error: BaseException | None = None
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def address(self) -> str:
-        return f"{self.server.host}:{self.server.port}"
-
-    def start(self) -> "BackgroundServer":
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.server.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self.server.serve_until(self._stop)
-
-        def runner() -> None:
-            try:
-                asyncio.run(main())
-            except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-                if self._startup_error is None:
-                    self._startup_error = exc
-                self._ready.set()
-
-        self._thread = threading.Thread(
-            target=runner, name="repro-net-server", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"server failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already finished
-        self._thread.join(timeout)
-        self._thread = None
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+def _wait_until(condition, seconds: float) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(_TICK_S)

@@ -992,5 +992,3 @@ class Solver:
     def num_clauses(self) -> int:
         return len(self._clause_ids)
 
-    def num_learnts(self) -> int:
-        return len(self._learnt_ids)

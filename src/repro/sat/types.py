@@ -39,11 +39,6 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-def lit_neg(lit: int) -> int:
-    """Negation of an internal literal."""
-    return lit ^ 1
-
-
 def lit_sign(lit: int) -> bool:
     """True if the internal literal is negative."""
     return bool(lit & 1)

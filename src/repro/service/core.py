@@ -86,6 +86,7 @@ class _JobRecord:
         "order",
         "priority",
         "kind",
+        "local",
         "submitted_at",
         "started_at",
         "finished_at",
@@ -100,13 +101,14 @@ class _JobRecord:
         "warm_clauses",
     )
 
-    def __init__(self, handle, ts, config, order, priority, kind) -> None:
+    def __init__(self, handle, ts, config, order, priority, kind, local) -> None:
         self.handle = handle
         self.ts = ts
         self.config = config
         self.order = order  # resolved property-name list
         self.priority = priority
         self.kind = kind  # "pool" | "thread"
+        self.local = local  # does the strategy assume the other properties?
         self.submitted_at = time.monotonic()
         self.started_at: float | None = None
         self.finished_at: float | None = None
@@ -328,7 +330,7 @@ class VerificationService:
             store,
             mode,
             solver_backend=config.solver_backend,
-            local=getattr(get_strategy(config.strategy), "local", True),
+            local=record.local,
         )
 
     @staticmethod
@@ -435,6 +437,7 @@ class VerificationService:
         if weight <= 0:
             raise ValueError(f"priority must be > 0, got {weight!r}")
         kind = "pool" if getattr(strategy, "pooled", False) else "thread"
+        local = getattr(strategy, "local", True)
 
         deadline = None if timeout is None else time.monotonic() + timeout
         saturation_announced = False
@@ -451,7 +454,7 @@ class VerificationService:
                         base.strategy,
                         weight,
                     )
-                    record = _JobRecord(handle, ts, base, order, weight, kind)
+                    record = _JobRecord(handle, ts, base, order, weight, kind, local)
                     handle._cancel_request = (
                         lambda _h: self._request_cancel(record)
                     )
@@ -537,7 +540,7 @@ class VerificationService:
         )
         for name in record.order:
             report.outcomes[name] = PropOutcome(
-                name=name, status=PropStatus.UNKNOWN, local=True
+                name=name, status=PropStatus.UNKNOWN, local=record.local
             )
         report.stats = {"cancelled": len(record.order), "mode": "cancelled"}
         return report

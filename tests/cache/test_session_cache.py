@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,34 @@ class TestSessionParity:
         _run(TransitionSystem(fixed_counter(4)), tmp_path)
         warm = _run(TransitionSystem(fixed_counter(4)), tmp_path)
         assert warm.stats.get("cache_hits") == 2
+
+    @pytest.mark.parametrize(
+        "strategy, overrides",
+        [
+            ("ja", {}),
+            ("separate", {}),
+            ("clustered", {"cluster_inner": "ja"}),
+            ("sweep-ja", {}),
+        ],
+        ids=["ja", "separate", "clustered", "sweep-ja"],
+    )
+    def test_cached_pass_reports_the_proved_pass_method(
+        self, tmp_path, strategy, overrides
+    ):
+        # A run served from the cache names the same method as the run
+        # that proved it: the strategy's registry name.
+        passes = [
+            _run(
+                TransitionSystem(fixed_counter(4)),
+                tmp_path,
+                strategy=strategy,
+                **overrides,
+            )
+            for _ in range(2)
+        ]
+        cold, warm = passes
+        assert warm.stats.get("cache_hits") == 2
+        assert cold.method == warm.method == strategy
 
     def test_read_mode_serves_but_never_writes(self, tmp_path):
         _run(TransitionSystem(fixed_counter(4)), tmp_path)

@@ -74,5 +74,5 @@ class TestSweptJA:
         swept = swept_ja_verify(counter4)
         plain = ja_verify(counter4)
         assert swept.debugging_set() == plain.debugging_set()
-        assert swept.method == "sweep+ja"
+        assert swept.method == "sweep-ja"
         assert swept.stats["sweep_failed"] >= 1

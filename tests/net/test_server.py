@@ -1,6 +1,6 @@
 """The HTTP front end in-process: routes, streams, back-pressure.
 
-One ``BackgroundServer`` per fixture (the server's asyncio loop on a
+One ``VerificationServer`` per fixture (the stdlib threaded server on a
 daemon thread, real sockets on 127.0.0.1) with a ``ServiceClient``
 talking to it — everything the remote path promises, checked without
 the cost of separate OS processes (which ``test_remote_e2e.py`` covers).
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -18,13 +20,12 @@ from repro.circuit.aig import AIG, aig_not
 from repro.circuit.aiger import write_aag
 from repro.engines.result import PropStatus
 from repro.net import (
-    BackgroundServer,
     RemoteError,
     ServiceBusy,
     ServiceClient,
     ServiceUnavailable,
 )
-from repro.net.server import ROUTES, VerificationServer
+from repro.net.server import MAX_BODY_BYTES, ROUTES, STREAM_POLL_S, VerificationServer
 from repro.progress import JobFinished, JobQueued
 from repro.service import VerificationService
 from repro.session import Session, unregister_strategy
@@ -50,7 +51,7 @@ def verdicts(report):
 def remote():
     """``(client, server)`` over a fresh single-job-at-a-time service."""
     service = VerificationService(max_concurrent_jobs=2)
-    with BackgroundServer(service, drain_grace=2.0) as server:
+    with VerificationServer(service, drain_grace=2.0) as server:
         yield ServiceClient(server.address), server
 
 
@@ -118,9 +119,8 @@ class TestSubmitAndResult:
         handle = JobHandle("job-gap", "synthetic", "ja", 1.0)
         handle._transition(JobStatus.RUNNING)
         handle._transition(JobStatus.DONE)  # terminal, future unresolved
-        inner = server.server
-        inner._handles[handle.job_id] = handle
-        inner._logs[handle.job_id] = _EventLog(inner._loop)
+        server._handles[handle.job_id] = handle
+        server._logs[handle.job_id] = _EventLog()
         report = MultiPropReport(method="ja", design="synthetic")
         threading.Timer(
             0.3, handle.done.set_result, args=(report,)
@@ -198,6 +198,21 @@ class TestErrorMapping:
         assert status == 405
         assert "no route" in payload["error"]
 
+    def test_oversized_body_is_413_before_it_is_read(self, remote):
+        _, server = remote
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()  # and no body: the answer must not wait for one
+            response = conn.getresponse()
+            payload = json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert response.status == 413
+        assert response.getheader("Content-Type") == "application/json"
+        assert f"over {MAX_BODY_BYTES} bytes" in payload["error"]
+
     def test_bad_json_body_is_400(self, remote):
         _, server = remote
         status, payload = self._raw(server, "POST", "/jobs", body=b"{nope")
@@ -267,7 +282,7 @@ class TestBackpressureAndCancel:
     def tight_remote(self):
         """One seat, one pending slot: easy to saturate over HTTP."""
         service = VerificationService(max_concurrent_jobs=1, max_pending=1)
-        with BackgroundServer(service, drain_grace=2.0) as server:
+        with VerificationServer(service, drain_grace=2.0) as server:
             yield ServiceClient(server.address), server
 
     def test_queue_full_maps_to_429_with_retry_after(self, tight_remote, gate):
@@ -293,6 +308,37 @@ class TestBackpressureAndCancel:
         job = client.submit(design_text=toggler_text(), strategy="ja")
         job.result(timeout=60)
         assert job.cancel() is False
+
+
+class TestConcurrentRequests:
+    def test_request_counter_loses_no_update(self, remote):
+        # Every connection has its own thread, and each bumps the
+        # server's request counter.
+        client, _ = remote
+        before = client.health()["requests"]
+        errors: list[BaseException] = []
+
+        def hammer():
+            try:
+                for _ in range(10):
+                    client.health()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # 160 requests in between, and this read counts itself.
+        assert client.health()["requests"] == before + 160 + 1
 
 
 class TestStreamResume:
@@ -329,6 +375,26 @@ class TestStreamResume:
         assert isinstance(rest[-1], JobFinished)
         assert not any(isinstance(e, JobQueued) for e in rest)
 
+    def test_cut_stream_is_released_within_a_poll(self, remote, gate):
+        # Drain waits on the open-stream count, so a stream whose
+        # client hung up mid-job must not keep counting.
+        client, server = remote
+        job = client.submit(design_text=toggler_text(), strategy="gated")
+        assert gate.entered.wait(timeout=30)
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        conn.request("GET", f"/jobs/{job.job_id}/events")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert client.health()["streams"] == 1
+        response.close()
+        conn.close()
+        deadline = time.monotonic() + STREAM_POLL_S + 1.0  # 1 s of scheduling slack
+        while client.health()["streams"] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert client.health()["streams"] == 0
+        gate.release.set()
+        assert job.result(timeout=60).method == "gated"
+
     def test_watch_from_cursor_equals_watch_from_start(self, remote):
         client, _ = remote
         job = self._finished_job(client)
@@ -342,7 +408,7 @@ class TestStreamResume:
 class TestDrain:
     def test_drain_settles_jobs_and_refuses_new_submits(self, toggler):
         service = VerificationService(max_concurrent_jobs=2)
-        server = BackgroundServer(service, drain_grace=2.0).start()
+        server = VerificationServer(service, drain_grace=2.0).start()
         client = ServiceClient(server.address)
         job = client.submit(design_text=toggler_text(), strategy="ja")
         job.result(timeout=60)
@@ -355,7 +421,7 @@ class TestDrain:
         # A queued gated job is cancelled by the drain (the running one
         # is released by the fixture teardown path below).
         service = VerificationService(max_concurrent_jobs=1, max_pending=2)
-        server = BackgroundServer(service, drain_grace=0.2).start()
+        server = VerificationServer(service, drain_grace=0.2).start()
         client = ServiceClient(server.address)
         running = client.submit(design_text=toggler_text(), strategy="gated")
         assert gate.entered.wait(timeout=30)
@@ -365,7 +431,7 @@ class TestDrain:
         assert service.closed
         # Both settled: the running job finished, the queued one was
         # either cancelled by the drain or ran after the release.
-        statuses = {h.status.value for h in server.server._handles.values()}
+        statuses = {h.status.value for h in server._handles.values()}
         assert statuses <= {"done", "cancelled"}
 
 

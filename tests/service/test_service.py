@@ -315,6 +315,25 @@ class TestCancellation:
             gate.release.set()
             service.close()
 
+    @pytest.mark.parametrize(
+        "strategy, local", [("ja", True), ("separate", False), ("joint", False)]
+    )
+    def test_cancelled_in_queue_reports_the_strategys_scope(
+        self, toggler, counter4, gate, strategy, local
+    ):
+        service = VerificationService(max_concurrent_jobs=1, max_pending=4)
+        try:
+            service.submit(toggler, strategy="gated")
+            assert gate.entered.wait(timeout=30)
+            queued = service.submit(counter4, strategy=strategy)
+            assert queued.cancel() is True
+            report = queued.result(timeout=60)
+            assert report.method == strategy
+            assert {o.local for o in report.outcomes.values()} == {local}
+        finally:
+            gate.release.set()
+            service.close()
+
     def test_cancel_terminal_job_returns_false(self, toggler):
         with VerificationService() as service:
             handle = service.submit(toggler, strategy="ja")

@@ -74,6 +74,12 @@ class TestWithOverrides:
         with pytest.raises(ConfigError, match="unknown config field"):
             VerificationConfig().with_overrides(frobnicate=True)
 
+    def test_service_sizing_is_not_a_config_field(self):
+        # A service is sized by `repro serve` or its manifest, never by
+        # one job's config.
+        with pytest.raises(ConfigError, match="max_concurrent_jobs"):
+            VerificationConfig().with_overrides(max_concurrent_jobs=2)
+
 
 class TestResolveOrder:
     def test_none_passthrough(self, counter4):
