@@ -35,6 +35,14 @@ Design notes
   idle, through that worker's private queue (see
   :mod:`repro.parallel.pool` for why a shared task queue cannot survive
   worker crashes) — weighted fair share across jobs, LPT within one.
+  A busy seat also holds its *next* attempt (:attr:`SeatScheduler.queued`,
+  at most one), so it starts proving again as soon as it reports,
+  without waiting for the parent's reply — but only from a job whose
+  backlog still holds more than ``2 × workers`` attempts, so each job's
+  last rounds are dealt on demand to whichever seat frees first.  A
+  seat's messages arrive in FIFO order, so its running attempt's
+  terminal message always precedes the queued one's first event: on it
+  the queued attempt becomes the running one.
   One output queue carries events, results and errors, so the parent
   needs no auxiliary threads and, with one worker and one job, the
   message stream — and so the session's event sequence — is
@@ -50,22 +58,29 @@ Design notes
   tracks which attempt each seat holds, and whatever ends an attempt
   decides its property on the :class:`PooledJob`.  When the last
   property is decided, no attempt of the job is left on a seat: the
-  report is delivered and the run closed together.  A user's cancel stops the seats that hold the job's
-  attempts (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`), so
-  they report UNKNOWN within one budget check of their engine.
+  report is delivered and the run closed together.  A user's cancel
+  stops the seats that run the job's attempts
+  (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`, by the attempt's
+  sequence number), so they report UNKNOWN within one budget check of
+  their engine; a queued attempt of a cancelled job is stopped the
+  moment it becomes its seat's running one.
 * **Size-aware dispatch**: with no explicit property order, the backlog
   is ordered by *descending* estimated cone-of-influence size, the
   classic LPT list-scheduling heuristic — big proofs start first, so
   the last running worker holds a small job and the straggler tail
-  shrinks.  Verdicts are order-independent; the report always follows
-  the property order.
+  shrinks.  Lookahead stops while the last ``2 × workers`` attempts
+  remain, so the tail stays LPT: a queued attempt never waits behind a
+  long proof while another seat sits idle.  Verdicts are
+  order-independent; the report always follows the property order.
 * **Worker crashes** (a killed process, an OOM) are detected by polling
   worker liveness while the queue is idle; because assignment is
   parent-side, the scheduler knows exactly which job a dead worker held
   and **re-dispatches it once** — the very attempt object, engine and
   seed included — onto a live seat or the dead seat's respawn (emitting
   :class:`~repro.progress.PropertyRequeued`); only a second crash on
-  the same attempt degrades it to UNKNOWN.  Dead seats respawn under a
+  the same attempt degrades it to UNKNOWN.  The seat's queued attempt
+  never ran: it goes back to the front of its job's backlog, counted
+  neither as a crash nor as a re-dispatch.  Dead seats respawn under a
   backoff schedule; a job's remainder degrades to UNKNOWN only when the
   pool was shut down or every seat is in a crash loop.
 * **Clause exchange is a relay** (``exchange=True`` with
@@ -75,7 +90,8 @@ Design notes
   every HOLDS result, which the ``result`` message carries anyway.
   Every job message takes along the part of the log its seat has not
   received yet (:meth:`PooledJob.unsent`), packed as one blob, and the
-  seat adds it to the run's clause database before it proves.  With
+  seat adds it to the run's clause database before it proves — a
+  queued attempt carries the log as of when it was sent.  With
   ``exchange=False`` nothing is appended, so seats get the warm start
   only and otherwise re-use their *own* proofs' clauses, Section 6
   style (Table X's independent-proof mode).
@@ -272,6 +288,7 @@ class PooledJob:
             "pool": self.pool_label,
             "pool_runs": pool.stats["runs"],
             "design_pickles": pool.stats["design_pickles"],
+            "design_ships": pool.stats["design_ships"],
         }
         return report
 
@@ -307,8 +324,10 @@ class SeatScheduler:
     Each admitted job opens its own run (:meth:`WorkerPool.open_run`),
     and whenever a seat reports idle the scheduler picks which job
     feeds it by **weighted fair share** — the job minimizing
-    ``(seats it holds + 1) / priority`` wins, ties to the oldest run —
-    with LPT order inside each job's backlog.  One scheduler owns the
+    ``(seats running its attempts + 1) / priority`` wins, ties to the
+    oldest run — with LPT order inside each job's backlog.  A busy seat
+    is topped up with one queued attempt the same way, from jobs whose
+    backlog exceeds ``2 × workers`` (see the module notes).  One scheduler owns the
     pool's message stream (:meth:`WorkerPool.acquire_messages`); a
     :class:`~repro.service.VerificationService` keeps one alive across
     arbitrarily many concurrent jobs.
@@ -352,6 +371,11 @@ class SeatScheduler:
         self.jobs: dict[int, PooledJob] = {}
         # seat -> (run id, attempt) it is currently executing
         self.assignments: dict[int, tuple[int, PropertyJob]] = {}
+        # seat -> (run id, attempt, seq) sent behind its running attempt
+        self.queued: dict[int, tuple[int, PropertyJob, int]] = {}
+        # seat -> job sequence number of its running attempt (what a
+        # stop names: the pool's last seq for the seat may be the queued)
+        self._running_seq: dict[int, int] = {}
         self.idle: set = set()
         # seat -> crash/backoff record (created lazily, kept forever)
         self.seat_health: dict[int, _SeatHealth] = {}
@@ -515,8 +539,7 @@ class SeatScheduler:
         if kind == "ready":
             job.ready.add(worker_id)
             job.relayed[worker_id] = 0
-            if worker_id not in self.assignments:
-                self._feed_seat(worker_id)
+            self._feed_seat(worker_id)
         elif kind == "event":
             held = self.assignments.get(worker_id)
             if held is not None and held[0] == run_id:
@@ -536,22 +559,23 @@ class SeatScheduler:
             job.record(outcome)
             if job.config.stop_on_failure and outcome.status is PropStatus.FAILS:
                 self.cancel_job(job)
-            self._feed_seat(worker_id)
+            self._advance(worker_id)
         elif kind == "cancelled":
             attempt = self._release(worker_id, run_id, message[3])
             if attempt is None:
                 return
             job.cancel_attempt(attempt, worker_id)
-            self._feed_seat(worker_id)
+            self._advance(worker_id)
         elif kind == "error":
             name, detail = message[3], message[4]
             attempt = self._release(worker_id, run_id, name)
             if attempt is None:
                 # A run-setup failure: no attempt to pin it on.
                 job.errors.append(f"{name}: {detail}")
+                self._feed_seat(worker_id)
             else:
                 job.fail_attempt(attempt, detail)
-            self._feed_seat(worker_id)
+                self._advance(worker_id)
         self._maybe_finish(job)
 
     def _release(
@@ -567,6 +591,7 @@ class SeatScheduler:
         if held is None or held[0] != run_id or held[1].name != name:
             return None
         del self.assignments[worker_id]
+        del self._running_seq[worker_id]
         return held[1]
 
     def _publish(self, job: PooledJob, outcome: PropOutcome) -> None:
@@ -585,46 +610,85 @@ class SeatScheduler:
     # Seat feeding (weighted fair share across jobs, LPT within one)
     # ------------------------------------------------------------------
     def _feed_seat(self, worker_id: int) -> None:
-        """Hand an idle seat the fairest job's next property (or park it)."""
-        if worker_id in self.assignments:
-            return
+        """Give a seat an attempt to run and one to queue (or park it)."""
         if not self.pool.worker_alive(worker_id):
             self.idle.discard(worker_id)
             return
-        job = self._pick_job(worker_id)
-        if job is None:
-            self.idle.add(worker_id)
-            return
+        if worker_id not in self.assignments:
+            job = self._pick_job(worker_id)
+            if job is None:
+                self.idle.add(worker_id)
+                return
+            self.idle.discard(worker_id)
+            run_id, attempt, seq = self._send(worker_id, job)
+            self.assignments[worker_id] = (run_id, attempt)
+            self._running_seq[worker_id] = seq
+        if worker_id not in self.queued:
+            job = self._pick_job(worker_id, lookahead=True)
+            if job is not None:
+                self.queued[worker_id] = self._send(worker_id, job)
+
+    def _send(
+        self, worker_id: int, job: PooledJob
+    ) -> tuple[int, PropertyJob, int]:
+        """Put ``job``'s next attempt on the seat's queue: (run, attempt, seq)."""
         attempt = job.backlog.pop(0)
-        self.assignments[worker_id] = (job.run_id, attempt)
-        self.idle.discard(worker_id)
         if job.use_exchange:
             self._exchange["fetches"] += 1
-        self.pool.assign(
+        seq = self.pool.assign(
             worker_id, attempt, run_id=job.run_id, clauses=job.unsent(worker_id)
         )
+        return job.run_id, attempt, seq
 
-    def _pick_job(self, worker_id: int) -> PooledJob | None:
+    def _advance(self, worker_id: int) -> None:
+        """The seat's running attempt ended: its queued one runs now.
+
+        The seat may already be proving it.  A queued attempt of a job
+        cancelled meanwhile is stopped here, by its own seq: its job
+        wanted no further work from it, and a younger run's ``cancel``
+        message sits behind it in the seat's queue.
+        """
+        queued = self.queued.pop(worker_id, None)
+        if queued is not None:
+            run_id, attempt, seq = queued
+            self.assignments[worker_id] = (run_id, attempt)
+            self._running_seq[worker_id] = seq
+            if self.jobs[run_id].cancelled:
+                self.pool.stop_seat(worker_id, seq)
+        self._feed_seat(worker_id)
+
+    def _pick_job(
+        self, worker_id: int, lookahead: bool = False
+    ) -> PooledJob | None:
         """Weighted fair share: fewest held seats per unit of priority.
 
         Only jobs whose setup this seat has acked are eligible (the
         FIFO control queue guarantees a worker never sees a job before
-        its run's design), a job already holding its ``max_seats``
+        its run's design), a job already running on its ``max_seats``
         quota is skipped outright, and ties go to the oldest run so
-        admission order breaks symmetry deterministically.
+        admission order breaks symmetry deterministically.  With
+        ``lookahead`` (an attempt to queue behind the seat's running
+        one) only jobs with more than ``2 × workers`` attempts left
+        qualify, and a job with a quota only behind its own running
+        attempt, so that promoting the queued one never adds a seat.
         """
         busy: dict[int, int] = {}
         for run_id, _ in self.assignments.values():
             busy[run_id] = busy.get(run_id, 0) + 1
+        floor = 2 * self.pool.workers if lookahead else 0
         best = None
         best_key = None
         for job in self.jobs.values():
-            if not job.backlog:
+            if len(job.backlog) <= floor:
                 continue
             if worker_id not in job.ready:
                 continue
             held = busy.get(job.run_id, 0)
-            if job.max_seats is not None and held >= job.max_seats:
+            if job.max_seats is not None and (
+                self.assignments[worker_id][0] != job.run_id
+                if lookahead
+                else held >= job.max_seats
+            ):
                 continue
             key = ((held + 1) / job.weight, job.run_id)
             if best_key is None or key < best_key:
@@ -642,16 +706,17 @@ class SeatScheduler:
         or sends run-targeted cancel messages.  Attempts already on a
         seat still report: with ``stop`` (a user's cancel) their seats
         are stopped, so they report UNKNOWN at their next budget check;
-        without it (the watchdog, ``stop_on_failure``) they run on and
-        their verdicts count — their per-property budget is clamped by
-        this job's total.
+        without it (the watchdog, ``stop_on_failure``) running ones run
+        on and their verdicts count — their per-property budget is
+        clamped by this job's total.  A queued attempt is stopped either
+        way once it runs (:meth:`_advance`).
         """
         if job.finished:
             return
         if stop:
             for worker_id, (run_id, _) in self.assignments.items():
                 if run_id == job.run_id:
-                    self.pool.stop_seat(worker_id)
+                    self.pool.stop_seat(worker_id, self._running_seq[worker_id])
         if job.cancelled:
             return
         job.cancelled = True
@@ -722,6 +787,10 @@ class SeatScheduler:
             self.idle.discard(worker_id)
             for job in self.jobs.values():
                 job.ready.discard(worker_id)
+            queued = self.queued.pop(worker_id, None)
+            if queued is not None:
+                self._unqueue(*queued)
+            self._running_seq.pop(worker_id, None)
             held = self.assignments.pop(worker_id, None)
             if held is None:
                 continue
@@ -729,6 +798,9 @@ class SeatScheduler:
             job = self.jobs[run_id]
             job.crashes += 1
             self._retry_or_give_up(job, attempt, worker_id)
+        if failed:
+            for idle_worker in sorted(self.idle):
+                self._feed_seat(idle_worker)
         if not self.pool.closed:
             self._revive(emit or self.service_emit)
         if not self.pool.any_alive() and not self._revival_pending():
@@ -766,11 +838,12 @@ class SeatScheduler:
         """One bounded retry for an attempt lost to a seat crash.
 
         The attempt goes back to its job's backlog *front* (it already
-        waited its turn once) and straight to an idle live seat when
-        one is parked; with no live seat it stays queued — the next
-        revived seat's ``ready`` ack drains the seatless backlog.  On a
-        pool shut down under the scheduler it degrades to UNKNOWN here,
-        never claiming a re-dispatch that could not execute.
+        waited its turn once), which :meth:`_reap_crashed` then offers
+        to the parked live seats; with no live seat it stays queued —
+        the next revived seat's ``ready`` ack drains the seatless
+        backlog.  On a pool shut down under the scheduler it degrades
+        to UNKNOWN here, never claiming a re-dispatch that could not
+        execute.
         """
         if (
             attempt not in job.retried
@@ -781,13 +854,23 @@ class SeatScheduler:
             job.redispatched += 1
             job.backlog.insert(0, attempt)
             job.emit(PropertyRequeued(name=attempt.name, worker=worker_id))
-            for idle_worker in sorted(self.idle):
-                if self.pool.worker_alive(idle_worker):
-                    self._feed_seat(idle_worker)
-                    break
             return
         job.lose_attempt(attempt)
         self._maybe_finish(job)
+
+    def _unqueue(self, run_id: int, attempt: PropertyJob, seq: int) -> None:
+        """A queued attempt its seat will never run: back to the backlog front.
+
+        It never started, so it is no crash and no re-dispatch; a job
+        cancelled meanwhile has no backlog left to rejoin, so there it
+        is cancelled like the rest of that backlog was.
+        """
+        job = self.jobs[run_id]
+        if job.cancelled:
+            job.cancel_attempt(attempt, None)
+            self._maybe_finish(job)
+        else:
+            job.backlog.insert(0, attempt)
 
     def _revive(self, emit: Emit | None) -> None:
         """Respawn dead seats whose backoff has elapsed; re-attach runs.
@@ -849,11 +932,12 @@ class SeatScheduler:
                 )
             )
         alive = sum(1 for seat in seats if seat.alive)
+        busy = sum(1 for seat in seats if seat.alive and seat.busy)
         return PoolStats(
             workers=pool.workers,
             alive=alive,
-            busy=len(self.assignments),
-            idle=max(0, alive - len(self.assignments)),
+            busy=busy,
+            idle=alive - busy,
             open_runs=len(pool.open_runs),
             seats=tuple(seats),
             counters=dict(pool.stats),
@@ -872,25 +956,35 @@ class SeatScheduler:
         """No seat left alive: every open job's remainder goes UNKNOWN.
 
         That includes attempts a seat took with it without crashing (a
-        pool shut down under the scheduler): nobody will report them.
+        pool shut down under the scheduler), running or queued: nobody
+        will report them.
         """
-        for run_id, attempt in self.assignments.values():
-            self.jobs[run_id].backlog.insert(0, attempt)
-        self.assignments.clear()
+        self._recall_attempts()
         for job in list(self.jobs.values()):
             self.pool.cancel_run(job.run_id)
             job.cancelled = True
             self._drain_backlog(job, checkpoint=False)
             self._maybe_finish(job)
 
+    def _recall_attempts(self) -> None:
+        """Every seat's attempts, queued and running, back to their backlogs."""
+        for run_id, attempt, _ in self.queued.values():
+            self.jobs[run_id].backlog.insert(0, attempt)
+        for run_id, attempt in self.assignments.values():
+            self.jobs[run_id].backlog.insert(0, attempt)
+        self.queued.clear()
+        self.assignments.clear()
+        self._running_seq.clear()
+
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the message lease.
 
         A run still open here belongs to a job abandoned on an
-        exception path — close it so no open-run state outlives the
-        scheduler.
+        exception path — its attempts go back to its backlog and its run
+        is closed, so no seat or open-run state outlives the scheduler.
         """
+        self._recall_attempts()
         for run_id in self.jobs:
             if not self.pool.closed:
                 self.pool.cancel_run(run_id)

@@ -12,7 +12,12 @@ against the same design.  :class:`WorkerPool` removes that cost:
   content hash (``stats["design_pickles"]``, memoized by object
   identity so repeat runs do not even re-hash) and each worker caches
   the unpickled :class:`~repro.ts.system.TransitionSystem` by the same
-  hash — the second run on a design sends only the hash.
+  hash — the second run on a design sends only the hash
+  (``stats["design_ships"]`` counts the payloads actually put on a
+  seat's queue).  The seat's cached copy keeps its encoding templates
+  and projected cones warm, so a design seen again is loaded, not
+  re-encoded — as long as it is among the :data:`DESIGN_CACHE_SIZE`
+  most recently used.
 * **Runs are isolated.**  Every run gets a fresh run id; job, result
   and event messages are all tagged with it, workers rebuild their
   per-run clause databases on every ``open_run``, and the parent
@@ -26,14 +31,16 @@ against the same design.  :class:`WorkerPool` removes that cost:
 
 Queueing discipline: jobs flow through **per-worker queues** with the
 scheduling done parent-side (the scheduler assigns the next backlog job
-to whichever worker reports idle), not through one shared task queue.
+to whichever worker reports idle, and may queue one more behind a busy
+worker's), not through one shared task queue.
 A shared queue load-balances for free but is fragile against exactly
 the failure this pool must survive: a worker killed while blocked in
 ``Queue.get`` dies *holding the queue's reader lock*, deadlocking every
 sibling.  With private queues a dead worker poisons only its own
 channel, which is discarded when :meth:`respawn_workers` replaces the
-seat — and the parent always knows exactly which job a dead worker
-held, so crash attribution needs no claim protocol.
+seat — and the parent always knows exactly which jobs a dead worker
+held (the one it ran, the one queued behind it), so crash attribution
+needs no claim protocol.
 
 Run protocol: **seat leasing.**  Any number of runs may be open
 concurrently (:meth:`open_run`), each identified by its monotonically
@@ -59,9 +66,13 @@ shared ``Array("q", workers)`` created with the pool and handed to
 every seat it spawns or respawns.  Each job message carries a pool-wide
 sequence number, ``("job", run_id, job, seq)``, and the seat's engines
 give up — UNKNOWN, at their next budget check — once
-``marks[worker_id] == seq``.  :meth:`stop_seat` writes the seat's
-current ``seq`` into its mark; numbers only grow, so a mark left over
-from an earlier job can never stop a later one, and no reset is needed.
+``marks[worker_id] == seq``.  :meth:`assign` returns that ``seq`` and
+:meth:`stop_seat` writes the one it is given into the seat's mark: a
+seat may already hold its *next* job in its queue (the scheduler's
+lookahead), so "the last job assigned" is not necessarily the one
+running, and the scheduler names the attempt it means.  Numbers only
+grow, so a mark left over from an earlier job can never stop a later
+one, and no reset is needed.
 
 Use :func:`default_pool` for the module-level shared pool
 (``VerificationConfig(pool=default_pool())``), or construct pools
@@ -90,8 +101,13 @@ from ..ts.system import TransitionSystem
 #: Designs kept per cache (parent payloads and each worker's unpickled
 #: copies), LRU-evicted beyond this.  Both sides apply the same policy
 #: to the same per-worker message stream, so the parent always knows
-#: exactly which hashes a worker still holds.
-DESIGN_CACHE_SIZE = 8
+#: exactly which hashes a worker still holds.  An LRU smaller than a
+#: service's cyclic working set misses on almost every reuse (a miss
+#: re-pickles, re-ships and re-encodes the design), so the cap is twice
+#: the 16 generated families: a warm family costs at most ~1.1 MB on a
+#: seat (f380, templates and cones included) and all 16 together
+#: ~4.6 MB (tracemalloc after a ``ja`` run on an unpickled copy).
+DESIGN_CACHE_SIZE = 32
 
 #: Every live pool, weakly held, so interpreter exit can sweep seat
 #: processes even for pools the caller forgot to shut down.
@@ -109,7 +125,7 @@ def _lru_touch(cache: "OrderedDict", key, value) -> None:
 class _Slot:
     """One worker seat: its process, control queue and design cache map."""
 
-    __slots__ = ("process", "ctrl", "designs", "seq")
+    __slots__ = ("process", "ctrl", "designs")
 
     def __init__(self, process, ctrl) -> None:
         self.process = process
@@ -117,7 +133,6 @@ class _Slot:
         # Content hashes this worker holds, mirroring the worker's own
         # LRU (same keys, same order, same cap).
         self.designs: "OrderedDict" = OrderedDict()
-        self.seq = 0  # sequence number of the last job assigned here
 
 
 class WorkerPool:
@@ -159,6 +174,7 @@ class WorkerPool:
         self.stats = {
             "runs": 0,
             "design_pickles": 0,
+            "design_ships": 0,
             "designs_cached": 0,
             "workers_spawned": 0,
             "workers_replaced": 0,
@@ -363,29 +379,32 @@ class WorkerPool:
         payload = self._pickled[digest]
         slot = self._slots[worker_id]
         body = None if digest in slot.designs else payload
+        if body is not None:
+            self.stats["design_ships"] += 1
         slot.ctrl.put(("run", run_id, digest, body, options))
         _lru_touch(slot.designs, digest, True)
 
-    def assign(self, worker_id: int, job, run_id: int, clauses: bytes = b"") -> None:
-        """Hand one job of a run to a specific worker seat.
+    def assign(self, worker_id: int, job, run_id: int, clauses: bytes = b"") -> int:
+        """Hand one job of a run to a specific worker seat; its ``seq``.
 
         ``clauses`` (a :func:`~repro.parallel.exchange.pack_clauses`
         blob) rides along into the seat's clause database for the run.
+        The returned sequence number is what :meth:`stop_seat` takes.
         """
         if run_id not in self._open:
             raise RuntimeError(f"run {run_id} is not open on this pool")
-        slot = self._slots[worker_id]
-        slot.seq = next(self._seqs)
-        slot.ctrl.put(("job", run_id, job, slot.seq, clauses))
+        seq = next(self._seqs)
+        self._slots[worker_id].ctrl.put(("job", run_id, job, seq, clauses))
+        return seq
 
-    def stop_seat(self, worker_id: int) -> None:
-        """Stop the job last assigned to a seat, if it is still running.
+    def stop_seat(self, worker_id: int, seq: int) -> None:
+        """Stop the seat's job numbered ``seq``, if it is still running.
 
         Its engines give up at their next budget check and the seat
         reports the attempt UNKNOWN, which frees it; a job already
         finished is unaffected, and so is every later one.
         """
-        self._stop_marks[worker_id] = self._slots[worker_id].seq
+        self._stop_marks[worker_id] = seq
 
     def next_message(self, timeout: float = 0.2):
         """Next message of any open run: ``(kind, run_id, worker, ...)``.

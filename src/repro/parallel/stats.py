@@ -8,7 +8,7 @@ are the wire-free snapshot format: :class:`SeatStats` describes one
 seat (liveness, current assignment, crash/backoff bookkeeping),
 :class:`PoolStats` one whole pool at one instant (occupancy plus the
 pool's lifetime counters).  ``as_dict()`` is the JSON shape: the
-pool's counter keys (``runs``, ``design_pickles``,
+pool's counter keys (``runs``, ``design_pickles``, ``design_ships``,
 ``workers_spawned``, ...) sit at the top level next to the occupancy.
 
 Snapshots are built by :meth:`SeatScheduler.stats` (full seat detail)
@@ -67,7 +67,7 @@ class PoolStats:
     """Occupancy and per-seat state of one pool at one instant.
 
     ``counters`` is the pool's lifetime ``stats`` dict (runs opened,
-    designs pickled/cached, workers spawned/replaced); ``as_dict``
+    designs pickled/shipped/cached, workers spawned/replaced); ``as_dict``
     splices it in at the top level.
     """
 

@@ -26,11 +26,14 @@ Control messages (private queue, parent -> worker):
 ``("job", run_id, PropertyJob, seq, clauses)``
     one attempt on one property.  Scheduling is parent-side: the
     scheduler assigns the next backlog job to whichever worker
-    reported idle, so the queue is FIFO and a setup always precedes
-    the run's jobs.  A job without a slate is the local proof; a
-    portfolio job's carries the engine slate, which the seat races in
-    doubling slices (:func:`~repro.parallel.portfolio.race`) until one
-    engine decides — the whole race is this one job.  ``seq`` is the
+    reported idle, and may queue one more behind a busy worker's, so
+    the worker starts it the moment it reports the first; the queue is
+    FIFO, so a setup always precedes the run's jobs and a job's
+    terminal message precedes the next job's first event.  A job
+    without a slate is the local proof; a portfolio job's carries the
+    engine slate, which the seat races in doubling slices
+    (:func:`~repro.parallel.portfolio.race`) until one engine decides —
+    the whole race is this one job.  ``seq`` is the
     job's pool-wide sequence number: every budget the attempt creates
     also asks ``marks[worker_id] == seq`` of the pool's shared stop
     marks, so once the parent stops the seat

@@ -41,9 +41,10 @@ class _StubPool:
     Seat liveness is a set, the message stream a deque, ``kill()`` the
     crash injector.  ``open_run``/``attach_worker`` push the ``ready``
     acks a real worker would send, and ``assign`` and ``stop_seat`` just
-    record — ``assign`` also the clauses each job message relays — and
-    tests answer assignments by feeding ``result`` messages back
-    through the scheduler.
+    record — ``assign`` also the clauses each job message relays, and
+    returns the job's sequence number (its 1-based position in
+    ``assigned``) — and tests answer assignments by feeding ``result``
+    messages back through the scheduler.
     """
 
     def __init__(self, workers: int = 2) -> None:
@@ -56,14 +57,13 @@ class _StubPool:
         self.stats = {
             "runs": 0,
             "design_pickles": 0,
+            "design_ships": 0,
             "workers_spawned": workers,
             "workers_replaced": 0,
         }
         self.messages: deque = deque()
         self.assigned: list = []  # (seat, run id, PropertyJob), in order
         self.relayed: list = []  # (seat, run id, clause list), per assign
-        # seat -> the attempt it was last assigned: what a stop would hit
-        self.last_assigned: dict = {}
         self.stopped: list = []  # (seat, PropertyJob) per stop_seat call
         self.respawn_calls: list[list[int]] = []
         self.cancelled_runs: list[int] = []
@@ -101,13 +101,13 @@ class _StubPool:
     def attach_worker(self, run_id: int, worker_id: int) -> None:
         self.messages.append(("ready", run_id, worker_id))
 
-    def assign(self, worker_id, job, run_id=None, clauses=b"") -> None:
+    def assign(self, worker_id, job, run_id=None, clauses=b"") -> int:
         self.assigned.append((worker_id, run_id, job))
         self.relayed.append((worker_id, run_id, unpack_clauses(clauses)))
-        self.last_assigned[worker_id] = job
+        return len(self.assigned)
 
-    def stop_seat(self, worker_id: int) -> None:
-        self.stopped.append((worker_id, self.last_assigned[worker_id]))
+    def stop_seat(self, worker_id: int, seq: int) -> None:
+        self.stopped.append((worker_id, self.assigned[seq - 1][2]))
 
     def next_message(self, timeout: float = 0.2):
         if self.messages:
@@ -572,6 +572,18 @@ class TestSchedulerStats:
         as_dict = snap.as_dict()
         assert as_dict["runs"] == pool.stats["runs"]  # legacy splice
         assert as_dict["seats"][0]["crashes"] == 2
+
+    def test_a_dead_seat_is_neither_busy_nor_hides_an_idle_one(self):
+        # Between a crash and the reap that accounts it, the dead seat
+        # still holds its attempt; the live seat is the idle one.
+        pool = _StubPool(workers=2)
+        scheduler = SeatScheduler(pool)
+        _admit(scheduler, ["p0"])
+        _pump(scheduler)
+        (holder,) = scheduler.assignments
+        pool.kill(holder)
+        stats = scheduler.stats()
+        assert (stats.alive, stats.busy, stats.idle) == (1, 0, 1)
 
 
 def _wait_for(condition, what: str) -> None:

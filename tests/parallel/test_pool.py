@@ -6,9 +6,12 @@ import pytest
 
 from repro.config import ProofOptions
 from repro.engines.result import PropStatus
+from repro.gen.counter import buggy_counter, fixed_counter
 from repro.parallel import WorkerPool, default_pool, shutdown_default_pool
+from repro.parallel.pool import DESIGN_CACHE_SIZE
 from repro.progress import PoolAttached, WorkerStarted
 from repro.session import ConfigError, Session
+from repro.ts.system import TransitionSystem
 
 
 @pytest.fixture
@@ -88,6 +91,64 @@ class TestPoolReuse:
         assert first.stats["pool"] == "ephemeral"
         assert first.stats["design_pickles"] == 1
         assert second.stats["design_pickles"] == 1  # a fresh pool each time
+
+
+def _distinct_designs(count: int) -> list[TransitionSystem]:
+    """``count`` small, pairwise different counters (2 to 4 bits)."""
+    designs = [
+        TransitionSystem(make(bits=bits, rval=rval))
+        for bits in (2, 3, 4)
+        for rval in range(1, 1 << bits)
+        for make in (buggy_counter, fixed_counter)
+    ]
+    assert len(designs) >= count
+    return designs[:count]
+
+
+def _rotate(pool, designs, passes: int = 2) -> list[dict]:
+    """Verify every design in turn, ``passes`` times: each pass's verdicts."""
+    return [
+        {
+            index: {
+                name: outcome.status
+                for name, outcome in Session(ts, strategy="parallel-ja", pool=pool)
+                .run()
+                .outcomes.items()
+            }
+            for index, ts in enumerate(designs)
+        }
+        for _ in range(passes)
+    ]
+
+
+class TestDesignCache:
+    def test_a_rotation_that_fits_ships_each_design_once(self):
+        # A service cycling through 12 designs: every reuse hits both
+        # the parent's payload cache and the seat's unpickled copy.
+        designs = _distinct_designs(12)
+        with WorkerPool(workers=1) as pool:
+            _rotate(pool, designs)
+            assert pool.stats["runs"] == 24
+            assert pool.stats["design_pickles"] == 12
+            assert pool.stats["design_ships"] == 12
+
+    def test_a_rotation_past_the_cap_evicts_and_reships(self):
+        # One design more than the cap: a cyclic LRU misses on every
+        # reuse, so each run re-pickles and re-ships its design, and
+        # the verdicts are still a fresh in-process run's.
+        designs = _distinct_designs(DESIGN_CACHE_SIZE + 1)
+        with WorkerPool(workers=1) as pool:
+            first, second = _rotate(pool, designs)
+            assert pool.stats["design_pickles"] == 2 * len(designs)
+            assert pool.stats["design_ships"] == 2 * len(designs)
+        fresh = {
+            index: {
+                name: outcome.status
+                for name, outcome in Session(ts, strategy="ja").run().outcomes.items()
+            }
+            for index, ts in enumerate(designs)
+        }
+        assert first == second == fresh
 
 
 class TestPoolLifecycle:

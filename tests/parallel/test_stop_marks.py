@@ -34,7 +34,7 @@ class _Outbox(list):
         self.append(message)
         event = message[3] if message[0] == "event" else None
         if isinstance(event, FrameAdvanced) and event.frame == self.stop_at_frame:
-            self.marks[0] = SEQ  # what WorkerPool.stop_seat(0) writes
+            self.marks[0] = SEQ  # what WorkerPool.stop_seat(0, SEQ) writes
 
     def result(self):
         (terminal,) = [m for m in self if m[0] != "event"]
@@ -121,8 +121,8 @@ def test_a_real_seat_stops_on_its_mark_also_after_a_respawn():
                 assert pool.respawn_workers([0]) == [0]
                 pool.attach_worker(run, 0)
                 wait_ready(pool)
-            pool.assign(0, PropertyJob(name="P1", slate=("bmc",)), run_id=run)
-            pool.stop_seat(0)
+            seq = pool.assign(0, PropertyJob(name="P1", slate=("bmc",)), run_id=run)
+            pool.stop_seat(0, seq)
             kind, _, _, outcome = terminal(pool)
             assert kind == "result"
             assert outcome.status is PropStatus.UNKNOWN and outcome.frames < 256
