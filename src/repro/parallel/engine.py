@@ -789,7 +789,7 @@ class SeatScheduler:
                 job.ready.discard(worker_id)
             queued = self.queued.pop(worker_id, None)
             if queued is not None:
-                self._unqueue(*queued)
+                self._unqueue(queued[0], queued[1])
             self._running_seq.pop(worker_id, None)
             held = self.assignments.pop(worker_id, None)
             if held is None:
@@ -858,7 +858,7 @@ class SeatScheduler:
         job.lose_attempt(attempt)
         self._maybe_finish(job)
 
-    def _unqueue(self, run_id: int, attempt: PropertyJob, seq: int) -> None:
+    def _unqueue(self, run_id: int, attempt: PropertyJob) -> None:
         """A queued attempt its seat will never run: back to the backlog front.
 
         It never started, so it is no crash and no re-dispatch; a job

@@ -104,9 +104,9 @@ from ..ts.system import TransitionSystem
 #: exactly which hashes a worker still holds.  An LRU smaller than a
 #: service's cyclic working set misses on almost every reuse (a miss
 #: re-pickles, re-ships and re-encodes the design), so the cap is twice
-#: the 16 generated families: a warm family costs at most ~1.1 MB on a
+#: the 16 generated families: a warm family costs at most ~1.3 MB on a
 #: seat (f380, templates and cones included) and all 16 together
-#: ~4.6 MB (tracemalloc after a ``ja`` run on an unpickled copy).
+#: ~5.3 MB (tracemalloc after a ``ja`` run on an unpickled copy).
 DESIGN_CACHE_SIZE = 32
 
 #: Every live pool, weakly held, so interpreter exit can sweep seat
