@@ -37,12 +37,15 @@ Design notes
   worker crashes) — weighted fair share across jobs, LPT within one.
   A busy seat also holds its *next* attempt (:attr:`SeatScheduler.queued`,
   at most one), so it starts proving again as soon as it reports,
-  without waiting for the parent's reply — but only from a job whose
-  backlog still holds more than ``2 × workers`` attempts, so each job's
-  last rounds are dealt on demand to whichever seat frees first.  A
-  seat's messages arrive in FIFO order, so its running attempt's
-  terminal message always precedes the queued one's first event: on it
-  the queued attempt becomes the running one.
+  without waiting for the parent's reply — but only from the job it is
+  running, and only while that job's backlog still holds more than
+  ``2 × workers`` attempts, so each job's last rounds are dealt on
+  demand to whichever seat frees first.  Queueing behind the seat's own
+  job keeps a cancel's wait within that job's budgets: a queued
+  attempt never waits on another job's proof, and never adds a seat to
+  a job's ``max_seats`` count.  A seat's messages arrive in FIFO order,
+  so its running attempt's terminal message always precedes the queued
+  one's first event: on it the queued attempt becomes the running one.
   One output queue carries events, results and errors, so the parent
   needs no auxiliary threads and, with one worker and one job, the
   message stream — and so the session's event sequence — is
@@ -293,6 +296,21 @@ class PooledJob:
         return report
 
 
+class _Held(tuple):
+    """``(run id, attempt)`` on a seat; ``seq`` is its job message's number.
+
+    A pair, so readers unpack ``run_id, attempt = held``; ``seq`` is
+    what :meth:`WorkerPool.stop_seat` takes to stop this very attempt.
+    """
+
+    seq: int
+
+    def __new__(cls, run_id: int, attempt: PropertyJob, seq: int) -> "_Held":
+        held = super().__new__(cls, (run_id, attempt))
+        held.seq = seq
+        return held
+
+
 #: Consecutive crashes, with no property served in between, after which
 #: a dead seat no longer keeps jobs waiting for its respawn.
 CRASH_LOOP = 3
@@ -326,9 +344,9 @@ class SeatScheduler:
     feeds it by **weighted fair share** — the job minimizing
     ``(seats running its attempts + 1) / priority`` wins, ties to the
     oldest run — with LPT order inside each job's backlog.  A busy seat
-    is topped up with one queued attempt the same way, from jobs whose
-    backlog exceeds ``2 × workers`` (see the module notes).  One scheduler owns the
-    pool's message stream (:meth:`WorkerPool.acquire_messages`); a
+    is topped up with one queued attempt of the job it runs while that
+    job's backlog exceeds ``2 × workers`` (see the module notes).  One
+    scheduler owns the pool's message stream (:meth:`WorkerPool.acquire_messages`); a
     :class:`~repro.service.VerificationService` keeps one alive across
     arbitrarily many concurrent jobs.
 
@@ -370,12 +388,9 @@ class SeatScheduler:
         self.backoff_cap = backoff_cap
         self.jobs: dict[int, PooledJob] = {}
         # seat -> (run id, attempt) it is currently executing
-        self.assignments: dict[int, tuple[int, PropertyJob]] = {}
-        # seat -> (run id, attempt, seq) sent behind its running attempt
-        self.queued: dict[int, tuple[int, PropertyJob, int]] = {}
-        # seat -> job sequence number of its running attempt (what a
-        # stop names: the pool's last seq for the seat may be the queued)
-        self._running_seq: dict[int, int] = {}
+        self.assignments: dict[int, _Held] = {}
+        # seat -> (run id, attempt) sent behind its running attempt
+        self.queued: dict[int, _Held] = {}
         self.idle: set = set()
         # seat -> crash/backoff record (created lazily, kept forever)
         self.seat_health: dict[int, _SeatHealth] = {}
@@ -591,7 +606,6 @@ class SeatScheduler:
         if held is None or held[0] != run_id or held[1].name != name:
             return None
         del self.assignments[worker_id]
-        del self._running_seq[worker_id]
         return held[1]
 
     def _publish(self, job: PooledJob, outcome: PropOutcome) -> None:
@@ -610,7 +624,11 @@ class SeatScheduler:
     # Seat feeding (weighted fair share across jobs, LPT within one)
     # ------------------------------------------------------------------
     def _feed_seat(self, worker_id: int) -> None:
-        """Give a seat an attempt to run and one to queue (or park it)."""
+        """Give a seat an attempt to run, and one of that job to queue.
+
+        The queued one only while the job's backlog holds more than
+        ``2 × workers`` attempts (see the module notes).
+        """
         if not self.pool.worker_alive(worker_id):
             self.idle.discard(worker_id)
             return
@@ -620,75 +638,58 @@ class SeatScheduler:
                 self.idle.add(worker_id)
                 return
             self.idle.discard(worker_id)
-            run_id, attempt, seq = self._send(worker_id, job)
-            self.assignments[worker_id] = (run_id, attempt)
-            self._running_seq[worker_id] = seq
+            self.assignments[worker_id] = self._send(worker_id, job)
         if worker_id not in self.queued:
-            job = self._pick_job(worker_id, lookahead=True)
-            if job is not None:
+            job = self.jobs[self.assignments[worker_id][0]]
+            if len(job.backlog) > 2 * self.pool.workers:
                 self.queued[worker_id] = self._send(worker_id, job)
 
-    def _send(
-        self, worker_id: int, job: PooledJob
-    ) -> tuple[int, PropertyJob, int]:
-        """Put ``job``'s next attempt on the seat's queue: (run, attempt, seq)."""
+    def _send(self, worker_id: int, job: PooledJob) -> _Held:
+        """Put ``job``'s next attempt on the seat's queue."""
         attempt = job.backlog.pop(0)
         if job.use_exchange:
             self._exchange["fetches"] += 1
         seq = self.pool.assign(
             worker_id, attempt, run_id=job.run_id, clauses=job.unsent(worker_id)
         )
-        return job.run_id, attempt, seq
+        return _Held(job.run_id, attempt, seq)
 
     def _advance(self, worker_id: int) -> None:
         """The seat's running attempt ended: its queued one runs now.
 
-        The seat may already be proving it.  A queued attempt of a job
-        cancelled meanwhile is stopped here, by its own seq: its job
-        wanted no further work from it, and a younger run's ``cancel``
-        message sits behind it in the seat's queue.
+        The seat may already be proving it.  If its job was cancelled
+        meanwhile, it is stopped here, by its own seq: the job wants no
+        further work, and a younger run's ``cancel`` message sits behind
+        it in the seat's queue.
         """
         queued = self.queued.pop(worker_id, None)
         if queued is not None:
-            run_id, attempt, seq = queued
-            self.assignments[worker_id] = (run_id, attempt)
-            self._running_seq[worker_id] = seq
-            if self.jobs[run_id].cancelled:
-                self.pool.stop_seat(worker_id, seq)
+            self.assignments[worker_id] = queued
+            if self.jobs[queued[0]].cancelled:
+                self.pool.stop_seat(worker_id, queued.seq)
         self._feed_seat(worker_id)
 
-    def _pick_job(
-        self, worker_id: int, lookahead: bool = False
-    ) -> PooledJob | None:
+    def _pick_job(self, worker_id: int) -> PooledJob | None:
         """Weighted fair share: fewest held seats per unit of priority.
 
         Only jobs whose setup this seat has acked are eligible (the
         FIFO control queue guarantees a worker never sees a job before
         its run's design), a job already running on its ``max_seats``
         quota is skipped outright, and ties go to the oldest run so
-        admission order breaks symmetry deterministically.  With
-        ``lookahead`` (an attempt to queue behind the seat's running
-        one) only jobs with more than ``2 × workers`` attempts left
-        qualify, and a job with a quota only behind its own running
-        attempt, so that promoting the queued one never adds a seat.
+        admission order breaks symmetry deterministically.
         """
         busy: dict[int, int] = {}
         for run_id, _ in self.assignments.values():
             busy[run_id] = busy.get(run_id, 0) + 1
-        floor = 2 * self.pool.workers if lookahead else 0
         best = None
         best_key = None
         for job in self.jobs.values():
-            if len(job.backlog) <= floor:
+            if not job.backlog:
                 continue
             if worker_id not in job.ready:
                 continue
             held = busy.get(job.run_id, 0)
-            if job.max_seats is not None and (
-                self.assignments[worker_id][0] != job.run_id
-                if lookahead
-                else held >= job.max_seats
-            ):
+            if job.max_seats is not None and held >= job.max_seats:
                 continue
             key = ((held + 1) / job.weight, job.run_id)
             if best_key is None or key < best_key:
@@ -714,9 +715,9 @@ class SeatScheduler:
         if job.finished:
             return
         if stop:
-            for worker_id, (run_id, _) in self.assignments.items():
-                if run_id == job.run_id:
-                    self.pool.stop_seat(worker_id, self._running_seq[worker_id])
+            for worker_id, held in self.assignments.items():
+                if held[0] == job.run_id:
+                    self.pool.stop_seat(worker_id, held.seq)
         if job.cancelled:
             return
         job.cancelled = True
@@ -790,7 +791,6 @@ class SeatScheduler:
             queued = self.queued.pop(worker_id, None)
             if queued is not None:
                 self._unqueue(queued[0], queued[1])
-            self._running_seq.pop(worker_id, None)
             held = self.assignments.pop(worker_id, None)
             if held is None:
                 continue
@@ -959,32 +959,24 @@ class SeatScheduler:
         pool shut down under the scheduler), running or queued: nobody
         will report them.
         """
-        self._recall_attempts()
+        for run_id, attempt in [*self.queued.values(), *self.assignments.values()]:
+            self.jobs[run_id].backlog.insert(0, attempt)
+        self.queued.clear()
+        self.assignments.clear()
         for job in list(self.jobs.values()):
             self.pool.cancel_run(job.run_id)
             job.cancelled = True
             self._drain_backlog(job, checkpoint=False)
             self._maybe_finish(job)
 
-    def _recall_attempts(self) -> None:
-        """Every seat's attempts, queued and running, back to their backlogs."""
-        for run_id, attempt, _ in self.queued.values():
-            self.jobs[run_id].backlog.insert(0, attempt)
-        for run_id, attempt in self.assignments.values():
-            self.jobs[run_id].backlog.insert(0, attempt)
-        self.queued.clear()
-        self.assignments.clear()
-        self._running_seq.clear()
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the message lease.
 
         A run still open here belongs to a job abandoned on an
-        exception path — its attempts go back to its backlog and its run
-        is closed, so no seat or open-run state outlives the scheduler.
+        exception path — close it so no open-run state outlives the
+        scheduler.
         """
-        self._recall_attempts()
         for run_id in self.jobs:
             if not self.pool.closed:
                 self.pool.cancel_run(run_id)

@@ -9,7 +9,6 @@ what the real seat would have queued.
 from __future__ import annotations
 
 from repro.engines.result import PropStatus
-from repro.multiprop.report import PropOutcome
 from repro.parallel import SeatScheduler
 from repro.progress import PropertyRequeued
 from repro.session import VerificationConfig
@@ -36,7 +35,7 @@ def _drain(scheduler, pool, limit: int = 200) -> list:
         seen.append(
             (
                 _in_flight(pool, answered),
-                [attempt.name for _, attempt, _ in scheduler.queued.values()],
+                [attempt.name for _, attempt in scheduler.queued.values()],
             )
         )
         if not scheduler.assignments:
@@ -88,57 +87,67 @@ class TestLookahead:
         assert all(n <= 1 for flight, _ in seen for n in flight.values())
         assert job.finished
 
-    def test_a_capped_job_queues_only_behind_its_own_attempt(self):
-        # Promoting a queued attempt must never take a job past its
-        # max_seats quota, so a capped job never queues behind another
-        # job's running attempt.
+    def test_a_seat_queues_only_behind_its_own_job(self):
+        # A queued attempt never waits on another job's proof, so
+        # promoting it never takes a job past its max_seats quota.
         pool = _StubPool(workers=2)
         scheduler = SeatScheduler(pool)
         capped = _admit(scheduler, [f"a{i}" for i in range(10)], max_seats=1)
         free = _admit(scheduler, [f"b{i}" for i in range(10)])
-        queued_capped = 0
+        queued_by = set()
         for _ in range(60):
             _pump(scheduler)
             running = [run for run, _ in scheduler.assignments.values()]
             assert running.count(capped.run_id) <= 1
-            for seat, (run_id, _, _) in scheduler.queued.items():
-                if run_id == capped.run_id:
-                    queued_capped += 1
-                    assert scheduler.assignments[seat][0] == capped.run_id
+            for seat, (run_id, _) in scheduler.queued.items():
+                assert scheduler.assignments[seat][0] == run_id
+                queued_by.add(run_id)
             if not scheduler.assignments:
                 break
             _serve(scheduler, min(scheduler.assignments))
-        assert queued_capped and capped.finished and free.finished
+        assert queued_by == {capped.run_id, free.run_id}
+        assert capped.finished and free.finished
 
-    def test_a_user_cancel_stops_a_queued_attempt_when_it_runs(self):
-        pool = _StubPool(workers=1)
+    def test_a_cancelled_job_waits_on_no_other_jobs_seat(self):
+        pool = _StubPool(workers=2)
         scheduler = SeatScheduler(pool)
-        keep = _admit(scheduler, ["b0", "b1", "b2", "b3"], job_id="keep")
+        keep = _admit(scheduler, [f"b{i}" for i in range(6)], job_id="keep")
+        _pump(scheduler)  # seat 0: b0, b1 queued; seat 1: b2, nothing queued
+        drop = _admit(scheduler, [f"a{i}" for i in range(6)], job_id="drop")
         _pump(scheduler)
-        drop = _admit(scheduler, ["a0", "a1", "a2", "a3"], job_id="drop")
-        _pump(scheduler)
-        _serve(scheduler, 0)  # b0 done: b1 runs, and a0 is queued behind it
-        assert scheduler.assignments[0][1].name == "b1"
-        assert scheduler.queued[0][1].name == "a0"
+        # Both seats run keep: drop queues nowhere, so a cancel settles
+        # it at once instead of after one of keep's proofs.
+        assert [run for run, _ in scheduler.queued.values()] == [keep.run_id]
         scheduler.cancel_job(drop, stop=True)
-        assert pool.stopped == []  # nothing of the job runs yet
-        _serve(scheduler, 0)  # b1 done: a0 runs, and is stopped at once
-        assert [(seat, a.name) for seat, a in pool.stopped] == [(0, "a0")]
-        run_id, attempt = scheduler.assignments[0]
-        scheduler._dispatch_message(
-            (
-                "result",
-                run_id,
-                0,
-                PropOutcome(name=attempt.name, status=PropStatus.UNKNOWN, local=True),
-            )
-        )
-        assert drop.finished
+        assert drop.finished and pool.stopped == []
         assert {o.status for o in drop.outcomes.values()} == {PropStatus.UNKNOWN}
         _drain(scheduler, pool)
         assert keep.finished
+
+    def test_a_user_cancel_stops_its_queued_attempt_when_it_runs(self):
+        pool = _StubPool(workers=2)
+        scheduler = SeatScheduler(pool)
+        keep = _admit(scheduler, [f"b{i}" for i in range(6)], job_id="keep")
+        drop = _admit(scheduler, [f"a{i}" for i in range(6)], job_id="drop")
+        _pump(scheduler)  # seat 0: b0, b1 queued; seat 1: b2
+        _serve(scheduler, 1)  # b2 done: seat 1 runs a0, a1 queued
+        assert [(s, r) for s, (r, _) in sorted(scheduler.queued.items())] == [
+            (0, keep.run_id),
+            (1, drop.run_id),
+        ]
+        scheduler.cancel_job(drop, stop=True)
+        assert [(seat, a.name) for seat, a in pool.stopped] == [(1, "a0")]
+        for name in ("a0", "a1"):  # each reports at its next budget check
+            scheduler._dispatch_message(("cancelled", drop.run_id, 1, name))
+        # a1 was stopped the moment it ran; seat 0 was never served.
+        assert [(seat, a.name) for seat, a in pool.stopped] == [(1, "a0"), (1, "a1")]
+        assert drop.finished
+        assert {o.status for o in drop.outcomes.values()} == {PropStatus.UNKNOWN}
+        assert not keep.finished and scheduler.assignments[0][1].name == "b0"
+        _drain(scheduler, pool)
+        assert keep.finished
         assert {o.status for o in keep.outcomes.values()} == {PropStatus.HOLDS}
-        assert [(seat, a.name) for seat, a in pool.stopped] == [(0, "a0")]
+        assert len(pool.stopped) == 2
 
     def test_a_crash_redispatches_the_head_and_returns_the_queued(self):
         pool = _StubPool(workers=1)
