@@ -346,7 +346,8 @@ class SeatScheduler:
     oldest run — with LPT order inside each job's backlog.  A busy seat
     is topped up with one queued attempt of the job it runs while that
     job's backlog exceeds ``2 × workers`` (see the module notes).  One
-    scheduler owns the pool's message stream (:meth:`WorkerPool.acquire_messages`); a
+    scheduler owns the pool's message stream
+    (:meth:`WorkerPool.acquire_messages`); a
     :class:`~repro.service.VerificationService` keeps one alive across
     arbitrarily many concurrent jobs.
 
