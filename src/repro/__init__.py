@@ -17,8 +17,7 @@ Layers (bottom-up):
 * :mod:`repro.engines` — BMC, k-induction and IC3/PDR (with local-proof
   constraints, two lifting modes, clause import/export);
 * :mod:`repro.multiprop` — JA-verification, joint and separate-global
-  drivers, clauseDB, debugging-set analysis, Table X's makespan
-  projection;
+  drivers, clauseDB, debugging-set analysis;
 * :mod:`repro.session` — the unified orchestration API: a
   :class:`Session` facade, one :class:`VerificationConfig`, a pluggable
   strategy registry, and streaming :class:`ProgressEvent` channels;

@@ -1,7 +1,7 @@
 """Multi-property verification drivers: JA-verification (the paper's
 contribution), joint verification, separate-global verification, the
-strengthening-clause database, debugging-set analysis, ordering
-heuristics, and Table X's makespan projection."""
+strengthening-clause database, debugging-set analysis and ordering
+heuristics."""
 
 from .clausedb import ClauseDB
 from .clustering import cluster_properties, clustered_verify
@@ -10,7 +10,6 @@ from .sweep import SweepResult, sweep, swept_ja_verify
 from .ja import JAVerifier, ja_verify, separate_verify
 from .joint import joint_verify
 from .ordering import by_cone_size, design_order, shuffled
-from .parallel import ParallelSimResult, measure_global_proofs, measure_local_proofs
 from .report import MultiPropReport, PropOutcome, format_time, render_table
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "design_order",
     "by_cone_size",
     "shuffled",
-    "measure_local_proofs",
-    "measure_global_proofs",
-    "ParallelSimResult",
     "clustered_verify",
     "cluster_properties",
     "sweep",

@@ -33,7 +33,7 @@ import time
 
 from ..config import VerificationConfig, resolve_order
 from ..engines.certify import Certifier
-from ..engines.result import EngineResult, PropStatus
+from ..engines.result import EngineResult, PropStatus, ResourceBudget
 from ..progress import (
     BudgetCheckpoint,
     ClauseImport,
@@ -94,17 +94,24 @@ class JAVerifier:
         # Every proof of the run is certified on one consecution solver
         # per assumption set (engines/certify.py).
         certifier = Certifier(self.ts, proof.solver_backend)
+        # The run's budgets.  With a conflict total, every property's
+        # budget is charged to it too.
+        run_budget = ResourceBudget(config.total_time, config.total_conflicts)
         for name in resolve_order(self.ts, config.order) or design_order(self.ts):
-            if (
-                config.total_time is not None
-                and time.monotonic() - start > config.total_time
-            ):
+            if run_budget.exhausted():
                 outcome = PropOutcome(name=name, status=PropStatus.UNKNOWN, local=local)
                 report.outcomes[name] = outcome
                 self._emit(PropertyStarted(name=name))
                 self._emit(outcome.solved_event())
                 continue
             assumed = assumption_names(self.ts, name) if local else []
+            budget = None
+            if config.total_conflicts is not None:
+                budget = ResourceBudget(
+                    proof.per_property_time,
+                    proof.per_property_conflicts,
+                    parent=run_budget,
+                )
             outcome, result = prove(
                 self.ts,
                 name,
@@ -113,6 +120,7 @@ class JAVerifier:
                 self.clause_db,
                 self._emit,
                 local=local,
+                budget=budget,
                 certifier=certifier,
             )
             if db_path and result.holds:

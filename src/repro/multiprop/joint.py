@@ -58,7 +58,13 @@ def joint_verify(
     iteration = 0
 
     def record(prop_name: str, status: PropStatus, **kwargs: object) -> None:
-        outcome = PropOutcome(name=prop_name, status=status, local=False, **kwargs)
+        outcome = PropOutcome(
+            name=prop_name,
+            status=status,
+            local=False,
+            expected_to_fail=ts.prop_by_name[prop_name].expected_to_fail,
+            **kwargs,
+        )
         report.outcomes[prop_name] = outcome
         send(outcome.solved_event())
 

@@ -1,9 +1,8 @@
 """The local proof: the paper's one per-property step, defined once.
 
 Every driver that decides a property with IC3 — sequential ``ja`` and
-``separate`` (:class:`~repro.multiprop.ja.JAVerifier`), a pool seat's
-IC3 job (:mod:`repro.parallel.worker`), Table X's measurement
-(:mod:`repro.multiprop.parallel`) — calls :func:`prove`:
+``separate`` (:class:`~repro.multiprop.ja.JAVerifier`) and a pool
+seat's IC3 job (:mod:`repro.parallel.worker`) — calls :func:`prove`:
 
 1. run IC3 on the property under the given assumption set, seeded from
    the clauseDB (Section 6), optionally on the cone-of-influence

@@ -1,8 +1,7 @@
 """Aggregated multi-property verification reports and table rendering.
 
 Every driver (JA, joint, separate) returns a :class:`MultiPropReport`;
-the benchmark harness renders lists of them with :func:`render_table`
-in the same row/column layout as the paper's tables.
+the CLI renders its tables with :func:`render_table`.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ New strategies plug in without touching this package or the CLI::
 
     from repro.session import register_strategy
 
-    @register_strategy("portfolio")
-    class Portfolio:
+    @register_strategy("first-of-ja-joint")
+    class FirstOfJaJoint:
         \"\"\"Races ja and joint, returns the first finisher.\"\"\"
 
         def run(self, ts, config, emit):

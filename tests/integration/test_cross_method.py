@@ -11,7 +11,7 @@ from repro.engines.kinduction import kinduction_check
 from repro.engines.result import PropStatus
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import ja_verify, separate_verify
+from repro.multiprop.ja import JAVerifier, ja_verify, separate_verify
 from repro.multiprop.joint import joint_verify
 from repro.ts.system import TransitionSystem
 
@@ -105,14 +105,11 @@ class TestCounterEndToEnd:
         assert report.outcomes["P1"].cex_depth == 18
 
     def test_ja_total_time_beats_separate_global(self):
-        import time
+        # The qualitative Table V relation, in the engine's SAT queries
+        # (55 local vs 211 global), not in wall-clock time.
+        def queries(local):
+            verifier = JAVerifier(self.ts, local=local)
+            verifier.run()
+            return sum(r.stats["sat_queries"] for r in verifier.results.values())
 
-        start = time.monotonic()
-        ja_verify(self.ts)
-        ja_time = time.monotonic() - start
-        start = time.monotonic()
-        separate_verify(self.ts)
-        sep_time = time.monotonic() - start
-        # Not a benchmark, just the qualitative Table V relation with a
-        # generous margin to stay robust on slow CI machines.
-        assert ja_time < sep_time * 2
+        assert 2 * queries(local=True) < queries(local=False)

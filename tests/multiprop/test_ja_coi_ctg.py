@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.engines.ic3 import IC3Options, ic3_check
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import ja_verify
+from repro.multiprop.ja import JAVerifier, ja_verify
 from repro.session import VerificationConfig
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
@@ -31,7 +31,7 @@ class TestCoiJA:
 
     def test_coi_prunes_disjoint_designs(self):
         # On a design of disjoint slices, each local proof sees only its
-        # own slice: far fewer SAT queries than the whole-design run.
+        # own slice: its solvers load far fewer clauses (424 vs 2,500).
         from repro.circuit.aig import AIG
         from repro.gen.blocks import hold_slice, lfsr_ballast, token_ring_slice
 
@@ -40,10 +40,14 @@ class TestCoiJA:
         hold_slice(aig, "z", 8)
         token_ring_slice(aig, "r", 4)
         ts = TransitionSystem(aig)
-        plain = ja_verify(ts)
-        reduced = ja_verify(ts, VerificationConfig(coi_reduction=True))
-        assert plain.true_props() == reduced.true_props()
-        assert reduced.total_time <= plain.total_time
+        plain = JAVerifier(ts)
+        reduced = JAVerifier(ts, VerificationConfig(coi_reduction=True))
+        assert plain.run().true_props() == reduced.run().true_props()
+
+        def insertions(verifier):
+            return sum(r.stats["clause_insertions"] for r in verifier.results.values())
+
+        assert 4 * insertions(reduced) < insertions(plain)
 
     def test_coi_cex_validates_on_original(self):
         from repro.multiprop.ja import JAVerifier

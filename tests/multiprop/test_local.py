@@ -11,8 +11,8 @@ import repro
 from repro.gen import all_true_designs, failing_designs
 from repro.gen.random_designs import random_design
 from repro.multiprop.ja import JAVerifier
-from repro.multiprop.parallel import measure_local_proofs
 from repro.config import ProofOptions
+from repro.engines.result import PropStatus
 from repro.parallel.worker import PropertyJob, _ActiveRun, _execute
 from repro.session import VerificationConfig
 from repro.ts import ProjectedReachability
@@ -21,14 +21,15 @@ from repro.ts.system import TransitionSystem
 
 @pytest.mark.parametrize("seed", range(50))
 def test_table_x_measurement_agrees_with_explicit_state(seed):
-    # The measurement once had its own copy of the proof without the
-    # spurious-counterexample ladder and called locally-true properties
-    # false (seeds 0, 4, 22, 33, 35, 36, 43).
+    # Table X's independent local proofs (no clause re-use).  A copy of
+    # the proof without the spurious-counterexample ladder once called
+    # locally-true properties false (seeds 0, 4, 22, 33, 35, 36, 43).
     ts = TransitionSystem(random_design(seed))
-    measured = measure_local_proofs(ts)
-    failing = {name for name, status in measured.statuses.items() if status == "fails"}
+    report = JAVerifier(ts, VerificationConfig(clause_reuse=False)).run()
+    statuses = {o.name: o.status for o in report.outcomes.values()}
+    failing = {name for name, status in statuses.items() if status is PropStatus.FAILS}
     assert failing == set(ProjectedReachability(ts).debugging_set())
-    assert set(measured.statuses.values()) <= {"holds", "fails"}
+    assert set(statuses.values()) <= {PropStatus.HOLDS, PropStatus.FAILS}
 
 
 def test_ic3_is_called_from_the_local_proof_and_the_joint_aggregate_only():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.engines.result import PropStatus
+from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
 from repro.multiprop.ja import separate_verify
 from repro.session import VerificationConfig
@@ -68,6 +69,13 @@ class TestBudgets:
     def test_total_time_zero(self, counter4):
         report = separate_verify(counter4, VerificationConfig(total_time=0.0))
         assert len(report.unsolved()) == 2
+
+    def test_total_conflicts_bound_the_run(self):
+        # P1's global counterexample takes hundreds of conflicts at 8 bits.
+        ts = TransitionSystem(buggy_counter(8))
+        report = separate_verify(ts, VerificationConfig(total_conflicts=50))
+        assert report.outcomes["P0"].status is PropStatus.FAILS
+        assert report.outcomes["P1"].status is PropStatus.UNKNOWN
 
     def test_order_respected(self, counter4):
         report = separate_verify(counter4, VerificationConfig(order=["P1", "P0"]))

@@ -4,6 +4,9 @@ its driver function, so there is no second path to compare with.)"""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.gen import FAILING_SPECS
@@ -52,3 +55,22 @@ class TestStrategiesThroughSession:
             engine={"max_ctgs": 1, "generalize_passes": 1},
         ).run()
         assert not report.unsolved()
+
+
+def _etf_design():
+    path = Path(__file__).resolve().parents[2] / "examples" / "etf_properties.py"
+    spec = importlib.util.spec_from_file_location("etf_properties", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    return example.build_design()
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    ["ja", "joint", "separate", "clustered", "sweep-ja", "parallel-ja", "portfolio"],
+)
+def test_every_strategy_confirms_the_etf_witness(strategy):
+    # An Expected-To-Fail property's counterexample is the reachability
+    # witness (Sec. 5), on global and local verdicts alike.
+    report = Session(TransitionSystem(_etf_design()), strategy=strategy, workers=2).run()
+    assert report.etf_confirmed() == ["mode_unreachable"]
