@@ -74,7 +74,7 @@ def clustered_verify(
 
     Each cluster is verified on its own cone of influence (which is
     what makes grouping pay) by the inner driver, under the run's
-    config with ``total_time`` cut to what the earlier clusters left.
+    config with ``total_time`` and ``total_conflicts`` cut to what is left.
     """
     config = config or VerificationConfig()
     inner = {"joint": joint_verify, "ja": ja_verify}.get(config.cluster_inner)
@@ -83,25 +83,29 @@ def clustered_verify(
     start = time.monotonic()
     clusters = cluster_properties(ts, config.similarity_threshold)
     report = MultiPropReport(method="clustered", design=config.design_name)
+    spent = 0  # conflicts the earlier clusters charged
 
     for cluster in clusters:
         if emit is not None:
             emit(ClusterStarted(members=tuple(cluster)))
-        remaining = None
+        left = {}
         if config.total_time is not None:
-            remaining = config.total_time - (time.monotonic() - start)
+            left["total_time"] = config.total_time - (time.monotonic() - start)
+        if config.total_conflicts is not None:
+            left["total_conflicts"] = max(config.total_conflicts - spent, 0)
         sub_ts = TransitionSystem(reduce_to_cone(ts.aig, cluster).aig)
         # ``order`` and ``clause_db_path`` name the whole design's
         # properties and latches, not the reduced cluster's.
-        sub_config = replace(
-            config, total_time=remaining, order=None, clause_db_path=None
-        )
-        report.outcomes.update(inner(sub_ts, sub_config, emit).outcomes)
+        sub_config = replace(config, order=None, clause_db_path=None, **left)
+        sub_report = inner(sub_ts, sub_config, emit)
+        report.outcomes.update(sub_report.outcomes)
+        spent += sub_report.stats["conflicts"]
 
     report.total_time = time.monotonic() - start
     report.stats = {
         "cluster_inner": config.cluster_inner,
         "clusters": len(clusters),
         "largest_cluster": max((len(c) for c in clusters), default=0),
+        "conflicts": spent,
     }
     return report

@@ -94,24 +94,23 @@ class JAVerifier:
         # Every proof of the run is certified on one consecution solver
         # per assumption set (engines/certify.py).
         certifier = Certifier(self.ts, proof.solver_backend)
-        # The run's budgets.  With a conflict total, every property's
-        # budget is charged to it too.
-        run_budget = ResourceBudget(config.total_time, config.total_conflicts)
+        # Every property's budget is charged to the run's conflict total;
+        # ``total_time`` is checked between properties (a proof in flight finishes).
+        run_budget = ResourceBudget(conflict_limit=config.total_conflicts)
         for name in resolve_order(self.ts, config.order) or design_order(self.ts):
-            if run_budget.exhausted():
+            if run_budget.exhausted() or (
+                config.total_time is not None
+                and time.monotonic() - start > config.total_time
+            ):
                 outcome = PropOutcome(name=name, status=PropStatus.UNKNOWN, local=local)
                 report.outcomes[name] = outcome
                 self._emit(PropertyStarted(name=name))
                 self._emit(outcome.solved_event())
                 continue
             assumed = assumption_names(self.ts, name) if local else []
-            budget = None
-            if config.total_conflicts is not None:
-                budget = ResourceBudget(
-                    proof.per_property_time,
-                    proof.per_property_conflicts,
-                    parent=run_budget,
-                )
+            budget = ResourceBudget(
+                proof.per_property_time, proof.per_property_conflicts, parent=run_budget
+            )
             outcome, result = prove(
                 self.ts,
                 name,
@@ -140,6 +139,7 @@ class JAVerifier:
             "spurious_reruns": spurious_reruns,
             "certificate_retries": certificate_retries,
             "clause_db_size": len(self.clause_db),
+            "conflicts": run_budget.conflicts_used,
         }
         return report
 

@@ -58,12 +58,9 @@ def joint_verify(
     iteration = 0
 
     def record(prop_name: str, status: PropStatus, **kwargs: object) -> None:
+        etf = ts.prop_by_name[prop_name].expected_to_fail
         outcome = PropOutcome(
-            name=prop_name,
-            status=status,
-            local=False,
-            expected_to_fail=ts.prop_by_name[prop_name].expected_to_fail,
-            **kwargs,
+            name=prop_name, status=status, local=False, expected_to_fail=etf, **kwargs
         )
         report.outcomes[prop_name] = outcome
         send(outcome.solved_event())
@@ -133,5 +130,5 @@ def joint_verify(
         if p.name not in report.outcomes:
             record(p.name, PropStatus.UNKNOWN)
     report.total_time = time.monotonic() - start
-    report.stats = {"iterations": iteration}
+    report.stats = {"iterations": iteration, "conflicts": budget.conflicts_used}
     return report

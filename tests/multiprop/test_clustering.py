@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.aig import AIG
+from repro.gen import FAILING_SPECS
 from repro.gen.blocks import hold_slice, token_ring_slice
 from repro.gen.random_designs import random_design
 from repro.multiprop.clustering import (
@@ -96,3 +97,14 @@ class TestClusteredVerify:
         report = clustered_verify(ts)
         assert report.stats["clusters"] >= 1
         assert report.stats["largest_cluster"] >= 1
+
+    @pytest.mark.parametrize("inner", ["joint", "ja"])
+    def test_total_conflicts_bound_the_whole_run(self, inner):
+        # f207's 8 clusters each spend hundreds of conflicts unbudgeted;
+        # the run's total is one budget, not one per cluster.
+        ts = TransitionSystem(FAILING_SPECS["f207"].build())
+        config = VerificationConfig(total_conflicts=100, cluster_inner=inner)
+        report = clustered_verify(ts, config)
+        assert report.stats["clusters"] == 8
+        assert report.stats["conflicts"] <= 2 * 100
+        assert report.unsolved()
