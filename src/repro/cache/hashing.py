@@ -49,7 +49,6 @@ from ..ts.system import TransitionSystem
 __all__ = [
     "cone_digest",
     "cone_properties",
-    "cone_support",
     "design_digest",
     "joined_digest",
     "payload_digest",
@@ -118,34 +117,6 @@ def cone_properties(
             region |= supports[n]
             changed = True
     return kept
-
-
-def cone_support(
-    ts: TransitionSystem,
-    name: str,
-    kept: Sequence[str] | None = None,
-    supports: dict[str, frozenset] | None = None,
-) -> frozenset:
-    """Latch/input literals inside ``name``'s assumption cone.
-
-    The union of the target's support with every kept assumable
-    property's support — the variable universe a cached witness for
-    ``name`` is allowed to mention if it is to survive out-of-cone
-    edits.  ``supports`` is the same optional memo
-    :func:`cone_properties` takes.
-    """
-    if supports is None:
-        supports = {}
-    if kept is None:
-        kept = cone_properties(ts, name, supports)
-    aig = ts.aig
-    for n in (name, *kept):
-        if n not in supports:
-            supports[n] = support_signature(aig, ts.prop_by_name[n].lit)
-    region = set(supports[name])
-    for n in kept:
-        region |= supports[n]
-    return frozenset(region)
 
 
 def cone_digest(

@@ -18,6 +18,15 @@ structure, hash collision, cosmic rays — is counted as a
 re-proved.  The cache can therefore never produce a wrong verdict,
 only a wasted certification check.
 
+Witnesses are stored in *cone coordinates*: the invariant over the
+latch positions, the trace over the input and latch literals, of the
+reduced cone the record's key hashes
+(:class:`~repro.circuit.coi.CoiReduction` translates both ways).  Any
+design with that cone — the author, an edit of it outside the cone, or
+another design that shares it — reads the record in its own
+coordinates, so a hit never depends on where the author kept its
+latches.
+
 Assumption handling: a record is certified under the assumptions *the
 requester makes* — for a local strategy (``local=True``) those
 currently legal for the property (``assumption_names`` on the current
@@ -37,14 +46,14 @@ from __future__ import annotations
 
 import time
 
-from ..circuit.coi import reduce_to_cone, remap_clause
+from ..circuit.coi import CoiReduction, reduce_to_cone
 from ..engines.certify import Certifier, certify_cex, certify_invariant
 from ..engines.result import PropStatus
 from ..multiprop.report import PropOutcome
 from ..progress import CacheHit, Emit, emit_or_null
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
-from .hashing import cone_digest, cone_properties, cone_support, design_digest
+from .hashing import cone_digest, cone_properties, design_digest
 from .store import CacheRecord, ProofStore
 
 __all__ = ["CacheResolver"]
@@ -148,29 +157,51 @@ class CacheResolver:
         ts: TransitionSystem,
         name: str,
         record: CacheRecord,
-        reduction=None,
+        reduction: CoiReduction,
     ) -> PropOutcome | None:
-        """Re-check the stored witness; ``None`` means reject (re-prove)."""
+        """Re-check the stored witness; ``None`` means reject (re-prove).
+
+        The record's witness is in cone coordinates (see
+        :meth:`record_outcomes`).  An invariant is certified on the
+        reduced cone itself: its SAT queries are linear in the encoded
+        design, and on a many-property design each cone is a small
+        slice of the whole.  Assumptions absent from the cone are
+        dropped — the support fixpoint guarantees they are
+        variable-disjoint, and dropping only strengthens the
+        obligation.  A counterexample is mapped into this design and
+        replayed there, against every assumption the requester makes.
+        On a hit both witnesses are reported in this design's
+        coordinates.
+        """
         status = _STATUS.get(record.status)
         if status is None:
             return None
         start = time.monotonic()
         allowed = assumption_names(ts, name) if self.local else []
+        invariant = cex = None
         if status is PropStatus.HOLDS:
             if record.invariant is None:
                 return None
             # Fewer assumptions only strengthen an invariant's obligation.
             assumed = [n for n in record.assumed if n in allowed]
-            report = self._certify_invariant(
-                ts, name, record.invariant, assumed, reduction
+            cone = TransitionSystem(reduction.aig)
+            report = certify_invariant(
+                cone,
+                name,
+                record.invariant,
+                [n for n in assumed if n in cone.prop_by_name],
+                solver_backend=self.solver_backend,
             )
+            if report.valid:
+                invariant = reduction.clauses_from_cone(record.invariant)
         else:
             if record.trace is None:
                 return None
             # A counterexample must outlive *every* assumption the
             # requester makes, whatever the record's author assumed.
             assumed = allowed
-            report = certify_cex(ts, name, record.trace, assumed)
+            cex = reduction.trace_from_cone(record.trace)
+            report = certify_cex(ts, name, cex, assumed)
         if not report.valid:
             return None
         return PropOutcome(
@@ -182,46 +213,8 @@ class CacheResolver:
             cex_depth=record.cex_depth,
             assumed=assumed,
             engine="cache",
-            invariant=record.invariant,
-            cex=record.trace,
-        )
-
-    def _certify_invariant(
-        self,
-        ts: TransitionSystem,
-        name: str,
-        invariant,
-        assumed: list[str],
-        reduction,
-    ):
-        """Certify on the reduced cone when possible, full design otherwise.
-
-        The SAT queries certification runs are linear in the encoded
-        design, and on a many-property design each cone is a small slice
-        of the whole — so re-certifying against the cone the digest was
-        computed from (same latch names, resets and constraints, per
-        :func:`~repro.circuit.coi.reduce_to_cone`) is both sound and far
-        cheaper.  Clause latch indices are remapped through the
-        reduction's latch map; a clause that mentions an out-of-cone
-        latch (legacy full-DB invariants) falls back to full-design
-        certification.  That fallback rejects a literal naming no latch
-        of this design: a record another design wrote for a
-        structurally identical cone (same digest) is stored in that
-        design's latch positions and is re-proved, never trusted.
-        Assumptions absent from the cone are dropped —
-        the support fixpoint guarantees they are variable-disjoint, and
-        dropping only strengthens the obligation.
-        """
-        if reduction is not None:
-            rts = TransitionSystem(reduction.aig)
-            mapped = [remap_clause(c, reduction.latch_positions) for c in invariant]
-            if None not in mapped:
-                kept = [n for n in assumed if n in rts.prop_by_name]
-                return certify_invariant(
-                    rts, name, mapped, kept, solver_backend=self.solver_backend
-                )
-        return certify_invariant(
-            ts, name, invariant, assumed, solver_backend=self.solver_backend
+            invariant=invariant,
+            cex=cex,
         )
 
     # ------------------------------------------------------------------
@@ -238,7 +231,9 @@ class CacheResolver:
         Cache-served outcomes (``engine == "cache"``) and UNKNOWNs are
         skipped; a HOLDS without an invariant or a FAILS without a
         trace cannot be re-certified later, so they are not cached
-        either.  Returns the number of records written.
+        either.  Witnesses are written in cone coordinates, the
+        invariant restricted to the cone (see :meth:`_cone_invariant`).
+        Returns the number of records written.
         """
         if not self.writable:
             return 0
@@ -250,24 +245,28 @@ class CacheResolver:
         for name, outcome in outcomes.items():
             if outcome.engine == "cache":
                 continue
-            kept = cone_properties(ts, name, supports)
-            invariant = outcome.invariant
-            if outcome.status is PropStatus.HOLDS and invariant is not None:
+            if outcome.status is PropStatus.HOLDS and outcome.invariant is not None:
                 status = "holds"
-                warm.extend(invariant)
-                invariant = self._cone_invariant(
-                    certifier, name, kept, outcome, supports
-                )
+                warm.extend(outcome.invariant)
             elif outcome.status is PropStatus.FAILS and outcome.cex is not None:
                 status = "fails"
             else:
                 continue
+            kept = cone_properties(ts, name, supports)
+            reduction = reduce_to_cone(ts.aig, [name, *kept])
+            invariant = trace = None
+            if status == "holds":
+                invariant = self._cone_invariant(certifier, name, reduction, outcome)
+                if invariant is None:
+                    continue
+            else:
+                trace = reduction.trace_to_cone(outcome.cex)
             self.store.put(
                 CacheRecord(
                     prop=name,
                     status=status,
                     design=design,
-                    cone=cone_digest(ts, name, kept),
+                    cone=cone_digest(ts, name, kept, reduction=reduction),
                     design_name=design_name,
                     local=outcome.local,
                     frames=outcome.frames,
@@ -276,7 +275,7 @@ class CacheResolver:
                     assumed=list(outcome.assumed),
                     engine=outcome.engine,
                     invariant=invariant,
-                    trace=outcome.cex,
+                    trace=trace,
                 )
             )
             written += 1
@@ -285,33 +284,28 @@ class CacheResolver:
         return written
 
     @staticmethod
-    def _cone_invariant(certifier, name, kept, outcome, supports=None) -> list:
-        """The invariant restricted to the property's cone, if it certifies.
+    def _cone_invariant(certifier, name, reduction, outcome) -> list | None:
+        """The invariant restricted to the property's cone, in cone positions.
 
         The JA clause DB shares strengthening clauses across properties,
         so a fresh HOLDS invariant typically mentions latches far outside
-        the property's own cone.  Stored as-is, such an invariant fails
-        certification after any out-of-cone edit — exactly the hits the
-        cone key exists to provide.  Dropping the out-of-cone clauses
+        the property's own cone.  Stored as-is, such an invariant could
+        not be certified on the cone — exactly the hits the cone key
+        exists to provide, after an out-of-cone edit or from another
+        design with the same cone.  Dropping the out-of-cone clauses
         cannot break consecution of the in-cone ones (their transition
         functions read only in-cone variables), but rather than argue,
-        we check: the restricted invariant is re-certified here, on the
-        write-back's one ``certifier``, and the full one kept as a
-        fallback if it somehow does not pass.
+        we check: a restricted invariant is re-certified here, on the
+        write-back's one ``certifier``, and ``None`` (no record) is
+        returned if it somehow does not pass.
         """
-        ts = certifier.ts
-        invariant = [tuple(c) for c in outcome.invariant]
-        region = cone_support(ts, name, kept, supports)
-        latches = ts.latches
-        restricted = [
-            clause
-            for clause in invariant
-            if all(latches[abs(lit) - 1].lit in region for lit in clause)
-        ]
-        if restricted == invariant:
-            return invariant
-        report = certifier.certify(name, restricted, list(outcome.assumed))
-        return restricted if report.valid else invariant
+        invariant = list(outcome.invariant)
+        cone = reduction.clauses_to_cone(invariant)
+        if len(cone) < len(invariant):
+            restricted = reduction.clauses_from_cone(cone)
+            if not certifier.certify(name, restricted, list(outcome.assumed)).valid:
+                return None
+        return cone
 
     def warm_clauses(self, ts: TransitionSystem) -> list:
         """Warm-start clauses recorded for this exact design (or [])."""

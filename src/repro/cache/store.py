@@ -44,7 +44,7 @@ from ..ts.system import Clause, TransitionSystem
 from ..ts.trace import Trace
 
 RECORD_MAGIC = "repro-proof-cache"
-RECORD_VERSION = 1
+RECORD_VERSION = 2  # 2: witnesses in cone coordinates
 
 __all__ = [
     "CacheRecord",

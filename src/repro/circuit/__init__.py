@@ -2,8 +2,18 @@
 and a concrete simulator for trace validation."""
 
 from .aig import AIG, FALSE_LIT, TRUE_LIT, Latch, Property, aig_not, aig_var, is_negated
-from .aiger import load_aag, parse_aag, save_aag, write_aag
-from .aiger_binary import load_aig, parse_aig_binary, save_aig, write_aig_binary
+from .aiger import (
+    load_aag,
+    load_aig,
+    load_design,
+    parse_aag,
+    parse_aig,
+    save_aag,
+    save_aig,
+    save_design,
+    write_aag,
+    write_aig,
+)
 from .coi import CoiReduction, coi_signature, reduce_to_cone, support_signature
 from .simulate import Simulator
 from . import words
@@ -19,10 +29,12 @@ __all__ = [
     "is_negated",
     "parse_aag",
     "write_aag",
+    "parse_aig",
+    "write_aig",
+    "load_design",
+    "save_design",
     "load_aag",
     "save_aag",
-    "parse_aig_binary",
-    "write_aig_binary",
     "load_aig",
     "save_aig",
     "CoiReduction",

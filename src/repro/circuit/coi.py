@@ -11,21 +11,28 @@ that makes joint verification win on ballast-heavy designs (Table II's
 
 The reduction is *exact*: the reduced system has the same traces as the
 original when projected onto the kept latches and inputs, so verdicts
-and counterexamples transfer 1:1 (counterexamples are translated back by
-name-preserving input literals).
+and witnesses transfer 1:1 (:class:`CoiReduction` translates invariant
+clauses and counterexample traces both ways).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
 
 from .aig import AIG, Property, aig_not, aig_var, is_negated
 
 
 @dataclass
 class CoiReduction:
-    """A reduced design plus the literal maps to translate results back."""
+    """A reduced design plus the maps that translate witnesses across it.
+
+    A clause is a tuple of 1-based signed latch positions; a trace keys
+    its inputs by input literal and its uninitialized latches by latch
+    literal (:class:`~repro.ts.trace.Trace`).  Two designs whose cones
+    are the same AIG give their cones the same literals and positions,
+    so a witness in cone coordinates means the same thing on both.
+    """
 
     aig: AIG
     input_map: dict[int, int]  # original input lit -> reduced input lit
@@ -34,20 +41,47 @@ class CoiReduction:
     # original latch position -> reduced latch position (kept latches only)
     latch_positions: dict[int, int] = field(default_factory=dict)
 
-    def translate_inputs_back(self, frames: Sequence[dict[int, bool]]) -> list[dict[int, bool]]:
-        """Map a reduced-design input trace to original-design literals.
+    def clauses_to_cone(self, clauses: Iterable[Iterable[int]]) -> list[tuple]:
+        """The clauses that mention kept latches only, in cone positions."""
+        mapped = (_remap_clause(c, self.latch_positions) for c in clauses)
+        return [c for c in mapped if c is not None]
 
-        Inputs outside the cone are unconstrained; they default to False
-        (any value yields the same property behaviour).
+    def clauses_from_cone(self, clauses: Iterable[Iterable[int]]) -> list[tuple]:
+        """Cone clauses in the original design's latch positions."""
+        back = {v: k for k, v in self.latch_positions.items()}
+        return [_remap_clause(c, back) for c in clauses]
+
+    def trace_to_cone(self, trace):
+        """An original-design trace on the cone; out-of-cone inputs drop out."""
+        return _rekey_trace(trace, self.input_map, self.latch_map)
+
+    def trace_from_cone(self, trace):
+        """A cone trace on the original design.
+
+        Inputs outside the cone are left unset (False on replay): no
+        value of theirs changes the cone's behaviour.
         """
-        reverse = {v: k for k, v in self.input_map.items()}
-        return [
-            {reverse[lit]: value for lit, value in frame.items() if lit in reverse}
-            for frame in frames
-        ]
+        return _rekey_trace(
+            trace,
+            {v: k for k, v in self.input_map.items()},
+            {v: k for k, v in self.latch_map.items()},
+        )
 
 
-def remap_clause(clause: Iterable[int], positions: dict[int, int]) -> tuple | None:
+def _rekey_trace(trace, inputs: dict[int, int], latches: dict[int, int]):
+    return replace(
+        trace,
+        inputs=[
+            {inputs[lit]: value for lit, value in frame.items() if lit in inputs}
+            for frame in trace.inputs
+        ],
+        uninit={
+            latches[lit]: value for lit, value in trace.uninit.items() if lit in latches
+        },
+    )
+
+
+def _remap_clause(clause: Iterable[int], positions: dict[int, int]) -> tuple | None:
     """A clause over 1-based signed latch indices carried through ``positions``.
 
     ``None`` when a literal names a latch the map does not cover (or is

@@ -55,7 +55,7 @@ finished; ``--listen`` stops admission (503), drains, then exits 0.
 ``serve --listen HOST:PORT`` runs the :mod:`repro.net` HTTP server over
 the same service instead of reading a manifest; remote clients then
 drive it with ``submit --host`` (a design file or the same manifest
-shape — local ``.aag`` designs are inlined over the wire), ``watch``
+shape — local ``.aag``/``.aig`` designs are inlined over the wire), ``watch``
 (resumable event streams) and ``stats --host``.
 
 A design or manifest file that is missing, unreadable or garbled is an
@@ -71,8 +71,7 @@ import os
 import sys
 
 from . import __version__
-from .circuit.aiger import save_aag
-from .circuit.aiger_binary import save_aig
+from .circuit.aiger import load_design, save_design, write_aag
 from .multiprop import debugging_report
 from .multiprop.report import MultiPropReport, render_table
 from .multiprop.sweep import sweep as run_sweep
@@ -84,7 +83,6 @@ from .session import (
     UnknownStrategyError,
     VerificationConfig,
     available_strategies,
-    load_design,
 )
 from .ts.system import TransitionSystem
 
@@ -108,11 +106,6 @@ def _read_json(path: str):
         return json.load(f)
 
 
-def _read_text(path: str) -> str:
-    with open(path) as f:
-        return f.read()
-
-
 def _read_manifest(path: str) -> tuple[dict, list[dict]]:
     """``(service sizing, job specs)`` of a JSON job manifest.
 
@@ -131,13 +124,6 @@ def _read_manifest(path: str) -> tuple[dict, list[dict]]:
     if not jobs:
         raise InputError(f"{path}: manifest names no jobs")
     return sizing, [dict(shared, **spec) for spec in jobs]
-
-
-def _save_design(aig, path: str) -> None:
-    if path.endswith(".aig"):
-        save_aig(aig, path)
-    else:
-        save_aag(aig, path)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +174,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
         print(f"unknown design {name!r}; known: {', '.join(known)}", file=sys.stderr)
         return 2
-    _save_design(aig, args.output)
+    save_design(aig, args.output)
     print(f"wrote {args.output}: {aig!r}")
     return 0
 
@@ -251,8 +237,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     _print_report(report)
     if args.json:
+        from .net.codec import encode_report
+
         with open(args.json, "w") as f:
-            json.dump(_report_to_json(report), f, indent=2)
+            json.dump(encode_report(report), f, indent=2)
         print(f"wrote {args.json}")
     # Exit status: 0 all hold, 1 failures found, 3 unsolved remain.
     if report.false_props():
@@ -292,29 +280,6 @@ def _print_report(report: MultiPropReport) -> None:
     if report.method.startswith(("ja", "sweep", "parallel", "portfolio")):
         print()
         print(debugging_report(report).narrative())
-
-
-def _report_to_json(report: MultiPropReport) -> dict:
-    return {
-        "method": report.method,
-        "design": report.design,
-        "total_time": report.total_time,
-        "debugging_set": report.debugging_set(),
-        "etf_confirmed": report.etf_confirmed(),
-        "stats": report.stats,
-        "outcomes": {
-            name: {
-                "status": o.status.value,
-                "local": o.local,
-                "frames": o.frames,
-                "cex_depth": o.cex_depth,
-                "time_seconds": o.time_seconds,
-                "assumed": o.assumed,
-                "engine": o.engine,
-            }
-            for name, o in report.outcomes.items()
-        },
-    }
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -409,6 +374,7 @@ def _serve_listen(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
+    from .net.codec import encode_report
     from .service import VerificationService
 
     if args.stats_interval is not None and args.stats_interval <= 0:
@@ -488,7 +454,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"\n== {handle.job_id}: {handle.design_name} "
               f"[{handle.status.value}] ==")
         _print_report(report)
-        results[handle.job_id] = _report_to_json(report)
+        results[handle.job_id] = encode_report(report)
         failures += bool(report.false_props())
         unsolved += bool(report.unsolved())
 
@@ -571,20 +537,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def _load_remote_specs(target: str, args: argparse.Namespace) -> list[dict]:
     """Job specs for ``submit``: a manifest file or one design file.
 
-    Local ``.aag`` designs are inlined as ``design_text`` so the job is
-    self-contained on the wire (the server need not share a
-    filesystem); anything else is passed through as a server-side
-    ``design`` path.
+    Local design files (either AIGER flavour) are inlined as ASCII
+    ``design_text`` so the job is self-contained on the wire (the
+    server need not share a filesystem); anything else is passed
+    through as a server-side ``design`` path.
     """
 
     def _embed(spec: dict) -> dict:
         design = spec.get("design")
-        if (
-            isinstance(design, str)
-            and design.endswith(".aag")
-            and os.path.exists(design)
-        ):
-            spec = dict(spec, design_text=_load_input(_read_text, design))
+        if isinstance(design, str) and os.path.exists(design):
+            aig = _load_input(load_design, design)
+            spec = dict(spec, design_text=write_aag(aig))
             del spec["design"]
             spec.setdefault("design_name", _design_name(design))
         return spec
@@ -619,6 +582,7 @@ def _design_name(path: str) -> str:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from .net.client import RemoteError, ServiceClient, submit_manifest
+    from .net.codec import encode_report
 
     client = ServiceClient(args.host)
     specs = _load_remote_specs(args.target, args)
@@ -654,7 +618,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         status = job.status().get("status", "done")
         print(f"\n== {job.job_id}: {report.design} [{status}] ==")
         _print_report(report)
-        results[job.job_id] = _report_to_json(report)
+        results[job.job_id] = encode_report(report)
         failures += bool(report.false_props())
         unsolved += bool(report.unsolved())
     if args.json:

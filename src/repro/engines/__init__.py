@@ -1,6 +1,6 @@
 """Model-checking engines: BMC, k-induction, IC3/PDR, random walk."""
 
-from .bmc import bmc_check, bmc_sweep
+from .bmc import bmc_check
 from .certify import CertificateReport, certify_cex, certify_invariant
 from .ic3 import IC3, IC3Options, SeedCertificateError, ic3_check
 from .kinduction import kinduction_check
@@ -9,7 +9,6 @@ from .result import EngineResult, PropStatus, ResourceBudget
 
 __all__ = [
     "bmc_check",
-    "bmc_sweep",
     "derive_seed",
     "randomwalk_check",
     "kinduction_check",

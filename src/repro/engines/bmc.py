@@ -120,76 +120,3 @@ def _unknown(prop_name, frames, assumed, start, stats) -> EngineResult:
         stats=stats,
     )
 
-
-def bmc_sweep(
-    ts: TransitionSystem,
-    max_depth: int = 32,
-    names: Sequence[str] | None = None,
-    budget: ResourceBudget | None = None,
-    solver_backend: str | None = None,
-) -> dict:
-    """Multi-property BMC: find every property failing within ``max_depth``.
-
-    One shared unrolling, one incremental solver; at each frame every
-    still-unrefuted property gets one assumption query (the way ABC's
-    ``bmc`` processes multi-output designs).  This is the cheapest
-    complete way to enumerate *shallow* failures and their minimal
-    depths; deep failures and proofs still need IC3.
-
-    Returns ``{name: EngineResult}`` with FAILS (validated CEX, minimal
-    depth) or UNKNOWN per property.
-    """
-    start = time.monotonic()
-    props = [
-        ts.prop_by_name[n] for n in (names if names is not None else
-                                     [p.name for p in ts.properties])
-    ]
-    solver = create_solver(solver_backend)
-    unroller = Unroller(ts.aig, solver)
-    pending = {p.name: p for p in props}
-    results: dict = {}
-    stats = {"sat_queries": 0}
-
-    for t in range(max_depth):
-        if not pending or (budget is not None and budget.exhausted()):
-            break
-        frame = unroller.frame(t)
-        for c in ts.aig.constraints:
-            solver.add_clause([frame.lit(c)])
-        for name in list(pending):
-            prop = pending[name]
-            before = solver.stats()["conflicts"]
-            status = solver.solve([frame.lit(aig_not(prop.lit))])
-            stats["sat_queries"] += 1
-            if budget is not None:
-                budget.charge_conflicts(solver.stats()["conflicts"] - before)
-            if status != Status.SAT:
-                continue
-            cex = Trace(
-                inputs=unroller.extract_inputs(solver.value, t),
-                uninit=unroller.extract_uninit(solver.value),
-                property_name=name,
-            )
-            if not cex.validate(ts.aig, prop.lit):
-                raise RuntimeError(
-                    f"BMC sweep produced an invalid counterexample for {name}"
-                )
-            results[name] = EngineResult(
-                status=PropStatus.FAILS,
-                prop_name=name,
-                cex=cex,
-                frames=t + 1,
-                time_seconds=time.monotonic() - start,
-                stats=dict(stats),
-            )
-            del pending[name]
-
-    for name in pending:
-        results[name] = EngineResult(
-            status=PropStatus.UNKNOWN,
-            prop_name=name,
-            frames=max_depth,
-            time_seconds=time.monotonic() - start,
-            stats=dict(stats),
-        )
-    return results

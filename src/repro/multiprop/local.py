@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..circuit.coi import reduce_to_cone, remap_clause, support_signature
+from ..circuit.coi import reduce_to_cone, support_signature
 from ..config import ProofOptions
 from ..engines.certify import Certifier
 from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
@@ -42,7 +42,6 @@ from ..progress import (
     emit_or_null,
 )
 from ..ts.system import TransitionSystem
-from ..ts.trace import Trace
 from .clausedb import ClauseDB
 from .report import PropOutcome
 
@@ -158,8 +157,7 @@ def _run_ic3(
         reduction, run_assumed = _coi_reduce(ts, name, assumed)
         run_ts = TransitionSystem(reduction.aig)
         # Seeds that mention a latch outside the cone are dropped.
-        mapped = (remap_clause(c, reduction.latch_positions) for c in seeds)
-        run_seeds = [c for c in mapped if c is not None]
+        run_seeds = reduction.clauses_to_cone(seeds)
     ic3_opts = IC3Options(
         assumed=run_assumed,
         respect_constraints_in_lifting=respect,
@@ -187,7 +185,10 @@ def _run_ic3(
         result.stats["certificate_retry"] = 1
         return result
     if reduction is not None:
-        result = _translate_result_back(reduction, result)
+        if result.cex is not None:
+            result.cex = reduction.trace_from_cone(result.cex)
+        if result.invariant is not None:
+            result.invariant = reduction.clauses_from_cone(result.invariant)
     return result
 
 
@@ -216,21 +217,3 @@ def _coi_reduce(ts: TransitionSystem, name: str, assumed: list[str]):
             changed = True
     return reduce_to_cone(aig, [name] + kept), kept
 
-
-def _translate_result_back(reduction, result: EngineResult) -> EngineResult:
-    """Map a reduced-design result (CEX inputs/uninit, invariant) back."""
-    if result.cex is not None:
-        reverse_latch = {v: k for k, v in reduction.latch_map.items()}
-        result.cex = Trace(
-            inputs=reduction.translate_inputs_back(result.cex.inputs),
-            uninit={
-                reverse_latch[lit]: value
-                for lit, value in result.cex.uninit.items()
-                if lit in reverse_latch
-            },
-            property_name=result.cex.property_name,
-        )
-    if result.invariant is not None:
-        reverse_pos = {v: k for k, v in reduction.latch_positions.items()}
-        result.invariant = [remap_clause(c, reverse_pos) for c in result.invariant]
-    return result

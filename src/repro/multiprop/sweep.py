@@ -39,20 +39,6 @@ class SweepResult:
     runs: int = 0
     frames_simulated: int = 0
 
-    def dominated_preview(self, ts: TransitionSystem) -> dict[str, list[str]]:
-        """For each witness, which properties fail at its first-failure frame.
-
-        Properties co-failing at the earliest frame of some witness are
-        debugging-set *candidates*; this is a heuristic preview only
-        (simulation cannot establish local verdicts).
-        """
-        preview: dict[str, list[str]] = {}
-        lits = {p.name: p.lit for p in ts.eth_properties()}
-        for name, trace in self.failed.items():
-            _, first = trace.first_failures(ts.aig, lits)
-            preview[name] = first
-        return preview
-
 
 def sweep(
     ts: TransitionSystem,

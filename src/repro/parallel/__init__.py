@@ -20,8 +20,7 @@ that claim instead of simulating it:
 * :mod:`repro.parallel.pool` — a persistent :class:`WorkerPool` that
   outlives a single run: workers cache pickled designs by content hash,
   accept successive job batches, and are shared across
-  ``Session.run()`` calls (``VerificationConfig.pool`` or the
-  module-level :func:`default_pool`), amortizing the per-run O(design)
+  ``Session.run()`` calls (``VerificationConfig.pool``), amortizing the per-run O(design)
   setup cost of server-style workloads;
 * :mod:`repro.parallel.exchange` — the packed wire form of the clauses
   the scheduler relays: each job keeps one clause log (cache warm
@@ -39,12 +38,7 @@ Entry points: ``Session(design, strategy="parallel-ja", workers=4)`` or
 from .engine import PooledJob, SeatScheduler, parallel_ja_verify
 from .portfolio import ENGINE_NAMES, parse_engine_slate, portfolio_verify
 from .exchange import pack_clauses, unpack_clauses
-from .pool import (
-    WorkerPool,
-    default_pool,
-    shutdown_all_pools,
-    shutdown_default_pool,
-)
+from .pool import WorkerPool, shutdown_all_pools
 from .stats import PoolStats, SeatStats
 
 __all__ = [
@@ -57,8 +51,6 @@ __all__ = [
     "PoolStats",
     "SeatStats",
     "WorkerPool",
-    "default_pool",
-    "shutdown_default_pool",
     "shutdown_all_pools",
     "pack_clauses",
     "unpack_clauses",

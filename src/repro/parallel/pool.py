@@ -74,9 +74,8 @@ running, and the scheduler names the attempt it means.  Numbers only
 grow, so a mark left over from an earlier job can never stop a later
 one, and no reset is needed.
 
-Use :func:`default_pool` for the module-level shared pool
-(``VerificationConfig(pool=default_pool())``), or construct pools
-explicitly and pass them around; a pool is a context manager, every
+Construct pools explicitly and pass them around
+(``VerificationConfig(pool=WorkerPool(...))``); a pool is a context manager, every
 live pool is shut down at interpreter exit (an ``atexit`` hook walks a
 weak registry, so no seat process ever outlives the interpreter), and
 :meth:`shutdown` is idempotent.  A one-shot run with no pool supplied
@@ -511,43 +510,12 @@ class WorkerPool:
         return bool(self.alive_workers())
 
 
-# ----------------------------------------------------------------------
-# Module-level default pool (server-style workloads)
-# ----------------------------------------------------------------------
-_default: WorkerPool | None = None
-
-
-def default_pool(
-    workers: int | None = None, start_method: str | None = None
-) -> WorkerPool:
-    """The process-wide shared pool, created on first use.
-
-    ``workers``/``start_method`` only apply when the pool is (re)built —
-    after a :func:`shutdown_default_pool` or on first call; a live
-    default pool is returned as-is.
-    """
-    global _default
-    if _default is None or _default.closed:
-        _default = WorkerPool(workers=workers, start_method=start_method)
-    return _default
-
-
-def shutdown_default_pool() -> None:
-    """Tear down the shared pool (no-op when none is live)."""
-    global _default
-    if _default is not None:
-        _default.shutdown()
-        _default = None
-
-
 def shutdown_all_pools() -> None:
     """Shut down every live pool (the ``atexit`` seat-process sweep).
 
-    Covers explicitly constructed pools as well as :func:`default_pool`:
-    seats are daemon processes, but an orderly stop lets them flush
+    Seats are daemon processes, but an orderly stop lets them flush
     their queues instead of dying mid-message at interpreter teardown.
     """
-    shutdown_default_pool()
     for pool in list(_live_pools):
         pool.shutdown()
 

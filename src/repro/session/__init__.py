@@ -77,7 +77,7 @@ property slot (paper Section 11) through
 ``VerificationConfig.pool``
     a persistent :class:`~repro.parallel.pool.WorkerPool` shared
     across ``Session.run()`` calls (workers and shipped designs are
-    reused; see :func:`repro.parallel.default_pool`);
+    reused);
 ``VerificationConfig.stop_on_failure``
     early-cancel queued properties once one comes back FAILS (the
     run-level "all hold" verdict is then decided); cancelled

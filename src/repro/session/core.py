@@ -21,6 +21,7 @@ import threading
 from collections.abc import Iterator
 
 from ..circuit.aig import AIG
+from ..circuit.aiger import load_design
 from ..config import ConfigError, VerificationConfig, resolve_order
 from ..multiprop.report import MultiPropReport
 from ..progress import Emit, ProgressEvent, RunFinished, RunStarted
@@ -34,17 +35,6 @@ DesignLike = str | os.PathLike | AIG | TransitionSystem
 _STREAM_POLL_TIMEOUT = 0.5
 
 
-def load_design(path: "str | os.PathLike[str]") -> AIG:
-    """Load an AIGER design, dispatching on the ``.aig``/``.aag`` suffix."""
-    from ..circuit.aiger import load_aag
-    from ..circuit.aiger_binary import load_aig
-
-    path = os.fspath(path)
-    if path.endswith(".aig"):
-        return load_aig(path)
-    return load_aag(path)
-
-
 def prepare(
     design: DesignLike,
     config: VerificationConfig | None,
@@ -55,8 +45,9 @@ def prepare(
     Applies ``overrides`` on top of ``config`` (or of a default one),
     loads the design, names the run after the design's path unless the
     config already names it, and fails fast — before anything is queued
-    — on an invalid config, an unknown strategy or unknown property
-    names in ``order``.  Returns the design, the final config, its
+    — on an invalid config, an unknown strategy, a knob a pooled
+    strategy cannot honour (``total_conflicts``, ``clause_db_path``) or
+    unknown property names in ``order``.  Returns the design, the final config, its
     strategy and the resolved order (``None``: the design's own).
     """
     base = config if config is not None else VerificationConfig()
@@ -77,7 +68,17 @@ def prepare(
             f"not {type(design).__name__}"
         )
     base.validate()
-    return ts, base, get_strategy(base.strategy), resolve_order(ts, base.order)
+    strategy = get_strategy(base.strategy)
+    if getattr(strategy, "pooled", False):
+        # The seats prove each property under its own budget, and no
+        # clause DB file is written from them: refuse, never ignore.
+        for name in ("total_conflicts", "clause_db_path"):
+            if getattr(base, name) is not None:
+                raise ConfigError(
+                    f"{name} is not supported by the pooled strategy "
+                    f"{base.strategy!r}"
+                )
+    return ts, base, strategy, resolve_order(ts, base.order)
 
 
 class Session:

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ProofStore
+from repro.circuit.aiger import parse_aag, save_design, write_aag
+from repro.gen import ALL_TRUE_SPECS, FAILING_SPECS
 from repro.gen.counter import fixed_counter
+from repro.multiprop.ja import JAVerifier
 from repro.service import VerificationService
 from repro.session import Session, VerificationConfig
 from repro.ts.system import TransitionSystem
@@ -170,6 +173,73 @@ class TestServiceCache:
             service.submit(TransitionSystem(fixed_counter(4))).result()
             warm = service.submit(TransitionSystem(fixed_counter(4))).result()
         assert warm.stats.get("cache_hits") == 2
+
+
+class TestOneDesignOnEveryRoute:
+    """A design is the same design however it arrives (AIGER keeps the
+    latch names), and a record serves every design with its cone."""
+
+    def test_proved_from_the_object_hits_from_every_file_and_http(self, tmp_path):
+        from repro.net import ServiceClient, VerificationServer
+
+        aig = ALL_TRUE_SPECS["t256"].build()
+        cache_dir = str(tmp_path / "proofs")
+        _run(TransitionSystem(aig), cache_dir)
+        names = {p.name for p in aig.properties}
+        for suffix in (".aag", ".aig"):
+            path = tmp_path / f"t256{suffix}"
+            save_design(aig, path)
+            events: list = []
+            warm = _run(str(path), cache_dir, events)
+            assert {e.name for e in events if e.kind == "cache-hit"} == names, suffix
+            assert all(o.engine == "cache" for o in warm.outcomes.values())
+        with VerificationServer(VerificationService(workers=1)) as server:
+            job = ServiceClient(server.address).submit(
+                design_text=write_aag(aig), strategy="ja", cache_dir=cache_dir
+            )
+            report = job.result(timeout=60)
+        assert all(o.engine == "cache" for o in report.outcomes.values())
+
+    def test_a_clause_db_saved_from_the_object_loads_for_the_file(self, tmp_path):
+        aig = ALL_TRUE_SPECS["t256"].build()
+        db_path = str(tmp_path / "t256.clausedb")
+        JAVerifier(TransitionSystem(aig), VerificationConfig(clause_db_path=db_path)).run()
+        from_text = TransitionSystem(parse_aag(write_aag(aig)))
+        # A latch-signature mismatch would raise ClauseDBFormatError here.
+        report = JAVerifier(from_text, VerificationConfig(clause_db_path=db_path)).run()
+        assert not report.unsolved()
+
+    @pytest.mark.parametrize("route", ["object", "aag-text"])
+    def test_shared_cones_serve_across_designs(self, tmp_path, route):
+        """remote-cached's five designs share cones across designs (a cold
+        pass serves 29 of their 131 properties from another design's
+        records), and a warm pass proves nothing and rejects nothing."""
+        specs = {**FAILING_SPECS, **ALL_TRUE_SPECS}
+        config = VerificationConfig(
+            strategy="parallel-ja", workers=2, cache_dir=str(tmp_path)
+        )
+
+        def one_pass(service):
+            reports = {}
+            for name in ("f104", "f207", "f335", "t135", "t275"):
+                aig = specs[name].build()
+                if route == "aag-text":
+                    aig = parse_aag(write_aag(aig))
+                reports[name] = service.submit(TransitionSystem(aig), config).result()
+            return reports
+
+        with VerificationService(workers=2) as service:
+            cold = one_pass(service)
+            warm = one_pass(service)
+            stats = service.stats()
+        assert sum(len(r.outcomes) for r in warm.values()) == 131
+        assert all(
+            o.engine == "cache" for r in warm.values() for o in r.outcomes.values()
+        )
+        assert stats.cache["certify_rejects"] == 0
+        assert {n: _verdicts(r) for n, r in warm.items()} == {
+            n: _verdicts(r) for n, r in cold.items()
+        }
 
 
 class TestCrossProcess:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.aig import AIG, aig_not
-from repro.circuit.aiger import parse_aag, write_aag
+from repro.circuit.aiger import load_design, parse_aag, parse_aig, save_design, write_aag, write_aig
 from repro.circuit.simulate import Simulator
+from repro.gen import ALL_TRUE_SPECS, FAILING_SPECS
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
 
@@ -93,6 +94,22 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_aag("aag 2 1 0 1 0\n2\n4\n")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("secret\n", "header"),
+            ("aag 1 secret 0 0 0\n", "header"),
+            ("aag 1 0 1 0 0 1\n2 secret\n3\n", "latch row 1"),
+            ("aag 2 1 0 0 1 1\n2\n4\n4 secret 2\n", "AND gate 1"),
+            ("aag 3 1 1 0 0 2\n2\n4 2\n4\n", "file"),
+        ],
+    )
+    def test_errors_name_the_place_never_the_bytes(self, text, where):
+        with pytest.raises(ValueError) as err:
+            parse_aag(text)
+        assert where in str(err.value)
+        assert "secret" not in str(err.value)
+
 
 class TestRoundTrip:
     def test_counter_roundtrip(self):
@@ -131,3 +148,25 @@ class TestRoundTrip:
         once = write_aag(parse_aag(write_aag(aig)))
         twice = write_aag(parse_aag(once))
         assert once == twice
+
+
+FAMILIES = {**FAILING_SPECS, **ALL_TRUE_SPECS}
+
+
+@pytest.mark.parametrize("name", [*sorted(FAMILIES), "counter4"])
+def test_write_parse_write_is_the_identity(name):
+    """Names included: a design is the same design by every route."""
+    aig = buggy_counter(4) if name == "counter4" else FAMILIES[name].build()
+    text, data = write_aag(aig), write_aig(aig)
+    assert write_aag(parse_aag(text)) == text
+    assert write_aig(parse_aig(data)) == data
+    assert write_aag(parse_aig(data)) == text
+
+
+@pytest.mark.parametrize("suffix", [".aag", ".aig"])
+def test_load_design_reads_what_save_design_wrote(tmp_path, suffix):
+    aig = FAILING_SPECS["f175"].build()
+    path = tmp_path / f"d{suffix}"
+    save_design(aig, path)
+    assert path.read_bytes()[:3] == suffix[1:].encode()
+    assert write_aag(load_design(path)) == write_aag(aig)

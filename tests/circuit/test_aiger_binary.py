@@ -1,4 +1,4 @@
-"""Tests for the binary AIGER (.aig) reader/writer."""
+"""Tests for the binary flavour of the AIGER (.aig) reader/writer."""
 
 from __future__ import annotations
 
@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.aig import AIG, aig_not
-from repro.circuit.aiger import parse_aag, write_aag
-from repro.circuit.aiger_binary import (
+from repro.circuit.aiger import (
     _decode_varint,
     _encode_varint,
-    parse_aig_binary,
-    write_aig_binary,
+    parse_aag,
+    parse_aig,
+    write_aag,
+    write_aig,
 )
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
@@ -40,7 +41,7 @@ class TestVarints:
 class TestRoundTrip:
     def test_counter(self):
         original = buggy_counter(4)
-        recovered = parse_aig_binary(write_aig_binary(original))
+        recovered = parse_aig(write_aig(original))
         assert _behaviours_equal(original, recovered)
         assert [p.name for p in recovered.properties] == ["P0", "P1"]
 
@@ -48,12 +49,12 @@ class TestRoundTrip:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_designs(self, seed):
         original = random_design(seed)
-        recovered = parse_aig_binary(write_aig_binary(original))
+        recovered = parse_aig(write_aig(original))
         assert _behaviours_equal(original, recovered, n_frames=6, seeds=range(3))
 
     def test_binary_and_ascii_agree(self):
         aig = random_design(17)
-        via_binary = parse_aig_binary(write_aig_binary(aig))
+        via_binary = parse_aig(write_aig(aig))
         via_ascii = parse_aag(write_aag(aig))
         assert _behaviours_equal(via_binary, via_ascii, n_frames=6, seeds=range(3))
 
@@ -65,7 +66,7 @@ class TestRoundTrip:
         u = aig.add_latch("u", init=None)
         aig.set_next(u, u)
         aig.add_property("goal", aig_not(q), expected_to_fail=True)
-        recovered = parse_aig_binary(write_aig_binary(aig))
+        recovered = parse_aig(write_aig(aig))
         assert [l.init for l in recovered.latches] == [1, None]
         assert recovered.properties[0].expected_to_fail
 
@@ -76,15 +77,15 @@ class TestRoundTrip:
         aig.set_next(q, x)
         aig.add_property("p", aig_not(q))
         aig.add_constraint(aig_not(x))
-        recovered = parse_aig_binary(write_aig_binary(aig))
+        recovered = parse_aig(write_aig(aig))
         assert len(recovered.constraints) == 1
 
 
 class TestErrors:
     def test_rejects_ascii_file(self):
         with pytest.raises(ValueError):
-            parse_aig_binary(b"aag 0 0 0 0 0\n")
+            parse_aig(b"aag 0 0 0 0 0\n")
 
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
-            parse_aig_binary(b"")
+            parse_aig(b"")

@@ -66,12 +66,10 @@ class TestReduce:
         sub = TransitionSystem(reduction.aig)
         result = ic3_check(sub, "s_G")
         assert result.fails
-        original_inputs = reduction.translate_inputs_back(result.cex.inputs)
-        from repro.ts.trace import Trace
-
-        trace = Trace(inputs=original_inputs)
+        trace = reduction.trace_from_cone(result.cex)
         prop = TransitionSystem(aig).prop_by_name["s_G"]
         assert trace.validate(aig, prop.lit)
+        assert reduction.trace_to_cone(trace) == result.cex
 
 
 class TestSignatures:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engines.bmc import bmc_sweep
+from repro.engines.bmc import bmc_check
 from repro.gen.random_designs import random_design
 from repro.multiprop.ja import ja_verify
 from repro.ts.projection import ProjectedReachability, assumption_names
@@ -58,8 +58,8 @@ def test_prop6_first_failures_hit_debugging_set(aig):
     if not debug:
         return
     # A minimal-depth failing property yields a shortest aggregate CEX.
-    results = bmc_sweep(ts, max_depth=14)
-    failing = [r for r in results.values() if r.fails]
+    results = [bmc_check(ts, p.name, max_depth=14) for p in ts.properties]
+    failing = [r for r in results if r.fails]
     assert failing
     shallowest = min(failing, key=lambda r: r.frames)
     eth = {p.name: p.lit for p in ts.eth_properties()}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.circuit.aig import AIG, aig_not
-from repro.gen.blocks import guarded_counter_slice
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
 from repro.multiprop.sweep import sweep, swept_ja_verify
@@ -54,17 +53,6 @@ class TestSweep:
         result = sweep(ts, runs=16, depth=8, seed=0)
         # q can never rise under the constraint: no witness may exist.
         assert "p" not in result.failed
-
-    def test_dominated_preview(self):
-        aig = AIG()
-        guarded_counter_slice(aig, "s", 3, 1, [2])
-        ts = TransitionSystem(aig)
-        result = sweep(ts, runs=32, depth=16, seed=3)
-        preview = result.dominated_preview(ts)
-        if "s_D0" in preview:
-            # Whenever the dependent fails, the guard fails at the first
-            # failure frame of the witness.
-            assert "s_G" in preview["s_D0"]
 
 
 class TestSweptJA:

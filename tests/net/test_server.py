@@ -245,6 +245,20 @@ class TestErrorMapping:
             client.submit(design_text="this is not AIGER")
         assert info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "content", ["secret-token-12345\n", "aag 1 0 1 0 0 secret-token-12345\n"]
+    )
+    def test_a_server_file_that_is_no_design_is_not_echoed(
+        self, remote, tmp_path, content
+    ):
+        client, _ = remote
+        path = tmp_path / "token.aag"
+        path.write_text(content)
+        with pytest.raises(RemoteError) as info:
+            client.submit(design=str(path), strategy="ja")
+        assert info.value.status == 400
+        assert "secret" not in str(info.value)
+
     def test_unreachable_server_raises_service_unavailable(self):
         client = ServiceClient("127.0.0.1:1")  # nothing listens here
         with pytest.raises(ServiceUnavailable):

@@ -7,7 +7,7 @@ import pytest
 from repro.config import ProofOptions
 from repro.engines.result import PropStatus
 from repro.gen.counter import buggy_counter, fixed_counter
-from repro.parallel import WorkerPool, default_pool, shutdown_default_pool
+from repro.parallel import WorkerPool
 from repro.parallel.pool import DESIGN_CACHE_SIZE
 from repro.progress import PoolAttached, WorkerStarted
 from repro.session import ConfigError, Session
@@ -175,27 +175,15 @@ class TestPoolLifecycle:
         with pytest.raises(ValueError):
             WorkerPool(workers=0)
 
-    def test_default_pool_is_shared_and_rebuildable(self):
-        shutdown_default_pool()
-        try:
-            first = default_pool(workers=1)
-            assert default_pool() is first
-            shutdown_default_pool()
-            second = default_pool(workers=1)
-            assert second is not first
-            assert not second.closed
-        finally:
-            shutdown_default_pool()
-
     def test_atexit_sweep_covers_every_live_pool(self):
         from repro.parallel import shutdown_all_pools
 
-        explicit = WorkerPool(workers=1)
-        shared = default_pool(workers=1)
+        first = WorkerPool(workers=1)
+        second = WorkerPool(workers=1)
         try:
             shutdown_all_pools()
-            assert explicit.closed
-            assert shared.closed
+            assert first.closed
+            assert second.closed
         finally:
             shutdown_all_pools()
 

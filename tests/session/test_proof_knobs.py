@@ -23,7 +23,7 @@ import repro.multiprop.local as local_module
 from repro.engines.result import PropStatus
 from repro.gen import ALL_TRUE_SPECS, buggy_counter
 from repro.parallel import WorkerPool
-from repro.session import Session, available_strategies, get_strategy
+from repro.session import ConfigError, Session, available_strategies, get_strategy
 from repro.ts.system import TransitionSystem
 
 
@@ -204,3 +204,10 @@ def test_include_etf(selector):
 def test_max_frames_bounds_every_verdict(selector):
     statuses = {o.status for o in _run(selector, max_frames=1).outcomes.values()}
     assert statuses == {PropStatus.UNKNOWN}
+
+
+@pytest.mark.parametrize("field, value", [("total_conflicts", 10), ("clause_db_path", "db.json")])
+@pytest.mark.parametrize("selector", [r for r in ROWS if _pooled(*r.values)])
+def test_pooled_strategies_refuse_what_their_seats_ignore(selector, field, value):
+    with pytest.raises(ConfigError, match=f"{field}.*{selector['strategy']}"):
+        Session(buggy_counter(4), **selector, **{field: value})

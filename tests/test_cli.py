@@ -112,6 +112,16 @@ class TestCheck:
         assert data["debugging_set"] == ["P0"]
         assert data["outcomes"]["P1"]["status"] == "holds"
 
+    def test_json_report_is_the_wire_report(self, counter_file, tmp_path):
+        from repro.net.codec import decode_report
+
+        out_json = str(tmp_path / "report.json")
+        main(["check", counter_file, "--json", out_json])
+        with open(out_json) as f:
+            report = decode_report(json.load(f))
+        assert report.debugging_set() == ["P0"]
+        assert report.outcomes["P1"].status.value == "holds"
+
     def test_parallel_with_exchange(self, counter_file):
         assert main([
             "check", counter_file, "--strategy", "parallel-ja",
@@ -323,3 +333,22 @@ class TestServe:
             json.dump({"jobs": [{"strategy": "ja"}]}, f)
         assert main(["serve", path]) == 2
         assert "names no design" in capsys.readouterr().err
+
+
+class TestSubmit:
+    @pytest.mark.parametrize("suffix", [".aag", ".aig"])
+    def test_a_local_design_of_either_flavour_is_inlined(self, tmp_path, suffix):
+        from repro.net import VerificationServer
+        from repro.net.codec import decode_report
+        from repro.service import VerificationService
+
+        design = str(tmp_path / f"counter{suffix}")
+        assert main(["gen", "counter4", "-o", design]) == 0
+        out = tmp_path / "reports.json"
+        with VerificationServer(VerificationService(workers=1)) as server:
+            code = main(["submit", design, "--host", server.address, "--strategy", "ja",
+                         "--json", str(out)])
+        assert code == 1  # counter4's P0 fails
+        [report] = [decode_report(r) for r in json.loads(out.read_text()).values()]
+        assert report.design == "counter"  # inlined, named after the file
+        assert report.debugging_set() == ["P0"]
