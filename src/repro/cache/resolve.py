@@ -129,28 +129,24 @@ class CacheResolver:
         kept = cone_properties(ts, name, supports)
         reduction = reduce_to_cone(ts.aig, [name, *kept])
         cone = cone_digest(ts, name, kept, reduction=reduction)
-        self.store.pin(cone)  # GC must not race the certification below
-        try:
-            record = self.store.get(cone)
-            if record is None or record.prop != name:
-                self.store.counters["misses"] += 1
-                return None
-            outcome = self._certify(ts, name, record, reduction)
-            if outcome is None:
-                self.store.counters["certify_rejects"] += 1
-                return None
-            self.store.counters["hits"] += 1
-            emit(
-                CacheHit(
-                    name=name,
-                    status=outcome.status,
-                    exact_design=record.design == current_design,
-                    frames=outcome.frames,
-                )
+        record = self.store.get(cone)
+        if record is None or record.prop != name:
+            self.store.counters["misses"] += 1
+            return None
+        outcome = self._certify(ts, name, record, reduction)
+        if outcome is None:
+            self.store.counters["certify_rejects"] += 1
+            return None
+        self.store.counters["hits"] += 1
+        emit(
+            CacheHit(
+                name=name,
+                status=outcome.status,
+                exact_design=record.design == current_design,
+                frames=outcome.frames,
             )
-            return outcome
-        finally:
-            self.store.unpin(cone)
+        )
+        return outcome
 
     def _certify(
         self,

@@ -27,8 +27,7 @@ Three robustness rules, enforced here:
   promises well-formed records, not true ones.
 
 GC is LRU by file modification time (reads touch their entry), bounded
-by ``max_entries`` / ``max_bytes``, and never evicts an entry pinned by
-an in-flight resolution in this process.
+by ``max_entries`` / ``max_bytes``.
 """
 
 from __future__ import annotations
@@ -181,7 +180,6 @@ class ProofStore:
         self.root = Path(root)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._pinned: set[str] = set()
         self.counters: dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -236,15 +234,6 @@ class ProofStore:
         self.counters["writes"] += 1
         if self.max_entries is not None or self.max_bytes is not None:
             self.gc()
-
-    # ------------------------------------------------------------------
-    # Pinning (GC must not evict an in-flight entry)
-    # ------------------------------------------------------------------
-    def pin(self, cone: str) -> None:
-        self._pinned.add(cone)
-
-    def unpin(self, cone: str) -> None:
-        self._pinned.discard(cone)
 
     # ------------------------------------------------------------------
     # Warm clause logs
@@ -337,9 +326,7 @@ class ProofStore:
     ) -> int:
         """Evict least-recently-used entries beyond the size bounds.
 
-        Pinned entries (in-flight resolutions in this process) are never
-        evicted, even when that leaves the store over budget.  Returns
-        the number of entries removed.
+        Returns the number of entries removed.
         """
         max_entries = self.max_entries if max_entries is None else max_entries
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
@@ -362,8 +349,6 @@ class ProofStore:
             over_bytes = max_bytes is not None and total_bytes > max_bytes
             if not (over_entries or over_bytes):
                 break
-            if path.stem in self._pinned:
-                continue
             try:
                 path.unlink()
             except OSError:

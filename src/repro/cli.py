@@ -236,16 +236,44 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = session.run()
 
     _print_report(report)
-    if args.json:
-        from .net.codec import encode_report
+    return _finish(args.json, report)
 
-        with open(args.json, "w") as f:
-            json.dump(encode_report(report), f, indent=2)
-        print(f"wrote {args.json}")
-    # Exit status: 0 all hold, 1 failures found, 3 unsolved remain.
-    if report.false_props():
+
+def _finish(
+    json_path: str | None,
+    reports: MultiPropReport | dict[str, MultiPropReport],
+    *,
+    broken: int = 0,
+    interrupted: bool = False,
+) -> int:
+    """Write ``--json`` and return the exit status: every command's ending.
+
+    ``reports`` is ``check``'s one report or ``serve``/``submit``'s
+    ``{job id: report}`` of the jobs that settled; the JSON has the same
+    shape, each report as :func:`~repro.net.codec.encode_report` writes
+    it.  Exit status, the first that applies: 130 interrupted (a drained
+    SIGINT/SIGTERM), 2 ``broken`` jobs never settled, 1 failures found,
+    3 unsolved remain, 0 all hold.
+    """
+    from .net.codec import encode_report
+
+    single = isinstance(reports, MultiPropReport)
+    if json_path:
+        if single:
+            payload = encode_report(reports)
+        else:
+            payload = {job: encode_report(report) for job, report in reports.items()}
+        with open(json_path, "w") as f:
+            json.dump(payload, f, indent=2)
+        print(f"wrote {json_path}")
+    settled = [reports] if single else list(reports.values())
+    if interrupted:
+        return 130
+    if broken:
+        return 2
+    if any(report.false_props() for report in settled):
         return 1
-    if report.unsolved():
+    if any(report.unsolved() for report in settled):
         return 3
     return 0
 
@@ -374,7 +402,6 @@ def _serve_listen(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from .net.codec import encode_report
     from .service import VerificationService
 
     if args.stats_interval is not None and args.stats_interval <= 0:
@@ -425,14 +452,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         previous_term = None
 
     handles = []
-    failures = unsolved = broken = 0
+    broken = 0
     interrupted = False
-    results: dict = {}
+    reports: dict = {}
     collected: set[str] = set()
 
     def _collect(handle) -> None:
-        """Print and tally one terminal job (idempotent)."""
-        nonlocal failures, unsolved, broken
+        """Print and keep one terminal job's report (idempotent)."""
+        nonlocal broken
         if handle.job_id in collected:
             return
         collected.add(handle.job_id)
@@ -454,9 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"\n== {handle.job_id}: {handle.design_name} "
               f"[{handle.status.value}] ==")
         _print_report(report)
-        results[handle.job_id] = encode_report(report)
-        failures += bool(report.false_props())
-        unsolved += bool(report.unsolved())
+        reports[handle.job_id] = report
 
     try:
         try:
@@ -514,21 +539,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             stats_thread.join(timeout=5.0)
         service.close()
 
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {args.json}")
-    # Exit status mirrors check, aggregated over all jobs; a drained
-    # interrupt exits like a SIGINT'd process so wrappers see it.
-    if interrupted:
-        return 130
-    if broken:
-        return 2
-    if failures:
-        return 1
-    if unsolved:
-        return 3
-    return 0
+    # A drained interrupt exits like a SIGINT'd process so wrappers see it.
+    return _finish(args.json, reports, broken=broken, interrupted=interrupted)
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +594,6 @@ def _design_name(path: str) -> str:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from .net.client import RemoteError, ServiceClient, submit_manifest
-    from .net.codec import encode_report
 
     client = ServiceClient(args.host)
     specs = _load_remote_specs(args.target, args)
@@ -599,8 +610,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if args.no_wait:
         return 0
 
-    failures = unsolved = broken = 0
-    results: dict = {}
+    broken = 0
+    reports: dict = {}
     for job in jobs:
         if args.progress:
             try:
@@ -618,20 +629,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         status = job.status().get("status", "done")
         print(f"\n== {job.job_id}: {report.design} [{status}] ==")
         _print_report(report)
-        results[job.job_id] = encode_report(report)
-        failures += bool(report.false_props())
-        unsolved += bool(report.unsolved())
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {args.json}")
-    if broken:
-        return 2
-    if failures:
-        return 1
-    if unsolved:
-        return 3
-    return 0
+        reports[job.job_id] = report
+    return _finish(args.json, reports, broken=broken)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:

@@ -61,12 +61,17 @@ Design notes
   tracks which attempt each seat holds, and whatever ends an attempt
   decides its property on the :class:`PooledJob`.  When the last
   property is decided, no attempt of the job is left on a seat: the
-  report is delivered and the run closed together.  A user's cancel
-  stops the seats that run the job's attempts
-  (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`, by the attempt's
-  sequence number), so they report UNKNOWN within one budget check of
-  their engine; a queued attempt of a cancelled job is stopped the
-  moment it becomes its seat's running one.
+  report is delivered and the run closed together.
+* **One way to stop work: the seat's stop mark**
+  (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`, by an attempt's
+  sequence number; it stops that attempt and every earlier one on the
+  seat).  A user's cancel marks each seat that holds the job's attempts
+  at its newest one — the queued attempt's when there is one — so the
+  running attempt reports UNKNOWN within one budget check of its engine
+  and the queued one is declined unstarted, together, whatever the
+  job's age.  The watchdog and ``stop_on_failure`` let the running
+  attempt finish, since its verdict still counts, and stop a queued
+  attempt only once it becomes its seat's running one.
 * **Size-aware dispatch**: with no explicit property order, the backlog
   is ordered by *descending* estimated cone-of-influence size, the
   classic LPT list-scheduling heuristic — big proofs start first, so
@@ -660,8 +665,9 @@ class SeatScheduler:
 
         The seat may already be proving it.  If its job was cancelled
         meanwhile, it is stopped here, by its own seq: the job wants no
-        further work, and a younger run's ``cancel`` message sits behind
-        it in the seat's queue.
+        further work.  A user's cancel marked it already; the watchdog
+        and ``stop_on_failure`` could not while the attempt ahead of it,
+        whose verdict counts, was running.
         """
         queued = self.queued.pop(worker_id, None)
         if queued is not None:
@@ -703,28 +709,37 @@ class SeatScheduler:
     def cancel_job(self, job: PooledJob, *, stop: bool = False) -> None:
         """Cancel one job: drain its backlog, let assigned seats report.
 
-        Sibling jobs are untouched — the pool's per-run cancel either
-        raises the epoch (oldest run, monotonic ids protect the rest)
-        or sends run-targeted cancel messages.  Attempts already on a
-        seat still report: with ``stop`` (a user's cancel) their seats
-        are stopped, so they report UNKNOWN at their next budget check;
-        without it (the watchdog, ``stop_on_failure``) running ones run
-        on and their verdicts count — their per-property budget is
-        clamped by this job's total.  A queued attempt is stopped either
-        way once it runs (:meth:`_advance`).
+        Sibling jobs are untouched: a seat holds attempts of one job
+        only, and its stop mark reaches no later attempt.  Attempts
+        already on a seat still report: with ``stop`` (a user's cancel)
+        their seats are stopped at once (:meth:`_stop_seats`), so the
+        running attempt reports UNKNOWN at its next budget check and the
+        queued one is declined; without it (the watchdog,
+        ``stop_on_failure``) running ones run on and their verdicts
+        count — their per-property budget is clamped by this job's
+        total — and a queued one is stopped once it runs
+        (:meth:`_advance`).
         """
         if job.finished:
             return
         if stop:
-            for worker_id, held in self.assignments.items():
-                if held[0] == job.run_id:
-                    self.pool.stop_seat(worker_id, held.seq)
+            self._stop_seats(job)
         if job.cancelled:
             return
         job.cancelled = True
-        self.pool.cancel_run(job.run_id)
         self._drain_backlog(job)
         self._maybe_finish(job)
+
+    def _stop_seats(self, job: PooledJob) -> None:
+        """Mark each seat holding ``job``'s attempts at its newest one.
+
+        The queued attempt's seq when the seat has one: that stops the
+        running attempt and declines the queued one.
+        """
+        for worker_id, held in self.assignments.items():
+            if held[0] == job.run_id:
+                newest = self.queued.get(worker_id, held)
+                self.pool.stop_seat(worker_id, newest.seq)
 
     def _drain_backlog(self, job: PooledJob, checkpoint: bool = True) -> None:
         backlog, job.backlog = job.backlog, []
@@ -965,7 +980,6 @@ class SeatScheduler:
         self.queued.clear()
         self.assignments.clear()
         for job in list(self.jobs.values()):
-            self.pool.cancel_run(job.run_id)
             job.cancelled = True
             self._drain_backlog(job, checkpoint=False)
             self._maybe_finish(job)
@@ -975,13 +989,13 @@ class SeatScheduler:
         """Release the message lease.
 
         A run still open here belongs to a job abandoned on an
-        exception path — close it so no open-run state outlives the
-        scheduler.
+        exception path — stop its seats and close it, so no attempt
+        and no open-run state outlives the scheduler.
         """
-        for run_id in self.jobs:
-            if not self.pool.closed:
-                self.pool.cancel_run(run_id)
-                self.pool.close_run(run_id)
+        if not self.pool.closed:
+            for job in self.jobs.values():
+                self._stop_seats(job)
+                self.pool.close_run(job.run_id)
         self.pool.release_messages(self)
 
 

@@ -51,28 +51,21 @@ output queue's run-tagged messages itself.  Because one process may
 not have two consumers of that queue, a scheduler must take the
 message lease (:meth:`acquire_messages`) first.
 
-Cancellation is per run, and never a per-run event object, because
-synchronization primitives cannot be shipped through queues to
-already-running processes.  :meth:`cancel_run` raises the shared epoch
-(a :class:`multiprocessing.Value` holding a run id at or below which
-every job is declined) when the target is the *oldest* open run — run
-ids are monotonic, so that never touches a newer run — and falls back
-to explicit ``("cancel", run_id)`` control messages otherwise.  Workers
-decline (report ``cancelled``) any assigned job of a cancelled run.
-
-A job already *running* is stopped per seat, through **stop marks**
-(the scheduler stops the seats of a job its user cancelled): one
-shared ``Array("q", workers)`` created with the pool and handed to
-every seat it spawns or respawns.  Each job message carries a pool-wide
-sequence number, ``("job", run_id, job, seq)``, and the seat's engines
-give up — UNKNOWN, at their next budget check — once
-``marks[worker_id] == seq``.  :meth:`assign` returns that ``seq`` and
-:meth:`stop_seat` writes the one it is given into the seat's mark: a
-seat may already hold its *next* job in its queue (the scheduler's
-lookahead), so "the last job assigned" is not necessarily the one
-running, and the scheduler names the attempt it means.  Numbers only
-grow, so a mark left over from an earlier job can never stop a later
-one, and no reset is needed.
+Stopping work is per seat, through **stop marks**: one shared
+``Array("q", workers)`` created with the pool and handed to every seat
+it spawns or respawns (synchronization primitives cannot be shipped
+through queues to already-running processes).  Each job message carries
+a pool-wide sequence number, ``("job", run_id, job, seq, clauses)``, and
+a seat's mark is the newest ``seq`` it must not finish: the seat
+declines (reports ``cancelled``) a job with ``seq <= mark`` before
+starting it, and a running attempt's engines give up — UNKNOWN, at
+their next budget check — once its ``seq <= mark``.  :meth:`assign`
+returns that ``seq`` and :meth:`stop_seat` raises the seat's mark to
+the one it is given, never lowers it.  A seat receives its jobs in
+``seq`` order and may already hold its *next* job in its queue (the
+scheduler's lookahead), so the scheduler names the newest attempt it
+means: a mark stops that attempt and every earlier one on the seat,
+never a later one, and no reset is needed.
 
 Construct pools explicitly and pass them around
 (``VerificationConfig(pool=WorkerPool(...))``); a pool is a context manager, every
@@ -151,9 +144,7 @@ class WorkerPool:
             start_method = "fork" if "fork" in available else "spawn"
         self.context = multiprocessing.get_context(start_method)
         self._out_queue = self.context.Queue()
-        # Highest cancelled run id; workers decline jobs at or below it.
-        self._cancel_epoch = self.context.Value("q", -1)
-        # Per-seat stop marks (see "Cancellation" above).  One writer (this
+        # Per-seat stop marks (see "Stopping work" above).  One writer (this
         # process) and one reader per entry, so no lock: the seat polls
         # its entry at every budget check.
         self._stop_marks = self.context.Array("q", resolved, lock=False)
@@ -166,7 +157,6 @@ class WorkerPool:
         self._run_ids = itertools.count()
         # run id -> (design, ProofOptions), for late seat attachment
         self._open: dict[int, tuple] = {}
-        self._cancelled_runs: set = set()
         self._consumer: object | None = None  # message-lease holder
         self._closed = False
         _live_pools.add(self)
@@ -204,7 +194,6 @@ class WorkerPool:
                 worker_id,
                 ctrl,
                 self._out_queue,
-                self._cancel_epoch,
                 self._stop_marks,
                 self._stop,
             ),
@@ -260,7 +249,6 @@ class WorkerPool:
             return
         self._closed = True
         self._open.clear()
-        self._cancelled_runs.clear()
         self._consumer = None
         self._stop.set()
         for slot in self._slots:
@@ -397,13 +385,15 @@ class WorkerPool:
         return seq
 
     def stop_seat(self, worker_id: int, seq: int) -> None:
-        """Stop the seat's job numbered ``seq``, if it is still running.
+        """Stop the seat's job numbered ``seq`` and every earlier one.
 
-        Its engines give up at their next budget check and the seat
-        reports the attempt UNKNOWN, which frees it; a job already
-        finished is unaffected, and so is every later one.
+        A running one gives up at its engine's next budget check and
+        reports UNKNOWN; a queued one is declined unstarted.  A job
+        already finished is unaffected, and so is every later one.  The
+        mark only rises: a lower ``seq`` than the seat's mark is a no-op.
         """
-        self._stop_marks[worker_id] = seq
+        if self._stop_marks[worker_id] < seq:
+            self._stop_marks[worker_id] = seq
 
     def next_message(self, timeout: float = 0.2):
         """Next message of any open run: ``(kind, run_id, worker, ...)``.
@@ -429,34 +419,6 @@ class WorkerPool:
                 continue
             return (message[0], message[1]) + tuple(message[2:])
 
-    def cancel_run(self, run_id: int) -> None:
-        """Cancel one open run (assigned-but-unstarted jobs decline).
-
-        The oldest open run is cancelled through the shared epoch —
-        prompt, reaches even jobs already sitting in worker queues, and
-        can never touch a newer run because ids are monotonic.  Younger
-        runs get explicit per-worker ``cancel`` messages instead, so a
-        cancelled job never takes its siblings down with it.
-        """
-        if run_id not in self._open:
-            return
-        self._cancelled_runs.add(run_id)
-        if run_id == min(self._open):
-            with self._cancel_epoch.get_lock():
-                if self._cancel_epoch.value < run_id:
-                    self._cancel_epoch.value = run_id
-        else:
-            for slot in self._slots:
-                if slot.process.is_alive():
-                    slot.ctrl.put(("cancel", run_id))
-
-    def run_cancelled(self, run_id: int) -> bool:
-        """True once ``run_id`` has been cancelled."""
-        return (
-            run_id in self._cancelled_runs
-            or self._cancel_epoch.value >= run_id
-        )
-
     def close_run(self, run_id: int) -> None:
         """Close an open run; anything still in flight goes stale.
 
@@ -467,7 +429,6 @@ class WorkerPool:
         if run_id not in self._open:
             return
         del self._open[run_id]
-        self._cancelled_runs.discard(run_id)
         for slot in self._slots:
             if slot.process.is_alive():
                 try:

@@ -33,23 +33,17 @@ Control messages (private queue, parent -> worker):
     without a slate is the local proof; a portfolio job's carries the
     engine slate, which the seat races in doubling slices
     (:func:`~repro.parallel.portfolio.race`) until one engine decides —
-    the whole race is this one job.  ``seq`` is the
-    job's pool-wide sequence number: every budget the attempt creates
-    also asks ``marks[worker_id] == seq`` of the pool's shared stop
-    marks, so once the parent stops the seat
-    (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`) the engine gives
-    up at its next budget check and the job reports UNKNOWN.
+    the whole race is this one job.  ``seq`` is the job's pool-wide
+    sequence number and ``marks[worker_id]`` the newest one this seat
+    must not finish (:meth:`~repro.parallel.pool.WorkerPool.stop_seat`
+    raises it): a job with ``seq <= mark`` is declined before it starts
+    (reports ``cancelled``), and every budget of a running attempt
+    gives up once ``seq <= mark``, so its engine stops at the next
+    budget check and the job reports UNKNOWN.
     ``clauses`` is a :func:`~repro.parallel.exchange.pack_clauses`
     blob: the part of the job's clause log this seat has not received
     yet, which goes into the run's clause database before anything
     else happens to the job — even a declined one;
-``("cancel", run_id)``
-    decline (report ``cancelled``) any later job of that run — the
-    per-run complement of the pool-wide cancel epoch.  Sent for a
-    cancelled *job* (user cancel, watchdog, stop on first failure —
-    all parent-side decisions).  A running job outlives it and its
-    verdict counts, unless the parent also stops its seat, which it
-    does for a user's cancel (and a failed subscriber's) only;
 ``("end", run_id)``
     the run is over; drop its cached state;
 ``("stop",)``
@@ -66,8 +60,8 @@ worker, the whole stream is deterministic:
 ``("result", run, worker, PropOutcome)``
     the verdict for one property (terminal for that job);
 ``("cancelled", run, worker, name)``
-    the job was declined because the run's cancel epoch was raised
-    before it started (terminal);
+    the job was declined because the seat's stop mark had reached its
+    ``seq`` before it started; sent before any ``event`` (terminal);
 ``("error", run, worker, name, message)``
     the verifier raised; the parent re-raises after the run (terminal).
 
@@ -136,7 +130,6 @@ def pool_worker_main(
     worker_id: int,
     ctrl_queue,
     out_queue,
-    cancel_epoch,
     stop_marks,
     stop_event,
 ) -> None:
@@ -155,7 +148,6 @@ def pool_worker_main(
     # the two sides always agree on which hashes this worker holds.
     designs: "OrderedDict[str, TransitionSystem]" = OrderedDict()
     runs: dict[int, _ActiveRun] = {}
-    cancelled: set = set()
     while True:
         try:
             message = ctrl_queue.get(timeout=_POLL_TIMEOUT)
@@ -180,12 +172,8 @@ def pool_worker_main(
             runs[run_id] = _ActiveRun(run_id=run_id, ts=ts, options=options)
             out_queue.put(("ready", run_id, worker_id))
             continue
-        if kind == "cancel":
-            cancelled.add(message[1])
-            continue
         if kind == "end":
             runs.pop(message[1], None)
-            cancelled.discard(message[1])
             continue
         if kind != "job":  # pragma: no cover - defensive: protocol drift
             # An unknown control tag means the parent and this worker
@@ -201,7 +189,7 @@ def pool_worker_main(
         # The parent counts these clauses as delivered to this seat, so
         # they are absorbed even when the job itself is declined.
         run.db.add_all(unpack_clauses(clauses))
-        if run_id <= cancel_epoch.value or run_id in cancelled:
+        if seq <= stop_marks[worker_id]:
             out_queue.put(("cancelled", run_id, worker_id, job.name))
             continue
         _execute(worker_id, run, job, seq, stop_marks, out_queue)
@@ -213,7 +201,7 @@ def _execute(
     """Run one property job and report its terminal message.
 
     The job gives up (UNKNOWN) at its engine's next budget check once
-    ``stop_marks[worker_id]`` holds its ``seq``.
+    ``stop_marks[worker_id]`` reaches its ``seq``.
     """
     run_id = run.run_id
 
@@ -221,7 +209,7 @@ def _execute(
         out_queue.put(("event", run_id, worker_id, event))
 
     def stopped() -> bool:
-        return stop_marks[worker_id] == seq
+        return seq <= stop_marks[worker_id]
 
     try:
         if job.slate is None:

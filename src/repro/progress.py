@@ -223,8 +223,12 @@ class PropertyCancelled(ProgressEvent):
     """A queued property was abandoned by early cancellation.
 
     Emitted when the run-level verdict is already decided (a failure
-    was found under ``stop_on_failure``) or the total budget expired;
-    always followed by an UNKNOWN :class:`PropertySolved` for ``name``.
+    was found under ``stop_on_failure``), the total budget expired or
+    the user cancelled: for each attempt still in the job's backlog
+    (``worker`` is ``None``) and for a queued attempt its seat declined
+    unstarted because the seat's stop mark had reached it (``worker``
+    is that seat).  Always followed by an UNKNOWN
+    :class:`PropertySolved` for ``name``.
     """
 
     kind: ClassVar[str] = "property-cancelled"

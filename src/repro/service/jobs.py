@@ -20,8 +20,9 @@ Cancellation (:meth:`JobHandle.cancel`) is cooperative and never
 perturbs sibling jobs: a queued job is cancelled outright (its report
 marks every property UNKNOWN), a running pooled job stops feeding
 seats, records its remaining properties UNKNOWN and stops the seats
-that hold its in-flight properties (they report UNKNOWN at their next
-budget check), and a running *threaded* job cannot be preempted
+that hold its in-flight properties — the running attempt reports
+UNKNOWN at its next budget check and the one queued behind it is
+declined unstarted — and a running *threaded* job cannot be preempted
 (``cancel`` returns False).
 """
 

@@ -101,15 +101,15 @@ def test_deleting_a_dispatch_arm_fails_the_lint():
     sources = _mutated(
         ["parallel/*.py"],
         "src/repro/parallel/worker.py",
-        [('if kind == "cancel":', 'if kind == "cancel-deleted":')],
+        [('if kind == "end":', 'if kind == "end-deleted":')],
     )
     result = analyze_sources(sources, [BY_ID["wire-protocol"]])
     texts = [f.message for f in result.findings]
     assert any(
-        "'cancel'" in m and "no dispatch arm" in m for m in texts
+        "'end'" in m and "no dispatch arm" in m for m in texts
     ), texts
     assert any(
-        "'cancel-deleted'" in m and "matches no send site" in m for m in texts
+        "'end-deleted'" in m and "matches no send site" in m for m in texts
     ), texts
 
 

@@ -173,16 +173,6 @@ class TestGC:
         self._fill(store, 3)
         assert store.gc(max_bytes=1) == 3
 
-    def test_pinned_entries_survive(self, tmp_path):
-        store = ProofStore(tmp_path)
-        cones = self._fill(store, 3)
-        store.pin(cones[0])
-        removed = store.gc(max_entries=1)
-        assert removed == 2
-        assert store.get(cones[0]) is not None  # pinned: held despite age
-        store.unpin(cones[0])
-        assert store.gc(max_entries=0) == 1
-
     def test_put_applies_configured_bounds(self, tmp_path):
         store = ProofStore(tmp_path, max_entries=2)
         self._fill(store, 3)

@@ -66,7 +66,6 @@ class _StubPool:
         self.relayed: list = []  # (seat, run id, clause list), per assign
         self.stopped: list = []  # (seat, PropertyJob) per stop_seat call
         self.respawn_calls: list[list[int]] = []
-        self.cancelled_runs: list[int] = []
 
     # -- crash injection ------------------------------------------------
     def kill(self, worker_id: int) -> None:
@@ -115,9 +114,6 @@ class _StubPool:
         if timeout > 0:
             time.sleep(0.001)  # a dispatcher thread polling: do not spin
         raise queue_mod.Empty
-
-    def cancel_run(self, run_id: int) -> None:
-        self.cancelled_runs.append(run_id)
 
     def close_run(self, run_id: int) -> None:
         self._open.discard(run_id)
@@ -257,6 +253,21 @@ class TestStopSeats:
         assert handle.status is JobStatus.CANCELLED
         assert {o.status for o in report.outcomes.values()} == {PropStatus.UNKNOWN}
         assert [job.name for _, _, job in pool.assigned] == ["P0"]
+
+    def test_a_user_cancel_marks_a_younger_jobs_queued_attempt_at_once(self):
+        # One mark at the seat's newest attempt stops the running one and
+        # declines the queued one together, whatever the job's age; the
+        # older job's seat is not touched.
+        pool = _StubPool(workers=2)
+        scheduler = SeatScheduler(pool)
+        keep = _admit(scheduler, [f"b{i}" for i in range(6)], job_id="keep")
+        drop = _admit(scheduler, [f"a{i}" for i in range(6)], job_id="drop")
+        _pump(scheduler)  # seat 0: b0, b1 queued; seat 1: b2
+        _serve(scheduler, 1)  # b2 done: seat 1 runs a0, a1 queued
+        assert keep.run_id < drop.run_id
+        assert [a.name for _, (_, a) in sorted(scheduler.queued.items())] == ["b1", "a1"]
+        scheduler.cancel_job(drop, stop=True)
+        assert [(seat, a.name) for seat, a in pool.stopped] == [(1, "a1")]
 
     def test_the_watchdog_lets_attempts_in_flight_finish(self):
         pool = _StubPool(workers=2)
@@ -621,7 +632,7 @@ class TestEmitFailure:
             pool.messages.append(
                 ("event", run_id, seat, PropertyStarted(name="P0", assumed=("P1",)))
             )
-            _wait_for(lambda: pool.cancelled_runs, "job cancelled")
+            _wait_for(lambda: pool.stopped, "job cancelled")
             pool.messages.append(
                 (
                     "result",
@@ -643,14 +654,10 @@ class TestEmitFailure:
 def _crash_loop_until(marker: str):
     """Seat 0 dies instantly on every spawn until ``marker`` exists."""
 
-    def entry(
-        worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
-    ):
+    def entry(worker_id, ctrl_queue, out_queue, stop_marks, stop_event):
         if worker_id == 0 and not os.path.exists(marker):
             os._exit(1)
-        pool_worker_main(
-            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
-        )
+        pool_worker_main(worker_id, ctrl_queue, out_queue, stop_marks, stop_event)
 
     return entry
 

@@ -136,11 +136,12 @@ class TestLookahead:
             (1, drop.run_id),
         ]
         scheduler.cancel_job(drop, stop=True)
-        assert [(seat, a.name) for seat, a in pool.stopped] == [(1, "a0")]
-        for name in ("a0", "a1"):  # each reports at its next budget check
-            scheduler._dispatch_message(("cancelled", drop.run_id, 1, name))
-        # a1 was stopped the moment it ran; seat 0 was never served.
-        assert [(seat, a.name) for seat, a in pool.stopped] == [(1, "a0"), (1, "a1")]
+        # a0 stops at its next budget check and a1 is declined unstarted.
+        scheduler._dispatch_message(("cancelled", drop.run_id, 1, "a0"))
+        scheduler._dispatch_message(("cancelled", drop.run_id, 1, "a1"))
+        # Every stop named a1, the newest attempt on seat 1: once at the
+        # cancel, once more when it became the running one.
+        assert [(seat, a.name) for seat, a in pool.stopped] == [(1, "a1")] * 2
         assert drop.finished
         assert {o.status for o in drop.outcomes.values()} == {PropStatus.UNKNOWN}
         assert not keep.finished and scheduler.assignments[0][1].name == "b0"

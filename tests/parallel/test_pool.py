@@ -228,41 +228,6 @@ class TestSeatLeasing:
         pool.close_run(second)
         assert pool.open_runs == []
 
-    def test_cancel_run_spares_younger_siblings(self, pool, toggler):
-        from repro.parallel.worker import PropertyJob
-
-        pool.start_missing_workers()
-        old = pool.open_run(toggler, ProofOptions())
-        young = pool.open_run(toggler, ProofOptions())
-        pool.cancel_run(old)  # oldest: epoch path
-        assert pool.run_cancelled(old)
-        assert not pool.run_cancelled(young)
-        # The cancelled run's jobs decline; the sibling's still execute.
-        acks = 0
-        while acks < 2 * pool.workers:
-            if pool.next_message(timeout=10.0)[0] == "ready":
-                acks += 1
-        pool.assign(0, PropertyJob(name="never_q"), run_id=old)
-        pool.assign(1, PropertyJob(name="never_q"), run_id=young)
-        seen = {}
-        while len(seen) < 2:
-            message = pool.next_message(timeout=30.0)
-            if message[0] in ("cancelled", "result"):
-                seen[message[1]] = message[0]
-        assert seen == {old: "cancelled", young: "result"}
-        pool.close_run(old)
-        pool.close_run(young)
-
-    def test_cancel_younger_run_spares_the_oldest(self, pool, toggler):
-        pool.start_missing_workers()
-        old = pool.open_run(toggler, ProofOptions())
-        young = pool.open_run(toggler, ProofOptions())
-        pool.cancel_run(young)  # non-oldest: per-worker cancel messages
-        assert pool.run_cancelled(young)
-        assert not pool.run_cancelled(old)
-        pool.close_run(old)
-        pool.close_run(young)
-
     def test_message_lease_is_exclusive(self, pool):
         owner, thief = object(), object()
         pool.acquire_messages(owner)
@@ -284,3 +249,35 @@ class TestSeatLeasing:
         with pytest.raises(RuntimeError, match="not open"):
             pool.assign(0, PropertyJob(name="never_q"), run_id=run + 1)
         pool.close_run(run)
+
+
+class TestStopMarks:
+    def test_a_seat_declines_a_job_at_or_below_its_mark(self, toggler):
+        # The seat loop in-process: a plain queue for its control queue
+        # and a list for the pool's marks, so the stream is exact.
+        import pickle
+        import queue
+        import threading
+
+        from repro.parallel.worker import PropertyJob, pool_worker_main
+
+        ctrl, out = queue.Queue(), queue.Queue()
+        ctrl.put(("run", 0, "digest", pickle.dumps(toggler), ProofOptions()))
+        for seq in (7, 8):
+            ctrl.put(("job", 0, PropertyJob(name="never_q"), seq, b""))
+        ctrl.put(("stop",))
+        pool_worker_main(0, ctrl, out, [7], threading.Event())
+        messages = [out.get_nowait() for _ in range(out.qsize())]
+        kinds = [m[0] for m in messages]
+        # seq 7 is at the mark: declined before it emits anything.
+        assert kinds[:2] == ["ready", "cancelled"] and messages[1][3] == "never_q"
+        # seq 8 is past it: it runs, streams its events, and decides.
+        assert "event" in kinds[2:-1] and kinds[-1] == "result"
+        assert messages[-1][3].status is PropStatus.FAILS
+
+    def test_stop_seat_never_lowers_a_mark(self, pool):
+        pool.stop_seat(1, 9)
+        pool.stop_seat(1, 4)  # an older attempt: the mark stays
+        assert list(pool._stop_marks) == [0, 9]
+        pool.stop_seat(1, 12)
+        assert list(pool._stop_marks) == [0, 12]

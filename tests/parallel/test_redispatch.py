@@ -40,9 +40,7 @@ def _crash_on_first_job(marker: str):
     fed a job.
     """
 
-    def entry(
-        worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
-    ):
+    def entry(worker_id, ctrl_queue, out_queue, stop_marks, stop_event):
         import time
 
         if worker_id == 0 and not os.path.exists(marker):
@@ -60,9 +58,7 @@ def _crash_on_first_job(marker: str):
                     os._exit(1)
         while not os.path.exists(marker):
             time.sleep(0.01)
-        pool_worker_main(
-            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
-        )
+        pool_worker_main(worker_id, ctrl_queue, out_queue, stop_marks, stop_event)
 
     return entry
 
@@ -70,9 +66,7 @@ def _crash_on_first_job(marker: str):
 def _crash_before_ready(marker: str):
     """Worker 0 dies before even acknowledging the run setup — once."""
 
-    def entry(
-        worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
-    ):
+    def entry(worker_id, ctrl_queue, out_queue, stop_marks, stop_event):
         import time
 
         if worker_id == 0 and not os.path.exists(marker):
@@ -82,9 +76,7 @@ def _crash_before_ready(marker: str):
             os._exit(1)
         while not os.path.exists(marker):
             time.sleep(0.01)
-        pool_worker_main(
-            worker_id, ctrl_queue, out_queue, cancel_epoch, stop_marks, stop_event
-        )
+        pool_worker_main(worker_id, ctrl_queue, out_queue, stop_marks, stop_event)
 
     return entry
 
@@ -150,8 +142,8 @@ class TestCrashRedispatch:
     def test_all_workers_dead_degrades_to_unknown(
         self, toggler, tmp_path, monkeypatch
     ):
-        def die_immediately(worker_id, ctrl_queue, out_queue, cancel_epoch,
-                            stop_marks, stop_event):
+        def die_immediately(worker_id, ctrl_queue, out_queue, stop_marks,
+                            stop_event):
             os._exit(1)
 
         # Every respawn dies too: after CRASH_LOOP crashes in a row on

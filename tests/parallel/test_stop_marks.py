@@ -1,6 +1,6 @@
 """Stop marks: the parent stops one running attempt on one seat.
 
-A seat's engines ask ``marks[worker_id] == seq`` at every budget check
+A seat's engines ask ``seq <= marks[worker_id]`` at every budget check
 (``seq`` is the job message's pool-wide sequence number), so a stopped
 attempt gives up UNKNOWN within one check.  The ``_execute`` tests run
 the seat's job body in-process and set the mark from the attempt's own
@@ -95,8 +95,8 @@ class TestEveryEngineHonoursItsMark:
 
 def test_a_real_seat_stops_on_its_mark_also_after_a_respawn():
     # counter6's P1 is true; its BMC to depth 256 takes most of a second
-    # on one core, so an attempt stopped right after assignment cannot
-    # have finished it.  P0 fails at depth 1.
+    # on one core, so an attempt stopped at its first event cannot have
+    # finished it.  P0 fails at depth 1.
     ts = TransitionSystem(buggy_counter(bits=6))
 
     def terminal(pool):
@@ -105,14 +105,14 @@ def test_a_real_seat_stops_on_its_mark_also_after_a_respawn():
             if message[0] not in ("ready", "event"):
                 return message
 
-    def wait_ready(pool):
-        while pool.next_message(timeout=60.0)[0] != "ready":
+    def wait_for(pool, kind):
+        while pool.next_message(timeout=60.0)[0] != kind:
             pass
 
     with WorkerPool(workers=1) as pool:
         pool.start_missing_workers()
         run = pool.open_run(ts, ProofOptions(max_frames=256))
-        wait_ready(pool)
+        wait_for(pool, "ready")
         for respawned in (False, True):
             if respawned:
                 victim = pool._slots[0].process
@@ -120,8 +120,11 @@ def test_a_real_seat_stops_on_its_mark_also_after_a_respawn():
                 victim.join()
                 assert pool.respawn_workers([0]) == [0]
                 pool.attach_worker(run, 0)
-                wait_ready(pool)
+                wait_for(pool, "ready")
             seq = pool.assign(0, PropertyJob(name="P1", slate=("bmc",)), run_id=run)
+            # Stopped once it runs: marked any earlier, the seat would
+            # decline it unstarted.
+            wait_for(pool, "event")
             pool.stop_seat(0, seq)
             kind, _, _, outcome = terminal(pool)
             assert kind == "result"

@@ -352,3 +352,39 @@ class TestSubmit:
         [report] = [decode_report(r) for r in json.loads(out.read_text()).values()]
         assert report.design == "counter"  # inlined, named after the file
         assert report.debugging_set() == ["P0"]
+
+    def test_exit_status_ranks_unsettled_then_failures_then_unsolved(
+        self, tmp_path, capsys
+    ):
+        from repro.net import VerificationServer
+        from repro.service import VerificationService
+        from repro.session import register_strategy, unregister_strategy
+
+        @register_strategy("raises")
+        class Raises:
+            def run(self, ts, config, emit):
+                raise RuntimeError("boom")
+
+        designs = {}
+        for name in ("counter4", "t256"):
+            designs[name] = str(tmp_path / f"{name}.aag")
+            assert main(["gen", name, "-o", designs[name]]) == 0
+        jobs = {
+            "fails": {"design": designs["counter4"], "strategy": "ja"},
+            "unsolved": {"design": designs["t256"], "strategy": "ja", "max_frames": 1},
+            "raises": {"design": designs["counter4"], "strategy": "raises"},
+        }
+
+        def submit(*names) -> int:
+            manifest = tmp_path / "jobs.json"
+            manifest.write_text(json.dumps({"jobs": [jobs[n] for n in names]}))
+            return main(["submit", str(manifest), "--host", server.address])
+
+        try:
+            with VerificationServer(VerificationService(workers=1)) as server:
+                assert submit("unsolved", "fails", "raises") == 2
+                assert "RuntimeError: boom" in capsys.readouterr().err
+                assert submit("unsolved", "fails") == 1
+                assert submit("unsolved") == 3
+        finally:
+            unregister_strategy("raises")
