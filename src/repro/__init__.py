@@ -43,8 +43,8 @@ Progress events stream via callback or iterator::
     session.run()
 
 Every verification strategy (``ja``, ``joint``, ``separate``,
-``clustered``, ``sweep-ja``, and anything registered with
-:func:`register_strategy`) runs through the same ``Session`` API, and
+``clustered``, ``parallel-ja``, ``portfolio``, and anything registered
+with :func:`register_strategy`) runs through the same ``Session`` API, and
 every knob is a field of the one :class:`VerificationConfig` (see
 :mod:`repro.session`); the drivers themselves (``ja_verify`` & friends)
 take ``(ts, config, emit)``.

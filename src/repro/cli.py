@@ -83,6 +83,7 @@ from .session import (
     UnknownStrategyError,
     VerificationConfig,
     available_strategies,
+    get_strategy,
 )
 from .ts.system import TransitionSystem
 
@@ -212,8 +213,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         ctg=args.ctg,
         max_frames=args.max_frames,
         include_etf=not args.exclude_etf,
-        cluster_inner=args.cluster_inner,
-        similarity_threshold=args.similarity_threshold,
         workers=args.workers,
         exchange=not args.no_exchange,
         stop_on_failure=args.stop_on_failure,
@@ -305,7 +304,14 @@ def _print_report(report: MultiPropReport) -> None:
         )
         if winners:
             print(f"\nwinning engines — {winners}")
-    if report.method.startswith(("ja", "sweep", "parallel", "portfolio")):
+    # Only local verdicts have a debugging set.  The registry's ``local``
+    # flag says which, as for the service; a method this client does not
+    # know gets the protocol's default.
+    try:
+        local = getattr(get_strategy(report.method), "local", True)
+    except UnknownStrategyError:
+        local = True
+    if local:
         print()
         print(debugging_report(report).narrative())
 
@@ -841,16 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", default=None, help="property order: design | cone | shuffled:<seed>"
     )
     p_check.add_argument(
-        "--cluster-inner", choices=("joint", "ja"), default="joint",
-        help="method inside each cluster (clustered only)",
-    )
-    p_check.add_argument(
         "--exclude-etf", action="store_true",
         help="joint/clustered: leave expected-to-fail properties out",
-    )
-    p_check.add_argument(
-        "--similarity-threshold", type=float, default=0.5, metavar="T",
-        help="clustered: COI-similarity cut in [0, 1] (default: 0.5)",
     )
     p_check.add_argument(
         "--engine", type=_engine_override, action="append", default=None,

@@ -3,10 +3,9 @@
 A knob is a :class:`VerificationConfig` field.  Every driver —
 ``ja_verify``, ``joint_verify``, ``clustered_verify``, the pool's
 :meth:`~repro.parallel.engine.SeatScheduler.admit` — takes the config
-itself and reads the fields it acts on; a driver that runs another one
-under a narrower budget hands it ``dataclasses.replace(config, ...)``.
-A field a method has no use for is ignored, mirroring how the paper's
-tables vary one axis at a time.
+itself and reads the fields it acts on; no driver hands another a
+narrowed copy of it.  A field a method has no use for is ignored,
+mirroring how the paper's tables vary one axis at a time.
 
 :class:`ProofOptions` is the one projection of a config
 (:meth:`VerificationConfig.proof_options`): the frozen, picklable
@@ -76,7 +75,7 @@ class VerificationConfig:
     """Everything one verification run needs, in one object.
 
     Fields irrelevant to the selected strategy are ignored by it (e.g.
-    ``cluster_inner`` outside the clustered strategy).
+    ``include_etf`` outside ``joint`` and ``clustered``).
     """
 
     strategy: str = "ja"
@@ -104,8 +103,6 @@ class VerificationConfig:
     solver_backend: str | None = None
     # -- joint/clustered specifics -------------------------------------
     include_etf: bool = True
-    cluster_inner: str = "joint"
-    similarity_threshold: float = 0.5
     # -- parallel-ja specifics (Section 11) ----------------------------
     #: Worker processes; ``None`` means one per CPU (capped by #props).
     workers: int | None = None
@@ -168,15 +165,6 @@ class VerificationConfig:
                 raise ConfigError(f"{name} must be non-negative, got {value!r}")
         if self.max_frames < 1:
             raise ConfigError(f"max_frames must be >= 1, got {self.max_frames!r}")
-        if self.cluster_inner not in ("joint", "ja"):
-            raise ConfigError(
-                f"unknown cluster_inner {self.cluster_inner!r}; expected 'joint' or 'ja'"
-            )
-        if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ConfigError(
-                f"similarity_threshold must be within [0, 1], "
-                f"got {self.similarity_threshold!r}"
-            )
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         if (

@@ -6,7 +6,7 @@ heuristics."""
 from .clausedb import ClauseDB
 from .clustering import cluster_properties, clustered_verify
 from .debugging import DebuggingReport, check_proposition6, debugging_report
-from .sweep import SweepResult, sweep, swept_ja_verify
+from .sweep import SweepResult, sweep
 from .ja import JAVerifier, ja_verify, separate_verify
 from .joint import joint_verify
 from .ordering import by_cone_size, design_order, shuffled
@@ -31,6 +31,5 @@ __all__ = [
     "clustered_verify",
     "cluster_properties",
     "sweep",
-    "swept_ja_verify",
     "SweepResult",
 ]

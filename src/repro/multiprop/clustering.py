@@ -9,24 +9,25 @@ structure-aware approach".
 
 This module implements the structural baseline so the comparison can be
 run: properties are clustered by Jaccard similarity of their latch
-cones, and each cluster is verified jointly (restricted to its own cone
-of influence, which is what makes grouping pay).  It also exposes the
-hybrid the paper hints at: JA-verification *within* each cluster,
-assuming only the cluster's own properties.
+cones, and each cluster is verified jointly — joint's own loop
+(:func:`~repro.multiprop.joint.verify_jointly`), restricted to the
+cluster's cone of influence, which is what makes grouping pay.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace
+from collections.abc import Sequence
 
 from ..circuit.coi import coi_signature, reduce_to_cone
-from ..config import VerificationConfig
-from ..progress import ClusterStarted, Emit
+from ..config import VerificationConfig, resolve_order
+from ..engines.result import ResourceBudget
+from ..progress import ClusterStarted, Emit, emit_or_null
 from ..ts.system import TransitionSystem
-from .ja import ja_verify
-from .joint import joint_verify
+from .joint import verify_jointly
 from .report import MultiPropReport
+
+#: Cone similarity at which a property joins a cluster.
+SIMILARITY_THRESHOLD = 0.5
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -38,7 +39,9 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 
 
 def cluster_properties(
-    ts: TransitionSystem, threshold: float = 0.5
+    ts: TransitionSystem,
+    threshold: float = SIMILARITY_THRESHOLD,
+    names: Sequence[str] | None = None,
 ) -> list[list[str]]:
     """Greedy single-link clustering of properties by cone similarity.
 
@@ -46,13 +49,16 @@ def cluster_properties(
     whose *representative* (first member) has Jaccard similarity above
     the threshold, else starts a new cluster.  Greedy single-pass
     matching keeps the procedure deterministic and linear-ish, which is
-    what the structural-grouping papers use in practice.
+    what the structural-grouping papers use in practice.  ``names``
+    (default: all) are the properties to cluster.
     """
-    signatures = {p.name: coi_signature(ts.aig, p) for p in ts.properties}
+    wanted = None if names is None else set(names)
     clusters: list[list[str]] = []
     reps: list[frozenset] = []
     for prop in ts.properties:
-        sig = signatures[prop.name]
+        if wanted is not None and prop.name not in wanted:
+            continue
+        sig = coi_signature(ts.aig, prop)
         placed = False
         for i, rep in enumerate(reps):
             if jaccard(sig, rep) >= threshold:
@@ -70,42 +76,28 @@ def clustered_verify(
     config: VerificationConfig | None = None,
     emit: Emit | None = None,
 ) -> MultiPropReport:
-    """Structure-aware grouping, joint or JA inside each cluster (Sec. 12).
+    """Structure-aware grouping, each cluster verified jointly (Sec. 12).
 
-    Each cluster is verified on its own cone of influence (which is
-    what makes grouping pay) by the inner driver, under the run's
-    config with ``total_time`` and ``total_conflicts`` cut to what is left.
+    Each cluster runs joint's loop on its own cone of influence; all of
+    them draw on the run's one budget (``total_time``,
+    ``total_conflicts``), so once it is spent every later cluster's
+    properties are UNKNOWN.
     """
     config = config or VerificationConfig()
-    inner = {"joint": joint_verify, "ja": ja_verify}.get(config.cluster_inner)
-    if inner is None:
-        raise ValueError(f"unknown inner method {config.cluster_inner!r}")
-    start = time.monotonic()
-    clusters = cluster_properties(ts, config.similarity_threshold)
+    send = emit_or_null(emit)
     report = MultiPropReport(method="clustered", design=config.design_name)
-    spent = 0  # conflicts the earlier clusters charged
-
+    budget = ResourceBudget(
+        time_limit=config.total_time, conflict_limit=config.total_conflicts
+    )
+    clusters = cluster_properties(ts, names=resolve_order(ts, config.order))
     for cluster in clusters:
-        if emit is not None:
-            emit(ClusterStarted(members=tuple(cluster)))
-        left = {}
-        if config.total_time is not None:
-            left["total_time"] = config.total_time - (time.monotonic() - start)
-        if config.total_conflicts is not None:
-            left["total_conflicts"] = max(config.total_conflicts - spent, 0)
-        sub_ts = TransitionSystem(reduce_to_cone(ts.aig, cluster).aig)
-        # ``order`` and ``clause_db_path`` name the whole design's
-        # properties and latches, not the reduced cluster's.
-        sub_config = replace(config, order=None, clause_db_path=None, **left)
-        sub_report = inner(sub_ts, sub_config, emit)
-        report.outcomes.update(sub_report.outcomes)
-        spent += sub_report.stats["conflicts"]
-
-    report.total_time = time.monotonic() - start
+        send(ClusterStarted(members=tuple(cluster)))
+        cone = TransitionSystem(reduce_to_cone(ts.aig, cluster).aig)
+        verify_jointly(cone, cluster, budget, report, config, send)
+    report.total_time = budget.elapsed()
     report.stats = {
-        "cluster_inner": config.cluster_inner,
         "clusters": len(clusters),
         "largest_cluster": max((len(c) for c in clusters), default=0),
-        "conflicts": spent,
+        "conflicts": budget.conflicts_used,
     }
     return report

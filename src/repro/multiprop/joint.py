@@ -8,15 +8,17 @@ Jnt-ver behaviour) until everything is solved or the budget runs out.
 
 This is the baseline the paper compares JA-verification against; its
 weaknesses on designs with many heterogeneous or failing properties are
-exactly what Tables II and III measure.
+exactly what Tables II and III measure.  The loop is
+:func:`verify_jointly`: ``joint`` runs it once on the whole design,
+``clustered`` once per cone cluster, both on the run's one budget.
 """
 
 from __future__ import annotations
 
-import time
+from collections.abc import Sequence
 
 from ..circuit.aig import Property
-from ..config import VerificationConfig
+from ..config import VerificationConfig, resolve_order
 from ..engines.ic3 import IC3Options, ic3_check
 from ..engines.result import PropStatus, ResourceBudget
 from ..progress import (
@@ -26,35 +28,35 @@ from ..progress import (
     emit_or_null,
 )
 from ..ts.system import TransitionSystem
+from .ordering import design_order
 from .report import MultiPropReport, PropOutcome
 
 _AGGREGATE_PREFIX = "__aggregate"
 
 
-def joint_verify(
+def verify_jointly(
     ts: TransitionSystem,
-    config: VerificationConfig | None = None,
-    emit: Emit | None = None,
-) -> MultiPropReport:
-    """Joint verification of the aggregate property (Jnt-ver, Sec. 9).
+    names: Sequence[str],
+    budget: ResourceBudget,
+    report: MultiPropReport,
+    config: VerificationConfig,
+    send: Emit,
+) -> int:
+    """Jnt-ver's loop over ``names`` of ``ts``, filling ``report``.
 
-    Returns per-property global verdicts.  The budgets are the run's
-    (``total_time``, ``total_conflicts``): one aggregate proof has no
-    per-property step to budget.
+    Proves the aggregate of the names with IC3 on ``budget``, drops
+    the properties a counterexample refutes and re-iterates on the
+    survivors.  Every one of ``names`` left without a verdict — the
+    budget ran out, or ``include_etf`` left it out — is reported
+    UNKNOWN.  Returns the number of aggregate proofs run.
     """
-    config = config or VerificationConfig()
-    send: Emit = emit_or_null(emit)
-    start = time.monotonic()
-    report = MultiPropReport(method="joint", design=config.design_name)
+    wanted = set(names)
     remaining: list[Property] = [
         p
         for p in ts.properties
         # The HWMCC sets do not mark ETF properties, hence the default.
-        if config.include_etf or not p.expected_to_fail
+        if p.name in wanted and (config.include_etf or not p.expected_to_fail)
     ]
-    budget = ResourceBudget(
-        time_limit=config.total_time, conflict_limit=config.total_conflicts
-    )
     iteration = 0
 
     def record(prop_name: str, status: PropStatus, **kwargs: object) -> None:
@@ -65,9 +67,7 @@ def joint_verify(
         report.outcomes[prop_name] = outcome
         send(outcome.solved_event())
 
-    while remaining:
-        if budget.exhausted():
-            break
+    while remaining and not budget.exhausted():
         iteration += 1
         aggregate_name = f"{_AGGREGATE_PREFIX}_{iteration}"
         aggregate_lit = ts.aig.and_many(p.lit for p in remaining)
@@ -87,7 +87,7 @@ def joint_verify(
                 **config.engine,
             ),
         )
-        elapsed = time.monotonic() - start
+        elapsed = budget.elapsed()
         send(
             BudgetCheckpoint(
                 scope="total", elapsed=elapsed, conflicts=budget.conflicts_used
@@ -123,12 +123,31 @@ def joint_verify(
         else:  # UNKNOWN: budget exhausted
             break
 
-    # One pass covers both the budget-exhausted survivors and any ETF
-    # properties excluded from the run: everything without a verdict is
-    # reported UNKNOWN.
-    for p in ts.properties:
-        if p.name not in report.outcomes:
-            record(p.name, PropStatus.UNKNOWN)
-    report.total_time = time.monotonic() - start
-    report.stats = {"iterations": iteration, "conflicts": budget.conflicts_used}
+    for name in names:
+        if name not in report.outcomes:
+            record(name, PropStatus.UNKNOWN)
+    return iteration
+
+
+def joint_verify(
+    ts: TransitionSystem,
+    config: VerificationConfig | None = None,
+    emit: Emit | None = None,
+) -> MultiPropReport:
+    """Joint verification of the aggregate property (Jnt-ver, Sec. 9).
+
+    Returns per-property global verdicts for the properties ``order``
+    names (default: all).  The budgets are the run's (``total_time``,
+    ``total_conflicts``): one aggregate proof has no per-property step
+    to budget.
+    """
+    config = config or VerificationConfig()
+    report = MultiPropReport(method="joint", design=config.design_name)
+    budget = ResourceBudget(
+        time_limit=config.total_time, conflict_limit=config.total_conflicts
+    )
+    names = resolve_order(ts, config.order) or design_order(ts)
+    iterations = verify_jointly(ts, names, budget, report, config, emit_or_null(emit))
+    report.total_time = budget.elapsed()
+    report.stats = {"iterations": iterations, "conflicts": budget.conflicts_used}
     return report

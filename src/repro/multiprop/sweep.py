@@ -11,23 +11,18 @@ witness.  Sweeping complements JA-verification in two ways:
   other properties (``Trace.first_failures``) immediately shows which
   failures dominate which — a zero-SAT preview of the debugging set.
 
-Sweeping can never prove a property, so unswept survivors still go to
-the model checker; :func:`swept_ja_verify` wires the two together.
+Sweeping can never prove a property: its survivors still need the
+model checker.  ``repro sweep`` runs it on its own.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from ..circuit.simulate import Simulator
-from ..config import VerificationConfig
-from ..progress import Emit
 from ..ts.system import TransitionSystem
 from ..ts.trace import Trace
-from .ja import ja_verify
-from .report import MultiPropReport
 
 
 @dataclass
@@ -95,27 +90,3 @@ def sweep(
             sim.step(frame_inputs)
     result.survivors = sorted(pending)
     return result
-
-
-def swept_ja_verify(
-    ts: TransitionSystem,
-    config: VerificationConfig | None = None,
-    emit: Emit | None = None,
-) -> MultiPropReport:
-    """Random-simulation sweep for shallow failures, then JA-verification.
-
-    The sweep (seeded by ``config.seed``) provides global failure
-    witnesses early and for free; JA-verification still runs on *all*
-    properties because only it can establish local verdicts and the
-    debugging set.  Sweep witnesses are attached to the report's stats.
-    """
-    config = config or VerificationConfig()
-    start = time.monotonic()
-    swept = sweep(ts, seed=config.seed or 0)
-    report = ja_verify(ts, config, emit)
-    report.method = "sweep-ja"
-    report.stats["sweep_failed"] = len(swept.failed)
-    report.stats["sweep_runs"] = swept.runs
-    report.stats["sweep_frames"] = swept.frames_simulated
-    report.total_time = time.monotonic() - start
-    return report

@@ -38,13 +38,13 @@ One options record
 
 A knob is a :class:`VerificationConfig` field, and nothing else.  Every
 driver (``ja_verify``, ``joint_verify``, ``separate_verify``,
-``clustered_verify``, ``swept_ja_verify``, ``parallel_ja_verify``,
-``portfolio_verify``) has :meth:`Strategy.run`'s signature
-``(ts, config, emit)`` and reads the fields it acts on by name, so a
-value set on the run reaches every method unchanged — the premise of
-the paper's one-axis-at-a-time tables.  A driver that runs another one
-under a narrower budget (``clustered``) hands it
-``dataclasses.replace(config, total_time=...)``.  The one projection is
+``clustered_verify``, ``parallel_ja_verify``, ``portfolio_verify``)
+has :meth:`Strategy.run`'s signature ``(ts, config, emit)`` and reads
+the fields it acts on by name, so a value set on the run reaches every
+method unchanged — the premise of the paper's one-axis-at-a-time
+tables.  No driver runs another: ``joint`` and ``clustered`` share one
+aggregate loop (:func:`~repro.multiprop.joint.verify_jointly`), ``ja``
+and ``separate`` one per-property loop.  The one projection is
 ``config.proof_options()`` → :class:`~repro.config.ProofOptions`: the
 frozen, picklable nine-knob record
 :func:`~repro.multiprop.local.prove` reads, and the only thing that

@@ -12,7 +12,6 @@ from __future__ import annotations
 from ..multiprop.clustering import clustered_verify
 from ..multiprop.ja import ja_verify, separate_verify
 from ..multiprop.joint import joint_verify
-from ..multiprop.sweep import swept_ja_verify
 from ..parallel.engine import parallel_ja_verify
 from ..parallel.portfolio import portfolio_verify
 from .registry import add_strategy
@@ -35,7 +34,6 @@ for _name, _run, _local, _pooled in (
     ("joint",        joint_verify,       False, False),
     ("separate",     separate_verify,    False, False),
     ("clustered",    clustered_verify,   False, False),
-    ("sweep-ja",     swept_ja_verify,    True,  False),
     ("parallel-ja",  parallel_ja_verify, True,  True),
     ("portfolio",    portfolio_verify,   True,  True),
 ):

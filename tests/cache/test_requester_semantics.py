@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.gen import ALL_TRUE_SPECS
 from repro.gen.counter import buggy_counter
+from repro.progress import PropertySolved
 from repro.session import Session
 
 GLOBAL = ("separate", "joint", "clustered")
@@ -47,3 +49,21 @@ def test_ja_on_a_separate_written_cache(tmp_path):
     assert warm.outcomes["P0"].engine == "cache"
     assert warm.outcomes["P1"].engine != "cache"
     assert warm.debugging_set() == ["P0"]
+
+
+@pytest.mark.parametrize("strategy", ["joint", "clustered"])
+def test_a_global_strategy_proves_only_what_the_cache_left(tmp_path, strategy):
+    # After a partial hit the strategy proves the remainder and nothing
+    # else: a served verdict is reported as served, never re-proved.
+    Session(ALL_TRUE_SPECS["t273"].build(), strategy="ja", cache_dir=str(tmp_path)).run()
+    events: list = []
+    warm = Session(
+        ALL_TRUE_SPECS["t273"].build(),
+        strategy=strategy,
+        cache_dir=str(tmp_path),
+        on_event=events.append,
+    ).run()
+    served = [n for n, o in warm.outcomes.items() if o.engine == "cache"]
+    proved = [e.name for e in events if isinstance(e, PropertySolved)]
+    assert 0 < len(served) == warm.stats["cache_hits"] < len(warm.outcomes)
+    assert sorted(proved) == sorted(set(warm.outcomes) - set(served))

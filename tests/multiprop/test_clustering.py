@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.aig import AIG
+from repro.engines.result import PropStatus
 from repro.gen import FAILING_SPECS
 from repro.gen.blocks import hold_slice, token_ring_slice
 from repro.gen.random_designs import random_design
@@ -14,6 +15,7 @@ from repro.multiprop.clustering import (
     jaccard,
 )
 from repro.multiprop.ja import separate_verify
+from repro.progress import ClusterStarted, PropertyStarted
 from repro.session import VerificationConfig
 from repro.ts.system import TransitionSystem
 
@@ -72,39 +74,48 @@ class TestClusteredVerify:
             assert clustered.false_props() == flat.false_props(), seed
             assert not clustered.unsolved(), seed
 
-    def test_inner_ja(self):
-        # Cluster-local assumptions are a subset of full-JA assumptions,
-        # so the verdict sets nest:
-        #   full-JA debugging set ⊆ clustered-JA false ⊆ globally false.
-        from repro.multiprop.ja import ja_verify
-
-        for seed in range(8):
-            ts = TransitionSystem(random_design(seed))
-            report = clustered_verify(ts, VerificationConfig(cluster_inner="ja"))
-            assert not report.unsolved(), seed
-            flat = separate_verify(ts)
-            full_ja = ja_verify(ts)
-            assert set(full_ja.debugging_set()) <= set(report.false_props()), seed
-            assert set(report.false_props()) <= set(flat.false_props()), seed
-
-    def test_rejects_bad_inner(self):
-        ts = TransitionSystem(random_design(0))
-        with pytest.raises(ValueError):
-            clustered_verify(ts, VerificationConfig(cluster_inner="magic"))
-
     def test_stats_report_clusters(self):
         ts = TransitionSystem(random_design(1))
         report = clustered_verify(ts)
         assert report.stats["clusters"] >= 1
         assert report.stats["largest_cluster"] >= 1
 
-    @pytest.mark.parametrize("inner", ["joint", "ja"])
-    def test_total_conflicts_bound_the_whole_run(self, inner):
+    def test_total_conflicts_bound_the_whole_run(self):
         # f207's 8 clusters each spend hundreds of conflicts unbudgeted;
         # the run's total is one budget, not one per cluster.
         ts = TransitionSystem(FAILING_SPECS["f207"].build())
-        config = VerificationConfig(total_conflicts=100, cluster_inner=inner)
-        report = clustered_verify(ts, config)
+        report = clustered_verify(ts, VerificationConfig(total_conflicts=100))
         assert report.stats["clusters"] == 8
         assert report.stats["conflicts"] <= 2 * 100
         assert report.unsolved()
+
+    def test_a_spent_budget_leaves_every_later_cluster_unknown(self):
+        # A cluster that starts after the run's budget is spent proves
+        # nothing: no aggregate proof, every member UNKNOWN.
+        ts = TransitionSystem(FAILING_SPECS["f207"].build())
+        events: list = []
+        report = clustered_verify(
+            ts, VerificationConfig(total_conflicts=140), events.append
+        )
+        proofs: dict[tuple, int] = {}  # cluster -> aggregate proofs started
+        for event in events:
+            if isinstance(event, ClusterStarted):
+                cluster = event.members
+                proofs[cluster] = 0
+            elif isinstance(event, PropertyStarted):
+                proofs[cluster] += 1
+        statuses = [{report.outcomes[n].status for n in c} for c in proofs]
+        # The first cluster left with an UNKNOWN is where the budget ran out.
+        spent = next(i for i, s in enumerate(statuses) if PropStatus.UNKNOWN in s)
+        later = list(proofs)[spent + 1 :]
+        assert later, "the budget must run out before the last cluster"
+        assert [proofs[c] for c in later] == [0] * len(later)
+        assert statuses[spent + 1 :] == [{PropStatus.UNKNOWN}] * len(later)
+
+    def test_order_names_the_properties_to_prove(self):
+        ts = TransitionSystem(FAILING_SPECS["f175"].build())
+        names = [p.name for p in ts.properties][1:4]
+        report = clustered_verify(ts, VerificationConfig(order=names))
+        assert sorted(report.outcomes) == sorted(names)
+        clusters = cluster_properties(ts, names=names)
+        assert sorted(n for c in clusters for n in c) == sorted(names)

@@ -22,6 +22,11 @@ class TestExample1:
         assert all(not o.local for o in report.outcomes.values())
         assert report.debugging_set() == []  # global method: no debug info
 
+    def test_order_names_the_properties_to_prove(self, counter4):
+        report = joint_verify(counter4, VerificationConfig(order=["P1"]))
+        assert list(report.outcomes) == ["P1"]
+        assert report.false_props() == ["P1"]
+
 
 class TestAgainstGroundTruth:
     def test_complete_on_small_designs(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.circuit.aig import AIG, aig_not
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.sweep import sweep, swept_ja_verify
+from repro.multiprop.sweep import sweep
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
 
@@ -53,14 +53,3 @@ class TestSweep:
         result = sweep(ts, runs=16, depth=8, seed=0)
         # q can never rise under the constraint: no witness may exist.
         assert "p" not in result.failed
-
-
-class TestSweptJA:
-    def test_verdicts_match_plain_ja(self, counter4):
-        from repro.multiprop.ja import ja_verify
-
-        swept = swept_ja_verify(counter4)
-        plain = ja_verify(counter4)
-        assert swept.debugging_set() == plain.debugging_set()
-        assert swept.method == "sweep-ja"
-        assert swept.stats["sweep_failed"] >= 1

@@ -30,14 +30,6 @@ class TestValidate:
         with pytest.raises(ConfigError, match="max_frames"):
             VerificationConfig(max_frames=0).validate()
 
-    def test_bad_cluster_inner_rejected(self):
-        with pytest.raises(ConfigError, match="cluster_inner"):
-            VerificationConfig(cluster_inner="magic").validate()
-
-    def test_bad_similarity_threshold_rejected(self):
-        with pytest.raises(ConfigError, match="similarity_threshold"):
-            VerificationConfig(similarity_threshold=1.5).validate()
-
     @pytest.mark.parametrize("order", ["zigzag", "shuffled:abc"])
     def test_bad_order_spec_rejected(self, order):
         with pytest.raises(ConfigError, match="unknown order"):

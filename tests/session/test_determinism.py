@@ -20,7 +20,6 @@ import dataclasses
 import pytest
 
 from repro.gen.random_designs import random_design
-from repro.multiprop.sweep import sweep
 from repro.session import Session, VerificationConfig, available_strategies
 from repro.ts.system import TransitionSystem
 
@@ -37,14 +36,10 @@ STRATEGY_OVERRIDES = {
     "portfolio": {"workers": 1},
 }
 
-#: Every registered strategy at its deterministic knobs ...
+#: Every registered strategy at its deterministic knobs.
 STRATEGY_CASES = [
     pytest.param(name, STRATEGY_OVERRIDES.get(name, {}), id=name)
     for name in sorted(available_strategies())
-]
-#: ... plus the seeded run: ``sweep-ja`` sweeps under ``config.seed``.
-REPLAY_CASES = STRATEGY_CASES + [
-    pytest.param("sweep-ja", {"seed": 5}, id="sweep-ja-seeded")
 ]
 
 
@@ -72,7 +67,7 @@ def seeded_design():
     return TransitionSystem(random_design(seed=20260727, n_props=3))
 
 
-@pytest.mark.parametrize("strategy, overrides", REPLAY_CASES)
+@pytest.mark.parametrize("strategy, overrides", STRATEGY_CASES)
 def test_strategy_replays_identically(seeded_design, strategy, overrides):
     first = run_once(seeded_design, strategy, overrides)
     second = run_once(seeded_design, strategy, overrides)
@@ -88,17 +83,3 @@ def test_event_stream_covers_every_property(seeded_design, strategy, overrides):
     solved = [payload for name, payload in events if name == "PropertySolved"]
     # Exactly one verdict event per property, for every strategy.
     assert len(solved) == len(verdicts)
-
-
-
-def test_sweep_follows_the_config_seed(seeded_design):
-    def swept(seed):
-        stats = Session(seeded_design, strategy="sweep-ja", seed=seed).run().stats
-        return stats["sweep_runs"], stats["sweep_frames"]
-
-    def direct(seed):
-        result = sweep(seeded_design, seed=seed)
-        return result.runs, result.frames_simulated
-
-    assert swept(5) == direct(5) != direct(0)
-    assert swept(None) == swept(0) == direct(0)

@@ -36,12 +36,12 @@ class TestStrategiesThroughSession:
         }
 
     def test_clustered_forwards_engine_overrides(self, counter4):
-        # Same override path as the other strategies: the inner drivers
-        # must receive config.engine (regression: it was dropped).
+        # Same override path as the other strategies: every cluster's
+        # aggregate proof must receive config.engine (regression: it was
+        # dropped).
         report = Session(
             counter4,
             strategy="clustered",
-            cluster_inner="ja",
             engine={"generalize_passes": 1},
         ).run()
         assert not report.unsolved()
@@ -67,7 +67,7 @@ def _etf_design():
 
 @pytest.mark.parametrize(
     "strategy",
-    ["ja", "joint", "separate", "clustered", "sweep-ja", "parallel-ja", "portfolio"],
+    ["ja", "joint", "separate", "clustered", "parallel-ja", "portfolio"],
 )
 def test_every_strategy_confirms_the_etf_witness(strategy):
     # An Expected-To-Fail property's counterexample is the reachability

@@ -2,9 +2,8 @@
 
 The paper's evidence is one-axis-at-a-time ablation, which only means
 something if a knob set on the config acts in every strategy that has a
-use for it.  The rows come from the registry (``clustered`` once per
-inner method), so a strategy registered later is in the matrix by
-default; each cell sets one ``VerificationConfig`` field away from its
+use for it.  The rows come from the registry, so a strategy registered
+later is in the matrix by default; each cell sets one ``VerificationConfig`` field away from its
 default and checks what every engine run was handed — the
 ``IC3Options`` of an in-process run, or, for a pooled strategy, the
 ``ProofOptions`` shipped to the seats (the one record ``prove`` reads
@@ -27,23 +26,12 @@ from repro.session import ConfigError, Session, available_strategies, get_strate
 from repro.ts.system import TransitionSystem
 
 
-def _rows():
-    for name in available_strategies():
-        if name == "clustered":
-            for inner in ("ja", "joint"):
-                yield pytest.param(
-                    {"strategy": name, "cluster_inner": inner}, id=f"{name}-{inner}"
-                )
-        else:
-            yield pytest.param({"strategy": name}, id=name)
-
-
-ROWS = list(_rows())
+ROWS = [pytest.param({"strategy": name}, id=name) for name in available_strategies()]
 
 
 def _aggregate(selector) -> bool:
     """One proof of the conjunction: no per-property step to tune."""
-    return "joint" in (selector["strategy"], selector.get("cluster_inner"))
+    return selector["strategy"] in ("joint", "clustered")
 
 
 def _pooled(selector) -> bool:

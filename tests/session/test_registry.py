@@ -16,7 +16,7 @@ from repro.session import (
     unregister_strategy,
 )
 
-BUILTINS = {"ja", "joint", "separate", "clustered", "sweep-ja"}
+BUILTINS = {"ja", "joint", "separate", "clustered", "parallel-ja", "portfolio"}
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def dummy_strategy():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert BUILTINS <= set(available_strategies())
+        assert set(available_strategies()) == BUILTINS
 
     def test_descriptions_are_docstring_first_lines(self):
         assert "local proofs" in available_strategies()["ja"]

@@ -61,6 +61,7 @@ class TestCheck:
         assert main(["check", counter_file, "--method", "joint"]) == 1
         out = capsys.readouterr().out
         assert "fails" in out
+        assert "Debugging set" not in out  # global verdicts: no debugging set
 
     def test_separate_with_options(self, counter_file):
         code = main(
@@ -244,6 +245,30 @@ class TestRegisteredStrategyViaCLI:
             assert "dummy" in capsys.readouterr().out
         finally:
             unregister_strategy("dummy")
+
+    def test_a_local_strategy_prints_the_debugging_narrative(
+        self, counter_file, capsys
+    ):
+        """The narrative follows the registry's ``local`` flag, not the name."""
+        from repro.multiprop.ja import ja_verify
+        from repro.session import register_strategy, unregister_strategy
+
+        @register_strategy("assume-all")
+        class AssumeAll:
+            """JA-verification under its own name."""
+
+            local = True
+
+            def run(self, ts, config, emit):
+                report = ja_verify(ts, config, emit)
+                report.method = "assume-all"
+                return report
+
+        try:
+            assert main(["check", counter_file, "--strategy", "assume-all"]) == 1
+            assert "Debugging set: {P0}" in capsys.readouterr().out
+        finally:
+            unregister_strategy("assume-all")
 
 
 class TestServe:
