@@ -49,8 +49,8 @@ from ..context import (
     terminal_name,
 )
 
-#: ``WorkerPool.next_message`` re-streams the pool's single output
-#: queue; by project convention its results are ``out``-channel messages.
+#: ``WorkerPool.next_message`` re-streams the seats' output queues; by
+#: project convention its results are ``out``-channel messages.
 NEXT_MESSAGE_CHANNEL = "out"
 
 #: Call names whose result is a wire message (when called without

@@ -21,8 +21,9 @@ stability of each flavour documented:
 ``cone_digest``
     SHA-256 of the canonical AAG text of one property's *assumption
     cone*: the COI cone of the property plus every assumable property
-    whose support is transitively connected to it (the same
-    support-connected fixpoint the JA verifier uses for COI reduction).
+    whose support is transitively connected to it
+    (:func:`~repro.circuit.coi.support_connected`, the fixpoint the JA
+    verifier's COI reduction runs).
     An edit outside the cone leaves the digest unchanged — which is the
     whole basis of incremental re-verification.  The target property's
     name is mixed into the digest so that mutually-assuming properties
@@ -42,7 +43,7 @@ import hashlib
 from collections.abc import Sequence
 
 from ..circuit.aiger import write_aag
-from ..circuit.coi import reduce_to_cone, support_signature
+from ..circuit.coi import reduce_to_cone, support_connected
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
 
@@ -87,36 +88,16 @@ def cone_properties(
 ) -> list[str]:
     """Assumable properties support-connected to ``name``'s cone.
 
-    The same fixpoint as the JA verifier's COI reduction: start from the
-    target's support (latches and inputs in its cone) and repeatedly
-    absorb any assumable property whose support overlaps the region.
-    Properties outside the closure cannot constrain the projected
-    transition relation for ``name``, so they are irrelevant to its
-    local verdict — and to its cache key.
-
-    ``supports`` is an optional per-design memo (property name ->
-    support signature) shared across calls: a resolve pass over P
-    properties would otherwise recompute every signature P times.
+    The JA verifier's COI-reduction fixpoint
+    (:func:`~repro.circuit.coi.support_connected`) over every property
+    ``name`` may assume.  Properties outside the closure cannot
+    constrain the projected transition relation for ``name``, so they
+    are irrelevant to its local verdict — and to its cache key.
+    ``supports`` is the fixpoint's per-design signature memo.
     """
-    aig = ts.aig
-    assumed = assumption_names(ts, name)
-    if supports is None:
-        supports = {}
-    for n in (name, *assumed):
-        if n not in supports:
-            supports[n] = support_signature(aig, ts.prop_by_name[n].lit)
-    region = set(supports[name])
-    kept: list[str] = []
-    changed = True
-    while changed:
-        changed = False
-        for n in assumed:
-            if n in kept or not supports[n] & region:
-                continue
-            kept.append(n)
-            region |= supports[n]
-            changed = True
-    return kept
+    return support_connected(
+        ts.aig, ts.prop_by_name, name, assumption_names(ts, name), supports
+    )
 
 
 def cone_digest(

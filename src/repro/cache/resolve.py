@@ -203,7 +203,7 @@ class CacheResolver:
         return PropOutcome(
             name=name,
             status=status,
-            local=bool(assumed),
+            local=self.local,
             frames=record.frames,
             time_seconds=time.monotonic() - start,
             cex_depth=record.cex_depth,

@@ -18,7 +18,7 @@ clauses and counterexample traces both ways).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 
 from .aig import AIG, Property, aig_not, aig_var, is_negated
 
@@ -204,3 +204,43 @@ def support_signature(aig: AIG, lit: int) -> frozenset:
     nodes, latches = aig.cone_of_influence([lit])
     inputs = {inp for inp in aig.inputs if (inp >> 1) in nodes}
     return frozenset(latches | inputs)
+
+
+def support_connected(
+    aig: AIG,
+    props: Mapping[str, Property],
+    target: str,
+    candidates: Sequence[str],
+    supports: dict[str, frozenset] | None = None,
+) -> list[str]:
+    """The ``candidates`` support-connected to ``target``, in absorption order.
+
+    Grows a region to a fixpoint: start from the target's support
+    (:func:`support_signature`) and repeatedly absorb any candidate
+    whose support overlaps the region spanned so far.  A candidate left
+    out cannot constrain the projected transition relation for
+    ``target``, so dropping it is sound for proofs (JA-verification's
+    COI reduction) and irrelevant to the target's local verdict (the
+    proof cache's cone key).
+
+    ``supports`` is an optional per-design memo (property name ->
+    support signature) shared across calls: a pass over P properties
+    would otherwise recompute every signature P times.
+    """
+    if supports is None:
+        supports = {}
+    for name in (target, *candidates):
+        if name not in supports:
+            supports[name] = support_signature(aig, props[name].lit)
+    region = set(supports[target])
+    kept: list[str] = []
+    changed = True
+    while changed:
+        changed = False
+        for name in candidates:
+            if name in kept or not supports[name] & region:
+                continue
+            kept.append(name)
+            region |= supports[name]
+            changed = True
+    return kept

@@ -803,8 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("design")
     p_check.add_argument(
         "--strategy",
-        "--method",  # deprecated alias, kept for old scripts
-        dest="strategy",
         default="ja",
         metavar="NAME",
         help="verification strategy (see --list-strategies; default: ja)",

@@ -21,7 +21,7 @@ from ..progress import BudgetCheckpoint, Emit, FrameAdvanced, emit_or_null
 from ..sat import Status, create_solver
 from ..ts.system import TransitionSystem
 from ..ts.trace import Trace
-from .result import EngineResult, PropStatus, ResourceBudget
+from .result import EngineResult, PropStatus, ResourceBudget, unknown_result
 
 
 def bmc_check(
@@ -30,7 +30,6 @@ def bmc_check(
     max_depth: int = 64,
     assumed: Sequence[str] = (),
     budget: ResourceBudget | None = None,
-    validate: bool = True,
     emit: Emit | None = None,
     solver_backend: str | None = None,
 ) -> EngineResult:
@@ -62,7 +61,7 @@ def bmc_check(
     for t in range(max_depth):
         if budget is not None and budget.exhausted():
             stats["clause_insertions"] = solver.stats()["clauses_added"]
-            return _unknown(prop_name, t, assumed, start, stats)
+            return unknown_result(prop_name, assumed, start, stats, t)
         frame = unroller.frame(t)
         for c in ts.aig.constraints:
             solver.add_clause([frame.lit(c)])
@@ -87,7 +86,7 @@ def bmc_check(
                 uninit=unroller.extract_uninit(solver.value),
                 property_name=prop_name,
             )
-            if validate and not cex.validate(ts.aig, prop.lit):
+            if not cex.validate(ts.aig, prop.lit):
                 raise RuntimeError(
                     f"BMC produced an invalid counterexample for {prop_name} "
                     f"at depth {t + 1}"
@@ -107,16 +106,4 @@ def bmc_check(
         for p in assumed_props:
             solver.add_clause([frame.lit(p.lit)])
     stats["clause_insertions"] = solver.stats()["clauses_added"]
-    return _unknown(prop_name, max_depth, assumed, start, stats)
-
-
-def _unknown(prop_name, frames, assumed, start, stats) -> EngineResult:
-    return EngineResult(
-        status=PropStatus.UNKNOWN,
-        prop_name=prop_name,
-        frames=frames,
-        assumed=list(assumed),
-        time_seconds=time.monotonic() - start,
-        stats=stats,
-    )
-
+    return unknown_result(prop_name, assumed, start, stats, max_depth)

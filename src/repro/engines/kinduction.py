@@ -23,7 +23,7 @@ from ..encode.unroll import Unroller
 from ..sat import SatBackend, Status, create_solver
 from ..ts.system import TransitionSystem
 from ..ts.trace import Trace
-from .result import EngineResult, PropStatus, ResourceBudget
+from .result import EngineResult, PropStatus, ResourceBudget, unknown_result
 
 
 def kinduction_check(
@@ -32,7 +32,6 @@ def kinduction_check(
     max_k: int = 32,
     assumed: Sequence[str] = (),
     budget: ResourceBudget | None = None,
-    unique_states: bool = True,
     solver_backend: str | None = None,
 ) -> EngineResult:
     """Prove or refute ``prop_name`` by k-induction up to bound ``max_k``.
@@ -63,7 +62,7 @@ def kinduction_check(
 
     for k in range(max_k + 1):
         if budget is not None and budget.exhausted():
-            return _unknown(prop_name, k, assumed, start, stats)
+            return unknown_result(prop_name, assumed, start, stats, k)
         # Base: CEX at depth exactly k?
         frame = base.frame(k)
         for c in ts.aig.constraints:
@@ -99,8 +98,7 @@ def kinduction_check(
         step_solver.add_clause([sframe.lit(prop.lit)])
         for p in assumed_props:
             step_solver.add_clause([sframe.lit(p.lit)])
-        if unique_states:
-            step.add_uniqueness(k)
+        step.add_uniqueness(k)
         nframe = step.frame(k + 1)
         for c in ts.aig.constraints:
             step_solver.add_clause([nframe.lit(c)])
@@ -117,7 +115,7 @@ def kinduction_check(
                 time_seconds=time.monotonic() - start,
                 stats=stats,
             )
-    return _unknown(prop_name, max_k, assumed, start, stats)
+    return unknown_result(prop_name, assumed, start, stats, max_k)
 
 
 class _FreeUnroller(Unroller):
@@ -148,14 +146,3 @@ class _FreeUnroller(Unroller):
                     diff_lits.append(d)
                 if diff_lits:
                     self.sink.add_clause(diff_lits)
-
-
-def _unknown(prop_name, frames, assumed, start, stats) -> EngineResult:
-    return EngineResult(
-        status=PropStatus.UNKNOWN,
-        prop_name=prop_name,
-        frames=frames,
-        assumed=list(assumed),
-        time_seconds=time.monotonic() - start,
-        stats=stats,
-    )

@@ -41,7 +41,7 @@ from ..circuit.simulate import Simulator
 from ..progress import BudgetCheckpoint, Emit, FrameAdvanced
 from ..ts.system import TransitionSystem
 from ..ts.trace import Trace
-from .result import EngineResult, PropStatus, ResourceBudget
+from .result import EngineResult, PropStatus, ResourceBudget, unknown_result
 
 __all__ = ["derive_seed", "randomwalk_check"]
 
@@ -58,21 +58,6 @@ def derive_seed(seed: int | None, design_name: str, prop_name: str) -> int:
     base = 0 if seed is None else int(seed)
     digest = joined_digest(base, design_name, prop_name)
     return int.from_bytes(digest[:8], "big")
-
-
-def _unknown(
-    prop_name: str,
-    assumed: Sequence[str],
-    start: float,
-    stats: dict[str, object],
-) -> EngineResult:
-    return EngineResult(
-        status=PropStatus.UNKNOWN,
-        prop_name=prop_name,
-        assumed=list(assumed),
-        time_seconds=time.monotonic() - start,
-        stats=stats,
-    )
 
 
 def randomwalk_check(
@@ -164,4 +149,4 @@ def randomwalk_check(
             emit(BudgetCheckpoint(scope=prop_name, elapsed=budget.elapsed()))
 
     stats.update(walks=walks, frames=frames_simulated)
-    return _unknown(prop_name, assumed, start, stats)
+    return unknown_result(prop_name, assumed, start, stats)

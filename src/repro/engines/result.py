@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from ..ts.system import Clause
@@ -76,6 +76,25 @@ class EngineResult:
             f"frames={self.frames}, t={self.time_seconds:.3f}s)"
         )
 
+
+
+def unknown_result(
+    prop_name: str,
+    assumed: Sequence[str],
+    start: float,
+    stats: dict,
+    frames: int = 0,
+) -> EngineResult:
+    """An engine's UNKNOWN after exploring ``frames`` since ``start``
+    (a :func:`time.monotonic` reading)."""
+    return EngineResult(
+        status=PropStatus.UNKNOWN,
+        prop_name=prop_name,
+        frames=frames,
+        assumed=list(assumed),
+        time_seconds=time.monotonic() - start,
+        stats=stats,
+    )
 
 class ResourceBudget:
     """A combined wall-clock / SAT-conflict budget shared by engine phases.

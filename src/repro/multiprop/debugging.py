@@ -70,18 +70,18 @@ class DebuggingReport:
 
 
 def debugging_report(report: MultiPropReport) -> DebuggingReport:
-    """Distill a JA :class:`MultiPropReport` into a debugging report."""
-    debugging_set, locally_true, unsolved = [], [], []
-    etf_confirmed, etf_unconfirmed = [], []
+    """Distill a JA :class:`MultiPropReport` into a debugging report.
+
+    The debugging set and the confirmed ETF properties are the report's
+    own (:meth:`~MultiPropReport.debugging_set`,
+    :meth:`~MultiPropReport.etf_confirmed`).
+    """
+    locally_true, unsolved, etf_unconfirmed = [], [], []
     depths: dict[str, int] = {}
     for outcome in report.outcomes.values():
         if outcome.status is PropStatus.FAILS:
             if outcome.cex_depth is not None:
                 depths[outcome.name] = outcome.cex_depth
-            if outcome.expected_to_fail:
-                etf_confirmed.append(outcome.name)
-            else:
-                debugging_set.append(outcome.name)
         elif outcome.status is PropStatus.HOLDS:
             if outcome.expected_to_fail:
                 etf_unconfirmed.append(outcome.name)
@@ -90,11 +90,11 @@ def debugging_report(report: MultiPropReport) -> DebuggingReport:
         else:
             unsolved.append(outcome.name)
     return DebuggingReport(
-        debugging_set=sorted(debugging_set),
+        debugging_set=report.debugging_set(),
         locally_true=sorted(locally_true),
         unsolved=sorted(unsolved),
         cex_depths=depths,
-        etf_confirmed=sorted(etf_confirmed),
+        etf_confirmed=report.etf_confirmed(),
         etf_unconfirmed=sorted(etf_unconfirmed),
     )
 

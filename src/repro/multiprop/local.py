@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..circuit.coi import reduce_to_cone, support_signature
+from ..circuit.coi import reduce_to_cone, support_connected
 from ..config import ProofOptions
 from ..engines.certify import Certifier
 from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
@@ -154,7 +154,10 @@ def _run_ic3(
     """One rung: one IC3 run, translated back from its COI reduction."""
     run_ts, run_assumed, run_seeds, reduction = ts, assumed, seeds, None
     if use_coi:
-        reduction, run_assumed = _coi_reduce(ts, name, assumed)
+        # Only the assumptions support-connected to the target stay:
+        # sound for proofs, and counterexamples are re-validated.
+        run_assumed = support_connected(ts.aig, ts.prop_by_name, name, assumed)
+        reduction = reduce_to_cone(ts.aig, [name, *run_assumed])
         run_ts = TransitionSystem(reduction.aig)
         # Seeds that mention a latch outside the cone are dropped.
         run_seeds = reduction.clauses_to_cone(seeds)
@@ -190,30 +193,3 @@ def _run_ic3(
         if result.invariant is not None:
             result.invariant = reduction.clauses_from_cone(result.invariant)
     return result
-
-
-def _coi_reduce(ts: TransitionSystem, name: str, assumed: list[str]):
-    """Reduce the design to the support-connected cone of ``name``.
-
-    Grows the kept region to a fixpoint: an assumption is kept iff
-    its support (latches + inputs) overlaps the region spanned by the
-    target and the assumptions kept so far.  Dropping the others is
-    sound for proofs; counterexamples are re-validated by the caller.
-    """
-    aig = ts.aig
-    supports = {
-        n: support_signature(aig, ts.prop_by_name[n].lit) for n in assumed
-    }
-    region = set(support_signature(aig, ts.prop_by_name[name].lit))
-    kept: list[str] = []
-    changed = True
-    while changed:
-        changed = False
-        for n in assumed:
-            if n in kept or not supports[n] & region:
-                continue
-            kept.append(n)
-            region |= supports[n]
-            changed = True
-    return reduce_to_cone(aig, [name] + kept), kept
-

@@ -46,11 +46,12 @@ Design notes
   a job's ``max_seats`` count.  A seat's messages arrive in FIFO order,
   so its running attempt's terminal message always precedes the queued
   one's first event: on it the queued attempt becomes the running one.
-  One output queue carries events, results and errors, so the parent
-  needs no auxiliary threads and, with one worker and one job, the
-  message stream — and so the session's event sequence — is
-  deterministic.  Messages carry their run id; a previous run's
-  stragglers on a shared pool are discarded by the pool.
+  Each seat's own output queue carries its events, results and
+  errors, and the pool reads them all in one wait, so the parent needs
+  no auxiliary threads and, with one worker and one job, the message
+  stream — and so the session's event sequence — is deterministic.
+  Messages carry their run id; a previous run's stragglers on a shared
+  pool are discarded by the pool.
 * **One run per job, one attempt per property.**  Every job — a
   ``parallel-ja`` batch or a ``portfolio`` one alike — is one
   :class:`PooledJob` on one pool run, and its backlog is a list of

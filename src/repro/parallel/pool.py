@@ -29,27 +29,30 @@ against the same design.  :class:`WorkerPool` removes that cost:
   :meth:`respawn_workers` — mid-run, at the next admission or while
   idle, whichever comes first (``stats["workers_replaced"]``).
 
-Queueing discipline: jobs flow through **per-worker queues** with the
-scheduling done parent-side (the scheduler assigns the next backlog job
-to whichever worker reports idle, and may queue one more behind a busy
-worker's), not through one shared task queue.
-A shared queue load-balances for free but is fragile against exactly
-the failure this pool must survive: a worker killed while blocked in
-``Queue.get`` dies *holding the queue's reader lock*, deadlocking every
-sibling.  With private queues a dead worker poisons only its own
-channel, which is discarded when :meth:`respawn_workers` replaces the
-seat — and the parent always knows exactly which jobs a dead worker
-held (the one it ran, the one queued behind it), so crash attribution
-needs no claim protocol.
+Queueing discipline: every seat has its **own two queues**, control
+(parent -> seat) and output (seat -> parent), and the scheduling is
+done parent-side (the scheduler assigns the next backlog job to
+whichever worker reports idle, and may queue one more behind a busy
+worker's), not through one shared task queue.  A shared queue is
+fragile against exactly the failure this pool must survive: a process
+killed while it holds the queue's lock — a reader blocked in
+``Queue.get``, or a writer's feeder thread mid-``put`` — keeps that
+lock forever and silences every sibling.  With private queues a dead
+seat poisons only its own two channels, which :meth:`respawn_workers`
+discards along with the seat; the parent reads the live ones together
+(:func:`multiprocessing.connection.wait`), and always knows exactly
+which jobs a dead worker held (the one it ran, the one queued behind
+it), so crash attribution needs no claim protocol.  With one seat the
+message stream is that seat's FIFO, so it stays deterministic.
 
 Run protocol: **seat leasing.**  Any number of runs may be open
 concurrently (:meth:`open_run`), each identified by its monotonically
 increasing run id; the scheduler that drives them (the
 ``SeatScheduler`` of a :class:`repro.service.VerificationService`)
-leases idle seats job-by-job via :meth:`assign` and routes the single
-output queue's run-tagged messages itself.  Because one process may
-not have two consumers of that queue, a scheduler must take the
-message lease (:meth:`acquire_messages`) first.
+leases idle seats job-by-job via :meth:`assign` and routes the seats'
+run-tagged messages itself.  Because one process may not have two
+consumers of those queues, a scheduler must take the message lease
+(:meth:`acquire_messages`) first.
 
 Stopping work is per seat, through **stop marks**: one shared
 ``Array("q", workers)`` created with the pool and handed to every seat
@@ -85,7 +88,8 @@ import pickle
 import queue as queue_mod
 import time
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from multiprocessing.connection import wait
 
 from ..cache.hashing import payload_digest
 from ..ts.system import TransitionSystem
@@ -115,13 +119,14 @@ def _lru_touch(cache: "OrderedDict", key, value) -> None:
 
 
 class _Slot:
-    """One worker seat: its process, control queue and design cache map."""
+    """One worker seat: its process, its two queues and design cache map."""
 
-    __slots__ = ("process", "ctrl", "designs")
+    __slots__ = ("process", "ctrl", "out", "designs")
 
-    def __init__(self, process, ctrl) -> None:
+    def __init__(self, process, ctrl, out) -> None:
         self.process = process
         self.ctrl = ctrl
+        self.out = out
         # Content hashes this worker holds, mirroring the worker's own
         # LRU (same keys, same order, same cap).
         self.designs: "OrderedDict" = OrderedDict()
@@ -143,7 +148,8 @@ class WorkerPool:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         self.context = multiprocessing.get_context(start_method)
-        self._out_queue = self.context.Queue()
+        # Messages read off the seats' queues, not yet returned.
+        self._inbox: deque = deque()
         # Per-seat stop marks (see "Stopping work" above).  One writer (this
         # process) and one reader per entry, so no lock: the seat polls
         # its entry at every budget check.
@@ -188,12 +194,13 @@ class WorkerPool:
         from . import worker as worker_mod
 
         ctrl = self.context.Queue()
+        out = self.context.Queue()
         process = self.context.Process(
             target=worker_mod.pool_worker_main,
             args=(
                 worker_id,
                 ctrl,
-                self._out_queue,
+                out,
                 self._stop_marks,
                 self._stop,
             ),
@@ -201,8 +208,11 @@ class WorkerPool:
             daemon=True,
         )
         process.start()
+        # The seat holds the only writer end now, so its death reads as
+        # end-of-file instead of leaving a half-written message pending.
+        out._writer.close()
         self.stats["workers_spawned"] += 1
-        return _Slot(process, ctrl)
+        return _Slot(process, ctrl, out)
 
     def start_missing_workers(self) -> list[int]:
         """Spawn seats that have never been started; ids, no respawns.
@@ -226,9 +236,10 @@ class WorkerPool:
         Seats still alive (or never spawned) are left untouched, so a
         backoff-aware scheduler can revive precisely the seats whose
         delay has elapsed — and is only ever charged for those
-        (``stats["workers_replaced"]``).  The fresh process has a fresh
-        control queue and an empty design cache: whatever the dead
-        worker held is gone.
+        (``stats["workers_replaced"]``).  The fresh process has fresh
+        queues and an empty design cache: whatever the dead worker held
+        is gone, and so is anything it left unread or half-written on
+        its output queue.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -261,9 +272,10 @@ class WorkerPool:
             if slot.process.is_alive():  # pragma: no cover - last resort
                 slot.process.terminate()
                 slot.process.join(timeout=5.0)
-        for q in [self._out_queue] + [slot.ctrl for slot in self._slots]:
-            q.cancel_join_thread()
-            q.close()
+        for slot in self._slots:
+            for q in (slot.ctrl, slot.out):
+                q.cancel_join_thread()
+                q.close()
 
     # ------------------------------------------------------------------
     # Design shipping
@@ -302,9 +314,9 @@ class WorkerPool:
     # Message lease
     # ------------------------------------------------------------------
     def acquire_messages(self, owner: object) -> None:
-        """Claim the pool's single output-message stream for ``owner``.
+        """Claim the pool's output-message stream for ``owner``.
 
-        The pool has one output queue; two consumers would steal each
+        Two consumers of the seats' output queues would steal each
         other's messages, so whoever pumps :meth:`next_message` (a
         ``SeatScheduler``, usually inside a
         :class:`~repro.service.VerificationService`) must hold this
@@ -400,24 +412,34 @@ class WorkerPool:
 
         Kinds are ``ready``, ``event``, ``result``, ``cancelled`` and
         ``error`` (payloads as documented in :mod:`repro.parallel.worker`).
-        Messages from runs no longer open (stragglers of a finished or
-        cancelled batch) are silently discarded.  Raises
-        :class:`queue.Empty` on timeout, like a queue would; a
-        non-positive timeout polls without blocking (the scheduler's
-        burst-drain path).
+        Each seat's messages arrive in the order it sent them.  Messages
+        from runs no longer open (stragglers of a finished or cancelled
+        batch) are silently discarded.  Raises :class:`queue.Empty` on
+        timeout, like a queue would; a non-positive timeout polls
+        without blocking (the scheduler's burst-drain path).
         """
         deadline = time.monotonic() + timeout
         while True:
-            if timeout <= 0:
-                message = self._out_queue.get_nowait()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+            while not self._inbox:
+                # A queue's reader end is what its ``get`` reads from.
+                channels = {
+                    slot.out._reader: slot.out
+                    for slot in self._slots
+                    if not slot.out._reader.closed
+                }
+                ready = wait(list(channels), max(deadline - time.monotonic(), 0.0))
+                if not ready:
                     raise queue_mod.Empty
-                message = self._out_queue.get(timeout=remaining)
-            if message[1] not in self._open:
-                continue
-            return (message[0], message[1]) + tuple(message[2:])
+                for reader in ready:
+                    try:
+                        self._inbox.append(channels[reader].get_nowait())
+                    except (EOFError, OSError):
+                        # The seat is gone: every whole message it sent
+                        # was read, and a torn one is dropped with it.
+                        reader.close()
+            message = self._inbox.popleft()
+            if message[1] in self._open:
+                return message
 
     def close_run(self, run_id: int) -> None:
         """Close an open run; anything still in flight goes stale.

@@ -10,8 +10,8 @@ queue.  One job = one property: the worker computes the paper's
 ``ja`` loops over — or, for a portfolio job,
 :func:`repro.parallel.portfolio.race`, with the run's shipped
 :class:`~repro.config.ProofOptions` and the run's clause database, and
-reports the :class:`~repro.multiprop.report.PropOutcome` back on the
-output queue.
+reports the :class:`~repro.multiprop.report.PropOutcome` back on its
+own output queue.
 
 Control messages (private queue, parent -> worker):
 
@@ -49,9 +49,11 @@ Control messages (private queue, parent -> worker):
 ``("stop",)``
     shutdown sentinel.
 
-Output messages (shared queue, worker -> parent), all run-tagged so
-the parent can discard stragglers of finished runs — and, with one
-worker, the whole stream is deterministic:
+Output messages (the seat's own output queue, worker -> parent), all
+run-tagged so the parent can discard stragglers of finished runs.  No
+other seat writes to that queue, so a seat that dies mid-``put`` —
+holding the queue's write lock — silences only itself; with one worker
+the whole stream is deterministic:
 
 ``("ready", run, worker)``
     the run setup was absorbed; jobs may follow;

@@ -32,6 +32,15 @@ def _two_cones(b_init: int = 0) -> TransitionSystem:
     return TransitionSystem(aig)
 
 
+def _one_failing_property() -> TransitionSystem:
+    """One latch loaded from an input, one property ``never_a`` (fails)."""
+    aig = AIG()
+    a = aig.add_latch("a", init=0)
+    aig.set_next(a, aig.add_input("i"))
+    aig.add_property("never_a", aig_not(a))
+    return TransitionSystem(aig)
+
+
 def _populate(store: ProofStore, ts: TransitionSystem) -> dict:
     """Cold-prove ``ts`` and write every verdict back; return outcomes."""
     report = JAVerifier(ts).run()
@@ -42,26 +51,26 @@ def _populate(store: ProofStore, ts: TransitionSystem) -> dict:
 
 class TestResolve:
     def test_cold_then_warm_full_parity(self, tmp_path):
-        store = ProofStore(tmp_path)
-        cold = _populate(store, _counter_ts())
+        # The one-property design has no sibling to assume: its local
+        # proof assumes nothing and must still be served as local.
+        for make, names in ((_counter_ts, ["P0", "P1"]), (_one_failing_property, ["never_a"])):
+            store = ProofStore(tmp_path / names[0])
+            cold = _populate(store, make())
 
-        warm_ts = _counter_ts()
-        events = []
-        outcomes, remaining = CacheResolver(store).resolve(
-            warm_ts, ["P0", "P1"], emit=events.append
-        )
-        assert remaining == []
-        for name, outcome in outcomes.items():
-            assert outcome.engine == "cache"
-            assert outcome.status is cold[name].status
-            assert outcome.frames == cold[name].frames
-            assert outcome.local == cold[name].local
-        hits = [e for e in events if e.kind == "cache-hit"]
-        assert {(h.name, h.exact_design) for h in hits} == {
-            ("P0", True),
-            ("P1", True),
-        }
-        assert store.counters["hits"] == 2
+            warm_ts = make()
+            events = []
+            outcomes, remaining = CacheResolver(store).resolve(
+                warm_ts, names, emit=events.append
+            )
+            assert remaining == []
+            for name, outcome in outcomes.items():
+                assert outcome.engine == "cache"
+                assert outcome.status is cold[name].status
+                assert outcome.frames == cold[name].frames
+                assert outcome.local == cold[name].local
+            hits = [e for e in events if e.kind == "cache-hit"]
+            assert {(h.name, h.exact_design) for h in hits} == {(name, True) for name in names}
+            assert store.counters["hits"] == len(names)
 
     def test_read_mode_never_writes(self, tmp_path):
         store = ProofStore(tmp_path)

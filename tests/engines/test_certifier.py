@@ -1,16 +1,28 @@
 """The run certifier: one consecution solver per assumption set, and a
-clause proved inductive is not queried again.
+clause proved inductive is not queried again.  One run per family and
+strategy pins IC3's search.
 
 A driver run keeps one :class:`~repro.engines.certify.Certifier`.  Its
 verdicts must be exactly those of a fresh one-shot ``certify_invariant``
 on every certificate ``ja`` and ``separate`` produce on the 16 families,
 and on mutants of each (a clause dropped, a reset-value unit clause
 added, a literal flipped), checked in run order so that every earlier
-proof is already recorded when a later one is judged.  The same runs pin
-the IC3 search: per property, status, frames, ``sat_queries``, CEX depth
-and invariant hash to the values recorded before the certifier existed
-(when every proof opened two fresh solvers), so sharing the certifier's
-solver cannot have changed a single IC3 query.
+proof is already recorded when a later one is judged.
+
+The same runs — one per (family, strategy), shared by every test here —
+pin the IC3 search twice over:
+
+* ``IDENTITY``: per property, status, frames, ``sat_queries``, CEX depth
+  and invariant hash, recorded before the certifier existed (when every
+  proof opened two fresh solvers), so sharing the certifier's solver
+  cannot have changed a single IC3 query;
+* ``PINNED``: per property, (status, frames, ``sat_queries``), recorded
+  on whole-design frames, before IC3's solvers loaded frames projected
+  onto their target's cone (``TransitionSystem.encode_cone``).  A
+  projection must change no answer: a step slice that drops a
+  next-state function a query needs fails here — the query raises
+  ``OutOfSliceError`` or, with a missing definition, answers
+  differently and moves a frame or query count.
 """
 
 from __future__ import annotations
@@ -53,6 +65,122 @@ IDENTITY = {
     "tbob-ja": "560751c8d31d9319", "tbob-separate": "2643a7a49bc8e55d",
 }
 
+
+#: (design, strategy) -> property -> (status, frames, sat_queries), on the
+#: `cdcl` backend at the default knobs.
+PINNED = {
+    ('f104', 'ja'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 2, 5), 'c0_C5': ('HOLDS', 2, 5),
+        'r0_X0': ('HOLDS', 2, 6), 'r0_X1': ('HOLDS', 3, 12), 'r0_X2': ('HOLDS', 4, 19),
+        'r0_X3': ('HOLDS', 4, 19), 'r0_X4': ('HOLDS', 3, 11), 'r1_X0': ('HOLDS', 2, 6),
+        'r1_X1': ('HOLDS', 3, 12), 'r1_X2': ('HOLDS', 4, 19), 'r1_X3': ('HOLDS', 4, 19),
+        'r1_X4': ('HOLDS', 3, 11), 's0_D0': ('HOLDS', 2, 5), 's0_D1': ('HOLDS', 2, 2),
+        's0_D2': ('HOLDS', 2, 2), 's0_G': ('FAILS', 3, 8), 's0_T': ('HOLDS', 2, 5), 'z_Z0':
+        ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5),
+    },
+    ('f104', 'separate'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 2, 5), 'c0_C5': ('HOLDS', 2, 5),
+        'r0_X0': ('HOLDS', 7, 83), 'r0_X1': ('HOLDS', 2, 2), 'r0_X2': ('HOLDS', 2, 2),
+        'r0_X3': ('HOLDS', 2, 2), 'r0_X4': ('HOLDS', 2, 2), 'r1_X0': ('HOLDS', 7, 83),
+        'r1_X1': ('HOLDS', 2, 2), 'r1_X2': ('HOLDS', 2, 2), 'r1_X3': ('HOLDS', 2, 2),
+        'r1_X4': ('HOLDS', 2, 2), 's0_D0': ('FAILS', 15, 150), 's0_D1': ('FAILS', 153,
+        3226), 's0_D2': ('FAILS', 223, 5150), 's0_G': ('FAILS', 3, 8), 's0_T': ('HOLDS', 4,
+        19), 'z_Z0': ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5),
+    },
+    ('f380', 'ja'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 2, 5), 'c0_C5': ('HOLDS', 2, 5),
+        'c0_C6': ('HOLDS', 2, 5), 'c0_C7': ('HOLDS', 2, 5), 'r0_X0': ('HOLDS', 2, 6),
+        'r0_X1': ('HOLDS', 3, 12), 'r0_X2': ('HOLDS', 4, 19), 'r0_X3': ('HOLDS', 4, 19),
+        'r0_X4': ('HOLDS', 3, 11), 's0_D0': ('HOLDS', 2, 5), 's0_D1': ('HOLDS', 2, 5),
+        's0_D10': ('HOLDS', 2, 2), 's0_D11': ('HOLDS', 2, 2), 's0_D12': ('HOLDS', 2, 2),
+        's0_D13': ('HOLDS', 2, 2), 's0_D2': ('HOLDS', 2, 2), 's0_D3': ('HOLDS', 2, 5),
+        's0_D4': ('HOLDS', 2, 2), 's0_D5': ('HOLDS', 2, 2), 's0_D6': ('HOLDS', 2, 2),
+        's0_D7': ('HOLDS', 2, 5), 's0_D8': ('HOLDS', 2, 2), 's0_D9': ('HOLDS', 2, 2),
+        's0_G': ('FAILS', 2, 3), 's0_T': ('HOLDS', 2, 5), 's1_D0': ('HOLDS', 2, 5), 's1_D1':
+        ('HOLDS', 2, 2), 's1_D10': ('HOLDS', 2, 2), 's1_D11': ('HOLDS', 2, 2), 's1_D12':
+        ('HOLDS', 2, 2), 's1_D13': ('HOLDS', 2, 2), 's1_D2': ('HOLDS', 2, 2), 's1_D3':
+        ('HOLDS', 2, 2), 's1_D4': ('HOLDS', 2, 2), 's1_D5': ('HOLDS', 2, 2), 's1_D6':
+        ('HOLDS', 2, 2), 's1_D7': ('HOLDS', 2, 2), 's1_D8': ('HOLDS', 2, 2), 's1_D9':
+        ('HOLDS', 2, 5), 's1_G': ('FAILS', 3, 8), 's1_T': ('HOLDS', 2, 5), 's2_D0':
+        ('HOLDS', 2, 5), 's2_D1': ('HOLDS', 2, 2), 's2_D10': ('HOLDS', 2, 2), 's2_D11':
+        ('HOLDS', 2, 2), 's2_D12': ('HOLDS', 2, 2), 's2_D2': ('HOLDS', 2, 2), 's2_D3':
+        ('HOLDS', 2, 2), 's2_D4': ('HOLDS', 2, 2), 's2_D5': ('HOLDS', 2, 2), 's2_D6':
+        ('HOLDS', 2, 2), 's2_D7': ('HOLDS', 2, 2), 's2_D8': ('HOLDS', 2, 2), 's2_D9':
+        ('HOLDS', 2, 5), 's2_G': ('FAILS', 4, 12), 's2_T': ('HOLDS', 2, 5), 'z_Z0':
+        ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5), 'z_Z2': ('HOLDS', 2, 5), 'z_Z3': ('HOLDS',
+        2, 5),
+    },
+    ('f380', 'separate'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 2, 5), 'c0_C5': ('HOLDS', 2, 5),
+        'c0_C6': ('HOLDS', 2, 5), 'c0_C7': ('HOLDS', 2, 5), 'r0_X0': ('HOLDS', 7, 83),
+        'r0_X1': ('HOLDS', 2, 2), 'r0_X2': ('HOLDS', 2, 2), 'r0_X3': ('HOLDS', 2, 2),
+        'r0_X4': ('HOLDS', 2, 2), 's0_D0': ('FAILS', 6, 33), 's0_D1': ('FAILS', 10, 97),
+        's0_D10': ('FAILS', 122, 3594), 's0_D11': ('FAILS', 162, 3775), 's0_D12': ('FAILS',
+        202, 4381), 's0_D13': ('FAILS', 242, 7287), 's0_D2': ('FAILS', 14, 141), 's0_D3':
+        ('FAILS', 18, 287), 's0_D4': ('FAILS', 22, 171), 's0_D5': ('FAILS', 26, 390),
+        's0_D6': ('FAILS', 30, 414), 's0_D7': ('FAILS', 34, 774), 's0_D8': ('FAILS', 38,
+        632), 's0_D9': ('FAILS', 82, 1045), 's0_G': ('FAILS', 2, 3), 's0_T': ('HOLDS', 4,
+        19), 's1_D0': ('FAILS', 9, 45), 's1_D1': ('FAILS', 14, 62), 's1_D10': ('FAILS', 133,
+        3684), 's1_D11': ('FAILS', 173, 4157), 's1_D12': ('FAILS', 213, 3826), 's1_D13':
+        ('FAILS', 253, 8014), 's1_D2': ('FAILS', 16, 155), 's1_D3': ('FAILS', 20, 239),
+        's1_D4': ('FAILS', 25, 194), 's1_D5': ('FAILS', 28, 269), 's1_D6': ('FAILS', 32,
+        480), 's1_D7': ('FAILS', 36, 654), 's1_D8': ('FAILS', 40, 708), 's1_D9': ('FAILS',
+        94, 1482), 's1_G': ('FAILS', 3, 8), 's1_T': ('HOLDS', 4, 19), 's2_D0': ('FAILS', 10,
+        89), 's2_D1': ('FAILS', 16, 103), 's2_D10': ('FAILS', 144, 3117), 's2_D11':
+        ('FAILS', 186, 2891), 's2_D12': ('FAILS', 224, 5221), 's2_D2': ('FAILS', 18, 256),
+        's2_D3': ('FAILS', 22, 309), 's2_D4': ('FAILS', 28, 290), 's2_D5': ('FAILS', 30,
+        403), 's2_D6': ('FAILS', 34, 639), 's2_D7': ('FAILS', 38, 673), 's2_D8': ('FAILS',
+        42, 849), 's2_D9': ('FAILS', 104, 2047), 's2_G': ('FAILS', 4, 12), 's2_T': ('HOLDS',
+        4, 19), 'z_Z0': ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5), 'z_Z2': ('HOLDS', 2, 5),
+        'z_Z3': ('HOLDS', 2, 5),
+    },
+    ('t135', 'ja'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'r0_X0': ('HOLDS', 2, 6), 'r0_X1': ('HOLDS', 3, 12),
+        'r0_X2': ('HOLDS', 4, 19), 'r0_X3': ('HOLDS', 4, 19), 'r0_X4': ('HOLDS', 3, 11),
+        'r1_X0': ('HOLDS', 2, 6), 'r1_X1': ('HOLDS', 3, 12), 'r1_X2': ('HOLDS', 4, 19),
+        'r1_X3': ('HOLDS', 3, 11), 'z_Z0': ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5), 'z_Z2':
+        ('HOLDS', 2, 5), 'z_Z3': ('HOLDS', 2, 5), 'z_Z4': ('HOLDS', 2, 5), 'z_Z5': ('HOLDS',
+        2, 5), 'z_Z6': ('HOLDS', 2, 5), 'z_Z7': ('HOLDS', 2, 5),
+    },
+    ('t135', 'separate'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'r0_X0': ('HOLDS', 7, 83), 'r0_X1': ('HOLDS', 2, 2),
+        'r0_X2': ('HOLDS', 2, 2), 'r0_X3': ('HOLDS', 2, 2), 'r0_X4': ('HOLDS', 2, 2),
+        'r1_X0': ('HOLDS', 5, 49), 'r1_X1': ('HOLDS', 2, 2), 'r1_X2': ('HOLDS', 2, 2),
+        'r1_X3': ('HOLDS', 2, 2), 'z_Z0': ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5), 'z_Z2':
+        ('HOLDS', 2, 5), 'z_Z3': ('HOLDS', 2, 5), 'z_Z4': ('HOLDS', 2, 5), 'z_Z5': ('HOLDS',
+        2, 5), 'z_Z6': ('HOLDS', 2, 5), 'z_Z7': ('HOLDS', 2, 5),
+    },
+    ('t407', 'ja'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 2, 5), 'c0_C5': ('HOLDS', 2, 5),
+        'c0_C6': ('HOLDS', 2, 5), 'r0_X0': ('HOLDS', 2, 6), 'r0_X1': ('HOLDS', 3, 12),
+        'r0_X2': ('HOLDS', 4, 19), 'r0_X3': ('HOLDS', 4, 19), 'r0_X4': ('HOLDS', 3, 11),
+        'v0_S0': ('HOLDS', 10, 381), 'v0_S1': ('HOLDS', 2, 5), 'v0_S10': ('HOLDS', 2, 5),
+        'v0_S11': ('HOLDS', 2, 5), 'v0_S2': ('HOLDS', 2, 5), 'v0_S3': ('HOLDS', 2, 5),
+        'v0_S4': ('HOLDS', 2, 5), 'v0_S5': ('HOLDS', 2, 5), 'v0_S6': ('HOLDS', 2, 5),
+        'v0_S7': ('HOLDS', 2, 5), 'v0_S8': ('HOLDS', 2, 5), 'v0_S9': ('HOLDS', 2, 5),
+        'z_Z0': ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5), 'z_Z2': ('HOLDS', 2, 5), 'z_Z3':
+        ('HOLDS', 2, 5),
+    },
+    ('t407', 'separate'): {
+        'c0_C0': ('HOLDS', 2, 5), 'c0_C1': ('HOLDS', 2, 5), 'c0_C2': ('HOLDS', 2, 5),
+        'c0_C3': ('HOLDS', 2, 5), 'c0_C4': ('HOLDS', 2, 5), 'c0_C5': ('HOLDS', 2, 5),
+        'c0_C6': ('HOLDS', 2, 5), 'r0_X0': ('HOLDS', 7, 83), 'r0_X1': ('HOLDS', 2, 2),
+        'r0_X2': ('HOLDS', 2, 2), 'r0_X3': ('HOLDS', 2, 2), 'r0_X4': ('HOLDS', 2, 2),
+        'v0_S0': ('HOLDS', 10, 381), 'v0_S1': ('HOLDS', 2, 5), 'v0_S10': ('HOLDS', 2, 5),
+        'v0_S11': ('HOLDS', 2, 5), 'v0_S2': ('HOLDS', 2, 5), 'v0_S3': ('HOLDS', 2, 5),
+        'v0_S4': ('HOLDS', 2, 5), 'v0_S5': ('HOLDS', 2, 5), 'v0_S6': ('HOLDS', 2, 5),
+        'v0_S7': ('HOLDS', 2, 5), 'v0_S8': ('HOLDS', 2, 5), 'v0_S9': ('HOLDS', 2, 5),
+        'z_Z0': ('HOLDS', 2, 5), 'z_Z1': ('HOLDS', 2, 5), 'z_Z2': ('HOLDS', 2, 5), 'z_Z3':
+        ('HOLDS', 2, 5),
+    },
+}
 
 @cache
 def _run(family: str, strategy: str):
@@ -104,6 +232,15 @@ ROWS = [(family, strategy) for family in sorted(FAMILIES) for strategy in ("ja",
 def test_the_ic3_search_is_unchanged(family, strategy):
     _, results, outcomes = _run(family, strategy)
     assert _identity(results, outcomes) == IDENTITY[f"{family}-{strategy}"]
+
+
+@pytest.mark.parametrize("family,strategy", sorted(PINNED))
+def test_results_match_the_whole_design_frames(family, strategy):
+    _, results, _ = _run(family, strategy)
+    assert {
+        name: (result.status.name, result.frames, result.stats["sat_queries"])
+        for name, result in results.items()
+    } == PINNED[family, strategy]
 
 
 @pytest.mark.parametrize("family,strategy", ROWS)

@@ -42,7 +42,7 @@ class TestBasic:
         # P1 on the fixed counter is not plain-inductive at small k but
         # provable with simple-path constraints on a finite system.
         ts = TransitionSystem(fixed_counter(3))
-        result = kinduction_check(ts, "P1", max_k=24, unique_states=True)
+        result = kinduction_check(ts, "P1", max_k=24)
         assert result.holds
 
     def test_the_design_is_never_written(self, counter4):

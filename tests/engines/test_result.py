@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
-import time
+import pytest
 
+from repro.engines import result as result_mod
 from repro.engines.result import EngineResult, PropStatus, ResourceBudget
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The budget's clock, stubbed: ``clock[0]`` is the time, in seconds."""
+    now = [100.0]
+    monkeypatch.setattr(result_mod.time, "monotonic", lambda: now[0])
+    return now
 
 
 class TestEngineResult:
@@ -34,15 +43,16 @@ class TestResourceBudget:
         budget.charge_conflicts(1)
         assert budget.exhausted()
 
-    def test_time_limit(self):
+    def test_time_limit(self, clock):
         budget = ResourceBudget(time_limit=0.0)
-        time.sleep(0.01)
+        assert not budget.exhausted()  # strict inequality
+        clock[0] += 0.01
         assert budget.exhausted()
 
-    def test_elapsed_monotone(self):
+    def test_elapsed_monotone(self, clock):
         budget = ResourceBudget()
         first = budget.elapsed()
-        time.sleep(0.005)
+        clock[0] += 0.005
         assert budget.elapsed() >= first
 
     def test_combined_limits(self):

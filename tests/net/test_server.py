@@ -12,7 +12,6 @@ import http.client
 import json
 import sys
 import threading
-import time
 
 import pytest
 
@@ -389,10 +388,20 @@ class TestStreamResume:
         assert isinstance(rest[-1], JobFinished)
         assert not any(isinstance(e, JobQueued) for e in rest)
 
-    def test_cut_stream_is_released_within_a_poll(self, remote, gate):
+    def test_cut_stream_is_released_within_a_poll(self, remote, gate, monkeypatch):
         # Drain waits on the open-stream count, so a stream whose
         # client hung up mid-job must not keep counting.
         client, server = remote
+        released = threading.Event()
+        stream = server._handle_job_events
+
+        def marked_stream(request, http):
+            try:
+                stream(request, http)
+            finally:
+                released.set()  # after the stream's own count went down
+
+        monkeypatch.setattr(server, "_handle_job_events", marked_stream)
         job = client.submit(design_text=toggler_text(), strategy="gated")
         assert gate.entered.wait(timeout=30)
         conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
@@ -402,9 +411,7 @@ class TestStreamResume:
         assert client.health()["streams"] == 1
         response.close()
         conn.close()
-        deadline = time.monotonic() + STREAM_POLL_S + 1.0  # 1 s of scheduling slack
-        while client.health()["streams"] and time.monotonic() < deadline:
-            time.sleep(0.05)
+        assert released.wait(timeout=STREAM_POLL_S + 1.0)  # 1 s of scheduling slack
         assert client.health()["streams"] == 0
         gate.release.set()
         assert job.result(timeout=60).method == "gated"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_mod
+import threading
 import time
 from collections import deque
 
@@ -25,7 +26,7 @@ from repro.multiprop.report import PropOutcome
 from repro.parallel import SeatScheduler, unpack_clauses
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import pool_worker_main  # real entry, pre-patch
-from repro.progress import PropertyStarted
+from repro.progress import PropertyStarted, WorkerStarted
 from repro.service import JobStatus, VerificationService
 from repro.session import VerificationConfig
 
@@ -44,7 +45,10 @@ class _StubPool:
     record — ``assign`` also the clauses each job message relays, and
     returns the job's sequence number (its 1-based position in
     ``assigned``) — and tests answer assignments by feeding ``result``
-    messages back through the scheduler.
+    messages back through the scheduler, or :meth:`post` them to a
+    dispatcher thread.  Every post and record notifies ``changed``, so
+    a test thread blocks in :meth:`wait_for` until the dispatcher got
+    there.
     """
 
     def __init__(self, workers: int = 2) -> None:
@@ -62,6 +66,7 @@ class _StubPool:
             "workers_replaced": 0,
         }
         self.messages: deque = deque()
+        self.changed = threading.Condition()
         self.assigned: list = []  # (seat, run id, PropertyJob), in order
         self.relayed: list = []  # (seat, run id, clause list), per assign
         self.stopped: list = []  # (seat, PropertyJob) per stop_seat call
@@ -94,26 +99,44 @@ class _StubPool:
         self._open.add(run_id)
         self.stats["runs"] += 1
         for worker_id in sorted(self._alive):
-            self.messages.append(("ready", run_id, worker_id))
+            self.post(("ready", run_id, worker_id))
         return run_id
 
     def attach_worker(self, run_id: int, worker_id: int) -> None:
-        self.messages.append(("ready", run_id, worker_id))
+        self.post(("ready", run_id, worker_id))
 
     def assign(self, worker_id, job, run_id=None, clauses=b"") -> int:
-        self.assigned.append((worker_id, run_id, job))
-        self.relayed.append((worker_id, run_id, unpack_clauses(clauses)))
-        return len(self.assigned)
+        with self.changed:
+            self.assigned.append((worker_id, run_id, job))
+            self.relayed.append((worker_id, run_id, unpack_clauses(clauses)))
+            self.changed.notify_all()
+            return len(self.assigned)
 
     def stop_seat(self, worker_id: int, seq: int) -> None:
-        self.stopped.append((worker_id, self.assigned[seq - 1][2]))
+        with self.changed:
+            self.stopped.append((worker_id, self.assigned[seq - 1][2]))
+            self.changed.notify_all()
 
     def next_message(self, timeout: float = 0.2):
-        if self.messages:
-            return self.messages.popleft()
-        if timeout > 0:
-            time.sleep(0.001)  # a dispatcher thread polling: do not spin
+        with self.changed:
+            if timeout > 0:
+                self.changed.wait_for(lambda: self.messages, timeout)
+            if self.messages:
+                return self.messages.popleft()
         raise queue_mod.Empty
+
+    # -- test side ------------------------------------------------------
+    def post(self, message) -> None:
+        """A seat's message, as the dispatcher will read it."""
+        with self.changed:
+            self.messages.append(message)
+            self.changed.notify_all()
+
+    def wait_for(self, condition, what: str) -> None:
+        """Block until the dispatcher thread got there (a sync point, not
+        a timing assertion: the deadline only turns a hang into a failure)."""
+        with self.changed:
+            assert self.changed.wait_for(condition, 30), f"never happened: {what}"
 
     def close_run(self, run_id: int) -> None:
         self._open.discard(run_id)
@@ -236,12 +259,12 @@ class TestStopSeats:
             handle = service.submit(
                 counter4, strategy="parallel-ja", exchange=False, order=["P0", "P1"]
             )
-            _wait_for(lambda: pool.assigned, "first attempt seated")
+            pool.wait_for(lambda: pool.assigned, "first attempt seated")
             seat, run_id, attempt = pool.assigned[0]
             assert handle.cancel()
-            _wait_for(lambda: pool.stopped, "seat stopped")
+            pool.wait_for(lambda: pool.stopped, "seat stopped")
             assert pool.stopped == [(seat, attempt)]
-            pool.messages.append(
+            pool.post(
                 (
                     "result",
                     run_id,
@@ -597,15 +620,6 @@ class TestSchedulerStats:
         assert (stats.alive, stats.busy, stats.idle) == (1, 0, 1)
 
 
-def _wait_for(condition, what: str) -> None:
-    """Block until the dispatcher thread got there (a sync point, not a
-    timing assertion: the deadline only turns a hang into a failure)."""
-    deadline = time.monotonic() + 30
-    while not condition():
-        assert time.monotonic() < deadline, f"never happened: {what}"
-        time.sleep(0.001)
-
-
 class TestEmitFailure:
     def test_first_failure_cancels_queued_attempts(self, counter4):
         # The job's result is decided — the subscriber's exception — the
@@ -626,14 +640,12 @@ class TestEmitFailure:
                 order=["P0", "P1"],
                 on_event=explode,
             )
-            _wait_for(lambda: pool.assigned, "first attempt seated")
+            pool.wait_for(lambda: pool.assigned, "first attempt seated")
             seat, run_id, attempt = pool.assigned[0]
             assert attempt.name == "P0"
-            pool.messages.append(
-                ("event", run_id, seat, PropertyStarted(name="P0", assumed=("P1",)))
-            )
-            _wait_for(lambda: pool.stopped, "job cancelled")
-            pool.messages.append(
+            pool.post(("event", run_id, seat, PropertyStarted(name="P0", assumed=("P1",))))
+            pool.wait_for(lambda: pool.stopped, "job cancelled")
+            pool.post(
                 (
                     "result",
                     run_id,
@@ -651,12 +663,15 @@ class TestEmitFailure:
         assert seen[-2:] == ["property-started", "job-finished"]
 
 
-def _crash_loop_until(marker: str):
-    """Seat 0 dies instantly on every spawn until ``marker`` exists."""
+def _crash_loop_until(healed, serving):
+    """Seat 0 dies instantly on every spawn until ``healed`` is set;
+    a seat 0 that survives sets ``serving``."""
 
     def entry(worker_id, ctrl_queue, out_queue, stop_marks, stop_event):
-        if worker_id == 0 and not os.path.exists(marker):
-            os._exit(1)
+        if worker_id == 0:
+            if not healed.is_set():
+                os._exit(1)
+            serving.set()
         pool_worker_main(worker_id, ctrl_queue, out_queue, stop_marks, stop_event)
 
     return entry
@@ -665,21 +680,29 @@ def _crash_loop_until(marker: str):
 @pytest.mark.slow
 @needs_fork
 class TestCrashLoopFaultInjection:
-    def test_crash_loop_is_throttled_and_heals(
-        self, toggler, tmp_path, monkeypatch
-    ):
+    def test_crash_loop_is_throttled_and_heals(self, toggler, monkeypatch):
         from repro.service import VerificationService
 
-        marker = str(tmp_path / "healed")
+        fork = multiprocessing.get_context("fork")
+        healed, serving = fork.Event(), fork.Event()
         monkeypatch.setattr(
-            worker_mod, "pool_worker_main", _crash_loop_until(marker)
+            worker_mod, "pool_worker_main", _crash_loop_until(healed, serving)
         )
+        # Seat 0's first start is its spawn; every later one a respawn,
+        # which follows the reap that accounted its crash.
+        seat0_starts = threading.Semaphore(0)
+
+        def count_starts(event):
+            if isinstance(event, WorkerStarted) and event.worker == 0:
+                seat0_starts.release()
+
         with VerificationService(
             workers=2,
             start_method="fork",
             seat_backoff_base=0.2,
             seat_backoff_cap=1.0,
         ) as service:
+            service.subscribe(count_starts)
             # Seat 0 crash-loops from the first spawn; seat 1 must
             # carry every job to correct verdicts regardless.
             for _ in range(2):
@@ -688,6 +711,10 @@ class TestCrashLoopFaultInjection:
                 ).result(timeout=120)
                 assert report.outcomes["never_r"].status is PropStatus.HOLDS
                 assert report.outcomes["never_q"].status is PropStatus.FAILS
+            # Both jobs may finish on seat 1 before any reap sees seat 0
+            # dead: wait for its first respawn, so a crash is accounted.
+            for start in ("spawn", "respawn"):
+                assert seat0_starts.acquire(timeout=30), f"seat 0 never saw its {start}"
             stats = service.stats()
             seat0 = stats.pool.seats[0]
             assert seat0.crashes >= 1
@@ -700,17 +727,12 @@ class TestCrashLoopFaultInjection:
             # The environment heals: idle maintenance (or the next
             # admission) revives the seat — its pending backoff skipped
             # to keep the test fast — and full strength returns.
-            with open(marker, "w"):
-                pass
+            healed.set()
             service._scheduler.seat_health[0].not_before = 0.0
             report = service.submit(
                 toggler, strategy="parallel-ja", exchange=False
             ).result(timeout=120)
             assert report.outcomes["never_q"].status is PropStatus.FAILS
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                stats = service.stats()
-                if stats.pool.alive == 2:
-                    break
-                time.sleep(0.1)
+            assert serving.wait(timeout=30), "service never recovered seat 0"
+            stats = service.stats()
             assert stats.pool.alive == 2, "service never recovered seat 0"

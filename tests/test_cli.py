@@ -53,12 +53,12 @@ class TestSweep:
 
 class TestCheck:
     def test_ja_finds_failures(self, counter_file, capsys):
-        assert main(["check", counter_file, "--method", "ja"]) == 1
+        assert main(["check", counter_file, "--strategy", "ja"]) == 1
         out = capsys.readouterr().out
         assert "Debugging set: {P0}" in out
 
     def test_joint(self, counter_file, capsys):
-        assert main(["check", counter_file, "--method", "joint"]) == 1
+        assert main(["check", counter_file, "--strategy", "joint"]) == 1
         out = capsys.readouterr().out
         assert "fails" in out
         assert "Debugging set" not in out  # global verdicts: no debugging set
@@ -68,7 +68,7 @@ class TestCheck:
             [
                 "check",
                 counter_file,
-                "--method",
+                "--strategy",
                 "separate",
                 "--no-reuse",
                 "--order",
@@ -78,14 +78,14 @@ class TestCheck:
         assert code == 1
 
     def test_clustered(self, counter_file):
-        assert main(["check", counter_file, "--method", "clustered"]) == 1
+        assert main(["check", counter_file, "--strategy", "clustered"]) == 1
 
     def test_ja_with_all_flags(self, counter_file):
         code = main(
             [
                 "check",
                 counter_file,
-                "--method",
+                "--strategy",
                 "ja",
                 "--coi",
                 "--ctg",
@@ -99,7 +99,7 @@ class TestCheck:
     def test_all_true_design_exits_zero(self, tmp_path):
         path = str(tmp_path / "t.aag")
         assert main(["gen", "t273", "-o", path]) == 0
-        assert main(["check", path, "--method", "ja"]) == 0
+        assert main(["check", path, "--strategy", "ja"]) == 0
 
     def test_unsolved_exit_code(self, counter_file):
         code = main(["check", counter_file, "--time-limit", "0.0"])
