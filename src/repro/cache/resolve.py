@@ -40,12 +40,28 @@ counterexample is checked against the whole set, whatever its author
 assumed: a local counterexample is also a global one and still hits, a
 global one that an assumed property pre-empts is spurious locally and
 does not.
+
+A service derives each cone once per design, not once per hit: its
+one :class:`ConeMemo` holds, per property, the COI reduction (with the
+kept assumptions), the cone's :class:`~repro.ts.system.TransitionSystem`
+and its templates, and the cone digest, for lookup and write-back
+alike.  The key is the design's exact AAG text plus its input, latch
+and property literals, compared as values.  It is never a digest, so
+two designs never share an entry; the literals are in it because one
+text can come with two numberings, and witness maps are in the
+numbers.  It keeps :data:`~repro.parallel.pool.DESIGN_CACHE_SIZE`
+designs (LRU), as the seats do.  Every hit still runs a fresh
+certificate check.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
+from ..circuit.aiger import write_aag
 from ..circuit.coi import CoiReduction, reduce_to_cone
 from ..engines.certify import Certifier, certify_cex, certify_invariant
 from ..engines.result import PropStatus
@@ -53,12 +69,79 @@ from ..multiprop.report import PropOutcome
 from ..progress import CacheHit, Emit, emit_or_null
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
-from .hashing import cone_digest, cone_properties, design_digest
+from .hashing import cone_digest, cone_properties, text_digest
 from .store import CacheRecord, ProofStore
 
-__all__ = ["CacheResolver"]
+__all__ = ["CacheResolver", "Cone", "ConeMemo"]
 
 _STATUS = {"holds": PropStatus.HOLDS, "fails": PropStatus.FAILS}
+
+
+@dataclass(frozen=True)
+class Cone:
+    """One property's cone: its reduction, system and store key."""
+
+    reduction: CoiReduction
+    ts: TransitionSystem
+    digest: str
+
+
+@dataclass
+class _DesignCones:
+    """One design's digest, support-signature memo and cones by property."""
+
+    digest: str
+    supports: dict[str, frozenset] = field(default_factory=dict)
+    cones: dict[str, Cone] = field(default_factory=dict)
+
+
+class ConeMemo:
+    """Cones per design, shared by every resolver of a service (see the
+    module docstring for its key and bound)."""
+
+    def __init__(self) -> None:
+        # Imported here: repro.parallel.pool imports this package.
+        from ..parallel.pool import DESIGN_CACHE_SIZE
+
+        self.size = DESIGN_CACHE_SIZE
+        self._designs: OrderedDict[tuple, _DesignCones] = OrderedDict()
+        self._lock = threading.Lock()
+        self.counters = {"cones_built": 0, "cone_hits": 0}
+
+    def design(self, ts: TransitionSystem) -> _DesignCones:
+        """``ts``'s entry, created on first use (and refreshed in the LRU)."""
+        text = write_aag(ts.aig)
+        key = (
+            text,
+            tuple(ts.aig.inputs),
+            tuple(latch.lit for latch in ts.latches),
+            tuple((p.name, p.lit, p.expected_to_fail) for p in ts.properties),
+        )
+        with self._lock:
+            entry = self._designs.pop(key, None)
+            if entry is None:
+                entry = _DesignCones(text_digest(text))
+            self._designs[key] = entry
+            if len(self._designs) > self.size:
+                self._designs.popitem(last=False)
+        return entry
+
+    def cone(self, ts: TransitionSystem, design: _DesignCones, name: str) -> Cone:
+        """``name``'s cone in ``ts``, whose entry is ``design``."""
+        with self._lock:
+            cone = design.cones.get(name)
+            if cone is not None:
+                self.counters["cone_hits"] += 1
+                return cone
+            kept = cone_properties(ts, name, design.supports)
+            reduction = reduce_to_cone(ts.aig, [name, *kept])
+            cone = design.cones[name] = Cone(
+                reduction,
+                TransitionSystem(reduction.aig),
+                cone_digest(ts, name, reduction=reduction),
+            )
+            self.counters["cones_built"] += 1
+            return cone
 
 
 class CacheResolver:
@@ -71,6 +154,7 @@ class CacheResolver:
         *,
         solver_backend: str | None = None,
         local: bool = True,
+        cones: ConeMemo | None = None,
     ) -> None:
         if mode not in ("off", "read", "readwrite"):
             raise ValueError(f"bad cache mode {mode!r}")
@@ -78,6 +162,7 @@ class CacheResolver:
         self.mode = mode
         self.solver_backend = solver_backend
         self.local = local  # does the requesting strategy assume the other properties?
+        self.cones = cones if cones is not None else ConeMemo()
 
     @property
     def readable(self) -> bool:
@@ -108,10 +193,9 @@ class CacheResolver:
         remaining: list[str] = []
         if not self.readable:
             return outcomes, list(order)
-        current_design = design_digest(ts)
-        supports: dict[str, frozenset] = {}  # shared support-signature memo
+        design = self.cones.design(ts)
         for name in order:
-            outcome = self._resolve_one(ts, name, current_design, emit, supports)
+            outcome = self._resolve_one(ts, name, design, emit)
             if outcome is None:
                 remaining.append(name)
             else:
@@ -122,18 +206,15 @@ class CacheResolver:
         self,
         ts: TransitionSystem,
         name: str,
-        current_design: str,
+        design: _DesignCones,
         emit: Emit,
-        supports: dict[str, frozenset],
     ) -> PropOutcome | None:
-        kept = cone_properties(ts, name, supports)
-        reduction = reduce_to_cone(ts.aig, [name, *kept])
-        cone = cone_digest(ts, name, kept, reduction=reduction)
-        record = self.store.get(cone)
+        cone = self.cones.cone(ts, design, name)
+        record = self.store.get(cone.digest)
         if record is None or record.prop != name:
             self.store.counters["misses"] += 1
             return None
-        outcome = self._certify(ts, name, record, reduction)
+        outcome = self._certify(ts, name, record, cone)
         if outcome is None:
             self.store.counters["certify_rejects"] += 1
             return None
@@ -142,7 +223,7 @@ class CacheResolver:
             CacheHit(
                 name=name,
                 status=outcome.status,
-                exact_design=record.design == current_design,
+                exact_design=record.design == design.digest,
                 frames=outcome.frames,
             )
         )
@@ -153,7 +234,7 @@ class CacheResolver:
         ts: TransitionSystem,
         name: str,
         record: CacheRecord,
-        reduction: CoiReduction,
+        cone: Cone,
     ) -> PropOutcome | None:
         """Re-check the stored witness; ``None`` means reject (re-prove).
 
@@ -180,23 +261,22 @@ class CacheResolver:
                 return None
             # Fewer assumptions only strengthen an invariant's obligation.
             assumed = [n for n in record.assumed if n in allowed]
-            cone = TransitionSystem(reduction.aig)
             report = certify_invariant(
-                cone,
+                cone.ts,
                 name,
                 record.invariant,
-                [n for n in assumed if n in cone.prop_by_name],
+                [n for n in assumed if n in cone.ts.prop_by_name],
                 solver_backend=self.solver_backend,
             )
             if report.valid:
-                invariant = reduction.clauses_from_cone(record.invariant)
+                invariant = cone.reduction.clauses_from_cone(record.invariant)
         else:
             if record.trace is None:
                 return None
             # A counterexample must outlive *every* assumption the
             # requester makes, whatever the record's author assumed.
             assumed = allowed
-            cex = reduction.trace_from_cone(record.trace)
+            cex = cone.reduction.trace_from_cone(record.trace)
             report = certify_cex(ts, name, cex, assumed)
         if not report.valid:
             return None
@@ -233,10 +313,9 @@ class CacheResolver:
         """
         if not self.writable:
             return 0
-        design = design_digest(ts)
+        design = self.cones.design(ts)
         written = 0
         warm: list = []
-        supports: dict[str, frozenset] = {}  # shared support-signature memo
         certifier = Certifier(ts, self.solver_backend)  # one for the whole write-back
         for name, outcome in outcomes.items():
             if outcome.engine == "cache":
@@ -248,21 +327,20 @@ class CacheResolver:
                 status = "fails"
             else:
                 continue
-            kept = cone_properties(ts, name, supports)
-            reduction = reduce_to_cone(ts.aig, [name, *kept])
+            cone = self.cones.cone(ts, design, name)
             invariant = trace = None
             if status == "holds":
-                invariant = self._cone_invariant(certifier, name, reduction, outcome)
+                invariant = self._cone_invariant(certifier, name, cone.reduction, outcome)
                 if invariant is None:
                     continue
             else:
-                trace = reduction.trace_to_cone(outcome.cex)
+                trace = cone.reduction.trace_to_cone(outcome.cex)
             self.store.put(
                 CacheRecord(
                     prop=name,
                     status=status,
-                    design=design,
-                    cone=cone_digest(ts, name, kept, reduction=reduction),
+                    design=design.digest,
+                    cone=cone.digest,
                     design_name=design_name,
                     local=outcome.local,
                     frames=outcome.frames,
@@ -276,7 +354,7 @@ class CacheResolver:
             )
             written += 1
         if warm:
-            self.store.save_warm(design, ts, warm)
+            self.store.save_warm(design.digest, ts, warm)
         return written
 
     @staticmethod
@@ -307,4 +385,4 @@ class CacheResolver:
         """Warm-start clauses recorded for this exact design (or [])."""
         if not self.readable:
             return []
-        return self.store.load_warm(design_digest(ts), ts)
+        return self.store.load_warm(self.cones.design(ts).digest, ts)

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from ..circuit.simulate import Simulator
 from ..sat import SatBackend, Status, create_solver
 from ..ts.system import Clause, StepEncoding, TransitionSystem, negate_cube
 from ..ts.trace import Trace
@@ -241,26 +242,35 @@ def certify_cex(
         return CertificateReport(False, f"unknown property {prop_name!r}")
     if not trace.inputs:
         return CertificateReport(False, "empty trace")
-    fail_at = trace.failure_frame(ts.aig, prop.lit)
+    # One replay: each frame evaluates the target and the known assumed
+    # properties together, until the target fails.
+    known = list(dict.fromkeys(name for name in assumed if name in ts.prop_by_name))
+    lits = [prop.lit, *(ts.prop_by_name[name].lit for name in known)]
+    sim = Simulator(ts.aig)
+    sim.reset(trace.uninit)
+    last, fail_at, spurious = len(trace) - 1, None, None
+    for frame, frame_inputs in enumerate(trace.inputs):
+        target, *values = sim.eval_lits(lits, frame_inputs)
+        failed = sorted(name for name, ok in zip(known, values) if not ok)
+        if failed and spurious is None and frame < last:
+            spurious = (
+                f"assumed properties {failed} fail at frame {frame}, before "
+                "the target: spurious as a local counterexample"
+            )
+        if not target:
+            fail_at = frame
+            break
+        sim.step(frame_inputs)
     if fail_at is None:
         return CertificateReport(False, "trace never falsifies the property")
-    if fail_at != len(trace) - 1:
+    if fail_at != last:
         return CertificateReport(
             False,
-            f"property first fails at frame {fail_at}, not the final frame "
-            f"{len(trace) - 1}",
+            f"property first fails at frame {fail_at}, not the final frame {last}",
         )
-    if assumed:
-        lits = {}
-        for name in assumed:
-            if name not in ts.prop_by_name:
-                return CertificateReport(False, f"unknown assumed property {name!r}")
-            lits[name] = ts.prop_by_name[name].lit
-        frame, failed = trace.first_failures(ts.aig, lits)
-        if frame is not None and frame < len(trace) - 1:
-            return CertificateReport(
-                False,
-                f"assumed properties {failed} fail at frame {frame}, before "
-                "the target: spurious as a local counterexample",
-            )
+    unknown = [name for name in assumed if name not in ts.prop_by_name]
+    if unknown:
+        return CertificateReport(False, f"unknown assumed property {unknown[0]!r}")
+    if spurious is not None:
+        return CertificateReport(False, spurious)
     return CertificateReport(True, f"depth-{len(trace)} counterexample for {prop_name}")

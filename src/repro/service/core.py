@@ -205,6 +205,7 @@ class VerificationService:
         self._dispatcher: threading.Thread | None = None
         self._subscribers: list[Emit] = []
         self._stores: dict[str, object] = {}  # cache_dir -> ProofStore
+        self._cones = None  # the ConeMemo every job's resolver shares
         self._job_ids = 0
         self._closed = False
         self._stopping = False
@@ -294,7 +295,8 @@ class VerificationService:
         )
 
     def _cache_stats(self) -> dict | None:
-        """Aggregated proof-cache counters across every attached store."""
+        """Aggregated proof-cache counters across every attached store,
+        plus the cone memo's ``cones_built`` and ``cone_hits``."""
         with self._lock:
             stores = list(self._stores.values())
         if not stores:
@@ -306,6 +308,7 @@ class VerificationService:
                     merged[key] = merged.get(key, 0) + value
         if len(stores) == 1:
             merged["root"] = stores[0].stats()["root"]
+        merged.update(self._cones.counters)
         return merged
 
     def _resolver_for(self, record: _JobRecord):
@@ -319,9 +322,11 @@ class VerificationService:
             cache_dir, mode = self.cache_dir, self.cache_mode
         else:
             return None
-        from ..cache import CacheResolver, ProofStore
+        from ..cache import CacheResolver, ConeMemo, ProofStore
 
         with self._lock:
+            if self._cones is None:
+                self._cones = ConeMemo()
             store = self._stores.get(cache_dir)
             if store is None:
                 store = ProofStore(cache_dir)
@@ -331,6 +336,7 @@ class VerificationService:
             mode,
             solver_backend=config.solver_backend,
             local=record.local,
+            cones=self._cones,
         )
 
     @staticmethod

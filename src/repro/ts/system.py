@@ -17,6 +17,7 @@ is then a (latch valuation, input valuation) pair.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -148,6 +149,7 @@ class TransitionSystem:
         self._templates: dict[object, tuple[CnfBlock, StepEncoding]] = {}
         self._templates_key: tuple | None = None
         self._cones: ConeIndex | None = None
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # State helpers
@@ -189,14 +191,19 @@ class TransitionSystem:
     # next-state function.
 
     def __getstate__(self) -> dict:
-        # Templates never travel: a design pickles the same, byte for
-        # byte, however warm its sender is (pool payload digests rely on
-        # it), and the receiver rebuilds them on first use.
+        # Templates and their lock never travel: a design pickles the
+        # same, byte for byte, however warm its sender is (pool payload
+        # digests rely on it), and the receiver rebuilds them on first use.
         state = self.__dict__.copy()
         state["_templates"] = {}
         state["_templates_key"] = None
         state["_cones"] = None
+        del state["_lock"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
 
     def _template(self, key) -> tuple[CnfBlock, StepEncoding]:
         """The frame template under ``key``, built on first use.
@@ -211,7 +218,8 @@ class TransitionSystem:
         changed since: the properties, the latches, the inputs or the
         AIG's constraints.  AND nodes appended to the AIG afterwards (as
         ``aggregate_property_lit`` does) are in no existing cone and
-        leave them valid.
+        leave them valid.  They are built under the system's lock, so jobs
+        sharing a system (a proof-cache cone) build each template once.
         """
         design = (
             tuple(self.properties),
@@ -219,20 +227,21 @@ class TransitionSystem:
             tuple(self.aig.inputs),
             tuple(self.aig.constraints),
         )
-        if design != self._templates_key:
-            self._templates = {}
-            self._templates_key = design
-            self._cones = None
-        template = self._templates.get(key)
-        if template is None:
-            if key == "step":
-                cnf = CnfBuilder()
-                maps = self._encode_into("step", cnf)
-                template = (cnf.freeze(), maps)
-            else:
-                template = self._project(*key)
-            self._templates[key] = template
-        return template
+        with self._lock:
+            if design != self._templates_key:
+                self._templates = {}
+                self._templates_key = design
+                self._cones = None
+            template = self._templates.get(key)
+            if template is None:
+                if key == "step":
+                    cnf = CnfBuilder()
+                    maps = self._encode_into("step", cnf)
+                    template = (cnf.freeze(), maps)
+                else:
+                    template = self._project(*key)
+                self._templates[key] = template
+            return template
 
     def _project(
         self,

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.engines.certify import certify_cex, certify_invariant
+import random
+
+import pytest
+
+from repro.circuit.simulate import Simulator
+from repro.engines.certify import CertificateReport, certify_cex, certify_invariant
 from repro.engines.ic3 import IC3Options, ic3_check
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
@@ -89,3 +94,69 @@ class TestCertifyCex:
         report = certify_cex(counter4, "P1", trace, assumed=("P0",))
         assert not report.valid
         assert "spurious" in report.reason
+
+    def test_one_replay_checks_target_and_assumptions(self, counter4, monkeypatch):
+        replays, steps = [], []
+        init, step = Simulator.__init__, Simulator.step
+
+        def counted_init(sim, aig):
+            replays.append(aig)
+            init(sim, aig)
+
+        def counted_step(sim, inputs):
+            steps.append(inputs)
+            step(sim, inputs)
+
+        monkeypatch.setattr(Simulator, "__init__", counted_init)
+        monkeypatch.setattr(Simulator, "step", counted_step)
+        cex = ic3_check(counter4, "P0").cex
+        del replays[:], steps[:]
+        assert certify_cex(counter4, "P0", cex, assumed=("P1",)).valid
+        assert len(replays) == 1
+        assert len(steps) == len(cex) - 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_verdicts_and_reasons_are_the_two_replay_ones(self, seed):
+        # The reference is the former definition: replay for the target's
+        # first failure, then again for the assumed properties' first.
+        rng = random.Random(seed)
+        aig = random_design(seed=seed, n_latches=3, n_inputs=2, n_gates=8, n_props=3)
+        ts = TransitionSystem(aig)
+        names = sorted(ts.prop_by_name)
+        target = rng.choice(names)
+        assumed = [n for n in names if n != target and rng.random() < 0.7]
+        if rng.random() < 0.2:
+            assumed.append("nope")
+        trace = Trace(
+            inputs=[
+                {inp: rng.random() < 0.5 for inp in aig.inputs}
+                for _ in range(rng.randint(1, 6))
+            ]
+        )
+        assert certify_cex(ts, target, trace, assumed) == _two_replays(
+            ts, target, trace, assumed
+        )
+
+
+def _two_replays(ts, prop_name, trace, assumed):
+    last = len(trace) - 1
+    fail_at = trace.failure_frame(ts.aig, ts.prop_by_name[prop_name].lit)
+    if fail_at is None:
+        return CertificateReport(False, "trace never falsifies the property")
+    if fail_at != last:
+        return CertificateReport(
+            False, f"property first fails at frame {fail_at}, not the final frame {last}"
+        )
+    lits = {}
+    for name in assumed:
+        if name not in ts.prop_by_name:
+            return CertificateReport(False, f"unknown assumed property {name!r}")
+        lits[name] = ts.prop_by_name[name].lit
+    frame, failed = trace.first_failures(ts.aig, lits)
+    if frame is not None and frame < last:
+        return CertificateReport(
+            False,
+            f"assumed properties {failed} fail at frame {frame}, before "
+            "the target: spurious as a local counterexample",
+        )
+    return CertificateReport(True, f"depth-{len(trace)} counterexample for {prop_name}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from repro.multiprop.ja import JAVerifier
 from repro.sat import Solver, Status
 from repro.session import VerificationConfig
 from repro.ts.projection import assumption_names
+from repro.ts import system
 from repro.ts.system import FrameEncoding, OutOfSliceError, TransitionSystem
 from tests.conftest import solver_state
 
@@ -210,6 +212,62 @@ class TestCacheLifetime:
         ts.latches.pop()
         assert len(ts.encode_step(Solver()).next) == len(ts.latches)
         assert len(encoder_runs) == 2
+
+    def test_concurrent_first_use_builds_one_cone_index(self, monkeypatch):
+        # Two jobs certifying on one shared system (the proof cache's
+        # cones are shared): the first is held inside the cone index's
+        # construction while the second asks for another projection.
+        # The second must wait for the first's index, not build its own
+        # over it.
+        ts = TransitionSystem(FAMILIES["f175"])
+        ts.encode_step(Solver())
+        held, release, progressed = threading.Event(), threading.Event(), threading.Event()
+        built = []
+        init = system.ConeIndex.__init__
+
+        def held_init(index, *args):
+            built.append(threading.current_thread().name)
+            if len(built) == 1:
+                held.set()
+                assert release.wait(60)
+            init(index, *args)
+
+        class WaitingLock:
+            """The system's lock; says when the second job reaches it."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                if threading.current_thread().name == "second":
+                    progressed.set()
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        monkeypatch.setattr(system.ConeIndex, "__init__", held_init)
+        ts._lock = WaitingLock(getattr(ts, "_lock", threading.RLock()))
+        first_name, second_name = sorted(ts.prop_by_name)[:2]
+        frames = {}
+
+        def load(name):
+            frames[name] = ts.encode_cone(Solver(), "bad", name)
+            progressed.set()
+
+        first = threading.Thread(target=load, args=(first_name,), name="first")
+        first.start()
+        assert held.wait(60)
+        second = threading.Thread(target=load, args=(second_name,), name="second")
+        second.start()
+        assert progressed.wait(60)
+        release.set()
+        first.join(60)
+        second.join(60)
+        assert built == ["first"]
+        assert set(frames) == {first_name, second_name}
+        assert ("bad", first_name) in ts._templates
+        assert ("bad", second_name) in ts._templates
 
 
 # ----------------------------------------------------------------------
