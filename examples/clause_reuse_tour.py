@@ -5,20 +5,19 @@ A design whose 16 properties all need one hidden inductive invariant —
 the pairwise one-hotness of an internal mode ring that no property
 mentions.  Without re-use, every local proof rediscovers all ~45
 invariant clauses; with re-use, the first proof pays and the rest are
-nearly free.  The clauseDB file is persisted and inspected, like the
-external clauseDB of the paper's Ja-ver script.
+nearly free.  The run's clauseDB is then inspected, like the external
+clauseDB of the paper's Ja-ver script (across runs, a proof cache's
+warm log plays that file: ``VerificationConfig(cache_dir=...)``).
 
 Run:  python examples/clause_reuse_tour.py
 """
 
-import os
-import tempfile
 import time
 
 from repro import TransitionSystem
 from repro.circuit.aig import AIG
 from repro.gen import shared_invariant_slice
-from repro.multiprop import ClauseDB, JAVerifier
+from repro.multiprop import JAVerifier
 from repro.session import VerificationConfig
 
 
@@ -37,27 +36,23 @@ def main() -> None:
     assert not report_cold.debugging_set()
     print(f"without clause re-use: {t_cold:.2f}s")
 
-    # --- with re-use, persisting the clauseDB ------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        db_path = os.path.join(tmp, "clauseDB")
-        verifier = JAVerifier(
-            ts, VerificationConfig(clause_reuse=True, clause_db_path=db_path)
-        )
-        start = time.monotonic()
-        report_warm = verifier.run()
-        t_warm = time.monotonic() - start
-        assert not report_warm.debugging_set()
-        print(f"with clause re-use:    {t_warm:.2f}s  ({t_cold / t_warm:.1f}x faster)")
-        print()
+    # --- with re-use, inspecting the clauseDB -----------------------
+    verifier = JAVerifier(ts, VerificationConfig(clause_reuse=True))
+    start = time.monotonic()
+    report_warm = verifier.run()
+    t_warm = time.monotonic() - start
+    assert not report_warm.debugging_set()
+    print(f"with clause re-use:    {t_warm:.2f}s  ({t_cold / t_warm:.1f}x faster)")
+    print()
 
-        db = ClauseDB.load(db_path, ts)
-        print(f"clauseDB collected {len(db)} strengthening clauses, e.g.:")
-        for clause in db.clauses()[:5]:
-            human = " | ".join(
-                ("~" if lit < 0 else "") + ts.latches[abs(lit) - 1].name
-                for lit in clause
-            )
-            print(f"  ({human})")
+    db = verifier.clause_db
+    print(f"clauseDB collected {len(db)} strengthening clauses, e.g.:")
+    for clause in db.clauses()[:5]:
+        human = " | ".join(
+            ("~" if lit < 0 else "") + ts.latches[abs(lit) - 1].name
+            for lit in clause
+        )
+        print(f"  ({human})")
     print()
 
     # --- per-property cost profile ------------------------------------

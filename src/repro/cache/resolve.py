@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 
 from ..circuit.aiger import write_aag
 from ..circuit.coi import CoiReduction, reduce_to_cone
+from ..config import CACHE_MODES
 from ..engines.certify import Certifier, certify_cex, certify_invariant
 from ..engines.result import PropStatus
 from ..multiprop.report import PropOutcome
@@ -156,7 +157,7 @@ class CacheResolver:
         local: bool = True,
         cones: ConeMemo | None = None,
     ) -> None:
-        if mode not in ("off", "read", "readwrite"):
+        if mode not in CACHE_MODES:
             raise ValueError(f"bad cache mode {mode!r}")
         self.store = store
         self.mode = mode

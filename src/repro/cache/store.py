@@ -26,8 +26,8 @@ Three robustness rules, enforced here:
   :class:`~repro.cache.resolve.CacheResolver`; the store itself only
   promises well-formed records, not true ones.
 
-GC is LRU by file modification time (reads touch their entry), bounded
-by ``max_entries`` / ``max_bytes``.
+GC is LRU by file modification time (reads touch their entry), run on
+request (``repro cache gc``) with the bounds it is given.
 """
 
 from __future__ import annotations
@@ -170,16 +170,8 @@ class CacheRecord:
 class ProofStore:
     """Content-addressed store of certified verdicts + warm clause logs."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        *,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.counters: dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -227,13 +219,11 @@ class ProofStore:
         return record
 
     def put(self, record: CacheRecord) -> None:
-        """Persist ``record`` (atomic) and apply the GC bounds."""
+        """Persist ``record`` (atomic)."""
         if not record.created:
             record.created = time.time()
         atomic_write(self.entry_path(record.cone), record.to_json())
         self.counters["writes"] += 1
-        if self.max_entries is not None or self.max_bytes is not None:
-            self.gc()
 
     # ------------------------------------------------------------------
     # Warm clause logs
@@ -324,12 +314,10 @@ class ProofStore:
         max_entries: int | None = None,
         max_bytes: int | None = None,
     ) -> int:
-        """Evict least-recently-used entries beyond the size bounds.
+        """Evict least-recently-used entries beyond the given size bounds.
 
-        Returns the number of entries removed.
+        Returns the number of entries removed (none without a bound).
         """
-        max_entries = self.max_entries if max_entries is None else max_entries
-        max_bytes = self.max_bytes if max_bytes is None else max_bytes
         if max_entries is None and max_bytes is None:
             return 0
         aged = []

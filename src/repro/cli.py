@@ -72,6 +72,7 @@ import sys
 
 from . import __version__
 from .circuit.aiger import load_design, save_design, write_aag
+from .config import CACHE_MODES
 from .multiprop import debugging_report
 from .multiprop.report import MultiPropReport, render_table
 from .multiprop.sweep import sweep as run_sweep
@@ -207,7 +208,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         total_conflicts=args.total_conflicts,
         order=args.order,
         clause_reuse=not args.no_reuse,
-        clause_db_path=args.clause_db,
         respect_constraints_in_lifting=args.respect_lifting,
         coi_reduction=args.coi,
         ctg=args.ctg,
@@ -754,7 +754,7 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         "invariants and warm clause logs persist here (default: no cache)",
     )
     parser.add_argument(
-        "--cache-mode", choices=("off", "read", "readwrite"),
+        "--cache-mode", choices=CACHE_MODES,
         default="readwrite",
         help="how to use --cache-dir: read existing proofs only, read and "
         "write back fresh ones (default), or off",
@@ -830,10 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="IC3 frame ceiling per property (default: 500)",
     )
     p_check.add_argument("--no-reuse", action="store_true", help="disable clauseDB re-use")
-    p_check.add_argument(
-        "--clause-db", default=None, metavar="PATH", dest="clause_db",
-        help="persist the shared clause database at PATH across runs",
-    )
     p_check.add_argument(
         "--respect-lifting",
         action="store_true",

@@ -29,6 +29,9 @@ ENGINE_OVERRIDE_KEYS = frozenset({"generalize_passes", "max_ctgs"})
 #: Named property orders understood by :func:`resolve_order`.
 ORDER_NAMES = ("design", "cone")
 
+#: ``cache_mode`` values, from the least the store may do to the most.
+CACHE_MODES = ("off", "read", "readwrite")
+
 
 class ConfigError(ValueError):
     """A :class:`VerificationConfig` failed validation."""
@@ -90,7 +93,6 @@ class VerificationConfig:
     order: None | str | Sequence[str] = None
     # -- clause re-use (Section 6) -------------------------------------
     clause_reuse: bool = True
-    clause_db_path: str | None = None
     # -- local-proof details (Sections 6-C, 7-A) -----------------------
     respect_constraints_in_lifting: bool = False
     coi_reduction: bool = False
@@ -144,7 +146,9 @@ class VerificationConfig:
     #: ``"off"`` ignores the store, ``"read"`` serves certified hits but
     #: never writes, ``"readwrite"`` (default) also persists fresh
     #: HOLDS/FAILS verdicts and warm clause logs.  Only meaningful with
-    #: ``cache_dir`` set.
+    #: ``cache_dir`` set.  Unless ``"off"``, the design's warm log (the
+    #: paper's external clauseDB, Section 7-B) seeds the clause DBs of
+    #: ``clause_reuse`` runs; ``joint`` and ``clustered`` keep none.
     cache_mode: str = "readwrite"
     # -- reporting -----------------------------------------------------
     design_name: str = "design"
@@ -215,7 +219,7 @@ class VerificationConfig:
                 parse_engine_slate(self.portfolio_engines)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.cache_mode not in ("off", "read", "readwrite"):
+        if self.cache_mode not in CACHE_MODES:
             raise ConfigError(
                 f"unknown cache_mode {self.cache_mode!r}; "
                 f"expected 'off', 'read' or 'readwrite'"

@@ -1,14 +1,18 @@
-"""The strengthening-clause database (the paper's ``clauseDB`` file).
+"""The strengthening-clause database (the paper's ``clauseDB``).
 
 Section 7-B: Ja-ver maintains an external file that accumulates the
 strengthening clauses produced while proving each property; when Ic3-db
 is invoked for the next property, all clauses collected so far initialize
-its frames.
+its frames.  Within a run that file is this in-memory database; across
+runs it is the proof cache's warm log
+(:meth:`~repro.cache.store.ProofStore.load_warm` /
+:meth:`~repro.cache.store.ProofStore.save_warm`), which seeds the
+database of every later run on the same design.
 
 Clauses are stored over *state literals* (signed latch positions, see
 :mod:`repro.ts.system`), so a database is meaningful only relative to a
-fixed latch order; :meth:`ClauseDB.save`/:meth:`load` persist them in a
-small text format with the latch names recorded as a header, which is
+fixed latch order; :meth:`ClauseDB.dumps`/:meth:`load` give the warm log
+a small text format with the latch names recorded as a header, which is
 validated on load.
 
 Soundness note (expanded from the paper).  A clause set exported by a
@@ -42,14 +46,10 @@ from collections.abc import Iterable
 from ..ts.system import Clause, TransitionSystem, normalize_cube
 
 #: On-disk format: ``<magic> <version>`` header line, then the latch-name
-#: line, then one clause per line.  Version history:
-#:
-#: * 1 — original format (no formal version gate on load);
-#: * 2 — identical layout, but readers reject unknown versions with a
-#:   typed error instead of mis-parsing them as clause data.
+#: line, then one clause per line.  A reader rejects any other version
+#: with a typed error instead of mis-parsing it as clause data.
 CLAUSEDB_MAGIC = "clausedb"
 CLAUSEDB_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 
 
 class ClauseDBFormatError(ValueError):
@@ -57,7 +57,7 @@ class ClauseDBFormatError(ValueError):
 
 
 class ClauseDB:
-    """An in-memory, optionally persisted, pool of strengthening clauses."""
+    """An in-memory pool of strengthening clauses."""
 
     def __init__(self, ts: TransitionSystem) -> None:
         self.ts = ts
@@ -106,7 +106,7 @@ class ClauseDB:
         return list(self._clauses)
 
     # ------------------------------------------------------------------
-    # Persistence (the external clauseDB file of Section 7-B)
+    # Text format (the warm log's, see the module docstring)
     # ------------------------------------------------------------------
     def dumps(self) -> str:
         """Serialize to the versioned text format (see module constants)."""
@@ -116,10 +116,6 @@ class ClauseDB:
         ]
         lines.extend(" ".join(str(l) for l in clause) for clause in self._clauses)
         return "\n".join(lines) + "\n"
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(self.dumps())
 
     @classmethod
     def loads(cls, text: str, ts: TransitionSystem, source: str = "<string>") -> "ClauseDB":
@@ -139,10 +135,10 @@ class ClauseDB:
             version = int(header[1])
         except (IndexError, ValueError):
             raise ClauseDBFormatError(f"{source}: missing clauseDB version") from None
-        if version not in _SUPPORTED_VERSIONS:
+        if version != CLAUSEDB_VERSION:
             raise ClauseDBFormatError(
                 f"{source}: unsupported clauseDB version {version} "
-                f"(this reader supports {list(_SUPPORTED_VERSIONS)})"
+                f"(this reader supports {CLAUSEDB_VERSION})"
             )
         names = next(lines, "").split()
         expected = [latch.name for latch in ts.latches]

@@ -7,7 +7,8 @@ assumed as a constraint on transition sources.  The run either
 * proves ``Pi`` *locally* — by Proposition 5, if every property is proved
   locally then every property holds globally; the strengthening clauses
   are exported to the clauseDB and re-used for later properties
-  (Section 6), or
+  (Section 6), and — with a proof cache — for later runs too, through
+  the design's warm log, or
 * finds a local counterexample — ``Pi`` joins the **debugging set**: its
   failure is not preceded by the failure of any other ETH property, so
   the behaviour it exposes must be fixed first (Section 3), or
@@ -28,7 +29,6 @@ not masked.
 
 from __future__ import annotations
 
-import os
 import time
 
 from ..config import VerificationConfig, resolve_order
@@ -47,6 +47,9 @@ from .clausedb import ClauseDB
 from .local import prove
 from .ordering import design_order
 from .report import MultiPropReport, PropOutcome
+
+#: The name of the :class:`ClauseImport` a run's warm start emits.
+WARM_LOG = "<warm-log>"
 
 
 class JAVerifier:
@@ -83,9 +86,8 @@ class JAVerifier:
         proof = config.proof_options()
         local = self.local
         start = time.monotonic()
-        db_path = config.clause_db_path if config.clause_reuse else None
-        if db_path:
-            self._load_clause_db(db_path)
+        if config.clause_reuse:
+            self._warm_start()
         report = MultiPropReport(
             method="ja" if local else "separate", design=config.design_name
         )
@@ -122,8 +124,6 @@ class JAVerifier:
                 budget=budget,
                 certifier=certifier,
             )
-            if db_path and result.holds:
-                self.clause_db.save(db_path)
             spurious_reruns += outcome.reruns
             certificate_retries += int(result.stats.get("certificate_retry", 0))
             report.outcomes[name] = outcome
@@ -144,23 +144,29 @@ class JAVerifier:
         return report
 
     # ------------------------------------------------------------------
-    def _load_clause_db(self, path: str) -> None:
-        """Warm-start from a persisted clauseDB, exactly like Ja-ver.
+    def _warm_start(self) -> None:
+        """Seed the clauseDB from the proof cache's warm log, like Ja-ver.
 
-        A missing file is a cold start; a present file must parse (a
-        stale or foreign database raises
-        :class:`~repro.multiprop.clausedb.ClauseDBFormatError` rather
-        than silently poisoning proofs).  Loaded clauses go through the
-        same init-state validation as freshly exported ones, and the
-        engine's certificate re-check (``SeedCertificateError`` retry)
-        backstops anything structural validation cannot catch.
+        The paper's external clauseDB file is the cache's warm log
+        (:meth:`~repro.cache.store.ProofStore.load_warm`): read unless
+        the run has no ``cache_dir`` or ``cache_mode`` is ``"off"``, and
+        written once per finished job by the cache's write-back, never
+        from here.  A missing, foreign or unreadable log is a cold
+        start.  Loaded clauses go through the same init-state validation
+        as freshly exported ones, and the engine's certificate re-check
+        (``SeedCertificateError`` retry) backstops anything structural
+        validation cannot catch.
         """
-        if not os.path.exists(path):
+        config = self.config
+        if config.cache_dir is None or config.cache_mode == "off":
             return
-        loaded = ClauseDB.load(path, self.ts)
-        imported = self.clause_db.add_all(loaded.clauses())
+        # Imported here: repro.cache imports this package.
+        from ..cache import ProofStore, design_digest
+
+        store = ProofStore(config.cache_dir)
+        imported = self.clause_db.add_all(store.load_warm(design_digest(self.ts), self.ts))
         if imported:
-            self._emit(ClauseImport(name="<clausedb>", count=imported))
+            self._emit(ClauseImport(name=WARM_LOG, count=imported))
 
 
 def ja_verify(

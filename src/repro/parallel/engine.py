@@ -321,6 +321,11 @@ class _Held(tuple):
 #: a dead seat no longer keeps jobs waiting for its respawn.
 CRASH_LOOP = 3
 
+#: A seat's respawn delay after its second consecutive crash, in
+#: seconds; each further one doubles it, up to :data:`SEAT_BACKOFF_CAP`.
+SEAT_BACKOFF_BASE = 0.5
+SEAT_BACKOFF_CAP = 30.0
+
 
 @dataclass
 class _SeatHealth:
@@ -329,9 +334,10 @@ class _SeatHealth:
     ``consecutive`` counts crashes since the seat last served a full
     property (a ``result`` message resets it); the backoff schedule is
     keyed on it: the first crash respawns immediately, every further
-    consecutive crash doubles the delay from ``backoff_base`` up to
-    ``backoff_cap``.  ``down`` marks a crash already accounted, so
-    repeated reaps of the same corpse cannot inflate the counters.
+    consecutive crash doubles the delay from :data:`SEAT_BACKOFF_BASE`
+    up to :data:`SEAT_BACKOFF_CAP`.  ``down`` marks a crash already
+    accounted, so repeated reaps of the same corpse cannot inflate the
+    counters.
     """
 
     crashes: int = 0  # lifetime crashes attributed to this seat
@@ -364,35 +370,21 @@ class SeatScheduler:
     crashed seat is respawned *mid-flight* and re-attached to every
     open run, under per-seat exponential backoff: the first crash
     respawns immediately, each further crash without a served property
-    in between doubles the delay (``backoff_base`` up to
-    ``backoff_cap``), and a seat that completes a property resets its
-    schedule.  A crash-looping seat therefore costs a bounded respawn
+    in between doubles the delay (:data:`SEAT_BACKOFF_BASE` up to
+    :data:`SEAT_BACKOFF_CAP`), and a seat that completes a property
+    resets its schedule.  A crash-looping seat therefore costs a bounded respawn
     rate — never a hot loop — while a long-lived service is never
     *permanently* degraded; jobs stop waiting for such a seat after
     :data:`CRASH_LOOP` crashes in a row (see :meth:`_revival_pending`).
     """
 
-    def __init__(
-        self,
-        pool: WorkerPool,
-        *,
-        service_emit: Emit | None = None,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-    ) -> None:
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ValueError(
-                f"need 0 < backoff_base <= backoff_cap, got "
-                f"{backoff_base!r}/{backoff_cap!r}"
-            )
+    def __init__(self, pool: WorkerPool, *, service_emit: Emit | None = None) -> None:
         pool.acquire_messages(self)
         self.pool = pool
         # "ephemeral" when set by whoever created the pool just for this
         # scheduler; lands in PoolAttached and ``report.stats["pool"]``.
         self.pool_label = "persistent"
         self.service_emit = service_emit
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.jobs: dict[int, PooledJob] = {}
         # seat -> (run id, attempt) it is currently executing
         self.assignments: dict[int, _Held] = {}
@@ -797,8 +789,8 @@ class SeatScheduler:
                     0.0
                     if health.consecutive <= 1
                     else min(
-                        self.backoff_cap,
-                        self.backoff_base * 2 ** (health.consecutive - 2),
+                        SEAT_BACKOFF_CAP,
+                        SEAT_BACKOFF_BASE * 2 ** (health.consecutive - 2),
                     )
                 )
                 health.not_before = self._last_reap + health.delay

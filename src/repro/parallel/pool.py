@@ -105,6 +105,11 @@ from ..ts.system import TransitionSystem
 #: ~5.3 MB (tracemalloc after a ``ja`` run on an unpickled copy).
 DESIGN_CACHE_SIZE = 32
 
+#: How seats are started: ``fork`` where the platform has it (a seat
+#: inherits the imported package instead of re-importing it), else
+#: ``spawn``.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
 #: Every live pool, weakly held, so interpreter exit can sweep seat
 #: processes even for pools the caller forgot to shut down.
 _live_pools: "weakref.WeakSet" = weakref.WeakSet()
@@ -135,19 +140,12 @@ class _Slot:
 class WorkerPool:
     """A persistent process pool shared across verification runs."""
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         resolved = workers if workers is not None else os.cpu_count() or 1
         if resolved < 1:
             raise ValueError(f"workers must be >= 1, got {resolved}")
         self.workers = resolved
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self.context = multiprocessing.get_context(start_method)
+        self.context = multiprocessing.get_context(START_METHOD)
         # Messages read off the seats' queues, not yet returned.
         self._inbox: deque = deque()
         # Per-seat stop marks (see "Stopping work" above).  One writer (this

@@ -68,7 +68,7 @@ from ..progress import (
     ServiceSaturated,
     StatsSnapshot,
 )
-from ..config import VerificationConfig
+from ..config import CACHE_MODES, VerificationConfig
 from ..session.core import prepare
 from ..session.registry import get_strategy
 from ..ts.system import TransitionSystem
@@ -157,11 +157,8 @@ class VerificationService:
         pool: WorkerPool | None = None,
         *,
         workers: int | None = None,
-        start_method: str | None = None,
         max_concurrent_jobs: int = 8,
         max_pending: int = 64,
-        seat_backoff_base: float = 0.5,
-        seat_backoff_cap: float = 30.0,
         cache_dir: str | None = None,
         cache_mode: str = "readwrite",
         on_event: Emit | None = None,
@@ -172,28 +169,20 @@ class VerificationService:
             )
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if not 0 < seat_backoff_base <= seat_backoff_cap:
-            raise ValueError(
-                "need 0 < seat_backoff_base <= seat_backoff_cap, got "
-                f"base={seat_backoff_base!r} cap={seat_backoff_cap!r}"
-            )
-        if cache_mode not in ("off", "read", "readwrite"):
+        if cache_mode not in CACHE_MODES:
             raise ValueError(f"bad cache mode {cache_mode!r}")
         if pool is not None and pool.closed:
             raise ValueError("pool has been shut down")
-        # Service-level proof-cache default: jobs whose config names no
-        # cache_dir inherit this one (a job-level cache_mode of "off"
-        # still opts the job out).
+        # Service-level proof-cache default: ``submit`` writes it into
+        # the config of every job that names no cache_dir, under the
+        # stricter of the two modes.
         self.cache_dir = cache_dir
         self.cache_mode = cache_mode
         self.max_concurrent_jobs = max_concurrent_jobs
         self.max_pending = max_pending
-        self.seat_backoff_base = seat_backoff_base
-        self.seat_backoff_cap = seat_backoff_cap
         self._pool = pool
         self._owns_pool = pool is None
         self._workers = workers
-        self._start_method = start_method
         self._scheduler: SeatScheduler | None = None
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -314,13 +303,8 @@ class VerificationService:
     def _resolver_for(self, record: _JobRecord):
         """The job's cache resolver, or ``None`` when caching is off."""
         config = record.config
-        if config.cache_mode == "off":
-            return None
-        if config.cache_dir:
-            cache_dir, mode = config.cache_dir, config.cache_mode
-        elif self.cache_dir and self.cache_mode != "off":
-            cache_dir, mode = self.cache_dir, self.cache_mode
-        else:
+        cache_dir = config.cache_dir
+        if cache_dir is None or config.cache_mode == "off":
             return None
         from ..cache import CacheResolver, ConeMemo, ProofStore
 
@@ -333,7 +317,7 @@ class VerificationService:
                 self._stores[cache_dir] = store
         return CacheResolver(
             store,
-            mode,
+            config.cache_mode,
             solver_backend=config.solver_backend,
             local=record.local,
             cones=self._cones,
@@ -437,6 +421,11 @@ class VerificationService:
         back-pressure.
         """
         ts, base, strategy, order = prepare(design, config, overrides)
+        if base.cache_dir is None and self.cache_dir is not None:
+            base = base.with_overrides(
+                cache_dir=self.cache_dir,
+                cache_mode=min(base.cache_mode, self.cache_mode, key=CACHE_MODES.index),
+            )
         if order is None:
             order = [p.name for p in ts.properties]
         weight = float(priority) if priority is not None else float(base.priority)
@@ -669,8 +658,9 @@ class VerificationService:
         """The job's cache pass; its report if the cache served it whole.
 
         Serves certified hits and notes what is left to prove.  A
-        pooled remainder also gets the store's warm-start clauses for
-        its seats' clause DBs.
+        pooled remainder that reuses clauses also gets the store's
+        warm-start clauses for its seats' clause DBs (a threaded
+        strategy loads them itself, see ``JAVerifier``).
         """
         resolver = record.resolver
         if resolver is None or not resolver.readable:
@@ -680,7 +670,7 @@ class VerificationService:
         )
         if not record.remaining_order:
             return self._cache_report(record)
-        if record.kind == "pool":
+        if record.kind == "pool" and record.config.clause_reuse:
             record.warm_clauses = tuple(resolver.warm_clauses(record.ts))
         return None
 
@@ -743,9 +733,7 @@ class VerificationService:
                 if self._workers is not None
                 else record.config.workers
             )
-            self._pool = WorkerPool(
-                workers=workers, start_method=self._start_method
-            )
+            self._pool = WorkerPool(workers=workers)
 
         def safe_service_emit(event: ProgressEvent) -> None:
             # Scheduler-originated events (revived seats) are delivered
@@ -756,12 +744,7 @@ class VerificationService:
             except Exception:
                 pass
 
-        self._scheduler = SeatScheduler(
-            self._pool,
-            service_emit=safe_service_emit,
-            backoff_base=self.seat_backoff_base,
-            backoff_cap=self.seat_backoff_cap,
-        )
+        self._scheduler = SeatScheduler(self._pool, service_emit=safe_service_emit)
         if self._owns_pool:
             self._scheduler.pool_label = "ephemeral"
 

@@ -104,10 +104,14 @@ store in :mod:`repro.cache`:
     (:func:`~repro.engines.certify.certify_invariant` /
     :func:`~repro.engines.certify.certify_cex`) and announced with a
     :class:`CacheHit` event; only the rest are proved.  Fresh verdicts
-    and warm-start clauses are written back;
+    and warm-start clauses are written back.  The design's warm clause
+    log is the paper's external clauseDB (Sec. 7-B): with
+    ``clause_reuse`` it seeds the clause DB of ``ja`` and ``separate``
+    (one :class:`ClauseImport` named ``<warm-log>``) and of every seat
+    of a pooled strategy;
 ``VerificationConfig.cache_mode``
-    ``"readwrite"`` (default), ``"read"`` (serve hits, never write),
-    or ``"off"`` (ignore ``cache_dir`` entirely).
+    ``"readwrite"`` (default), ``"read"`` (serve hits and warm starts,
+    never write), or ``"off"`` (ignore ``cache_dir`` entirely).
 
 Cache-served outcomes carry ``engine == "cache"``; the report's
 ``stats`` gain a ``cache_hits`` count so tooling can tell a warm run

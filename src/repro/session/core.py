@@ -46,8 +46,8 @@ def prepare(
     loads the design, names the run after the design's path unless the
     config already names it, and fails fast — before anything is queued
     — on an invalid config, an unknown strategy, a knob a pooled
-    strategy cannot honour (``total_conflicts``, ``clause_db_path``) or
-    unknown property names in ``order``.  Returns the design, the final config, its
+    strategy cannot honour (``total_conflicts``) or unknown property
+    names in ``order``.  Returns the design, the final config, its
     strategy and the resolved order (``None``: the design's own).
     """
     base = config if config is not None else VerificationConfig()
@@ -70,14 +70,13 @@ def prepare(
     base.validate()
     strategy = get_strategy(base.strategy)
     if getattr(strategy, "pooled", False):
-        # The seats prove each property under its own budget, and no
-        # clause DB file is written from them: refuse, never ignore.
-        for name in ("total_conflicts", "clause_db_path"):
-            if getattr(base, name) is not None:
-                raise ConfigError(
-                    f"{name} is not supported by the pooled strategy "
-                    f"{base.strategy!r}"
-                )
+        # The seats prove each property under its own budget: refuse a
+        # run-wide one, never ignore it.
+        if base.total_conflicts is not None:
+            raise ConfigError(
+                f"total_conflicts is not supported by the pooled strategy "
+                f"{base.strategy!r}"
+            )
     return ts, base, strategy, resolve_order(ts, base.order)
 
 

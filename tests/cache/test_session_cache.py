@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ProofStore
+from repro.cache import ProofStore, design_digest
 from repro.circuit.aiger import parse_aag, save_design, write_aag
 from repro.gen import ALL_TRUE_SPECS, FAILING_SPECS
 from repro.gen.counter import fixed_counter
-from repro.multiprop.ja import JAVerifier
+from repro.multiprop.ja import WARM_LOG, JAVerifier
+from repro.progress import ClauseImport
 from repro.service import VerificationService
 from repro.session import Session, VerificationConfig
 from repro.ts.system import TransitionSystem
@@ -113,8 +114,10 @@ class TestServiceCache:
         assert stats.cache["writes"] == 2
 
     def test_partial_hit_warm_starts_on_every_route(self, tmp_path, monkeypatch):
-        """A one-shot pooled run is a service job: it seeds its seats'
-        clause DBs from the design's warm log exactly as a submit does."""
+        """The design's warm log is the one cross-run clause store: on a
+        partial hit, ``ja`` and ``separate`` seed their clause DB from it
+        and a pooled job its seats', one-shot or served, with the store
+        named by the job or by the service."""
         stores = []
         load_warm = ProofStore.load_warm
 
@@ -124,33 +127,83 @@ class TestServiceCache:
 
         monkeypatch.setattr(ProofStore, "load_warm", spy)
 
-        def one_shot(ts, config):
-            return Session(ts, config).run()
+        def one_shot(ts, config, cache_dir):
+            return Session(ts, config.with_overrides(cache_dir=cache_dir)).run()
 
-        def served(ts, config):
+        def served(ts, config, cache_dir):
             with VerificationService(workers=1) as service:
+                return service.submit(ts, config.with_overrides(cache_dir=cache_dir)).result()
+
+        def served_by_default(ts, config, cache_dir):
+            with VerificationService(workers=1, cache_dir=cache_dir) as service:
                 return service.submit(ts, config).result()
 
-        def partial_hit(route, cache_dir):
-            config = VerificationConfig(
-                strategy="parallel-ja", workers=1, cache_dir=str(cache_dir)
-            )
-            route(TransitionSystem(fixed_counter(4)), config)  # cold: writes
+        def partial_hit(route, strategy, cache_dir, **overrides):
+            config = VerificationConfig(strategy=strategy, workers=1, **overrides)
+            route(TransitionSystem(fixed_counter(4)), config, str(cache_dir))  # cold: writes
             for entry in (cache_dir / "entries").iterdir():
                 if json.loads(entry.read_text())["prop"] == "P1":
                     entry.unlink()  # P1 is left to prove; P0 still hits
             del stores[:]
-            report = route(TransitionSystem(fixed_counter(4)), config)
+            report = route(TransitionSystem(fixed_counter(4)), config, str(cache_dir))
             assert report.stats["cache_hits"] == 1
             assert report.outcomes["P1"].engine != "cache"
-            return _verdicts(report), sum(
-                store.stats()["warm_clauses"] for store in set(stores)
-            )
+            warm = sum(store.stats()["warm_clauses"] for store in set(stores))
+            return _verdicts(report), len(stores), warm
 
-        session_verdicts, session_warm = partial_hit(one_shot, tmp_path / "a")
-        service_verdicts, service_warm = partial_hit(served, tmp_path / "b")
-        assert session_verdicts == service_verdicts
-        assert session_warm == service_warm > 0
+        for strategy in ("ja", "separate", "parallel-ja"):
+            results = {
+                route.__name__: partial_hit(route, strategy, tmp_path / f"{strategy}-{route.__name__}")
+                for route in (one_shot, served, served_by_default)
+            }
+            one_shot_result = results["one_shot"]
+            assert all(r == one_shot_result for r in results.values()), (strategy, results)
+            _, loads, warm = one_shot_result
+            assert loads == 1 and warm > 0, (strategy, results)
+            # Without clause reuse no route reads the log.
+            no_reuse = tmp_path / f"{strategy}-no-reuse"
+            assert partial_hit(served_by_default, strategy, no_reuse, clause_reuse=False)[1:] == (0, 0)
+
+    def test_a_foreign_or_truncated_warm_log_is_a_cold_start(self, tmp_path):
+        cold = _run(TransitionSystem(fixed_counter(4)), tmp_path)
+        (warm_log,) = (tmp_path / "warm").iterdir()
+        text = warm_log.read_text()
+        header, names = text.splitlines()[:2]
+        bad_logs = {
+            "foreign": f"{header}\nx0 x1 x2 x3\n-1\n",
+            "truncated": text[: len(header) + 1 + len(names) // 2],
+            "version 1": text.replace(header, "clausedb 1", 1),
+        }
+        for entry in (tmp_path / "entries").iterdir():
+            if json.loads(entry.read_text())["prop"] == "P1":
+                entry.unlink()
+
+        def warm_imports():
+            events: list = []
+            report = _run(TransitionSystem(fixed_counter(4)), tmp_path, events, cache_mode="read")
+            assert _verdicts(report) == _verdicts(cold)
+            assert report.outcomes["P1"].engine != "cache"
+            return [e for e in events if isinstance(e, ClauseImport) and e.name == WARM_LOG]
+
+        assert warm_imports()  # the intact log warm-starts
+        for bad in bad_logs.values():
+            warm_log.write_text(bad)
+            assert not warm_imports()
+
+    def test_a_read_job_on_a_default_store_never_writes(self, tmp_path):
+        from repro.net import ServiceClient, VerificationServer
+
+        design = fixed_counter(4)
+        with VerificationService(workers=1, cache_dir=str(tmp_path)) as service:
+            report = service.submit(TransitionSystem(design), strategy="ja", cache_mode="read").result()
+            assert len(report.outcomes) == 2
+            with VerificationServer(service) as server:
+                job = ServiceClient(server.address).submit(
+                    design_text=write_aag(design), strategy="ja", cache_mode="read"
+                )
+                assert len(job.result(timeout=60).outcomes) == 2
+        assert not (tmp_path / "entries").exists()
+        assert not (tmp_path / "warm").exists()
 
     def test_service_default_cache_dir(self, tmp_path):
         with VerificationService(workers=2, cache_dir=str(tmp_path)) as service:
@@ -185,13 +238,18 @@ class TestOneDesignOnEveryRoute:
         assert all(o.engine == "cache" for o in report.outcomes.values())
 
     def test_a_clause_db_saved_from_the_object_loads_for_the_file(self, tmp_path):
+        """The warm log the object's run writes seeds the run on its
+        ``.aag`` text: same digest, and a latch signature that matches."""
         aig = ALL_TRUE_SPECS["t256"].build()
-        db_path = str(tmp_path / "t256.clausedb")
-        JAVerifier(TransitionSystem(aig), VerificationConfig(clause_db_path=db_path)).run()
+        _run(TransitionSystem(aig), tmp_path)
+        logged = ProofStore(tmp_path).load_warm(design_digest(TransitionSystem(aig)), TransitionSystem(aig))
+        assert logged
+        events: list = []
         from_text = TransitionSystem(parse_aag(write_aag(aig)))
-        # A latch-signature mismatch would raise ClauseDBFormatError here.
-        report = JAVerifier(from_text, VerificationConfig(clause_db_path=db_path)).run()
+        report = JAVerifier(from_text, VerificationConfig(cache_dir=str(tmp_path)), events.append).run()
         assert not report.unsolved()
+        imports = [e.count for e in events if isinstance(e, ClauseImport) and e.name == WARM_LOG]
+        assert imports == [len(logged)]
 
     @pytest.mark.parametrize("route", ["object", "aag-text"])
     def test_shared_cones_serve_across_designs(self, tmp_path, route):

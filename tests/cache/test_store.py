@@ -173,12 +173,6 @@ class TestGC:
         self._fill(store, 3)
         assert store.gc(max_bytes=1) == 3
 
-    def test_put_applies_configured_bounds(self, tmp_path):
-        store = ProofStore(tmp_path, max_entries=2)
-        self._fill(store, 3)
-        assert store.stats()["entries"] == 2
-        assert store.counters["evicted"] >= 1
-
 
 class TestWarmLogs:
     def test_save_load_round_trip(self, tmp_path):

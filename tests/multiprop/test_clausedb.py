@@ -68,18 +68,18 @@ class TestPersistence:
         db = ClauseDB(ts)
         db.add([-1, 2])
         db.add([-2, -3])
-        path = str(tmp_path / "clauses.db")
-        db.save(path)
-        loaded = ClauseDB.load(path, ts)
+        path = tmp_path / "clauses.db"
+        path.write_text(db.dumps())
+        loaded = ClauseDB.load(str(path), ts)
         assert loaded.clauses() == db.clauses()
 
     def test_load_rejects_wrong_design(self, tmp_path):
         db = ClauseDB(_system(3))
         db.add([-1])
-        path = str(tmp_path / "clauses.db")
-        db.save(path)
+        path = tmp_path / "clauses.db"
+        path.write_text(db.dumps())
         with pytest.raises(ValueError):
-            ClauseDB.load(path, _system(4))
+            ClauseDB.load(str(path), _system(4))
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.db"
@@ -92,7 +92,7 @@ class TestPersistence:
         ts = _system()
         path = tmp_path / "clauses.db"
         names = " ".join(latch.name for latch in ts.latches)
-        path.write_text(f"clausedb 1\n{names}\n-1 2\n1\n")
+        path.write_text(f"clausedb {CLAUSEDB_VERSION}\n{names}\n-1 2\n1\n")
         loaded = ClauseDB.load(str(path), ts)
         assert loaded.clauses() == [(-1, 2)]
         assert loaded.stats["rejected"] == 1
@@ -112,17 +112,12 @@ class TestFormatVersioning:
         db.add([-3])
         assert ClauseDB.loads(db.dumps(), ts).clauses() == db.clauses()
 
-    def test_v1_files_still_load(self):
-        ts = _system()
-        names = " ".join(latch.name for latch in ts.latches)
-        loaded = ClauseDB.loads(f"clausedb 1\n{names}\n-1 2\n", ts)
-        assert loaded.clauses() == [(-1, 2)]
-
     def test_unknown_version_rejected(self):
         ts = _system()
         names = " ".join(latch.name for latch in ts.latches)
-        with pytest.raises(ClauseDBFormatError):
-            ClauseDB.loads(f"clausedb 99\n{names}\n-1\n", ts)
+        for version in (1, 99):  # 1: the pre-gate layout, read no more
+            with pytest.raises(ClauseDBFormatError):
+                ClauseDB.loads(f"clausedb {version}\n{names}\n-1\n", ts)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ClauseDBFormatError):

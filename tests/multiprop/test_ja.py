@@ -9,7 +9,9 @@ from repro.engines.result import PropStatus
 from repro.gen.blocks import guarded_counter_slice, token_ring_slice
 from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
-from repro.multiprop.ja import JAVerifier, ja_verify
+from repro.cache import ProofStore, design_digest
+from repro.multiprop.ja import WARM_LOG, JAVerifier, ja_verify
+from repro.progress import ClauseImport
 from repro.session import ConfigError, VerificationConfig
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem
@@ -164,13 +166,30 @@ class TestOptions:
         assert len(report.unsolved()) == 2
 
     def test_clause_db_persisted(self, counter4, tmp_path):
-        path = str(tmp_path / "clauses.db")
-        verifier = JAVerifier(counter4, VerificationConfig(clause_db_path=path))
-        verifier.run()
-        from repro.multiprop.clausedb import ClauseDB
+        """The clause DB outlives the run as the design's warm log, and
+        seeds the next run's, unless reuse or the cache is off."""
+        first = JAVerifier(counter4)
+        first.run()
+        assert len(first.clause_db) > 0
+        ProofStore(str(tmp_path)).save_warm(
+            design_digest(counter4), counter4, first.clause_db.clauses()
+        )
 
-        db = ClauseDB.load(path, counter4)
-        assert len(db) == len(verifier.clause_db)
+        def warm_start(**config):
+            events = []
+            verifier = JAVerifier(
+                counter4, VerificationConfig(cache_dir=str(tmp_path), **config), events.append
+            )
+            verifier.run()
+            imports = [e.count for e in events if isinstance(e, ClauseImport) and e.name == WARM_LOG]
+            return imports, verifier.clause_db.clauses()
+
+        imports, clauses = warm_start()
+        assert imports == [len(first.clause_db)]
+        assert clauses[: len(first.clause_db)] == first.clause_db.clauses()
+        assert warm_start(cache_mode="read")[0] == imports
+        assert warm_start(clause_reuse=False) == ([], [])
+        assert warm_start(cache_mode="off")[0] == []
 
 
 class TestGuardedSliceStructure:

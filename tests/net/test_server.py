@@ -225,6 +225,13 @@ class TestErrorMapping:
         assert info.value.status == 400
         assert "zaphod" in str(info.value)
 
+    def test_a_clause_db_file_is_400(self, remote):
+        client, _ = remote
+        with pytest.raises(RemoteError) as info:
+            client.submit(design_text=toggler_text(), clause_db_path="db")
+        assert info.value.status == 400
+        assert "clause_db_path" in str(info.value)
+
     def test_unknown_strategy_is_400(self, remote):
         client, _ = remote
         with pytest.raises(RemoteError) as info:

@@ -24,6 +24,7 @@ import pytest
 from repro.engines.result import PropStatus
 from repro.multiprop.report import PropOutcome
 from repro.parallel import SeatScheduler, unpack_clauses
+from repro.parallel import engine as engine_mod
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import pool_worker_main  # real entry, pre-patch
 from repro.progress import PropertyStarted, WorkerStarted
@@ -34,6 +35,13 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="crash injection requires the fork start method",
 )
+
+
+def _scheduler(monkeypatch, pool, base, cap):
+    """A scheduler over ``pool`` whose seats back off from ``base`` to ``cap``."""
+    monkeypatch.setattr(engine_mod, "SEAT_BACKOFF_BASE", base)
+    monkeypatch.setattr(engine_mod, "SEAT_BACKOFF_CAP", cap)
+    return SeatScheduler(pool)
 
 
 class _StubPool:
@@ -332,9 +340,9 @@ class TestReviveAccounting:
         assert pool.stats["workers_spawned"] == spawned_before
         assert pool.worker_alive(1)
 
-    def test_repeated_reaps_account_one_crash(self):
+    def test_repeated_reaps_account_one_crash(self, monkeypatch):
         pool = _StubPool(workers=2)
-        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = _scheduler(monkeypatch, pool, 60.0, 60.0)
         _admit(scheduler, ["p0"])
         _pump(scheduler)
         pool.kill(0)
@@ -387,9 +395,9 @@ class TestSeatlessBacklogDrains:
         assert job.finished
         assert job.outcomes["p0"].status is PropStatus.HOLDS
 
-    def test_degrade_waits_for_backoff_pending_revival(self):
+    def test_degrade_waits_for_backoff_pending_revival(self, monkeypatch):
         pool = _StubPool(workers=1)
-        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = _scheduler(monkeypatch, pool, 60.0, 60.0)
         job = _admit(scheduler, ["p0"])
         pool.kill(0)
         scheduler._reap_crashed()  # crash 1: immediate respawn
@@ -461,9 +469,9 @@ class TestSeatlessBacklogDrains:
 
 
 class TestBackoffSchedule:
-    def test_delay_doubles_from_base_and_caps(self):
+    def test_delay_doubles_from_base_and_caps(self, monkeypatch):
         pool = _StubPool(workers=1)
-        scheduler = SeatScheduler(pool, backoff_base=5.0, backoff_cap=8.0)
+        scheduler = _scheduler(monkeypatch, pool, 5.0, 8.0)
         _admit(scheduler, ["p0"])
         health = scheduler._seat_health(0)
         observed = []
@@ -477,9 +485,9 @@ class TestBackoffSchedule:
         assert observed == [0.0, 5.0, 8.0, 8.0]
         assert health.crashes == 4
 
-    def test_backoff_delays_the_respawn(self):
+    def test_backoff_delays_the_respawn(self, monkeypatch):
         pool = _StubPool(workers=1)
-        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = _scheduler(monkeypatch, pool, 60.0, 60.0)
         _admit(scheduler, ["p0"])
         pool.kill(0)
         scheduler._reap_crashed()  # immediate
@@ -492,12 +500,12 @@ class TestBackoffSchedule:
         assert pool.stats["workers_replaced"] == respawns_before
         assert scheduler.seat_health[0].not_before > time.monotonic() + 50
 
-    def test_maintain_revives_an_idle_pool(self):
+    def test_maintain_revives_an_idle_pool(self, monkeypatch):
         # Between jobs the service has nothing to step; maintain() must
         # still fire a due respawn so full strength never waits for the
         # next admission.
         pool = _StubPool(workers=1)
-        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = _scheduler(monkeypatch, pool, 60.0, 60.0)
         job = _admit(scheduler, ["p0"])
         _serve_everything(scheduler)
         assert job.finished
@@ -518,9 +526,9 @@ class TestBackoffSchedule:
         scheduler.maintain()
         assert scheduler.seat_health[0].crashes == 2
 
-    def test_served_property_resets_the_schedule(self):
+    def test_served_property_resets_the_schedule(self, monkeypatch):
         pool = _StubPool(workers=1)
-        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = _scheduler(monkeypatch, pool, 60.0, 60.0)
         job = _admit(scheduler, ["p0", "p1"])
         _pump(scheduler)
         pool.kill(0)
@@ -574,17 +582,11 @@ class TestSeatQuota:
         with pytest.raises(ValueError, match="max_seats"):
             _admit(scheduler, ["p0"], max_seats=0)
 
-    def test_scheduler_rejects_bad_backoff_knobs(self):
-        with pytest.raises(ValueError, match="backoff"):
-            SeatScheduler(_StubPool(), backoff_base=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            SeatScheduler(_StubPool(), backoff_base=2.0, backoff_cap=1.0)
-
 
 class TestSchedulerStats:
-    def test_snapshot_reports_occupancy_and_backoff(self):
+    def test_snapshot_reports_occupancy_and_backoff(self, monkeypatch):
         pool = _StubPool(workers=2)
-        scheduler = SeatScheduler(pool, backoff_base=60.0, backoff_cap=60.0)
+        scheduler = _scheduler(monkeypatch, pool, 60.0, 60.0)
         _admit(scheduler, ["p0", "p1"], job_id="job-0")
         _pump(scheduler)
         stats = scheduler.stats()
@@ -696,12 +698,9 @@ class TestCrashLoopFaultInjection:
             if isinstance(event, WorkerStarted) and event.worker == 0:
                 seat0_starts.release()
 
-        with VerificationService(
-            workers=2,
-            start_method="fork",
-            seat_backoff_base=0.2,
-            seat_backoff_cap=1.0,
-        ) as service:
+        monkeypatch.setattr(engine_mod, "SEAT_BACKOFF_BASE", 0.2)
+        monkeypatch.setattr(engine_mod, "SEAT_BACKOFF_CAP", 1.0)
+        with VerificationService(workers=2) as service:
             service.subscribe(count_starts)
             # Seat 0 crash-loops from the first spawn; seat 1 must
             # carry every job to correct verdicts regardless.

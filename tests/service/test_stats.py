@@ -35,12 +35,6 @@ class TestIdleService:
             assert as_dict["jobs"]["records"] == []
             assert as_dict["max_pending"] == service.max_pending
 
-    def test_bad_backoff_knobs_are_rejected(self):
-        with pytest.raises(ValueError, match="backoff"):
-            VerificationService(seat_backoff_base=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            VerificationService(seat_backoff_base=5.0, seat_backoff_cap=1.0)
-
 
 class TestStatsAfterJobs:
     def test_threaded_jobs_report_latency_and_terminal_status(self, toggler):

@@ -194,7 +194,7 @@ def test_max_frames_bounds_every_verdict(selector):
     assert statuses == {PropStatus.UNKNOWN}
 
 
-@pytest.mark.parametrize("field, value", [("total_conflicts", 10), ("clause_db_path", "db.json")])
+@pytest.mark.parametrize("field, value", [("total_conflicts", 10)])
 @pytest.mark.parametrize("selector", [r for r in ROWS if _pooled(*r.values)])
 def test_pooled_strategies_refuse_what_their_seats_ignore(selector, field, value):
     with pytest.raises(ConfigError, match=f"{field}.*{selector['strategy']}"):

@@ -352,6 +352,18 @@ class TestServe:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and "job #0" in err
 
+    def test_serve_and_check_refuse_a_clause_db_file(self, counter_file, tmp_path, capsys):
+        # The proof cache's warm log is the one cross-run clause store.
+        path = str(tmp_path / "old.json")
+        with open(path, "w") as f:
+            json.dump({"jobs": [{"design": counter_file, "clause_db_path": "db"}]}, f)
+        assert main(["serve", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "clause_db_path" in err
+        with pytest.raises(SystemExit) as info:
+            main(["check", counter_file, "--clause-db", "db"])
+        assert info.value.code == 2
+
     def test_serve_rejects_missing_design(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as f:
