@@ -14,7 +14,7 @@ extends reuse across runs and across processes:
   writes, a versioned record format and LRU/GC size bounds;
 * :mod:`~repro.cache.resolve` — :class:`CacheResolver`, the
   certification gate: a stored verdict is *never* trusted until it
-  re-passes :func:`~repro.engines.certify.certify_invariant` /
+  re-passes :meth:`~repro.engines.certify.Certifier.certify` /
   :func:`~repro.engines.certify.certify_cex` against the design
   actually being verified; and :class:`ConeMemo`, the per-service memo
   of each property's cone that resolution and write-back share.
@@ -29,7 +29,7 @@ changed-cone properties enter the scheduler.
 """
 
 from .hashing import cone_digest, design_digest, payload_digest
-from .store import CacheRecord, ProofStore, atomic_write
+from .store import CacheRecord, ProofStore, atomic_write, open_store, serving
 from .resolve import CacheResolver, ConeMemo
 
 __all__ = [
@@ -40,5 +40,7 @@ __all__ = [
     "atomic_write",
     "cone_digest",
     "design_digest",
+    "open_store",
     "payload_digest",
+    "serving",
 ]

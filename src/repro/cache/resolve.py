@@ -6,7 +6,7 @@ stored witness re-passes certification *against the design actually
 being verified*:
 
 * a HOLDS record must carry an inductive invariant that passes
-  :func:`~repro.engines.certify.certify_invariant` under the current
+  :meth:`~repro.engines.certify.Certifier.certify` under the current
   assumption set;
 * a FAILS record must carry a trace that replays under
   :func:`~repro.engines.certify.certify_cex` (including the local-CEX
@@ -50,8 +50,19 @@ and property literals, compared as values.  It is never a digest, so
 two designs never share an entry; the literals are in it because one
 text can come with two numberings, and witness maps are in the
 numbers.  It keeps :data:`~repro.parallel.pool.DESIGN_CACHE_SIZE`
-designs (LRU), as the seats do.  Every hit still runs a fresh
-certificate check.
+designs (LRU), as the seats do.
+
+Each cone also keeps the invariants already proved on it, per solver
+backend and assumption set, as clause sets
+(:class:`~repro.engines.certify.ProvenInvariants`).  Every HOLDS
+certificate of the cone — a hit's, or the write-back's — runs through a
+:class:`~repro.engines.certify.Certifier` handed them, so its proof-reuse
+rule applies across jobs: only clauses no proved invariant inside the
+record's covers get a consecution query.  Every hit still runs its
+syntactic checks and a fresh ``F ⊆ P`` query; an unchanged record whose
+invariant the write-back or an earlier hit proved costs one ``solve``
+and loads no step frame (``proofs_reused`` counts those hits).  A
+counterexample is replayed on the whole design every time.
 """
 
 from __future__ import annotations
@@ -64,7 +75,12 @@ from dataclasses import dataclass, field
 from ..circuit.aiger import write_aag
 from ..circuit.coi import CoiReduction, reduce_to_cone
 from ..config import CACHE_MODES
-from ..engines.certify import Certifier, certify_cex, certify_invariant
+from ..engines.certify import (
+    CertificateReport,
+    Certifier,
+    ProvenInvariants,
+    certify_cex,
+)
 from ..engines.result import PropStatus
 from ..multiprop.report import PropOutcome
 from ..progress import CacheHit, Emit, emit_or_null
@@ -80,11 +96,15 @@ _STATUS = {"holds": PropStatus.HOLDS, "fails": PropStatus.FAILS}
 
 @dataclass(frozen=True)
 class Cone:
-    """One property's cone: its reduction, system and store key."""
+    """One property's cone: its reduction, system and store key, and the
+    invariants proved on its system, by solver backend."""
 
     reduction: CoiReduction
     ts: TransitionSystem
     digest: str
+    proven: dict[str | None, ProvenInvariants] = field(
+        default_factory=dict, compare=False
+    )
 
 
 @dataclass
@@ -107,7 +127,7 @@ class ConeMemo:
         self.size = DESIGN_CACHE_SIZE
         self._designs: OrderedDict[tuple, _DesignCones] = OrderedDict()
         self._lock = threading.Lock()
-        self.counters = {"cones_built": 0, "cone_hits": 0}
+        self.counters = {"cones_built": 0, "cone_hits": 0, "proofs_reused": 0}
 
     def design(self, ts: TransitionSystem) -> _DesignCones:
         """``ts``'s entry, created on first use (and refreshed in the LRU)."""
@@ -143,6 +163,25 @@ class ConeMemo:
             )
             self.counters["cones_built"] += 1
             return cone
+
+    def certify(
+        self,
+        cone: Cone,
+        solver_backend: str | None,
+        name: str,
+        clauses: list,
+        assumed: list[str],
+    ) -> CertificateReport:
+        """Certify ``clauses`` (cone coordinates) for ``name`` on
+        ``cone.ts``, reusing and extending what ``cone`` has proved on
+        ``solver_backend``."""
+        with self._lock:
+            proven = cone.proven.setdefault(solver_backend, ProvenInvariants())
+        return Certifier(cone.ts, solver_backend, proven).certify(name, clauses, assumed)
+
+    def count(self, counter: str) -> None:
+        with self._lock:
+            self.counters[counter] += 1
 
 
 class CacheResolver:
@@ -241,13 +280,14 @@ class CacheResolver:
 
         The record's witness is in cone coordinates (see
         :meth:`record_outcomes`).  An invariant is certified on the
-        reduced cone itself: its SAT queries are linear in the encoded
-        design, and on a many-property design each cone is a small
-        slice of the whole.  Assumptions absent from the cone are
-        dropped — the support fixpoint guarantees they are
-        variable-disjoint, and dropping only strengthens the
-        obligation.  A counterexample is mapped into this design and
-        replayed there, against every assumption the requester makes.
+        reduced cone itself, through the memo (:meth:`ConeMemo.certify`):
+        its SAT queries are linear in the encoded design, and on a
+        many-property design each cone is a small slice of the whole.
+        Assumptions absent from the cone are dropped — the support
+        fixpoint guarantees they are variable-disjoint, and dropping
+        only strengthens the obligation.  A counterexample is mapped
+        into this design and replayed there, against every assumption
+        the requester makes.
         On a hit both witnesses are reported in this design's
         coordinates.
         """
@@ -262,15 +302,17 @@ class CacheResolver:
                 return None
             # Fewer assumptions only strengthen an invariant's obligation.
             assumed = [n for n in record.assumed if n in allowed]
-            report = certify_invariant(
-                cone.ts,
+            report = self.cones.certify(
+                cone,
+                self.solver_backend,
                 name,
                 record.invariant,
                 [n for n in assumed if n in cone.ts.prop_by_name],
-                solver_backend=self.solver_backend,
             )
             if report.valid:
                 invariant = cone.reduction.clauses_from_cone(record.invariant)
+            if report.reused:
+                self.cones.count("proofs_reused")
         else:
             if record.trace is None:
                 return None
@@ -309,15 +351,15 @@ class CacheResolver:
         skipped; a HOLDS without an invariant or a FAILS without a
         trace cannot be re-certified later, so they are not cached
         either.  Witnesses are written in cone coordinates, the
-        invariant restricted to the cone (see :meth:`_cone_invariant`).
-        Returns the number of records written.
+        invariant restricted to the cone and certified there (see
+        :meth:`_cone_invariant`).  Returns the number of records
+        written.
         """
         if not self.writable:
             return 0
         design = self.cones.design(ts)
         written = 0
         warm: list = []
-        certifier = Certifier(ts, self.solver_backend)  # one for the whole write-back
         for name, outcome in outcomes.items():
             if outcome.engine == "cache":
                 continue
@@ -331,7 +373,7 @@ class CacheResolver:
             cone = self.cones.cone(ts, design, name)
             invariant = trace = None
             if status == "holds":
-                invariant = self._cone_invariant(certifier, name, cone.reduction, outcome)
+                invariant = self._cone_invariant(name, cone, outcome)
                 if invariant is None:
                     continue
             else:
@@ -358,9 +400,9 @@ class CacheResolver:
             self.store.save_warm(design.digest, ts, warm)
         return written
 
-    @staticmethod
-    def _cone_invariant(certifier, name, reduction, outcome) -> list | None:
-        """The invariant restricted to the property's cone, in cone positions.
+    def _cone_invariant(self, name: str, cone: Cone, outcome: PropOutcome) -> list | None:
+        """The invariant restricted to the property's cone, in cone
+        positions, once it passes the certificate a later hit checks.
 
         The JA clause DB shares strengthening clauses across properties,
         so a fresh HOLDS invariant typically mentions latches far outside
@@ -370,17 +412,17 @@ class CacheResolver:
         design with the same cone.  Dropping the out-of-cone clauses
         cannot break consecution of the in-cone ones (their transition
         functions read only in-cone variables), but rather than argue,
-        we check: a restricted invariant is re-certified here, on the
-        write-back's one ``certifier``, and ``None`` (no record) is
-        returned if it somehow does not pass.
+        we check, and ``None`` (no record) is returned if it somehow
+        does not pass.  The check is the hit's own obligation — on
+        ``cone.ts``, under the author's assumptions the cone keeps — so
+        it proves the invariant for the cone's memo, and a later hit by
+        a requester with those assumptions runs no consecution query.
         """
-        invariant = list(outcome.invariant)
-        cone = reduction.clauses_to_cone(invariant)
-        if len(cone) < len(invariant):
-            restricted = reduction.clauses_from_cone(cone)
-            if not certifier.certify(name, restricted, list(outcome.assumed)).valid:
-                return None
-        return cone
+        invariant = cone.reduction.clauses_to_cone(list(outcome.invariant))
+        assumed = [n for n in outcome.assumed if n in cone.ts.prop_by_name]
+        if not self.cones.certify(cone, self.solver_backend, name, invariant, assumed).valid:
+            return None
+        return invariant
 
     def warm_clauses(self, ts: TransitionSystem) -> list:
         """Warm-start clauses recorded for this exact design (or [])."""

@@ -36,6 +36,8 @@ import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +53,8 @@ __all__ = [
     "RECORD_MAGIC",
     "RECORD_VERSION",
     "atomic_write",
+    "open_store",
+    "serving",
 ]
 
 
@@ -357,3 +361,33 @@ class ProofStore:
             except OSError:
                 pass
         return removed
+
+
+#: The store of the service job running on this thread (see :func:`serving`).
+_SERVING: ContextVar[ProofStore | None] = ContextVar("repro_cache_serving", default=None)
+
+
+@contextmanager
+def serving(store: ProofStore | None):
+    """Within the block, on this thread, :func:`open_store` of
+    ``store``'s root returns ``store`` itself.
+
+    A service runs a threaded job's strategy inside one, with the store
+    its cache stats count: what the strategy reads from the cache on
+    its own (the warm log, see :class:`~repro.multiprop.ja.JAVerifier`) is
+    then counted there too.
+    """
+    token = _SERVING.set(store)
+    try:
+        yield
+    finally:
+        _SERVING.reset(token)
+
+
+def open_store(root: str | os.PathLike) -> ProofStore:
+    """The store to read ``root`` through: the serving job's when it has
+    that root (see :func:`serving`), else a new one."""
+    store = _SERVING.get()
+    if store is not None and store.root == Path(root):
+        return store
+    return ProofStore(root)

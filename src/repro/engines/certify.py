@@ -13,10 +13,10 @@ public API so users can re-certify stored results, cross-check foreign
 tools' invariants, or audit a clauseDB.
 
 A run that certifies many proofs of one design — the k local proofs of
-a ``ja`` run, a pool seat's jobs, a cache write-back — keeps one
-:class:`Certifier`.  It holds one full-step consecution solver per
-assumption set, loaded once, and two facts keep that solver set small
-and its queries short:
+a ``ja`` run, a pool seat's jobs — keeps one :class:`Certifier`.  It
+holds one full-step consecution solver per assumption set, loaded on
+its first query, and two facts keep that solver set small and its
+queries short:
 
 * **Set extension.**  Once ``F ⊆ P`` is checked, ``F ∧ A ∧ T ⊆ F'``
   holds exactly when ``F ∧ (A ∪ {P}) ∧ T ⊆ F'`` does: every F-state
@@ -31,12 +31,18 @@ and its queries short:
   need a consecution query.  Under the paper's clause reuse every later
   invariant of a run contains the earlier ones (the clauseDB seeds each
   IC3 run and gets its whole invariant back), so each certificate pays
-  for its new clauses only.
+  for its new clauses only.  The proved invariants are clause sets, kept
+  apart from the solvers in a :class:`ProvenInvariants` a certifier can
+  be handed: the proof cache keeps one per cone and solver backend
+  (:class:`~repro.cache.resolve.ConeMemo`), so a stored invariant proved
+  once — at write-back or by an earlier hit — costs every later hit of
+  that cone its ``F ⊆ P`` query alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 from ..circuit.simulate import Simulator
@@ -51,20 +57,42 @@ class CertificateReport:
 
     valid: bool
     reason: str = ""
+    #: A valid invariant whose every clause a proved invariant it
+    #: contains covered: its consecution needed no query.
+    reused: bool = False
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.valid
 
 
-@dataclass
-class _SetSolver:
-    """The consecution solver of one assumption set, and what it proved."""
+class ProvenInvariants:
+    """Invariants proved inductive, per assumption set, as clause sets.
 
-    solver: SatBackend
-    enc: StepEncoding
-    #: Accepted invariants H: every clause of H is inductive relative to
-    #: H under this set.  None contains another (a superset replaces it).
-    proven: list[frozenset] = field(default_factory=list)
+    Every clause of each invariant H kept for a set was proved inductive
+    relative to H under that set.  A superset replaces what it contains.
+    One may be shared by certifiers of one design (one backend) on
+    several threads: a lookup reads a tuple that is never mutated, and
+    an update replaces the set's tuple under a lock.
+    """
+
+    def __init__(self) -> None:
+        self._by_set: dict[frozenset, tuple[frozenset, ...]] = {}
+        self._lock = threading.Lock()
+
+    def covered(self, key: frozenset, invariant: frozenset) -> set:
+        """The clauses of ``invariant`` proved under ``key`` by an
+        invariant it contains."""
+        proved: set = set()
+        for hypothesis in self._by_set.get(key, ()):
+            if hypothesis <= invariant:
+                proved |= hypothesis
+        return proved
+
+    def add(self, key: frozenset, invariant: frozenset) -> None:
+        """Record ``invariant`` as proved under ``key``."""
+        with self._lock:
+            kept = [h for h in self._by_set.get(key, ()) if not h <= invariant]
+            self._by_set[key] = (*kept, invariant)
 
 
 class Certifier:
@@ -93,13 +121,23 @@ class Certifier:
     activation literal, retired when the check ends; one aggregate query
     ``F ∧ C ∧ T ∧ (∨ ¬c')`` over the clauses not already proved is UNSAT
     exactly when they are all inductive, and the per-clause queries run
-    only on failure, to name the offender.
+    only on failure, to name the offender.  When :attr:`proven` covers
+    every clause, condition 3 issues no query and loads no step frame.
     """
 
-    def __init__(self, ts: TransitionSystem, solver_backend: str | None = None) -> None:
+    def __init__(
+        self,
+        ts: TransitionSystem,
+        solver_backend: str | None = None,
+        proven: ProvenInvariants | None = None,
+    ) -> None:
         self.ts = ts
         self.solver_backend = solver_backend
-        self._sets: dict[frozenset, _SetSolver] = {}
+        #: What this certifier and every other one handed ``proven`` proved.
+        self.proven = proven if proven is not None else ProvenInvariants()
+        #: The consecution solver of each assumption set, loaded on first
+        #: query: an invariant ``proven`` covers loads none.
+        self._sets: dict[frozenset, tuple[SatBackend, StepEncoding]] = {}
 
     def certify(
         self,
@@ -146,12 +184,22 @@ class Certifier:
         key = frozenset(assumed)
         if key and not prop.expected_to_fail:
             key |= {prop_name}  # the set extension: F ⊆ P was just checked
-        reason = self._consecution(key, normalized)
-        if reason is not None:
-            return CertificateReport(False, reason)
-        return CertificateReport(True, f"{len(normalized)} clauses certify {prop_name}")
+        unique = list(dict.fromkeys(normalized))
+        invariant = frozenset(unique)
+        proved = self.proven.covered(key, invariant)
+        fresh = [clause for clause in unique if clause not in proved]
+        if fresh:
+            reason = self._consecution(key, unique, fresh)
+            if reason is not None:
+                return CertificateReport(False, reason)
+        self.proven.add(key, invariant)
+        return CertificateReport(
+            True,
+            f"{len(normalized)} clauses certify {prop_name}",
+            reused=bool(proved) and not fresh,
+        )
 
-    def _set_solver(self, key: frozenset) -> _SetSolver:
+    def _set_solver(self, key: frozenset) -> tuple[SatBackend, StepEncoding]:
         """The consecution solver of ``key``, loaded on first use."""
         entry = self._sets.get(key)
         if entry is None:
@@ -160,52 +208,43 @@ class Certifier:
             for prop in self.ts.properties:
                 if prop.name in key:
                     solver.add_clause([enc.prop_curr[prop.name]])
-            entry = self._sets[key] = _SetSolver(solver, enc)
+            entry = self._sets[key] = (solver, enc)
         return entry
 
-    def _consecution(self, key: frozenset, clauses: list[Clause]) -> str | None:
-        """``F ∧ key ∧ T ⊆ F'``?  ``None`` if so, else why not.  Records
-        F as proved when it is."""
-        entry = self._set_solver(key)
-        unique = list(dict.fromkeys(clauses))
-        invariant = frozenset(unique)
-        proved: set = set()
-        for hypothesis in entry.proven:
-            if hypothesis <= invariant:
-                proved |= hypothesis
-        fresh = [clause for clause in unique if clause not in proved]
-        if fresh:
-            solver, enc = entry.solver, entry.enc
-            act = solver.new_activation()
-            for clause in unique:
-                solver.add_clause([-act, *enc.clause_lits_curr(clause)])
-            selectors = []
-            for clause in fresh:
-                selector = solver.new_var()
-                for lit in enc.cube_lits_next(negate_cube(clause)):
-                    solver.add_clause([-act, -selector, lit])
-                selectors.append(selector)
-            solver.add_clause([-act, *selectors])
-            inductive = solver.solve([act]) == Status.UNSAT
-            offender = None
-            if not inductive:
-                offender = next(
-                    (
-                        clause
-                        for clause in fresh
-                        if solver.solve([act, *enc.cube_lits_next(negate_cube(clause))])
-                        != Status.UNSAT
-                    ),
-                    None,
-                )
-            solver.retire(act)
-            if not inductive:
-                if offender is None:  # unreachable unless the solver lies
-                    return "invariant is not inductive relative to the set"
-                return f"clause {offender} is not inductive relative to the set"
-        entry.proven = [h for h in entry.proven if not h <= invariant]
-        entry.proven.append(invariant)
-        return None
+    def _consecution(
+        self, key: frozenset, clauses: list[Clause], fresh: list[Clause]
+    ) -> str | None:
+        """``F ∧ key ∧ T ⊆ F'`` for the ``fresh`` clauses of F?  ``None``
+        if so, else why not."""
+        solver, enc = self._set_solver(key)
+        act = solver.new_activation()
+        for clause in clauses:
+            solver.add_clause([-act, *enc.clause_lits_curr(clause)])
+        selectors = []
+        for clause in fresh:
+            selector = solver.new_var()
+            for lit in enc.cube_lits_next(negate_cube(clause)):
+                solver.add_clause([-act, -selector, lit])
+            selectors.append(selector)
+        solver.add_clause([-act, *selectors])
+        inductive = solver.solve([act]) == Status.UNSAT
+        offender = None
+        if not inductive:
+            offender = next(
+                (
+                    clause
+                    for clause in fresh
+                    if solver.solve([act, *enc.cube_lits_next(negate_cube(clause))])
+                    != Status.UNSAT
+                ),
+                None,
+            )
+        solver.retire(act)
+        if inductive:
+            return None
+        if offender is None:  # unreachable unless the solver lies
+            return "invariant is not inductive relative to the set"
+        return f"clause {offender} is not inductive relative to the set"
 
 
 def certify_invariant(

@@ -151,19 +151,21 @@ class JAVerifier:
         (:meth:`~repro.cache.store.ProofStore.load_warm`): read unless
         the run has no ``cache_dir`` or ``cache_mode`` is ``"off"``, and
         written once per finished job by the cache's write-back, never
-        from here.  A missing, foreign or unreadable log is a cold
-        start.  Loaded clauses go through the same init-state validation
-        as freshly exported ones, and the engine's certificate re-check
-        (``SeedCertificateError`` retry) backstops anything structural
-        validation cannot catch.
+        from here.  Under a service it is read through the service's
+        store (:func:`~repro.cache.store.open_store`), so the service's
+        cache stats count the load.  A missing, foreign or unreadable
+        log is a cold start.  Loaded clauses go through the same
+        init-state validation as freshly exported ones, and the
+        engine's certificate re-check (``SeedCertificateError`` retry)
+        backstops anything structural validation cannot catch.
         """
         config = self.config
         if config.cache_dir is None or config.cache_mode == "off":
             return
         # Imported here: repro.cache imports this package.
-        from ..cache import ProofStore, design_digest
+        from ..cache import design_digest, open_store
 
-        store = ProofStore(config.cache_dir)
+        store = open_store(config.cache_dir)
         imported = self.clause_db.add_all(store.load_warm(design_digest(self.ts), self.ts))
         if imported:
             self._emit(ClauseImport(name=WARM_LOG, count=imported))

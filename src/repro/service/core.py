@@ -660,7 +660,8 @@ class VerificationService:
         Serves certified hits and notes what is left to prove.  A
         pooled remainder that reuses clauses also gets the store's
         warm-start clauses for its seats' clause DBs (a threaded
-        strategy loads them itself, see ``JAVerifier``).
+        strategy loads them itself, through this store: see
+        ``_run_threaded``).
         """
         resolver = record.resolver
         if resolver is None or not resolver.readable:
@@ -764,10 +765,16 @@ class VerificationService:
         try:
             report = self._resolve(record, emit)
             if report is None:
+                from ..cache import serving
+
                 config = record.config
                 if record.cached_outcomes:
                     config = config.with_overrides(order=record.remaining_order)
-                report = get_strategy(config.strategy).run(record.ts, config, emit)
+                resolver = record.resolver
+                # What the strategy reads from the cache itself is counted
+                # on the store this service reports.
+                with serving(resolver.store if resolver is not None else None):
+                    report = get_strategy(config.strategy).run(record.ts, config, emit)
             error = None
         except BaseException as exc:  # re-raised at handle.result()
             report, error = None, exc

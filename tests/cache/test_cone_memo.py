@@ -1,22 +1,27 @@
-"""The service's cone memo: a warm hit pays for its certificate only.
+"""The service's cone memo: a warm hit proves only what is new.
 
-Every hit still runs a fresh certificate check; what the memo saves is
-re-deriving the property's cone (the support fixpoint, the COI
-reduction, the cone digest and the cone's frame templates).  Counters,
-never clocks: ``cones_built``/``cone_hits`` in the service's cache
-stats, and counted calls of ``reduce_to_cone`` and ``Solver.solve``.
+The memo saves re-deriving the property's cone (the support fixpoint,
+the COI reduction, the cone digest and the cone's frame templates), and
+keeps the invariants proved on it, so a hit re-runs the syntactic checks
+and ``F ⊆ P`` but queries consecution only for clauses no proved
+invariant covers.  Counters, never clocks: ``cones_built``/``cone_hits``/
+``proofs_reused`` in the service's cache stats, and counted calls of
+``reduce_to_cone``, ``Solver.solve`` and the certifier's consecution.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 
 import pytest
 
-from repro.cache import ConeMemo, resolve as resolve_module
+from repro.cache import CacheResolver, ConeMemo, ProofStore, resolve as resolve_module
 from repro.circuit.aig import AIG, aig_not
 from repro.circuit.aiger import parse_aag, write_aag
+from repro.engines.certify import Certifier, certify_invariant
+from repro.engines.result import PropStatus
 from repro.gen import ALL_TRUE_SPECS, FAILING_SPECS
 from repro.gen.counter import buggy_counter, fixed_counter
 from repro.parallel.pool import DESIGN_CACHE_SIZE
@@ -105,24 +110,30 @@ class TestWarmResubmit:
 
 
 class TestSameChecks:
-    def test_a_warm_pass_issues_the_same_certification_queries(
+    def test_a_warm_pass_issues_one_bad_frame_query_per_holds_hit(
         self, tmp_path, monkeypatch
     ):
-        # Pinned from the resolver before the memo: the memo changes what
-        # is derived, never what is checked.
+        # The cold write-back proved every stored invariant on its cone,
+        # so a HOLDS hit re-checks F ⊆ P alone and a FAILS hit replays
+        # its trace without a solver.
         texts = {name: _text(name) for name in REMOTE_CACHED}
-        solves = []
-        solve = Solver.solve
+        solves, steps = [], []
+        solve, encode_step = Solver.solve, TransitionSystem.encode_step
 
         def counted(solver, assumptions=()):
             solves.append(1)
             return solve(solver, assumptions)
+
+        def counted_step(ts, solver):
+            steps.append(1)
+            return encode_step(ts, solver)
 
         with VerificationService() as service:
             for name in REMOTE_CACHED:
                 _submit(service, texts[name], tmp_path)
             before = dict(service.stats().cache)
             monkeypatch.setattr(Solver, "solve", counted)
+            monkeypatch.setattr(TransitionSystem, "encode_step", counted_step)
             warm = {name: _submit(service, texts[name], tmp_path) for name in REMOTE_CACHED}
             monkeypatch.undo()
             after = service.stats().cache
@@ -130,7 +141,10 @@ class TestSameChecks:
             key: after[key] - before[key] for key in ("hits", "misses", "certify_rejects")
         }
         assert delta == {"hits": 131, "misses": 0, "certify_rejects": 0}
-        assert len(solves) == 236
+        holds = [o for r in warm.values() for o in r.values() if o.status is PropStatus.HOLDS]
+        assert len(solves) == len(holds) == 118
+        assert after["proofs_reused"] - before["proofs_reused"] == 118
+        assert steps == []
         assert all(o.engine == "cache" for r in warm.values() for o in r.values())
 
     def test_a_record_flipped_after_a_memo_hit_is_rejected_and_reproved(self, tmp_path):
@@ -159,6 +173,151 @@ class TestSameChecks:
         assert all(o.engine == "cache" for o in fourth.values())
 
 
+def _drops(invariant: list) -> list:
+    return [invariant[:i] + invariant[i + 1 :] for i in range(len(invariant))]
+
+
+def _flips(invariant: list) -> list:
+    return [
+        [*invariant[:i], (*clause[:j], -clause[j], *clause[j + 1 :]), *invariant[i + 1 :]]
+        for i, clause in enumerate(invariant)
+        for j in range(len(clause))
+    ]
+
+
+def _holds_records(cache_dir) -> list:
+    """(entry path, record) of every HOLDS record in the store."""
+    records = [
+        (entry, json.loads(entry.read_text()))
+        for entry in sorted((cache_dir / "entries").iterdir())
+    ]
+    return [(entry, record) for entry, record in records if record["status"] == "holds"]
+
+
+def _non_inductive_edit(text: str, cache_dir, edit) -> tuple:
+    """The first HOLDS record that ``edit`` turns into an invariant that
+    passes every check but consecution, as (entry path, edited record)."""
+    ts = TransitionSystem(parse_aag(text))
+    memo = ConeMemo()
+    design = memo.design(ts)
+    for entry, record in _holds_records(cache_dir):
+        cone = memo.cone(ts, design, record["prop"])
+        assumed = [n for n in record["assumed"] if n in cone.ts.prop_by_name]
+        for invariant in edit([tuple(clause) for clause in record["invariant"]]):
+            report = certify_invariant(cone.ts, record["prop"], invariant, assumed)
+            if "is not inductive" in report.reason:
+                return entry, {**record, "invariant": [list(c) for c in invariant]}
+    raise AssertionError(f"no {edit.__name__} edit breaks only consecution")
+
+
+@pytest.fixture
+def consecutions(monkeypatch) -> list:
+    """The verdict (``None`` = inductive) of every consecution query."""
+    verdicts: list = []
+    consecution = Certifier._consecution
+
+    def counted(certifier, *args):
+        verdicts.append(consecution(certifier, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(Certifier, "_consecution", counted)
+    return verdicts
+
+
+class TestProofMemo:
+    """A proved invariant serves only requesters it is a proof for."""
+
+    def test_a_proof_under_assumptions_never_serves_a_global_requester(self, tmp_path):
+        # buggy_counter(4)'s P1 holds locally (P0 assumed), fails globally.
+        def submit(service, strategy):
+            config = VerificationConfig(strategy=strategy, cache_dir=str(tmp_path))
+            return service.submit(TransitionSystem(buggy_counter(4)), config).result()
+
+        with VerificationService() as service:
+            submit(service, "ja")
+            local = submit(service, "ja")
+            reused = service.stats().cache["proofs_reused"]
+            served = submit(service, "separate")
+            stats = service.stats().cache
+        assert local.outcomes["P1"].engine == "cache" and reused == 1
+        assert stats["certify_rejects"] == 1
+        assert stats["proofs_reused"] == reused
+        assert served.outcomes["P1"].engine != "cache"
+        assert served.outcomes["P1"].status is PropStatus.FAILS
+
+    @pytest.mark.parametrize("edit", [_drops, _flips], ids=["clause-dropped", "literal-flipped"])
+    def test_a_record_edited_after_a_reuse_hit_is_queried_and_rejected(
+        self, tmp_path, consecutions, edit
+    ):
+        text = _text("t275")
+        with VerificationService() as service:
+            cold = _submit(service, text, tmp_path)
+            _submit(service, text, tmp_path)
+            reused = service.stats().cache["proofs_reused"]
+            entry, record = _non_inductive_edit(text, tmp_path, edit)
+            entry.write_text(json.dumps(record))
+            del consecutions[:]
+            third = _submit(service, text, tmp_path)
+            stats = service.stats().cache
+        holds = [n for n, o in cold.items() if o.status is PropStatus.HOLDS]
+        assert reused == len(holds)
+        assert stats["certify_rejects"] == 1
+        assert stats["proofs_reused"] == 2 * len(holds) - 1
+        assert any(verdict and "is not inductive" in verdict for verdict in consecutions)
+        edited = record["prop"]
+        assert [n for n, o in third.items() if o.engine != "cache"] == [edited]
+        assert third[edited].status is PropStatus.HOLDS
+
+    @pytest.mark.parametrize("edited", [False, True], ids=["unchanged", "non-inductive"])
+    def test_two_threads_resolving_one_cone_agree(self, tmp_path, monkeypatch, edited):
+        # The first certificate is held inside its consecution query
+        # while the second resolves the same cone from start to end.
+        text = _text("t135")
+        with VerificationService() as service:
+            _submit(service, text, tmp_path)
+        if edited:
+            entry, record = _non_inductive_edit(text, tmp_path, _flips)
+            entry.write_text(json.dumps(record))
+        else:
+            [(_, record), *_] = _holds_records(tmp_path)
+        name = record["prop"]
+        held, release = threading.Event(), threading.Event()
+        calls = []
+        consecution = Certifier._consecution
+
+        def held_consecution(certifier, *args):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 1:
+                held.set()
+                assert release.wait(60)
+            return consecution(certifier, *args)
+
+        monkeypatch.setattr(Certifier, "_consecution", held_consecution)
+        memo, store = ConeMemo(), ProofStore(tmp_path)
+        verdicts = {}
+
+        def resolve():
+            resolver = CacheResolver(store, cones=memo)
+            outcomes, _ = resolver.resolve(TransitionSystem(parse_aag(text)), [name])
+            verdicts[threading.current_thread().name] = {
+                n: o.status for n, o in outcomes.items()
+            }
+
+        first = threading.Thread(target=resolve, name="first")
+        first.start()
+        assert held.wait(60)
+        second = threading.Thread(target=resolve, name="second")
+        second.start()
+        second.join(60)
+        release.set()
+        first.join(60)
+        assert not first.is_alive() and not second.is_alive()
+        assert calls == ["first", "second"]
+        assert verdicts["first"] == verdicts["second"]
+        assert verdicts["first"] == ({} if edited else {name: PropStatus.HOLDS})
+        assert store.counters["certify_rejects"] == (2 if edited else 0)
+
+
 def _designs(count: int) -> list[TransitionSystem]:
     """``count`` small, pairwise different counters."""
     designs = [
@@ -185,7 +344,7 @@ class TestBoundAndKey:
         designs = _designs(count)
         for ts in designs:
             _lookup(memo, ts)
-        assert memo.counters == {"cones_built": count, "cone_hits": 0}
+        assert memo.counters == {"cones_built": count, "cone_hits": 0, "proofs_reused": 0}
         _lookup(memo, designs[0])
         assert memo.counters["cone_hits"] == (1 if first_kept else 0)
         _lookup(memo, designs[-1])
@@ -199,7 +358,7 @@ class TestBoundAndKey:
         assert memo.cone(first, memo.design(first), name) is memo.cone(
             second, memo.design(second), name
         )
-        assert memo.counters == {"cones_built": 1, "cone_hits": 1}
+        assert memo.counters == {"cones_built": 1, "cone_hits": 1, "proofs_reused": 0}
 
     def test_one_text_numbered_two_ways_does_not_share(self):
         # Built latch first, so the input's literal is not AIGER's: the
@@ -218,7 +377,7 @@ class TestBoundAndKey:
             memo.cone(ts, memo.design(ts), "never_q")
             for ts in (TransitionSystem(aig), TransitionSystem(reread))
         ]
-        assert memo.counters == {"cones_built": 2, "cone_hits": 0}
+        assert memo.counters == {"cones_built": 2, "cone_hits": 0, "proofs_reused": 0}
         assert cones[0].digest == cones[1].digest
         assert list(cones[0].reduction.input_map) == aig.inputs
         assert list(cones[1].reduction.input_map) == reread.inputs

@@ -113,6 +113,22 @@ class TestServiceCache:
         assert stats.cache["hits"] == 2
         assert stats.cache["writes"] == 2
 
+    def test_a_threaded_warm_start_counts_on_the_services_store(self, tmp_path):
+        def submit(service):
+            return service.submit(
+                TransitionSystem(fixed_counter(4)), VerificationConfig(strategy="ja")
+            ).result()
+
+        with VerificationService(cache_dir=str(tmp_path)) as service:
+            submit(service)
+            for entry in (tmp_path / "entries").iterdir():
+                if json.loads(entry.read_text())["prop"] == "P1":
+                    entry.unlink()  # P1 is left to prove; P0 still hits
+            report = submit(service)
+            stats = service.stats().cache
+        assert report.stats["cache_hits"] == 1
+        assert (stats["warm_loads"], stats["warm_clauses"]) == (1, 3)
+
     def test_partial_hit_warm_starts_on_every_route(self, tmp_path, monkeypatch):
         """The design's warm log is the one cross-run clause store: on a
         partial hit, ``ja`` and ``separate`` seed their clause DB from it
