@@ -16,8 +16,8 @@ extends reuse across runs and across processes:
   certification gate: a stored verdict is *never* trusted until it
   re-passes :meth:`~repro.engines.certify.Certifier.certify` /
   :func:`~repro.engines.certify.certify_cex` against the design
-  actually being verified; and :class:`ConeMemo`, the per-service memo
-  of each property's cone that resolution and write-back share.
+  actually being verified, on the cones of a
+  :class:`~repro.multiprop.cones.ConeMemo`.
 
 Because every hit is re-certified, the cache key does not need to
 capture everything that determines a verdict — an imperfect key can
@@ -30,12 +30,11 @@ changed-cone properties enter the scheduler.
 
 from .hashing import cone_digest, design_digest, payload_digest
 from .store import CacheRecord, ProofStore, atomic_write, open_store, serving
-from .resolve import CacheResolver, ConeMemo
+from .resolve import CacheResolver
 
 __all__ = [
     "CacheRecord",
     "CacheResolver",
-    "ConeMemo",
     "ProofStore",
     "atomic_write",
     "cone_digest",

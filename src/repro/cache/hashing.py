@@ -1,10 +1,7 @@
 """Stable content hashes, unified for the whole repo.
 
-Before this module each layer grew its own ad-hoc hashing: the worker
-pool hashed pickle payloads to dedupe design shipping, the random-walk
-engine hashed name tuples for seed derivation, and the proof cache
-needed design and cone digests.  All of them live here now, with the
-stability of each flavour documented:
+The pool's payload dedup, the random walk's seeds and the proof
+cache's keys, with the stability of each flavour documented:
 
 ``payload_digest``
     SHA-256 of raw bytes.  Stable only for the exact byte string —
@@ -20,10 +17,8 @@ stability of each flavour documented:
 
 ``cone_digest``
     SHA-256 of the canonical AAG text of one property's *assumption
-    cone*: the COI cone of the property plus every assumable property
-    whose support is transitively connected to it
-    (:func:`~repro.circuit.coi.support_connected`, the fixpoint the JA
-    verifier's COI reduction runs).
+    cone* (:class:`~repro.multiprop.cones.Cone`): its COI cone plus every
+    assumable property support-connected to it.
     An edit outside the cone leaves the digest unchanged — which is the
     whole basis of incremental re-verification.  The target property's
     name is mixed into the digest so that mutually-assuming properties
@@ -40,16 +35,13 @@ stability of each flavour documented:
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
 
 from ..circuit.aiger import write_aag
-from ..circuit.coi import reduce_to_cone, support_connected
-from ..ts.projection import assumption_names
+from ..multiprop.cones import build_cone, cone_properties
 from ..ts.system import TransitionSystem
 
 __all__ = [
     "cone_digest",
-    "cone_properties",
     "design_digest",
     "joined_digest",
     "payload_digest",
@@ -81,43 +73,6 @@ def design_digest(ts: TransitionSystem) -> str:
     return text_digest(write_aag(ts.aig))
 
 
-def cone_properties(
-    ts: TransitionSystem,
-    name: str,
-    supports: dict[str, frozenset] | None = None,
-) -> list[str]:
-    """Assumable properties support-connected to ``name``'s cone.
-
-    The JA verifier's COI-reduction fixpoint
-    (:func:`~repro.circuit.coi.support_connected`) over every property
-    ``name`` may assume.  Properties outside the closure cannot
-    constrain the projected transition relation for ``name``, so they
-    are irrelevant to its local verdict — and to its cache key.
-    ``supports`` is the fixpoint's per-design signature memo.
-    """
-    return support_connected(
-        ts.aig, ts.prop_by_name, name, assumption_names(ts, name), supports
-    )
-
-
-def cone_digest(
-    ts: TransitionSystem,
-    name: str,
-    kept: Sequence[str] | None = None,
-    *,
-    reduction=None,
-) -> str:
-    """Content hash of ``name``'s assumption cone (see module doc).
-
-    ``kept`` may be passed when :func:`cone_properties` was already
-    computed, to avoid re-running the fixpoint; ``reduction`` may be
-    passed when :func:`~repro.circuit.coi.reduce_to_cone` over
-    ``[name, *kept]`` was already computed, to avoid re-running it.
-    """
-    if reduction is None:
-        if kept is None:
-            kept = cone_properties(ts, name)
-        reduction = reduce_to_cone(ts.aig, [name, *kept])
-    # The target name is mixed in because two properties can share one
-    # cone (mutually-assuming pairs) yet need distinct verdicts.
-    return text_digest(f"{name}\x00{write_aag(reduction.aig)}")
+def cone_digest(ts: TransitionSystem, name: str) -> str:
+    """Content hash of ``name``'s assumption cone (see module doc)."""
+    return build_cone(ts, name, cone_properties(ts, name)).digest

@@ -18,14 +18,9 @@ structure, hash collision, cosmic rays — is counted as a
 re-proved.  The cache can therefore never produce a wrong verdict,
 only a wasted certification check.
 
-Witnesses are stored in *cone coordinates*: the invariant over the
-latch positions, the trace over the input and latch literals, of the
-reduced cone the record's key hashes
-(:class:`~repro.circuit.coi.CoiReduction` translates both ways).  Any
-design with that cone — the author, an edit of it outside the cone, or
-another design that shares it — reads the record in its own
-coordinates, so a hit never depends on where the author kept its
-latches.
+Witnesses are stored in *cone coordinates* (latch positions, input and
+latch literals of the reduced cone the record's key hashes), so any
+design with that cone reads the record in its own coordinates.
 
 Assumption handling: a record is certified under the assumptions *the
 requester makes* — for a local strategy (``local=True``) those
@@ -41,147 +36,31 @@ assumed: a local counterexample is also a global one and still hits, a
 global one that an assumed property pre-empts is spurious locally and
 does not.
 
-A service derives each cone once per design, not once per hit: its
-one :class:`ConeMemo` holds, per property, the COI reduction (with the
-kept assumptions), the cone's :class:`~repro.ts.system.TransitionSystem`
-and its templates, and the cone digest, for lookup and write-back
-alike.  The key is the design's exact AAG text plus its input, latch
-and property literals, compared as values.  It is never a digest, so
-two designs never share an entry; the literals are in it because one
-text can come with two numberings, and witness maps are in the
-numbers.  It keeps :data:`~repro.parallel.pool.DESIGN_CACHE_SIZE`
-designs (LRU), as the seats do.
-
-Each cone also keeps the invariants already proved on it, per solver
-backend and assumption set, as clause sets
-(:class:`~repro.engines.certify.ProvenInvariants`).  Every HOLDS
-certificate of the cone — a hit's, or the write-back's — runs through a
-:class:`~repro.engines.certify.Certifier` handed them, so its proof-reuse
-rule applies across jobs: only clauses no proved invariant inside the
-record's covers get a consecution query.  Every hit still runs its
-syntactic checks and a fresh ``F ⊆ P`` query; an unchanged record whose
-invariant the write-back or an earlier hit proved costs one ``solve``
-and loads no step frame (``proofs_reused`` counts those hits).  A
-counterexample is replayed on the whole design every time.
+Each property's cone comes from the service's one
+:class:`~repro.multiprop.cones.ConeMemo`, with the invariants proved on
+it, which every HOLDS certificate of the cone reuses: a hit on an
+unchanged record costs its syntactic checks and one ``F ⊆ P`` query
+(``proofs_reused`` counts those hits).  A counterexample is replayed
+on the whole design every time.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
 
-from ..circuit.aiger import write_aag
-from ..circuit.coi import CoiReduction, reduce_to_cone
 from ..config import CACHE_MODES
-from ..engines.certify import (
-    CertificateReport,
-    Certifier,
-    ProvenInvariants,
-    certify_cex,
-)
+from ..engines.certify import certify_cex
 from ..engines.result import PropStatus
+from ..multiprop.cones import Cone, ConeMemo, DesignCones
 from ..multiprop.report import PropOutcome
 from ..progress import CacheHit, Emit, emit_or_null
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
-from .hashing import cone_digest, cone_properties, text_digest
 from .store import CacheRecord, ProofStore
 
-__all__ = ["CacheResolver", "Cone", "ConeMemo"]
+__all__ = ["CacheResolver"]
 
 _STATUS = {"holds": PropStatus.HOLDS, "fails": PropStatus.FAILS}
-
-
-@dataclass(frozen=True)
-class Cone:
-    """One property's cone: its reduction, system and store key, and the
-    invariants proved on its system, by solver backend."""
-
-    reduction: CoiReduction
-    ts: TransitionSystem
-    digest: str
-    proven: dict[str | None, ProvenInvariants] = field(
-        default_factory=dict, compare=False
-    )
-
-
-@dataclass
-class _DesignCones:
-    """One design's digest, support-signature memo and cones by property."""
-
-    digest: str
-    supports: dict[str, frozenset] = field(default_factory=dict)
-    cones: dict[str, Cone] = field(default_factory=dict)
-
-
-class ConeMemo:
-    """Cones per design, shared by every resolver of a service (see the
-    module docstring for its key and bound)."""
-
-    def __init__(self) -> None:
-        # Imported here: repro.parallel.pool imports this package.
-        from ..parallel.pool import DESIGN_CACHE_SIZE
-
-        self.size = DESIGN_CACHE_SIZE
-        self._designs: OrderedDict[tuple, _DesignCones] = OrderedDict()
-        self._lock = threading.Lock()
-        self.counters = {"cones_built": 0, "cone_hits": 0, "proofs_reused": 0}
-
-    def design(self, ts: TransitionSystem) -> _DesignCones:
-        """``ts``'s entry, created on first use (and refreshed in the LRU)."""
-        text = write_aag(ts.aig)
-        key = (
-            text,
-            tuple(ts.aig.inputs),
-            tuple(latch.lit for latch in ts.latches),
-            tuple((p.name, p.lit, p.expected_to_fail) for p in ts.properties),
-        )
-        with self._lock:
-            entry = self._designs.pop(key, None)
-            if entry is None:
-                entry = _DesignCones(text_digest(text))
-            self._designs[key] = entry
-            if len(self._designs) > self.size:
-                self._designs.popitem(last=False)
-        return entry
-
-    def cone(self, ts: TransitionSystem, design: _DesignCones, name: str) -> Cone:
-        """``name``'s cone in ``ts``, whose entry is ``design``."""
-        with self._lock:
-            cone = design.cones.get(name)
-            if cone is not None:
-                self.counters["cone_hits"] += 1
-                return cone
-            kept = cone_properties(ts, name, design.supports)
-            reduction = reduce_to_cone(ts.aig, [name, *kept])
-            cone = design.cones[name] = Cone(
-                reduction,
-                TransitionSystem(reduction.aig),
-                cone_digest(ts, name, reduction=reduction),
-            )
-            self.counters["cones_built"] += 1
-            return cone
-
-    def certify(
-        self,
-        cone: Cone,
-        solver_backend: str | None,
-        name: str,
-        clauses: list,
-        assumed: list[str],
-    ) -> CertificateReport:
-        """Certify ``clauses`` (cone coordinates) for ``name`` on
-        ``cone.ts``, reusing and extending what ``cone`` has proved on
-        ``solver_backend``."""
-        with self._lock:
-            proven = cone.proven.setdefault(solver_backend, ProvenInvariants())
-        return Certifier(cone.ts, solver_backend, proven).certify(name, clauses, assumed)
-
-    def count(self, counter: str) -> None:
-        with self._lock:
-            self.counters[counter] += 1
 
 
 class CacheResolver:
@@ -246,7 +125,7 @@ class CacheResolver:
         self,
         ts: TransitionSystem,
         name: str,
-        design: _DesignCones,
+        design: DesignCones,
         emit: Emit,
     ) -> PropOutcome | None:
         cone = self.cones.cone(ts, design, name)
@@ -278,18 +157,12 @@ class CacheResolver:
     ) -> PropOutcome | None:
         """Re-check the stored witness; ``None`` means reject (re-prove).
 
-        The record's witness is in cone coordinates (see
-        :meth:`record_outcomes`).  An invariant is certified on the
-        reduced cone itself, through the memo (:meth:`ConeMemo.certify`):
-        its SAT queries are linear in the encoded design, and on a
-        many-property design each cone is a small slice of the whole.
-        Assumptions absent from the cone are dropped — the support
-        fixpoint guarantees they are variable-disjoint, and dropping
-        only strengthens the obligation.  A counterexample is mapped
-        into this design and replayed there, against every assumption
-        the requester makes.
-        On a hit both witnesses are reported in this design's
-        coordinates.
+        The record's witness is in cone coordinates.  An invariant is
+        certified on the cone, through its proved invariants; assumptions
+        absent from the cone are variable-disjoint from it, and dropping
+        them only strengthens the obligation.  A counterexample is
+        replayed on this design against every assumption the requester
+        makes.  A hit reports both witnesses in this design's coordinates.
         """
         status = _STATUS.get(record.status)
         if status is None:
@@ -302,12 +175,8 @@ class CacheResolver:
                 return None
             # Fewer assumptions only strengthen an invariant's obligation.
             assumed = [n for n in record.assumed if n in allowed]
-            report = self.cones.certify(
-                cone,
-                self.solver_backend,
-                name,
-                record.invariant,
-                [n for n in assumed if n in cone.ts.prop_by_name],
+            report = self.cones.certifier(cone, self.solver_backend).certify(
+                name, record.invariant, [n for n in assumed if n in cone.ts.prop_by_name]
             )
             if report.valid:
                 invariant = cone.reduction.clauses_from_cone(record.invariant)
@@ -404,23 +273,18 @@ class CacheResolver:
         """The invariant restricted to the property's cone, in cone
         positions, once it passes the certificate a later hit checks.
 
-        The JA clause DB shares strengthening clauses across properties,
-        so a fresh HOLDS invariant typically mentions latches far outside
-        the property's own cone.  Stored as-is, such an invariant could
-        not be certified on the cone — exactly the hits the cone key
-        exists to provide, after an out-of-cone edit or from another
-        design with the same cone.  Dropping the out-of-cone clauses
-        cannot break consecution of the in-cone ones (their transition
-        functions read only in-cone variables), but rather than argue,
-        we check, and ``None`` (no record) is returned if it somehow
-        does not pass.  The check is the hit's own obligation — on
-        ``cone.ts``, under the author's assumptions the cone keeps — so
-        it proves the invariant for the cone's memo, and a later hit by
-        a requester with those assumptions runs no consecution query.
+        The clause DB shares clauses across properties, so an invariant
+        may mention latches outside the cone; dropping those clauses
+        cannot break consecution of the rest, but it is checked, and
+        ``None`` (no record) returned if it fails.  The check is the
+        hit's own obligation (on ``cone.ts``, under the author's
+        assumptions the cone keeps), so a later hit runs no consecution
+        query, nor does this one when a COI proof already proved it.
         """
         invariant = cone.reduction.clauses_to_cone(list(outcome.invariant))
         assumed = [n for n in outcome.assumed if n in cone.ts.prop_by_name]
-        if not self.cones.certify(cone, self.solver_backend, name, invariant, assumed).valid:
+        certifier = self.cones.certifier(cone, self.solver_backend)
+        if not certifier.certify(name, invariant, assumed).valid:
             return None
         return invariant
 

@@ -41,6 +41,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..multiprop.cones import SERVICE_MEMO, ConeMemo
 from ..ts.system import Clause, TransitionSystem
 from ..ts.trace import Trace
 
@@ -368,19 +369,20 @@ _SERVING: ContextVar[ProofStore | None] = ContextVar("repro_cache_serving", defa
 
 
 @contextmanager
-def serving(store: ProofStore | None):
+def serving(store: ProofStore | None, cones: ConeMemo):
     """Within the block, on this thread, :func:`open_store` of
-    ``store``'s root returns ``store`` itself.
+    ``store``'s root returns ``store`` itself, and a run's cone memo is
+    ``cones`` (:data:`~repro.multiprop.cones.SERVICE_MEMO`).
 
-    A service runs a threaded job's strategy inside one, with the store
-    its cache stats count: what the strategy reads from the cache on
-    its own (the warm log, see :class:`~repro.multiprop.ja.JAVerifier`) is
-    then counted there too.
+    A service runs a threaded job's strategy inside one: what it reads
+    from the cache on its own (the warm log) is counted on the service's
+    store, and its COI proofs land on the cones the cache reads.
     """
-    token = _SERVING.set(store)
+    token, shared = _SERVING.set(store), SERVICE_MEMO.set(cones)
     try:
         yield
     finally:
+        SERVICE_MEMO.reset(shared)
         _SERVING.reset(token)
 
 

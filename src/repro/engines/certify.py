@@ -33,10 +33,8 @@ queries short:
   IC3 run and gets its whole invariant back), so each certificate pays
   for its new clauses only.  The proved invariants are clause sets, kept
   apart from the solvers in a :class:`ProvenInvariants` a certifier can
-  be handed: the proof cache keeps one per cone and solver backend
-  (:class:`~repro.cache.resolve.ConeMemo`), so a stored invariant proved
-  once — at write-back or by an earlier hit — costs every later hit of
-  that cone its ``F ⊆ P`` query alone.
+  be handed: each cone keeps one per solver backend
+  (:class:`~repro.multiprop.cones.Cone`), for its COI proofs and cache.
 """
 
 from __future__ import annotations

@@ -28,14 +28,11 @@ it implements the three features the paper's Ic3-db relies on:
   inductive clause set.  Because seeds proven under *different*
   assumption sets are not automatically inductive here, every
   converged run hands its invariant to the independent checker
-  (:class:`repro.engines.certify.Certifier`, whose one-shot form the
-  proof cache uses); on rejection the engine signals the caller to
-  retry without seeds.  This keeps the paper's optimization while
-  staying sound.  A driver passes its run's certifier in
-  ``IC3Options.certifier``, so the k proofs of a run are checked on one
-  consecution solver per assumption set and each pays only for the
-  clauses the earlier proofs did not already prove; a run on another
-  design (a COI reduction) gets a one-shot certifier of its own.
+  (:class:`repro.engines.certify.Certifier`); on rejection the engine
+  signals the caller to retry without seeds.  This keeps the paper's
+  optimization while staying sound.  A driver passes its run's
+  certifier (or, on a COI rung, its cone's) in ``IC3Options.certifier``,
+  so each proof pays only for clauses no earlier proof proved.
 
 Solver management is fully incremental: the engine holds **one**
 persistent consecution solver (the transition relation is loaded
@@ -116,9 +113,8 @@ class IC3Options:
     # Progress events (frame advances, seed imports, budget checkpoints)
     # are sent here; None keeps the engine silent.
     emit: Emit | None = None
-    # The run's certifier (one per driver run, see engines/certify.py);
-    # used only when it is bound to this run's design, else (None, or a
-    # COI-reduced design) a converged run certifies on a one-shot one.
+    # A certifier of this run's design (the driver run's, or a cone's,
+    # see engines/certify.py); None certifies on a one-shot one.
     certifier: Certifier | None = None
 
 
@@ -681,7 +677,7 @@ class IC3:
                 # I ⊆ F, F ⊆ P, F ∧ C ∧ T ⊆ F' — rejected only through
                 # unsound seeds (see module docstring).
                 certifier = self.options.certifier
-                if certifier is None or certifier.ts is not self.ts:
+                if certifier is None:
                     certifier = Certifier(self.ts, self.options.solver_backend)
                 report = certifier.certify(
                     self.prop.name, clauses, self.options.assumed

@@ -44,6 +44,7 @@ from ..progress import (
 from ..ts.projection import assumption_names
 from ..ts.system import TransitionSystem
 from .clausedb import ClauseDB
+from .cones import SERVICE_MEMO, ConeMemo
 from .local import prove
 from .ordering import design_order
 from .report import MultiPropReport, PropOutcome
@@ -77,6 +78,7 @@ class JAVerifier:
         self.config = config or VerificationConfig()
         self.local = local
         self.clause_db = ClauseDB(ts)
+        self.cones = SERVICE_MEMO.get() or ConeMemo()  # the run's COI cones
         self.results: dict[str, EngineResult] = {}
         self._emit: Emit = emit_or_null(emit)
 
@@ -123,6 +125,7 @@ class JAVerifier:
                 local=local,
                 budget=budget,
                 certifier=certifier,
+                cones=self.cones,
             )
             spurious_reruns += outcome.reruns
             certificate_retries += int(result.stats.get("certificate_retry", 0))

@@ -5,8 +5,8 @@ Every driver that decides a property with IC3 — sequential ``ja`` and
 seat's IC3 job (:mod:`repro.parallel.worker`) — calls :func:`prove`:
 
 1. run IC3 on the property under the given assumption set, seeded from
-   the clauseDB (Section 6), optionally on the cone-of-influence
-   reduction of the design;
+   the clauseDB (Section 6), optionally on its cone of influence from
+   the caller's :class:`~repro.multiprop.cones.ConeMemo`;
 2. replay a counterexample against the assumed properties; if one of
    them fails strictly before the target, the trace is spurious for the
    local semantics (Section 7-A) and the proof is re-run one rung up
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..circuit.coi import reduce_to_cone, support_connected
 from ..config import ProofOptions
 from ..engines.certify import Certifier
 from ..engines.ic3 import IC3Options, SeedCertificateError, ic3_check
@@ -43,6 +42,7 @@ from ..progress import (
 )
 from ..ts.system import TransitionSystem
 from .clausedb import ClauseDB
+from .cones import ConeMemo
 from .report import PropOutcome
 
 
@@ -88,6 +88,7 @@ def prove(
     local: bool = True,
     budget: ResourceBudget | None = None,
     certifier: Certifier | None = None,
+    cones: ConeMemo | None = None,
 ) -> tuple[PropOutcome, EngineResult]:
     """Decide ``name`` under ``assumed``: the ladder, the export, the events.
 
@@ -97,8 +98,8 @@ def prove(
     when given, bounds the whole ladder (a pool seat's, which carries its
     stop check; a race's slice); by default every rung gets a fresh
     ``options.budget()``.  ``certifier`` is the caller's run certifier
-    on ``ts`` (:class:`~repro.engines.certify.Certifier`); a COI rung
-    runs on a reduced design, so IC3 certifies it on a one-shot one.
+    on ``ts``; a COI rung proves and certifies on the cone from
+    ``cones``, the caller's memo (by default a fresh one).
     """
     send = emit_or_null(emit)
     assumed = list(assumed)
@@ -108,10 +109,12 @@ def prove(
     assumed_lits = {n: ts.prop_by_name[n].lit for n in assumed}
     respect = options.respect_constraints_in_lifting
     use_coi = options.coi_reduction
+    if use_coi and cones is None:
+        cones = ConeMemo()
     reruns = 0
     while True:
         result = _run_ic3(
-            ts, name, assumed, options, respect, use_coi, seeds, send, budget, certifier
+            ts, name, assumed, options, respect, use_coi, seeds, send, budget, certifier, cones
         )
         if result.status is not PropStatus.FAILS or not assumed:
             break
@@ -150,15 +153,16 @@ def _run_ic3(
     emit: Emit,
     budget: ResourceBudget | None,
     certifier: Certifier | None,
+    cones: ConeMemo | None,
 ) -> EngineResult:
     """One rung: one IC3 run, translated back from its COI reduction."""
-    run_ts, run_assumed, run_seeds, reduction = ts, assumed, seeds, None
+    run_ts, run_assumed, run_seeds, run_certifier, reduction = ts, assumed, seeds, certifier, None
     if use_coi:
         # Only the assumptions support-connected to the target stay:
         # sound for proofs, and counterexamples are re-validated.
-        run_assumed = support_connected(ts.aig, ts.prop_by_name, name, assumed)
-        reduction = reduce_to_cone(ts.aig, [name, *run_assumed])
-        run_ts = TransitionSystem(reduction.aig)
+        cone = cones.cone(ts, cones.design(ts), name, assumed)
+        run_ts, run_assumed, reduction = cone.ts, list(cone.kept), cone.reduction
+        run_certifier = cones.certifier(cone, options.solver_backend)
         # Seeds that mention a latch outside the cone are dropped.
         run_seeds = reduction.clauses_to_cone(seeds)
     ic3_opts = IC3Options(
@@ -170,7 +174,7 @@ def _run_ic3(
         ctg=options.ctg,
         solver_backend=options.solver_backend,
         emit=emit,
-        certifier=certifier,
+        certifier=run_certifier,
         **dict(options.engine_overrides),
     )
     try:
@@ -183,7 +187,7 @@ def _run_ic3(
         # Poisoned seeds (possible when mixing invariants proven under
         # different assumption sets): retry from scratch without them.
         result = _run_ic3(
-            ts, name, assumed, options, respect, use_coi, (), emit, budget, certifier
+            ts, name, assumed, options, respect, use_coi, (), emit, budget, certifier, cones
         )
         result.stats["certificate_retry"] = 1
         return result

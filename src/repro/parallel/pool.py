@@ -92,18 +92,9 @@ from collections import OrderedDict, deque
 from multiprocessing.connection import wait
 
 from ..cache.hashing import payload_digest
+from ..multiprop.cones import DESIGN_CACHE_SIZE
 from ..ts.system import TransitionSystem
 
-#: Designs kept per cache (parent payloads and each worker's unpickled
-#: copies), LRU-evicted beyond this.  Both sides apply the same policy
-#: to the same per-worker message stream, so the parent always knows
-#: exactly which hashes a worker still holds.  An LRU smaller than a
-#: service's cyclic working set misses on almost every reuse (a miss
-#: re-pickles, re-ships and re-encodes the design), so the cap is twice
-#: the 16 generated families: a warm family costs at most ~1.3 MB on a
-#: seat (f380, templates and cones included) and all 16 together
-#: ~5.3 MB (tracemalloc after a ``ja`` run on an unpickled copy).
-DESIGN_CACHE_SIZE = 32
 
 #: How seats are started: ``fork`` where the platform has it (a seat
 #: inherits the imported package instead of re-importing it), else

@@ -41,6 +41,7 @@ from ..engines.kinduction import kinduction_check
 from ..engines.randomwalk import randomwalk_check
 from ..engines.result import PropStatus, ResourceBudget
 from ..multiprop.clausedb import ClauseDB
+from ..multiprop.cones import ConeMemo
 from ..multiprop.local import outcome_of, prove
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..progress import (
@@ -127,6 +128,7 @@ def _slice(
     size: int | None,
     seed: int,
     certifier: Certifier | None,
+    cones: ConeMemo | None,
 ) -> PropOutcome:
     """Run ``engine`` for at most ``size`` of its work units.
 
@@ -138,7 +140,8 @@ def _slice(
     """
     if engine == "ic3":
         outcome, _ = prove(
-            ts, name, assumed, options, db, emit, budget=budget, certifier=certifier
+            ts, name, assumed, options, db, emit, budget=budget, certifier=certifier,
+            cones=cones,
         )
         return outcome
     if engine == "rw":
@@ -178,6 +181,7 @@ def race(
     seed: int,
     stop: Callable[[], bool] | None = None,
     certifier: Certifier | None = None,
+    cones: ConeMemo | None = None,
 ) -> PropOutcome:
     """Decide ``name`` by racing ``slate`` in doubling slices (see above).
 
@@ -189,9 +193,10 @@ def race(
     :class:`~repro.engines.result.ResourceBudget`.  ``seed`` is the
     random walk's sub-seed; IC3 seeds from ``db`` but exports into a
     copy, so one race never seeds another and the winner does not depend
-    on what the seat decided before.  ``certifier`` is the seat's run
-    certifier; it only checks proofs, so sharing it decides nothing.  An engine that raises leaves the
-    rotation; if no engine decides, its error is raised
+    on what the seat decided before.  ``certifier`` and ``cones`` are the
+    seat's; they only check proofs and build cones, so sharing them
+    decides nothing.  An engine that raises leaves the rotation; if no
+    engine decides, its error is raised
     (``RuntimeError``), else it is listed in the verdict's ``errors``.
     """
     send = emit_or_null(emit)
@@ -225,7 +230,7 @@ def race(
             try:
                 outcome = _slice(
                     engine, ts, name, assumed, options, scratch,
-                    engine_emit, piece, size, _round_seed(seed, r), certifier,
+                    engine_emit, piece, size, _round_seed(seed, r), certifier, cones,
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, race goes on
                 errors.append(f"{engine}: {type(exc).__name__}: {exc}")

@@ -87,6 +87,7 @@ from dataclasses import dataclass, field
 from ..config import ProofOptions
 from ..engines.certify import Certifier
 from ..multiprop.clausedb import ClauseDB
+from ..multiprop.cones import ConeMemo
 from ..multiprop.local import prove
 from ..progress import ProgressEvent
 from ..ts.projection import assumption_names
@@ -118,6 +119,8 @@ class _ActiveRun:
     run_id: int
     ts: TransitionSystem
     options: ProofOptions
+    #: The seat's cone memo, one per process, shared by all its runs.
+    cones: ConeMemo = field(default_factory=ConeMemo)
     #: Relayed clauses plus this seat's own proofs; fresh per setup.
     db: ClauseDB = field(init=False)
     #: Certifies this seat's IC3 proofs of the run, races included.
@@ -149,6 +152,7 @@ def pool_worker_main(
     # per-slot mirror, applied to the same ordered message stream, so
     # the two sides always agree on which hashes this worker holds.
     designs: "OrderedDict[str, TransitionSystem]" = OrderedDict()
+    cones = ConeMemo()  # every COI proof of this seat, beside its designs
     runs: dict[int, _ActiveRun] = {}
     while True:
         try:
@@ -171,7 +175,7 @@ def pool_worker_main(
                 )
                 continue
             _lru_touch(designs, digest, ts)
-            runs[run_id] = _ActiveRun(run_id=run_id, ts=ts, options=options)
+            runs[run_id] = _ActiveRun(run_id=run_id, ts=ts, options=options, cones=cones)
             out_queue.put(("ready", run_id, worker_id))
             continue
         if kind == "end":
@@ -224,6 +228,7 @@ def _execute(
                 forward,
                 budget=run.options.budget(stopped),
                 certifier=run.certifier,
+                cones=run.cones,
             )
         else:
             outcome = race(
@@ -236,6 +241,7 @@ def _execute(
                 seed=job.seed or 0,
                 stop=stopped,
                 certifier=run.certifier,
+                cones=run.cones,
             )
         out_queue.put(("result", run_id, worker_id, outcome))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent

@@ -54,6 +54,7 @@ from typing import Deque
 
 import queue as queue_mod
 
+from ..multiprop.cones import ConeMemo
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..engines.result import PropStatus
 from ..parallel.engine import SeatScheduler, empty_report
@@ -194,7 +195,7 @@ class VerificationService:
         self._dispatcher: threading.Thread | None = None
         self._subscribers: list[Emit] = []
         self._stores: dict[str, object] = {}  # cache_dir -> ProofStore
-        self._cones = None  # the ConeMemo every job's resolver shares
+        self._cones = ConeMemo()  # every job's resolver and COI proofs share it
         self._job_ids = 0
         self._closed = False
         self._stopping = False
@@ -285,7 +286,7 @@ class VerificationService:
 
     def _cache_stats(self) -> dict | None:
         """Aggregated proof-cache counters across every attached store,
-        plus the cone memo's ``cones_built`` and ``cone_hits``."""
+        plus the cone memo's counters."""
         with self._lock:
             stores = list(self._stores.values())
         if not stores:
@@ -306,11 +307,9 @@ class VerificationService:
         cache_dir = config.cache_dir
         if cache_dir is None or config.cache_mode == "off":
             return None
-        from ..cache import CacheResolver, ConeMemo, ProofStore
+        from ..cache import CacheResolver, ProofStore
 
         with self._lock:
-            if self._cones is None:
-                self._cones = ConeMemo()
             store = self._stores.get(cache_dir)
             if store is None:
                 store = ProofStore(cache_dir)
@@ -753,8 +752,18 @@ class VerificationService:
         record.pooled_job = None
         if job.error is not None:
             self._finalize(record, None, job.error)
-        else:
+        elif record.resolver is None or not record.resolver.writable:
             self._finalize(record, job.build_report(self._pool), None)
+        else:
+            # The write-back certifies what it stores (SAT work): off the
+            # dispatcher thread, like the cache pass.
+            record.thread = threading.Thread(
+                target=self._finalize,
+                args=(record, job.build_report(self._pool), None),
+                name=f"repro-{record.handle.job_id}-finalize",
+                daemon=True,
+            )
+            record.thread.start()
 
     def _run_threaded(self, record: _JobRecord) -> None:
         """A sequential strategy, cache pass to report, on its own thread."""
@@ -772,14 +781,15 @@ class VerificationService:
                     config = config.with_overrides(order=record.remaining_order)
                 resolver = record.resolver
                 # What the strategy reads from the cache itself is counted
-                # on the store this service reports.
-                with serving(resolver.store if resolver is not None else None):
+                # on the store this service reports, and its COI proofs
+                # land on the cones the cache reads.
+                store = resolver.store if resolver is not None else None
+                with serving(store, self._cones):
                     report = get_strategy(config.strategy).run(record.ts, config, emit)
             error = None
         except BaseException as exc:  # re-raised at handle.result()
             report, error = None, exc
         self._finalize(record, report, error)
-        self._wake.set()
 
     # ------------------------------------------------------------------
     # Completion
@@ -856,6 +866,7 @@ class VerificationService:
             handle.done.set_exception(failure)
         else:
             handle.done.set_result(report)
+        self._wake.set()  # a slot is free
 
     # ------------------------------------------------------------------
     # Lifecycle

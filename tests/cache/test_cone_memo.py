@@ -17,14 +17,15 @@ import threading
 
 import pytest
 
-from repro.cache import CacheResolver, ConeMemo, ProofStore, resolve as resolve_module
+from repro.cache import CacheResolver, ProofStore
 from repro.circuit.aig import AIG, aig_not
 from repro.circuit.aiger import parse_aag, write_aag
 from repro.engines.certify import Certifier, certify_invariant
 from repro.engines.result import PropStatus
 from repro.gen import ALL_TRUE_SPECS, FAILING_SPECS
 from repro.gen.counter import buggy_counter, fixed_counter
-from repro.parallel.pool import DESIGN_CACHE_SIZE
+from repro.multiprop import cones as cones_module
+from repro.multiprop.cones import DESIGN_CACHE_SIZE, ConeMemo
 from repro.sat.solver import Solver
 from repro.service import VerificationService
 from repro.session import VerificationConfig
@@ -37,15 +38,15 @@ REMOTE_CACHED = ("f104", "f207", "f335", "t135", "t275")
 
 @pytest.fixture
 def reductions(monkeypatch) -> list:
-    """One entry per ``reduce_to_cone`` call the resolver makes."""
+    """One entry per ``reduce_to_cone`` call the cone memo makes."""
     calls: list = []
-    reduce = resolve_module.reduce_to_cone
+    reduce = cones_module.reduce_to_cone
 
     def counted(aig, names):
         calls.append(list(names))
         return reduce(aig, names)
 
-    monkeypatch.setattr(resolve_module, "reduce_to_cone", counted)
+    monkeypatch.setattr(cones_module, "reduce_to_cone", counted)
     return calls
 
 
@@ -267,6 +268,44 @@ class TestProofMemo:
         edited = record["prop"]
         assert [n for n, o in third.items() if o.engine != "cache"] == [edited]
         assert third[edited].status is PropStatus.HOLDS
+
+    def test_a_coi_ja_job_writes_back_the_proofs_it_made(self, tmp_path, monkeypatch):
+        # The job's COI proofs certify on the service's cones, so the
+        # write-back of each HOLDS finds its proof: no step-frame load,
+        # no consecution query.
+        writing = threading.local()
+        reports, loads, queries = [], [], []
+        cone_invariant, certify = CacheResolver._cone_invariant, Certifier.certify
+        consecution, encode_step = Certifier._consecution, TransitionSystem.encode_step
+
+        def spied_cone_invariant(resolver, *args):
+            writing.on = True
+            try:
+                return cone_invariant(resolver, *args)
+            finally:
+                writing.on = False
+
+        def spy(calls, method, returned=False):
+            def spied(*args):
+                result = method(*args)
+                if getattr(writing, "on", False):
+                    calls.append(result if returned else 1)
+                return result
+
+            return spied
+
+        monkeypatch.setattr(CacheResolver, "_cone_invariant", spied_cone_invariant)
+        monkeypatch.setattr(Certifier, "certify", spy(reports, certify, returned=True))
+        monkeypatch.setattr(Certifier, "_consecution", spy(queries, consecution))
+        monkeypatch.setattr(TransitionSystem, "encode_step", spy(loads, encode_step))
+        config = VerificationConfig(strategy="ja", coi_reduction=True, cache_dir=str(tmp_path))
+        with VerificationService() as service:
+            report = service.submit(TransitionSystem(parse_aag(_text("t135"))), config).result()
+            writes = service.stats().cache["writes"]
+        holds = [o for o in report.outcomes.values() if o.status is PropStatus.HOLDS]
+        assert len(holds) == writes == len(reports) == 21
+        assert all(r.valid and r.reused for r in reports)
+        assert (loads, queries) == ([], [])
 
     @pytest.mark.parametrize("edited", [False, True], ids=["unchanged", "non-inductive"])
     def test_two_threads_resolving_one_cone_agree(self, tmp_path, monkeypatch, edited):

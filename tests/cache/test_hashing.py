@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.cache.hashing import (
     cone_digest,
-    cone_properties,
     design_digest,
     joined_digest,
     payload_digest,
@@ -12,6 +11,7 @@ from repro.cache.hashing import (
 )
 from repro.circuit.aig import AIG, aig_not
 from repro.gen.counter import fixed_counter
+from repro.multiprop.cones import cone_properties
 from repro.ts.system import TransitionSystem
 
 
@@ -77,8 +77,3 @@ class TestConeDigest:
         ts = TransitionSystem(fixed_counter(4))
         assert cone_properties(ts, "P0") == ["P1"]
         assert cone_properties(ts, "P1") == ["P0"]
-
-    def test_kept_shortcut_matches_recompute(self):
-        ts = TransitionSystem(fixed_counter(4))
-        kept = cone_properties(ts, "P0")
-        assert cone_digest(ts, "P0", kept) == cone_digest(ts, "P0")

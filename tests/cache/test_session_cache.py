@@ -5,17 +5,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ProofStore, design_digest
+from repro.cache import CacheResolver, ProofStore, design_digest
 from repro.circuit.aiger import parse_aag, save_design, write_aag
 from repro.gen import ALL_TRUE_SPECS, FAILING_SPECS
 from repro.gen.counter import fixed_counter
 from repro.multiprop.ja import WARM_LOG, JAVerifier
-from repro.progress import ClauseImport
+from repro.progress import ClauseImport, JobFinished
 from repro.service import VerificationService
 from repro.session import Session, VerificationConfig
 from repro.ts.system import TransitionSystem
@@ -112,6 +113,31 @@ class TestServiceCache:
         assert warm.stats.get("cache_hits") == 2
         assert stats.cache["hits"] == 2
         assert stats.cache["writes"] == 2
+
+    def test_a_pooled_write_back_runs_off_the_dispatcher(self, tmp_path, monkeypatch):
+        # The write-back certifies (SAT work); on the dispatcher thread it
+        # would hold up every other job.  JobFinished still follows it.
+        threads, stored = [], []
+        record_outcomes = CacheResolver.record_outcomes
+
+        def spied(resolver, *args):
+            threads.append(threading.current_thread().name)
+            return record_outcomes(resolver, *args)
+
+        def on_event(event):
+            if isinstance(event, JobFinished):
+                stored.append(len(list((tmp_path / "entries").iterdir())))
+
+        monkeypatch.setattr(CacheResolver, "record_outcomes", spied)
+        config = VerificationConfig(strategy="parallel-ja", workers=1, cache_dir=str(tmp_path))
+        with VerificationService(workers=1) as service:
+            for _ in range(2):
+                report = service.submit(
+                    TransitionSystem(fixed_counter(4)), config, on_event=on_event
+                ).result()
+        assert len(threads) == 2 and "repro-service" not in threads
+        assert stored == [2, 2]
+        assert report.stats["cache_hits"] == 2
 
     def test_a_threaded_warm_start_counts_on_the_services_store(self, tmp_path):
         def submit(service):

@@ -18,6 +18,7 @@ from collections.abc import Callable
 import pytest
 
 import repro.multiprop.joint as joint_module
+import repro.multiprop.cones as cones_module
 import repro.multiprop.local as local_module
 from repro.engines.result import PropStatus
 from repro.gen import ALL_TRUE_SPECS, buggy_counter
@@ -160,13 +161,13 @@ def test_knob_reaches_every_engine_run(field, selector, seen):
 @pytest.mark.parametrize("selector", PER_PROPERTY)
 def test_coi_reduction(selector, seen, monkeypatch):
     reductions = []
-    real = local_module.reduce_to_cone
+    real = cones_module.reduce_to_cone
 
     def spy(aig, names):
         reductions.append(names)
         return real(aig, names)
 
-    monkeypatch.setattr(local_module, "reduce_to_cone", spy)
+    monkeypatch.setattr(cones_module, "reduce_to_cone", spy)
     plain = _run(selector)
     assert not reductions
     reduced = _run(selector, coi_reduction=True)
