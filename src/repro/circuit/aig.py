@@ -260,8 +260,8 @@ class AIG:
         """The design compiled for simulation, built on first use.
 
         Compiled once per design; when AND nodes have been appended
-        since (``aggregate_property_lit`` does that mid-life) only the
-        new nodes are walked, into a fresh :class:`Netlist`, so a
+        since (a caller may build on a design it already simulated)
+        only the new nodes are walked, into a fresh :class:`Netlist`, so a
         simulation in flight on another thread keeps the one it holds.
         """
         net = self._netlist

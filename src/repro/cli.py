@@ -47,8 +47,7 @@ service and never reach a job.  ``--stats-interval
 S`` polls the service's live stats surface every S seconds and prints a
 one-line occupancy/queue digest per tick (the same
 :class:`~repro.progress.StatsSnapshot` events reach ``--progress``
-subscribers); ``--max-seats`` on ``check`` caps how many pool seats the
-job may hold.  Both serve modes shut down gracefully on SIGINT/SIGTERM:
+subscribers).  Both serve modes shut down gracefully on SIGINT/SIGTERM:
 batch mode cancels in-flight jobs, drains the pool and reports what
 finished; ``--listen`` stops admission (503), drains, then exits 0.
 
@@ -212,15 +211,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         coi_reduction=args.coi,
         ctg=args.ctg,
         max_frames=args.max_frames,
-        include_etf=not args.exclude_etf,
         workers=args.workers,
         exchange=not args.no_exchange,
-        stop_on_failure=args.stop_on_failure,
-        max_seats=args.max_seats,
         seed=args.seed,
         portfolio_engines=args.portfolio_engines,
         solver_backend=args.backend,
-        engine=dict(args.engine or []),
         cache_dir=args.cache_dir,
         cache_mode=args.cache_mode,
         design_name=args.design_name or args.design,
@@ -698,25 +693,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _engine_override(value: str):
-    """``--engine KEY=VALUE`` pairs; values parse as JSON, else strings.
-
-    Key validity is checked by ``VerificationConfig.validate()`` against
-    ``ENGINE_OVERRIDE_KEYS``, so the CLI stays in sync with the config
-    for free.
-    """
-    key, sep, raw = value.partition("=")
-    if not sep or not key:
-        raise argparse.ArgumentTypeError(
-            f"expected KEY=VALUE, got {value!r}"
-        )
-    try:
-        parsed: object = json.loads(raw)
-    except ValueError:
-        parsed = raw
-    return key, parsed
-
-
 class _ListStrategiesAction(argparse.Action):
     """``--list-strategies``: print the registry and exit."""
 
@@ -841,16 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", default=None, help="property order: design | cone | shuffled:<seed>"
     )
     p_check.add_argument(
-        "--exclude-etf", action="store_true",
-        help="joint/clustered: leave expected-to-fail properties out",
-    )
-    p_check.add_argument(
-        "--engine", type=_engine_override, action="append", default=None,
-        metavar="KEY=VALUE",
-        help="low-level IC3Options override (repeatable; see "
-        "ENGINE_OVERRIDE_KEYS in repro.config)",
-    )
-    p_check.add_argument(
         "--design-name", default=None, metavar="NAME",
         help="name used for the design in reports (default: derived "
         "from the design path)",
@@ -862,15 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--no-exchange", action="store_true",
         help="disable live clause exchange between parallel workers",
-    )
-    p_check.add_argument(
-        "--stop-on-failure", action="store_true",
-        help="parallel-ja: cancel queued properties after the first failure",
-    )
-    p_check.add_argument(
-        "--max-seats", type=int, default=None, metavar="N",
-        help="cap on pool seats this job may hold at once when submitted "
-        "to a service (default: no cap, fair share governs)",
     )
     p_check.add_argument(
         "--seed", type=int, default=None, metavar="N",

@@ -15,16 +15,11 @@ its seats — what crosses a process boundary, and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from collections.abc import Callable, Sequence
 
 from .engines.result import ResourceBudget
 from .ts.system import TransitionSystem
-
-#: ``IC3Options`` knobs that may be overridden through ``engine``.
-#: Budgets, assumptions and seeds are owned by the drivers; exposing
-#: them here would let a config silently break driver invariants.
-ENGINE_OVERRIDE_KEYS = frozenset({"generalize_passes", "max_ctgs"})
 
 #: Named property orders understood by :func:`resolve_order`.
 ORDER_NAMES = ("design", "cone")
@@ -55,9 +50,6 @@ class ProofOptions:
     max_frames: int = 500
     # SAT backend name (repro.sat registry); None = process default.
     solver_backend: str | None = None
-    # Extra IC3Options fields (see ENGINE_OVERRIDE_KEYS) applied to
-    # every engine invocation, e.g. {"generalize_passes": 1}.
-    engine_overrides: Mapping[str, object] = field(default_factory=dict)
     per_property_time: float | None = None
     per_property_conflicts: int | None = None
 
@@ -78,7 +70,7 @@ class VerificationConfig:
     """Everything one verification run needs, in one object.
 
     Fields irrelevant to the selected strategy are ignored by it (e.g.
-    ``include_etf`` outside ``joint`` and ``clustered``).
+    ``workers`` outside the pooled strategies).
     """
 
     strategy: str = "ja"
@@ -103,15 +95,11 @@ class VerificationConfig:
     #: ``None`` uses the process default (``REPRO_SAT_BACKEND`` env var,
     #: then ``"cdcl"``); any registered backend name selects explicitly.
     solver_backend: str | None = None
-    # -- joint/clustered specifics -------------------------------------
-    include_etf: bool = True
     # -- parallel-ja specifics (Section 11) ----------------------------
     #: Worker processes; ``None`` means one per CPU (capped by #props).
     workers: int | None = None
     #: Live clause exchange between workers (requires ``clause_reuse``).
     exchange: bool = True
-    #: Cancel still-queued properties once one comes back FAILS.
-    stop_on_failure: bool = False
     #: A persistent :class:`repro.parallel.WorkerPool` shared across
     #: ``Session.run()`` calls; ``None``: a pool of the run's own.  A
     #: live in-process object, so API-only: no command-line value names it.
@@ -121,11 +109,6 @@ class VerificationConfig:
     #: a :class:`repro.service.VerificationService` (> 0; a job holding
     #: seats proportional to its weight relative to its siblings').
     priority: float = 1.0
-    #: Ceiling on shared-pool seats this job may hold at once when
-    #: ``submit()``-ed to a service; ``None`` leaves fair share alone
-    #: to govern.  A narrow quota keeps one big job from monopolizing
-    #: the pool regardless of its priority.
-    max_seats: int | None = None
     # -- portfolio specifics (repro.parallel.portfolio) ----------------
     #: Run-level seed for stochastic engines (the random-walk
     #: falsifier); per-property sub-seeds are derived deterministically
@@ -137,8 +120,6 @@ class VerificationConfig:
     #: round gives them their slices); ``None`` races the full default
     #: slate.
     portfolio_engines: str | None = None
-    # -- escape hatch: validated IC3Options overrides ------------------
-    engine: dict[str, object] = field(default_factory=dict)
     # -- cross-run proof cache (repro.cache) ---------------------------
     #: Root directory of the content-addressed proof store; ``None``
     #: disables caching entirely.
@@ -177,14 +158,6 @@ class VerificationConfig:
             or self.priority <= 0
         ):
             raise ConfigError(f"priority must be > 0, got {self.priority!r}")
-        if self.max_seats is not None and (
-            isinstance(self.max_seats, bool)
-            or not isinstance(self.max_seats, int)
-            or self.max_seats < 1
-        ):
-            raise ConfigError(
-                f"max_seats must be >= 1 or None, got {self.max_seats!r}"
-            )
         if self.pool is not None:
             from .parallel.pool import WorkerPool
 
@@ -231,12 +204,6 @@ class VerificationConfig:
                 f"cache_dir must be a non-empty path or None, got {self.cache_dir!r}"
             )
         self._validate_order_spec()
-        unknown = set(self.engine) - ENGINE_OVERRIDE_KEYS
-        if unknown:
-            raise ConfigError(
-                f"unknown engine override(s) {sorted(unknown)}; "
-                f"allowed: {sorted(ENGINE_OVERRIDE_KEYS)}"
-            )
 
     def _validate_order_spec(self) -> None:
         order = self.order
@@ -271,7 +238,6 @@ class VerificationConfig:
             ctg=self.ctg,
             max_frames=self.max_frames,
             solver_backend=self.solver_backend,
-            engine_overrides=dict(self.engine),
             per_property_time=self.per_property_time,
             per_property_conflicts=self.per_property_conflicts,
         )

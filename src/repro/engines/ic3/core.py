@@ -91,6 +91,13 @@ class SeedCertificateError(Exception):
     """
 
 
+#: Passes of literal dropping per generalized cube.
+GENERALIZE_PASSES = 2
+
+#: CTG blocking attempts per failed literal drop (``ctg`` on).
+MAX_CTGS = 3
+
+
 @dataclass
 class IC3Options:
     """Tuning knobs for one IC3 run."""
@@ -100,13 +107,11 @@ class IC3Options:
     seed_clauses: Sequence[Clause] = ()
     max_frames: int = 500
     budget: ResourceBudget | None = None
-    generalize_passes: int = 2
     # CTG handling during generalization (Hassan-Bradley-Somenzi, FMCAD'13):
     # when dropping a literal fails because of a counterexample-to-
     # generalization, try to block that state first.  Off by default to
     # match the paper's Ic3-db baseline; the ablation bench measures it.
     ctg: bool = False
-    max_ctgs: int = 3
     # SAT backend name resolved through repro.sat.backend; None uses the
     # process default (REPRO_SAT_BACKEND environment, then "cdcl").
     solver_backend: str | None = None
@@ -449,7 +454,7 @@ class IC3:
         """Shrink a blocked cube while keeping consecution rel. F_k and
         disjointness from the initial states."""
         current = cube
-        for _ in range(self.options.generalize_passes):
+        for _ in range(GENERALIZE_PASSES):
             progress = False
             for lit in list(current):
                 if len(current) <= 1:
@@ -479,9 +484,9 @@ class IC3:
         state (a counterexample to generalization).  If that state is
         itself inductive relative to F_k, block it at k+1 and retry; this
         often lets the drop go through, yielding much smaller clauses.
-        Bounded by ``max_ctgs`` attempts (no recursion), per HBS'13.
+        Bounded by :data:`MAX_CTGS` attempts (no recursion), per HBS'13.
         """
-        for _ in range(self.options.max_ctgs):
+        for _ in range(MAX_CTGS):
             pred_state, pred_inputs = info
             ctg_cube = self._lift_predecessor(pred_state, pred_inputs, candidate)
             if self.ts.cube_intersects_init(ctg_cube):

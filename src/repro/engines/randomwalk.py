@@ -26,9 +26,10 @@ Semantics and guarantees:
   :func:`derive_seed` derives stable per-property sub-seeds so one
   run-level seed reproduces a whole multi-property run.
 
-The restart schedule doubles the walk depth every ``walks_per_depth``
-restarts (geometric deepening, SMPT-style), so shallow bugs are found
-at shallow depth without giving up on deeper ones.
+The restart schedule doubles the walk depth every
+:data:`WALKS_PER_DEPTH` restarts (geometric deepening, SMPT-style), so
+shallow bugs are found at shallow depth without giving up on deeper
+ones.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from ..ts.trace import Trace
 from .result import EngineResult, PropStatus, ResourceBudget, unknown_result
 
 __all__ = ["derive_seed", "randomwalk_check"]
+
+#: Restarts between two doublings of the walk depth.
+WALKS_PER_DEPTH = 16
 
 
 def derive_seed(seed: int | None, design_name: str, prop_name: str) -> int:
@@ -66,9 +70,7 @@ def randomwalk_check(
     *,
     max_depth: int = 256,
     restarts: int = 512,
-    walks_per_depth: int = 16,
     seed: int = 0,
-    input_bias: float = 0.5,
     assumed: Sequence[str] = (),
     budget: ResourceBudget | None = None,
     emit: Emit | None = None,
@@ -76,9 +78,9 @@ def randomwalk_check(
     """Race random walks against ``prop_name``; FAILS or UNKNOWN.
 
     Each restart walks up to the current depth with fresh random
-    uninitialized-latch values and biased random inputs.  Constraint
-    violations and assumed-property failures abandon the walk (they
-    leave the local projected system).  The first frame where the
+    uninitialized-latch values and random inputs (fair coin flips).
+    Constraint violations and assumed-property failures abandon the
+    walk (they leave the local projected system).  The first frame where the
     target evaluates FALSE yields a candidate trace, truncated at that
     frame and replay-validated before being reported.
     """
@@ -100,7 +102,7 @@ def randomwalk_check(
     for restart in range(restarts):
         if budget.exhausted():
             break
-        if restart and restart % walks_per_depth == 0 and depth < max_depth:
+        if restart and restart % WALKS_PER_DEPTH == 0 and depth < max_depth:
             depth = min(depth * 2, max_depth)
             if emit is not None:
                 emit(FrameAdvanced(name=prop_name, frame=depth))
@@ -112,7 +114,7 @@ def randomwalk_check(
             if budget.exhausted():
                 break
             frame_inputs = {
-                inp: rng.random() < input_bias for inp in ts.aig.inputs
+                inp: rng.random() < 0.5 for inp in ts.aig.inputs
             }
             inputs_so_far.append(dict(frame_inputs))
             frames_simulated += 1

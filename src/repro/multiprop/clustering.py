@@ -92,7 +92,6 @@ def clustered_verify(
     clusters = cluster_properties(ts, names=resolve_order(ts, config.order))
     for cluster in clusters:
         send(ClusterStarted(members=tuple(cluster)))
-        # Private, not from repro.multiprop.cones: joint's loop grows the AIG it is given.
         cone = TransitionSystem(reduce_to_cone(ts.aig, cluster).aig)
         verify_jointly(cone, cluster, budget, report, config, send)
     report.total_time = budget.elapsed()

@@ -15,6 +15,7 @@ exactly what Tables II and III measure.  The loop is
 
 from __future__ import annotations
 
+import pickle
 from collections.abc import Sequence
 
 from ..circuit.aig import Property
@@ -46,17 +47,17 @@ def verify_jointly(
 
     Proves the aggregate of the names with IC3 on ``budget``, drops
     the properties a counterexample refutes and re-iterates on the
-    survivors.  Every one of ``names`` left without a verdict — the
-    budget ran out, or ``include_etf`` left it out — is reported
-    UNKNOWN.  Returns the number of aggregate proofs run.
+    survivors.  Every one of ``names`` left without a verdict when the
+    budget ran out is reported UNKNOWN.  Returns the number of
+    aggregate proofs run.
+
+    The aggregates' AND gates go into one private copy of the AIG
+    (same node numbering, so the same encoding and search): the
+    caller's design, and every digest of it, stays as it was.
     """
     wanted = set(names)
-    remaining: list[Property] = [
-        p
-        for p in ts.properties
-        # The HWMCC sets do not mark ETF properties, hence the default.
-        if p.name in wanted and (config.include_etf or not p.expected_to_fail)
-    ]
+    remaining: list[Property] = [p for p in ts.properties if p.name in wanted]
+    aig = pickle.loads(pickle.dumps(ts.aig, pickle.HIGHEST_PROTOCOL))
     iteration = 0
 
     def record(prop_name: str, status: PropStatus, **kwargs: object) -> None:
@@ -70,10 +71,10 @@ def verify_jointly(
     while remaining and not budget.exhausted():
         iteration += 1
         aggregate_name = f"{_AGGREGATE_PREFIX}_{iteration}"
-        aggregate_lit = ts.aig.and_many(p.lit for p in remaining)
+        aggregate_lit = aig.and_many(p.lit for p in remaining)
         # Not registered on the AIG: the aggregate is private to this view.
         agg_prop = Property(name=aggregate_name, lit=aggregate_lit)
-        view = TransitionSystem(ts.aig, properties=[agg_prop])
+        view = TransitionSystem(aig, properties=[agg_prop])
         send(PropertyStarted(name=aggregate_name))
         result = ic3_check(
             view,
@@ -84,7 +85,6 @@ def verify_jointly(
                 ctg=config.ctg,
                 solver_backend=config.solver_backend,
                 emit=send,
-                **config.engine,
             ),
         )
         elapsed = budget.elapsed()

@@ -175,7 +175,6 @@ def _run_ic3(
         solver_backend=options.solver_backend,
         emit=emit,
         certifier=run_certifier,
-        **dict(options.engine_overrides),
     )
     try:
         result = ic3_check(run_ts, name, ic3_opts)

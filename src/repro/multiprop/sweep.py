@@ -40,11 +40,10 @@ def sweep(
     runs: int = 32,
     depth: int = 32,
     seed: int = 0,
-    input_bias: float = 0.5,
 ) -> SweepResult:
     """Random-simulate the design and classify properties.
 
-    Each run drives all inputs with independent biased coin flips for
+    Each run drives all inputs with independent fair coin flips for
     ``depth`` cycles and evaluates every still-unfailed property each
     cycle.  Witness traces are truncated at the property's first failure
     so they validate as counterexamples.
@@ -66,7 +65,7 @@ def sweep(
         inputs_so_far: list[dict[int, bool]] = []
         for _ in range(depth):
             frame_inputs = {
-                inp: rng.random() < input_bias for inp in ts.aig.inputs
+                inp: rng.random() < 0.5 for inp in ts.aig.inputs
             }
             inputs_so_far.append(frame_inputs)
             result.frames_simulated += 1

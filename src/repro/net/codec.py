@@ -51,8 +51,6 @@ from ..progress import (
     PropertyRequeued,
     PropertySolved,
     PropertyStarted,
-    RunFinished,
-    RunStarted,
     ServiceSaturated,
     StatsSnapshot,
     WorkerStarted,
@@ -80,8 +78,6 @@ WIRE_VERSION = 1
 #: through it, and the codec tests diff it against ``repro/progress.py``
 #: so it can never silently fall behind.
 EVENT_TYPES: tuple[type[ProgressEvent], ...] = (
-    RunStarted,
-    RunFinished,
     CacheHit,
     PropertyStarted,
     PropertySolved,

@@ -6,15 +6,12 @@ generalized to ``workers <= len(properties)``), merges the workers'
 progress-event streams into the job's ``emit`` channel, aggregates the
 per-property verdicts into one
 :class:`~repro.multiprop.report.MultiPropReport`, and cancels the
-still-queued remainder early when
-
-* the run-level verdict is decided: ``stop_on_failure`` is set and a
-  property came back FAILS (the aggregate "all properties hold" is then
-  false, and per Section 3 the debugging set must be fixed before the
-  rest is worth finishing), or
-* the ``total_time`` budget expired (the watchdog also clamps each
-  job's per-property budget, so no single worker can overrun the total
-  by more than one property's worth of work).
+still-queued remainder early when the ``total_time`` budget expired
+(the watchdog also clamps each job's per-property budget, so no single
+worker can overrun the total by more than one property's worth of
+work).  Every property is proved otherwise: the deliverable is the
+whole debugging set (Sections 3-4), so a FAILS verdict cancels
+nothing.
 
 Cancelled properties are reported UNKNOWN, exactly like the sequential
 driver's budget-exhausted tail.
@@ -42,10 +39,10 @@ Design notes
   ``2 × workers`` attempts, so each job's last rounds are dealt on
   demand to whichever seat frees first.  Queueing behind the seat's own
   job keeps a cancel's wait within that job's budgets: a queued
-  attempt never waits on another job's proof, and never adds a seat to
-  a job's ``max_seats`` count.  A seat's messages arrive in FIFO order,
-  so its running attempt's terminal message always precedes the queued
-  one's first event: on it the queued attempt becomes the running one.
+  attempt never waits on another job's proof.  A seat's messages
+  arrive in FIFO order, so its running attempt's terminal message
+  always precedes the queued one's first event: on it the queued
+  attempt becomes the running one.
   Each seat's own output queue carries its events, results and
   errors, and the pool reads them all in one wait, so the parent needs
   no auxiliary threads and, with one worker and one job, the message
@@ -70,9 +67,9 @@ Design notes
   at its newest one — the queued attempt's when there is one — so the
   running attempt reports UNKNOWN within one budget check of its engine
   and the queued one is declined unstarted, together, whatever the
-  job's age.  The watchdog and ``stop_on_failure`` let the running
-  attempt finish, since its verdict still counts, and stop a queued
-  attempt only once it becomes its seat's running one.
+  job's age.  The watchdog lets the running attempt finish, since its
+  verdict still counts, and stops a queued attempt only once it becomes
+  its seat's running one.
 * **Size-aware dispatch**: with no explicit property order, the backlog
   is ordered by *descending* estimated cone-of-influence size, the
   classic LPT list-scheduling heuristic — big proofs start first, so
@@ -174,7 +171,6 @@ class PooledJob:
         self.emit = emit
         self.order = list(order)
         self.weight = weight
-        self.max_seats = config.max_seats
         self.job_id = job_id
         self.on_finish = on_finish
         self.start = time.monotonic()
@@ -292,7 +288,6 @@ class PooledJob:
             "cancelled": self.cancelled_count,
             "worker_crashes": self.crashes,
             "dispatch": self.dispatch_mode,
-            "max_seats": self.max_seats,
             "redispatched": self.redispatched,
             "pool": self.pool_label,
             "pool_runs": pool.stats["runs"],
@@ -430,10 +425,6 @@ class SeatScheduler:
         """
         if priority <= 0:
             raise ValueError(f"priority must be > 0, got {priority!r}")
-        if config.max_seats is not None and config.max_seats < 1:
-            raise ValueError(
-                f"max_seats must be >= 1, got {config.max_seats!r}"
-            )
         pool = self.pool
         emit = emit_or_null(emit)
         # Fill never-started seats, then run a full reap — even with no
@@ -571,8 +562,6 @@ class SeatScheduler:
             health.delay = 0.0
             self._publish(job, outcome)
             job.record(outcome)
-            if job.config.stop_on_failure and outcome.status is PropStatus.FAILS:
-                self.cancel_job(job)
             self._advance(worker_id)
         elif kind == "cancelled":
             attempt = self._release(worker_id, run_id, message[3])
@@ -659,8 +648,8 @@ class SeatScheduler:
         The seat may already be proving it.  If its job was cancelled
         meanwhile, it is stopped here, by its own seq: the job wants no
         further work.  A user's cancel marked it already; the watchdog
-        and ``stop_on_failure`` could not while the attempt ahead of it,
-        whose verdict counts, was running.
+        could not while the attempt ahead of it, whose verdict counts,
+        was running.
         """
         queued = self.queued.pop(worker_id, None)
         if queued is not None:
@@ -674,9 +663,8 @@ class SeatScheduler:
 
         Only jobs whose setup this seat has acked are eligible (the
         FIFO control queue guarantees a worker never sees a job before
-        its run's design), a job already running on its ``max_seats``
-        quota is skipped outright, and ties go to the oldest run so
-        admission order breaks symmetry deterministically.
+        its run's design), and ties go to the oldest run so admission
+        order breaks symmetry deterministically.
         """
         busy: dict[int, int] = {}
         for run_id, _ in self.assignments.values():
@@ -688,10 +676,7 @@ class SeatScheduler:
                 continue
             if worker_id not in job.ready:
                 continue
-            held = busy.get(job.run_id, 0)
-            if job.max_seats is not None and held >= job.max_seats:
-                continue
-            key = ((held + 1) / job.weight, job.run_id)
+            key = ((busy.get(job.run_id, 0) + 1) / job.weight, job.run_id)
             if best_key is None or key < best_key:
                 best, best_key = job, key
         return best
@@ -707,11 +692,10 @@ class SeatScheduler:
         already on a seat still report: with ``stop`` (a user's cancel)
         their seats are stopped at once (:meth:`_stop_seats`), so the
         running attempt reports UNKNOWN at its next budget check and the
-        queued one is declined; without it (the watchdog,
-        ``stop_on_failure``) running ones run on and their verdicts
-        count — their per-property budget is clamped by this job's
-        total — and a queued one is stopped once it runs
-        (:meth:`_advance`).
+        queued one is declined; without it (the watchdog) running ones
+        run on and their verdicts count — their per-property budget is
+        clamped by this job's total — and a queued one is stopped once
+        it runs (:meth:`_advance`).
         """
         if job.finished:
             return

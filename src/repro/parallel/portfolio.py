@@ -5,9 +5,9 @@ walk falsifier, BMC, k-induction and the full IC3/JA ladder — on every
 property.  A portfolio job is an ordinary pooled job: its backlog holds
 one :class:`~repro.parallel.worker.PropertyJob` per property, carrying
 the slate, and its :class:`~repro.parallel.engine.PooledJob` takes each
-verdict the way it takes a ``parallel-ja`` one — so fair share,
-``max_seats``, ``stop_on_failure``, the watchdog and crash re-dispatch
-act on a race exactly as they act on a local proof.
+verdict the way it takes a ``parallel-ja`` one — so fair share, the
+watchdog, a user's cancel and crash re-dispatch act on a race exactly
+as they act on a local proof.
 
 The race runs on the seat that holds the property (:func:`race`), the
 way SMPT races its engines inside one process.  It goes in rounds

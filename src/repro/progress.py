@@ -27,7 +27,6 @@ The event vocabulary mirrors what the paper's tables measure:
   abandoned a queued property after early cancellation (the property
   still gets its UNKNOWN :class:`PropertySolved`, preserving the
   one-verdict-per-property invariant);
-* :class:`RunStarted` / :class:`RunFinished` — session bracketing;
 * :class:`AttemptStarted` / :class:`PortfolioDecided` — a portfolio
   race gave one engine its first slice, or reached its verdict
   (winning engine + wall-clock) for one property;
@@ -37,7 +36,9 @@ The event vocabulary mirrors what the paper's tables measure:
   :class:`ServiceSaturated` — the job-oriented
   :class:`~repro.service.VerificationService` admitted, started or
   finished one submitted job, or refused admission because its bounded
-  queue is full (back-pressure made observable);
+  queue is full (back-pressure made observable); every
+  ``Session.run`` is one such job, so ``JobQueued`` opens its stream
+  and ``JobFinished`` closes it, also when the strategy raises;
 * :class:`StatsSnapshot` — a periodic sample of the service's
   introspection surface (pool occupancy, seat backoff state, queue
   depth, latencies), emitted by ``VerificationService.emit_stats``;
@@ -57,8 +58,6 @@ from typing import ClassVar
 
 __all__ = [
     "ProgressEvent",
-    "RunStarted",
-    "RunFinished",
     "PropertyStarted",
     "PropertySolved",
     "FrameAdvanced",
@@ -91,29 +90,6 @@ class ProgressEvent:
     """Base class of every progress event."""
 
     kind: ClassVar[str] = "event"
-
-
-@dataclass(frozen=True)
-class RunStarted(ProgressEvent):
-    """A verification run began (first event of every session)."""
-
-    kind: ClassVar[str] = "run-started"
-    strategy: str
-    design: str
-    properties: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RunFinished(ProgressEvent):
-    """A verification run completed (last event of every session)."""
-
-    kind: ClassVar[str] = "run-finished"
-    strategy: str
-    design: str
-    total_time: float
-    num_true: int
-    num_false: int
-    num_unknown: int
 
 
 @dataclass(frozen=True)
@@ -222,13 +198,11 @@ class PoolAttached(ProgressEvent):
 class PropertyCancelled(ProgressEvent):
     """A queued property was abandoned by early cancellation.
 
-    Emitted when the run-level verdict is already decided (a failure
-    was found under ``stop_on_failure``), the total budget expired or
-    the user cancelled: for each attempt still in the job's backlog
-    (``worker`` is ``None``) and for a queued attempt its seat declined
-    unstarted because the seat's stop mark had reached it (``worker``
-    is that seat).  Always followed by an UNKNOWN
-    :class:`PropertySolved` for ``name``.
+    Emitted when the total budget expired or the user cancelled: for
+    each attempt still in the job's backlog (``worker`` is ``None``)
+    and for a queued attempt its seat declined unstarted because the
+    seat's stop mark had reached it (``worker`` is that seat).  Always
+    followed by an UNKNOWN :class:`PropertySolved` for ``name``.
     """
 
     kind: ClassVar[str] = "property-cancelled"
@@ -419,16 +393,6 @@ def emit_or_null(emit: Emit | None) -> Emit:
 
 def format_event(event: ProgressEvent) -> str:
     """One-line human rendering (used by ``--progress`` and examples)."""
-    if isinstance(event, RunStarted):
-        return (
-            f"[{event.kind}] {event.strategy} on {event.design} "
-            f"({len(event.properties)} properties)"
-        )
-    if isinstance(event, RunFinished):
-        return (
-            f"[{event.kind}] {event.num_false} false, {event.num_true} true, "
-            f"{event.num_unknown} unknown in {event.total_time:.2f}s"
-        )
     if isinstance(event, PropertyStarted):
         assumed = f" assuming {list(event.assumed)}" if event.assumed else ""
         return f"[{event.kind}] {event.name}{assumed}"
@@ -507,8 +471,11 @@ def format_event(event: ProgressEvent) -> str:
         )
     if isinstance(event, StatsSnapshot):
         stats = event.stats
-        pool = stats.get("pool") or {}
-        jobs = stats.get("jobs") or {}
+        # A snapshot decoded off the wire may carry anything here.
+        pool = stats.get("pool")
+        pool = pool if isinstance(pool, dict) else {}
+        jobs = stats.get("jobs")
+        jobs = jobs if isinstance(jobs, dict) else {}
         occupancy = (
             f"{pool.get('busy', 0)}/{pool.get('alive', 0)} seats busy"
             if pool

@@ -46,9 +46,8 @@ tables.  No driver runs another: ``joint`` and ``clustered`` share one
 aggregate loop (:func:`~repro.multiprop.joint.verify_jointly`), ``ja``
 and ``separate`` one per-property loop.  The one projection is
 ``config.proof_options()`` → :class:`~repro.config.ProofOptions`: the
-frozen, picklable nine-knob record
-:func:`~repro.multiprop.local.prove` reads, and the only thing that
-crosses to a pool seat.
+frozen, picklable record :func:`~repro.multiprop.local.prove` reads,
+and the only thing that crosses to a pool seat.
 
 The SAT solver underneath every engine is one such knob:
 ``VerificationConfig.solver_backend`` names an entry of the
@@ -77,11 +76,7 @@ property slot (paper Section 11) through
 ``VerificationConfig.pool``
     a persistent :class:`~repro.parallel.pool.WorkerPool` shared
     across ``Session.run()`` calls (workers and shipped designs are
-    reused);
-``VerificationConfig.stop_on_failure``
-    early-cancel queued properties once one comes back FAILS (the
-    run-level "all hold" verdict is then decided); cancelled
-    properties are reported UNKNOWN.
+    reused).
 
 Worker progress events are merged into the session's normal event
 channel; :class:`WorkerStarted`, :class:`PropertyCancelled` and
@@ -134,13 +129,11 @@ from ..progress import (
     PropertyRequeued,
     PropertySolved,
     PropertyStarted,
-    RunFinished,
-    RunStarted,
     ServiceSaturated,
     WorkerStarted,
     format_event,
 )
-from ..config import ENGINE_OVERRIDE_KEYS, ConfigError, VerificationConfig, resolve_order
+from ..config import ConfigError, VerificationConfig, resolve_order
 from .core import Session, load_design
 from .registry import (
     Strategy,
@@ -158,7 +151,6 @@ __all__ = [
     "Session",
     "VerificationConfig",
     "ConfigError",
-    "ENGINE_OVERRIDE_KEYS",
     "resolve_order",
     "load_design",
     "Strategy",
@@ -168,8 +160,6 @@ __all__ = [
     "get_strategy",
     "available_strategies",
     "ProgressEvent",
-    "RunStarted",
-    "RunFinished",
     "PropertyStarted",
     "PropertySolved",
     "FrameAdvanced",

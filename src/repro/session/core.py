@@ -24,7 +24,7 @@ from ..circuit.aig import AIG
 from ..circuit.aiger import load_design
 from ..config import ConfigError, VerificationConfig, resolve_order
 from ..multiprop.report import MultiPropReport
-from ..progress import Emit, ProgressEvent, RunFinished, RunStarted
+from ..progress import Emit, ProgressEvent
 from ..ts.system import TransitionSystem
 from .registry import Strategy, get_strategy
 
@@ -129,47 +129,26 @@ class Session:
         A thin synchronous wrapper over
         :func:`~repro.service.core.run_one`: the run is the one job of
         a :class:`~repro.service.VerificationService`, so the one-shot
-        API exercises exactly the machinery the server API does (the
-        job lifecycle shows up in the event stream as
-        ``job-queued``/``job-started``/``job-finished`` between the
-        session's :class:`RunStarted`/:class:`RunFinished` brackets).
-
-        :class:`RunFinished` is emitted even when the strategy raises
-        (with zeroed counters), so subscribers can always close their
-        bookkeeping on it; the exception then propagates to the caller.
+        API exercises exactly the machinery the server API does.  The
+        job's lifecycle brackets the event stream:
+        :class:`~repro.progress.JobQueued` comes first and
+        :class:`~repro.progress.JobFinished` last, also when the
+        strategy raises (status ``failed``, zeroed counters), so
+        subscribers can always close their bookkeeping on it; the
+        exception then propagates to the caller.
         """
         from ..service.core import run_one
 
         get_strategy(self.config.strategy)  # fail fast, as before
-        self._emit(
-            RunStarted(
-                strategy=self.config.strategy,
-                design=self.config.design_name,
-                properties=tuple(p.name for p in self.ts.properties),
-            )
-        )
-        report: MultiPropReport | None = None
-        try:
-            report = run_one(self.ts, self.config, self._emit)
-        finally:
-            self._emit(
-                RunFinished(
-                    strategy=self.config.strategy,
-                    design=self.config.design_name,
-                    total_time=report.total_time if report is not None else 0.0,
-                    num_true=len(report.true_props()) if report is not None else 0,
-                    num_false=len(report.false_props()) if report is not None else 0,
-                    num_unknown=len(report.unsolved()) if report is not None else 0,
-                )
-            )
-        self.report = report
-        return report
+        self.report = run_one(self.ts, self.config, self._emit)
+        return self.report
 
     def stream(self) -> Iterator[ProgressEvent]:
         """Run on a worker thread, yielding events as they are emitted.
 
-        The generator terminates after :class:`RunFinished`; the report
-        is then available as :attr:`report`.  Exceptions raised by the
+        The generator terminates after
+        :class:`~repro.progress.JobFinished`; the report is then
+        available as :attr:`report`.  Exceptions raised by the
         strategy re-raise here, on the consumer's thread.
 
         Abandoning the iterator early (``break``, ``close()``) detaches

@@ -216,8 +216,8 @@ class TransitionSystem:
         over variables ``1..n`` plus the encoding's maps over the same
         variables.  Templates are dropped when anything they encode has
         changed since: the properties, the latches, the inputs or the
-        AIG's constraints.  AND nodes appended to the AIG afterwards (as
-        ``aggregate_property_lit`` does) are in no existing cone and
+        AIG's constraints.  AND nodes appended to the AIG afterwards
+        (say, by ``aggregate_property_lit``) are in no existing cone and
         leave them valid.  They are built under the system's lock, so jobs
         sharing a system (a proof-cache cone) build each template once.
         """

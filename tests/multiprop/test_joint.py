@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from repro.cache.hashing import design_digest
 from repro.circuit.aig import AIG, aig_not
-from repro.engines.result import PropStatus
+from repro.gen import buggy_counter
 from repro.gen.random_designs import random_design
+from repro.multiprop.clustering import clustered_verify
 from repro.multiprop.joint import joint_verify
 from repro.session import VerificationConfig
 from repro.ts.projection import ProjectedReachability
@@ -85,3 +87,15 @@ class TestAllTrue:
         n_before = len(counter4.aig.properties)
         joint_verify(counter4)
         assert len(counter4.aig.properties) == n_before
+
+    def test_the_design_is_left_as_it_was(self):
+        # The aggregates are built on a private copy of the AIG: a joint
+        # or clustered run leaves the caller's design, and its digest,
+        # untouched, run after run, with the same verdicts each time.
+        ts = TransitionSystem(buggy_counter(4))
+        ands, digest = ts.aig.stats()["ands"], design_digest(ts)
+        for verify in (joint_verify, clustered_verify, joint_verify):
+            report = verify(ts)
+            assert report.false_props() == ["P0", "P1"]
+            assert ts.aig.stats()["ands"] == ands
+            assert design_digest(ts) == digest

@@ -33,8 +33,8 @@ from repro.net.codec import (
 from repro.progress import (
     JobFinished,
     ProgressEvent,
+    JobQueued,
     PropertySolved,
-    RunStarted,
     format_event,
 )
 
@@ -127,9 +127,9 @@ def test_version_mismatch_raises():
 
 
 def test_missing_required_field_raises():
-    wire = encode_event(RunStarted(strategy="ja", design="d", properties=("p",)))
+    wire = encode_event(JobQueued(job="j", design="d", strategy="ja"))
     del wire["design"]
-    with pytest.raises(CodecError, match="run-started"):
+    with pytest.raises(CodecError, match="job-queued"):
         decode_event(wire)
 
 

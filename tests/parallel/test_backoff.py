@@ -1,4 +1,4 @@
-"""Per-seat crash backoff, seat quotas, and revival-path regressions.
+"""Per-seat crash backoff and revival-path regressions.
 
 Most tests drive a :class:`SeatScheduler` against an in-process stub
 pool: seats are plain set entries, crashes are ``kill()`` calls, and
@@ -178,13 +178,12 @@ class _StubPool:
         return fresh
 
 
-def _admit(scheduler, names, *, priority=1.0, max_seats=None, job_id=None):
+def _admit(scheduler, names, *, priority=1.0, job_id=None):
     config = VerificationConfig(
         design_name="stub-design",
         workers=scheduler.pool.workers,
         exchange=False,
         order=list(names),
-        max_seats=max_seats,
     )
     return scheduler.admit(
         object(),  # the stub never touches the design
@@ -544,43 +543,6 @@ class TestBackoffSchedule:
         assert health.consecutive == 1
         _serve_everything(scheduler)
         assert job.finished and job.error is None
-
-
-class TestSeatQuota:
-    def test_max_seats_caps_a_jobs_held_seats(self):
-        pool = _StubPool(workers=4)
-        scheduler = SeatScheduler(pool)
-        capped = _admit(
-            scheduler, [f"a{i}" for i in range(4)], max_seats=1, job_id="capped"
-        )
-        greedy = _admit(
-            scheduler, [f"b{i}" for i in range(4)], job_id="greedy"
-        )
-        _pump(scheduler)
-        held: dict[int, int] = {}
-        for run_id, _ in scheduler.assignments.values():
-            held[run_id] = held.get(run_id, 0) + 1
-        assert held[capped.run_id] == 1
-        assert held[greedy.run_id] == 3
-        # The quota holds at every refill, and both jobs still finish.
-        for _ in range(40):
-            if not scheduler.assignments:
-                break
-            _serve(scheduler, next(iter(scheduler.assignments)))
-            _pump(scheduler)
-            capped_held = sum(
-                1
-                for run_id, _ in scheduler.assignments.values()
-                if run_id == capped.run_id
-            )
-            assert capped_held <= 1
-        assert capped.finished and greedy.finished
-
-    def test_admit_rejects_non_positive_quota(self):
-        pool = _StubPool(workers=1)
-        scheduler = SeatScheduler(pool)
-        with pytest.raises(ValueError, match="max_seats"):
-            _admit(scheduler, ["p0"], max_seats=0)
 
 
 class TestSchedulerStats:

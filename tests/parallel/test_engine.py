@@ -100,20 +100,43 @@ class TestEngine:
 
 
 class TestEarlyCancellation:
-    def test_stop_on_failure_cancels_the_queue(self, toggler):
-        # One worker, failing property first: everything behind it in
-        # the queue must be cancelled deterministically.
+    def test_the_watchdog_cancels_the_queue(self, toggler):
+        # One seat, failing property first.  Its verdict event moves the
+        # job's deadline into the past; the message after it is its
+        # result, and one message per step puts the watchdog's check in
+        # between: the property behind it in the backlog is cancelled
+        # deterministically, with no sleep.
         events = []
-        options = VerificationConfig(
-            workers=1, stop_on_failure=True, order=["never_q", "never_r"]
-        )
-        report = parallel_ja_verify(toggler, options, emit=events.append)
+
+        def emit(event):
+            events.append(event)
+            if isinstance(event, PropertySolved) and event.name == "never_q":
+                job.deadline = job.start - 1.0
+
+        order = ["never_q", "never_r"]
+        config = VerificationConfig(workers=1, total_time=3600.0, order=order)
+        with WorkerPool(workers=1) as pool:
+            scheduler = SeatScheduler(pool)
+            try:
+                job = scheduler.admit(toggler, config, emit, order)
+                while scheduler.jobs:
+                    scheduler.step(max_messages=1)
+                report = job.build_report(pool)
+            finally:
+                scheduler.close()
+        assert job.cancelled and job.error is None
+        # The running attempt's verdict counts.
         assert report.outcomes["never_q"].status is PropStatus.FAILS
         assert report.outcomes["never_r"].status is PropStatus.UNKNOWN
         assert report.stats["cancelled"] == 1
-        cancelled = [e for e in events if isinstance(e, PropertyCancelled)]
-        assert [e.name for e in cancelled] == ["never_r"]
-        # The one-verdict-per-property invariant survives cancellation.
+        # The queued one: cancelled, then its one UNKNOWN verdict.
+        never_r = [
+            e for e in events
+            if isinstance(e, (PropertyCancelled, PropertySolved))
+            and e.name == "never_r"
+        ]
+        assert [type(e) for e in never_r] == [PropertyCancelled, PropertySolved]
+        assert never_r[1].status is PropStatus.UNKNOWN
         solved = [e for e in events if isinstance(e, PropertySolved)]
         assert sorted(e.name for e in solved) == ["never_q", "never_r"]
 
@@ -131,8 +154,8 @@ class TestSessionIntegration:
     def test_session_stream_merges_worker_events(self, toggler):
         session = Session(toggler, strategy="parallel-ja", workers=2)
         kinds = [event.kind for event in session.stream()]
-        assert kinds[0] == "run-started"
-        assert kinds[-1] == "run-finished"
+        assert kinds[0] == "job-queued"
+        assert kinds[-1] == "job-finished"
         assert kinds.count("worker-started") == 2
         assert kinds.count("property-solved") == len(toggler.properties)
         assert session.report is not None

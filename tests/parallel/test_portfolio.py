@@ -12,9 +12,8 @@ Five layers, mirroring how a portfolio job runs in production:
 * **Arbitration fault injection** — the same race with engines that
   hang, raise or would contradict the decision.
 * **One job on the scheduler** — ``test_backoff``'s stub pool: one
-  attempt per property carries the slate, so ``max_seats``,
-  ``stop_on_failure``, a user's cancel and crash re-dispatch act on a
-  race as on any pooled attempt.
+  attempt per property carries the slate, so the watchdog, a user's
+  cancel and crash re-dispatch act on a race as on any pooled attempt.
 * **Service** — real :class:`VerificationService` runs, where the job
   is stepped by the service dispatcher.
 """
@@ -47,6 +46,7 @@ from repro.progress import (
     AttemptStarted,
     ClauseExport,
     PortfolioDecided,
+    PropertyCancelled,
     PropertySolved,
     PropertyStarted,
 )
@@ -484,36 +484,46 @@ class TestOneJobOnTheScheduler:
         assert job.backlog == []
         assert {run_id for _, run_id, _ in pool.assigned} == {job.run_id}
 
-    def test_max_seats_caps_the_whole_job(self, toggler):
-        # The quota is the job's: a max_seats=1 race on two seats holds
-        # one of them.
+    def test_the_watchdog_cancels_the_queued_races(self):
+        # A failure cancels nothing.  Once the deadline has passed, the
+        # watchdog drains the backlog unrun; the race in flight is not
+        # stopped and its verdict counts; the one queued behind it is
+        # stopped, by its own seq, when it becomes the seat's running one.
+        events: list = []
+        names = ["p0", "p1", "p2", "p3", "p4"]
         pool, scheduler, job = _admit_race(
-            toggler, ["never_r", "never_q"], ("rw", "bmc"), max_seats=1
+            object(), names, ("rw", "bmc"), workers=1, events=events,
+            total_time=3600.0,
         )
-        assert _seated(scheduler) == ["never_r"]
-        _answer(scheduler, job, "never_r", PropStatus.HOLDS, engine="bmc")
-        assert _seated(scheduler) == ["never_q"]
-
-    def test_stop_on_failure_cancels_the_remaining_races(self):
-        # The failure cancels the job: the queued race is drained unrun,
-        # the one on the other seat is not stopped and its verdict counts.
-        names = ["p0", "p1", "p2"]
-        pool, scheduler, job = _admit_race(
-            object(), names, ("rw", "bmc"), stop_on_failure=True
-        )
-        assert _seated(scheduler) == ["p0", "p1"]
         _answer(scheduler, job, "p0", PropStatus.FAILS, engine="rw")
-        assert job.cancelled
-        assert pool.stopped == [] and job.backlog == [] and not job.finished
+        assert not job.cancelled
+        assert _seated(scheduler) == ["p1"]
+        assert [a.name for _, a in scheduler.queued.values()] == ["p2"]
+        job.deadline = job.start - 1.0  # the watchdog's deadline has passed
+        scheduler.step(timeout=0)
+        assert job.cancelled and job.backlog == [] and pool.stopped == []
         _answer(scheduler, job, "p1", PropStatus.HOLDS, engine="kind")
+        assert [(seat, a.name) for seat, a in pool.stopped] == [(0, "p2")]
+        scheduler._dispatch_message(("cancelled", job.run_id, 0, "p2"))
         assert job.finished
         report = job.build_report(pool)
         assert [report.outcomes[n].status for n in names] == [
             PropStatus.FAILS,
             PropStatus.HOLDS,
             PropStatus.UNKNOWN,
+            PropStatus.UNKNOWN,
+            PropStatus.UNKNOWN,
         ]
-        assert [a.name for _, _, a in pool.assigned] == ["p0", "p1"]
+        assert [a.name for _, _, a in pool.assigned] == ["p0", "p1", "p2"]
+        # Each cancelled race: PropertyCancelled, then one UNKNOWN verdict.
+        for name in ("p2", "p3", "p4"):
+            mine = [
+                e for e in events
+                if isinstance(e, (PropertyCancelled, PropertySolved))
+                and e.name == name
+            ]
+            assert [type(e) for e in mine] == [PropertyCancelled, PropertySolved]
+            assert mine[1].status is PropStatus.UNKNOWN
 
     def test_a_stopped_attempt_keeps_its_seat_busy_until_it_reports(self, toggler):
         delivered: list = []

@@ -8,13 +8,10 @@ dict-compatible reads that keep pre-stats callers working.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.parallel.stats import PoolStats, SeatStats
 from repro.progress import StatsSnapshot, format_event
 from repro.service import JobStats, ServiceStats, VerificationService
 from repro.service.stats import latency_summary
-from repro.session import ConfigError, VerificationConfig
 
 
 class TestIdleService:
@@ -114,26 +111,6 @@ class TestStatsSnapshotEvent:
     def test_snapshot_renders_without_a_pool(self):
         line = format_event(StatsSnapshot(stats={}))
         assert "no pool" in line
-
-
-class TestMaxSeatsConfig:
-    def test_validation_rejects_bad_quotas(self):
-        for bad in (0, -1, True, 1.5):
-            with pytest.raises(ConfigError, match="max_seats"):
-                VerificationConfig(max_seats=bad).validate()
-        VerificationConfig(max_seats=1).validate()
-        VerificationConfig(max_seats=None).validate()
-
-    def test_quota_travels_into_the_pooled_job_report(self, toggler):
-        with VerificationService(workers=2) as service:
-            report = service.submit(
-                toggler, strategy="parallel-ja", max_seats=1
-            ).result(timeout=120)
-        assert report.stats["max_seats"] == 1
-        assert {o.status.value for o in report.outcomes.values()} == {
-            "holds",
-            "fails",
-        }
 
 
 class TestLatencySummary:

@@ -42,17 +42,13 @@ class TestValidate:
         VerificationConfig(order=order).validate()
 
     def test_unknown_engine_override_rejected(self):
-        with pytest.raises(ConfigError, match="engine override"):
-            VerificationConfig(engine={"seed_clauses": []}).validate()
+        # IC3's options are the engine's own: a run cannot override them.
+        with pytest.raises(ConfigError, match="unknown config field"):
+            VerificationConfig().with_overrides(engine={"seed_clauses": []})
 
     def test_bad_pool_rejected(self):
         with pytest.raises(ConfigError, match="WorkerPool"):
             VerificationConfig(pool="not-a-pool").validate()
-
-    def test_known_engine_overrides_accepted(self):
-        VerificationConfig(
-            engine={"generalize_passes": 1, "max_ctgs": 1}
-        ).validate()
 
 
 class TestWithOverrides:

@@ -9,11 +9,11 @@ from repro.progress import (
     ClauseExport,
     ClauseImport,
     FrameAdvanced,
+    JobFinished,
+    JobQueued,
     ProgressEvent,
     PropertySolved,
     PropertyStarted,
-    RunFinished,
-    RunStarted,
 )
 from repro.session import Session
 
@@ -28,12 +28,14 @@ def collect(design, **config):
 class TestBracketing:
     @pytest.mark.parametrize("strategy", ["ja", "joint", "separate", "clustered"])
     def test_run_events_bracket_the_stream(self, counter4, strategy):
+        # A run is one service job: its lifecycle events bracket it.
         events, report = collect(counter4, strategy=strategy)
-        assert isinstance(events[0], RunStarted)
-        assert isinstance(events[-1], RunFinished)
+        assert isinstance(events[0], JobQueued)
+        assert isinstance(events[-1], JobFinished)
         assert events[0].strategy == strategy
-        assert events[0].properties == ("P0", "P1")
+        assert events[0].job == events[-1].job
         finished = events[-1]
+        assert finished.status == "done"
         assert finished.num_false == len(report.false_props())
         assert finished.num_true == len(report.true_props())
         assert finished.num_unknown == len(report.unsolved())
@@ -108,8 +110,9 @@ class TestChannels:
             session.subscribe(seen.append)
             with pytest.raises(RuntimeError, match="boom"):
                 list(session.stream())
-            # RunFinished still brackets the stream on failure.
-            assert isinstance(seen[-1], RunFinished)
+            # JobFinished still brackets the stream on failure.
+            assert isinstance(seen[-1], JobFinished)
+            assert seen[-1].status == "failed"
             assert seen[-1].num_true == seen[-1].num_false == 0
         finally:
             unregister_strategy("exploding")
@@ -118,7 +121,7 @@ class TestChannels:
         session = Session(counter4, strategy="ja")
         iterator = session.stream()
         first = next(iterator)
-        assert isinstance(first, RunStarted)
+        assert isinstance(first, JobQueued)
         iterator.close()  # must detach promptly, not join the whole run
 
     def test_started_and_solved_paired_when_budget_skips(self, counter4):

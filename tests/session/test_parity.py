@@ -1,6 +1,6 @@
-"""Strategies driven through the facade: every property gets a verdict
-and ``config.engine`` reaches the engine.  (Each built-in strategy *is*
-its driver function, so there is no second path to compare with.)"""
+"""Strategies driven through the facade: every property gets a verdict.
+(Each built-in strategy *is* its driver function, so there is no second
+path to compare with.)"""
 
 from __future__ import annotations
 
@@ -34,27 +34,6 @@ class TestStrategiesThroughSession:
         assert set(report.outcomes) == {
             p.name for p in failing_family.properties
         }
-
-    def test_clustered_forwards_engine_overrides(self, counter4):
-        # Same override path as the other strategies: every cluster's
-        # aggregate proof must receive config.engine (regression: it was
-        # dropped).
-        report = Session(
-            counter4,
-            strategy="clustered",
-            engine={"generalize_passes": 1},
-        ).run()
-        assert not report.unsolved()
-
-    def test_engine_overrides_reach_ic3(self, counter4):
-        # Both keys are IC3Options fields: an override that did not take
-        # the documented IC3Options(**engine) path would raise TypeError.
-        report = Session(
-            counter4,
-            strategy="ja",
-            engine={"max_ctgs": 1, "generalize_passes": 1},
-        ).run()
-        assert not report.unsolved()
 
 
 def _etf_design():

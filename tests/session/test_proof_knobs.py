@@ -104,12 +104,6 @@ KNOBS = {
         lambda p: p.solver_backend == "cdcl-compact",
         ROWS,
     ),
-    "engine": Knob(
-        {"generalize_passes": 1},
-        lambda o: o.generalize_passes == 1,
-        lambda p: p.engine_overrides == {"generalize_passes": 1},
-        ROWS,
-    ),
     "respect_constraints_in_lifting": Knob(
         True,
         lambda o: o.respect_constraints_in_lifting,
@@ -182,11 +176,10 @@ def test_coi_reduction(selector, seen, monkeypatch):
 
 @pytest.mark.parametrize("selector", AGGREGATE)
 def test_include_etf(selector):
+    # An expected-to-fail property is in the aggregate like any other.
     design = buggy_counter(4)
     design.properties[0] = replace(design.properties[0], expected_to_fail=True)
     assert _run(selector, design).outcomes["P0"].status is PropStatus.FAILS
-    left_out = _run(selector, design, include_etf=False)
-    assert left_out.outcomes["P0"].status is PropStatus.UNKNOWN
 
 
 @pytest.mark.parametrize("selector", [r for r in ROWS if not _pooled(*r.values)])

@@ -140,8 +140,11 @@ class TestCheck:
         assert "unknown order" in capsys.readouterr().err
 
     def test_rebuild_per_query_override_rejected(self, counter_file, capsys):
-        assert main(["check", counter_file, "--engine", "incremental=false"]) == 2
-        assert "unknown engine override" in capsys.readouterr().err
+        # No flag reaches IC3's options: the search is the one search.
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", counter_file, "--engine", "incremental=false"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_strategy_flag(self, counter_file):
         assert main(["check", counter_file, "--strategy", "joint"]) == 1
@@ -154,9 +157,9 @@ class TestCheck:
     def test_progress_streams_events(self, counter_file, capsys):
         assert main(["check", counter_file, "--progress"]) == 1
         out = capsys.readouterr().out
-        assert "[run-started]" in out
+        assert "[job-queued]" in out
         assert "[property-solved]" in out
-        assert "[run-finished]" in out
+        assert "[job-finished]" in out
 
 
 class TestInputErrors:
