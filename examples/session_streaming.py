@@ -3,8 +3,8 @@
 
 Two things the unified API enables, demonstrated on the buggy counter:
 
-1. **Event streaming** — ``Session.stream()`` runs the strategy on a
-   worker thread and yields typed progress events as they happen, so a
+1. **Event streaming** — ``Session.stream()`` runs the strategy as one
+   service job and yields typed progress events as they happen, so a
    dashboard (or a sharding scheduler) can watch frames advance and
    clauses flow between properties without polling.
 

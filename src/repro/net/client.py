@@ -35,7 +35,7 @@ from collections.abc import Iterator
 
 from ..multiprop.report import MultiPropReport
 from ..progress import JobFinished, ProgressEvent
-from .codec import WIRE_VERSION, CodecError, decode_event, decode_report
+from .codec import CodecError, decode_event, decode_report
 
 __all__ = [
     "RemoteError",

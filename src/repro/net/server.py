@@ -24,11 +24,12 @@ GET      ``/cache/stats``       proof-cache counters (hits/misses/rejects)
 GET      ``/healthz``           liveness + drain state
 =======  =====================  ==============================================
 
-**Event streams are replayable.**  The server records every event of
-every job it submitted (events are small; counterexample traces never
-travel).  A stream names its start cursor via the standard
+**Event streams are replayable.**  A stream reads the job's one event
+log, which its :class:`~repro.service.JobHandle` keeps (events are
+small; counterexample traces never travel), and encodes each event as
+it sends it.  A stream names its start cursor via the standard
 ``Last-Event-ID`` header or ``?after=N``: event ids are 1-based
-sequence numbers per job, ``after=N`` means "resume with event N+1".  A
+positions in that log, ``after=N`` means "resume with event N+1".  A
 killed-and-reconnected stream therefore never drops or duplicates
 events.  Streams end by themselves once the job's terminal
 :class:`~repro.progress.JobFinished` has been delivered, or once their
@@ -215,43 +216,6 @@ class _Response:
         http.wfile.write(body)
 
 
-class _EventLog:
-    """The replayable, thread-safe event history of one job.
-
-    Appends arrive on service/dispatcher threads; SSE streams wait on
-    the condition on their connections' threads.  Events are encoded
-    once at append time (the encoded dict is immutable shared data) and
-    ids are 1-based positions.
-    """
-
-    def __init__(self) -> None:
-        self._changed = threading.Condition()
-        self._events: list[dict] = []
-        self._done = False
-
-    def append(self, event: ProgressEvent) -> None:
-        try:
-            data = encode_event(event)
-        except CodecError:
-            # An unregistered (plugin) event must not fail the job just
-            # because a stream is attached; ship an opaque stand-in.
-            data = {"v": WIRE_VERSION, "kind": "event", "opaque": repr(event)}
-        with self._changed:
-            self._events.append(data)
-            if isinstance(event, JobFinished):
-                self._done = True
-            self._changed.notify_all()
-
-    def snapshot(self, after: int, wait: float = 0.0) -> tuple[list[tuple[int, dict]], bool]:
-        """``(events numbered > after, job finished?)``, waiting up to
-        ``wait`` seconds for a first new event."""
-        with self._changed:
-            if wait and len(self._events) <= after and not self._done:
-                self._changed.wait(wait)
-            items = list(enumerate(self._events[after:], start=after + 1))
-            return items, self._done
-
-
 def _peer_closed(sock: socket.socket) -> bool:
     """Has the client hung up?  (A stream's client sends nothing after
     its request, so a readable socket with no data is an EOF.)"""
@@ -341,7 +305,6 @@ class VerificationServer:
         self._thread: threading.Thread | None = None
         self._registry_lock = threading.Lock()
         self._handles: dict[str, JobHandle] = {}
-        self._logs: dict[str, _EventLog] = {}
         self._draining = False
         self._open_streams = 0
         self._requests_served = 0
@@ -458,14 +421,13 @@ class VerificationServer:
             raise _HttpError(405, f"no route for {request.method} {request.path}")
         raise _HttpError(404, f"unknown path {request.path}")
 
-    def _job(self, request: _Request) -> tuple[JobHandle, _EventLog]:
+    def _job(self, request: _Request) -> JobHandle:
         job_id = request.params.get("id", "")
         with self._registry_lock:
             handle = self._handles.get(job_id)
-            log = self._logs.get(job_id)
-        if handle is None or log is None:
+        if handle is None:
             raise _HttpError(404, f"unknown job {job_id!r}")
-        return handle, log
+        return handle
 
     # ------------------------------------------------------------------
     # Handlers (one per ROUTES row)
@@ -487,12 +449,9 @@ class VerificationServer:
                 raise _HttpError(400, f"bad design_text: {exc}") from None
         elif design is None:
             raise _HttpError(400, "job spec names no design (design / design_text)")
-        log = _EventLog()
         try:
             config = VerificationConfig().with_overrides(**spec)
-            handle = self.service.submit(
-                design, config, priority=priority, block=False, on_event=log.append
-            )
+            handle = self.service.submit(design, config, priority=priority, block=False)
         except QueueFull as exc:
             raise _HttpError(
                 429,
@@ -505,17 +464,17 @@ class VerificationServer:
             raise _HttpError(400, f"cannot load design: {exc}") from None
         with self._registry_lock:
             self._handles[handle.job_id] = handle
-            self._logs[handle.job_id] = log
         return _Response(201, _job_info(handle))
 
     def _handle_job_status(self, request: _Request, http: _Handler) -> _Response:
-        handle, log = self._job(request)
-        events, done = log.snapshot(0)
-        return _Response(200, {**_job_info(handle), "events": len(events), "finished": done})
+        handle = self._job(request)
+        log = handle.log
+        finished = bool(log) and isinstance(log[-1], JobFinished)
+        return _Response(200, {**_job_info(handle), "events": len(log), "finished": finished})
 
     def _handle_job_events(self, request: _Request, http: _Handler) -> None:
         """The SSE stream (streams inline; returns no :class:`_Response`)."""
-        handle, log = self._job(request)
+        handle = self._job(request)
         cursor = request.cursor()
         http.send_response(200)
         http.send_header("Content-Type", "text/event-stream")
@@ -525,13 +484,15 @@ class VerificationServer:
             self._open_streams += 1
         try:
             http.wfile.write(b"retry: 500\n\n")
-            while True:
-                items, done = log.snapshot(cursor, STREAM_POLL_S)
-                if items:
-                    chunks = (f"id: {seq}\ndata: {json.dumps(data)}\n\n" for seq, data in items)
+            for batch in handle.follow(cursor, STREAM_POLL_S):
+                if batch:
+                    chunks = (
+                        f"id: {seq}\ndata: {json.dumps(_encode(event))}\n\n"
+                        for seq, event in enumerate(batch, start=cursor + 1)
+                    )
                     http.wfile.write("".join(chunks).encode("utf-8"))
-                    cursor = items[-1][0]
-                elif done or _peer_closed(http.connection):
+                    cursor += len(batch)
+                elif _peer_closed(http.connection):
                     return
         except OSError:
             return  # client went away; its cursor lets it resume
@@ -540,7 +501,7 @@ class VerificationServer:
                 self._open_streams -= 1
 
     def _handle_job_cancel(self, request: _Request, http: _Handler) -> _Response:
-        handle, _ = self._job(request)
+        handle = self._job(request)
         cancelled = handle.cancel()
         return _Response(
             200,
@@ -548,7 +509,7 @@ class VerificationServer:
         )
 
     def _handle_job_result(self, request: _Request, http: _Handler) -> _Response:
-        handle, _ = self._job(request)
+        handle = self._job(request)
         timeout = min(max(request.query_float("timeout", 0.0), 0.0), MAX_RESULT_WAIT_S)
         if timeout and not handle.status.terminal:
             handle.wait(timeout)
@@ -581,6 +542,15 @@ class VerificationServer:
                 "streams": self._open_streams,
             }
         return _Response(200, payload)
+
+
+def _encode(event: ProgressEvent) -> dict:
+    try:
+        return encode_event(event)
+    except CodecError:
+        # An unregistered (plugin) event must not fail the stream;
+        # ship an opaque stand-in.
+        return {"v": WIRE_VERSION, "kind": "event", "opaque": repr(event)}
 
 
 def _job_info(handle: JobHandle) -> dict:

@@ -19,7 +19,7 @@ liveness only), and embedded into the service-level
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["SeatStats", "PoolStats"]
 
@@ -48,18 +48,7 @@ class SeatStats:
     properties_served: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "worker": self.worker,
-            "alive": self.alive,
-            "busy": self.busy,
-            "job": self.job,
-            "prop": self.prop,
-            "crashes": self.crashes,
-            "consecutive_crashes": self.consecutive_crashes,
-            "backoff_s": self.backoff_s,
-            "respawn_in_s": self.respawn_in_s,
-            "properties_served": self.properties_served,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

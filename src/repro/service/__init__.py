@@ -11,14 +11,16 @@ number of concurrently submitted verification jobs against it::
     with VerificationService(workers=4, max_concurrent_jobs=8) as service:
         fast = service.submit("ctrl.aag", strategy="parallel-ja", priority=2)
         slow = service.submit("dma.aag", strategy="parallel-ja")
-        for event in fast.events():      # live stream, ends on JobFinished
+        for event in fast.events():      # replayed log, then live; ends after JobFinished
             print(event.kind)
         print(fast.result().debugging_set())
         slow.cancel()                    # never perturbs fast's verdicts
 
 ``submit → handle → stream → result``: :meth:`VerificationService.submit`
 returns a :class:`JobHandle` with ``status``, ``cancel()``,
-``events()``, ``result(timeout=...)`` and a ``done`` future.
+``events()``, ``result(timeout=...)`` and a ``done`` future; the
+handle keeps the job's one event log, which ``events()``,
+``Session.stream()`` and the HTTP stream all read.
 Property-level work of all pooled jobs is interleaved onto the shared
 worker seats by a weighted fair-share scheduler (see
 :class:`~repro.parallel.engine.SeatScheduler`), admission is bounded

@@ -39,9 +39,9 @@ message stream is leased to its scheduler — a second service (so also
 a one-shot run) on the same pool is refused, not silently corrupted.
 
 :class:`~repro.session.Session` and the ``parallel_ja_verify`` /
-``portfolio_verify`` drivers are :func:`run_one` — one job on a service
-opened and closed around it — so the one-shot API and the server API
-are the same machinery.
+``portfolio_verify`` drivers are :func:`run_one`, and ``Session.stream``
+is :func:`start_one`: one job on a service opened and closed around it,
+so the one-shot API and the server API are the same machinery.
 """
 
 from __future__ import annotations
@@ -832,10 +832,8 @@ class VerificationService:
                 # A broken cache write-back (disk full, permissions)
                 # must never fail a successfully verified job.
                 pass
-        # Transition BEFORE emitting JobFinished: an ``events()`` stream
-        # opened in between sees a terminal handle and yields nothing,
-        # instead of registering a queue that would never receive its
-        # terminating event.  Queues registered earlier still get it.
+        # Transition BEFORE emitting JobFinished: whoever is handed
+        # JobFinished sees a terminal handle.
         handle._transition(status)
         try:
             self._emit_job(
@@ -929,12 +927,12 @@ class VerificationService:
         )
 
 
-def run_one(
+def start_one(
     ts: TransitionSystem,
     config: VerificationConfig,
     emit: Emit | None = None,
-) -> MultiPropReport:
-    """One job, start to report, on a service opened and closed around it.
+) -> tuple[VerificationService, JobHandle]:
+    """One job submitted on a service opened for it; the caller closes it.
 
     The service attaches to ``config.pool`` if set; else a pooled
     strategy gets its own pool for the run: ``config.workers`` seats
@@ -950,6 +948,20 @@ def run_one(
         max_pending=1,
     )
     try:
-        return service.submit(ts, config, on_event=emit).result()
+        return service, service.submit(ts, config, on_event=emit)
+    except BaseException:
+        service.close()
+        raise
+
+
+def run_one(
+    ts: TransitionSystem,
+    config: VerificationConfig,
+    emit: Emit | None = None,
+) -> MultiPropReport:
+    """One job, start to report, on a service opened and closed around it."""
+    service, handle = start_one(ts, config, emit)
+    try:
+        return handle.result()
     finally:
         service.close()

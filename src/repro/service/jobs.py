@@ -12,9 +12,11 @@ job's lifecycle four ways:
 * :attr:`JobHandle.done` — a :class:`concurrent.futures.Future`
   resolved with the report (or the strategy's exception), for callers
   composing with executor pipelines or ``wait``/``as_completed``;
-* :meth:`JobHandle.events` — a live iterator over the job's
-  :class:`~repro.progress.ProgressEvent` stream, terminating on the
-  job's :class:`~repro.progress.JobFinished`.
+* :meth:`JobHandle.events` — the job's
+  :class:`~repro.progress.ProgressEvent` log, from
+  :class:`~repro.progress.JobQueued` on: it replays what was emitted
+  so far, then follows the job live, and ends after its
+  :class:`~repro.progress.JobFinished` (also on a job long finished).
 
 Cancellation (:meth:`JobHandle.cancel`) is cooperative and never
 perturbs sibling jobs: a queued job is cancelled outright (its report
@@ -29,7 +31,6 @@ declined unstarted — and a running *threaded* job cannot be preempted
 from __future__ import annotations
 
 import enum
-import queue
 import threading
 from concurrent.futures import Future
 from collections.abc import Iterator
@@ -37,8 +38,9 @@ from collections.abc import Iterator
 from ..multiprop.report import MultiPropReport
 from ..progress import Emit, JobFinished, ProgressEvent
 
-#: How often event streams wake to re-check for a terminally-ended job
-#: whose final event never arrived (dispatcher death).
+#: How long an event reader waits for a new event before it yields an
+#: empty batch, and how long a job already terminal may take to log its
+#: JobFinished before its readers stop waiting for it.
 _EVENT_POLL_TIMEOUT = 0.5
 
 
@@ -81,9 +83,11 @@ class JobHandle:
         self.done: "Future[MultiPropReport]" = Future()
         self.done.set_running_or_notify_cancel()  # never Future-cancelled
         self._status = JobStatus.QUEUED
-        self._lock = threading.Lock()
+        # Guards the subscribers and the log; notified on every append
+        # and every transition.
+        self._changed = threading.Condition()
         self._subscribers: list[Emit] = []
-        self._event_queues: list["queue.Queue"] = []
+        self._log: list[ProgressEvent] = []
         # set by the service: called on cancel() to request cancellation
         self._cancel_request = None
 
@@ -126,58 +130,67 @@ class JobHandle:
     # ------------------------------------------------------------------
     def subscribe(self, callback: Emit) -> Emit:
         """Register a callback for this job's events; returns it."""
-        with self._lock:
+        with self._changed:
             self._subscribers.append(callback)
         return callback
 
-    def events(self) -> Iterator[ProgressEvent]:
-        """Live stream of this job's events, ending on its JobFinished.
+    @property
+    def log(self) -> tuple[ProgressEvent, ...]:
+        """Every event emitted so far, in emit order; an event's id is
+        its 1-based position."""
+        with self._changed:
+            return tuple(self._log)
 
-        Subscribing is lazy: events emitted before the first
-        :meth:`events` call are not replayed (this is a live stream,
-        not a log).  A stream opened on a terminal job yields nothing.
-        """
-        events: "queue.Queue" = queue.Queue()
-        with self._lock:
-            if self._status.terminal:
+    def events(self, after: int = 0) -> Iterator[ProgressEvent]:
+        """The job's events from id ``after + 1`` on, ending after its
+        JobFinished: the log replayed, then followed live."""
+        for batch in self.follow(after):
+            yield from batch
+
+    def follow(
+        self, after: int = 0, poll: float = _EVENT_POLL_TIMEOUT
+    ) -> Iterator[list[ProgressEvent]]:
+        """The log from id ``after + 1`` on, in batches: each holds what
+        was logged since the last, and an empty one means no event came
+        within ``poll`` seconds or the job changed state.  Ends after the
+        batch holding JobFinished, or once a terminal job has logged
+        nothing for ``poll`` seconds (its JobFinished never came)."""
+        while True:
+            with self._changed:
+                ended = self._status.terminal
+                if len(self._log) <= after and not _finished(self._log):
+                    self._changed.wait(timeout=poll)
+                batch = self._log[after:]
+                finished = _finished(self._log)
+            after += len(batch)
+            yield batch
+            if finished or (ended and not batch):
                 return
-            self._event_queues.append(events)
-        try:
-            while True:
-                try:
-                    event = events.get(timeout=_EVENT_POLL_TIMEOUT)
-                except queue.Empty:
-                    # No event and the job already ended: the dispatcher
-                    # died between the terminal transition and the
-                    # JobFinished emit — bail out instead of hanging.
-                    if self._status.terminal:
-                        return
-                    continue
-                yield event
-                if isinstance(event, JobFinished):
-                    return
-        finally:
-            with self._lock:
-                if events in self._event_queues:
-                    self._event_queues.remove(events)
 
     # ------------------------------------------------------------------
     # Service-side plumbing
     # ------------------------------------------------------------------
     def _emit(self, event: ProgressEvent) -> None:
-        with self._lock:
+        # Logged before any subscriber runs: one that raises leaves no
+        # gap in what readers see.
+        with self._changed:
+            self._log.append(event)
+            self._changed.notify_all()
             subscribers = list(self._subscribers)
-            queues = list(self._event_queues)
         for callback in subscribers:
             callback(event)
-        for events in queues:
-            events.put(event)
 
     def _transition(self, status: JobStatus) -> None:
-        self._status = status
+        with self._changed:
+            self._status = status
+            self._changed.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"JobHandle({self.job_id!r}, {self.strategy!r} on "
             f"{self.design_name!r}, {self._status.value})"
         )
+
+
+def _finished(log: list[ProgressEvent]) -> bool:
+    return bool(log) and isinstance(log[-1], JobFinished)

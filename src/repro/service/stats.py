@@ -12,7 +12,7 @@ assignments are read race-free) and returned as frozen records;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..parallel.stats import PoolStats
 
@@ -63,17 +63,7 @@ class JobStats:
     run_s: float
 
     def as_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "design": self.design,
-            "strategy": self.strategy,
-            "status": self.status,
-            "kind": self.kind,
-            "priority": self.priority,
-            "started": self.started,
-            "wait_s": self.wait_s,
-            "run_s": self.run_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

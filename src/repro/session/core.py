@@ -8,17 +8,17 @@ Events can be consumed two ways:
 
 * **callback** — ``Session(..., on_event=print)`` or
   :meth:`Session.subscribe`, then :meth:`Session.run`;
-* **iterator** — ``for event in session.stream(): ...`` drives the run
-  on a worker thread and yields events as they happen; the report is
-  available as ``session.report`` once the iterator is exhausted.
+* **iterator** — ``for event in session.stream(): ...`` submits the
+  run as one service job and yields its handle's event log as it grows
+  (:meth:`~repro.service.JobHandle.events`); the report is available
+  as ``session.report`` once the iterator is exhausted.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
 from collections.abc import Iterator
+from concurrent.futures import Future
 
 from ..circuit.aig import AIG
 from ..circuit.aiger import load_design
@@ -29,10 +29,6 @@ from ..ts.system import TransitionSystem
 from .registry import Strategy, get_strategy
 
 DesignLike = str | os.PathLike | AIG | TransitionSystem
-
-#: How often :meth:`Session.stream` wakes to notice a dead worker
-#: thread that never delivered its end-of-stream sentinel.
-_STREAM_POLL_TIMEOUT = 0.5
 
 
 def prepare(
@@ -98,7 +94,8 @@ class Session:
         on_event: Emit | None = None,
         **overrides: object,
     ) -> None:
-        self.ts, self.config, _, _ = prepare(design, config, overrides)
+        self.ts, self.config, strategy, _ = prepare(design, config, overrides)
+        self._pooled = getattr(strategy, "pooled", False)
         self.report: MultiPropReport | None = None
         self._subscribers: list[Emit] = []
         if on_event is not None:
@@ -144,58 +141,31 @@ class Session:
         return self.report
 
     def stream(self) -> Iterator[ProgressEvent]:
-        """Run on a worker thread, yielding events as they are emitted.
+        """Run as one service job, yielding its events as they are logged.
 
         The generator terminates after
         :class:`~repro.progress.JobFinished`; the report is then
         available as :attr:`report`.  Exceptions raised by the
-        strategy re-raise here, on the consumer's thread.
+        strategy re-raise here.
 
-        Abandoning the iterator early (``break``, ``close()``) detaches
-        rather than blocks: the strategy has no cancellation point, so
-        the daemon worker keeps running in the background and ``report``
-        is populated whenever it finishes.
+        Abandoning the iterator early (``break``, ``close()``) cancels a
+        queued or pooled job.  A running threaded strategy has no
+        cancellation point, so it detaches rather than blocks: the run
+        finishes in the background and ``report`` is populated then.
         """
-        events: "queue.Queue[object]" = queue.Queue()
-        done = object()
-        failure: list[BaseException] = []
+        from ..service.core import start_one
 
-        def pump(event: ProgressEvent) -> None:
-            events.put(event)
-
-        def worker() -> None:
-            try:
-                self.run()
-            except BaseException as exc:  # re-raised on the consumer side
-                failure.append(exc)
-            finally:
-                events.put(done)
-
-        self.subscribe(pump)
-        thread = threading.Thread(
-            target=worker, name="repro-session", daemon=True
-        )
-        thread.start()
-        finished = False
+        service, handle = start_one(self.ts, self.config, self._emit)
         try:
-            while True:
-                try:
-                    item = events.get(timeout=_STREAM_POLL_TIMEOUT)
-                except queue.Empty:
-                    if not thread.is_alive():
-                        # The worker died without its sentinel (killed
-                        # thread, interpreter teardown): stop streaming
-                        # rather than wait forever.
-                        finished = True
-                        break
-                    continue
-                if item is done:
-                    finished = True
-                    break
-                yield item  # type: ignore[misc]
+            yield from handle.events()
+            self.report = handle.result()
         finally:
-            self.unsubscribe(pump)
-            if finished:
-                thread.join()
-        if failure:
-            raise failure[0]
+            if handle.cancel() or handle.status.terminal or self._pooled:
+                service.close()
+            else:
+                handle.done.add_done_callback(self._keep_report)
+                service.close(timeout=0)
+
+    def _keep_report(self, done: Future[MultiPropReport]) -> None:
+        if done.exception() is None:
+            self.report = done.result()

@@ -58,15 +58,8 @@ REVERTED_FIXES = {
         "queue-discipline",
         ["service/jobs.py"],
         "src/repro/service/jobs.py",
-        [("events.get(timeout=_EVENT_POLL_TIMEOUT)", "events.get()")],
-        "blocking .get() with no timeout inside a loop",
-    ),
-    "session-stream-untimed-get": (
-        "queue-discipline",
-        ["session/core.py"],
-        "src/repro/session/core.py",
-        [("events.get(timeout=_STREAM_POLL_TIMEOUT)", "events.get()")],
-        "blocking .get() with no timeout inside a loop",
+        [("self._changed.wait(timeout=poll)", "self._changed.wait()")],
+        "blocking .wait() with no timeout inside a loop",
     ),
     "cli-without-max-frames": (
         "config-hygiene",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuit.aig import AIG, aig_not
+from repro.circuit.aig import AIG
 from repro.circuit.coi import coi_signature, reduce_to_cone, support_signature
 from repro.engines.ic3 import ic3_check
 from repro.gen.blocks import guarded_counter_slice, hold_slice, token_ring_slice

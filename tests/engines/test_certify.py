@@ -9,7 +9,6 @@ import pytest
 from repro.circuit.simulate import Simulator
 from repro.engines.certify import CertificateReport, certify_cex, certify_invariant
 from repro.engines.ic3 import IC3Options, ic3_check
-from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
 from repro.ts.system import TransitionSystem
 from repro.ts.trace import Trace
@@ -41,7 +40,7 @@ class TestCertifyInvariant:
         assert "initial" in report.reason
 
     def test_rejects_non_inductive(self):
-        from repro.circuit.aig import AIG, aig_not
+        from repro.circuit.aig import AIG
 
         aig = AIG()
         x = aig.add_input("x")

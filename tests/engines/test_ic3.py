@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.aig import AIG, aig_not
-from repro.engines.ic3 import IC3, IC3Options, SeedCertificateError, ic3_check
+from repro.engines.ic3 import IC3Options, SeedCertificateError, ic3_check
 from repro.engines.result import PropStatus, ResourceBudget
 from repro.gen.counter import buggy_counter, fixed_counter
 from repro.gen.random_designs import random_design

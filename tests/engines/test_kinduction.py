@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.circuit.aig import AIG, aig_not
 from repro.engines.kinduction import kinduction_check
 from repro.engines.result import PropStatus
-from repro.gen.counter import buggy_counter, fixed_counter
+from repro.gen.counter import fixed_counter
 from repro.gen.random_designs import random_design
 from repro.ts.projection import ProjectedReachability
 from repro.ts.system import TransitionSystem

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.engines.randomwalk import derive_seed, randomwalk_check
 from repro.engines.result import PropStatus, ResourceBudget
-from repro.gen.counter import buggy_counter, fixed_counter
+from repro.gen.counter import fixed_counter
 from repro.gen.random_designs import random_design
 from repro.ts.projection import ProjectedReachability, assumption_names
 from repro.ts.system import TransitionSystem

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.aig import AIG
-from repro.engines.result import PropStatus
 from repro.gen.blocks import (
     good_chain_slice,
     guarded_counter_slice,

@@ -3,10 +3,8 @@ story on the same designs, exactly as the paper's theory predicts."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.engines.bmc import bmc_check
-from repro.engines.ic3 import IC3Options, ic3_check
+from repro.engines.ic3 import ic3_check
 from repro.engines.kinduction import kinduction_check
 from repro.engines.result import PropStatus
 from repro.gen.counter import buggy_counter

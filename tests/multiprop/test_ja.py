@@ -7,7 +7,6 @@ import pytest
 from repro.circuit.aig import AIG, aig_not
 from repro.engines.result import PropStatus
 from repro.gen.blocks import guarded_counter_slice, token_ring_slice
-from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
 from repro.cache import ProofStore, design_digest
 from repro.multiprop.ja import WARM_LOG, JAVerifier, ja_verify

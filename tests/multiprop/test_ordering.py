@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.circuit.aig import AIG, aig_not
+from repro.circuit.aig import AIG
 from repro.gen.blocks import good_chain_slice, token_ring_slice
 from repro.multiprop.ja import ja_verify
 from repro.multiprop.ordering import by_cone_size, design_order, shuffled

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.circuit.aig import AIG, aig_not
-from repro.gen.counter import buggy_counter
 from repro.gen.random_designs import random_design
 from repro.multiprop.sweep import sweep
 from repro.ts.projection import ProjectedReachability

@@ -15,7 +15,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,6 @@ from repro.circuit.aig import AIG, aig_not
 from repro.circuit.aiger import parse_aag, write_aag
 from repro.net import ServiceClient
 from repro.progress import JobFinished
-from repro.service import VerificationService  # noqa: F401 - parity baseline
 from repro.session import Session
 from repro.ts.system import TransitionSystem
 

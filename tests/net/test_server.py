@@ -73,8 +73,8 @@ class TestSubmitAndResult:
         job = client.submit(design_text=toggler_text(), strategy="ja")
         events = list(job.events())
         kinds = [type(e) for e in events]
-        # The server-side log subscribes before admission, so even the
-        # JobQueued emitted on the submitting thread is streamed.
+        # The stream reads the handle's log, which starts with the
+        # JobQueued emitted on the submitting thread.
         assert kinds[0] is JobQueued
         assert isinstance(events[-1], JobFinished)
         solved = {e.name: e.status for e in events if e.kind == "property-solved"}
@@ -82,6 +82,14 @@ class TestSubmitAndResult:
             "never_r": PropStatus.HOLDS,
             "never_q": PropStatus.FAILS,
         }
+
+    def test_remote_stream_equals_the_server_side_handle_log(self, remote):
+        client, server = remote
+        job = client.submit(design_text=toggler_text(), strategy="ja")
+        remote_kinds = [e.kind for e in job.events()]
+        handle = server._handles[job.job_id]
+        assert remote_kinds == [e.kind for e in handle.events()]
+        assert job.status()["events"] == len(remote_kinds)
 
     def test_status_endpoint_reports_terminal_job(self, remote):
         client, _ = remote
@@ -111,7 +119,6 @@ class TestSubmitAndResult:
         # request landing in that gap must wait the future out — not
         # 500 on the Future.exception(timeout=0) TimeoutError.
         from repro.multiprop.report import MultiPropReport
-        from repro.net.server import _EventLog
         from repro.service.jobs import JobHandle, JobStatus
 
         client, server = remote
@@ -119,7 +126,6 @@ class TestSubmitAndResult:
         handle._transition(JobStatus.RUNNING)
         handle._transition(JobStatus.DONE)  # terminal, future unresolved
         server._handles[handle.job_id] = handle
-        server._logs[handle.job_id] = _EventLog()
         report = MultiPropReport(method="ja", design="synthetic")
         threading.Timer(
             0.3, handle.done.set_result, args=(report,)

@@ -4,6 +4,7 @@ Session facade as a thin wrapper over a private single-job service."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -76,6 +77,62 @@ class TestSubmitBasics:
         assert isinstance(streamed[-1], JobFinished)
         solved = [e for e in streamed if e.kind == "property-solved"]
         assert {e.name for e in solved} <= {"never_r", "never_q"}
+
+    @pytest.mark.parametrize("strategy", ["ja", "parallel-ja"])
+    def test_events_after_wait_replay_the_whole_log(self, counter4, strategy):
+        seen = []
+        with VerificationService(workers=1) as service:
+            handle = service.submit(counter4, strategy=strategy, on_event=seen.append)
+            assert handle.wait(timeout=60)
+            replayed = list(handle.events())
+        assert [e.kind for e in replayed] == [e.kind for e in seen]
+        assert isinstance(replayed[0], JobQueued)
+        assert isinstance(replayed[-1], JobFinished)
+        assert replayed == list(handle.log)
+
+    def test_concurrent_readers_each_see_the_whole_log(self, toggler):
+        seen = []
+        streams = [[] for _ in range(6)]  # more readers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with VerificationService(workers=2) as service:
+                handle = service.submit(
+                    toggler, strategy="parallel-ja", on_event=seen.append
+                )
+                readers = [
+                    threading.Thread(target=stream.extend, args=(handle.events(),))
+                    for stream in streams
+                ]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=60)
+                assert not any(reader.is_alive() for reader in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(stream == seen for stream in streams)
+        assert isinstance(seen[-1], JobFinished)
+
+    def test_events_after_n_start_at_event_n_plus_one(self, counter4):
+        with VerificationService() as service:
+            handle = service.submit(counter4, strategy="ja")
+            live = list(handle.events())
+            assert list(handle.events(after=3)) == live[3:]
+            assert list(handle.events(after=len(live))) == []
+
+    def test_a_raising_subscriber_leaves_no_gap_in_the_log(self, counter4):
+        def explode(event):
+            if isinstance(event, JobStarted):
+                raise RuntimeError("subscriber broke")
+
+        with VerificationService() as service:
+            handle = service.submit(counter4, strategy="ja", on_event=explode)
+            with pytest.raises(RuntimeError, match="subscriber broke"):
+                handle.result(timeout=60)
+            kinds = [e.kind for e in handle.events()]
+        assert kinds[:2] == ["job-queued", "job-started"]
+        assert kinds[-1] == "job-finished"
 
     def test_job_ids_are_sequential(self, toggler):
         with VerificationService() as service:
