@@ -160,6 +160,8 @@ class Session:
             yield from handle.events()
             self.report = handle.result()
         finally:
+            # close(timeout=0) is safe for a threaded job only: it would
+            # tear down a pooled job's scheduler under the dispatcher.
             if handle.cancel() or handle.status.terminal or self._pooled:
                 service.close()
             else:
