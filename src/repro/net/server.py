@@ -66,8 +66,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..circuit.aiger import parse_aag
-from ..progress import JobFinished, ProgressEvent
+from ..progress import ProgressEvent
 from ..service import JobHandle, QueueFull, VerificationService
+from ..service.jobs import EVENT_POLL_S
 from ..session import ConfigError, UnknownStrategyError, VerificationConfig
 from ..ts.system import TransitionSystem
 from .codec import WIRE_VERSION, CodecError, encode_event, encode_report
@@ -79,8 +80,8 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Ceiling on one ``/result?timeout=`` long-poll leg (clients loop).
 MAX_RESULT_WAIT_S = 60.0
 #: How long an idle SSE stream waits for an event before it checks
-#: whether its client is still there.
-STREAM_POLL_S = 0.5
+#: whether its client is still there (the handle's event poll).
+STREAM_POLL_S = EVENT_POLL_S
 #: Tick of the drain's waits and of the listener's shutdown check.
 _TICK_S = 0.05
 
@@ -468,9 +469,8 @@ class VerificationServer:
 
     def _handle_job_status(self, request: _Request, http: _Handler) -> _Response:
         handle = self._job(request)
-        log = handle.log
-        finished = bool(log) and isinstance(log[-1], JobFinished)
-        return _Response(200, {**_job_info(handle), "events": len(log), "finished": finished})
+        count, finished = handle.logged()
+        return _Response(200, {**_job_info(handle), "events": count, "finished": finished})
 
     def _handle_job_events(self, request: _Request, http: _Handler) -> None:
         """The SSE stream (streams inline; returns no :class:`_Response`)."""
@@ -484,7 +484,7 @@ class VerificationServer:
             self._open_streams += 1
         try:
             http.wfile.write(b"retry: 500\n\n")
-            for batch in handle.follow(cursor, STREAM_POLL_S):
+            for batch in handle.follow(cursor):
                 if batch:
                     chunks = (
                         f"id: {seq}\ndata: {json.dumps(_encode(event))}\n\n"

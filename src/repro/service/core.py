@@ -504,28 +504,24 @@ class VerificationService:
     # Cancellation
     # ------------------------------------------------------------------
     def _request_cancel(self, record: _JobRecord) -> bool:
-        queued = False
         with self._lock:
-            if record.handle.status is JobStatus.QUEUED:
-                if record not in self._pending:  # being admitted right now
-                    return False
+            status = record.handle.status
+            if status is JobStatus.QUEUED and record in self._pending:
                 self._pending.remove(record)
                 record.cancel_requested = True
-                queued = True
                 self._not_full.notify()
-            elif (
-                record.handle.status is JobStatus.RUNNING
-                and record.kind == "pool"
-            ):
+            elif record.kind == "pool" and not status.terminal:
+                # Running, or being admitted right now (off the queue,
+                # not yet RUNNING): _start_pooled honours the flag, the
+                # command stops the seats of a job already seated.
                 record.cancel_requested = True
                 self._commands.put(("cancel", record))
                 self._wake.set()
                 return True
             else:
                 return False
-        if queued:
-            self._finalize(record, self._cancelled_report(record), None)
-        return queued
+        self._finalize(record, self._cancelled_report(record), None)
+        return True
 
     def _cancelled_report(self, record: _JobRecord) -> MultiPropReport:
         """All-UNKNOWN report for a job cancelled before it started."""
@@ -643,13 +639,14 @@ class VerificationService:
             else:
                 self._start_pooled(record)
                 return
-            record.thread = threading.Thread(
+            thread = threading.Thread(
                 target=target,
                 args=(record,),
                 name=f"repro-{handle.job_id}",
                 daemon=True,
             )
-            record.thread.start()
+            thread.start()
+            record.thread = thread  # started first: close() may join it
         except BaseException as exc:  # admission failed: fail the job
             self._finalize(record, None, exc)
 
@@ -757,13 +754,14 @@ class VerificationService:
         else:
             # The write-back certifies what it stores (SAT work): off the
             # dispatcher thread, like the cache pass.
-            record.thread = threading.Thread(
+            thread = threading.Thread(
                 target=self._finalize,
                 args=(record, job.build_report(self._pool), None),
                 name=f"repro-{record.handle.job_id}-finalize",
                 daemon=True,
             )
-            record.thread.start()
+            thread.start()
+            record.thread = thread
 
     def _run_threaded(self, record: _JobRecord) -> None:
         """A sequential strategy, cache pass to report, on its own thread."""

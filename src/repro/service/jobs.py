@@ -41,7 +41,7 @@ from ..progress import Emit, JobFinished, ProgressEvent
 #: How long an event reader waits for a new event before it yields an
 #: empty batch, and how long a job already terminal may take to log its
 #: JobFinished before its readers stop waiting for it.
-_EVENT_POLL_TIMEOUT = 0.5
+EVENT_POLL_S = 0.5
 
 
 class JobStatus(enum.Enum):
@@ -114,10 +114,10 @@ class JobHandle:
         """Request cancellation; True if the request could take effect.
 
         Queued jobs and running *pooled* jobs are cancellable; a
-        running threaded job has no preemption point and a terminal job
-        is past cancelling (both return False).  A pooled job's seats
-        are stopped, so its attempts in flight give up at their next
-        budget check.  The job still resolves normally: :meth:`result`
+        threaded job that is running (or being started) has no
+        preemption point and a terminal job is past cancelling (both
+        return False).  A pooled job's seats are stopped, so its
+        attempts in flight give up at their next budget check.  The job still resolves normally: :meth:`result`
         returns the partial report with the cancelled remainder UNKNOWN.
         """
         request = self._cancel_request
@@ -134,32 +134,29 @@ class JobHandle:
             self._subscribers.append(callback)
         return callback
 
-    @property
-    def log(self) -> tuple[ProgressEvent, ...]:
-        """Every event emitted so far, in emit order; an event's id is
-        its 1-based position."""
-        with self._changed:
-            return tuple(self._log)
-
     def events(self, after: int = 0) -> Iterator[ProgressEvent]:
         """The job's events from id ``after + 1`` on, ending after its
         JobFinished: the log replayed, then followed live."""
         for batch in self.follow(after):
             yield from batch
 
-    def follow(
-        self, after: int = 0, poll: float = _EVENT_POLL_TIMEOUT
-    ) -> Iterator[list[ProgressEvent]]:
+    def logged(self) -> tuple[int, bool]:
+        """How many events are logged (an event's id is its 1-based
+        position), and whether the last is the job's JobFinished."""
+        with self._changed:
+            return len(self._log), _finished(self._log)
+
+    def follow(self, after: int = 0) -> Iterator[list[ProgressEvent]]:
         """The log from id ``after + 1`` on, in batches: each holds what
         was logged since the last, and an empty one means no event came
-        within ``poll`` seconds or the job changed state.  Ends after the
-        batch holding JobFinished, or once a terminal job has logged
-        nothing for ``poll`` seconds (its JobFinished never came)."""
+        within ``EVENT_POLL_S`` seconds or the job changed state.
+        Ends after the batch holding JobFinished, or once a terminal job
+        has logged nothing for that long (its JobFinished never came)."""
         while True:
             with self._changed:
                 ended = self._status.terminal
                 if len(self._log) <= after and not _finished(self._log):
-                    self._changed.wait(timeout=poll)
+                    self._changed.wait(timeout=EVENT_POLL_S)
                 batch = self._log[after:]
                 finished = _finished(self._log)
             after += len(batch)

@@ -94,8 +94,7 @@ class Session:
         on_event: Emit | None = None,
         **overrides: object,
     ) -> None:
-        self.ts, self.config, strategy, _ = prepare(design, config, overrides)
-        self._pooled = getattr(strategy, "pooled", False)
+        self.ts, self.config, _, _ = prepare(design, config, overrides)
         self.report: MultiPropReport | None = None
         self._subscribers: list[Emit] = []
         if on_event is not None:
@@ -149,9 +148,11 @@ class Session:
         strategy re-raise here.
 
         Abandoning the iterator early (``break``, ``close()``) cancels a
-        queued or pooled job.  A running threaded strategy has no
-        cancellation point, so it detaches rather than blocks: the run
-        finishes in the background and ``report`` is populated then.
+        queued or pooled job (``report`` stays ``None``); closing waits
+        for a pooled job's seats to give up at their next budget check.
+        A running threaded strategy has no cancellation point, so it
+        detaches rather than blocks: the run finishes in the background
+        and ``report`` is populated then.
         """
         from ..service.core import start_one
 
@@ -160,9 +161,10 @@ class Session:
             yield from handle.events()
             self.report = handle.result()
         finally:
-            # close(timeout=0) is safe for a threaded job only: it would
-            # tear down a pooled job's scheduler under the dispatcher.
-            if handle.cancel() or handle.status.terminal or self._pooled:
+            # Only a threaded job refuses a cancel while it is live, and
+            # close(timeout=0) is safe for it alone: it would tear down a
+            # pooled job's scheduler under the dispatcher.
+            if handle.cancel() or handle.status.terminal:
                 service.close()
             else:
                 handle.done.add_done_callback(self._keep_report)

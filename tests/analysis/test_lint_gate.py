@@ -58,7 +58,7 @@ REVERTED_FIXES = {
         "queue-discipline",
         ["service/jobs.py"],
         "src/repro/service/jobs.py",
-        [("self._changed.wait(timeout=poll)", "self._changed.wait()")],
+        [("self._changed.wait(timeout=EVENT_POLL_S)", "self._changed.wait()")],
         "blocking .wait() with no timeout inside a loop",
     ),
     "cli-without-max-frames": (

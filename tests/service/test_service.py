@@ -88,7 +88,7 @@ class TestSubmitBasics:
         assert [e.kind for e in replayed] == [e.kind for e in seen]
         assert isinstance(replayed[0], JobQueued)
         assert isinstance(replayed[-1], JobFinished)
-        assert replayed == list(handle.log)
+        assert handle.logged() == (len(replayed), True)
 
     def test_concurrent_readers_each_see_the_whole_log(self, toggler):
         seen = []
@@ -429,6 +429,58 @@ class TestCancellation:
         for sibling, report in zip(siblings, reports):
             assert sibling.status is JobStatus.DONE
             assert verdicts(report) == expected
+
+    @pytest.mark.parametrize(
+        "strategy, cancelled, status",
+        [("parallel-ja", True, JobStatus.CANCELLED), ("ja", False, JobStatus.DONE)],
+    )
+    def test_cancel_while_the_job_is_being_admitted(
+        self, toggler, monkeypatch, strategy, cancelled, status
+    ):
+        # Off the queue but not yet RUNNING: a pooled job honours the
+        # cancel as it starts; a threaded one cannot be preempted.
+        start_job = VerificationService._start_job
+        answers = []
+
+        def cancel_then_start(service, record):
+            answers.append(record.handle.cancel())
+            start_job(service, record)
+
+        monkeypatch.setattr(VerificationService, "_start_job", cancel_then_start)
+        with VerificationService(workers=1) as service:
+            handle = service.submit(toggler, strategy=strategy)
+            handle.result(timeout=60)
+        assert answers == [cancelled]
+        assert handle.status is status
+
+    def test_close_racing_a_job_threads_start_does_not_raise(self, counter4, monkeypatch):
+        # close() from another thread lands between the job thread's
+        # creation and its start; it must not join the unstarted thread.
+        service = VerificationService()
+        errors = []
+        spawn = threading.Thread
+
+        def close():
+            try:
+                service.close(timeout=0)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        class CloseFirst(spawn):
+            def start(self):
+                if self.name.startswith("repro-job-"):
+                    closer = spawn(target=close)
+                    closer.start()
+                    closer.join(timeout=30)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CloseFirst)
+        handle = service.submit(counter4, strategy="ja")
+        report = handle.result(timeout=60)
+        monkeypatch.undo()
+        assert errors == []
+        assert handle.status is JobStatus.DONE
+        assert set(report.outcomes) == {"P0", "P1"}
 
     def test_close_cancels_the_pending_queue(self, toggler, counter4, gate):
         service = VerificationService(max_concurrent_jobs=1, max_pending=4)

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+from repro.circuit import words
+from repro.circuit.aig import AIG
 from repro.engines.result import PropStatus
+from repro.multiprop.report import MultiPropReport
 from repro.progress import (
     ClauseExport,
     ClauseImport,
     FrameAdvanced,
     JobFinished,
     JobQueued,
+    JobStarted,
     ProgressEvent,
     PropertySolved,
     PropertyStarted,
@@ -123,6 +130,57 @@ class TestChannels:
         first = next(iterator)
         assert isinstance(first, JobQueued)
         iterator.close()  # must detach promptly, not join the whole run
+
+    def test_stream_abandoned_while_pooled_cancels_its_job(self):
+        # A 20-bit counter whose property fails only after 2^20 - 1
+        # steps: no engine settles it within the test.
+        aig = AIG()
+        val = words.word_latches(aig, "val", 20, init=0)
+        words.set_next_word(aig, val, words.inc(aig, val))
+        aig.add_property("deep", words.ule_const(aig, val, (1 << 20) - 2))
+        seen = []
+        session = Session(aig, strategy="parallel-ja", workers=1, on_event=seen.append)
+        iterator = session.stream()
+        for event in iterator:
+            if isinstance(event, JobStarted):
+                break
+        started = time.monotonic()
+        iterator.close()
+        assert time.monotonic() - started < 10.0
+        assert isinstance(seen[-1], JobFinished)
+        assert seen[-1].status == "cancelled"
+        assert session.report is None
+
+    def test_stream_abandoned_while_threaded_keeps_the_report(self, counter4):
+        from repro.session import register_strategy, unregister_strategy
+
+        release = threading.Event()
+
+        @register_strategy("held")
+        class Held:
+            """Blocks until the test releases it."""
+
+            def run(self, ts, config, emit):
+                assert release.wait(timeout=60)
+                return MultiPropReport(method="held", design=config.design_name)
+
+        try:
+            session = Session(counter4, strategy="held")
+            iterator = session.stream()
+            for event in iterator:
+                if isinstance(event, JobStarted):
+                    break
+            iterator.close()  # the job is RUNNING: detaches, does not wait
+            assert session.report is None
+            release.set()
+            deadline = time.monotonic() + 30
+            while session.report is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session.report is not None
+            assert session.report.method == "held"
+        finally:
+            release.set()
+            unregister_strategy("held")
 
     def test_started_and_solved_paired_when_budget_skips(self, counter4):
         # total_time=0 exhausts before any property: every verdict is
