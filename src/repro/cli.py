@@ -27,12 +27,14 @@ selects one; the ``REPRO_SAT_BACKEND`` environment variable sets the
 process default).
 
 The ``serve`` command is the batch/server mode: it reads a JSON
-manifest of jobs — each naming a design file plus any
+manifest of jobs — each naming a design file (``design``) or inline
+ASCII AIGER (``design_text``) plus any
 :class:`~repro.session.VerificationConfig` fields (``strategy``,
 ``priority``, ``order``, budgets, ...) — submits them all to one
 :class:`~repro.service.VerificationService` over one shared worker
-pool, and prints each job's verdict table as it completes.  Manifest
-shape::
+pool, and prints each job's verdict table as it completes.  The job
+format is the HTTP server's (both read it with
+``VerificationService.submit_spec``).  Manifest shape::
 
     {"workers": 4, "max_concurrent_jobs": 4,
      "jobs": [
@@ -65,6 +67,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -487,27 +490,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         try:
             for index, spec in enumerate(jobs):
-                try:
-                    design = spec.pop("design")
-                except KeyError:
-                    raise InputError(
-                        f"{args.manifest}: job #{index} names no design"
-                    ) from None
-                priority = spec.pop("priority", None)
                 spec.setdefault("strategy", "parallel-ja")
                 try:
-                    config = VerificationConfig().with_overrides(**spec)
-                    handles.append(
-                        service.submit(design, config, priority=priority)
-                    )
-                except (
-                    ConfigError,
-                    UnknownStrategyError,
-                    OSError,
-                    ValueError,
-                ) as exc:
+                    handles.append(service.submit_spec(spec))
+                except (UnknownStrategyError, OSError, ValueError) as exc:
+                    design = f" ({spec['design']})" if "design" in spec else ""
                     raise InputError(
-                        f"{args.manifest}: job #{index} ({design}): {exc}"
+                        f"{args.manifest}: job #{index}{design}: {exc}"
                     ) from None
 
             for handle in handles:
@@ -524,13 +513,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "\ninterrupted: cancelling in-flight jobs and draining",
                 file=sys.stderr,
             )
-            for handle in handles:
-                if not handle.status.terminal:
-                    handle.cancel()
+            for handle in service.jobs():
+                handle.cancel()
             # In-flight properties run to completion (cancellation is
-            # cooperative), so give each job a real settling window.
+            # cooperative), so give the jobs a real settling window.
+            with contextlib.suppress(TimeoutError):
+                service.drain(60.0)
             for handle in handles:
-                handle.wait(timeout=60.0)
                 _collect(handle)
     finally:
         if previous_term is not None:

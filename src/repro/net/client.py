@@ -160,23 +160,20 @@ class ServiceClient:
         *,
         design: str | None = None,
         design_text: str | None = None,
-        priority: float | None = None,
         **config: object,
     ) -> "RemoteJob":
         """Submit one job; returns its :class:`RemoteJob` immediately.
 
         Exactly one of ``design_text`` (inline AIGER source — works
         against any server) or ``design`` (a path *on the server's
-        filesystem*) names the design; every other keyword is a
-        :class:`~repro.session.VerificationConfig` field.
+        filesystem*) names the design; every other keyword, ``priority``
+        too, is a :class:`~repro.session.VerificationConfig` field.
         """
         spec: dict = dict(config)
         if design_text is not None:
             spec["design_text"] = design_text
         if design is not None:
             spec["design"] = design
-        if priority is not None:
-            spec["priority"] = priority
         return self.submit_spec(spec)
 
     def submit_spec(self, spec: dict) -> "RemoteJob":

@@ -24,6 +24,11 @@ GET      ``/cache/stats``       proof-cache counters (hits/misses/rejects)
 GET      ``/healthz``           liveness + drain state
 =======  =====================  ==============================================
 
+**The service owns the jobs.**  ``POST /jobs`` hands its body to
+:meth:`~repro.service.VerificationService.submit_spec` (``repro serve``
+reads manifest jobs with it too), and ``/jobs/{id}`` looks the job up
+in the service: a job it has retired answers ``404``.
+
 **Event streams are replayable.**  A stream reads the job's one event
 log, which its :class:`~repro.service.JobHandle` keeps (events are
 small; counterexample traces never travel), and encodes each event as
@@ -43,10 +48,10 @@ event still reaches every subscribed stream).
 
 **Shutdown is graceful.**  :meth:`VerificationServer.stop` — wired to
 SIGINT/SIGTERM by :meth:`~VerificationServer.run` and to ``__exit__`` —
-stops admission (``503``), gives running jobs ``drain_grace`` seconds
-to finish, cancels the stragglers, waits for every job to reach a
-terminal state, lets open event streams flush their final events, then
-closes the listener and the service.
+stops admission (``503``), drains the service for ``drain_grace``
+seconds, cancels the stragglers and drains again (bounded), lets open
+event streams flush their final events, then closes the listener and
+the service.
 """
 
 from __future__ import annotations
@@ -60,17 +65,16 @@ import socketserver
 import sys
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from ..circuit.aiger import parse_aag
 from ..progress import ProgressEvent
 from ..service import JobHandle, QueueFull, VerificationService
 from ..service.jobs import EVENT_POLL_S
-from ..session import ConfigError, UnknownStrategyError, VerificationConfig
-from ..ts.system import TransitionSystem
+from ..session import UnknownStrategyError
 from .codec import WIRE_VERSION, CodecError, encode_event, encode_report
 
 __all__ = ["Route", "ROUTES", "VerificationServer"]
@@ -82,7 +86,7 @@ MAX_RESULT_WAIT_S = 60.0
 #: How long an idle SSE stream waits for an event before it checks
 #: whether its client is still there (the handle's event poll).
 STREAM_POLL_S = EVENT_POLL_S
-#: Tick of the drain's waits and of the listener's shutdown check.
+#: Tick of the wait for open streams and of the listener's shutdown check.
 _TICK_S = 0.05
 
 
@@ -305,7 +309,6 @@ class VerificationServer:
         self._listener: _Listener | None = None
         self._thread: threading.Thread | None = None
         self._registry_lock = threading.Lock()
-        self._handles: dict[str, JobHandle] = {}
         self._draining = False
         self._open_streams = 0
         self._requests_served = 0
@@ -363,12 +366,15 @@ class VerificationServer:
         if self._listener is None:
             return
         self._draining = True
-        _wait_until(lambda: not self._unfinished(), self.drain_grace)
-        for handle in self._unfinished():
-            handle.cancel()
-        # Cancellation is cooperative: properties already on a seat run
-        # to completion, so this wait is bounded generously, not tightly.
-        _wait_until(lambda: not self._unfinished(), max(30.0, self.drain_grace))
+        try:
+            self.service.drain(self.drain_grace)
+        except TimeoutError:
+            for handle in self.service.jobs():
+                handle.cancel()
+            # Cancellation is cooperative: properties already on a seat
+            # run to completion, so this wait is bounded generously.
+            with suppress(TimeoutError):
+                self.service.drain(max(30.0, self.drain_grace))
         _wait_until(lambda: not self._open_streams, 5.0)
         self._listener.shutdown()
         self._listener.server_close()
@@ -381,11 +387,6 @@ class VerificationServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    def _unfinished(self) -> list[JobHandle]:
-        with self._registry_lock:
-            handles = list(self._handles.values())
-        return [h for h in handles if not h.status.terminal]
 
     # ------------------------------------------------------------------
     # Request plumbing (on the connection's thread)
@@ -424,8 +425,7 @@ class VerificationServer:
 
     def _job(self, request: _Request) -> JobHandle:
         job_id = request.params.get("id", "")
-        with self._registry_lock:
-            handle = self._handles.get(job_id)
+        handle = self.service.job(job_id)
         if handle is None:
             raise _HttpError(404, f"unknown job {job_id!r}")
         return handle
@@ -434,37 +434,21 @@ class VerificationServer:
     # Handlers (one per ROUTES row)
     # ------------------------------------------------------------------
     def _handle_submit(self, request: _Request, http: _Handler) -> _Response:
-        """Parse one manifest-format job spec and submit it."""
+        """Submit the body's job spec; the service reads it."""
         if self._draining or self.service.closed:
             raise _HttpError(503, "service is draining; resubmit elsewhere", retry_after=5)
-        spec = request.json()
-        design_text = spec.pop("design_text", None)
-        design = spec.pop("design", None)
-        priority = spec.pop("priority", None)
-        if design_text is not None:
-            if not isinstance(design_text, str):
-                raise _HttpError(400, "design_text must be an ASCII-AIGER string")
-            try:
-                design = TransitionSystem(parse_aag(design_text))
-            except ValueError as exc:
-                raise _HttpError(400, f"bad design_text: {exc}") from None
-        elif design is None:
-            raise _HttpError(400, "job spec names no design (design / design_text)")
         try:
-            config = VerificationConfig().with_overrides(**spec)
-            handle = self.service.submit(design, config, priority=priority, block=False)
+            handle = self.service.submit_spec(request.json(), block=False)
         except QueueFull as exc:
             raise _HttpError(
                 429,
                 f"admission queue full ({exc.pending}/{exc.limit} pending)",
                 retry_after=1,
             ) from None
-        except (ConfigError, UnknownStrategyError, ValueError) as exc:
+        except (UnknownStrategyError, ValueError) as exc:
             raise _HttpError(400, str(exc)) from None
         except OSError as exc:
             raise _HttpError(400, f"cannot load design: {exc}") from None
-        with self._registry_lock:
-            self._handles[handle.job_id] = handle
         return _Response(201, _job_info(handle))
 
     def _handle_job_status(self, request: _Request, http: _Handler) -> _Response:
@@ -537,11 +521,10 @@ class VerificationServer:
         with self._registry_lock:
             payload = {
                 "status": "draining" if self._draining else "ok",
-                "jobs": len(self._handles),
                 "requests": self._requests_served,
                 "streams": self._open_streams,
             }
-        return _Response(200, payload)
+        return _Response(200, {**payload, "jobs": len(self.service.jobs())})
 
 
 def _encode(event: ProgressEvent) -> dict:

@@ -8,8 +8,10 @@ against one shared :class:`~repro.parallel.WorkerPool`.
 Execution model
 ---------------
 
-``submit(design, config, priority=...)`` returns a
-:class:`~repro.service.JobHandle` immediately.  Jobs wait in a
+``submit(design, config, **overrides)`` returns a
+:class:`~repro.service.JobHandle` immediately (``submit_spec`` reads a
+job in the manifest format of the HTTP server and ``repro serve``,
+``design_text`` included).  Jobs wait in a
 **bounded admission queue** (``max_pending``; a full queue emits
 :class:`~repro.progress.ServiceSaturated` and either blocks the
 submitter or raises :class:`~repro.service.QueueFull` with
@@ -21,8 +23,8 @@ Admitted jobs execute one of two ways:
   *interleaved with every other pooled job's* onto the shared pool's
   worker seats by the
   :class:`~repro.parallel.engine.SeatScheduler` — weighted fair share
-  across jobs (seats held per unit of ``priority``), LPT within each
-  job, per-job run-id isolation, watchdogs, crash re-dispatch and
+  across jobs (seats held per unit of ``config.priority``), LPT within
+  each job, per-job run-id isolation, watchdogs, crash re-dispatch and
   per-job clause exchange;
 * **threaded** — every other strategy runs to completion on a service
   thread (sequential engines have no seat-level parallelism to
@@ -31,6 +33,10 @@ Admitted jobs execute one of two ways:
 
 A single dispatcher thread owns the scheduler, so all seat decisions
 are serialized and — with one worker and one job — deterministic.
+
+The service is the one table of its jobs: :meth:`VerificationService.job`
+finds a job queued, running, or among the last
+:data:`KEPT_FINISHED_JOBS` to finish; older ones are retired.
 
 The service either *owns* its pool (constructed lazily from
 ``workers=...``, shut down on :meth:`close`) or *attaches* to a caller
@@ -50,10 +56,12 @@ import os
 import threading
 import time
 from collections import deque
+from concurrent import futures
 from typing import Deque
 
 import queue as queue_mod
 
+from ..circuit.aiger import parse_aag
 from ..multiprop.cones import ConeMemo
 from ..multiprop.report import MultiPropReport, PropOutcome
 from ..engines.result import PropStatus
@@ -69,12 +77,17 @@ from ..progress import (
     ServiceSaturated,
     StatsSnapshot,
 )
-from ..config import CACHE_MODES, VerificationConfig
+from ..config import CACHE_MODES, ConfigError, VerificationConfig
 from ..session.core import prepare
 from ..session.registry import get_strategy
 from ..ts.system import TransitionSystem
 from .jobs import JobHandle, JobStatus, QueueFull
 from .stats import JobStats, ServiceStats, latency_summary
+
+#: Finished jobs a service keeps (report, event log, stats row) after
+#: they end; older ones are retired.  About 20 MB of event logs at the
+#: ~77 KB a ``pooled-service`` job logs.
+KEPT_FINISHED_JOBS = 256
 
 
 class _JobRecord:
@@ -85,7 +98,6 @@ class _JobRecord:
         "ts",
         "config",
         "order",
-        "priority",
         "kind",
         "local",
         "submitted_at",
@@ -102,12 +114,11 @@ class _JobRecord:
         "warm_clauses",
     )
 
-    def __init__(self, handle, ts, config, order, priority, kind, local) -> None:
+    def __init__(self, handle, ts, config, order, kind, local) -> None:
         self.handle = handle
         self.ts = ts
         self.config = config
         self.order = order  # resolved property-name list
-        self.priority = priority
         self.kind = kind  # "pool" | "thread"
         self.local = local  # does the strategy assume the other properties?
         self.submitted_at = time.monotonic()
@@ -189,7 +200,8 @@ class VerificationService:
         self._not_full = threading.Condition(self._lock)
         self._pending: Deque[_JobRecord] = deque()
         self._running: set[_JobRecord] = set()
-        self._records: list[_JobRecord] = []
+        self._records: dict[str, _JobRecord] = {}  # retained jobs by id
+        self._finished: Deque[str] = deque()  # retained finished ids, oldest first
         self._commands: "queue_mod.Queue" = queue_mod.Queue()
         self._wake = threading.Event()
         self._dispatcher: threading.Thread | None = None
@@ -216,9 +228,16 @@ class VerificationService:
         return self._closed
 
     def jobs(self) -> list[JobHandle]:
-        """Handles of every job ever submitted, in submission order."""
+        """Handles of the retained jobs, in submission order: every job
+        queued or running, and the last ``KEPT_FINISHED_JOBS`` finished."""
         with self._lock:
-            return [record.handle for record in self._records]
+            return [record.handle for record in self._records.values()]
+
+    def job(self, job_id: str) -> JobHandle | None:
+        """The retained job ``job_id``'s handle (None: unknown or retired)."""
+        with self._lock:
+            record = self._records.get(job_id)
+        return record.handle if record is not None else None
 
     def stats(self) -> ServiceStats:
         """A consistent snapshot of queue, seats, latencies and traffic.
@@ -256,7 +275,8 @@ class VerificationService:
         with self._lock:
             pending = len(self._pending)
             running = len(self._running)
-            records = list(self._records)
+            submitted = self._job_ids
+            records = list(self._records.values())
         scheduler = self._scheduler
         if scheduler is not None:
             pool_stats = scheduler.stats()
@@ -267,14 +287,11 @@ class VerificationService:
         else:
             pool_stats, exchange = None, None
         jobs = tuple(self._job_stats(record, now) for record in records)
-        finished = len(
-            [job for job in jobs if job.status not in ("queued", "running")]
-        )
         return ServiceStats(
             pending=pending,
             running=running,
-            finished=finished,
-            submitted=len(records),
+            finished=submitted - pending - running,
+            submitted=submitted,
             max_concurrent_jobs=self.max_concurrent_jobs,
             max_pending=self.max_pending,
             jobs=jobs,
@@ -341,7 +358,7 @@ class VerificationService:
             strategy=handle.strategy,
             status=handle.status.value,
             kind=record.kind,
-            priority=record.priority,
+            priority=handle.priority,
             started=started is not None,
             wait_s=max(0.0, wait),
             run_s=max(0.0, run),
@@ -401,7 +418,6 @@ class VerificationService:
         design,
         config: VerificationConfig | None = None,
         *,
-        priority: float | None = None,
         block: bool = True,
         timeout: float | None = None,
         on_event: Emit | None = None,
@@ -411,9 +427,9 @@ class VerificationService:
 
         ``design`` is anything :class:`~repro.session.Session` accepts
         (path, AIG, or TransitionSystem); ``overrides`` are config
-        fields applied on top of ``config``.  ``priority`` (default:
-        ``config.priority``) weights the job's fair share of worker
-        seats.  When the admission queue is full, ``block=True`` waits
+        fields applied on top of ``config``, ``priority`` among them:
+        it weights the job's fair share of worker seats.  When the
+        admission queue is full, ``block=True`` waits
         (up to ``timeout`` seconds) for space and ``block=False``
         raises :class:`QueueFull`; either way a
         :class:`~repro.progress.ServiceSaturated` event records the
@@ -427,9 +443,7 @@ class VerificationService:
             )
         if order is None:
             order = [p.name for p in ts.properties]
-        weight = float(priority) if priority is not None else float(base.priority)
-        if weight <= 0:
-            raise ValueError(f"priority must be > 0, got {weight!r}")
+        weight = float(base.priority)
         kind = "pool" if getattr(strategy, "pooled", False) else "thread"
         local = getattr(strategy, "local", True)
 
@@ -448,12 +462,12 @@ class VerificationService:
                         base.strategy,
                         weight,
                     )
-                    record = _JobRecord(handle, ts, base, order, weight, kind, local)
+                    record = _JobRecord(handle, ts, base, order, kind, local)
                     handle._cancel_request = (
                         lambda _h: self._request_cancel(record)
                     )
                     self._pending.append(record)
-                    self._records.append(record)
+                    self._records[handle.job_id] = record
                     break
             # Queue full: announce the back-pressure OUTSIDE the lock (a
             # subscriber may call back into the service), then refuse or
@@ -471,13 +485,8 @@ class VerificationService:
                 if self._closed:
                     raise RuntimeError("VerificationService is closed")
                 if len(self._pending) >= self.max_pending:
-                    remaining = (
-                        None
-                        if deadline is None
-                        else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        raise QueueFull(len(self._pending), self.max_pending)
+                    # A spent deadline makes the wait a non-blocking poll.
+                    remaining = None if deadline is None else deadline - time.monotonic()
                     if not self._not_full.wait(timeout=remaining):
                         raise QueueFull(len(self._pending), self.max_pending)
         if on_event is not None:
@@ -499,6 +508,28 @@ class VerificationService:
             self._ensure_dispatcher()
             self._wake.set()
         return handle
+
+    def submit_spec(self, spec: dict, *, block: bool = True) -> JobHandle:
+        """Queue one job in the manifest format: ``design`` (a path) or
+        ``design_text`` (inline ASCII AIGER), plus any config fields.
+
+        A spec naming no design, or a ``design_text`` that does not
+        parse, raises :class:`~repro.session.ConfigError`; the rest is
+        :meth:`submit`'s (an unreadable ``design`` path is an OSError).
+        """
+        fields = dict(spec)
+        design = fields.pop("design", None)
+        design_text = fields.pop("design_text", None)
+        if design_text is not None:
+            if not isinstance(design_text, str):
+                raise ConfigError("design_text must be an ASCII-AIGER string")
+            try:
+                design = TransitionSystem(parse_aag(design_text))
+            except ValueError as exc:
+                raise ConfigError(f"bad design_text: {exc}") from None
+        elif design is None:
+            raise ConfigError("job spec names no design (design / design_text)")
+        return self.submit(design, block=block, **fields)
 
     # ------------------------------------------------------------------
     # Cancellation
@@ -712,7 +743,7 @@ class VerificationService:
             self._guarded_job_emit(record),
             record.remaining_order,
             warm_clauses=record.warm_clauses,
-            priority=record.priority,
+            priority=record.handle.priority,
             job_id=record.handle.job_id,
             on_finish=lambda job: self._pooled_finished(record, job),
         )
@@ -857,6 +888,9 @@ class VerificationService:
                 handle._transition(JobStatus.FAILED)
         with self._lock:
             self._running.discard(record)
+            self._finished.append(handle.job_id)
+            while len(self._finished) > KEPT_FINISHED_JOBS:
+                del self._records[self._finished.popleft()]
         record.ts = None  # free the design; the report stands alone
         if failure is not None:
             handle.done.set_exception(failure)
@@ -868,16 +902,11 @@ class VerificationService:
     # Lifecycle
     # ------------------------------------------------------------------
     def drain(self, timeout: float | None = None) -> None:
-        """Block until every submitted job is terminal."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for handle in self.jobs():
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if not handle.wait(timeout=remaining):
-                raise TimeoutError(
-                    f"jobs still running after {timeout} seconds"
-                )
+        """Block until every submitted job is terminal; TimeoutError if
+        one is not within ``timeout`` seconds."""
+        _, running = futures.wait([handle.done for handle in self.jobs()], timeout)
+        if running:
+            raise TimeoutError(f"jobs still running after {timeout} seconds")
 
     def close(self, timeout: float | None = 30.0) -> None:
         """Stop admission, cancel queued jobs, wait for running ones.
@@ -902,7 +931,9 @@ class VerificationService:
         self._wake.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout)
-        for record in list(self._records):
+        with self._lock:
+            records = list(self._records.values())
+        for record in records:
             if record.thread is not None:
                 record.thread.join(timeout)
         if self._scheduler is not None:

@@ -117,8 +117,9 @@ class JobHandle:
         threaded job that is running (or being started) has no
         preemption point and a terminal job is past cancelling (both
         return False).  A pooled job's seats are stopped, so its
-        attempts in flight give up at their next budget check.  The job still resolves normally: :meth:`result`
-        returns the partial report with the cancelled remainder UNKNOWN.
+        attempts in flight give up at their next budget check.  The
+        job still resolves normally: :meth:`result` returns the partial
+        report with the cancelled remainder UNKNOWN.
         """
         request = self._cancel_request
         if request is None or self._status.terminal:

@@ -4,9 +4,10 @@
 doing right now": admission-queue depth and slot occupancy, the shared
 pool's :class:`~repro.parallel.PoolStats` (per-seat liveness, crash
 streaks and backoff timers), clause-exchange traffic, and one
-:class:`JobStats` per submitted job with its queue-wait and run
-latency.  Snapshots are taken on the dispatcher thread (so seat
-assignments are read race-free) and returned as frozen records;
+:class:`JobStats` per retained job (queued, running, or among the
+last finished) with its queue-wait and run latency.  Snapshots are
+taken on the dispatcher thread (so seat assignments are read
+race-free) and returned as frozen records;
 :meth:`ServiceStats.as_dict` is the JSON form served by ``GET /stats``.
 """
 
@@ -17,8 +18,6 @@ from dataclasses import asdict, dataclass
 from ..parallel.stats import PoolStats
 
 __all__ = ["JobStats", "ServiceStats", "latency_summary"]
-
-_TERMINAL = frozenset({"done", "failed", "cancelled"})
 
 
 def _percentile(values: list[float], fraction: float) -> float:
@@ -73,7 +72,8 @@ class ServiceStats:
     ``pool`` is ``None`` until the first pooled job creates the shared
     pool; ``exchange`` is ``None`` until a scheduler exists (totals
     since the scheduler opened, plus a ``live`` row per exchanging
-    job still running).
+    job still running).  ``submitted`` and ``finished`` count every job
+    since the service opened; ``jobs`` lists only the retained ones.
     """
 
     pending: int
@@ -113,7 +113,3 @@ class ServiceStats:
         if self.cache is not None:
             out["cache"] = dict(self.cache)
         return out
-
-    @property
-    def terminal_jobs(self) -> tuple[JobStats, ...]:
-        return tuple(job for job in self.jobs if job.status in _TERMINAL)

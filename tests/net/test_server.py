@@ -87,7 +87,7 @@ class TestSubmitAndResult:
         client, server = remote
         job = client.submit(design_text=toggler_text(), strategy="ja")
         remote_kinds = [e.kind for e in job.events()]
-        handle = server._handles[job.job_id]
+        handle = server.service.job(job.job_id)
         assert remote_kinds == [e.kind for e in handle.events()]
         assert job.status()["events"] == len(remote_kinds)
 
@@ -119,13 +119,15 @@ class TestSubmitAndResult:
         # request landing in that gap must wait the future out — not
         # 500 on the Future.exception(timeout=0) TimeoutError.
         from repro.multiprop.report import MultiPropReport
+        from repro.service.core import _JobRecord
         from repro.service.jobs import JobHandle, JobStatus
 
         client, server = remote
         handle = JobHandle("job-gap", "synthetic", "ja", 1.0)
         handle._transition(JobStatus.RUNNING)
         handle._transition(JobStatus.DONE)  # terminal, future unresolved
-        server._handles[handle.job_id] = handle
+        record = _JobRecord(handle, None, None, [], "thread", True)
+        server.service._records[handle.job_id] = record
         report = MultiPropReport(method="ja", design="synthetic")
         threading.Timer(
             0.3, handle.done.set_result, args=(report,)
@@ -153,6 +155,25 @@ class TestSubmitAndResult:
         assert stats["jobs"]["finished"] >= 1
         records = {r["job"]: r for r in stats["jobs"]["records"]}
         assert records[job.job_id]["status"] == "done"
+
+    def test_finished_jobs_beyond_the_bound_are_retired(self, remote, toggler, monkeypatch):
+        import repro.service.core as core
+
+        monkeypatch.setattr(core, "KEPT_FINISHED_JOBS", 2)
+        client, server = remote
+        service = server.service
+        handles = [service.submit(toggler, strategy="ja") for _ in range(4)]
+        for handle in handles:
+            handle.result(timeout=60)
+        first = handles[0].job_id
+        assert service.job(first) is None
+        assert service.job(handles[-1].job_id) is handles[-1]
+        stats = service.stats()
+        assert stats.submitted == 4 and stats.finished == 4
+        assert len(stats.jobs) == 2
+        with pytest.raises(RemoteError) as info:
+            client.job(first).status()
+        assert info.value.status == 404
 
     def test_health_endpoint(self, remote):
         client, _ = remote
@@ -465,7 +486,7 @@ class TestDrain:
         assert service.closed
         # Both settled: the running job finished, the queued one was
         # either cancelled by the drain or ran after the release.
-        statuses = {h.status.value for h in server._handles.values()}
+        statuses = {h.status.value for h in service.jobs()}
         assert statuses <= {"done", "cancelled"}
 
 

@@ -374,6 +374,39 @@ class TestServe:
         assert main(["serve", path]) == 2
         assert "names no design" in capsys.readouterr().err
 
+    def test_serve_runs_an_inline_design_text_job(self, counter_file, tmp_path, capsys):
+        with open(counter_file) as f:
+            text = f.read()
+        path = str(tmp_path / "inline.json")
+        with open(path, "w") as f:
+            json.dump({"jobs": [{"design_text": text, "strategy": "ja",
+                                 "design_name": "inline"}]}, f)
+        assert main(["serve", path]) == 1  # counter4's P0 fails
+        out = capsys.readouterr().out
+        assert "== job-0: inline [done] ==" in out
+        assert "Debugging set: {P0}" in out
+
+    @pytest.mark.parametrize("bad", [{"strategy": "ja"}, {"zaphod": 42}])
+    def test_serve_and_post_jobs_reject_a_bad_spec_alike(
+        self, counter_file, tmp_path, capsys, bad
+    ):
+        from repro.net import RemoteError, ServiceClient, VerificationServer
+        from repro.service import VerificationService
+
+        with open(counter_file) as f:
+            spec = dict(bad) if "strategy" in bad else dict(bad, design_text=f.read())
+        with VerificationServer(VerificationService(workers=1)) as server:
+            with pytest.raises(RemoteError) as info:
+                ServiceClient(server.address).submit_spec(dict(spec))
+        assert info.value.status == 400
+        message = info.value.payload["error"]
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as f:
+            json.dump({"jobs": [spec]}, f)
+        assert main(["serve", path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"repro: error: {path}: job #0: {message}"
+
 
 class TestSubmit:
     @pytest.mark.parametrize("suffix", [".aag", ".aig"])
