@@ -67,7 +67,6 @@ on stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -469,17 +468,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         collected.add(handle.job_id)
         try:
             report = handle.result(timeout=0)
-        except TimeoutError:
-            print(
-                f"{handle.job_id} ({handle.design_name}): did not settle "
-                f"before shutdown",
-                file=sys.stderr,
-            )
-            broken += 1
-            return
         except Exception as exc:  # noqa: BLE001 - reported per job
-            print(f"{handle.job_id} ({handle.design_name}): {exc}",
-                  file=sys.stderr)
+            why = "did not settle before shutdown" if isinstance(exc, TimeoutError) else exc
+            print(f"{handle.job_id} ({handle.design_name}): {why}", file=sys.stderr)
             broken += 1
             return
         print(f"\n== {handle.job_id}: {handle.design_name} "
@@ -513,12 +504,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "\ninterrupted: cancelling in-flight jobs and draining",
                 file=sys.stderr,
             )
-            for handle in service.jobs():
-                handle.cancel()
-            # In-flight properties run to completion (cancellation is
-            # cooperative), so give the jobs a real settling window.
-            with contextlib.suppress(TimeoutError):
-                service.drain(60.0)
+            service.cancel_all(60.0)
             for handle in handles:
                 _collect(handle)
     finally:

@@ -226,7 +226,8 @@ class RemoteJob:
         """Block for the job's decoded report (long-polls the server).
 
         Raises :class:`TimeoutError` if the job stays unfinished,
-        :class:`RemoteError` if it failed server-side.
+        :class:`RemoteError` if it failed server-side (a 404 saying
+        "retired" once the job left the server's last ``KEPT_FINISHED_JOBS``).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:

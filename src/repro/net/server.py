@@ -65,7 +65,6 @@ import socketserver
 import sys
 import threading
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -369,12 +368,7 @@ class VerificationServer:
         try:
             self.service.drain(self.drain_grace)
         except TimeoutError:
-            for handle in self.service.jobs():
-                handle.cancel()
-            # Cancellation is cooperative: properties already on a seat
-            # run to completion, so this wait is bounded generously.
-            with suppress(TimeoutError):
-                self.service.drain(max(30.0, self.drain_grace))
+            self.service.cancel_all(max(30.0, self.drain_grace))
         _wait_until(lambda: not self._open_streams, 5.0)
         self._listener.shutdown()
         self._listener.server_close()
@@ -427,6 +421,8 @@ class VerificationServer:
         job_id = request.params.get("id", "")
         handle = self.service.job(job_id)
         if handle is None:
+            if self.service.retired(job_id):
+                raise _HttpError(404, f"job {job_id!r} finished and was retired")
             raise _HttpError(404, f"unknown job {job_id!r}")
         return handle
 
@@ -440,11 +436,8 @@ class VerificationServer:
         try:
             handle = self.service.submit_spec(request.json(), block=False)
         except QueueFull as exc:
-            raise _HttpError(
-                429,
-                f"admission queue full ({exc.pending}/{exc.limit} pending)",
-                retry_after=1,
-            ) from None
+            message = f"admission queue full ({exc.pending}/{exc.limit} pending)"
+            raise _HttpError(429, message, retry_after=1) from None
         except (UnknownStrategyError, ValueError) as exc:
             raise _HttpError(400, str(exc)) from None
         except OSError as exc:

@@ -239,6 +239,13 @@ class VerificationService:
             record = self._records.get(job_id)
         return record.handle if record is not None else None
 
+    def retired(self, job_id: str) -> bool:
+        """True if ``job_id`` named a job of this service, since retired."""
+        n = job_id.removeprefix("job-")
+        with self._lock:
+            issued = n.isdigit() and job_id == f"job-{int(n)}" and int(n) < self._job_ids
+            return issued and job_id not in self._records
+
     def stats(self) -> ServiceStats:
         """A consistent snapshot of queue, seats, latencies and traffic.
 
@@ -529,7 +536,8 @@ class VerificationService:
                 raise ConfigError(f"bad design_text: {exc}") from None
         elif design is None:
             raise ConfigError("job spec names no design (design / design_text)")
-        return self.submit(design, block=block, **fields)
+        config = VerificationConfig().with_overrides(**fields)  # no key reaches submit()'s own
+        return self.submit(design, config, block=block)
 
     # ------------------------------------------------------------------
     # Cancellation
@@ -907,6 +915,16 @@ class VerificationService:
         _, running = futures.wait([handle.done for handle in self.jobs()], timeout)
         if running:
             raise TimeoutError(f"jobs still running after {timeout} seconds")
+
+    def cancel_all(self, timeout: float | None = None) -> None:
+        """Cancel every unfinished job, then drain up to ``timeout`` s.
+        Properties already on a seat run on, so allow a real window."""
+        for handle in self.jobs():
+            handle.cancel()
+        try:
+            self.drain(timeout)
+        except TimeoutError:
+            pass  # stragglers settle on their own
 
     def close(self, timeout: float | None = 30.0) -> None:
         """Stop admission, cancel queued jobs, wait for running ones.

@@ -174,6 +174,10 @@ class TestSubmitAndResult:
         with pytest.raises(RemoteError) as info:
             client.job(first).status()
         assert info.value.status == 404
+        assert "retired" in str(info.value)
+        with pytest.raises(RemoteError) as info:
+            client.job("job-99").status()
+        assert info.value.status == 404 and "retired" not in str(info.value)
 
     def test_health_endpoint(self, remote):
         client, _ = remote

@@ -386,7 +386,11 @@ class TestServe:
         assert "== job-0: inline [done] ==" in out
         assert "Debugging set: {P0}" in out
 
-    @pytest.mark.parametrize("bad", [{"strategy": "ja"}, {"zaphod": 42}])
+    @pytest.mark.parametrize("bad", [
+        {"strategy": "ja"}, {"zaphod": 42},
+        # submit()'s own parameters are not config fields
+        {"on_event": 1}, {"block": True}, {"timeout": 5}, {"config": {}},
+    ])
     def test_serve_and_post_jobs_reject_a_bad_spec_alike(
         self, counter_file, tmp_path, capsys, bad
     ):
