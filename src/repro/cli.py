@@ -786,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lifting respects property constraints (default: ignore + re-run)",
     )
-    p_check.add_argument("--coi", action="store_true", help="cone-of-influence front end")
+    p_check.add_argument("--coi", action="store_true", help="cone-of-influence front end, "
+                         "also under clause reuse; --no-reuse runs always prove on cones")
     p_check.add_argument("--ctg", action="store_true", help="CTG-aware generalization")
     p_check.add_argument(
         "--order", default=None, help="property order: design | cone | shuffled:<seed>"

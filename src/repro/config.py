@@ -38,10 +38,12 @@ class ProofOptions:
 
     clause_reuse: bool = True
     respect_constraints_in_lifting: bool = False
-    # Cone-of-influence front end: reduce the design to the joint cone
-    # of the target and the (transitively) support-overlapping
-    # assumptions.  Assumptions with disjoint support are dropped, which
-    # is sound for HOLDS verdicts (fewer assumptions = stronger proof);
+    # Cone-of-influence front end, also under clause reuse (a run
+    # without clause reuse always proves on cones): reduce the design
+    # to the joint cone of the target and the (transitively)
+    # support-overlapping assumptions.  Assumptions with disjoint
+    # support are dropped, which is sound for HOLDS verdicts (fewer
+    # assumptions = stronger proof);
     # counterexamples are re-validated against the *full* assumption set
     # and the property is re-run without reduction if they turn out
     # spurious.  See EXPERIMENTS.md's COI ablation.
@@ -87,6 +89,8 @@ class VerificationConfig:
     clause_reuse: bool = True
     # -- local-proof details (Sections 6-C, 7-A) -----------------------
     respect_constraints_in_lifting: bool = False
+    #: Prove on cones also under clause reuse; ``clause_reuse=False``
+    #: runs always prove on cones (see :class:`ProofOptions`).
     coi_reduction: bool = False
     ctg: bool = False
     # -- engine ceiling ------------------------------------------------

@@ -13,6 +13,8 @@ One :class:`ConeMemo` serves the COI rung of
 :func:`~repro.multiprop.local.prove` (per ``ja``/``separate`` run, per
 pool seat process, or the service's: :data:`SERVICE_MEMO`) and the proof
 cache, so a cache hit or write-back finds the cone's COI proofs.  A
+proof that reuses no clauses takes only its kept assumptions from the
+memo (:meth:`ConeMemo.kept`) and builds a cone no one else reads.  A
 design's key is its exact AAG text (written once per system object)
 plus its input, latch and property literals: never a digest, and one
 text numbered two ways is two keys, since witness maps are in the
@@ -125,6 +127,25 @@ class ConeMemo:
         """``name``'s cone in ``ts``, whose entry is ``design``, keeping the
         ``candidates`` support-connected to it (default: every property
         ``name`` may assume, the proof cache's cone)."""
+        kept = self.kept(ts, design, name, candidates)
+        with self._lock:
+            cone = design.cones.get((name, kept))
+            if cone is not None:
+                self.counters["cone_hits"] += 1
+                return cone
+            cone = design.cones[name, kept] = build_cone(ts, name, kept)
+            self.counters["cones_built"] += 1
+            return cone
+
+    def kept(
+        self,
+        ts: TransitionSystem,
+        design: DesignCones,
+        name: str,
+        candidates: Sequence[str] | None = None,
+    ) -> tuple[str, ...]:
+        """The ``candidates`` :meth:`cone` keeps, memoized without building
+        a cone: a proof that reuses no clauses builds its own and drops it."""
         wanted = (name, None if candidates is None else tuple(candidates))
         with self._lock:
             kept = design.kept.get(wanted)
@@ -134,13 +155,7 @@ class ConeMemo:
                 kept = design.kept[wanted] = tuple(
                     support_connected(ts.aig, ts.prop_by_name, name, candidates, design.supports)
                 )
-            cone = design.cones.get((name, kept))
-            if cone is not None:
-                self.counters["cone_hits"] += 1
-                return cone
-            cone = design.cones[name, kept] = build_cone(ts, name, kept)
-            self.counters["cones_built"] += 1
-            return cone
+            return kept
 
     def certifier(self, cone: Cone, solver_backend: str | None) -> Certifier:
         """A certifier on ``cone.ts`` that reuses and extends what

@@ -5,8 +5,13 @@ Every driver that decides a property with IC3 — sequential ``ja`` and
 seat's IC3 job (:mod:`repro.parallel.worker`) — calls :func:`prove`:
 
 1. run IC3 on the property under the given assumption set, seeded from
-   the clauseDB (Section 6), optionally on its cone of influence from
-   the caller's :class:`~repro.multiprop.cones.ConeMemo`;
+   the clauseDB (Section 6).  A proof that reuses no clauses runs on its
+   cone of influence: an assumption whose support never meets the
+   target's cone cannot change its local verdict, and no other proof
+   reads the cone, so it is built for this proof and dropped after it
+   (the caller's :class:`~repro.multiprop.cones.ConeMemo` keeps only
+   the support fixpoint).  With ``coi_reduction`` a proof that does
+   reuse clauses runs on its cone too, memoized in that memo;
 2. replay a counterexample against the assumed properties; if one of
    them fails strictly before the target, the trace is spurious for the
    local semantics (Section 7-A) and the proof is re-run one rung up
@@ -42,7 +47,7 @@ from ..progress import (
 )
 from ..ts.system import TransitionSystem
 from .clausedb import ClauseDB
-from .cones import ConeMemo
+from .cones import ConeMemo, build_cone
 from .report import PropOutcome
 
 
@@ -98,8 +103,9 @@ def prove(
     when given, bounds the whole ladder (a pool seat's, which carries its
     stop check; a race's slice); by default every rung gets a fresh
     ``options.budget()``.  ``certifier`` is the caller's run certifier
-    on ``ts``; a COI rung proves and certifies on the cone from
-    ``cones``, the caller's memo (by default a fresh one).
+    on ``ts``; a COI rung proves and certifies on the cone, kept in
+    ``cones`` (the caller's memo, by default a fresh one) only when the
+    proof reuses clauses.
     """
     send = emit_or_null(emit)
     assumed = list(assumed)
@@ -108,7 +114,7 @@ def prove(
     seeds = db.clauses() if reuse else ()
     assumed_lits = {n: ts.prop_by_name[n].lit for n in assumed}
     respect = options.respect_constraints_in_lifting
-    use_coi = options.coi_reduction
+    use_coi = options.coi_reduction or not options.clause_reuse
     if use_coi and cones is None:
         cones = ConeMemo()
     reruns = 0
@@ -160,9 +166,15 @@ def _run_ic3(
     if use_coi:
         # Only the assumptions support-connected to the target stay:
         # sound for proofs, and counterexamples are re-validated.
-        cone = cones.cone(ts, cones.design(ts), name, assumed)
+        design = cones.design(ts)
+        if options.clause_reuse:
+            cone = cones.cone(ts, design, name, assumed)
+            run_certifier = cones.certifier(cone, options.solver_backend)
+        else:
+            # No other proof reads this cone: build it, prove, drop it.
+            cone = build_cone(ts, name, cones.kept(ts, design, name, assumed))
+            run_certifier = Certifier(cone.ts, options.solver_backend)
         run_ts, run_assumed, reduction = cone.ts, list(cone.kept), cone.reduction
-        run_certifier = cones.certifier(cone, options.solver_backend)
         # Seeds that mention a latch outside the cone are dropped.
         run_seeds = reduction.clauses_to_cone(seeds)
     ic3_opts = IC3Options(

@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import pickle
 import queue as queue_mod
+import signal
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -147,7 +148,15 @@ def pool_worker_main(
     ``("stop",)`` sentinel or the pool-wide stop event.  The loop never
     raises: verifier exceptions become ``error`` messages so the parent
     can account for the job and keep the pool alive.
+
+    A seat process ignores SIGINT, since the parent owns shutdown, and
+    dies on SIGTERM, which is what :meth:`WorkerPool.shutdown`'s
+    ``terminate()`` sends: a forked seat would otherwise inherit a
+    handler such as a server's ``default_int_handler`` and raise
+    ``KeyboardInterrupt`` mid-proof.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # content hash -> design; same LRU policy and cap as the parent's
     # per-slot mirror, applied to the same ordered message stream, so
     # the two sides always agree on which hashes this worker holds.

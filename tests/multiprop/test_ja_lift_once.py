@@ -1,12 +1,14 @@
-"""Work-count guard: ``ja`` compiles a design for simulation once, and
-lifting over the compiled netlist changes no search.
+"""Work-count guard: local proofs compile a design for simulation once,
+and lifting over the compiled netlist changes no search.
 
-No wall clock.  Every local proof of a ``ja`` run lifts its predecessor,
-CTG and bad states over the one netlist of the design's AIG; the lifted
-cubes must be the ones the per-latch re-evaluating lifter returned, so
-each property's verdict and search counters stay at the values pinned
-below from the commit before the netlist existed (4dda519).  Clause
-reuse is off so that every property runs its full search.
+No wall clock.  Every whole-design local proof of a design lifts its
+predecessor, CTG and bad states over the one netlist of the design's
+AIG; the lifted cubes must be the ones the per-latch re-evaluating
+lifter returned, so each property's verdict and search counters stay at
+the values pinned below from the commit before the netlist existed
+(4dda519).  Each property is proved under ``ja``'s assumption set with
+no seeds, so that every property runs its full search.  A ``ja`` run
+without clause reuse proves on cones instead: one netlist per cone.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ import pickle
 import pytest
 
 from repro.circuit import aig as aig_module
+from repro.config import ProofOptions
+from repro.engines.certify import Certifier
 from repro.gen import all_true_designs, failing_designs
 from repro.multiprop.ja import JAVerifier
+from repro.multiprop.local import prove
 from repro.session import VerificationConfig
+from repro.ts.projection import assumption_names
 from repro.ts.system import TransitionSystem
 
 #: design -> property -> (status, frames, sat_queries, lift_drops, cubes_blocked)
@@ -41,32 +47,42 @@ PINNED = {
 
 
 @pytest.fixture
-def netlist_builds(monkeypatch) -> list[int]:
-    """One entry — the node count compiled — per ``Netlist`` built."""
-    builds: list[int] = []
+def netlist_builds(monkeypatch) -> list:
+    """One entry — the AIG compiled — per ``Netlist`` built."""
+    builds: list = []
 
     class CountingNetlist(aig_module.Netlist):
         def __init__(self, aig, base=None) -> None:
             super().__init__(aig, base)
-            builds.append(len(self.fanouts))
+            builds.append(aig)
 
     monkeypatch.setattr(aig_module, "Netlist", CountingNetlist)
     return builds
 
 
+def design(name: str) -> TransitionSystem:
+    return TransitionSystem({**failing_designs(), **all_true_designs()}[name])
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_ja_compiles_the_netlist_once_and_changes_no_search(name, netlist_builds):
-    ts = TransitionSystem({**failing_designs(), **all_true_designs()}[name])
+    ts = design(name)
     cold = pickle.dumps(ts)
-    config = VerificationConfig(solver_backend="cdcl", design_name=name, clause_reuse=False)
-    verifier = JAVerifier(ts, config)
-    verifier.run()
+    # ``ja``'s assumption sets, no clause database: no seeds, one design.
+    options = ProofOptions(solver_backend="cdcl")
+    certifier = Certifier(ts, options.solver_backend)
+    results = {
+        prop.name: prove(
+            ts, prop.name, assumption_names(ts, prop.name), options, certifier=certifier
+        )[1]
+        for prop in ts.properties
+    }
 
     assert len(ts.properties) == len(PINNED[name]) > 3
     # However many properties lifted (and however many counterexamples
     # were replayed): one compilation of the whole design.
-    assert netlist_builds == [ts.aig.num_nodes]
-    assert sum(r.stats["lift_drops"] for r in verifier.results.values()) > 0
+    assert netlist_builds == [ts.aig]
+    assert sum(r.stats["lift_drops"] for r in results.values()) > 0
     # ... which never travels with the design.
     assert pickle.dumps(ts) == cold
     assert {
@@ -77,5 +93,18 @@ def test_ja_compiles_the_netlist_once_and_changes_no_search(name, netlist_builds
             result.stats["lift_drops"],
             result.stats["cubes_blocked"],
         )
-        for prop, result in verifier.results.items()
+        for prop, result in results.items()
     } == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_ja_without_reuse_compiles_one_netlist_per_cone(name, netlist_builds):
+    ts = design(name)
+    config = VerificationConfig(solver_backend="cdcl", design_name=name, clause_reuse=False)
+    JAVerifier(ts, config).run()
+
+    cones = [aig for aig in netlist_builds if aig is not ts.aig]
+    # One cone per property, each compiled once; the whole design at
+    # most once more, to replay counterexamples.
+    assert len(cones) == len({id(aig) for aig in cones}) == len(ts.properties)
+    assert len(netlist_builds) - len(cones) <= 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.config import ProofOptions
@@ -281,3 +284,30 @@ class TestStopMarks:
         assert list(pool._stop_marks) == [0, 9]
         pool.stop_seat(1, 12)
         assert list(pool._stop_marks) == [0, 12]
+
+
+def _signal_masks(pid: int) -> dict[str, int]:
+    """``SigIgn`` and ``SigCgt`` of ``pid``, from its ``/proc`` status."""
+    with open(f"/proc/{pid}/status") as status:
+        fields = dict(line.split(":", 1) for line in status)
+    return {key: int(fields[key], 16) for key in ("SigIgn", "SigCgt")}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_a_seat_ignores_sigint_and_dies_on_sigterm(toggler):
+    # A server holds default_int_handler for both while its pool forks.
+    previous = {
+        signum: signal.signal(signum, signal.default_int_handler)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        with WorkerPool(workers=1) as pool:
+            # One finished job: the seat is past its loop's prologue.
+            Session(toggler, strategy="parallel-ja", pool=pool).run()
+            masks = _signal_masks(pool._slots[0].process.pid)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    sigint, sigterm = 1 << (signal.SIGINT - 1), 1 << (signal.SIGTERM - 1)
+    assert masks["SigIgn"] & sigint and not masks["SigCgt"] & sigint
+    assert not (masks["SigIgn"] | masks["SigCgt"]) & sigterm
